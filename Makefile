@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-diff bench-smoke bench-throughput bench-groups chaos-smoke chaos-soak inspect-smoke trace-smoke join-smoke capture-smoke clean
+.PHONY: all build test race vet check bench bench-e2e bench-diff bench-smoke bench-throughput bench-groups chaos-smoke chaos-soak inspect-smoke trace-smoke join-smoke capture-smoke clean
 
 all: check
 
@@ -91,6 +91,16 @@ chaos-soak:
 # "previous" for before/after comparison). Expect a few minutes.
 bench:
 	$(GO) run ./cmd/urcgc-bench -baseline BENCH_BASELINE.json
+
+# bench-e2e runs one workload of the end-to-end benchmark (benchmark/, its
+# own module; BENCHMARK.json names the gated workloads) exactly as the
+# driver does: build into .bench_build/, one seeded run, the result line
+# last on stdout. Perf PRs pair it against the parent commit and record the
+# runs in BENCH_<pr>.json.
+WORKLOAD ?= lan_light
+SEED ?= 1
+bench-e2e:
+	bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 18 --trace 0
 
 # bench-diff is the perf regression guard: re-run the guarded families
 # (Wire codec, ThroughputSaturation, GroupScaling) fresh and fail on a

@@ -127,6 +127,13 @@ func main() {
 					if ctx.Err() == nil {
 						failed.Add(1)
 					}
+					// A send that fails fast (a member that left the group
+					// refuses at once) must not spin a core counting
+					// millions of failures: pace the retry by one round.
+					select {
+					case <-time.After(*round):
+					case <-ctx.Done():
+					}
 					continue
 				}
 				lats[s] = append(lats[s], time.Since(t0))

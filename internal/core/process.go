@@ -325,9 +325,14 @@ type Process struct {
 
 	running  bool
 	nextSeq  mid.Seq
-	outbox   []*causal.Message // user messages awaiting their send round
+	outbox   []*causal.Message // user messages awaiting their send opportunity
 	lastDec  *wire.Decision    // freshest decision held
 	requests map[mid.ProcID]*wire.Request
+
+	// sendSpent marks this subrun's one send opportunity as taken: set by
+	// broadcastOutbox, reset at every subrun open. It is what lets Flush
+	// send mid-subrun without ever sending twice in one.
+	sendSpent bool
 
 	subrun            int64 // current subrun index
 	missedCoords      int   // consecutive subruns with no decision from a believed-alive coordinator
@@ -373,6 +378,9 @@ type Stats struct {
 	Decisions   int // decisions computed as coordinator
 	Duplicates  int // duplicate or stale DATA received
 	Batches     int // multi-message DataBatch frames broadcast
+	// EagerBroadcasts counts send opportunities taken by Flush — at submit
+	// time, mid-subrun — instead of at the subrun's opening tick.
+	EagerBroadcasts int
 
 	Sponsored    int // JOIN-STATE transfers served to joiners
 	FastForwards int // compacted recovery gaps skipped while syncing
@@ -460,8 +468,10 @@ func (p *Process) StableTo() mid.SeqVector { return p.lastClean }
 // Submit queues a user message. Its causal dependencies are the explicit
 // deps given (each must already be processed locally — a process can only
 // causally relate messages it has seen, Definition 3.1) plus, implicitly,
-// the sender's previous message. The message is broadcast at the next
-// first-round of a subrun permitted by flow control, one per round at most.
+// the sender's previous message. The message leaves at the process's next
+// send opportunity permitted by flow control — there is one per subrun, up
+// to BatchMax messages wide: the opening of the next subrun, or at once if
+// the caller follows up with Flush while this subrun's is still unspent.
 // The assigned MID is returned.
 func (p *Process) Submit(payload []byte, deps mid.DepList) (mid.MID, error) {
 	if !p.running {
@@ -593,6 +603,7 @@ func (p *Process) startSubrun(s int64) {
 	}
 	p.subrun = s
 	p.decisionThisSub = false
+	p.sendSpent = false
 	p.requests = make(map[mid.ProcID]*wire.Request)
 
 	if p.joining {
@@ -602,12 +613,9 @@ func (p *Process) startSubrun(s int64) {
 
 	// Broadcast queued user messages, unless flow control defers: at most
 	// BatchMax per subrun (classically one), split into byte-budgeted
-	// DataBatch frames when more than one leaves at once.
-	threshold := p.cfg.HistoryThreshold
-	if p.cfg.ThresholdPerAlive > 0 {
-		threshold = p.cfg.ThresholdPerAlive * p.view.AliveCount()
-	}
-	if len(p.outbox) > 0 && (threshold == 0 || p.hist.Len() < threshold) {
+	// DataBatch frames when more than one leaves at once. An empty outbox or
+	// a closed valve leaves the opportunity open for Flush.
+	if p.canSend() {
 		p.broadcastOutbox()
 	}
 
@@ -669,12 +677,51 @@ func msgBodySize(m *causal.Message) int {
 	return 8 + 2 + 8*len(m.Deps) + 2 + len(m.Payload)
 }
 
-// broadcastOutbox drains up to BatchMax queued messages onto the wire. A
-// single message travels as classic Data (wire-compatible with unbatched
-// peers); a larger drain is split greedily into DataBatch frames whose
-// encoded size stays within BatchBytes. Each broadcast message is also
-// processed locally, exactly as the unbatched path did.
+// canSend reports whether there is something to send and the Section 6
+// flow-control valve (HistoryThreshold, or ThresholdPerAlive against the
+// live view) lets it out.
+func (p *Process) canSend() bool {
+	if len(p.outbox) == 0 {
+		return false
+	}
+	threshold := p.cfg.HistoryThreshold
+	if p.cfg.ThresholdPerAlive > 0 {
+		threshold = p.cfg.ThresholdPerAlive * p.view.AliveCount()
+	}
+	return threshold == 0 || p.hist.Len() < threshold
+}
+
+// Flush takes this subrun's send opportunity now instead of at the next
+// tick, if it is still there to take: the subrun's opening found the outbox
+// empty (or the valve closed, and the history has drained since), something
+// is queued, and the process is a running, admitted member. It reports
+// whether it broadcast. The rule is one opportunity per subrun, spent at the
+// first instant there is something to send, so the n*BatchMax/(2*round)
+// ceiling, the frames per subrun and the flow-control valve are exactly the
+// tick path's; a second submission in the same subrun waits for the tick.
+//
+// Nothing in the protocol ties DATA to a round — Data/DataBatch carry no
+// subrun number and handleData ignores the receiver's — so a mid-subrun
+// broadcast is just an early datagram under the general-omission model. Only
+// the live runtimes call Flush, after registering the submitter's confirm
+// waiter; the simulator and Cluster never do and stay lockstep.
+func (p *Process) Flush() bool {
+	if p.sendSpent || !p.running || p.joining || !p.canSend() {
+		return false
+	}
+	p.Stats.EagerBroadcasts++
+	p.broadcastOutbox()
+	return true
+}
+
+// broadcastOutbox spends the subrun's send opportunity: it drains up to
+// BatchMax queued messages onto the wire. A single message travels as
+// classic Data (wire-compatible with unbatched peers); a larger drain is
+// split greedily into DataBatch frames whose encoded size stays within
+// BatchBytes. Each broadcast message is also processed locally, exactly as
+// the unbatched path did.
 func (p *Process) broadcastOutbox() {
+	p.sendSpent = true
 	take := p.cfg.batchMax()
 	if take > len(p.outbox) {
 		take = len(p.outbox)

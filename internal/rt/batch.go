@@ -17,8 +17,29 @@ type Submission struct {
 	Payload []byte
 	Deps    mid.DepList
 	Causal  bool
-	Res     chan SubResult  // receives the submit outcome (buffered, cap 1)
-	Confirm chan struct{}   // closed when the message is processed locally
+	Res     chan SubResult // receives the submit outcome (buffered, cap 1)
+	Confirm chan struct{}  // closed when the message is processed locally
+
+	born time.Time // the Rq instant, for the confirm-latency histogram
+}
+
+// NewSubmission packages one user Send for the loop goroutine.
+func NewSubmission(payload []byte, deps mid.DepList, causal bool) *Submission {
+	return &Submission{
+		Payload: payload,
+		Deps:    deps,
+		Causal:  causal,
+		Res:     make(chan SubResult, 1),
+		Confirm: make(chan struct{}),
+		born:    time.Now(),
+	}
+}
+
+// failAll answers every submission of a batch that will never run.
+func failAll(batch []*Submission, err error) {
+	for _, s := range batch {
+		s.Res <- SubResult{Err: err}
+	}
 }
 
 // SubResult is the outcome of running one Submission inside the loop.
@@ -42,19 +63,20 @@ func (s *Submission) wireCost() int {
 // Coalescer batches user submissions: Sends arriving within BatchWindow
 // (or until the count/byte budget fills first) are handed to the node
 // goroutine as ONE inbox event, so the protocol's outbox drains them as
-// DataBatch frames in the next subrun instead of dribbling one Data per
-// subrun. Confirm semantics are untouched — every Send still blocks until
-// its own message is processed locally.
+// DataBatch frames at one send opportunity — at once when the subrun's is
+// still unspent, else at the next subrun's opening — instead of dribbling
+// one Data per subrun. Confirm semantics are untouched — every Send still
+// blocks until its own message is processed locally.
 type Coalescer struct {
 	window   time.Duration
 	maxCount int
 	maxBytes int
 
 	// enqueue hands a closure to the node loop, blocking until accepted;
-	// it fails only on shutdown. submit runs one submission inside that
+	// it fails only on shutdown. submit runs a flushed batch inside that
 	// loop. observe records flush sizes (may be nil).
 	enqueue func(fn func()) error
-	submit  func(s *Submission)
+	submit  func(batch ...*Submission)
 	observe func(batch int)
 
 	mu      sync.Mutex
@@ -68,7 +90,7 @@ type Coalescer struct {
 // the loop goroutine that owns submit, blocking until accepted and failing
 // only on shutdown; observe (optional) receives the size of every flush.
 func NewCoalescer(window time.Duration, maxCount, maxBytes int,
-	enqueue func(func()) error, submit func(*Submission), observe func(int)) *Coalescer {
+	enqueue func(func()) error, submit func(...*Submission), observe func(int)) *Coalescer {
 	if maxCount <= 1 {
 		maxCount = core.DefaultBatchMax
 	}
@@ -121,9 +143,7 @@ func (c *Coalescer) Stop() {
 	c.stopped = true
 	batch := c.take()
 	c.mu.Unlock()
-	for _, s := range batch {
-		s.Res <- SubResult{Err: ErrCoalescerStopped}
-	}
+	failAll(batch, ErrCoalescerStopped)
 }
 
 // Pending reports how many submissions sit inside the open batch window.
@@ -166,13 +186,7 @@ func (c *Coalescer) flush(batch []*Submission) {
 	if c.observe != nil {
 		c.observe(len(batch))
 	}
-	if err := c.enqueue(func() {
-		for _, s := range batch {
-			c.submit(s)
-		}
-	}); err != nil {
-		for _, s := range batch {
-			s.Res <- SubResult{Err: err}
-		}
+	if err := c.enqueue(func() { c.submit(batch...) }); err != nil {
+		failAll(batch, err)
 	}
 }

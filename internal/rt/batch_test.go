@@ -126,7 +126,7 @@ func TestCoalescerStopFailsPendingWindow(t *testing.T) {
 	enqueued := 0
 	c := NewCoalescer(time.Hour, 16, 1<<20,
 		func(fn func()) error { enqueued++; fn(); return nil },
-		func(s *Submission) { t.Error("submission reached submit after Stop") },
+		func(...*Submission) { t.Error("submission reached submit after Stop") },
 		nil)
 	const pending = 5
 	subs := make([]*Submission, pending)

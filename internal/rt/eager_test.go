@@ -1,0 +1,168 @@
+package rt
+
+import (
+	"context"
+	"sync"
+	"testing"
+	"time"
+
+	"urcgc/internal/core"
+	"urcgc/internal/faultrt"
+	"urcgc/internal/mid"
+	"urcgc/internal/obs"
+)
+
+// eagerRound is long enough that "confirmed without waiting for a tick"
+// (microseconds) and "waited for one" (up to a 600 ms subrun) cannot be
+// confused by scheduler noise.
+const eagerRound = 300 * time.Millisecond
+
+// sendWithin fails the test unless the send confirms well inside one round.
+func sendWithin(t *testing.T, who string, send func(ctx context.Context) (mid.MID, error)) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	t0 := time.Now()
+	if _, err := send(ctx); err != nil {
+		t.Errorf("%s: %v", who, err) // not Fatal: callers run it off the test goroutine too
+		return
+	}
+	if took := time.Since(t0); took > eagerRound/3 {
+		t.Errorf("%s: an idle member's Send took %v at %v rounds: it waited for the tick", who, took, eagerRound)
+	}
+}
+
+// TestMeshIdleSendSkipsTickWait: on the lockstep mesh every idle member's
+// Send leaves on submit, and the fast path is counted per node.
+func TestMeshIdleSendSkipsTickWait(t *testing.T) {
+	reg := obs.New()
+	c, err := NewCluster(Config{
+		Config:        core.Config{N: 3, K: 3, R: 8, SelfExclusion: true},
+		RoundDuration: eagerRound,
+		Metrics:       reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	for i := 0; i < c.N(); i++ {
+		n := c.Node(mid.ProcID(i))
+		sendWithin(t, "mesh node", func(ctx context.Context) (mid.MID, error) {
+			return n.Send(ctx, []byte("idle"), nil)
+		})
+		if got := nodeCounter(reg, "rt_eager_broadcasts_total", i); got != 1 {
+			t.Errorf("rt_eager_broadcasts_total{node=%d} = %d, want 1", i, got)
+		}
+	}
+}
+
+// TestUDPIdleSendSkipsTickWait is the same over real sockets with
+// free-running clocks.
+func TestUDPIdleSendSkipsTickWait(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets and timers")
+	}
+	const n = 3
+	peers := freePorts(t, n)
+	nodes := make([]*UDPNode, n)
+	for i := range nodes {
+		node, err := NewUDPNode(UDPConfig{
+			Config:        core.Config{N: n, K: 3, R: 8},
+			Self:          mid.ProcID(i),
+			Peers:         peers,
+			RoundDuration: eagerRound,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = node
+		node.Start()
+		defer node.Stop()
+	}
+	for _, node := range nodes {
+		sendWithin(t, "udp node", func(ctx context.Context) (mid.MID, error) {
+			return node.Send(ctx, []byte("idle"), nil)
+		})
+	}
+}
+
+// TestCoalescedWindowLeavesEagerlyAsOneFrame: the post-submit flush runs
+// once per coalescer flush, after the whole batch is queued, so a window's
+// worth leaves at once as ONE DataBatch — not a Data for the first message
+// and the rest at the tick. BatchMax closes the window on the fifth Send.
+func TestCoalescedWindowLeavesEagerlyAsOneFrame(t *testing.T) {
+	reg := obs.New()
+	const burst = 5
+	c, err := NewCluster(Config{
+		Config:        core.Config{N: 3, K: 3, R: 8, SelfExclusion: true, BatchMax: burst},
+		RoundDuration: eagerRound,
+		BatchWindow:   time.Hour,
+		Metrics:       reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sendWithin(t, "coalesced send", func(ctx context.Context) (mid.MID, error) {
+				return c.Node(0).Send(ctx, []byte("windowed"), nil)
+			})
+		}()
+	}
+	wg.Wait()
+	if frames, msgs := nodeCounter(reg, "rt_batch_frames_total", 0), nodeCounter(reg, "rt_batch_msgs_total", 0); frames != 1 || msgs != burst {
+		t.Errorf("the window left as %d DataBatch frames carrying %d messages, want 1 carrying %d", frames, msgs, burst)
+	}
+	if got := nodeCounter(reg, "rt_eager_broadcasts_total", 0); got != 1 {
+		t.Errorf("rt_eager_broadcasts_total{node=0} = %d, want 1", got)
+	}
+}
+
+// TestEagerCounterDisabledAllocFree: with metrics off the post-submit step
+// pays a nil check for the fast-path counter, nothing more.
+func TestEagerCounterDisabledAllocFree(t *testing.T) {
+	var o *NodeObs
+	if allocs := testing.AllocsPerRun(1000, o.EagerBroadcast); allocs != 0 {
+		t.Fatalf("disabled eager counter: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestScheduledCrashStopsSendOnSubmit: a member whose scheduled crash
+// instant has passed must not send — or process its own message — on
+// submit, even though the round tick that fail-stops it is still far away.
+func TestScheduledCrashStopsSendOnSubmit(t *testing.T) {
+	const crashAt = 20 * time.Millisecond
+	hook := faultrt.NewHook(faultrt.CrashAt{Proc: 1, At: crashAt}, nil)
+	c, err := NewCluster(Config{
+		Config:        core.Config{N: 3, K: 3, R: 8},
+		RoundDuration: 10 * time.Second, // only tick 0 happens during the test
+		Fault:         hook,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	for hook.Elapsed() <= crashAt {
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if id, err := c.Node(1).Send(ctx, []byte("posthumous"), nil); err == nil {
+		t.Fatalf("a crashed member's Send confirmed as %v", id)
+	}
+	if !c.Node(1).Killed() {
+		t.Error("the submit after the crash instant did not fail-stop the member")
+	}
+	select {
+	case ind := <-c.Node(1).Indications():
+		t.Errorf("a crashed member processed %v", ind.Msg.ID)
+	default:
+	}
+}

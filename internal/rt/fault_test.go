@@ -74,13 +74,15 @@ func TestMeshFaultHookCrashAndConverge(t *testing.T) {
 
 // TestSendAbandonedDoesNotLeakWaiter is the regression test for the
 // waiter-map leak: a Send abandoned on context timeout while its message
-// is still unprocessed must remove its confirm entry. Long rounds make the
-// outbox flow control (one user message broadcast per subrun) hold the
-// later submissions back past the context deadline deterministically.
+// is still unprocessed must remove its confirm entry. The later submissions
+// are held in the outbox by construction, not by timing: with a history
+// threshold of one, the first Send (which leaves at once — send on submit)
+// closes the flow-control valve, and it cannot reopen before a full-group
+// decision has made that message stable, two-second rounds away.
 func TestSendAbandonedDoesNotLeakWaiter(t *testing.T) {
 	cfg := Config{
-		Config:        core.Config{N: 3, K: 3, R: 8},
-		RoundDuration: 200 * time.Millisecond,
+		Config:        core.Config{N: 3, K: 3, R: 8, HistoryThreshold: 1},
+		RoundDuration: 2 * time.Second,
 	}
 	c, err := NewCluster(cfg)
 	if err != nil {
@@ -90,6 +92,9 @@ func TestSendAbandonedDoesNotLeakWaiter(t *testing.T) {
 	defer c.Stop()
 
 	n := c.Node(1)
+	if _, err := n.Send(context.Background(), []byte("closes the valve"), nil); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	const sends = 3
@@ -106,22 +111,13 @@ func TestSendAbandonedDoesNotLeakWaiter(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	abandoned := 0
 	for j := 0; j < sends; j++ {
-		if errs[j] != nil && ids[j] != (mid.MID{}) {
-			abandoned++
+		if errs[j] == nil || ids[j] == (mid.MID{}) {
+			t.Fatalf("send %d was not abandoned mid-flight (ids %v, errs %v): the leak path was not exercised",
+				j, ids, errs)
 		}
 	}
-	// The first submission may ride the initial subrun's broadcast, but
-	// the rest cannot leave the outbox before 400ms.
-	if abandoned < sends-1 {
-		t.Fatalf("only %d sends were abandoned mid-flight (ids %v, errs %v): the leak path was not exercised",
-			abandoned, ids, errs)
-	}
-	n.mu.Lock()
-	leaked := len(n.waiters)
-	n.mu.Unlock()
-	if leaked != 0 {
+	if leaked := n.conf.Waiting(); leaked != 0 {
 		t.Errorf("%d waiter entries leaked after abandoned sends", leaked)
 	}
 }
@@ -129,7 +125,9 @@ func TestSendAbandonedDoesNotLeakWaiter(t *testing.T) {
 // TestUDPSendAbandonedDoesNotLeakWaiterOrGoroutines is the same regression
 // for the UDP runtime, plus a shutdown goroutine-leak check: a member
 // whose peer never answers abandons its send on timeout, must leave no
-// waiter entry behind, and Stop must wind down every goroutine.
+// waiter entry behind, and Stop must wind down every goroutine. The valve
+// holds the second send as above; with the only peer silent, nothing is
+// ever stable before K subruns have declared it crashed.
 func TestUDPSendAbandonedDoesNotLeakWaiterOrGoroutines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets and timers")
@@ -137,31 +135,30 @@ func TestUDPSendAbandonedDoesNotLeakWaiterOrGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	peers := freePorts(t, 2)
 	node, err := NewUDPNode(UDPConfig{
-		Config:        core.Config{N: 2, K: 3, R: 8},
+		Config:        core.Config{N: 2, K: 3, R: 8, HistoryThreshold: 1},
 		Self:          1, // peer 0 is never started
 		Peers:         peers,
-		RoundDuration: 200 * time.Millisecond, // first tick after the deadline
+		RoundDuration: 200 * time.Millisecond,
+		Logf:          func(string, ...any) {}, // the dead peer's ICMP errors
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	node.Start()
 
-	// No round ticks before the deadline, so no submission can leave the
-	// outbox: every send is abandoned with its confirm still pending.
+	if _, err := node.Send(context.Background(), []byte("closes the valve"), nil); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	id, err := node.Send(ctx, []byte("stuck"), nil)
 	if err == nil {
-		t.Fatal("send confirmed before the first round tick")
+		t.Fatal("send confirmed through a closed flow-control valve")
 	}
 	if id == (mid.MID{}) {
 		t.Fatalf("send failed before registering its waiter (err %v): the leak path was not exercised", err)
 	}
-	node.mu.Lock()
-	leaked := len(node.waiters)
-	node.mu.Unlock()
-	if leaked != 0 {
+	if leaked := node.conf.Waiting(); leaked != 0 {
 		t.Errorf("%d waiter entries leaked after abandoned send", leaked)
 	}
 

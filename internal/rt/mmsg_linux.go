@@ -4,6 +4,7 @@ package rt
 
 import (
 	"net"
+	"sync"
 	"syscall"
 	"unsafe"
 
@@ -138,10 +139,26 @@ func (m *mmsgSender) send(n *UDPNode, dsts []mid.ProcID, frame []byte) bool {
 	return true
 }
 
+// burstSlot is one receive buffer: one byte of slack past maxDatagram
+// distinguishes an exactly-full datagram from a kernel-truncated one, like
+// the classic reader.
+const burstSlot = maxDatagram + 1
+
+// burstSlabs recycles the receivers' buffer sets (mmsgBurst slots, half a
+// megabyte) across node lifetimes, so a process that constructs and stops
+// members by the hundred — a test suite, the benchmark's set-up timing —
+// does not grow its heap by a slab of garbage per member. A reader returns
+// its slab when it exits; nothing else ever sees the bytes.
+var burstSlabs = sync.Pool{New: func() any {
+	slab := make([]byte, mmsgBurst*burstSlot)
+	return &slab
+}}
+
 // mmsgReceiver drains the socket in recvmmsg bursts. Owned by the reader
 // goroutine; no locking.
 type mmsgReceiver struct {
 	rc   syscall.RawConn
+	slab *[]byte // backs bufs; back to burstSlabs on release
 	bufs [][]byte
 	hdrs []mmsghdr
 	iovs []syscall.Iovec
@@ -158,17 +175,23 @@ func newMmsgReceiver(n *UDPNode) *mmsgReceiver {
 	}
 	m := &mmsgReceiver{
 		rc:   rc,
+		slab: burstSlabs.Get().(*[]byte),
 		bufs: make([][]byte, mmsgBurst),
 		hdrs: make([]mmsghdr, mmsgBurst),
 		iovs: make([]syscall.Iovec, mmsgBurst),
 		sas:  make([]syscall.RawSockaddrAny, mmsgBurst),
 	}
 	for i := range m.bufs {
-		// One byte of slack past maxDatagram distinguishes an exactly-full
-		// datagram from a kernel-truncated one, like the classic reader.
-		m.bufs[i] = make([]byte, maxDatagram+1)
+		m.bufs[i] = (*m.slab)[i*burstSlot : (i+1)*burstSlot : (i+1)*burstSlot]
 	}
 	return m
+}
+
+// release hands the buffer set back for the next node's reader. The reader
+// calls it on exit; the receiver must not be used afterwards.
+func (m *mmsgReceiver) release() {
+	burstSlabs.Put(m.slab)
+	m.slab, m.bufs = nil, nil
 }
 
 // recv blocks until at least one datagram arrives and returns how many

@@ -21,6 +21,7 @@ type mmsgReceiver struct{}
 
 func newMmsgReceiver(*UDPNode) *mmsgReceiver { return nil }
 
+func (m *mmsgReceiver) release()              {}
 func (m *mmsgReceiver) recv() (int, error)    { return 0, nil }
 func (m *mmsgReceiver) packet(int) []byte     { return nil }
 func (m *mmsgReceiver) from(int) *net.UDPAddr { return nil }

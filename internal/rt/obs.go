@@ -50,6 +50,7 @@ type NodeObs struct {
 	batchMsgs   *obs.Counter   // user messages carried by those frames
 	batchSize   *obs.Histogram // messages per DataBatch frame
 	coalesceSz  *obs.Histogram // submissions per coalescer flush
+	eager       *obs.Counter   // send opportunities taken at submit time, not at the tick
 
 	// subrunStart is the wall-clock open of the member's current subrun,
 	// written and read only on the node loop goroutine.
@@ -95,6 +96,7 @@ func NewNodeObs(reg *obs.Registry, id mid.ProcID, n int, extraLabels ...string) 
 		batchMsgs:   reg.Counter(l("rt_batch_msgs_total")),
 		batchSize:   reg.Histogram(l("rt_batch_frame_msgs"), obs.LengthBuckets),
 		coalesceSz:  reg.Histogram(l("rt_coalesce_flush_msgs"), obs.LengthBuckets),
+		eager:       reg.Counter(l("rt_eager_broadcasts_total")),
 	}
 	o.aliveCount.Set(int64(n))
 	return o
@@ -243,6 +245,15 @@ func (o *NodeObs) MarkRound(r int) {
 func (o *NodeObs) Coalesced(n int) {
 	if o != nil {
 		o.coalesceSz.Observe(float64(n))
+	}
+}
+
+// EagerBroadcast counts one send opportunity taken at submit time instead of
+// at the subrun tick; against core_subrun it is the share of subruns whose
+// frames skipped the tick wait. Loop goroutine.
+func (o *NodeObs) EagerBroadcast() {
+	if o != nil {
+		o.eager.Inc()
 	}
 }
 

@@ -36,7 +36,7 @@ type Config struct {
 	// BatchWindow enables the coalescing sender: Send/SendCausal calls
 	// arriving within this window (or until the BatchMax / BatchBytes
 	// budgets fill first) enter the node goroutine as one inbox event and
-	// leave the next subrun as DataBatch frames. Zero disables
+	// leave at one send opportunity as DataBatch frames. Zero disables
 	// coalescing: every Send is its own inbox event and subruns carry at
 	// most BatchMax messages. When set while BatchMax is zero, BatchMax
 	// defaults to core.DefaultBatchMax so the batches actually drain.
@@ -98,6 +98,8 @@ func (c *Config) fill() {
 		c.IndicationDepth = 4096
 	}
 }
+
+var errClusterStopped = fmt.Errorf("rt: cluster stopped")
 
 // Indication is the urcgc-data.Ind primitive: a message processed at this
 // member, delivered in causal order.
@@ -197,14 +199,14 @@ func (c *Cluster) Restart(ctx context.Context, i mid.ProcID) error {
 	select {
 	case <-done:
 	case <-c.stopCh:
-		return fmt.Errorf("rt: cluster stopped")
+		return errClusterStopped
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 	n.mu.Lock()
 	n.killed = false
-	n.leftWith = nil
 	n.mu.Unlock()
+	n.conf.rejoined()
 	return nil
 }
 
@@ -285,21 +287,20 @@ type Node struct {
 	ind   chan Indication
 	cap   *capture.Ring // nil disables frame capture
 
-	mu       sync.Mutex
-	waiters  map[mid.MID]chan struct{}
-	leftWith *core.LeaveReason
-	killed   bool
-	dropped  int
+	conf Confirms // confirm waiters, leave record, the submit step
+
+	mu      sync.Mutex
+	killed  bool
+	dropped int
 }
 
 func newNode(c *Cluster, id mid.ProcID) *Node {
 	n := &Node{
-		c:       c,
-		id:      id,
-		obs:     NewNodeObs(c.cfg.Metrics, id, c.cfg.N),
-		inbox:   make(chan func(), c.cfg.InboxDepth),
-		ind:     make(chan Indication, c.cfg.IndicationDepth),
-		waiters: make(map[mid.MID]chan struct{}),
+		c:     c,
+		id:    id,
+		obs:   NewNodeObs(c.cfg.Metrics, id, c.cfg.N),
+		inbox: make(chan func(), c.cfg.InboxDepth),
+		ind:   make(chan Indication, c.cfg.IndicationDepth),
 	}
 	if int(id) < len(c.cfg.Captures) {
 		n.cap = c.cfg.Captures[id]
@@ -314,7 +315,7 @@ func newNode(c *Cluster, id mid.ProcID) *Node {
 	if c.cfg.BatchWindow > 0 {
 		n.coal = NewCoalescer(c.cfg.BatchWindow, c.cfg.BatchMax, c.cfg.BatchBytes,
 			func(fn func()) error { return n.enqueueWait(context.Background(), fn) },
-			n.submitNow, n.obs.Coalesced)
+			n.submit, n.obs.Coalesced)
 	}
 	return n
 }
@@ -333,27 +334,14 @@ func (n *Node) init() error {
 func (n *Node) callbacks() core.Callbacks {
 	return core.Callbacks{
 		OnProcess: func(m *causal.Message) {
-			n.mu.Lock()
-			if ch, ok := n.waiters[m.ID]; ok {
-				close(ch)
-				delete(n.waiters, m.ID)
-			}
-			n.mu.Unlock()
+			n.conf.Processed(m.ID)
 			select {
 			case n.ind <- Indication{Msg: *m}:
 			default: // slow consumer: indication dropped, like a full SAP queue
 				n.obs.IndicationDropped()
 			}
 		},
-		OnLeave: func(r core.LeaveReason) {
-			n.mu.Lock()
-			n.leftWith = &r
-			for _, ch := range n.waiters {
-				close(ch)
-			}
-			n.waiters = map[mid.MID]chan struct{}{}
-			n.mu.Unlock()
-		},
+		OnLeave: n.conf.Leave,
 		OnJoinInstalled: func(stable mid.SeqVector) {
 			if n.c.cfg.JoinInstalled != nil {
 				n.c.cfg.JoinInstalled(n.id, stable)
@@ -411,7 +399,7 @@ func (n *Node) enqueueWait(ctx context.Context, fn func()) error {
 	case n.inbox <- fn:
 		return nil
 	case <-n.c.stopCh:
-		return fmt.Errorf("rt: cluster stopped")
+		return errClusterStopped
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -452,28 +440,7 @@ func (n *Node) ID() mid.ProcID { return n.id }
 func (n *Node) Indications() <-chan Indication { return n.ind }
 
 // Left returns the reason this member halted, if it has.
-func (n *Node) Left() (core.LeaveReason, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.leftWith == nil {
-		return 0, false
-	}
-	return *n.leftWith, true
-}
-
-// unwait removes a registered confirm waiter, but only if it is still the
-// registered one, so an abandoned Send does not leak its map entry (and
-// does not remove a successor's). OnProcess deletes the entry when the
-// message is processed and OnLeave clears the map wholesale; unwait covers
-// the remaining path, a Send abandoned on context cancellation while the
-// message is still in flight.
-func (n *Node) unwait(id mid.MID, ch chan struct{}) {
-	n.mu.Lock()
-	if n.waiters[id] == ch {
-		delete(n.waiters, id)
-	}
-	n.mu.Unlock()
-}
+func (n *Node) Left() (core.LeaveReason, bool) { return n.conf.Left() }
 
 // Send implements the urcgc-data.Rq/Conf primitive pair: it submits the
 // payload with the given explicit cross-sequence dependencies and blocks
@@ -489,66 +456,29 @@ func (n *Node) SendCausal(ctx context.Context, payload []byte) (mid.MID, error) 
 	return n.send(ctx, payload, nil, true)
 }
 
-// submitNow runs one queued submission. Loop goroutine only.
-func (n *Node) submitNow(s *Submission) {
+// submit runs queued submissions. Loop goroutine only. A scheduled crash
+// takes effect here as well as at the round tick: a message submitted after
+// the crash instant would otherwise leave (and be processed locally) on
+// submit, before the tick that fail-stops the member.
+func (n *Node) submit(batch ...*Submission) {
+	if n.c.cfg.Fault.Crashed(n.id) {
+		n.Kill()
+	}
 	if n.Killed() {
-		s.Res <- SubResult{Err: fmt.Errorf("rt: member %d is fail-stopped", n.id)}
+		failAll(batch, fmt.Errorf("rt: member %d is fail-stopped", n.id))
 		return
 	}
-	var id mid.MID
-	var err error
-	if s.Causal {
-		id, err = n.proc.SubmitCausal(s.Payload)
-	} else {
-		id, err = n.proc.Submit(s.Payload, s.Deps)
-	}
-	if err == nil {
-		n.mu.Lock()
-		n.waiters[id] = s.Confirm
-		n.mu.Unlock()
-	}
-	s.Res <- SubResult{id, err}
+	n.conf.Submit(n.proc, n.obs, batch...)
 }
 
 func (n *Node) send(ctx context.Context, payload []byte, deps mid.DepList, causal bool) (mid.MID, error) {
-	t0 := time.Now()
-	s := &Submission{
-		Payload: payload,
-		Deps:    deps,
-		Causal:  causal,
-		Res:     make(chan SubResult, 1),
-		Confirm: make(chan struct{}),
-	}
+	s := NewSubmission(payload, deps, causal)
 	if n.coal != nil {
 		n.coal.Add(s)
-	} else if err := n.enqueueWait(ctx, func() { n.submitNow(s) }); err != nil {
+	} else if err := n.enqueueWait(ctx, func() { n.submit(s) }); err != nil {
 		return mid.MID{}, err
 	}
-	var r SubResult
-	select {
-	case r = <-s.Res:
-	case <-n.c.stopCh:
-		return mid.MID{}, fmt.Errorf("rt: cluster stopped")
-	case <-ctx.Done():
-		return mid.MID{}, ctx.Err()
-	}
-	if r.Err != nil {
-		return mid.MID{}, r.Err
-	}
-	select {
-	case <-s.Confirm:
-	case <-n.c.stopCh:
-		n.unwait(r.ID, s.Confirm)
-		return r.ID, fmt.Errorf("rt: cluster stopped")
-	case <-ctx.Done():
-		n.unwait(r.ID, s.Confirm)
-		return r.ID, ctx.Err()
-	}
-	if _, left := n.Left(); left {
-		return r.ID, fmt.Errorf("rt: member %d left the group", n.id)
-	}
-	n.obs.ObserveConfirm(t0)
-	return r.ID, nil
+	return n.conf.Await(ctx, n.c.stopCh, errClusterStopped, n.obs, s)
 }
 
 // Dropped returns how many datagrams this node's inbox refused because it

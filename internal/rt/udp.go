@@ -34,8 +34,8 @@ type UDPConfig struct {
 	RoundDuration time.Duration
 	// BatchWindow enables the coalescing sender: Send calls arriving
 	// within this window (or until the BatchMax / BatchBytes budgets fill
-	// first) enter the protocol loop as one event and leave the next
-	// subrun as DataBatch frames. Zero disables coalescing. When set
+	// first) enter the protocol loop as one event and leave at one send
+	// opportunity as DataBatch frames. Zero disables coalescing. When set
 	// while BatchMax is zero, BatchMax defaults to core.DefaultBatchMax.
 	BatchWindow time.Duration
 	// InboxDepth bounds the datagram queue (default 4096).
@@ -107,9 +107,7 @@ type UDPNode struct {
 	inbox chan func()
 	ind   chan Indication
 
-	mu       sync.Mutex
-	waiters  map[mid.MID]chan struct{}
-	leftWith *core.LeaveReason
+	conf Confirms // confirm waiters, leave record, the submit step
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -179,6 +177,8 @@ func newSockObs(reg *obs.Registry) *sockObs {
 	}
 }
 
+var errNodeStopped = fmt.Errorf("rt: node stopped")
+
 // maxDatagram bounds received datagrams. The urcgc PDUs for paper-scale
 // groups fit comfortably; jumbo decisions for very large n would need
 // fragmentation, which the paper delegates to the transport layer.
@@ -197,14 +197,13 @@ func NewUDPNode(cfg UDPConfig) (*UDPNode, error) {
 		return nil, fmt.Errorf("rt: self %d outside group", cfg.Self)
 	}
 	n := &UDPNode{
-		cfg:     cfg,
-		obs:     NewNodeObs(cfg.Metrics, cfg.Self, cfg.N),
-		sock:    newSockObs(cfg.Metrics),
-		inbox:   make(chan func(), cfg.InboxDepth),
-		ind:     make(chan Indication, cfg.IndicationDepth),
-		waiters: make(map[mid.MID]chan struct{}),
-		stopCh:  make(chan struct{}),
-		peers:   make([]*net.UDPAddr, cfg.N),
+		cfg:    cfg,
+		obs:    NewNodeObs(cfg.Metrics, cfg.Self, cfg.N),
+		sock:   newSockObs(cfg.Metrics),
+		inbox:  make(chan func(), cfg.InboxDepth),
+		ind:    make(chan Indication, cfg.IndicationDepth),
+		stopCh: make(chan struct{}),
+		peers:  make([]*net.UDPAddr, cfg.N),
 	}
 	if n.cfg.Logf == nil {
 		n.cfg.Logf = log.Printf
@@ -223,27 +222,14 @@ func NewUDPNode(cfg UDPConfig) (*UDPNode, error) {
 	n.conn = conn
 	cb := core.Callbacks{
 		OnProcess: func(m *causal.Message) {
-			n.mu.Lock()
-			if ch, ok := n.waiters[m.ID]; ok {
-				close(ch)
-				delete(n.waiters, m.ID)
-			}
-			n.mu.Unlock()
+			n.conf.Processed(m.ID)
 			select {
 			case n.ind <- Indication{Msg: *m}:
 			default: // slow consumer: indication dropped, like a full SAP queue
 				n.obs.IndicationDropped()
 			}
 		},
-		OnLeave: func(r core.LeaveReason) {
-			n.mu.Lock()
-			n.leftWith = &r
-			for _, ch := range n.waiters {
-				close(ch)
-			}
-			n.waiters = map[mid.MID]chan struct{}{}
-			n.mu.Unlock()
-		},
+		OnLeave: n.conf.Leave,
 		OnJoined: func() {
 			if cfg.Joined != nil {
 				cfg.Joined()
@@ -266,7 +252,7 @@ func NewUDPNode(cfg UDPConfig) (*UDPNode, error) {
 	n.obs.MarkJoining(cfg.Join)
 	if cfg.BatchWindow > 0 {
 		n.coal = NewCoalescer(cfg.BatchWindow, cfg.BatchMax, cfg.BatchBytes,
-			n.enqueueCommand, n.submitNow, n.obs.Coalesced)
+			n.enqueueCommand, n.submit, n.obs.Coalesced)
 	}
 	n.mmsend = newMmsgSender(n) // nil → single-syscall fallback
 	n.burstScratch = make([]mid.ProcID, 0, cfg.N)
@@ -280,7 +266,7 @@ func (n *UDPNode) enqueueCommand(fn func()) error {
 	case n.inbox <- fn:
 		return nil
 	case <-n.stopCh:
-		return fmt.Errorf("rt: node stopped")
+		return errNodeStopped
 	}
 }
 
@@ -321,89 +307,36 @@ func (n *UDPNode) Stop() {
 func (n *UDPNode) Indications() <-chan Indication { return n.ind }
 
 // Left reports whether and why the member halted itself.
-func (n *UDPNode) Left() (core.LeaveReason, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.leftWith == nil {
-		return 0, false
-	}
-	return *n.leftWith, true
-}
+func (n *UDPNode) Left() (core.LeaveReason, bool) { return n.conf.Left() }
 
-// submitNow runs one queued submission. Loop goroutine only.
-func (n *UDPNode) submitNow(s *Submission) {
-	var id mid.MID
-	var err error
-	if s.Causal {
-		id, err = n.proc.SubmitCausal(s.Payload)
-	} else {
-		id, err = n.proc.Submit(s.Payload, s.Deps)
+// submit runs queued submissions. Loop goroutine only. A fail-stopped site
+// (a scheduled crash of Self) stops ticking; it must not send on submit
+// either.
+func (n *UDPNode) submit(batch ...*Submission) {
+	if n.cfg.Fault.Crashed(n.cfg.Self) {
+		failAll(batch, fmt.Errorf("rt: member %d is fail-stopped", n.cfg.Self))
+		return
 	}
-	if err == nil {
-		n.mu.Lock()
-		n.waiters[id] = s.Confirm
-		n.mu.Unlock()
-	}
-	s.Res <- SubResult{id, err}
+	n.conf.Submit(n.proc, n.obs, batch...)
 }
 
 // Send is the urcgc-data.Rq/Conf pair over UDP. With BatchWindow set,
 // concurrent Sends coalesce into DataBatch frames; each still blocks until
 // its own message is processed locally.
 func (n *UDPNode) Send(ctx context.Context, payload []byte, deps mid.DepList) (mid.MID, error) {
-	t0 := time.Now()
-	s := &Submission{
-		Payload: payload,
-		Deps:    deps,
-		Res:     make(chan SubResult, 1),
-		Confirm: make(chan struct{}),
-	}
+	s := NewSubmission(payload, deps, false)
 	if n.coal != nil {
 		n.coal.Add(s)
 	} else {
 		select {
-		case n.inbox <- func() { n.submitNow(s) }:
+		case n.inbox <- func() { n.submit(s) }:
 		case <-n.stopCh:
-			return mid.MID{}, fmt.Errorf("rt: node stopped")
+			return mid.MID{}, errNodeStopped
 		case <-ctx.Done():
 			return mid.MID{}, ctx.Err()
 		}
 	}
-	var r SubResult
-	select {
-	case r = <-s.Res:
-	case <-n.stopCh:
-		return mid.MID{}, fmt.Errorf("rt: node stopped")
-	case <-ctx.Done():
-		return mid.MID{}, ctx.Err()
-	}
-	if r.Err != nil {
-		return mid.MID{}, r.Err
-	}
-	select {
-	case <-s.Confirm:
-	case <-n.stopCh:
-		n.unwait(r.ID, s.Confirm)
-		return r.ID, fmt.Errorf("rt: node stopped")
-	case <-ctx.Done():
-		n.unwait(r.ID, s.Confirm)
-		return r.ID, ctx.Err()
-	}
-	n.obs.ObserveConfirm(t0)
-	return r.ID, nil
-}
-
-// unwait removes a registered confirm waiter, but only if it is still the
-// registered one, so a Send abandoned on shutdown or context cancellation
-// does not leak its map entry. OnProcess deletes the entry when the message
-// is processed and OnLeave clears the map wholesale; unwait covers the
-// abandoned-while-in-flight path.
-func (n *UDPNode) unwait(id mid.MID, ch chan struct{}) {
-	n.mu.Lock()
-	if n.waiters[id] == ch {
-		delete(n.waiters, id)
-	}
-	n.mu.Unlock()
+	return n.conf.Await(ctx, n.stopCh, errNodeStopped, n.obs, s)
 }
 
 // Snapshot runs fn with safe access to the protocol entity.
@@ -412,7 +345,7 @@ func (n *UDPNode) Snapshot(ctx context.Context, fn func(p *core.Process)) error 
 	select {
 	case n.inbox <- func() { fn(n.proc); close(done) }:
 	case <-n.stopCh:
-		return fmt.Errorf("rt: node stopped")
+		return errNodeStopped
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -420,7 +353,7 @@ func (n *UDPNode) Snapshot(ctx context.Context, fn func(p *core.Process)) error 
 	case <-done:
 		return nil
 	case <-n.stopCh:
-		return fmt.Errorf("rt: node stopped")
+		return errNodeStopped
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -478,6 +411,7 @@ var errMmsgUnsupported = fmt.Errorf("rt: recvmmsg unsupported by kernel")
 
 func (n *UDPNode) reader() {
 	if m := newMmsgReceiver(n); m != nil {
+		defer m.release()
 		if n.readerBurst(m) {
 			return
 		}

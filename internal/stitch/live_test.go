@@ -29,12 +29,17 @@ const (
 //
 // The hold escalates in two steps: first only member 1's frames to
 // member 2 are dropped (so the dependency spreads to members 0 and 1 but
-// not 2), then — once the blocked message has parked at member 2 — every
-// group-1 frame into member 2 is dropped, which keeps the recovery
-// machinery (RECOVER/RETRANSMIT via the decision's most-updated holder)
-// from healing the gap under the test. Long rounds make the escalation
-// race-free: recovery needs a decision cycle, the escalation needs
-// milliseconds.
+// not 2), then every group-1 frame into member 2 is dropped, which keeps
+// the recovery machinery (RECOVER/RETRANSMIT via the decision's
+// most-updated holder) from healing the gap under the test. The drop hook
+// escalates itself, on the very frame that carries the blocked message to
+// member 2, so no interval — poll, round or otherwise — separates "blocked
+// arrived" from "recovery cut". It recognizes that frame by construction,
+// not by timing: member 0 never sent in group 1 before, so its send
+// opportunity is unspent and the blocked message leaves inside the loop
+// event that submits it (send on submit) — the only span ever in flight at
+// member 0's group-1 tracer, open from Submit until local processing, with
+// exactly that broadcast in between.
 func TestTraceStuckMessageEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live cluster and timers")
@@ -44,7 +49,10 @@ func TestTraceStuckMessageEndToEnd(t *testing.T) {
 		round = 300 * time.Millisecond
 	)
 
-	var hold atomic.Int32
+	var (
+		hold atomic.Int32
+		cl   *topics.MultiCluster
+	)
 	cl, err := topics.NewMultiCluster(topics.Config{
 		// K far above what the test can span keeps the one-sided silence
 		// from becoming a crash declaration.
@@ -58,11 +66,17 @@ func TestTraceStuckMessageEndToEnd(t *testing.T) {
 			SlowThreshold: 50 * time.Millisecond,
 		},
 		DropFrame: func(group uint32, src, dst mid.ProcID) bool {
+			if group != 1 || dst != 2 {
+				return false
+			}
 			switch hold.Load() {
 			case holdFromOne:
-				return group == 1 && src == 1 && dst == 2
+				if src == 0 && cl.Node(0).Lifecycle(1).Counts().InFlight > 0 {
+					hold.Store(holdAll) // this frame passes; nothing after it does
+				}
+				return src == 1
 			case holdAll:
-				return group == 1 && dst == 2
+				return true
 			}
 			return false
 		},
@@ -89,11 +103,12 @@ func TestTraceStuckMessageEndToEnd(t *testing.T) {
 	defer cancel()
 
 	// Both groups flowing first, so the stitch also joins healthy
-	// completed spans.
+	// completed spans. Member 2 warms group 1: members 0 and 1 keep their
+	// group-1 send opportunities for the two messages below.
 	if _, err := cl.Node(0).Send(ctx, 0, []byte("ok"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Node(0).Send(ctx, 1, []byte("warm"), nil); err != nil {
+	if _, err := cl.Node(2).Send(ctx, 1, []byte("warm"), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -106,27 +121,18 @@ func TestTraceStuckMessageEndToEnd(t *testing.T) {
 	}
 
 	// Member 0's causal send depends on everything it processed — the
-	// withheld message included. Member 2 receives it (0→2 still flows)
-	// and parks it behind the dependency it lacks.
+	// withheld message included (the mesh queued it at member 0 before
+	// member 1's Send returned, ahead of this submission). Member 2
+	// receives it (0→2 still flows) and parks it behind the dependency it
+	// lacks; the frame that delivers it cuts all further group-1 traffic
+	// into member 2.
 	blocked, err := cl.Node(0).SendCausal(ctx, 1, []byte("blocked"))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// As soon as the blocked message shows on member 2's /trace, cut all
-	// group-1 traffic into member 2 so recovery cannot heal the gap.
-	arrival := time.Now().Add(30 * time.Second)
-	for {
-		nt := collectOne(Config{Nodes: []string{addrs[2]}, Group: 1}.fill(), addrs[2])
-		if hasSpan(nt, blocked.String()) {
-			break
-		}
-		if time.Now().After(arrival) {
-			t.Fatalf("blocked message never reached member 2: %+v", nt)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if got := hold.Load(); got != holdAll {
+		t.Fatalf("hold = %d after the blocked send: its frame to member 2 did not arm the full cut", got)
 	}
-	hold.Store(holdAll)
 
 	deadline := time.Now().Add(30 * time.Second)
 	var rep *Report
@@ -147,23 +153,6 @@ func TestTraceStuckMessageEndToEnd(t *testing.T) {
 	if !strings.Contains(out, dep.String()) || !strings.Contains(out, "member 1") {
 		t.Fatalf("text report does not name the blocking member and MID:\n%s", out)
 	}
-}
-
-// hasSpan reports whether one node's collected reports mention the MID.
-func hasSpan(nt NodeTrace, mid string) bool {
-	for _, rep := range nt.Reports {
-		for _, sv := range rep.Slowest {
-			if sv.MID == mid {
-				return true
-			}
-		}
-		for _, sv := range rep.Recent {
-			if sv.MID == mid {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // blockedOn reports whether the stitched view holds the blocked group-1

@@ -197,3 +197,39 @@ func TestTopicsDisabledObsAllocFree(t *testing.T) {
 		t.Errorf("disabled-observability deliver path allocates %.2f/op, budget 13", got)
 	}
 }
+
+// TestIdleSendSkipsTickWaitPerGroup: every group's send opportunity is its
+// own — an idle (member, group) session's Send leaves on submit, well inside
+// one round, and the fast path is counted on the group-labeled series.
+func TestIdleSendSkipsTickWaitPerGroup(t *testing.T) {
+	const n, groups = 3, 2
+	const round = 300 * time.Millisecond // tick waits would be unmistakable
+	reg := obs.New()
+	cfg := meshConfig(n, groups, 2)
+	cfg.RoundDuration = round
+	cfg.Metrics = reg
+	c, err := NewMultiCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for g := 0; g < groups; g++ {
+		for i := 0; i < n; i++ {
+			t0 := time.Now()
+			if _, err := c.Node(mid.ProcID(i)).Send(ctx, uint32(g), []byte("idle"), nil); err != nil {
+				t.Fatalf("member %d group %d: %v", i, g, err)
+			}
+			if took := time.Since(t0); took > round/3 {
+				t.Errorf("member %d group %d: an idle session's Send took %v at %v rounds: it waited for the tick", i, g, took, round)
+			}
+			name := obs.Labeled("rt_eager_broadcasts_total", "node", strconv.Itoa(i), "group", strconv.Itoa(g))
+			if got := reg.Counter(name).Value(); got != 1 {
+				t.Errorf("%s = %d, want 1", name, got)
+			}
+		}
+	}
+}

@@ -237,16 +237,12 @@ func (m *MultiNode) initSessions(tp func(*session) core.Transport) error {
 	m.sessions = make([]*session, m.cfg.Groups)
 	for g := range m.sessions {
 		s := &session{
-			m:       m,
-			group:   uint32(g),
-			shard:   m.shards[g%len(m.shards)],
-			ind:     make(chan Indication, m.cfg.IndicationDepth),
-			waiters: make(map[mid.MID]chan struct{}),
-			obs:     rt.NewNodeObs(m.cfg.Metrics, m.cfg.Self, m.cfg.N, "group", strconv.Itoa(g)),
-			gobs:    newGroupObs(m.cfg.Metrics, m.cfg.Self, g),
-		}
-		if s.gobs != nil {
-			s.stableWait = make(map[mid.MID]time.Time)
+			m:     m,
+			group: uint32(g),
+			shard: m.shards[g%len(m.shards)],
+			ind:   make(chan Indication, m.cfg.IndicationDepth),
+			obs:   rt.NewNodeObs(m.cfg.Metrics, m.cfg.Self, m.cfg.N, "group", strconv.Itoa(g)),
+			gobs:  newGroupObs(m.cfg.Metrics, m.cfg.Self, g),
 		}
 		if m.cfg.Lifecycle != nil {
 			opts := *m.cfg.Lifecycle
@@ -261,12 +257,7 @@ func (m *MultiNode) initSessions(tp func(*session) core.Transport) error {
 		cb := core.Callbacks{
 			OnProcess: func(msg *causal.Message) {
 				s.processed.Add(1)
-				s.mu.Lock()
-				if ch, ok := s.waiters[msg.ID]; ok {
-					close(ch)
-					delete(s.waiters, msg.ID)
-				}
-				s.mu.Unlock()
+				s.conf.Processed(msg.ID)
 				select {
 				case s.ind <- Indication{Group: s.group, Msg: *msg}:
 				default: // slow consumer: indication dropped, like a full SAP queue
@@ -279,13 +270,7 @@ func (m *MultiNode) initSessions(tp func(*session) core.Transport) error {
 				s.settleStable(clean)
 			},
 			OnLeave: func(r core.LeaveReason) {
-				s.mu.Lock()
-				s.leftWith = &r
-				for _, ch := range s.waiters {
-					close(ch)
-				}
-				s.waiters = map[mid.MID]chan struct{}{}
-				s.mu.Unlock()
+				s.conf.Leave(r)
 				clear(s.stableWait)
 			},
 			OnJoined: func() {
@@ -293,6 +278,12 @@ func (m *MultiNode) initSessions(tp func(*session) core.Transport) error {
 					m.cfg.Joined(s.group)
 				}
 			},
+		}
+		if s.gobs != nil {
+			// Shard goroutine: starts the submit→stable clock of every own
+			// message the protocol accepts.
+			s.stableWait = make(map[mid.MID]time.Time)
+			cb.OnGenerate = func(msg *causal.Message) { s.stableWait[msg.ID] = time.Now() }
 		}
 		proc, err := core.NewProcess(m.cfg.Self, m.cfg.Config, tp(s), rt.InstallLifecycle(s.tracer, s.obs.Install(cb)))
 		if err != nil {
@@ -302,7 +293,7 @@ func (m *MultiNode) initSessions(tp func(*session) core.Transport) error {
 		s.obs.MarkJoining(m.cfg.Join)
 		if m.cfg.BatchWindow > 0 {
 			s.coal = rt.NewCoalescer(m.cfg.BatchWindow, m.cfg.BatchMax, m.cfg.BatchBytes,
-				s.shard.enqueueWait, s.submitNow, s.obs.Coalesced)
+				s.shard.enqueueWait, s.submit, s.obs.Coalesced)
 		}
 		m.sessions[g] = s
 	}
@@ -400,7 +391,7 @@ func (m *MultiNode) Left(group uint32) (core.LeaveReason, bool) {
 	if err != nil {
 		return 0, false
 	}
-	return s.left()
+	return s.conf.Left()
 }
 
 // Snapshot runs fn with safe access to one group's protocol entity, on the
@@ -583,13 +574,11 @@ type session struct {
 
 	// stableWait maps our in-flight submissions to their protocol-submit
 	// time until uniform stability covers them. Shard goroutine only
-	// (written in submitNow, settled in OnStable, cleared in OnLeave), so
+	// (written in OnGenerate, settled in OnStable, cleared in OnLeave), so
 	// it needs no lock. Nil when metrics are disabled.
 	stableWait map[mid.MID]time.Time
 
-	mu       sync.Mutex
-	waiters  map[mid.MID]chan struct{}
-	leftWith *core.LeaveReason
+	conf rt.Confirms // confirm waiters, leave record, the submit step
 }
 
 // groupObs is one group's share of the runtime accounting the shared
@@ -628,82 +617,17 @@ func (s *session) settleStable(clean mid.SeqVector) {
 	}
 }
 
-func (s *session) left() (core.LeaveReason, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.leftWith == nil {
-		return 0, false
-	}
-	return *s.leftWith, true
-}
-
-// submitNow runs one queued submission. Shard goroutine only.
-func (s *session) submitNow(sub *rt.Submission) {
-	var id mid.MID
-	var err error
-	if sub.Causal {
-		id, err = s.proc.SubmitCausal(sub.Payload)
-	} else {
-		id, err = s.proc.Submit(sub.Payload, sub.Deps)
-	}
-	if err == nil {
-		s.mu.Lock()
-		s.waiters[id] = sub.Confirm
-		s.mu.Unlock()
-		if s.gobs != nil {
-			s.stableWait[id] = time.Now()
-		}
-	}
-	sub.Res <- rt.SubResult{ID: id, Err: err}
-}
-
-func (s *session) unwait(id mid.MID, ch chan struct{}) {
-	s.mu.Lock()
-	if s.waiters[id] == ch {
-		delete(s.waiters, id)
-	}
-	s.mu.Unlock()
-}
+// submit runs queued submissions. Shard goroutine only.
+func (s *session) submit(batch ...*rt.Submission) { s.conf.Submit(s.proc, s.obs, batch...) }
 
 func (s *session) send(ctx context.Context, payload []byte, deps mid.DepList, causal bool) (mid.MID, error) {
-	t0 := time.Now()
-	sub := &rt.Submission{
-		Payload: payload,
-		Deps:    deps,
-		Causal:  causal,
-		Res:     make(chan rt.SubResult, 1),
-		Confirm: make(chan struct{}),
-	}
+	sub := rt.NewSubmission(payload, deps, causal)
 	if s.coal != nil {
 		s.coal.Add(sub)
-	} else if err := s.shard.enqueueWait(func() { s.submitNow(sub) }); err != nil {
+	} else if err := s.shard.enqueueWait(func() { s.submit(sub) }); err != nil {
 		return mid.MID{}, err
 	}
-	var r rt.SubResult
-	select {
-	case r = <-sub.Res:
-	case <-s.m.stopCh:
-		return mid.MID{}, errStopped
-	case <-ctx.Done():
-		return mid.MID{}, ctx.Err()
-	}
-	if r.Err != nil {
-		return mid.MID{}, r.Err
-	}
-	select {
-	case <-sub.Confirm:
-	case <-s.m.stopCh:
-		s.unwait(r.ID, sub.Confirm)
-		return r.ID, errStopped
-	case <-ctx.Done():
-		s.unwait(r.ID, sub.Confirm)
-		return r.ID, ctx.Err()
-	}
-	if _, left := s.left(); left {
-		return r.ID, fmt.Errorf("topics: member %d left group %d", s.m.cfg.Self, s.group)
-	}
-	s.obs.ObserveConfirm(t0)
-	return r.ID, nil
+	return s.conf.Await(ctx, s.m.stopCh, errStopped, s.obs, sub)
 }
 
 // clock drives every group's rounds off one free-running ticker (UDP mode;
