@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-e2e bench-diff bench-smoke bench-throughput bench-groups chaos-smoke chaos-soak inspect-smoke trace-smoke join-smoke capture-smoke clean
+.PHONY: all build test race vet fmt check bench bench-e2e bench-diff bench-allocs bench-smoke bench-throughput bench-groups chaos-smoke chaos-soak inspect-smoke trace-smoke join-smoke capture-smoke clean
 
 all: check
 
@@ -12,6 +12,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when any file of the root module is not gofmt-clean (benchmark/
+# is its own module with its own gate, and is left alone).
+fmt:
+	@out="$$(gofmt -l $$(git ls-files '*.go' ':!benchmark'))"; \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # race runs the concurrency-sensitive packages under the race detector:
 # the real-time runtime (node loop, UDP reader, Status/Snapshot sampling),
@@ -26,14 +32,16 @@ vet:
 race:
 	$(GO) test -race ./internal/rt/... ./internal/topics/... ./internal/core/... ./internal/obs/... ./internal/health/... ./internal/inspect/... ./internal/stitch/... ./internal/faultrt/...
 
-# check is the tier-1 gate: everything builds, vets clean, passes the
-# full suite, the concurrency-sensitive packages pass under -race, every
-# benchmark body still runs (one iteration each), a seeded chaos soak
+# check is the tier-1 gate: everything is gofmt-clean, builds, vets clean,
+# passes the full suite, the concurrency-sensitive packages pass under -race,
+# every benchmark body still runs (one iteration each), the guarded families
+# allocate no more per operation than BENCH_BASELINE.json records, a seeded
+# chaos soak
 # upholds the uniform invariants under the race detector, and a live
 # three-member cluster inspects healthy end to end through the real
 # binaries — including the forensic pipeline: capture dumps from real
 # nodes must replay offline to a clean verdict.
-check: vet test race bench-smoke bench-throughput bench-groups chaos-smoke inspect-smoke trace-smoke join-smoke capture-smoke
+check: fmt vet test race bench-smoke bench-allocs bench-throughput bench-groups chaos-smoke inspect-smoke trace-smoke join-smoke capture-smoke
 
 # inspect-smoke boots three urcgc-node processes, points urcgc-inspect at
 # their observability endpoints, and requires a healthy one-shot verdict —
@@ -103,12 +111,18 @@ bench-e2e:
 	bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 18 --trace 0
 
 # bench-diff is the perf regression guard: re-run the guarded families
-# (Wire codec, ThroughputSaturation, GroupScaling) fresh and fail on a
+# (Wire codec, ThroughputSaturation, GroupScaling) fresh and fail on an
+# allocs/op regression (any for the codec, >5% for the live families) or a
 # >25% ns/op regression against the recorded BENCH_BASELINE.json. Not in
 # `check` — absolute timings on shared CI runners are too noisy to gate
 # merges on; run it locally around perf-sensitive changes.
 bench-diff:
 	$(GO) run ./cmd/urcgc-bench -diff BENCH_BASELINE.json
+
+# bench-allocs is the half of bench-diff that survives a noisy runner and
+# therefore gates `check`: the same fresh run, judged on allocs/op alone.
+bench-allocs:
+	$(GO) run ./cmd/urcgc-bench -diff BENCH_BASELINE.json -allocs-only
 
 # bench-smoke executes every benchmark once — a compile-and-run gate,
 # not a measurement.

@@ -22,12 +22,24 @@ import (
 const baselineSchema = "urcgc-bench-baseline/v1"
 
 type baselineEntry struct {
-	Name        string             `json:"name"`
-	Iterations  int                `json:"iterations"`
-	NsPerOp     float64            `json:"ns_op"`
-	BytesPerOp  int64              `json:"b_op"`
-	AllocsPerOp int64              `json:"allocs_op"`
+	Name        string  `json:"name"`
+	Iterations  int     `json:"iterations"`
+	NsPerOp     float64 `json:"ns_op"`
+	BytesPerOp  int64   `json:"b_op"`
+	AllocsPerOp int64   `json:"allocs_op"`
+	// AllocsExact is allocs/op before testing's integer division: the live
+	// families sit at a handful of objects per message, where the -diff
+	// guard's 5% is a fraction of one. Absent from older recordings.
+	AllocsExact float64            `json:"allocs_op_exact,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
+}
+
+// exactAllocs is r's allocs/op undivided by testing's integer arithmetic.
+func exactAllocs(r testing.BenchmarkResult) float64 {
+	if r.N == 0 {
+		return 0
+	}
+	return float64(r.MemAllocs) / float64(r.N)
 }
 
 type baselineRun struct {
@@ -66,6 +78,7 @@ func runBaseline(path, note string) error {
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
+			AllocsExact: exactAllocs(r),
 		}
 		if len(r.Extra) > 0 {
 			e.Metrics = make(map[string]float64, len(r.Extra))

@@ -43,7 +43,10 @@ func (m *Message) Clone() *Message {
 
 // EffectiveDeps returns the full dependency set of m under the intermediate
 // interpretation: the explicit labels plus the implicit dependency on the
-// sender's previous message.
+// sender's previous message, canonicalized into a fresh list. It is for
+// offline callers that want the set itself (Graph, the trace verifier); the
+// hot-path verdicts (Ready, Doomed, Process) walk Deps and ID.Prev() in
+// place and never build it.
 func (m *Message) EffectiveDeps() mid.DepList {
 	deps := m.Deps.Clone()
 	if prev := m.ID.Prev(); !prev.IsZero() && !deps.Covers(prev) {
@@ -53,16 +56,24 @@ func (m *Message) EffectiveDeps() mid.DepList {
 }
 
 // Validate checks the structural invariants a message must satisfy before
-// entering the protocol: a real MID, and no dependency on itself, on a later
-// message of any sequence than is expressible, or on its own sequence at or
-// beyond its own position (which would create a cycle).
+// entering the protocol: a real MID of a real process, and no dependency on
+// a negative process, on itself, on a later message of any sequence than is
+// expressible, or on its own sequence at or beyond its own position (which
+// would create a cycle). Group membership (Proc < n) is the caller's check:
+// a message does not know its group's cardinality.
 func (m *Message) Validate() error {
 	if m.ID.IsZero() {
 		return fmt.Errorf("causal: message has zero MID")
 	}
+	if m.ID.Proc < 0 {
+		return fmt.Errorf("causal: message %v from a negative process", m.ID)
+	}
 	for _, d := range m.Deps {
 		if d.IsZero() {
 			return fmt.Errorf("causal: %v depends on zero MID", m.ID)
+		}
+		if d.Proc < 0 {
+			return fmt.Errorf("causal: %v depends on negative process %d", m.ID, d.Proc)
 		}
 		if d.Proc == m.ID.Proc && d.Seq >= m.ID.Seq {
 			return fmt.Errorf("causal: %v depends on %v of its own sequence at or after itself", m.ID, d)
@@ -71,29 +82,41 @@ func (m *Message) Validate() error {
 	return nil
 }
 
-// Ready reports whether a message with the given effective dependencies is
-// processable given processed, the vector of last-processed sequence
-// numbers per sender. A sequence is processed contiguously, so dependency
-// (q,s) is satisfied exactly when processed[q] >= s.
+// satisfied reports whether dependency d is met by processed. A sequence is
+// processed contiguously, so (q,s) is satisfied exactly when
+// processed[q] >= s; a process outside the vector is never satisfied.
+func satisfied(d mid.MID, processed mid.SeqVector) bool {
+	return d.Proc >= 0 && int(d.Proc) < len(processed) && processed[d.Proc] >= d.Seq
+}
+
+// Ready reports whether m is processable given processed, the vector of
+// last-processed sequence numbers per sender: every explicit label and the
+// implicit predecessor are satisfied. It walks the message in place — no
+// list is built. (A predecessor that a label covers is implied by that
+// label, so testing both gives the verdict EffectiveDeps would.)
 func Ready(m *Message, processed mid.SeqVector) bool {
-	for _, d := range m.EffectiveDeps() {
-		if int(d.Proc) >= len(processed) || processed[d.Proc] < d.Seq {
+	for _, d := range m.Deps {
+		if !satisfied(d, processed) {
 			return false
 		}
 	}
-	return true
+	prev := m.ID.Prev()
+	return prev.IsZero() || satisfied(prev, processed)
 }
 
 // MissingDeps returns the effective dependencies of m that processed does
-// not yet satisfy.
+// not yet satisfy, in canonical order.
 func MissingDeps(m *Message, processed mid.SeqVector) mid.DepList {
 	var miss mid.DepList
-	for _, d := range m.EffectiveDeps() {
-		if int(d.Proc) >= len(processed) || processed[d.Proc] < d.Seq {
+	for _, d := range m.Deps {
+		if !satisfied(d, processed) {
 			miss = append(miss, d)
 		}
 	}
-	return miss
+	if prev := m.ID.Prev(); !prev.IsZero() && !satisfied(prev, processed) && !miss.Covers(prev) {
+		miss = append(miss, prev)
+	}
+	return miss.Canonical()
 }
 
 // Tracker maintains a process's causal processing state: the contiguous
@@ -134,24 +157,18 @@ func (t *Tracker) LastProcessed(q mid.ProcID) mid.Seq {
 // Ready reports whether m is processable now: all effective dependencies
 // processed and neither m nor any dependency condemned.
 func (t *Tracker) Ready(m *Message) bool {
-	if t.IsCondemned(m.ID) {
-		return false
-	}
-	for _, d := range m.EffectiveDeps() {
-		if t.IsCondemned(d) {
-			return false
-		}
-	}
-	return Ready(m, t.processed)
+	return !t.Doomed(m) && Ready(m, t.processed)
 }
 
 // Doomed reports whether m can never be processed: m itself or one of its
-// effective dependencies is condemned.
+// effective dependencies is condemned. The implicit predecessor needs no
+// test of its own — condemnation covers a suffix, so a condemned
+// predecessor means m is condemned too.
 func (t *Tracker) Doomed(m *Message) bool {
 	if t.IsCondemned(m.ID) {
 		return true
 	}
-	for _, d := range m.EffectiveDeps() {
+	for _, d := range m.Deps {
 		if t.IsCondemned(d) {
 			return true
 		}
@@ -169,7 +186,7 @@ func (t *Tracker) Process(m *Message) error {
 	if !Ready(m, t.processed) {
 		return fmt.Errorf("causal: processing %v before its dependencies (missing %v)", m.ID, MissingDeps(m, t.processed))
 	}
-	if int(m.ID.Proc) >= len(t.processed) {
+	if m.ID.Proc < 0 || int(m.ID.Proc) >= len(t.processed) {
 		return fmt.Errorf("causal: message %v from process outside group of %d", m.ID, len(t.processed))
 	}
 	if t.processed[m.ID.Proc] != m.ID.Seq-1 {

@@ -50,11 +50,13 @@ func TestValidate(t *testing.T) {
 	}{
 		{msg(0, 1), true},
 		{msg(0, 2, mid.MID{Proc: 1, Seq: 5}), true},
-		{&Message{}, false},                          // zero MID
-		{msg(0, 2, mid.MID{}), false},                // zero dep
-		{msg(0, 2, mid.MID{Proc: 0, Seq: 2}), false}, // self dep
-		{msg(0, 2, mid.MID{Proc: 0, Seq: 9}), false}, // forward own-sequence dep
-		{msg(0, 5, mid.MID{Proc: 0, Seq: 4}), true},  // backward own-sequence dep ok
+		{&Message{}, false},                           // zero MID
+		{msg(0, 2, mid.MID{}), false},                 // zero dep
+		{msg(0, 2, mid.MID{Proc: 0, Seq: 2}), false},  // self dep
+		{msg(0, 2, mid.MID{Proc: 0, Seq: 9}), false},  // forward own-sequence dep
+		{msg(0, 5, mid.MID{Proc: 0, Seq: 4}), true},   // backward own-sequence dep ok
+		{msg(-2, 3), false},                           // negative generator
+		{msg(0, 2, mid.MID{Proc: -2, Seq: 1}), false}, // negative dependency
 	}
 	for i, c := range cases {
 		err := c.m.Validate()
@@ -282,5 +284,92 @@ func TestTrackerConsumesAnyTopoOrder(t *testing.T) {
 		if tr.Processed().Sum() != uint64(total) {
 			t.Fatalf("trial %d: processed %d of %d", trial, tr.Processed().Sum(), total)
 		}
+	}
+}
+
+// TestInPlaceVerdictsMatchEffectiveDeps holds the in-place walks (Deps plus
+// ID.Prev(), no list built) to the verdicts the definition gives: Ready and
+// Doomed computed over the canonical EffectiveDeps list, as they were before
+// the walk. The inputs include what Submit never produces but a socket can —
+// non-canonical lists, labels covering the predecessor, own-sequence labels
+// at or after the message, processes outside the group on either side.
+func TestInPlaceVerdictsMatchEffectiveDeps(t *testing.T) {
+	const n = 4
+	rng := rand.New(rand.NewSource(16))
+	for iter := 0; iter < 20000; iter++ {
+		tr := NewTracker(n)
+		for q := 0; q < n; q++ {
+			tr.processed[q] = mid.Seq(rng.Intn(5))
+			if rng.Intn(3) == 0 {
+				tr.condemned[q] = tr.processed[q] + 1 + mid.Seq(rng.Intn(3))
+			}
+		}
+		m := &Message{ID: mid.MID{Proc: mid.ProcID(rng.Intn(n+2) - 1), Seq: mid.Seq(1 + rng.Intn(6))}}
+		for k := rng.Intn(5); k > 0; k-- {
+			m.Deps = append(m.Deps, mid.MID{Proc: mid.ProcID(rng.Intn(n+2) - 1), Seq: mid.Seq(1 + rng.Intn(6))})
+		}
+		wantReady, wantDoomed := true, tr.IsCondemned(m.ID)
+		for _, d := range m.EffectiveDeps() {
+			if d.Proc < 0 || int(d.Proc) >= n || tr.processed[d.Proc] < d.Seq {
+				wantReady = false
+			}
+			if tr.IsCondemned(d) {
+				wantDoomed = true
+			}
+		}
+		if got := Ready(m, tr.processed); got != wantReady {
+			t.Fatalf("Ready(%v deps %v | processed %v) = %v, reference %v", m.ID, m.Deps, tr.processed, got, wantReady)
+		}
+		if got := tr.Doomed(m); got != wantDoomed {
+			t.Fatalf("Doomed(%v deps %v | condemned %v) = %v, reference %v", m.ID, m.Deps, tr.condemned, got, wantDoomed)
+		}
+		if got, want := tr.Ready(m), wantReady && !wantDoomed; got != want {
+			t.Fatalf("Tracker.Ready(%v deps %v) = %v, reference %v", m.ID, m.Deps, got, want)
+		}
+		miss := MissingDeps(m, tr.processed)
+		if (len(miss) == 0) != wantReady {
+			t.Fatalf("MissingDeps(%v deps %v | processed %v) = %v, but Ready = %v", m.ID, m.Deps, tr.processed, miss, wantReady)
+		}
+	}
+}
+
+// TestTrackerVerdictsAllocFree pins the reason the intermediate
+// interpretation exists: the causal check is a walk over at most n labels,
+// and it costs no allocation — with explicit labels or without, ready,
+// waiting or doomed, and when the message is finally processed.
+func TestTrackerVerdictsAllocFree(t *testing.T) {
+	tr := NewTracker(3)
+	tr.processed = mid.SeqVector{4, 0, 9}
+	if err := tr.Condemn(2, 12); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]*Message{
+		"ready, no labels":  msg(0, 5),
+		"ready, two labels": msg(1, 1, mid.MID{Proc: 0, Seq: 4}, mid.MID{Proc: 2, Seq: 9}),
+		"waiting":           msg(1, 3, mid.MID{Proc: 0, Seq: 7}),
+		"doomed":            msg(1, 1, mid.MID{Proc: 2, Seq: 12}),
+	}
+	for name, m := range cases {
+		if got := testing.AllocsPerRun(200, func() {
+			tr.Ready(m)
+			tr.Doomed(m)
+			Ready(m, tr.processed)
+		}); got != 0 {
+			t.Errorf("%s: Ready/Doomed allocate %v objects per call, want 0", name, got)
+		}
+	}
+	next := mid.Seq(0)
+	plain, labelled := &Message{}, &Message{Deps: mid.DepList{{Proc: 0, Seq: 4}, {Proc: 2, Seq: 9}}}
+	if got := testing.AllocsPerRun(200, func() {
+		next++
+		plain.ID, labelled.ID = mid.MID{Proc: 0, Seq: 4 + next}, mid.MID{Proc: 1, Seq: next}
+		if err := tr.Process(plain); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Process(labelled); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("Process allocates %v objects per call, want 0", got)
 	}
 }

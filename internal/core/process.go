@@ -323,11 +323,21 @@ type Process struct {
 	wait    *waitlist.List
 	view    *group.View
 
-	running  bool
-	nextSeq  mid.Seq
-	outbox   []*causal.Message // user messages awaiting their send opportunity
-	lastDec  *wire.Decision    // freshest decision held
-	requests map[mid.ProcID]*wire.Request
+	running bool
+	nextSeq mid.Seq
+	outbox  []*causal.Message // user messages awaiting their send opportunity
+	taken   []*causal.Message // broadcastOutbox's scratch: the messages of the drain in progress
+	lastDec *wire.Decision    // freshest decision held
+	// requests is this subrun's request table, indexed by sender (nil = not
+	// heard). The slice is owned here and cleared at every subrun open; the
+	// Requests in it were handed to us (or to the transport) and are never
+	// reused.
+	requests []*wire.Request
+	// heard and attempts are the coordinator's per-decision scratch (who
+	// reported this subrun; the silence counters being folded), owned here
+	// and overwritten by every computeDecision.
+	heard    []bool
+	attempts *group.Attempts
 
 	// sendSpent marks this subrun's one send opportunity as taken: set by
 	// broadcastOutbox, reset at every subrun open. It is what lets Flush
@@ -377,7 +387,12 @@ type Stats struct {
 	Retransmits int // RETRANSMIT PDUs answered
 	Decisions   int // decisions computed as coordinator
 	Duplicates  int // duplicate or stale DATA received
-	Batches     int // multi-message DataBatch frames broadcast
+	// Malformed counts received PDUs dropped at the protocol boundary for
+	// naming a process outside the group (or failing Message.Validate): any
+	// bytes a socket can deliver decode to something, and this is where the
+	// something that is not of this group stops.
+	Malformed int
+	Batches   int // multi-message DataBatch frames broadcast
 	// EagerBroadcasts counts send opportunities taken by Flush — at submit
 	// time, mid-subrun — instead of at the subrun's opening tick.
 	EagerBroadcasts int
@@ -410,7 +425,9 @@ func NewProcess(id mid.ProcID, cfg Config, tp Transport, cb Callbacks) (*Process
 		running:   true,
 		joining:   cfg.Join,
 		synced:    !cfg.Join,
-		requests:  make(map[mid.ProcID]*wire.Request),
+		requests:  make([]*wire.Request, cfg.N),
+		heard:     make([]bool, cfg.N),
+		attempts:  group.NewAttempts(cfg.N, cfg.K),
 		lastClean: mid.NewSeqVector(cfg.N),
 	}, nil
 }
@@ -604,7 +621,7 @@ func (p *Process) startSubrun(s int64) {
 	p.subrun = s
 	p.decisionThisSub = false
 	p.sendSpent = false
-	p.requests = make(map[mid.ProcID]*wire.Request)
+	clear(p.requests)
 
 	if p.joining {
 		p.joinSubrun(s)
@@ -726,8 +743,13 @@ func (p *Process) broadcastOutbox() {
 	if take > len(p.outbox) {
 		take = len(p.outbox)
 	}
-	taken := p.outbox[:take]
-	p.outbox = p.outbox[take:]
+	// The drained messages move to scratch and the rest of the queue slides to
+	// the front of its array, so a steady stream of submissions reuses one
+	// backing array instead of walking off its end every few subruns.
+	taken := append(p.taken[:0], p.outbox[:take]...)
+	rest := copy(p.outbox, p.outbox[take:])
+	clear(p.outbox[rest:])
+	p.outbox = p.outbox[:rest]
 	budget := p.cfg.batchBytes()
 	for start := 0; start < len(taken); {
 		// Grow the frame while it fits the budget; a message that alone
@@ -742,6 +764,8 @@ func (p *Process) broadcastOutbox() {
 		p.broadcastFrame(taken[start:end], size)
 		start = end
 	}
+	clear(taken) // the history owns them now; scratch must not pin them past their cleaning
+	p.taken = taken[:0]
 	p.cascade()
 }
 
@@ -776,14 +800,23 @@ func (p *Process) broadcastFrame(batch []*causal.Message, encoded int) {
 	}
 }
 
+// buildRequest reports this process's state to a coordinator. The Request
+// is handed out (to the transport, or into the coordinator's table) and never
+// touched again, so it is built fresh every time — its two vectors out of one
+// allocation, as the decoder builds them.
 func (p *Process) buildRequest(s int64) *wire.Request {
-	return &wire.Request{
+	n := p.cfg.N
+	vecs := mid.NewSeqVector(2 * n)
+	req := &wire.Request{
 		Sender:        p.id,
 		Subrun:        s,
-		LastProcessed: p.tracker.Processed().Clone(),
-		Waiting:       p.wait.OldestWaiting(),
+		LastProcessed: vecs[:n:n],
+		Waiting:       vecs[n : 2*n : 2*n],
 		Prev:          p.lastDec, // shared immutable; never mutated after build
 	}
+	copy(req.LastProcessed, p.tracker.Processed())
+	p.wait.OldestWaitingInto(req.Waiting)
+	return req
 }
 
 func (p *Process) accountCoordinatorSilence(s int64) {
@@ -830,16 +863,18 @@ func (p *Process) Recv(src mid.ProcID, pdu wire.PDU) {
 	}
 	switch v := pdu.(type) {
 	case *wire.Data:
-		p.handleData(&v.Msg)
+		p.handleData(src, &v.Msg)
 	case *wire.DataBatch:
 		// One inbox event ingests the whole batch. Messages appear in
 		// generation order, so intra-batch causality (each implicitly
 		// depending on the sender's previous) resolves in a single pass.
 		for i := range v.Msgs {
-			p.handleData(&v.Msgs[i])
+			p.handleData(src, &v.Msgs[i])
 		}
 	case *wire.Request:
-		if v.Subrun == p.subrun && p.coordinator(p.subrun) == p.id {
+		if v.Sender < 0 || int(v.Sender) >= p.cfg.N {
+			p.Stats.Malformed++ // a sender outside the group reports nothing
+		} else if v.Subrun == p.subrun && p.coordinator(p.subrun) == p.id {
 			p.requests[v.Sender] = v
 		} else if v.Prev != nil {
 			// Not ours to coordinate, but the embedded decision may still
@@ -851,7 +886,7 @@ func (p *Process) Recv(src mid.ProcID, pdu wire.PDU) {
 	case *wire.Recover:
 		p.handleRecover(v)
 	case *wire.Retransmit:
-		p.handleRetransmit(v)
+		p.handleRetransmit(src, v)
 	case *wire.Join:
 		p.handleJoin(v)
 	case *wire.JoinState:
@@ -936,7 +971,7 @@ func (p *Process) becomeJoined() {
 // in-view member is covered by every full-group chain, so stability never
 // outruns what it has processed. The retained messages then flow through
 // the normal data path.
-func (p *Process) handleRetransmit(r *wire.Retransmit) {
+func (p *Process) handleRetransmit(src mid.ProcID, r *wire.Retransmit) {
 	forwarded := false
 	for _, c := range r.Compacted {
 		if int(c.Proc) >= p.cfg.N || c.Proc < 0 || c.To <= p.tracker.LastProcessed(c.Proc) {
@@ -959,16 +994,28 @@ func (p *Process) handleRetransmit(r *wire.Retransmit) {
 		p.cascade()
 	}
 	for _, m := range r.Msgs {
-		p.handleData(m)
+		p.handleData(src, m)
 	}
 }
 
-func (p *Process) handleData(m *causal.Message) {
-	if m.Validate() != nil {
-		return // malformed; a real deployment would log this
+func (p *Process) handleData(src mid.ProcID, m *causal.Message) {
+	if m.Validate() != nil || !p.inGroup(m) {
+		p.Stats.Malformed++
+		return
 	}
 	if m.ID.Seq <= p.tracker.LastProcessed(m.ID.Proc) || p.wait.Has(m.ID) {
 		p.Stats.Duplicates++
+		return
+	}
+	if m.ID.Proc == p.id && src != p.id && !p.joining && !p.joinAligning {
+		// Only an incarnation resyncing after a rejoin learns its own
+		// sequence from its peers. Anyone else is being impersonated:
+		// processing the copy would collide with the number the next own
+		// broadcast takes. (src == self is not the network — the transports
+		// never deliver a member its own frames, and the socket runtimes
+		// refuse datagrams claiming to — but the offline replayer feeding a
+		// member its own captured broadcasts, which is how it processed them.)
+		p.Stats.Malformed++
 		return
 	}
 	if p.tracker.Doomed(m) {
@@ -984,6 +1031,22 @@ func (p *Process) handleData(m *causal.Message) {
 	if p.cb.OnWait != nil {
 		p.cb.OnWait(m, p.missingDeps(m))
 	}
+}
+
+// inGroup reports whether m and every label it carries name members of this
+// group. Validate has already refused negative processes; the cardinality is
+// only known here. Everything past this check may index per-process state
+// by the message's ProcIDs.
+func (p *Process) inGroup(m *causal.Message) bool {
+	if int(m.ID.Proc) >= p.cfg.N {
+		return false
+	}
+	for _, d := range m.Deps {
+		if int(d.Proc) >= p.cfg.N {
+			return false
+		}
+	}
+	return true
 }
 
 // missingDeps returns m's currently unmet effective dependencies. The
@@ -1263,33 +1326,20 @@ func (p *Process) leave(reason LeaveReason) {
 func (p *Process) computeDecision() *wire.Decision {
 	n := p.cfg.N
 
-	// Deterministic iteration order over the collected requests.
-	senders := make([]mid.ProcID, 0, len(p.requests))
-	for q := 0; q < n; q++ {
-		if _, ok := p.requests[mid.ProcID(q)]; ok {
-			senders = append(senders, mid.ProcID(q))
-		}
-	}
-
-	// The freshest previous decision: ours or any carried by a request.
+	// The freshest previous decision: ours or any carried by a request. (The
+	// request table is indexed by sender, so every walk over it is in the
+	// deterministic sender order.)
 	prev := p.lastDec
-	for _, sender := range senders {
-		if r := p.requests[sender]; r.Prev != nil && (prev == nil || r.Prev.Subrun > prev.Subrun) {
+	for _, r := range p.requests {
+		if r != nil && r.Prev != nil && (prev == nil || r.Prev.Subrun > prev.Subrun) {
 			prev = r.Prev
 		}
 	}
 
-	d := &wire.Decision{
-		Subrun:       p.subrun,
-		Coord:        p.id,
-		MaxProcessed: mid.NewSeqVector(n),
-		MostUpdated:  make([]mid.ProcID, n),
-		MinWaiting:   mid.NewSeqVector(n),
-		CleanTo:      mid.NewSeqVector(n),
-		Attempts:     make([]uint8, n),
-		Alive:        make([]bool, n),
-		Covered:      make([]bool, n),
-	}
+	// The decision is broadcast and kept (lastDec), never reused: a fresh one
+	// per subrun, its vectors out of one allocation.
+	d := wire.NewDecision(n)
+	d.Subrun, d.Coord = p.subrun, p.id
 	for q := range d.MostUpdated {
 		d.MostUpdated[q] = mid.None
 	}
@@ -1304,27 +1354,24 @@ func (p *Process) computeDecision() *wire.Decision {
 		p.adoptMask(prev.Alive)
 	}
 	admitted := false
-	for q := 0; q < n; q++ {
-		sender := mid.ProcID(q)
-		if r, ok := p.requests[sender]; ok && r.Join && p.view.MarkAlive(sender) {
-			p.noteJoined(sender)
+	for q, r := range p.requests {
+		if r != nil && r.Join && p.view.MarkAlive(mid.ProcID(q)) {
+			p.noteJoined(mid.ProcID(q))
 			admitted = true
 		}
 	}
 	if admitted && p.cb.OnViewChange != nil {
 		p.cb.OnViewChange(p.view.AliveMask())
 	}
-	heard := make([]bool, n)
-	for sender := range p.requests {
-		if int(sender) < n {
-			heard[sender] = true
-		}
+	for q, r := range p.requests {
+		p.heard[q] = r != nil
 	}
-	att := group.NewAttempts(n, p.cfg.K)
+	att := p.attempts
+	att.Reset()
 	if prev != nil {
 		att.Load(prev.Attempts)
 	}
-	declared := att.Observe(heard, p.view)
+	declared := att.Observe(p.heard, p.view)
 	for _, crashed := range declared {
 		p.view.MarkCrashed(crashed)
 		if p.cb.OnCrashDeclared != nil {
@@ -1334,8 +1381,10 @@ func (p *Process) computeDecision() *wire.Decision {
 	if len(declared) > 0 && p.cb.OnViewChange != nil {
 		p.cb.OnViewChange(p.view.AliveMask())
 	}
-	copy(d.Attempts, att.Counts())
-	copy(d.Alive, p.view.AliveMask())
+	att.CopyTo(d.Attempts)
+	for q := range d.Alive {
+		d.Alive[q] = p.view.Alive(mid.ProcID(q))
+	}
 
 	// Most-updated holders, pruned to alive processes so recovery targets
 	// can actually answer.
@@ -1348,12 +1397,14 @@ func (p *Process) computeDecision() *wire.Decision {
 			}
 		}
 	}
-	for _, sender := range senders {
-		r := p.requests[sender]
+	for sender, r := range p.requests {
+		if r == nil {
+			continue
+		}
 		for q := 0; q < n && q < len(r.LastProcessed); q++ {
 			if r.LastProcessed[q] > d.MaxProcessed[q] {
 				d.MaxProcessed[q] = r.LastProcessed[q]
-				d.MostUpdated[q] = sender
+				d.MostUpdated[q] = mid.ProcID(sender)
 			}
 		}
 	}
@@ -1370,11 +1421,11 @@ func (p *Process) computeDecision() *wire.Decision {
 			d.CleanTo[q] = ^mid.Seq(0) // +inf until first report folds in
 		}
 	}
-	for _, sender := range senders {
-		r := p.requests[sender]
-		if int(sender) < n {
-			d.Covered[sender] = true
+	for sender, r := range p.requests {
+		if r == nil {
+			continue
 		}
+		d.Covered[sender] = true
 		d.CleanTo.MinInto(r.LastProcessed)
 		for q := 0; q < n && q < len(r.Waiting); q++ {
 			if w := r.Waiting[q]; w != 0 && (d.MinWaiting[q] == 0 || w < d.MinWaiting[q]) {

@@ -43,10 +43,10 @@ type Schedule struct {
 	Bursts []Burst
 
 	// Background delay (reordering) and duplication, full-run.
-	DelayNth  int
-	DelayBy   time.Duration
-	DelayJit  time.Duration
-	DupNth    int
+	DelayNth int
+	DelayBy  time.Duration
+	DelayJit time.Duration
+	DupNth   int
 }
 
 // NewSchedule expands a seed into a chaos plan for an n-member group

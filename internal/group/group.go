@@ -175,10 +175,12 @@ func NewAttempts(n, k int) *Attempts {
 // K returns the crash-declaration threshold.
 func (a *Attempts) K() int { return a.k }
 
-// Counts returns a copy of the counters, for embedding into a decision.
-func (a *Attempts) Counts() []uint8 {
-	return append([]uint8(nil), a.counts...)
-}
+// CopyTo copies the counters into dst, for embedding into a decision.
+func (a *Attempts) CopyTo(dst []uint8) { copy(dst, a.counts) }
+
+// Reset zeroes the counters, so one Attempts can serve every subrun a
+// coordinator folds instead of being rebuilt for each.
+func (a *Attempts) Reset() { clear(a.counts) }
 
 // Load replaces the counters with those from a circulated decision. Short
 // input leaves the tail untouched.

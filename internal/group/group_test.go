@@ -105,7 +105,8 @@ func TestAttemptsResetOnContact(t *testing.T) {
 	if crashed != nil {
 		t.Errorf("counter should have reset; crashed = %v", crashed)
 	}
-	if c := a.Counts(); c[1] != 2 {
+	c := make([]uint8, 3)
+	if a.CopyTo(c); c[1] != 2 {
 		t.Errorf("counts = %v", c)
 	}
 }
@@ -127,7 +128,9 @@ func TestAttemptsLoadCirculation(t *testing.T) {
 	a1.Observe([]bool{true, true, false}, v)
 	// Next coordinator resumes from the circulated counters.
 	a2 := NewAttempts(3, 3)
-	a2.Load(a1.Counts())
+	carried := make([]uint8, 3)
+	a1.CopyTo(carried)
+	a2.Load(carried)
 	crashed := a2.Observe([]bool{true, true, false}, v)
 	if len(crashed) != 1 || crashed[0] != 2 {
 		t.Errorf("circulated counters should reach K: crashed = %v", crashed)

@@ -12,8 +12,9 @@
 package mid
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ProcID identifies a process in the group. Processes are numbered 0..n-1.
@@ -63,6 +64,14 @@ func (m MID) Less(o MID) bool {
 	return m.Seq < o.Seq
 }
 
+// Compare is Less as a three-way comparison, for slices.SortFunc.
+func (m MID) Compare(o MID) int {
+	if c := cmp.Compare(m.Proc, o.Proc); c != 0 {
+		return c
+	}
+	return cmp.Compare(m.Seq, o.Seq)
+}
+
 // String renders the MID as "p<proc>#<seq>", e.g. "p3#17".
 func (m MID) String() string {
 	if m.IsZero() {
@@ -81,11 +90,12 @@ type DepList []MID
 // keeping for each process only the highest sequence number (depending on
 // (q,5) subsumes depending on (q,3), because each sequence is totally
 // ordered by construction). The receiver is modified in place and returned.
+// It allocates nothing: Submit and the waiting path call it per message.
 func (d DepList) Canonical() DepList {
 	if len(d) <= 1 {
 		return d
 	}
-	sort.Slice(d, func(i, j int) bool { return d[i].Less(d[j]) })
+	slices.SortFunc(d, MID.Compare)
 	out := d[:0]
 	for _, m := range d {
 		if n := len(out); n > 0 && out[n-1].Proc == m.Proc {

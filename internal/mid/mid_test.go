@@ -75,6 +75,20 @@ func TestDepListCanonicalKeepsHighestSeq(t *testing.T) {
 	}
 }
 
+// TestDepListCanonicalAllocFree pins the hot-path property: Submit and the
+// waiting path canonicalize a label list per message, so it must cost no
+// allocation whatever the input order.
+func TestDepListCanonicalAllocFree(t *testing.T) {
+	src := DepList{{4, 3}, {2, 3}, {0, 1}, {2, 5}, {0, 1}, {1, 4}, {3, 9}}
+	d := make(DepList, len(src))
+	if got := testing.AllocsPerRun(200, func() {
+		copy(d, src)
+		d.Canonical()
+	}); got != 0 {
+		t.Errorf("Canonical allocates %v objects per call, want 0", got)
+	}
+}
+
 func TestDepListCanonicalEmptyAndSingle(t *testing.T) {
 	if got := (DepList{}).Canonical(); len(got) != 0 {
 		t.Errorf("empty Canonical = %v", got)

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -13,32 +14,62 @@ import (
 // loop goroutine. Exported so the multi-group runtime (internal/topics) can
 // reuse the coalescing sender; user code goes through Node.Send and friends,
 // never through this directly.
+//
+// Life cycle. A Send takes a Submission from the pool (NewSubmission), hands
+// it to the loop — alone, or chained into a coalescer window — and waits in
+// Confirms.Await for two signals: the submit outcome on Res, then the local
+// processing on Confirm. Both channels have capacity one and are signalled by
+// a send, never closed, so they can serve the next Send. The rendezvous goes
+// back to the pool at exactly one point: Await, after it has consumed BOTH
+// signals — only then is it certain that the loop holds no reference and no
+// signal is still in flight. A Send abandoned earlier (context, shutdown)
+// leaves its Submission to the garbage collector: the loop may still be
+// about to answer it, and a recycled rendezvous must never see a stale Res
+// or Confirm.
 type Submission struct {
 	Payload []byte
 	Deps    mid.DepList
 	Causal  bool
 	Res     chan SubResult // receives the submit outcome (buffered, cap 1)
-	Confirm chan struct{}  // closed when the message is processed locally
+	Confirm chan struct{}  // signalled (cap 1) when the message is processed locally, or the member leaves
 
-	born time.Time // the Rq instant, for the confirm-latency histogram
+	next *Submission // the rest of a coalescer window; cut before Res is answered
+	born time.Time   // the Rq instant, for the confirm-latency histogram
 }
 
-// NewSubmission packages one user Send for the loop goroutine.
+var submissions = sync.Pool{New: func() any {
+	return &Submission{Res: make(chan SubResult, 1), Confirm: make(chan struct{}, 1)}
+}}
+
+// NewSubmission packages one user Send for the loop goroutine, reusing a
+// rendezvous that a completed Send gave back.
 func NewSubmission(payload []byte, deps mid.DepList, causal bool) *Submission {
-	return &Submission{
-		Payload: payload,
-		Deps:    deps,
-		Causal:  causal,
-		Res:     make(chan SubResult, 1),
-		Confirm: make(chan struct{}),
-		born:    time.Now(),
-	}
+	s := submissions.Get().(*Submission)
+	s.Payload, s.Deps, s.Causal, s.born = payload, deps, causal, time.Now()
+	return s
 }
 
-// failAll answers every submission of a batch that will never run.
-func failAll(batch []*Submission, err error) {
-	for _, s := range batch {
+// recycle gives a fully consumed rendezvous back for the next Send. The
+// caller's references go with it, so the pool pins no payload.
+func (s *Submission) recycle() {
+	s.Payload, s.Deps, s.next = nil, nil, nil
+	submissions.Put(s)
+}
+
+// cut detaches s from its chain and returns the rest. A loop calls it before
+// answering s.Res: from that answer on, s belongs to its Send again.
+func (s *Submission) cut() *Submission {
+	rest := s.next
+	s.next = nil
+	return rest
+}
+
+// failAll answers every submission of a chain that will never run.
+func failAll(head *Submission, err error) {
+	for s := head; s != nil; {
+		rest := s.cut()
 		s.Res <- SubResult{Err: err}
+		s = rest
 	}
 }
 
@@ -66,31 +97,31 @@ func (s *Submission) wireCost() int {
 // DataBatch frames at one send opportunity — at once when the subrun's is
 // still unspent, else at the next subrun's opening — instead of dribbling
 // one Data per subrun. Confirm semantics are untouched — every Send still
-// blocks until its own message is processed locally.
+// blocks until its own message is processed locally. A window is a chain
+// through the submissions themselves and its timer is re-armed, not
+// re-made, so coalescing allocates nothing per Send or per window.
 type Coalescer struct {
 	window   time.Duration
 	maxCount int
 	maxBytes int
 
-	// enqueue hands a closure to the node loop, blocking until accepted;
-	// it fails only on shutdown. submit runs a flushed batch inside that
-	// loop. observe records flush sizes (may be nil).
-	enqueue func(fn func()) error
-	submit  func(batch ...*Submission)
+	// A window's chain goes to the loop behind in as one EvSubmit event for
+	// to. observe records flush sizes (may be nil).
+	in      *Inbox
+	to      Host
 	observe func(batch int)
 
-	mu      sync.Mutex
-	pending []*Submission
-	bytes   int
-	timer   *time.Timer
-	stopped bool
+	mu         sync.Mutex
+	head, tail *Submission // the open window, in arrival order
+	count      int
+	bytes      int
+	timer      *time.Timer // made by the first window, re-armed by the rest
+	stopped    bool
 }
 
-// NewCoalescer builds a coalescing sender. enqueue must hand a closure to
-// the loop goroutine that owns submit, blocking until accepted and failing
-// only on shutdown; observe (optional) receives the size of every flush.
-func NewCoalescer(window time.Duration, maxCount, maxBytes int,
-	enqueue func(func()) error, submit func(...*Submission), observe func(int)) *Coalescer {
+// NewCoalescer builds a coalescing sender for the entity to hosted by the
+// loop behind in; observe (optional) receives the size of every flush.
+func NewCoalescer(window time.Duration, maxCount, maxBytes int, in *Inbox, to Host, observe func(int)) *Coalescer {
 	if maxCount <= 1 {
 		maxCount = core.DefaultBatchMax
 	}
@@ -101,8 +132,8 @@ func NewCoalescer(window time.Duration, maxCount, maxBytes int,
 		window:   window,
 		maxCount: maxCount,
 		maxBytes: maxBytes,
-		enqueue:  enqueue,
-		submit:   submit,
+		in:       in,
+		to:       to,
 		observe:  observe,
 	}
 }
@@ -117,17 +148,28 @@ func (c *Coalescer) Add(s *Submission) {
 		s.Res <- SubResult{Err: ErrCoalescerStopped}
 		return
 	}
-	c.pending = append(c.pending, s)
+	if c.tail == nil {
+		c.head = s
+	} else {
+		c.tail.next = s
+	}
+	c.tail = s
+	c.count++
 	c.bytes += s.wireCost()
-	var batch []*Submission
-	if len(c.pending) >= c.maxCount || c.bytes >= c.maxBytes {
-		batch = c.take()
-	} else if len(c.pending) == 1 {
-		c.timer = time.AfterFunc(c.window, c.fire)
+	var head *Submission
+	var n int
+	if c.count >= c.maxCount || c.bytes >= c.maxBytes {
+		head, n = c.take()
+	} else if c.count == 1 {
+		if c.timer == nil {
+			c.timer = time.AfterFunc(c.window, c.fire)
+		} else {
+			c.timer.Reset(c.window)
+		}
 	}
 	c.mu.Unlock()
-	if batch != nil {
-		c.flush(batch)
+	if head != nil {
+		c.flush(head, n)
 	}
 }
 
@@ -141,9 +183,9 @@ func (c *Coalescer) Stop() {
 	}
 	c.mu.Lock()
 	c.stopped = true
-	batch := c.take()
+	head, _ := c.take()
 	c.mu.Unlock()
-	failAll(batch, ErrCoalescerStopped)
+	failAll(head, ErrCoalescerStopped)
 }
 
 // Pending reports how many submissions sit inside the open batch window.
@@ -154,39 +196,38 @@ func (c *Coalescer) Pending() int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.pending)
+	return c.count
 }
 
-// take must run under mu: it claims the pending batch and disarms the
-// window timer.
-func (c *Coalescer) take() []*Submission {
-	batch := c.pending
-	c.pending = nil
-	c.bytes = 0
+// take must run under mu: it claims the open window and disarms its timer.
+// (A timer that has already fired finds the window empty, or at worst
+// flushes the next one early.)
+func (c *Coalescer) take() (head *Submission, n int) {
+	head, n = c.head, c.count
+	c.head, c.tail, c.count, c.bytes = nil, nil, 0, 0
 	if c.timer != nil {
 		c.timer.Stop()
-		c.timer = nil
 	}
-	return batch
+	return head, n
 }
 
 func (c *Coalescer) fire() {
 	c.mu.Lock()
-	batch := c.take()
+	head, n := c.take()
 	c.mu.Unlock()
-	if len(batch) > 0 {
-		c.flush(batch)
+	if head != nil {
+		c.flush(head, n)
 	}
 }
 
-// flush hands the whole batch to the node goroutine as one inbox event.
+// flush hands the whole window to the node goroutine as one inbox event.
 // On shutdown every waiter is answered with the enqueue error instead of
 // being left to hang.
-func (c *Coalescer) flush(batch []*Submission) {
+func (c *Coalescer) flush(head *Submission, n int) {
 	if c.observe != nil {
-		c.observe(len(batch))
+		c.observe(n)
 	}
-	if err := c.enqueue(func() { c.submit(batch...) }); err != nil {
-		failAll(batch, err)
+	if err := c.in.Put(context.Background(), Event{Kind: EvSubmit, To: c.to, Sub: head}); err != nil {
+		failAll(head, err)
 	}
 }

@@ -123,25 +123,26 @@ func TestCoalescerFlushesOnWindow(t *testing.T) {
 // each waiter gets ErrCoalescerStopped on its Res channel — never left
 // blocked on a flush that will not happen.
 func TestCoalescerStopFailsPendingWindow(t *testing.T) {
-	enqueued := 0
-	c := NewCoalescer(time.Hour, 16, 1<<20,
-		func(fn func()) error { enqueued++; fn(); return nil },
-		func(...*Submission) { t.Error("submission reached submit after Stop") },
-		nil)
+	// No loop drains the inbox: a window that flushed would sit in it.
+	in := NewInbox(8, make(chan struct{}), errClusterStopped)
+	c := NewCoalescer(time.Hour, 16, 1<<20, &in, nil, nil)
 	const pending = 5
 	subs := make([]*Submission, pending)
 	for i := range subs {
 		subs[i] = &Submission{
 			Payload: []byte("pending"),
 			Res:     make(chan SubResult, 1),
-			Confirm: make(chan struct{}),
+			Confirm: make(chan struct{}, 1),
 		}
 		c.Add(subs[i])
 	}
-	if enqueued != 0 {
-		t.Fatalf("window is an hour and budgets are slack, yet %d flushes ran early", enqueued)
+	if flushed := len(in.C); flushed != 0 {
+		t.Fatalf("window is an hour and budgets are slack, yet %d flushes ran early", flushed)
 	}
 	c.Stop()
+	if flushed := len(in.C); flushed != 0 {
+		t.Errorf("%d windows reached the loop after Stop", flushed)
+	}
 	for i, s := range subs {
 		select {
 		case r := <-s.Res:
@@ -188,10 +189,7 @@ func TestClusterStopUnblocksWindowedSends(t *testing.T) {
 	// Stop races against a queued waiter rather than an unstarted goroutine.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		c.nodes[0].coal.mu.Lock()
-		queued := len(c.nodes[0].coal.pending)
-		c.nodes[0].coal.mu.Unlock()
-		if queued > 0 {
+		if c.nodes[0].coal.Pending() > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

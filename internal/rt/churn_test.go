@@ -39,7 +39,7 @@ func TestUDPNodeChurnIsHeapNeutral(t *testing.T) {
 		return ms.HeapInuse, ms.TotalAlloc
 	}
 	const cycles = 64
-	const slab = 8 * (maxDatagram + 1) // one node's burst receive buffers
+	const slab = 8 * (MaxDatagram + 1) // one node's burst receive buffers
 	cycle()                            // warm: pools, resolver, lazy runtime state
 	inuse0, total0 := heap()
 	for i := 0; i < cycles; i++ {

@@ -25,8 +25,9 @@ type Confirms struct {
 // taken if it is still unspent (core.Process.Flush). Flushing any earlier
 // would process a message before its waiter exists, and split a coalescer
 // window's worth over several frames.
-func (c *Confirms) Submit(p *core.Process, o *NodeObs, batch ...*Submission) {
-	for _, s := range batch {
+func (c *Confirms) Submit(p *core.Process, o *NodeObs, head *Submission) {
+	for s := head; s != nil; {
+		rest := s.cut()
 		var id mid.MID
 		var err error
 		if s.Causal {
@@ -43,23 +44,40 @@ func (c *Confirms) Submit(p *core.Process, o *NodeObs, batch ...*Submission) {
 			c.mu.Unlock()
 		}
 		s.Res <- SubResult{id, err}
+		s = rest
 	}
 	if p.Flush() {
 		o.EagerBroadcast()
 	}
 }
 
+// Send is the urcgc-data.Rq/Conf pair, written once for every runtime: the
+// payload goes to the loop behind in that hosts to — through coal when the
+// runtime coalesces — and Send waits for its confirm.
+func (c *Confirms) Send(ctx context.Context, in *Inbox, coal *Coalescer, to Host, o *NodeObs,
+	payload []byte, deps mid.DepList, causal bool) (mid.MID, error) {
+	s := NewSubmission(payload, deps, causal)
+	if coal != nil {
+		coal.Add(s)
+	} else if err := in.Put(ctx, Event{Kind: EvSubmit, To: to, Sub: s}); err != nil {
+		return mid.MID{}, err
+	}
+	return c.Await(ctx, in, o, s)
+}
+
 // Await blocks a Send until its submission was accepted and then processed
-// locally (the Confirm, whose Rq→Conf latency o records), ctx ends, or stop
-// closes (answered with stopped). A Send abandoned while its message is
+// locally (the Confirm, whose Rq→Conf latency o records), ctx ends, or the
+// loop behind in stops. A Send abandoned while its message is
 // still in flight removes its own waiter entry, so it cannot leak; a member
-// that leaves releases its waiters, and their Sends fail.
-func (c *Confirms) Await(ctx context.Context, stop <-chan struct{}, stopped error, o *NodeObs, s *Submission) (mid.MID, error) {
+// that leaves releases its waiters, and their Sends fail. Once both of s's
+// signals are consumed — and on no other path — s is recycled: the caller
+// must not touch it after Await returns.
+func (c *Confirms) Await(ctx context.Context, in *Inbox, o *NodeObs, s *Submission) (mid.MID, error) {
 	var r SubResult
 	select {
 	case r = <-s.Res:
-	case <-stop:
-		return mid.MID{}, stopped
+	case <-in.stop:
+		return mid.MID{}, in.stopped
 	case <-ctx.Done():
 		return mid.MID{}, ctx.Err()
 	}
@@ -68,17 +86,19 @@ func (c *Confirms) Await(ctx context.Context, stop <-chan struct{}, stopped erro
 	}
 	select {
 	case <-s.Confirm:
-	case <-stop:
+	case <-in.stop:
 		c.unwait(r.ID, s.Confirm)
-		return r.ID, stopped
+		return r.ID, in.stopped
 	case <-ctx.Done():
 		c.unwait(r.ID, s.Confirm)
 		return r.ID, ctx.Err()
 	}
+	born := s.born
+	s.recycle()
 	if _, left := c.Left(); left {
 		return r.ID, fmt.Errorf("rt: member %d left the group", r.ID.Proc)
 	}
-	o.ObserveConfirm(s.born)
+	o.ObserveConfirm(born)
 	return r.ID, nil
 }
 
@@ -96,7 +116,7 @@ func (c *Confirms) unwait(id mid.MID, ch chan struct{}) {
 func (c *Confirms) Processed(id mid.MID) {
 	c.mu.Lock()
 	if ch, ok := c.waiters[id]; ok {
-		close(ch)
+		signal(ch)
 		delete(c.waiters, id)
 	}
 	c.mu.Unlock()
@@ -108,10 +128,21 @@ func (c *Confirms) Leave(r core.LeaveReason) {
 	c.mu.Lock()
 	c.leftWith = &r
 	for _, ch := range c.waiters {
-		close(ch)
+		signal(ch)
 	}
 	c.waiters = nil
 	c.mu.Unlock()
+}
+
+// signal wakes the one Send waiting on a Confirm channel. A registered
+// waiter is signalled exactly once — Processed and Leave drop the entry under
+// the lock — so the cap-1 channel always has room; the default arm only keeps
+// a broken invariant from ever blocking a loop goroutine.
+func signal(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
 }
 
 // rejoined clears the leave record once a fresh incarnation has replaced the

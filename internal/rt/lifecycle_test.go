@@ -58,23 +58,22 @@ func driveWaitCascade(t *testing.T, cb core.Callbacks) float64 {
 // TestLifecycleDisabledAllocFree proves the overhead contract from two
 // directions. With tracing disabled, installLifecycle is the identity and
 // the nil-gated OnWait/OnStable branches never run, so the deliver path
-// costs exactly what it did before this layer existed — pinned against the
-// pre-existing EffectiveDeps clones in the readiness checks so tracing
-// creep into the disabled path shows up as a budget blowout. And the one
-// new computation the wait path can run, missingDeps, must be free: with a
-// no-op OnWait installed, the scratch buffer keeps the delta at zero
-// allocations per message.
+// costs exactly what it does without this layer: nothing — the readiness
+// checks walk the message in place and the waitlist and history only keep
+// the pointer they are given. And the one computation the wait path can
+// add, missingDeps, must be free too: with a no-op OnWait installed, the
+// scratch buffer keeps the delta at zero allocations per message.
 func TestLifecycleDisabledAllocFree(t *testing.T) {
 	if cb := InstallLifecycle(nil, core.Callbacks{}); cb.OnGenerate != nil ||
 		cb.OnBroadcast != nil || cb.OnWait != nil || cb.OnStable != nil {
 		t.Fatal("InstallLifecycle(nil, ...) must not install stage hooks")
 	}
 	disabled := driveWaitCascade(t, core.Callbacks{})
-	// The park+deliver pair's pre-existing cost: EffectiveDeps clones in
-	// Ready/Process plus waitlist bookkeeping. Not zero, but fixed; the
-	// lifecycle branches must add nothing to it.
-	if disabled > 13 {
-		t.Errorf("deliver path with tracing disabled allocates %.2f/op, budget 13", disabled)
+	// A park+deliver pair retains two messages it was handed and allocates
+	// nothing of its own (the history's backing array grows a handful of
+	// times over the run, which averages to zero).
+	if disabled > 0 {
+		t.Errorf("deliver path with tracing disabled allocates %.2f/op, budget 0", disabled)
 	}
 	withWait := driveWaitCascade(t, core.Callbacks{
 		OnWait: func(m *causal.Message, missing mid.DepList) {},

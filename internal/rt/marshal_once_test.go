@@ -9,14 +9,14 @@ import (
 	"urcgc/internal/wire"
 )
 
-// drainInboxes runs every queued closure on the caller's goroutine. Only
+// drainInboxes runs every queued event on the caller's goroutine. Only
 // valid for clusters that were never Started (no loop goroutines racing).
 func drainInboxes(c *Cluster) {
 	for _, n := range c.nodes {
 		for {
 			select {
-			case fn := <-n.inbox:
-				fn()
+			case e := <-n.inbox.C:
+				e.Run()
 			default:
 				goto next
 			}
@@ -52,7 +52,7 @@ func TestMeshBroadcastMarshalsOnce(t *testing.T) {
 		if i == 0 {
 			want = 0
 		}
-		if got := len(n.inbox); got != want {
+		if got := len(n.inbox.C); got != want {
 			t.Errorf("node %d inbox holds %d datagrams, want %d", i, got, want)
 		}
 	}
@@ -80,10 +80,12 @@ func TestMeshSendMarshalsOnce(t *testing.T) {
 }
 
 // TestMeshBroadcastAllocBudget guards the send side of the mesh fan-out.
-// The budget covers the per-broadcast bookkeeping (shared-buffer refcount,
-// one queued closure per peer, and a fresh wire buffer while none cycle
-// back through the pool); a re-marshal-per-peer regression costs several
-// allocations per peer and blows well past it.
+// The budget covers the per-broadcast bookkeeping: the shared-buffer
+// refcount, a fresh wire buffer while none cycle back through the pool, and
+// one event record per peer — fresh here only because no loop is running to
+// give records back (TestMallocsPerConfirmedMessage in internal/topics holds
+// the recycling steady state). A re-marshal-per-peer regression costs
+// several allocations per peer and blows well past it.
 func TestMeshBroadcastAllocBudget(t *testing.T) {
 	c, err := NewCluster(liveConfig(5))
 	if err != nil {
@@ -95,8 +97,8 @@ func TestMeshBroadcastAllocBudget(t *testing.T) {
 		tr.Broadcast(pdu)
 	})
 	drainInboxes(c)
-	if got > 8 {
-		t.Errorf("mesh Broadcast allocates %.1f/op, budget 8", got)
+	if got > 6 {
+		t.Errorf("mesh Broadcast allocates %.1f/op, budget 6", got)
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 )
 
 // Burst datagram I/O via sendmmsg(2)/recvmmsg(2), straight from the
-// syscall package — no cgo, no external modules. One broadcast fan-out or
-// one reader wakeup moves a whole burst of datagrams per syscall. Anything
+// syscall package — no cgo, no external modules. One broadcast fan-out, one
+// drain of the multi-group sender's queue, or one reader wakeup moves a
+// whole burst of datagrams per syscall. Anything
 // unusual — an IPv6 peer, a kernel without the syscalls, a raw-conn
 // failure — falls back to the classic one-syscall-per-datagram path.
 
@@ -44,25 +45,37 @@ var recvmmsgRaw = func(fd uintptr, hdrs *mmsghdr, n int) (uintptr, syscall.Errno
 	return r, errno
 }
 
-// mmsgSender ships one frame to many destinations in a single sendmmsg.
-// Owned by the protocol loop goroutine; no locking.
-type mmsgSender struct {
+// BurstSender ships a batch of datagrams, each to its own peer, in as few
+// sendmmsg calls as possible: one frame to many destinations for a
+// single-group broadcast, a mixed drain of many groups' frames for the
+// multi-group runtime's shared sender. Owned by one goroutine; no locking.
+type BurstSender struct {
 	rc       syscall.RawConn
 	sas      []syscall.RawSockaddrInet4 // per-peer, precomputed
 	hdrs     []mmsghdr
 	iovs     []syscall.Iovec
 	disabled bool // kernel refused sendmmsg: classic path from now on
+
+	// One burst's progress, in fields rather than locals so the raw-conn
+	// callback — write, built once — captures nothing per send: a burst
+	// costs no allocation.
+	write    func(fd uintptr) bool
+	want     int  // datagrams in the burst
+	sent     int  // of which the kernel took
+	errs     int  // and refused for good
+	fellBack bool // sendmmsg itself was refused before anything left
 }
 
-// newMmsgSender returns nil when the burst path cannot be used, which the
-// callers treat as "use WriteToUDP per destination".
-func newMmsgSender(n *UDPNode) *mmsgSender {
-	rc, err := n.conn.SyscallConn()
+// NewBurstSender returns a sender of up to slots datagrams per burst, or
+// nil when the burst path cannot be used (an IPv6 peer, no raw conn), which
+// callers treat as "use WriteToUDP per datagram".
+func NewBurstSender(conn *net.UDPConn, peers []*net.UDPAddr, slots int) *BurstSender {
+	rc, err := conn.SyscallConn()
 	if err != nil {
 		return nil
 	}
-	sas := make([]syscall.RawSockaddrInet4, len(n.peers))
-	for i, a := range n.peers {
+	sas := make([]syscall.RawSockaddrInet4, len(peers))
+	for i, a := range peers {
 		ip4 := a.IP.To4()
 		if ip4 == nil {
 			return nil // IPv6 peer: classic path
@@ -72,77 +85,75 @@ func newMmsgSender(n *UDPNode) *mmsgSender {
 		sas[i] = syscall.RawSockaddrInet4{Family: syscall.AF_INET, Port: p<<8 | p>>8}
 		copy(sas[i].Addr[:], ip4)
 	}
-	return &mmsgSender{
-		rc:   rc,
-		sas:  sas,
-		hdrs: make([]mmsghdr, len(n.peers)),
-		iovs: make([]syscall.Iovec, len(n.peers)),
-	}
+	m := &BurstSender{rc: rc, sas: sas, hdrs: make([]mmsghdr, slots), iovs: make([]syscall.Iovec, slots)}
+	m.write = m.writeBurst
+	return m
 }
 
-// send ships frame to every listed destination in as few sendmmsg calls
-// as possible, with full socket accounting. It reports false when the
-// caller should take the classic per-destination path instead (nil
-// sender, burst of one, or sendmmsg unsupported).
-func (m *mmsgSender) send(n *UDPNode, dsts []mid.ProcID, frame []byte) bool {
-	if m == nil || m.disabled || len(dsts) < 2 || len(frame) == 0 {
-		return false
+// Usable reports whether a burst of n datagrams should go through Send
+// rather than the classic per-datagram path (nil sender, a burst of one, or
+// sendmmsg refused earlier).
+func (m *BurstSender) Usable(n int) bool { return m != nil && !m.disabled && n >= 2 }
+
+// Queue puts frame, bound for peer dst, in slot i of the next burst. The
+// frame must stay untouched until Send returns.
+func (m *BurstSender) Queue(i int, dst mid.ProcID, frame []byte) {
+	m.iovs[i].Base = &frame[0]
+	m.iovs[i].SetLen(len(frame))
+	m.hdrs[i] = mmsghdr{hdr: syscall.Msghdr{
+		Name:    (*byte)(unsafe.Pointer(&m.sas[dst])),
+		Namelen: syscall.SizeofSockaddrInet4,
+		Iov:     &m.iovs[i],
+		Iovlen:  1,
+	}}
+}
+
+// Send ships slots [0, n) and reports how many datagrams left and how many
+// were refused for good (loss is an omission the protocol repairs; the
+// caller counts it). ok is false when the kernel refused sendmmsg itself
+// before anything left: the caller takes the classic path for this burst and,
+// Usable being false from now on, every later one.
+func (m *BurstSender) Send(n int) (sent, errs int, ok bool) {
+	m.want, m.sent, m.errs, m.fellBack = n, 0, 0, false
+	if werr := m.rc.Write(m.write); werr != nil {
+		m.errs = m.want - m.sent // raw-conn failure (e.g. closing socket)
 	}
-	for i, dst := range dsts {
-		m.iovs[i].Base = &frame[0]
-		m.iovs[i].SetLen(len(frame))
-		m.hdrs[i] = mmsghdr{hdr: syscall.Msghdr{
-			Name:    (*byte)(unsafe.Pointer(&m.sas[dst])),
-			Namelen: syscall.SizeofSockaddrInet4,
-			Iov:     &m.iovs[i],
-			Iovlen:  1,
-		}}
-	}
-	sent, errs, fellBack := 0, 0, false
-	werr := m.rc.Write(func(fd uintptr) bool {
-		for sent < len(dsts) {
-			r, errno := sendmmsgRaw(fd, &m.hdrs[sent], len(dsts)-sent)
-			switch errno {
-			case 0:
-				sent += int(r)
-			case syscall.EAGAIN:
-				return false // wait for writability, then resume
-			case syscall.EINTR:
-				continue
-			case syscall.ENOSYS, syscall.EOPNOTSUPP:
-				if sent == 0 {
-					m.disabled = true
-					fellBack = true // nothing left the socket yet
-					return true
-				}
-				errs = len(dsts) - sent
-				return true
-			default:
-				// Loss is an omission the protocol repairs; count the rest.
-				errs = len(dsts) - sent
+	return m.sent, m.errs, !m.fellBack
+}
+
+// writeBurst is the raw-conn write callback: it pushes the prepared headers
+// through sendmmsg until all are taken, the socket must be waited for
+// (false), or the kernel refuses.
+func (m *BurstSender) writeBurst(fd uintptr) bool {
+	for m.sent < m.want {
+		r, errno := sendmmsgRaw(fd, &m.hdrs[m.sent], m.want-m.sent)
+		switch errno {
+		case 0:
+			m.sent += int(r)
+		case syscall.EAGAIN:
+			return false // wait for writability, then resume
+		case syscall.EINTR:
+			continue
+		case syscall.ENOSYS, syscall.EOPNOTSUPP:
+			if m.sent == 0 {
+				m.disabled = true
+				m.fellBack = true // nothing left the socket yet
 				return true
 			}
+			m.errs = m.want - m.sent
+			return true
+		default:
+			m.errs = m.want - m.sent
+			return true
 		}
-		return true
-	})
-	if fellBack {
-		return false
-	}
-	if werr != nil {
-		errs = len(dsts) - sent // raw-conn failure (e.g. closing socket)
-	}
-	if n.sock != nil {
-		n.sock.sendDatagrams.Add(int64(sent))
-		n.sock.sendBytes.Add(int64(sent * len(frame)))
-		n.sock.sendErrors.Add(int64(errs))
 	}
 	return true
 }
 
-// burstSlot is one receive buffer: one byte of slack past maxDatagram
+// burstSlot is one receive buffer: one byte of slack past MaxDatagram
 // distinguishes an exactly-full datagram from a kernel-truncated one, like
 // the classic reader.
-const burstSlot = maxDatagram + 1
+const burstSlot = MaxDatagram + 1
 
 // burstSlabs recycles the receivers' buffer sets (mmsgBurst slots, half a
 // megabyte) across node lifetimes, so a process that constructs and stops
@@ -164,6 +175,12 @@ type mmsgReceiver struct {
 	iovs []syscall.Iovec
 	sas  []syscall.RawSockaddrAny
 	addr net.UDPAddr // scratch for from(); warnings only, never retained
+
+	// One wakeup's outcome, in fields for the same reason as the sender's:
+	// read, the raw-conn callback, is built once.
+	read   func(fd uintptr) bool
+	got    int
+	sysErr error
 }
 
 // newMmsgReceiver returns nil when burst receive cannot be used; the
@@ -184,6 +201,7 @@ func newMmsgReceiver(n *UDPNode) *mmsgReceiver {
 	for i := range m.bufs {
 		m.bufs[i] = (*m.slab)[i*burstSlot : (i+1)*burstSlot : (i+1)*burstSlot]
 	}
+	m.read = m.readBurst
 	return m
 }
 
@@ -208,26 +226,28 @@ func (m *mmsgReceiver) recv() (int, error) {
 			Iovlen:  1,
 		}}
 	}
-	got := 0
-	var sysErr error
-	err := m.rc.Read(func(fd uintptr) bool {
-		r, errno := recvmmsgRaw(fd, &m.hdrs[0], len(m.hdrs))
-		switch errno {
-		case 0:
-			got = int(r)
-		case syscall.EAGAIN, syscall.EINTR:
-			return false // wait on the poller, then retry
-		case syscall.ENOSYS, syscall.EOPNOTSUPP:
-			sysErr = errMmsgUnsupported
-		default:
-			sysErr = errno
-		}
-		return true
-	})
-	if err != nil {
+	m.got, m.sysErr = 0, nil
+	if err := m.rc.Read(m.read); err != nil {
 		return 0, err // raw-conn failure: the socket is closing
 	}
-	return got, sysErr
+	return m.got, m.sysErr
+}
+
+// readBurst is the raw-conn read callback: one recvmmsg, retried by the
+// poller (false) while the socket has nothing.
+func (m *mmsgReceiver) readBurst(fd uintptr) bool {
+	r, errno := recvmmsgRaw(fd, &m.hdrs[0], len(m.hdrs))
+	switch errno {
+	case 0:
+		m.got = int(r)
+	case syscall.EAGAIN, syscall.EINTR:
+		return false // wait on the poller, then retry
+	case syscall.ENOSYS, syscall.EOPNOTSUPP:
+		m.sysErr = errMmsgUnsupported
+	default:
+		m.sysErr = errno
+	}
+	return true
 }
 
 // packet returns slot i's received bytes, valid until the next recv.

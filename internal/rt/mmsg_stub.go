@@ -11,11 +11,14 @@ import (
 // Non-linux platforms have no sendmmsg/recvmmsg: both constructors return
 // nil and the runtime stays on the classic one-syscall-per-datagram path.
 
-type mmsgSender struct{}
+// BurstSender is unavailable off linux/amd64 and linux/arm64.
+type BurstSender struct{ disabled bool }
 
-func newMmsgSender(*UDPNode) *mmsgSender { return nil }
+func NewBurstSender(*net.UDPConn, []*net.UDPAddr, int) *BurstSender { return nil }
 
-func (m *mmsgSender) send(*UDPNode, []mid.ProcID, []byte) bool { return false }
+func (m *BurstSender) Usable(int) bool                    { return false }
+func (m *BurstSender) Queue(int, mid.ProcID, []byte)      {}
+func (m *BurstSender) Send(int) (sent, errs int, ok bool) { return 0, 0, false }
 
 type mmsgReceiver struct{}
 

@@ -180,9 +180,9 @@ func TestUDPReaderCountsMalformedDatagrams(t *testing.T) {
 	reg := obs.New()
 	var logged int
 	node, err := NewUDPNode(UDPConfig{
-		Config:        core.Config{N: 1, K: 1, R: 3, SelfExclusion: true},
+		Config:        core.Config{N: 2, K: 1, R: 3},
 		Self:          0,
-		Peers:         []string{"127.0.0.1:0"},
+		Peers:         []string{"127.0.0.1:0", "127.0.0.1:1"}, // peer 1 is never started
 		RoundDuration: 5 * time.Millisecond,
 		Metrics:       reg,
 		Logf:          func(string, ...any) { logged++ },
@@ -203,15 +203,15 @@ func TestUDPReaderCountsMalformedDatagrams(t *testing.T) {
 	if _, err := conn.Write([]byte{0xff}); err != nil {
 		t.Fatal(err)
 	}
-	// Bad source: header names member 99 of a 1-member group.
+	// Bad source: header names member 99 of a 2-member group.
 	bad := make([]byte, 8)
 	binary.BigEndian.PutUint32(bad, 99)
 	if _, err := conn.Write(bad); err != nil {
 		t.Fatal(err)
 	}
-	// Undecodable: valid source 0, garbage PDU body.
+	// Undecodable: valid source 1, garbage PDU body.
 	junk := make([]byte, 16)
-	binary.BigEndian.PutUint32(junk, 0)
+	binary.BigEndian.PutUint32(junk, 1)
 	for i := 4; i < len(junk); i++ {
 		junk[i] = 0xee
 	}

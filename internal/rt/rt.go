@@ -112,6 +112,11 @@ type Cluster struct {
 	cfg   Config
 	nodes []*Node
 
+	// tickDone is the lockstep clock's barrier: every node's Tick ends by
+	// putting one token in (capacity N, so it never blocks a loop), and the
+	// clock collects N of them before it opens the next round.
+	tickDone chan struct{}
+
 	stopOnce sync.Once
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
@@ -123,7 +128,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, stopCh: make(chan struct{})}
+	c := &Cluster{cfg: cfg, stopCh: make(chan struct{}), tickDone: make(chan struct{}, cfg.N)}
 	c.nodes = make([]*Node, cfg.N)
 	for i := range c.nodes {
 		c.nodes[i] = newNode(c, mid.ProcID(i))
@@ -143,7 +148,7 @@ func (c *Cluster) Start() {
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
-			n.loop()
+			n.inbox.Loop()
 		}()
 	}
 	c.wg.Add(1)
@@ -189,19 +194,8 @@ func (c *Cluster) Restart(ctx context.Context, i mid.ProcID) error {
 	if err != nil {
 		return err
 	}
-	done := make(chan struct{})
-	if err := n.enqueueWait(ctx, func() {
-		n.proc = p
-		close(done)
-	}); err != nil {
+	if err := n.inbox.Call(ctx, func() { n.proc = p }); err != nil {
 		return err
-	}
-	select {
-	case <-done:
-	case <-c.stopCh:
-		return errClusterStopped
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 	n.mu.Lock()
 	n.killed = false
@@ -226,35 +220,27 @@ func (c *Cluster) clock() {
 		rounds = c.cfg.Metrics.Counter("rt_rounds_total")
 		barrier = c.cfg.Metrics.Histogram("rt_round_barrier_seconds", obs.DurationBuckets)
 	}
-	round := 0
-	for {
+	// One timer paces every round. It is only ever re-armed after its tick
+	// was received, so its channel is empty at each Reset.
+	pace := time.NewTimer(0)
+	defer pace.Stop()
+	<-pace.C
+	for round := 0; ; round++ {
 		start := time.Now()
-		r := round
-		round++
-		dones := make([]chan struct{}, len(c.nodes))
-		for i, n := range c.nodes {
-			n := n
+		for _, n := range c.nodes {
 			if c.cfg.Fault.Crashed(n.id) {
 				n.Kill()
 			}
-			n.obs.SampleInbox(len(n.inbox))
-			done := make(chan struct{})
-			dones[i] = done
+			n.obs.SampleInbox(len(n.inbox.C))
 			select {
-			case n.inbox <- func() {
-				if !n.Killed() {
-					n.obs.MarkRound(r)
-					n.proc.StartRound(r)
-				}
-				close(done)
-			}:
+			case n.inbox.C <- NewEvent(Event{Kind: EvTick, To: (*nodeHost)(n), Round: round}):
 			case <-c.stopCh:
 				return
 			}
 		}
-		for _, done := range dones {
+		for range c.nodes {
 			select {
-			case <-done:
+			case <-c.tickDone:
 			case <-c.stopCh:
 				return
 			}
@@ -264,8 +250,9 @@ func (c *Cluster) clock() {
 			barrier.ObserveSince(start)
 		}
 		if rest := c.cfg.RoundDuration - time.Since(start); rest > 0 {
+			pace.Reset(rest)
 			select {
-			case <-time.After(rest):
+			case <-pace.C:
 			case <-c.stopCh:
 				return
 			}
@@ -283,7 +270,7 @@ type Node struct {
 	tracer *lifecycle.Tracer
 	coal   *Coalescer // nil unless BatchWindow is set
 
-	inbox chan func()
+	inbox Inbox
 	ind   chan Indication
 	cap   *capture.Ring // nil disables frame capture
 
@@ -299,7 +286,7 @@ func newNode(c *Cluster, id mid.ProcID) *Node {
 		c:     c,
 		id:    id,
 		obs:   NewNodeObs(c.cfg.Metrics, id, c.cfg.N),
-		inbox: make(chan func(), c.cfg.InboxDepth),
+		inbox: NewInbox(c.cfg.InboxDepth, c.stopCh, errClusterStopped),
 		ind:   make(chan Indication, c.cfg.IndicationDepth),
 	}
 	if int(id) < len(c.cfg.Captures) {
@@ -313,9 +300,7 @@ func newNode(c *Cluster, id mid.ProcID) *Node {
 		n.tracer = lifecycle.New(id, c.cfg.N, opts, c.cfg.Metrics)
 	}
 	if c.cfg.BatchWindow > 0 {
-		n.coal = NewCoalescer(c.cfg.BatchWindow, c.cfg.BatchMax, c.cfg.BatchBytes,
-			func(fn func()) error { return n.enqueueWait(context.Background(), fn) },
-			n.submit, n.obs.Coalesced)
+		n.coal = NewCoalescer(c.cfg.BatchWindow, c.cfg.BatchMax, c.cfg.BatchBytes, &n.inbox, (*nodeHost)(n), n.obs.Coalesced)
 	}
 	return n
 }
@@ -377,43 +362,55 @@ func (n *Node) makeProc(join bool) (*core.Process, error) {
 // tracing is disabled. Safe from any goroutine.
 func (n *Node) Lifecycle() *lifecycle.Tracer { return n.tracer }
 
-// enqueue hands a closure to the node goroutine; a full inbox drops it
-// (datagram semantics). It reports whether the closure was accepted.
-func (n *Node) enqueue(fn func()) bool {
-	select {
-	case n.inbox <- fn:
+// enqueue hands an event to the node goroutine; a full inbox drops it
+// (datagram semantics). It reports whether the event was accepted.
+func (n *Node) enqueue(e Event) bool {
+	if n.inbox.Offer(e) {
 		return true
-	default:
-		n.mu.Lock()
-		n.dropped++
-		n.mu.Unlock()
-		n.obs.InboxDropped(n.id)
-		return false
+	}
+	n.mu.Lock()
+	n.dropped++
+	n.mu.Unlock()
+	n.obs.InboxDropped(n.id)
+	return false
+}
+
+// nodeHost is a Node as its loop goroutine drives it (the Host of its
+// events), kept apart so none of this joins Node's public method set.
+type nodeHost Node
+
+// Tick opens a round unless the node is fail-stopped, and always reports to
+// the clock's barrier: a crashed site must not stall the lockstep.
+func (h *nodeHost) Tick(round int) {
+	n := (*Node)(h)
+	if !n.Killed() {
+		n.obs.MarkRound(round)
+		n.proc.StartRound(round)
+	}
+	n.c.tickDone <- struct{}{}
+}
+
+// Recv delivers a decoded PDU; a crashed site absorbs nothing.
+func (h *nodeHost) Recv(src mid.ProcID, pdu wire.PDU) {
+	if n := (*Node)(h); !n.Killed() {
+		n.proc.Recv(src, pdu)
 	}
 }
 
-// enqueueWait hands a closure to the node goroutine, blocking while the
-// inbox is full — user commands are not datagrams and must not be lost.
-func (n *Node) enqueueWait(ctx context.Context, fn func()) error {
-	select {
-	case n.inbox <- fn:
-		return nil
-	case <-n.c.stopCh:
-		return errClusterStopped
-	case <-ctx.Done():
-		return ctx.Err()
+// Submit runs queued submissions. A scheduled crash takes effect here as well
+// as at the round tick: a message submitted after the crash instant would
+// otherwise leave (and be processed locally) on submit, before the tick that
+// fail-stops the member.
+func (h *nodeHost) Submit(head *Submission) {
+	n := (*Node)(h)
+	if n.c.cfg.Fault.Crashed(n.id) {
+		n.Kill()
 	}
-}
-
-func (n *Node) loop() {
-	for {
-		select {
-		case <-n.c.stopCh:
-			return
-		case fn := <-n.inbox:
-			fn()
-		}
+	if n.Killed() {
+		failAll(head, fmt.Errorf("rt: member %d is fail-stopped", n.id))
+		return
 	}
+	n.conf.Submit(n.proc, n.obs, head)
 }
 
 // Kill fail-stops the node: from now on it neither ticks nor receives,
@@ -447,38 +444,13 @@ func (n *Node) Left() (core.LeaveReason, bool) { return n.conf.Left() }
 // until the message has been processed locally (the Confirm), or the
 // context ends.
 func (n *Node) Send(ctx context.Context, payload []byte, deps mid.DepList) (mid.MID, error) {
-	return n.send(ctx, payload, deps, false)
+	return n.conf.Send(ctx, &n.inbox, n.coal, (*nodeHost)(n), n.obs, payload, deps, false)
 }
 
 // SendCausal is Send with the conservative depend-on-everything-seen
 // labelling computed inside the node goroutine.
 func (n *Node) SendCausal(ctx context.Context, payload []byte) (mid.MID, error) {
-	return n.send(ctx, payload, nil, true)
-}
-
-// submit runs queued submissions. Loop goroutine only. A scheduled crash
-// takes effect here as well as at the round tick: a message submitted after
-// the crash instant would otherwise leave (and be processed locally) on
-// submit, before the tick that fail-stops the member.
-func (n *Node) submit(batch ...*Submission) {
-	if n.c.cfg.Fault.Crashed(n.id) {
-		n.Kill()
-	}
-	if n.Killed() {
-		failAll(batch, fmt.Errorf("rt: member %d is fail-stopped", n.id))
-		return
-	}
-	n.conf.Submit(n.proc, n.obs, batch...)
-}
-
-func (n *Node) send(ctx context.Context, payload []byte, deps mid.DepList, causal bool) (mid.MID, error) {
-	s := NewSubmission(payload, deps, causal)
-	if n.coal != nil {
-		n.coal.Add(s)
-	} else if err := n.enqueueWait(ctx, func() { n.submit(s) }); err != nil {
-		return mid.MID{}, err
-	}
-	return n.conf.Await(ctx, n.c.stopCh, errClusterStopped, n.obs, s)
+	return n.conf.Send(ctx, &n.inbox, n.coal, (*nodeHost)(n), n.obs, payload, nil, true)
 }
 
 // Dropped returns how many datagrams this node's inbox refused because it
@@ -498,19 +470,7 @@ func (n *Node) Dropped() int {
 // returns without cloning. For the common fields, Status packages a
 // cloned, race-free sample.
 func (n *Node) Snapshot(ctx context.Context, fn func(p *core.Process)) error {
-	done := make(chan struct{})
-	if err := n.enqueueWait(ctx, func() {
-		fn(n.proc)
-		close(done)
-	}); err != nil {
-		return err
-	}
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return n.inbox.Call(ctx, func() { fn(n.proc) })
 }
 
 // meshTransport carries PDUs between in-process nodes through the wire
@@ -519,70 +479,76 @@ type meshTransport struct {
 	n *Node
 }
 
-// sharedBuf is a pooled wire buffer fanned out to several receivers: the
+// SharedBuf is a pooled wire buffer fanned out to several receivers: the
 // last reference released returns it to the wire pool. Receivers decode
 // concurrently, which is safe because reads of the shared bytes are
-// read-only and Unmarshal never aliases its input.
-type sharedBuf struct {
-	buf  []byte
+// read-only and Unmarshal never aliases its input. The multi-group runtime
+// shares its broadcast frames across destinations the same way.
+type SharedBuf struct {
+	Buf  []byte
 	refs atomic.Int32
 }
 
-func (s *sharedBuf) release() {
+// NewSharedBuf wraps buf with one reference: the creator's own hold.
+func NewSharedBuf(buf []byte) *SharedBuf {
+	s := &SharedBuf{Buf: buf}
+	s.refs.Store(1)
+	return s
+}
+
+// Hold takes one more reference.
+func (s *SharedBuf) Hold() { s.refs.Add(1) }
+
+// Release drops one reference; the last one pools the buffer.
+func (s *SharedBuf) Release() {
 	if s.refs.Add(-1) == 0 {
-		wire.PutBuf(s.buf)
+		wire.PutBuf(s.Buf)
 	}
+}
+
+// frame marshals pdu into a pooled buffer under the sender's own hold, or
+// returns nil for what never leaves the node: an unencodable PDU, or
+// anything at all once the site has crashed.
+func (t meshTransport) frame(pdu wire.PDU) *SharedBuf {
+	if t.n.Killed() {
+		return nil
+	}
+	buf, err := wire.MarshalAppend(wire.GetBuf(pdu.EncodedSize()), pdu)
+	if err != nil {
+		wire.PutBuf(buf)
+		return nil
+	}
+	return NewSharedBuf(buf)
 }
 
 func (t meshTransport) Send(dst mid.ProcID, pdu wire.PDU) {
 	if dst == t.n.id || dst < 0 || int(dst) >= t.n.c.N() {
 		return
 	}
-	buf, err := wire.MarshalAppend(wire.GetBuf(pdu.EncodedSize()), pdu)
-	if err != nil {
-		wire.PutBuf(buf)
-		return // unencodable PDUs never leave the node
-	}
-	if t.n.Killed() {
-		wire.PutBuf(buf)
-		return // a crashed site emits nothing
-	}
-	if act := t.n.c.cfg.Fault.Send(t.n.id, dst); act.Faulty() {
-		t.n.cap.Record(capture.DirEgress, 0, dst, capture.Classify(capture.Sent, act), act.Kinds, buf)
-		if act.Drop {
-			wire.PutBuf(buf)
-			return
-		}
-		sh := &sharedBuf{buf: buf}
-		sh.refs.Store(1)
-		t.fanout(t.n.c.nodes[dst], buf, sh, act)
-		sh.release()
+	sh := t.frame(pdu)
+	if sh == nil {
 		return
 	}
-	t.n.cap.Record(capture.DirEgress, 0, dst, capture.Sent, 0, buf)
-	if !t.deliver(t.n.c.nodes[dst], buf, nil) {
-		wire.PutBuf(buf)
+	act := t.n.c.cfg.Fault.Send(t.n.id, dst)
+	t.n.cap.Record(capture.DirEgress, 0, dst, capture.Classify(capture.Sent, act), act.Kinds, sh.Buf)
+	if !act.Drop {
+		t.fanout(t.n.c.nodes[dst], sh, act)
 	}
+	sh.Release()
 }
 
 // fanout hands one destination its copies of a datagram: 1+Dup copies,
 // each optionally delayed. Every copy takes its own reference on sh;
 // refused copies release immediately, delayed copies hold theirs until the
 // timer delivers. With a zero Action this is exactly one immediate copy.
-func (t meshTransport) fanout(target *Node, buf []byte, sh *sharedBuf, act faultrt.Action) {
+func (t meshTransport) fanout(target *Node, sh *SharedBuf, act faultrt.Action) {
 	for c := 0; c <= act.Dup; c++ {
-		sh.refs.Add(1)
+		sh.Hold()
 		if act.Delay > 0 {
-			time.AfterFunc(act.Delay, func() {
-				if !t.deliver(target, buf, sh) {
-					sh.release()
-				}
-			})
+			time.AfterFunc(act.Delay, func() { t.deliver(target, sh) })
 			continue
 		}
-		if !t.deliver(target, buf, sh) {
-			sh.release()
-		}
+		t.deliver(target, sh)
 	}
 }
 
@@ -590,17 +556,11 @@ func (t meshTransport) fanout(target *Node, buf []byte, sh *sharedBuf, act fault
 // to every peer; each receiver decodes its own self-owned PDU from the
 // shared bytes.
 func (t meshTransport) Broadcast(pdu wire.PDU) {
-	if t.n.Killed() {
-		return // a crashed site emits nothing
-	}
-	buf, err := wire.MarshalAppend(wire.GetBuf(pdu.EncodedSize()), pdu)
-	if err != nil {
-		wire.PutBuf(buf)
+	sh := t.frame(pdu)
+	if sh == nil {
 		return
 	}
-	t.n.cap.Record(capture.DirEgress, 0, mid.None, capture.Sent, 0, buf)
-	sh := &sharedBuf{buf: buf}
-	sh.refs.Store(1) // the sender's own hold, released after the fan-out
+	t.n.cap.Record(capture.DirEgress, 0, mid.None, capture.Sent, 0, sh.Buf)
 	for i := 0; i < t.n.c.N(); i++ {
 		dst := mid.ProcID(i)
 		if dst == t.n.id {
@@ -608,87 +568,78 @@ func (t meshTransport) Broadcast(pdu wire.PDU) {
 		}
 		act := t.n.c.cfg.Fault.Send(t.n.id, dst)
 		if act.Faulty() {
-			t.n.cap.Record(capture.DirEgress, 0, dst, capture.Classify(capture.Sent, act), act.Kinds, buf)
+			t.n.cap.Record(capture.DirEgress, 0, dst, capture.Classify(capture.Sent, act), act.Kinds, sh.Buf)
 		}
 		if act.Drop {
 			continue
 		}
-		t.fanout(t.n.c.nodes[dst], buf, sh, act)
+		t.fanout(t.n.c.nodes[dst], sh, act)
 	}
-	sh.release()
+	sh.Release()
 }
 
-// deliver enqueues buf for decoding on the target's loop goroutine. When sh
-// is non-nil the receiver releases its reference after decoding; otherwise
-// the receiver owns buf and returns it to the pool itself. Reports whether
-// the datagram was accepted (a full inbox drops it).
-func (t meshTransport) deliver(target *Node, buf []byte, sh *sharedBuf) bool {
-	src := t.n.id
-	accepted := target.enqueue(func() {
-		act := target.c.cfg.Fault.Recv(src, target.id)
-		if act.Drop || target.Killed() {
-			if target.cap != nil {
-				kinds := act.Kinds
-				if !act.Drop {
-					// Absorbed by a fail-stopped receiver, not an injector.
-					kinds = kinds.With(faultrt.KindCrash)
-				}
-				target.cap.Record(capture.DirIngress, 0, src, capture.FaultDrop, kinds, buf)
-			}
-			if sh != nil {
-				sh.release()
-			} else {
-				wire.PutBuf(buf)
-			}
-			return // dropped at receive; a crashed site absorbs nothing
-		}
-		decoded, err := wire.Unmarshal(buf)
-		// Receive-side duplicates each decode their own self-owned PDU
-		// from the shared bytes before those go back to the pool.
-		var extra []wire.PDU
-		for i := 0; i < act.Dup && err == nil; i++ {
-			d, derr := wire.Unmarshal(buf)
-			if derr != nil {
-				break
-			}
-			extra = append(extra, d)
-		}
-		if target.cap != nil {
-			v := capture.Classify(capture.Delivered, act)
-			if err != nil {
-				v = capture.DropDecode
-			}
-			target.cap.Record(capture.DirIngress, 0, src, v, act.Kinds, buf)
-		}
-		if sh != nil {
-			sh.release()
-		} else {
-			wire.PutBuf(buf)
-		}
-		if err != nil {
-			return // undecodable dropped
-		}
-		if act.Delay > 0 {
-			time.AfterFunc(act.Delay, func() {
-				target.enqueue(func() {
-					if target.Killed() {
-						return
-					}
-					target.proc.Recv(src, decoded)
-					for _, d := range extra {
-						target.proc.Recv(src, d)
-					}
-				})
-			})
-			return
-		}
-		target.proc.Recv(src, decoded)
-		for _, d := range extra {
-			target.proc.Recv(src, d)
-		}
-	})
-	if !accepted {
-		target.cap.Record(capture.DirIngress, 0, src, capture.DropInbox, 0, buf)
+// deliver enqueues one held reference on sh for decoding on the target's
+// loop goroutine, which releases it; a full inbox drops the datagram and the
+// reference with it.
+func (t meshTransport) deliver(target *Node, sh *SharedBuf) {
+	if !target.enqueue(Event{Kind: evFrame, To: (*nodeHost)(target), Src: t.n.id, Frame: sh}) {
+		target.cap.Record(capture.DirIngress, 0, t.n.id, capture.DropInbox, 0, sh.Buf)
+		sh.Release()
 	}
-	return accepted
+}
+
+// recvFrame is the receiving end of the mesh: fault verdict, decode, capture
+// and delivery of one datagram, on the receiver's loop goroutine.
+func (h *nodeHost) recvFrame(src mid.ProcID, sh *SharedBuf) {
+	target := (*Node)(h)
+	act := target.c.cfg.Fault.Recv(src, target.id)
+	if act.Drop || target.Killed() {
+		if target.cap != nil {
+			kinds := act.Kinds
+			if !act.Drop {
+				// Absorbed by a fail-stopped receiver, not an injector.
+				kinds = kinds.With(faultrt.KindCrash)
+			}
+			target.cap.Record(capture.DirIngress, 0, src, capture.FaultDrop, kinds, sh.Buf)
+		}
+		sh.Release()
+		return // dropped at receive; a crashed site absorbs nothing
+	}
+	decoded, err := wire.Unmarshal(sh.Buf)
+	// Receive-side duplicates each decode their own self-owned PDU
+	// from the shared bytes before those go back to the pool.
+	var extra []wire.PDU
+	for i := 0; i < act.Dup && err == nil; i++ {
+		d, derr := wire.Unmarshal(sh.Buf)
+		if derr != nil {
+			break
+		}
+		extra = append(extra, d)
+	}
+	if target.cap != nil {
+		v := capture.Classify(capture.Delivered, act)
+		if err != nil {
+			v = capture.DropDecode
+		}
+		target.cap.Record(capture.DirIngress, 0, src, v, act.Kinds, sh.Buf)
+	}
+	sh.Release()
+	if err != nil {
+		return // undecodable dropped
+	}
+	if act.Delay > 0 {
+		time.AfterFunc(act.Delay, func() {
+			target.enqueue(Event{Call: func() {
+				h.Recv(src, decoded)
+				for _, d := range extra {
+					h.Recv(src, d)
+				}
+			}})
+		})
+		return
+	}
+	target.proc.Recv(src, decoded)
+	for _, d := range extra {
+		target.proc.Recv(src, d)
+	}
 }

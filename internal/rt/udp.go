@@ -97,14 +97,14 @@ type UDPNode struct {
 	obs    *NodeObs
 	sock   *sockObs
 	tracer *lifecycle.Tracer
-	coal   *Coalescer  // nil unless BatchWindow is set
-	mmsend *mmsgSender // nil where sendmmsg is unavailable
+	coal   *Coalescer   // nil unless BatchWindow is set
+	mmsend *BurstSender // nil where sendmmsg is unavailable
 
 	// burstScratch collects the clean-verdict destinations of one
 	// Broadcast for the burst syscall. Loop goroutine only.
 	burstScratch []mid.ProcID
 
-	inbox chan func()
+	inbox Inbox
 	ind   chan Indication
 
 	conf Confirms // confirm waiters, leave record, the submit step
@@ -113,28 +113,38 @@ type UDPNode struct {
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
 
-	warnTh obs.Throttle // rate-limits operator-visible warnings
+	warn Warner
 }
 
-// warnf logs an operator-visible warning at a throttled rate (at most one
-// line per second), appending how many similar warnings were suppressed in
-// between so nothing is silently lost.
-func (n *UDPNode) warnf(format string, args ...any) {
-	suppressed, ok := n.warnTh.Allow()
+// Warner is a socket runtime's operator-visible warning line: malformed or
+// oversize datagrams, socket errors, overload omissions — everything the
+// protocol silently recovers from. Shared with internal/topics.
+type Warner struct {
+	Logf     func(format string, args ...any)
+	Prefix   string // names the member, e.g. "rt[2]: "
+	Captured bool   // frame capture is on: CapNote has something to point at
+	th       obs.Throttle
+}
+
+// Warnf logs at a throttled rate (at most one line per second), appending
+// how many similar warnings were suppressed in between so nothing is
+// silently lost.
+func (w *Warner) Warnf(format string, args ...any) {
+	suppressed, ok := w.th.Allow()
 	if !ok {
 		return
 	}
 	if suppressed > 0 {
 		format += fmt.Sprintf(" [+%d warnings suppressed]", suppressed)
 	}
-	n.cfg.Logf("rt[%d]: "+format, append([]any{int(n.cfg.Self)}, args...)...)
+	w.Logf(w.Prefix+format, args...)
 }
 
-// capNote renders the warn-line suffix joining a discard to its captured
-// frame, so udp_drop_* warnings are greppable against the /capture dump.
-// Empty when capture is disabled.
-func (n *UDPNode) capNote(seq uint64) string {
-	if n.cfg.Capture == nil {
+// CapNote renders the warn-line suffix joining a discard to its captured
+// frame, so drop warnings are greppable against the /capture dump. Empty
+// when capture is disabled.
+func (w *Warner) CapNote(seq uint64) string {
+	if !w.Captured {
 		return ""
 	}
 	return fmt.Sprintf(" [capture #%d]", seq)
@@ -179,10 +189,11 @@ func newSockObs(reg *obs.Registry) *sockObs {
 
 var errNodeStopped = fmt.Errorf("rt: node stopped")
 
-// maxDatagram bounds received datagrams. The urcgc PDUs for paper-scale
-// groups fit comfortably; jumbo decisions for very large n would need
-// fragmentation, which the paper delegates to the transport layer.
-const maxDatagram = 64 * 1024
+// MaxDatagram bounds datagrams in both directions, for every socket runtime
+// (a mixed deployment must agree on the limit). The urcgc PDUs for
+// paper-scale groups fit comfortably; jumbo decisions for very large n would
+// need fragmentation, which the paper delegates to the transport layer.
+const MaxDatagram = 64 * 1024
 
 // NewUDPNode binds the member's socket and prepares the protocol entity.
 func NewUDPNode(cfg UDPConfig) (*UDPNode, error) {
@@ -200,14 +211,15 @@ func NewUDPNode(cfg UDPConfig) (*UDPNode, error) {
 		cfg:    cfg,
 		obs:    NewNodeObs(cfg.Metrics, cfg.Self, cfg.N),
 		sock:   newSockObs(cfg.Metrics),
-		inbox:  make(chan func(), cfg.InboxDepth),
 		ind:    make(chan Indication, cfg.IndicationDepth),
 		stopCh: make(chan struct{}),
 		peers:  make([]*net.UDPAddr, cfg.N),
 	}
+	n.inbox = NewInbox(cfg.InboxDepth, n.stopCh, errNodeStopped)
 	if n.cfg.Logf == nil {
 		n.cfg.Logf = log.Printf
 	}
+	n.warn = Warner{Logf: n.cfg.Logf, Prefix: fmt.Sprintf("rt[%d]: ", cfg.Self), Captured: cfg.Capture != nil}
 	for i, p := range cfg.Peers {
 		addr, err := net.ResolveUDPAddr("udp", p)
 		if err != nil {
@@ -251,23 +263,11 @@ func NewUDPNode(cfg UDPConfig) (*UDPNode, error) {
 	n.proc = proc
 	n.obs.MarkJoining(cfg.Join)
 	if cfg.BatchWindow > 0 {
-		n.coal = NewCoalescer(cfg.BatchWindow, cfg.BatchMax, cfg.BatchBytes,
-			n.enqueueCommand, n.submit, n.obs.Coalesced)
+		n.coal = NewCoalescer(cfg.BatchWindow, cfg.BatchMax, cfg.BatchBytes, &n.inbox, (*udpHost)(n), n.obs.Coalesced)
 	}
-	n.mmsend = newMmsgSender(n) // nil → single-syscall fallback
+	n.mmsend = NewBurstSender(conn, n.peers, cfg.N) // nil → single-syscall fallback
 	n.burstScratch = make([]mid.ProcID, 0, cfg.N)
 	return n, nil
-}
-
-// enqueueCommand hands a user command to the protocol loop, blocking while
-// the inbox is full — commands are not datagrams and must not be lost.
-func (n *UDPNode) enqueueCommand(fn func()) error {
-	select {
-	case n.inbox <- fn:
-		return nil
-	case <-n.stopCh:
-		return errNodeStopped
-	}
 }
 
 // Lifecycle returns the member's message-lifecycle tracer, or nil when
@@ -288,7 +288,7 @@ func (n *UDPNode) Start() {
 	n.wg.Add(3)
 	go func() { defer n.wg.Done(); n.reader() }()
 	go func() { defer n.wg.Done(); n.clock() }()
-	go func() { defer n.wg.Done(); n.loop() }()
+	go func() { defer n.wg.Done(); n.inbox.Loop() }()
 }
 
 // Stop halts the member and closes its socket. Any submissions still
@@ -309,65 +309,39 @@ func (n *UDPNode) Indications() <-chan Indication { return n.ind }
 // Left reports whether and why the member halted itself.
 func (n *UDPNode) Left() (core.LeaveReason, bool) { return n.conf.Left() }
 
-// submit runs queued submissions. Loop goroutine only. A fail-stopped site
-// (a scheduled crash of Self) stops ticking; it must not send on submit
-// either.
-func (n *UDPNode) submit(batch ...*Submission) {
-	if n.cfg.Fault.Crashed(n.cfg.Self) {
-		failAll(batch, fmt.Errorf("rt: member %d is fail-stopped", n.cfg.Self))
+// udpHost is a UDPNode as its loop goroutine drives it (the Host of its
+// events), kept apart so none of this joins UDPNode's public method set.
+type udpHost UDPNode
+
+// Tick opens a round.
+func (h *udpHost) Tick(round int) {
+	h.obs.MarkRound(round)
+	h.proc.StartRound(round)
+}
+
+// Recv delivers a decoded PDU.
+func (h *udpHost) Recv(src mid.ProcID, pdu wire.PDU) { h.proc.Recv(src, pdu) }
+
+// Submit runs queued submissions. A fail-stopped site (a scheduled crash of
+// Self) stops ticking; it must not send on submit either.
+func (h *udpHost) Submit(head *Submission) {
+	if h.cfg.Fault.Crashed(h.cfg.Self) {
+		failAll(head, fmt.Errorf("rt: member %d is fail-stopped", h.cfg.Self))
 		return
 	}
-	n.conf.Submit(n.proc, n.obs, batch...)
+	h.conf.Submit(h.proc, h.obs, head)
 }
 
 // Send is the urcgc-data.Rq/Conf pair over UDP. With BatchWindow set,
 // concurrent Sends coalesce into DataBatch frames; each still blocks until
 // its own message is processed locally.
 func (n *UDPNode) Send(ctx context.Context, payload []byte, deps mid.DepList) (mid.MID, error) {
-	s := NewSubmission(payload, deps, false)
-	if n.coal != nil {
-		n.coal.Add(s)
-	} else {
-		select {
-		case n.inbox <- func() { n.submit(s) }:
-		case <-n.stopCh:
-			return mid.MID{}, errNodeStopped
-		case <-ctx.Done():
-			return mid.MID{}, ctx.Err()
-		}
-	}
-	return n.conf.Await(ctx, n.stopCh, errNodeStopped, n.obs, s)
+	return n.conf.Send(ctx, &n.inbox, n.coal, (*udpHost)(n), n.obs, payload, deps, false)
 }
 
 // Snapshot runs fn with safe access to the protocol entity.
 func (n *UDPNode) Snapshot(ctx context.Context, fn func(p *core.Process)) error {
-	done := make(chan struct{})
-	select {
-	case n.inbox <- func() { fn(n.proc); close(done) }:
-	case <-n.stopCh:
-		return errNodeStopped
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	select {
-	case <-done:
-		return nil
-	case <-n.stopCh:
-		return errNodeStopped
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (n *UDPNode) loop() {
-	for {
-		select {
-		case <-n.stopCh:
-			return
-		case fn := <-n.inbox:
-			fn()
-		}
-	}
+	return n.inbox.Call(ctx, func() { fn(n.proc) })
 }
 
 func (n *UDPNode) clock() {
@@ -388,17 +362,16 @@ func (n *UDPNode) clock() {
 			}
 			r := round
 			round++
-			n.obs.SampleInbox(len(n.inbox))
-			select {
-			case n.inbox <- func() { n.obs.MarkRound(r); n.proc.StartRound(r) }:
+			n.obs.SampleInbox(len(n.inbox.C))
+			if n.inbox.Offer(Event{Kind: EvTick, To: (*udpHost)(n), Round: r}) {
 				if rounds != nil {
 					rounds.Inc()
 				}
-			default: // overloaded: skipping a tick is an omission
+			} else { // overloaded: skipping a tick is an omission
 				if n.sock != nil {
 					n.sock.ticksSkipped.Inc()
 				}
-				n.warnf("round tick %d skipped: inbox full (overload omission)", r)
+				n.warn.Warnf("round tick %d skipped: inbox full (overload omission)", r)
 			}
 		}
 	}
@@ -417,24 +390,37 @@ func (n *UDPNode) reader() {
 		}
 		// recvmmsg refused at runtime: classic path takes over.
 	}
-	// One byte of slack past maxDatagram distinguishes an exactly-full
+	ReadDatagrams(n.conn, n.stopCh, n.readLost, n.handleDatagram)
+}
+
+// readLost accounts a transient socket read error: datagrams lost.
+func (n *UDPNode) readLost(err error) {
+	if n.sock != nil {
+		n.sock.dropReadErr.Inc()
+	}
+	n.warn.Warnf("socket read error (datagrams lost): %v", err)
+}
+
+// ReadDatagrams is the classic one-syscall-per-datagram reader: it hands
+// every datagram to handle (pkt is valid only for the call — the one read
+// buffer is reused) and every transient read error to lost, until stop
+// closes. Shared with internal/topics.
+func ReadDatagrams(conn *net.UDPConn, stop <-chan struct{}, lost func(error), handle func(pkt []byte, from *net.UDPAddr)) {
+	// One byte of slack past MaxDatagram distinguishes an exactly-full
 	// datagram from one the kernel truncated to fit the buffer.
-	buf := make([]byte, maxDatagram+1)
+	buf := make([]byte, MaxDatagram+1)
 	for {
-		sz, from, err := n.conn.ReadFromUDP(buf)
+		sz, from, err := conn.ReadFromUDP(buf)
 		if err != nil {
 			select {
-			case <-n.stopCh:
+			case <-stop:
 				return
 			default:
-				if n.sock != nil {
-					n.sock.dropReadErr.Inc()
-				}
-				n.warnf("socket read error (datagram lost): %v", err)
-				continue // transient read error: a datagram lost
+				lost(err)
+				continue
 			}
 		}
-		n.handleDatagram(buf[:sz], from)
+		handle(buf[:sz], from)
 	}
 }
 
@@ -453,10 +439,7 @@ func (n *UDPNode) readerBurst(m *mmsgReceiver) bool {
 			case <-n.stopCh:
 				return true
 			default:
-				if n.sock != nil {
-					n.sock.dropReadErr.Inc()
-				}
-				n.warnf("socket burst read error (datagrams lost): %v", err)
+				n.readLost(err)
 				continue
 			}
 		}
@@ -475,12 +458,12 @@ func (n *UDPNode) handleDatagram(pkt []byte, from *net.UDPAddr) {
 		n.sock.recvDatagrams.Inc()
 		n.sock.recvBytes.Add(int64(sz))
 	}
-	if sz > maxDatagram {
+	if sz > MaxDatagram {
 		if n.sock != nil {
 			n.sock.dropOversize.Inc()
 		}
 		seq := n.cfg.Capture.Record(capture.DirIngress, 0, mid.None, capture.DropOversize, 0, nil)
-		n.warnf("oversize datagram from %v truncated past %d bytes: dropped%s", from, maxDatagram, n.capNote(seq))
+		n.warn.Warnf("oversize datagram from %v truncated past %d bytes: dropped%s", from, MaxDatagram, n.warn.CapNote(seq))
 		return
 	}
 	group, src, body, err := wire.ParseEnvelope(pkt)
@@ -489,7 +472,7 @@ func (n *UDPNode) handleDatagram(pkt []byte, from *net.UDPAddr) {
 			n.sock.dropShort.Inc()
 		}
 		seq := n.cfg.Capture.Record(capture.DirIngress, 0, mid.None, capture.DropShort, 0, pkt)
-		n.warnf("unparseable datagram (%d bytes) from %v: dropped%s", sz, from, n.capNote(seq))
+		n.warn.Warnf("unparseable datagram (%d bytes) from %v: dropped%s", sz, from, n.warn.CapNote(seq))
 		return
 	}
 	if group != 0 {
@@ -497,15 +480,17 @@ func (n *UDPNode) handleDatagram(pkt []byte, from *net.UDPAddr) {
 			n.sock.dropBadSrc.Inc()
 		}
 		seq := n.cfg.Capture.Record(capture.DirIngress, group, src, capture.DropGroup, 0, body)
-		n.warnf("datagram from %v for group %d on single-group node: dropped%s", from, group, n.capNote(seq))
+		n.warn.Warnf("datagram from %v for group %d on single-group node: dropped%s", from, group, n.warn.CapNote(seq))
 		return
 	}
-	if src < 0 || int(src) >= n.cfg.N {
+	if src < 0 || int(src) >= n.cfg.N || src == n.cfg.Self {
+		// Nobody in the group sends as a non-member, and nobody but us sends
+		// as us — and our own frames never come back through the socket.
 		if n.sock != nil {
 			n.sock.dropBadSrc.Inc()
 		}
 		seq := n.cfg.Capture.Record(capture.DirIngress, 0, src, capture.DropBadSrc, 0, body)
-		n.warnf("datagram from %v claims member %d outside group of %d: dropped%s", from, src, n.cfg.N, n.capNote(seq))
+		n.warn.Warnf("datagram from %v claims member %d (group of %d, we are %d): dropped%s", from, src, n.cfg.N, n.cfg.Self, n.warn.CapNote(seq))
 		return
 	}
 	act := n.cfg.Fault.Recv(src, n.cfg.Self)
@@ -522,11 +507,11 @@ func (n *UDPNode) handleDatagram(pkt []byte, from *net.UDPAddr) {
 			n.sock.dropDecode.Inc()
 		}
 		seq := n.cfg.Capture.Record(capture.DirIngress, 0, src, capture.DropDecode, 0, body)
-		n.warnf("undecodable datagram from %v (%d bytes): %v%s", from, sz, err, n.capNote(seq))
+		n.warn.Warnf("undecodable datagram from %v (%d bytes): %v%s", from, sz, err, n.warn.CapNote(seq))
 		return // malformed datagram: dropped
 	}
 	if !act.Faulty() {
-		accepted := n.enqueueDatagram(func() { n.proc.Recv(src, pdu) })
+		accepted := n.enqueueDatagram(Event{Kind: EvRecv, To: (*udpHost)(n), Src: src, PDU: pdu})
 		if n.cfg.Capture != nil {
 			v := capture.Delivered
 			if !accepted {
@@ -548,12 +533,12 @@ func (n *UDPNode) handleDatagram(pkt []byte, from *net.UDPAddr) {
 		extra = append(extra, d)
 	}
 	deliver := func() {
-		n.enqueueDatagram(func() {
+		n.enqueueDatagram(Event{Call: func() {
 			n.proc.Recv(src, pdu)
 			for _, d := range extra {
 				n.proc.Recv(src, d)
 			}
-		})
+		}})
 	}
 	if act.Delay > 0 {
 		time.AfterFunc(act.Delay, deliver)
@@ -562,17 +547,15 @@ func (n *UDPNode) handleDatagram(pkt []byte, from *net.UDPAddr) {
 	deliver()
 }
 
-// enqueueDatagram hands a received datagram's closure to the protocol
-// loop; a full inbox drops it, like any datagram. Reports whether the
-// closure was accepted.
-func (n *UDPNode) enqueueDatagram(fn func()) bool {
-	select {
-	case n.inbox <- fn:
+// enqueueDatagram hands a received datagram's event to the protocol loop; a
+// full inbox drops it, like any datagram. Reports whether the event was
+// accepted.
+func (n *UDPNode) enqueueDatagram(e Event) bool {
+	if n.inbox.Offer(e) {
 		return true
-	default:
-		n.obs.InboxDropped(n.cfg.Self)
-		return false
 	}
+	n.obs.InboxDropped(n.cfg.Self)
+	return false
 }
 
 // udpTransport sends PDUs as [src:4][marshaled PDU] datagrams.
@@ -631,14 +614,14 @@ func (t udpTransport) shipAct(dst mid.ProcID, frame []byte, act faultrt.Action) 
 // sent for every peer to count it as udp_drop_oversize. Reported here at
 // the sender, where the operator can actually act on it.
 func (t udpTransport) checkSize(frame []byte, pdu wire.PDU) bool {
-	if len(frame) <= maxDatagram {
+	if len(frame) <= MaxDatagram {
 		return true
 	}
 	if t.n.sock != nil {
 		t.n.sock.sendOversize.Inc()
 	}
 	seq := t.n.cfg.Capture.Record(capture.DirEgress, 0, mid.None, capture.DropOversize, 0, nil)
-	t.n.warnf("oversize %v frame (%d bytes > %d): dropped before send%s", pdu.Kind(), len(frame), maxDatagram, t.n.capNote(seq))
+	t.n.warn.Warnf("oversize %v frame (%d bytes > %d): dropped before send%s", pdu.Kind(), len(frame), MaxDatagram, t.n.warn.CapNote(seq))
 	return false
 }
 
@@ -651,6 +634,26 @@ func (n *UDPNode) recordEgress(dst mid.ProcID, act faultrt.Action, frame []byte)
 	}
 	n.cfg.Capture.Record(capture.DirEgress, 0, dst,
 		capture.Classify(capture.Sent, act), act.Kinds, frame[wire.EnvelopeSize(0):])
+}
+
+// burst ships frame to every listed destination in one sendmmsg, with full
+// socket accounting. It reports false when the caller should take the
+// classic per-destination path instead.
+func (t udpTransport) burst(dsts []mid.ProcID, frame []byte) bool {
+	mm := t.n.mmsend
+	if !mm.Usable(len(dsts)) {
+		return false
+	}
+	for i, dst := range dsts {
+		mm.Queue(i, dst, frame)
+	}
+	sent, errs, ok := mm.Send(len(dsts))
+	if ok && t.n.sock != nil {
+		t.n.sock.sendDatagrams.Add(int64(sent))
+		t.n.sock.sendBytes.Add(int64(sent * len(frame)))
+		t.n.sock.sendErrors.Add(int64(errs))
+	}
+	return ok
 }
 
 func (t udpTransport) Send(dst mid.ProcID, pdu wire.PDU) {
@@ -698,7 +701,7 @@ func (t udpTransport) Broadcast(pdu wire.PDU) {
 		burst = append(burst, dst)
 	}
 	t.n.burstScratch = burst[:0]
-	if !t.n.mmsend.send(t.n, burst, frame) {
+	if !t.burst(burst, frame) {
 		for _, dst := range burst {
 			t.write(dst, frame)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"urcgc/internal/core"
 	"urcgc/internal/mid"
+	"urcgc/internal/rt"
 	"urcgc/internal/wire"
 )
 
@@ -21,6 +22,11 @@ type MultiCluster struct {
 	cfg   Config
 	nodes []*MultiNode
 
+	// tickDone is the lockstep clock's barrier: every session's Tick ends by
+	// putting one token in (capacity N x Groups, so it never blocks a shard),
+	// and the clock collects them all before it opens the next round.
+	tickDone chan struct{}
+
 	stopOnce sync.Once
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
@@ -34,7 +40,7 @@ func NewMultiCluster(cfg Config) (*MultiCluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	c := &MultiCluster{cfg: cfg, stopCh: make(chan struct{})}
+	c := &MultiCluster{cfg: cfg, stopCh: make(chan struct{}), tickDone: make(chan struct{}, cfg.N*cfg.Groups)}
 	c.nodes = make([]*MultiNode, cfg.N)
 	for i := range c.nodes {
 		ncfg := cfg
@@ -83,35 +89,33 @@ func (c *MultiCluster) Groups() int { return c.cfg.Groups }
 // finishes round r before any starts r+1, and at least RoundDuration
 // elapses per round.
 func (c *MultiCluster) clock() {
-	round := 0
-	dones := make([]chan struct{}, 0, c.cfg.N*c.cfg.Groups)
-	for {
+	// One timer paces every round. It is only ever re-armed after its tick
+	// was received, so its channel is empty at each Reset.
+	pace := time.NewTimer(0)
+	defer pace.Stop()
+	<-pace.C
+	for round := 0; ; round++ {
 		start := time.Now()
-		r := round
-		round++
-		dones = dones[:0]
 		for _, n := range c.nodes {
 			for _, s := range n.sessions {
-				s := s
-				done := make(chan struct{})
 				select {
-				case s.shard.inbox <- func() { s.obs.MarkRound(r); s.proc.StartRound(r); close(done) }:
-					dones = append(dones, done)
+				case s.shard.inbox.C <- rt.NewEvent(rt.Event{Kind: rt.EvTick, To: s, Round: round}):
 				case <-c.stopCh:
 					return
 				}
 			}
 		}
-		for _, done := range dones {
+		for i := 0; i < c.cfg.N*c.cfg.Groups; i++ {
 			select {
-			case <-done:
+			case <-c.tickDone:
 			case <-c.stopCh:
 				return
 			}
 		}
 		if rest := c.cfg.RoundDuration - time.Since(start); rest > 0 {
+			pace.Reset(rest)
 			select {
-			case <-time.After(rest):
+			case <-pace.C:
 			case <-c.stopCh:
 				return
 			}
@@ -126,12 +130,6 @@ func (c *MultiCluster) clock() {
 // the pooled buffer goes back immediately.
 type meshTransport struct{ s *session }
 
-func (t meshTransport) frame(pdu wire.PDU) ([]byte, error) {
-	buf := wire.GetBuf(wire.EnvelopeSize(t.s.group) + pdu.EncodedSize())[:0]
-	buf = wire.AppendEnvelope(buf, t.s.group, t.s.m.cfg.Self)
-	return wire.MarshalAppend(buf, pdu)
-}
-
 func (t meshTransport) Send(dst mid.ProcID, pdu wire.PDU) {
 	m := t.s.m
 	if dst == m.cfg.Self || dst < 0 || int(dst) >= m.cfg.N {
@@ -140,7 +138,7 @@ func (t meshTransport) Send(dst mid.ProcID, pdu wire.PDU) {
 	if m.cfg.DropFrame != nil && m.cfg.DropFrame(t.s.group, m.cfg.Self, dst) {
 		return
 	}
-	frame, err := t.frame(pdu)
+	frame, err := t.s.frame(pdu)
 	if err != nil || !m.checkSize(frame, pdu) {
 		wire.PutBuf(frame)
 		return
@@ -153,7 +151,7 @@ func (t meshTransport) Send(dst mid.ProcID, pdu wire.PDU) {
 // its own self-owned PDU from the same bytes.
 func (t meshTransport) Broadcast(pdu wire.PDU) {
 	m := t.s.m
-	frame, err := t.frame(pdu)
+	frame, err := t.s.frame(pdu)
 	if err != nil || !m.checkSize(frame, pdu) {
 		wire.PutBuf(frame)
 		return

@@ -147,8 +147,8 @@ func (nopTransport) Broadcast(wire.PDU)        {}
 
 // TestTopicsDisabledObsAllocFree pins the disabled-observability contract
 // on the multi-group deliver path: with Metrics and Lifecycle both nil, a
-// session's park-then-cascade delivery costs exactly the pre-existing
-// core budget (see rt's TestLifecycleDisabledAllocFree) — the per-group
+// session's park-then-cascade delivery costs exactly the core's own
+// budget (see rt's TestLifecycleDisabledAllocFree) — the per-group
 // accounting added for multi-group observability must be nil-gated out.
 func TestTopicsDisabledObsAllocFree(t *testing.T) {
 	cfg := Config{
@@ -191,10 +191,10 @@ func TestTopicsDisabledObsAllocFree(t *testing.T) {
 	if want := mid.Seq(2 * (runs + 2)); s.proc.Processed()[1] != want {
 		t.Fatalf("processed up to %d, want %d (driver bug)", s.proc.Processed()[1], want)
 	}
-	// Same pre-existing budget as the single-group runtime: the topics
-	// layer must add nothing when observability is off.
-	if got > 13 {
-		t.Errorf("disabled-observability deliver path allocates %.2f/op, budget 13", got)
+	// Same budget as the single-group runtime — nothing: the topics layer
+	// must add nothing when observability is off.
+	if got > 0 {
+		t.Errorf("disabled-observability deliver path allocates %.2f/op, budget 0", got)
 	}
 }
 

@@ -41,10 +41,6 @@ import (
 	"urcgc/internal/wire"
 )
 
-// maxDatagram bounds datagrams in both directions, matching the
-// single-group UDP runtime so a mixed deployment agrees on the limit.
-const maxDatagram = 64 * 1024
-
 // Config configures one member's multi-group runtime. The embedded
 // core.Config applies to every group; all groups share the member
 // identity, the peer set and the socket.
@@ -180,7 +176,7 @@ type MultiNode struct {
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-	warnTh   obs.Throttle
+	warn     rt.Warner // throttled operator-visible warnings
 }
 
 // NewMultiNode binds the shared socket and prepares every group's protocol
@@ -223,10 +219,11 @@ func newMultiNode(cfg Config) *MultiNode {
 		cfg:    cfg,
 		stopCh: make(chan struct{}),
 		mobs:   newMultiObs(cfg.Metrics),
+		warn:   rt.Warner{Logf: cfg.Logf, Prefix: fmt.Sprintf("topics[%d]: ", cfg.Self), Captured: cfg.Capture != nil},
 	}
 	m.shards = make([]*shard, cfg.Shards)
 	for i := range m.shards {
-		m.shards[i] = &shard{m: m, inbox: make(chan func(), cfg.InboxDepth)}
+		m.shards[i] = &shard{inbox: rt.NewInbox(cfg.InboxDepth, m.stopCh, errStopped)}
 	}
 	return m
 }
@@ -292,8 +289,7 @@ func (m *MultiNode) initSessions(tp func(*session) core.Transport) error {
 		s.proc = proc
 		s.obs.MarkJoining(m.cfg.Join)
 		if m.cfg.BatchWindow > 0 {
-			s.coal = rt.NewCoalescer(m.cfg.BatchWindow, m.cfg.BatchMax, m.cfg.BatchBytes,
-				s.shard.enqueueWait, s.submit, s.obs.Coalesced)
+			s.coal = rt.NewCoalescer(m.cfg.BatchWindow, m.cfg.BatchMax, m.cfg.BatchBytes, &s.shard.inbox, s, s.obs.Coalesced)
 		}
 		m.sessions[g] = s
 	}
@@ -306,7 +302,7 @@ func (m *MultiNode) Start() {
 	for _, sh := range m.shards {
 		sh := sh
 		m.wg.Add(1)
-		go func() { defer m.wg.Done(); sh.loop() }()
+		go func() { defer m.wg.Done(); sh.inbox.Loop() }()
 	}
 	if m.conn != nil {
 		m.wg.Add(3)
@@ -401,22 +397,7 @@ func (m *MultiNode) Snapshot(ctx context.Context, group uint32, fn func(p *core.
 	if err != nil {
 		return err
 	}
-	done := make(chan struct{})
-	select {
-	case s.shard.inbox <- func() { fn(s.proc); close(done) }:
-	case <-m.stopCh:
-		return errStopped
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	select {
-	case <-done:
-		return nil
-	case <-m.stopCh:
-		return errStopped
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return s.shard.inbox.Call(ctx, func() { fn(s.proc) })
 }
 
 // GroupStatus captures a race-free sample of one group's protocol state,
@@ -486,75 +467,28 @@ func (m *MultiNode) GroupCounts() []int64 {
 	return out
 }
 
-// warnf logs an operator-visible warning at a throttled rate, appending
-// how many similar warnings were suppressed in between.
-func (m *MultiNode) warnf(format string, args ...any) {
-	suppressed, ok := m.warnTh.Allow()
-	if !ok {
-		return
-	}
-	if suppressed > 0 {
-		format += fmt.Sprintf(" [+%d warnings suppressed]", suppressed)
-	}
-	m.cfg.Logf("topics[%d]: "+format, append([]any{int(m.cfg.Self)}, args...)...)
-}
-
-// capNote renders the warn-line suffix joining a discard to its captured
-// frame; empty when capture is disabled.
-func (m *MultiNode) capNote(seq uint64) string {
-	if m.cfg.Capture == nil {
-		return ""
-	}
-	return fmt.Sprintf(" [capture #%d]", seq)
-}
-
 // shard is one loop goroutine owning the protocol entities of every group
 // hashed onto it. Everything a session's core.Process does happens on its
 // shard's goroutine, preserving the single-owner concurrency contract.
 type shard struct {
-	m     *MultiNode
-	inbox chan func()
+	inbox rt.Inbox
 }
 
-func (sh *shard) loop() {
-	for {
-		select {
-		case <-sh.m.stopCh:
-			return
-		case fn := <-sh.inbox:
-			fn()
-		}
-	}
-}
-
-// enqueue hands a datagram closure to the shard loop on behalf of one
-// group's session; a full inbox drops it, like any datagram, charging
-// both the shared counter and the group's own. Reports whether it was
-// accepted.
-func (sh *shard) enqueue(s *session, fn func()) bool {
-	select {
-	case sh.inbox <- fn:
+// enqueue hands the shard loop a tick or datagram event for session s; a
+// full inbox drops it, like any datagram, charging both the shared counter
+// and the group's own. Reports whether it was accepted.
+func (s *session) enqueue(e rt.Event) bool {
+	e.To = s
+	if s.shard.inbox.Offer(e) {
 		return true
-	default:
-		if sh.m.mobs != nil {
-			sh.m.mobs.shardDrops.Inc()
-		}
-		if s.gobs != nil {
-			s.gobs.shardDrops.Inc()
-		}
-		return false
 	}
-}
-
-// enqueueWait hands a user command to the shard loop, blocking while the
-// inbox is full — commands are not datagrams and must not be lost.
-func (sh *shard) enqueueWait(fn func()) error {
-	select {
-	case sh.inbox <- fn:
-		return nil
-	case <-sh.m.stopCh:
-		return errStopped
+	if s.m.mobs != nil {
+		s.m.mobs.shardDrops.Inc()
 	}
+	if s.gobs != nil {
+		s.gobs.shardDrops.Inc()
+	}
+	return false
 }
 
 // session is one group's protocol entity plus its user-facing plumbing:
@@ -617,17 +551,27 @@ func (s *session) settleStable(clean mid.SeqVector) {
 	}
 }
 
-// submit runs queued submissions. Shard goroutine only.
-func (s *session) submit(batch ...*rt.Submission) { s.conf.Submit(s.proc, s.obs, batch...) }
+// A session is the rt.Host of its events: the three methods below run on its
+// shard's goroutine only.
+
+// Tick opens a round; on a mesh node it also reports to the lockstep clock's
+// barrier.
+func (s *session) Tick(round int) {
+	s.obs.MarkRound(round)
+	s.proc.StartRound(round)
+	if s.m.mesh != nil {
+		s.m.mesh.tickDone <- struct{}{}
+	}
+}
+
+// Recv delivers a decoded PDU.
+func (s *session) Recv(src mid.ProcID, pdu wire.PDU) { s.proc.Recv(src, pdu) }
+
+// Submit runs queued submissions.
+func (s *session) Submit(head *rt.Submission) { s.conf.Submit(s.proc, s.obs, head) }
 
 func (s *session) send(ctx context.Context, payload []byte, deps mid.DepList, causal bool) (mid.MID, error) {
-	sub := rt.NewSubmission(payload, deps, causal)
-	if s.coal != nil {
-		s.coal.Add(sub)
-	} else if err := s.shard.enqueueWait(func() { s.submit(sub) }); err != nil {
-		return mid.MID{}, err
-	}
-	return s.conf.Await(ctx, s.m.stopCh, errStopped, s.obs, sub)
+	return s.conf.Send(ctx, &s.shard.inbox, s.coal, s, s.obs, payload, deps, causal)
 }
 
 // clock drives every group's rounds off one free-running ticker (UDP mode;
@@ -645,15 +589,14 @@ func (m *MultiNode) clock() {
 			r := round
 			round++
 			for _, s := range m.sessions {
-				s := s
-				if !s.shard.enqueue(s, func() { s.obs.MarkRound(r); s.proc.StartRound(r) }) {
+				if !s.enqueue(rt.Event{Kind: rt.EvTick, Round: r}) {
 					if m.mobs != nil {
 						m.mobs.ticksSkipped.Inc()
 					}
 					if s.gobs != nil {
 						s.gobs.ticksSkipped.Inc()
 					}
-					m.warnf("group %d round tick %d skipped: shard inbox full (overload omission)", s.group, r)
+					m.warn.Warnf("group %d round tick %d skipped: shard inbox full (overload omission)", s.group, r)
 				}
 			}
 		}
@@ -663,25 +606,12 @@ func (m *MultiNode) clock() {
 // reader is the single demultiplexing receiver: it owns the receive buffer
 // for the whole node and never lets it cross a goroutine boundary.
 func (m *MultiNode) reader() {
-	// One byte of slack past maxDatagram distinguishes an exactly-full
-	// datagram from one the kernel truncated to fit the buffer.
-	buf := make([]byte, maxDatagram+1)
-	for {
-		sz, _, err := m.conn.ReadFromUDP(buf)
-		if err != nil {
-			select {
-			case <-m.stopCh:
-				return
-			default:
-				if m.mobs != nil {
-					m.mobs.dropReadErr.Inc()
-				}
-				m.warnf("socket read error (datagram lost): %v", err)
-				continue
-			}
+	rt.ReadDatagrams(m.conn, m.stopCh, func(err error) {
+		if m.mobs != nil {
+			m.mobs.dropReadErr.Inc()
 		}
-		m.demux(buf[:sz])
-	}
+		m.warn.Warnf("socket read error (datagram lost): %v", err)
+	}, func(pkt []byte, _ *net.UDPAddr) { m.demux(pkt) })
 }
 
 // demux validates one envelope frame, decodes the PDU into self-owned
@@ -693,12 +623,12 @@ func (m *MultiNode) demux(pkt []byte) {
 		m.mobs.recvDatagrams.Inc()
 		m.mobs.recvBytes.Add(int64(len(pkt)))
 	}
-	if len(pkt) > maxDatagram {
+	if len(pkt) > rt.MaxDatagram {
 		if m.mobs != nil {
 			m.mobs.dropOversize.Inc()
 		}
 		seq := m.cfg.Capture.Record(capture.DirIngress, 0, mid.None, capture.DropOversize, 0, nil)
-		m.warnf("oversize datagram truncated past %d bytes: dropped%s", maxDatagram, m.capNote(seq))
+		m.warn.Warnf("oversize datagram truncated past %d bytes: dropped%s", rt.MaxDatagram, m.warn.CapNote(seq))
 		return
 	}
 	group, src, body, err := wire.ParseEnvelope(pkt)
@@ -707,7 +637,7 @@ func (m *MultiNode) demux(pkt []byte) {
 			m.mobs.dropEnvelope.Inc()
 		}
 		seq := m.cfg.Capture.Record(capture.DirIngress, 0, mid.None, capture.DropShort, 0, pkt)
-		m.warnf("unparseable datagram (%d bytes): dropped%s", len(pkt), m.capNote(seq))
+		m.warn.Warnf("unparseable datagram (%d bytes): dropped%s", len(pkt), m.warn.CapNote(seq))
 		return
 	}
 	if int64(group) >= int64(len(m.sessions)) {
@@ -715,15 +645,17 @@ func (m *MultiNode) demux(pkt []byte) {
 			m.mobs.dropGroup.Inc()
 		}
 		seq := m.cfg.Capture.Record(capture.DirIngress, group, src, capture.DropGroup, 0, body)
-		m.warnf("datagram for unhosted group %d (hosting %d): dropped%s", group, len(m.sessions), m.capNote(seq))
+		m.warn.Warnf("datagram for unhosted group %d (hosting %d): dropped%s", group, len(m.sessions), m.warn.CapNote(seq))
 		return
 	}
-	if src < 0 || int(src) >= m.cfg.N {
+	if src < 0 || int(src) >= m.cfg.N || src == m.cfg.Self {
+		// Nobody in the group sends as a non-member, and nobody but us sends
+		// as us — and our own frames never come back through the socket.
 		if m.mobs != nil {
 			m.mobs.dropBadSrc.Inc()
 		}
 		seq := m.cfg.Capture.Record(capture.DirIngress, group, src, capture.DropBadSrc, 0, body)
-		m.warnf("datagram claims member %d outside group of %d: dropped%s", src, m.cfg.N, m.capNote(seq))
+		m.warn.Warnf("datagram claims member %d (group of %d, we are %d): dropped%s", src, m.cfg.N, m.cfg.Self, m.warn.CapNote(seq))
 		return
 	}
 	pdu, err := wire.Unmarshal(body)
@@ -732,15 +664,15 @@ func (m *MultiNode) demux(pkt []byte) {
 			m.mobs.dropDecode.Inc()
 		}
 		seq := m.cfg.Capture.Record(capture.DirIngress, group, src, capture.DropDecode, 0, body)
-		m.warnf("undecodable datagram for group %d: %v%s", group, err, m.capNote(seq))
+		m.warn.Warnf("undecodable datagram for group %d: %v%s", group, err, m.warn.CapNote(seq))
 		return
 	}
 	s := m.sessions[group]
-	if s.shard.enqueue(s, func() { s.proc.Recv(src, pdu) }) {
+	if s.enqueue(rt.Event{Kind: rt.EvRecv, Src: src, PDU: pdu}) {
 		m.cfg.Capture.Record(capture.DirIngress, group, src, capture.Delivered, 0, body)
 	} else {
 		seq := m.cfg.Capture.Record(capture.DirIngress, group, src, capture.DropInbox, 0, body)
-		m.warnf("group %d: shard inbox full, datagram from member %d dropped (overload omission)%s", group, src, m.capNote(seq))
+		m.warn.Warnf("group %d: shard inbox full, datagram from member %d dropped (overload omission)%s", group, src, m.warn.CapNote(seq))
 	}
 }
 
@@ -793,13 +725,13 @@ func newMultiObs(reg *obs.Registry) *multiObs {
 // checkSize rejects a frame no receiver would accept, at the sender where
 // the operator can act on it.
 func (m *MultiNode) checkSize(frame []byte, pdu wire.PDU) bool {
-	if len(frame) <= maxDatagram {
+	if len(frame) <= rt.MaxDatagram {
 		return true
 	}
 	if m.mobs != nil {
 		m.mobs.txOversize.Inc()
 	}
-	m.warnf("oversize %v frame (%d bytes > %d): dropped before send", pdu.Kind(), len(frame), maxDatagram)
+	m.warn.Warnf("oversize %v frame (%d bytes > %d): dropped before send", pdu.Kind(), len(frame), rt.MaxDatagram)
 	return false
 }
 
@@ -807,11 +739,11 @@ func (m *MultiNode) checkSize(frame []byte, pdu wire.PDU) bool {
 // hands them to the shared sender. Runs on the group's shard goroutine.
 type groupTransport struct{ s *session }
 
-// frame reserves the envelope up front in one pooled buffer so the PDU
-// marshals directly behind it. The sender owns the result until release.
-func (t groupTransport) frame(pdu wire.PDU) ([]byte, error) {
-	buf := wire.GetBuf(wire.EnvelopeSize(t.s.group) + pdu.EncodedSize())[:0]
-	buf = wire.AppendEnvelope(buf, t.s.group, t.s.m.cfg.Self)
+// frame reserves the group envelope up front in one pooled buffer so the PDU
+// marshals directly behind it. The caller owns the result until PutBuf.
+func (s *session) frame(pdu wire.PDU) ([]byte, error) {
+	buf := wire.GetBuf(wire.EnvelopeSize(s.group) + pdu.EncodedSize())[:0]
+	buf = wire.AppendEnvelope(buf, s.group, s.m.cfg.Self)
 	return wire.MarshalAppend(buf, pdu)
 }
 
@@ -820,7 +752,7 @@ func (t groupTransport) Send(dst mid.ProcID, pdu wire.PDU) {
 	if dst == m.cfg.Self || dst < 0 || int(dst) >= m.cfg.N {
 		return
 	}
-	frame, err := t.frame(pdu)
+	frame, err := t.s.frame(pdu)
 	if err != nil || !m.checkSize(frame, pdu) {
 		if err == nil {
 			m.cfg.Capture.Record(capture.DirEgress, t.s.group, dst, capture.DropOversize, 0, nil)
@@ -850,7 +782,7 @@ func (t groupTransport) body(frame []byte) []byte {
 // shares the same refcounted buffer, released after the last write.
 func (t groupTransport) Broadcast(pdu wire.PDU) {
 	m := t.s.m
-	frame, err := t.frame(pdu)
+	frame, err := t.s.frame(pdu)
 	if err != nil || !m.checkSize(frame, pdu) {
 		if err == nil {
 			m.cfg.Capture.Record(capture.DirEgress, t.s.group, mid.None, capture.DropOversize, 0, nil)
@@ -859,8 +791,7 @@ func (t groupTransport) Broadcast(pdu wire.PDU) {
 		return
 	}
 	m.cfg.Capture.Record(capture.DirEgress, t.s.group, mid.None, capture.Sent, 0, t.body(frame))
-	sh := &sharedFrame{buf: frame}
-	sh.refs.Store(1) // the sender's own hold, released after the fan-out
+	sh := rt.NewSharedBuf(frame) // the sender's own hold, released after the fan-out
 	for i := 0; i < m.cfg.N; i++ {
 		dst := mid.ProcID(i)
 		if dst == m.cfg.Self {
@@ -871,23 +802,10 @@ func (t groupTransport) Broadcast(pdu wire.PDU) {
 				faultrt.KindSet(0).With(faultrt.KindPartition), t.body(frame))
 			continue
 		}
-		sh.refs.Add(1)
+		sh.Hold()
 		m.tx.push(txPacket{dst: dst, frame: frame, sh: sh})
 	}
-	sh.release()
-}
-
-// sharedFrame is a pooled wire buffer fanned out to several destinations:
-// the last reference released returns it to the pool.
-type sharedFrame struct {
-	buf  []byte
-	refs atomic.Int32
-}
-
-func (s *sharedFrame) release() {
-	if s.refs.Add(-1) == 0 {
-		wire.PutBuf(s.buf)
-	}
+	sh.Release()
 }
 
 // txPacket is one outgoing datagram in the shared sender's queue. A nil sh
@@ -896,12 +814,12 @@ func (s *sharedFrame) release() {
 type txPacket struct {
 	dst   mid.ProcID
 	frame []byte
-	sh    *sharedFrame
+	sh    *rt.SharedBuf
 }
 
 func (p txPacket) done() {
 	if p.sh != nil {
-		p.sh.release()
+		p.sh.Release()
 	} else {
 		wire.PutBuf(p.frame)
 	}
@@ -920,7 +838,7 @@ const txBurstMax = 16
 type txSender struct {
 	m     *MultiNode
 	ch    chan txPacket
-	burst *txBurst // nil where sendmmsg is unavailable
+	burst *rt.BurstSender // nil where sendmmsg is unavailable
 	batch []txPacket
 }
 
@@ -928,7 +846,7 @@ func newTxSender(m *MultiNode) *txSender {
 	return &txSender{
 		m:     m,
 		ch:    make(chan txPacket, m.cfg.TxDepth),
-		burst: newTxBurst(m),
+		burst: rt.NewBurstSender(m.conn, m.peers, txBurstMax),
 		batch: make([]txPacket, 0, txBurstMax),
 	}
 }
@@ -972,16 +890,36 @@ func (t *txSender) loop() {
 // ship writes one drained batch: a multi-destination sendmmsg burst when
 // available, per-datagram writes otherwise. Buffers release afterwards.
 func (t *txSender) ship(batch []txPacket) {
-	if !t.burst.send(t.m, batch) {
+	if !t.shipBurst(batch) {
 		for _, p := range batch {
 			t.m.writeOne(p.dst, p.frame)
 		}
-	} else if t.m.mobs != nil {
-		t.m.mobs.txBursts.Inc()
 	}
 	for _, p := range batch {
 		p.done()
 	}
+}
+
+// shipBurst ships the whole batch, each datagram to its own destination, in
+// one sendmmsg with full accounting. It reports false when the caller should
+// write per datagram instead.
+func (t *txSender) shipBurst(batch []txPacket) bool {
+	if !t.burst.Usable(len(batch)) {
+		return false
+	}
+	bytes := 0
+	for i, p := range batch {
+		bytes += len(p.frame)
+		t.burst.Queue(i, p.dst, p.frame)
+	}
+	sent, errs, ok := t.burst.Send(len(batch))
+	if ok && t.m.mobs != nil {
+		t.m.mobs.txDatagrams.Add(int64(sent))
+		t.m.mobs.txBytes.Add(int64(bytes))
+		t.m.mobs.txErrors.Add(int64(errs))
+		t.m.mobs.txBursts.Inc()
+	}
+	return ok
 }
 
 // drain releases whatever was still queued at shutdown.

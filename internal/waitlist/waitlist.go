@@ -67,20 +67,20 @@ func (l *List) NextReady(tr *causal.Tracker) *causal.Message {
 	return best
 }
 
-// OldestWaiting returns, per sequence, the smallest waiting sequence number
-// (0 where nothing of that sequence waits). This is the waiting_i vector a
-// process sends to the coordinator each subrun.
-func (l *List) OldestWaiting() mid.SeqVector {
-	v := mid.NewSeqVector(l.n)
+// OldestWaitingInto reports, per sequence, the smallest waiting sequence
+// number (0 where nothing of that sequence waits) — the waiting_i vector a
+// process sends to the coordinator each subrun. The caller provides the
+// zeroed vector (the request it is building); sequences past its length are
+// skipped.
+func (l *List) OldestWaitingInto(v mid.SeqVector) {
 	for id := range l.byID {
-		if int(id.Proc) >= l.n || id.Proc < 0 {
+		if int(id.Proc) >= len(v) || id.Proc < 0 {
 			continue
 		}
 		if v[id.Proc] == 0 || id.Seq < v[id.Proc] {
 			v[id.Proc] = id.Seq
 		}
 	}
-	return v
 }
 
 // MissingBefore returns, per sequence, the lowest sequence number that the
@@ -90,24 +90,32 @@ func (l *List) OldestWaiting() mid.SeqVector {
 func (l *List) MissingBefore(processed mid.SeqVector) mid.SeqVector {
 	need := mid.NewSeqVector(l.n)
 	for _, m := range l.byID {
-		for _, d := range m.EffectiveDeps() {
-			if int(d.Proc) >= len(processed) || d.Proc < 0 {
-				continue
-			}
-			if processed[d.Proc] >= d.Seq {
-				continue // satisfied
-			}
-			// The first missing message of d's sequence.
-			first := processed[d.Proc] + 1
-			if l.Has(mid.MID{Proc: d.Proc, Seq: first}) {
-				continue // already received, just not processable yet
-			}
-			if need[d.Proc] == 0 || first < need[d.Proc] {
-				need[d.Proc] = first
-			}
+		for _, d := range m.Deps {
+			l.noteMissing(need, d, processed)
 		}
+		l.noteMissing(need, m.ID.Prev(), processed)
 	}
 	return need
+}
+
+// noteMissing lowers need[d.Proc] to the first message of d's sequence still
+// to be received, if dependency d is unmet and that message is not already
+// waiting here. The zero MID (no predecessor) and processes outside the
+// vector are ignored.
+func (l *List) noteMissing(need mid.SeqVector, d mid.MID, processed mid.SeqVector) {
+	if d.IsZero() || d.Proc < 0 || int(d.Proc) >= len(processed) || int(d.Proc) >= len(need) {
+		return
+	}
+	if processed[d.Proc] >= d.Seq {
+		return // satisfied
+	}
+	first := processed[d.Proc] + 1
+	if l.Has(mid.MID{Proc: d.Proc, Seq: first}) {
+		return // already received, just not processable yet
+	}
+	if need[d.Proc] == 0 || first < need[d.Proc] {
+		need[d.Proc] = first
+	}
 }
 
 // DropDoomed removes every waiting message that can never be processed

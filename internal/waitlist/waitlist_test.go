@@ -82,7 +82,8 @@ func TestOldestWaiting(t *testing.T) {
 	l.Add(msg(1, 4))
 	l.Add(msg(1, 2))
 	l.Add(msg(2, 7))
-	v := l.OldestWaiting()
+	v := mid.NewSeqVector(3)
+	l.OldestWaitingInto(v)
 	if !v.Equal(mid.SeqVector{0, 2, 7}) {
 		t.Errorf("OldestWaiting = %v", v)
 	}

@@ -70,20 +70,32 @@ func TestMarshalAllocBudget(t *testing.T) {
 	}
 }
 
-// TestUnmarshalAllocBudget pins the decode path to its arena allocation
-// counts so pooling and arena wins cannot silently regress. Budgets per
-// kind: the PDU struct, the 4-byte-element arena, the 1-byte-element arena,
-// plus per-message deps/payload copies for the message-bearing kinds.
+// TestUnmarshalAllocBudget pins the decode path to its allocation counts so
+// the per-frame slab and the single vector arena cannot silently regress.
+// What a decoded PDU costs is what it retains: its struct, one slab for
+// every label list and payload of the frame, one arena for every vector.
 func TestUnmarshalAllocBudget(t *testing.T) {
 	budgets := map[string]float64{
-		"Data":       3, // struct + deps + payload copy
-		"Request":    6, // struct + request arena + prev decision (struct + 2 arenas)... one spare
-		"Decision":   3, // struct + u32 arena + byte arena
+		"Data":       2, // struct + slab
+		"Request":    3, // struct + prev decision struct + the one arena they share
+		"Decision":   2, // struct + arena
 		"Recover":    2, // struct + wants
-		"Retransmit": 7, // struct + msgs + 2*(msg struct + payload/deps)
-		"DataBatch":  6, // struct + msgs slice + 2*(deps + payload copy)
+		"Retransmit": 5, // struct + msgs + 2 msg structs + slab
+		"DataBatch":  3, // struct + header arena + slab
 	}
-	for name, p := range allocCases() {
+	cases := allocCases()
+	// The batch the saturated runtimes actually ship: the budget does not
+	// grow with the message count.
+	full := &DataBatch{Msgs: make([]causal.Message, 32)}
+	for i := range full.Msgs {
+		full.Msgs[i] = causal.Message{
+			ID:      mid.MID{Proc: 1, Seq: mid.Seq(i + 1)},
+			Deps:    mid.DepList{{Proc: 0, Seq: 4}, {Proc: 2, Seq: 9}},
+			Payload: make([]byte, 64),
+		}
+	}
+	cases["DataBatch32"], budgets["DataBatch32"] = full, 3
+	for name, p := range cases {
 		buf, err := Marshal(p)
 		if err != nil {
 			t.Fatal(err)

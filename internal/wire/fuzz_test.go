@@ -33,6 +33,14 @@ func FuzzUnmarshal(f *testing.F) {
 			{ID: mid.MID{Proc: 1, Seq: 5}, Deps: mid.DepList{{Proc: 2, Seq: 3}}, Payload: []byte("b0")},
 			{ID: mid.MID{Proc: 1, Seq: 6}, Payload: []byte("b1")},
 		}},
+		// The datagram that used to kill a member: a negative ProcID is a
+		// perfectly good int32 to the codec. It must decode (and re-encode to
+		// the same bytes); refusing it is the protocol boundary's job
+		// (core.TestForgedProcIDsAreDroppedAndCounted).
+		&Data{Msg: causal.Message{
+			ID:   mid.MID{Proc: 1, Seq: 1},
+			Deps: mid.DepList{{Proc: -2, Seq: 1}},
+		}},
 	}
 	for _, p := range seed {
 		buf, err := Marshal(p)

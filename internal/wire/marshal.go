@@ -154,6 +154,16 @@ func grow(b []byte, n int) []byte {
 // Unmarshal decodes a buffer produced by Marshal. The returned PDU owns
 // every byte of its variable-length fields: nothing in it aliases buf, so
 // the caller may reuse or pool buf the moment Unmarshal returns.
+//
+// What the PDU owns is allocated per frame, not per field: every payload and
+// dependency list of a Data, DataBatch or Retransmit is carved out of ONE
+// slab sized from the frame (see slab), and the vectors of a Request,
+// Decision or JoinState — the embedded decision's included — out of one
+// arena. The fields of one PDU therefore share their backing memory, and it
+// stays reachable until the last of them is dropped: a batch's slab lives
+// until the history has cleaned the frame's last message. The three-index
+// slices handed out cap every field exactly, so appending to one reallocates
+// instead of reaching a neighbour.
 func Unmarshal(buf []byte) (PDU, error) {
 	r := &reader{buf: buf}
 	kind, err := r.u8()
@@ -164,7 +174,8 @@ func Unmarshal(buf []byte) (PDU, error) {
 	switch Kind(kind) {
 	case KindData:
 		d := &Data{}
-		if err := unmarshalMsgBody(r, &d.Msg); err != nil {
+		sl := newSlab(r.remaining() - msgFixed)
+		if err := unmarshalMsgBody(r, &d.Msg, &sl); err != nil {
 			return nil, err
 		}
 		p = d
@@ -174,17 +185,20 @@ func Unmarshal(buf []byte) (PDU, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Every message body is at least 12 bytes (mid + two zero counts);
-		// reject a forged count before it sizes an allocation.
-		if len(r.buf)-r.off < 12*int(cnt) {
+		// Every message body is at least msgFixed bytes (mid + two zero
+		// counts); reject a forged count before it sizes an allocation.
+		if r.remaining() < msgFixed*int(cnt) {
 			return nil, ErrTruncated
 		}
 		// One arena for all message headers: decoded messages are handed
 		// to the protocol individually (&Msgs[i]), but share the batch's
-		// single slice allocation.
+		// single slice allocation. What the frame holds beyond the fixed
+		// fields is exactly its dependency labels and payload bytes: one
+		// slab of that size backs them all.
 		b.Msgs = make([]causal.Message, cnt)
+		sl := newSlab(r.remaining() - msgFixed*int(cnt))
 		for i := range b.Msgs {
-			if err := unmarshalMsgBody(r, &b.Msgs[i]); err != nil {
+			if err := unmarshalMsgBody(r, &b.Msgs[i], &sl); err != nil {
 				return nil, err
 			}
 		}
@@ -202,17 +216,8 @@ func Unmarshal(buf []byte) (PDU, error) {
 			return nil, err
 		}
 		n := int(n16)
-		if len(r.buf)-r.off < 8*n {
-			return nil, ErrTruncated
-		}
-		// One arena for both vectors (see unmarshalDecisionBody).
-		u32s := make(mid.SeqVector, 2*n)
-		req.LastProcessed = u32s[:n:n]
-		req.Waiting = u32s[n : 2*n : 2*n]
-		if err := r.seqVecInto(req.LastProcessed); err != nil {
-			return nil, err
-		}
-		if err := r.seqVecInto(req.Waiting); err != nil {
+		vecs, err := r.take(8 * n)
+		if err != nil {
 			return nil, err
 		}
 		flags, err := r.u8()
@@ -223,16 +228,13 @@ func Unmarshal(buf []byte) (PDU, error) {
 			return nil, fmt.Errorf("wire: non-canonical request flags %#x", flags)
 		}
 		req.Join = flags&2 != 0
-		if flags&1 != 0 {
-			req.Prev = &Decision{}
-			if err := unmarshalDecisionBody(r, req.Prev); err != nil {
-				return nil, err
-			}
+		if req.Prev, req.LastProcessed, req.Waiting, err = unmarshalPrev(r, flags&1 != 0, vecs); err != nil {
+			return nil, err
 		}
 		p = req
 	case KindDecision:
 		d := &Decision{}
-		if err := unmarshalDecisionBody(r, d); err != nil {
+		if _, err := unmarshalDecisionBody(r, d, 0); err != nil {
 			return nil, err
 		}
 		p = d
@@ -271,10 +273,16 @@ func Unmarshal(buf []byte) (PDU, error) {
 			return nil, err
 		}
 		if cnt > 0 {
+			// The two-byte compacted count follows the messages; the ranges
+			// behind it make the slab a few bytes generous, never short.
+			if r.remaining() < msgFixed*int(cnt)+2 {
+				return nil, ErrTruncated
+			}
 			rt.Msgs = make([]*causal.Message, cnt)
+			sl := newSlab(r.remaining() - msgFixed*int(cnt) - 2)
 			for i := range rt.Msgs {
 				m := &causal.Message{}
-				if err := unmarshalMsgBody(r, m); err != nil {
+				if err := unmarshalMsgBody(r, m, &sl); err != nil {
 					return nil, err
 				}
 				rt.Msgs[i] = m
@@ -284,7 +292,7 @@ func Unmarshal(buf []byte) (PDU, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(r.buf)-r.off < 12*int(ccnt) {
+		if r.remaining() < 12*int(ccnt) {
 			return nil, ErrTruncated
 		}
 		if ccnt > 0 {
@@ -326,17 +334,8 @@ func Unmarshal(buf []byte) (PDU, error) {
 			return nil, err
 		}
 		n := int(n16)
-		if len(r.buf)-r.off < 8*n {
-			return nil, ErrTruncated
-		}
-		// One arena for both vectors (see unmarshalDecisionBody).
-		u32s := make(mid.SeqVector, 2*n)
-		js.Stable = u32s[:n:n]
-		js.Processed = u32s[n : 2*n : 2*n]
-		if err := r.seqVecInto(js.Stable); err != nil {
-			return nil, err
-		}
-		if err := r.seqVecInto(js.Processed); err != nil {
+		vecs, err := r.take(8 * n)
+		if err != nil {
 			return nil, err
 		}
 		has, err := r.u8()
@@ -346,11 +345,8 @@ func Unmarshal(buf []byte) (PDU, error) {
 		if has > 1 {
 			return nil, fmt.Errorf("wire: non-canonical hasPrev byte %#x", has)
 		}
-		if has != 0 {
-			js.Prev = &Decision{}
-			if err := unmarshalDecisionBody(r, js.Prev); err != nil {
-				return nil, err
-			}
+		if js.Prev, js.Stable, js.Processed, err = unmarshalPrev(r, has != 0, vecs); err != nil {
+			return nil, err
 		}
 		p = js
 	default:
@@ -383,7 +379,55 @@ func marshalMsgBody(w *writer, m *causal.Message) error {
 	return nil
 }
 
-func unmarshalMsgBody(r *reader, m *causal.Message) error {
+// msgFixed is the fixed part of one encoded message body: mid(8) +
+// depCount(2) + payloadLen(2).
+const msgFixed = 12
+
+// slab is the one allocation behind every dependency list and payload a
+// frame decodes to. Label lists are carved upwards from the front, where the
+// 8-byte stride of mid.MID keeps each one aligned; payloads downwards from
+// the back, where alignment does not matter — so a slab of exactly the
+// frame's variable bytes is used to the last byte, with no padding to
+// budget for. Backing it with uint64 words guarantees the front is 8-byte
+// aligned and holds no pointers, which is what lets a stretch of it be
+// viewed as []mid.MID.
+type slab struct {
+	b      []byte
+	lo, hi int
+}
+
+func newSlab(size int) slab {
+	if size <= 0 {
+		return slab{}
+	}
+	words := make([]uint64, (size+7)/8)
+	return slab{b: unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), size), hi: size}
+}
+
+// deps carves a list of n labels, or reports false when the frame's counts
+// claim more than the frame holds.
+func (s *slab) deps(n int) (mid.DepList, bool) {
+	if 8*n > s.hi-s.lo {
+		return nil, false
+	}
+	d := unsafe.Slice((*mid.MID)(unsafe.Pointer(&s.b[s.lo])), n)
+	s.lo += 8 * n
+	return d[:n:n], true
+}
+
+// bytes carves room for an n-byte payload, or reports false like deps.
+func (s *slab) bytes(n int) ([]byte, bool) {
+	if n > s.hi-s.lo {
+		return nil, false
+	}
+	s.hi -= n
+	return s.b[s.hi : s.hi+n : s.hi+n], true
+}
+
+// unmarshalMsgBody decodes one message, copying its labels and payload into
+// sl so the message owns them: decoded PDUs are retained indefinitely
+// (history), while buf may be pooled.
+func unmarshalMsgBody(r *reader, m *causal.Message, sl *slab) error {
 	var err error
 	if m.ID.Proc, err = r.procID(); err != nil {
 		return err
@@ -397,12 +441,16 @@ func unmarshalMsgBody(r *reader, m *causal.Message) error {
 	if err != nil {
 		return err
 	}
+	m.Deps = nil
 	if cnt > 0 {
 		raw, err := r.take(8 * int(cnt))
 		if err != nil {
 			return err
 		}
-		m.Deps = make(mid.DepList, cnt)
+		var ok bool
+		if m.Deps, ok = sl.deps(int(cnt)); !ok {
+			return ErrTruncated
+		}
 		for i := range m.Deps {
 			m.Deps[i].Proc = mid.ProcID(int32(binary.BigEndian.Uint32(raw[8*i:])))
 			m.Deps[i].Seq = mid.Seq(binary.BigEndian.Uint32(raw[8*i+4:]))
@@ -416,12 +464,13 @@ func unmarshalMsgBody(r *reader, m *causal.Message) error {
 	if err != nil {
 		return err
 	}
+	m.Payload = nil
 	if len(raw) > 0 {
-		// Copy so the decoded message owns its payload: decoded PDUs are
-		// retained indefinitely (history), while buf may be pooled.
-		m.Payload = append([]byte(nil), raw...)
-	} else {
-		m.Payload = nil
+		var ok bool
+		if m.Payload, ok = sl.bytes(len(raw)); !ok {
+			return ErrTruncated
+		}
+		copy(m.Payload, raw)
 	}
 	return nil
 }
@@ -450,69 +499,119 @@ func marshalDecisionBody(w *writer, d *Decision) error {
 	return nil
 }
 
-func unmarshalDecisionBody(r *reader, d *Decision) error {
+// unmarshalPrev finishes a Request or JoinState: vecs holds the two raw
+// n-entry vectors already consumed from the frame, and the optional embedded
+// decision follows. Both vectors (returned as a and b) and every field of
+// the decision come out of one arena — the decision's, asked for 2n spare
+// entries — so the whole PDU costs one vector allocation whether or not it
+// carries a decision.
+func unmarshalPrev(r *reader, hasPrev bool, vecs []byte) (prev *Decision, a, b mid.SeqVector, err error) {
+	n := len(vecs) / 8
+	var spare mid.SeqVector
+	if hasPrev {
+		prev = &Decision{}
+		if spare, err = unmarshalDecisionBody(r, prev, 2*n); err != nil {
+			return nil, nil, nil, err
+		}
+	} else {
+		spare = make(mid.SeqVector, 2*n)
+	}
+	for i := range spare {
+		spare[i] = mid.Seq(binary.BigEndian.Uint32(vecs[4*i:]))
+	}
+	return prev, spare[:n:n], spare[n : 2*n : 2*n], nil
+}
+
+// unmarshalDecisionBody decodes a decision into d and returns spare extra
+// zeroed entries from the same arena for the caller's own vectors.
+func unmarshalDecisionBody(r *reader, d *Decision, spare int) (mid.SeqVector, error) {
 	var err error
 	if d.Subrun, err = r.i64(); err != nil {
-		return err
+		return nil, err
 	}
 	if d.Coord, err = r.procID(); err != nil {
-		return err
+		return nil, err
 	}
 	n16, err := r.u16()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	n := int(n16)
 	flags, err := r.u8()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if flags&^uint8(1) != 0 {
-		return fmt.Errorf("wire: non-canonical decision flags %#x", flags)
+		return nil, fmt.Errorf("wire: non-canonical decision flags %#x", flags)
 	}
 	d.FullGroup = flags&1 != 0
 	// Before allocating anything sized by the claimed n, make sure the
 	// buffer can actually hold the body (a forged header must not trigger
 	// a large allocation).
-	if need := 16*n + n + 2*((n+7)/8); len(r.buf)-r.off < need {
-		return ErrTruncated
+	if need := 16*n + n + 2*((n+7)/8); r.remaining() < need {
+		return nil, ErrTruncated
 	}
-	// Carve every slice field out of two arena allocations — one for the
-	// 4-byte elements, one for the 1-byte elements. Decisions are decoded
-	// once per peer per subrun, and the wire hot path pays per allocation,
-	// not per byte: this turns 7 slice allocations into 2. The three-index
-	// subslices cap each field exactly, so a later append cannot stomp a
-	// neighbouring field.
-	u32s := make(mid.SeqVector, 4*n)
+	extra := d.carve(n, spare)
+	if err = r.seqVecInto(d.MaxProcessed); err != nil {
+		return nil, err
+	}
+	if err = r.procVecInto(d.MostUpdated); err != nil {
+		return nil, err
+	}
+	if err = r.seqVecInto(d.MinWaiting); err != nil {
+		return nil, err
+	}
+	if err = r.seqVecInto(d.CleanTo); err != nil {
+		return nil, err
+	}
+	raw, err := r.take(n)
+	if err != nil {
+		return nil, err
+	}
+	copy(d.Attempts, raw)
+	if err = r.bitmaskInto(d.Alive); err != nil {
+		return nil, err
+	}
+	return extra, r.bitmaskInto(d.Covered)
+}
+
+// NewDecision returns a zeroed decision for a group of n whose vector fields
+// are all carved from one allocation, the way Unmarshal builds them — for
+// the coordinator, which fills one per subrun.
+func NewDecision(n int) *Decision {
+	d := &Decision{}
+	d.carve(n, 0)
+	return d
+}
+
+// carve gives every slice field of d its n zeroed entries out of ONE arena
+// of 4-byte words — the four 4-byte-element vectors, spare extra entries for
+// the caller (returned), and behind them the three 1-byte-element fields
+// viewed as bytes. Decisions are built once and decoded once per peer per
+// subrun, and the hot path pays per allocation, not per byte: this turns 7
+// slice allocations into 1. The three-index subslices cap each field
+// exactly, so a later append cannot stomp a neighbouring field.
+func (d *Decision) carve(n, spare int) mid.SeqVector {
+	words := 4*n + spare
+	u32s := make(mid.SeqVector, words+(3*n+3)/4)
 	d.MaxProcessed = u32s[0*n : 1*n : 1*n]
 	d.MinWaiting = u32s[1*n : 2*n : 2*n]
 	d.CleanTo = u32s[2*n : 3*n : 3*n]
 	d.MostUpdated = procIDSlice(u32s[3*n : 4*n : 4*n])
-	bytes := make([]uint8, 3*n)
+	bytes := byteSlice(u32s[words:])
 	d.Attempts = bytes[0*n : 1*n : 1*n]
 	d.Alive = boolSlice(bytes[1*n : 2*n : 2*n])
 	d.Covered = boolSlice(bytes[2*n : 3*n : 3*n])
-	if err = r.seqVecInto(d.MaxProcessed); err != nil {
-		return err
+	return u32s[4*n : words : words]
+}
+
+// byteSlice views the tail of a Seq arena as bytes (four per entry). The
+// arena holds no pointers, and no entry is ever read through both views.
+func byteSlice(v mid.SeqVector) []uint8 {
+	if len(v) == 0 {
+		return []uint8{}
 	}
-	if err = r.procVecInto(d.MostUpdated); err != nil {
-		return err
-	}
-	if err = r.seqVecInto(d.MinWaiting); err != nil {
-		return err
-	}
-	if err = r.seqVecInto(d.CleanTo); err != nil {
-		return err
-	}
-	raw, err := r.take(n)
-	if err != nil {
-		return err
-	}
-	copy(d.Attempts, raw)
-	if err = r.bitmaskInto(d.Alive); err != nil {
-		return err
-	}
-	return r.bitmaskInto(d.Covered)
+	return unsafe.Slice((*uint8)(unsafe.Pointer(&v[0])), 4*len(v))
 }
 
 // procIDSlice reinterprets a section of a Seq arena as []mid.ProcID. Both
@@ -590,6 +689,9 @@ type reader struct {
 	buf []byte
 	off int
 }
+
+// remaining is how many bytes are still unread.
+func (r *reader) remaining() int { return len(r.buf) - r.off }
 
 func (r *reader) take(n int) ([]byte, error) {
 	if r.off+n > len(r.buf) {

@@ -389,9 +389,9 @@ func TestGetPutBuf(t *testing.T) {
 	if len(b2) != 0 {
 		t.Fatalf("recycled buffer not reset: len=%d", len(b2))
 	}
-	PutBuf(nil)                           // must not panic
-	PutBuf(make([]byte, maxPooledBuf+1))  // oversize: silently dropped
-	big := GetBuf(maxPooledBuf + 1)       // bigger than anything pooled
+	PutBuf(nil)                          // must not panic
+	PutBuf(make([]byte, maxPooledBuf+1)) // oversize: silently dropped
+	big := GetBuf(maxPooledBuf + 1)      // bigger than anything pooled
 	if cap(big) < maxPooledBuf+1 {
 		t.Fatalf("GetBuf must satisfy the request: cap=%d", cap(big))
 	}
