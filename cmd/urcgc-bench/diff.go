@@ -25,8 +25,9 @@ import (
 //     local guard (`make bench-diff`).
 
 // diffFamilies are the guarded name prefixes in benchsuite.Baseline:
-// "Wire" covers the whole codec family (Marshal, MarshalAppend, Unmarshal).
-var diffFamilies = []string{"Wire", "ThroughputSaturation", "GroupScaling"}
+// "Wire" covers the whole codec family (Marshal, MarshalAppend, Unmarshal),
+// "IdleSubrun" one subrun of an idle in-process group through it.
+var diffFamilies = []string{"Wire", "IdleSubrun", "ThroughputSaturation", "GroupScaling"}
 
 // diffTolerance is the allowed fractional ns/op growth before a case
 // counts as a regression. Generous on purpose: these run on shared
@@ -34,11 +35,12 @@ var diffFamilies = []string{"Wire", "ThroughputSaturation", "GroupScaling"}
 const diffTolerance = 0.25
 
 // allocTolerance is the allowed fractional allocs/op growth of a case: none
-// for the codec, whose counts repeat exactly, and 5% for the live families,
-// where a subrun's fixed allocations are shared by however many messages
-// the scheduler let into its batch.
+// for the codec and the idle subrun, which run on one goroutine and whose
+// counts repeat exactly, and 5% for the live families, where a subrun's fixed
+// allocations are shared by however many messages the scheduler let into its
+// batch.
 func allocTolerance(name string) float64 {
-	if strings.HasPrefix(name, "Wire") {
+	if strings.HasPrefix(name, "Wire") || strings.HasPrefix(name, "IdleSubrun") {
 		return 0
 	}
 	return 0.05

@@ -52,6 +52,8 @@ func Baseline() []Case {
 		{"WireMarshalDecision", WireMarshalDecision},
 		{"WireMarshalAppendDecision", WireMarshalAppendDecision},
 		{"WireUnmarshalData", WireUnmarshalData},
+		{"IdleSubrunN3", IdleSubrunN3},
+		{"IdleSubrunN9", IdleSubrunN9},
 		{"VectorClockDeliverable", VectorClockDeliverable},
 		{"CBCASTRun", CBCASTRun},
 		{"LiveConfirmLatency", LiveConfirmLatency},

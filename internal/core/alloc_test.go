@@ -40,15 +40,15 @@ func syncGroup(t *testing.T, cfg Config) []*Process {
 
 // TestIdleSubrunAllocBudget states what the agreement clock costs when
 // nothing is being sent: one subrun of a three-member group — three
-// requests, one decision, applied three times — allocates what it hands
-// out and nothing else. Per subrun that is, for the whole group: each
-// member's Request with its one vector arena (2 x 3; the coordinator builds a
-// second, fresh one to fold in, 2 more), the Decision with its one arena (2),
-// and each member's clean vector for OnStable (3): 13. The request table,
-// the silence counters and the heard mask are reused scratch. The parent of
-// the change that introduced this test measured 30.
+// requests, one decision, applied three times — allocates nothing at all.
+// Each member writes its Request into its one own record, the coordinator
+// copies what it is lent into the slots of its request table and fills one of
+// its three decision records, and every member copies the decision it is
+// lent into a spare of its own; the clean vector handed to OnStable is the
+// member's watermark itself. The parent of the borrow rule measured 13 (what
+// was handed out was built fresh), its parent 30.
 func TestIdleSubrunAllocBudget(t *testing.T) {
-	const budget = 13
+	const budget = 0
 	procs := syncGroup(t, Config{N: 3, K: 3, R: 8, SelfExclusion: true})
 	round := 0
 	subrun := func() {

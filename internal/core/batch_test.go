@@ -113,7 +113,7 @@ func TestBatchedCrashRunConverges(t *testing.T) {
 type captureTP struct{ bcast []wire.PDU }
 
 func (t *captureTP) Send(mid.ProcID, wire.PDU) {}
-func (t *captureTP) Broadcast(p wire.PDU)      { t.bcast = append(t.bcast, p) }
+func (t *captureTP) Broadcast(p wire.PDU)      { t.bcast = append(t.bcast, wire.Clone(p)) }
 func (t *captureTP) dataFrames() (out []wire.PDU) {
 	for _, p := range t.bcast {
 		if p.Kind().IsData() {

@@ -71,21 +71,27 @@ type Cluster struct {
 	crashSeen []bool
 }
 
-// netTransport adapts the simulated network to the process Transport.
+// netTransport adapts the simulated network to the process Transport. The
+// network queues a PDU by reference until its delivery round and shares it
+// between destinations, while the process only lends it for the call: this is
+// where the simulator pays for keeping it, with one clone per Send or
+// Broadcast.
 type netTransport struct {
 	nw   *simnet.Network
 	self mid.ProcID
 }
 
-func (t netTransport) Send(dst mid.ProcID, pdu wire.PDU) { t.nw.Send(t.self, dst, pdu) }
+func (t netTransport) Send(dst mid.ProcID, pdu wire.PDU) { t.nw.Send(t.self, dst, wire.Clone(pdu)) }
 
 func (t netTransport) Broadcast(pdu wire.PDU) {
+	pdu = wire.Clone(pdu)
 	for dst := 0; dst < t.nw.N(); dst++ {
 		t.nw.Send(t.self, mid.ProcID(dst), pdu)
 	}
 }
 
-// entTransport routes PDUs through a transport entity (h > 1).
+// entTransport routes PDUs through a transport entity (h > 1), which keeps
+// each for retransmission: cloned once, like netTransport's.
 type entTransport struct {
 	ent  *transport.Entity
 	self mid.ProcID
@@ -97,7 +103,7 @@ func (t entTransport) Send(dst mid.ProcID, pdu wire.PDU) {
 	if dst == t.self {
 		return
 	}
-	t.ent.DataRq([]mid.ProcID{dst}, t.h, nil, pdu)
+	t.ent.DataRq([]mid.ProcID{dst}, t.h, nil, wire.Clone(pdu))
 }
 
 func (t entTransport) Broadcast(pdu wire.PDU) {
@@ -107,7 +113,7 @@ func (t entTransport) Broadcast(pdu wire.PDU) {
 			dsts = append(dsts, mid.ProcID(i))
 		}
 	}
-	t.ent.DataRq(dsts, t.h, nil, pdu)
+	t.ent.DataRq(dsts, t.h, nil, wire.Clone(pdu))
 }
 
 // procHandler forwards decapsulated PDUs to a process bound after the

@@ -20,9 +20,9 @@ type captured struct {
 }
 
 func (c *capture) Send(dst mid.ProcID, pdu wire.PDU) {
-	c.sends = append(c.sends, captured{dst, pdu})
+	c.sends = append(c.sends, captured{dst, wire.Clone(pdu)})
 }
-func (c *capture) Broadcast(pdu wire.PDU) { c.bcasts = append(c.bcasts, pdu) }
+func (c *capture) Broadcast(pdu wire.PDU) { c.bcasts = append(c.bcasts, wire.Clone(pdu)) }
 
 func (c *capture) lastDecision(t *testing.T) *wire.Decision {
 	t.Helper()

@@ -203,6 +203,12 @@ func (r LeaveReason) String() string {
 // issued. Broadcast must reach every other process in the group — including
 // ones believed crashed, which may be alive-but-faulty and must be able to
 // learn they were excluded.
+//
+// The PDU is lent for the call, the way io.Writer lends its buffer: the
+// process builds Requests, Data frames and Decisions in records it owns and
+// rewrites them for the next send, so an implementation must be done with the
+// PDU when it returns — marshal it, as every live transport does, or
+// wire.Clone it, as the simulator's adapter does — and must not write to it.
 type Transport interface {
 	Send(dst mid.ProcID, pdu wire.PDU)
 	Broadcast(pdu wire.PDU)
@@ -232,8 +238,9 @@ type Callbacks struct {
 	OnWait func(m *causal.Message, missing mid.DepList)
 	// OnStable is invoked when a full-group decision advances the local
 	// stability watermark: every message (q, s) with s <= clean[q] is now
-	// uniformly stable (processed at every covered live member). The
-	// callee owns clean.
+	// uniformly stable (processed at every covered live member). clean is
+	// the process's own watermark vector, valid (and read-only) for the call:
+	// a callee that keeps it clones it.
 	OnStable func(clean mid.SeqVector)
 	// OnProcess is invoked exactly once per message this process
 	// processes, in processing (causal) order.
@@ -243,7 +250,9 @@ type Callbacks struct {
 	OnDiscard func(m *causal.Message)
 	// OnLeave is invoked once when the process halts itself.
 	OnLeave func(reason LeaveReason)
-	// OnDecision is invoked for every fresh decision applied.
+	// OnDecision is invoked for every fresh decision applied. d is a record
+	// the process owns and will overwrite a few decisions later: valid (and
+	// read-only) for the call, cloned by a callee that keeps it.
 	OnDecision func(d *wire.Decision)
 	// OnRoundEnd is invoked after every StartRound with the buffer gauges
 	// of the moment — the live counterpart of the Figure 6 history curves.
@@ -327,17 +336,38 @@ type Process struct {
 	nextSeq mid.Seq
 	outbox  []*causal.Message // user messages awaiting their send opportunity
 	taken   []*causal.Message // broadcastOutbox's scratch: the messages of the drain in progress
-	lastDec *wire.Decision    // freshest decision held
-	// requests is this subrun's request table, indexed by sender (nil = not
-	// heard). The slice is owned here and cleared at every subrun open; the
-	// Requests in it were handed to us (or to the transport) and are never
-	// reused.
-	requests []*wire.Request
-	// heard and attempts are the coordinator's per-decision scratch (who
-	// reported this subrun; the silence counters being folded), owned here
-	// and overwritten by every computeDecision.
+
+	// The PDUs this process sends every subrun are built in place, in records
+	// it owns, and lent to the transport for the call (see Transport): its
+	// REQUEST, the one Data or DataBatch frame in flight, and its decisions.
+	req   wire.Request
+	data  wire.Data
+	batch wire.DataBatch
+	// decs are the three decision records everything held or built lives in,
+	// rotated by pointer: lastDec, reqPrev, and a spare — the one a received
+	// decision is copied into, or computeDecision fills — so outside
+	// computeDecision one is always free (spareDec).
+	decs    [3]*wire.Decision
+	lastDec *wire.Decision // freshest decision held, nil before the first
+	// reqPrev is the freshest decision embedded in the requests folded this
+	// subrun, kept only while it is fresher than lastDec: what computeDecision
+	// continues from without this process ever having adopted it. reqPrevFrom
+	// is the sender it came with (the lowest wins a tie, as a walk over the
+	// table in sender order would have it).
+	reqPrev     *wire.Decision
+	reqPrevFrom mid.ProcID
+
+	// reports is this subrun's request table: one value slot per sender,
+	// heard its present mask (and the coordinator's who-reported input to the
+	// silence counters). A REQUEST is copied into its sender's slot — Recv
+	// keeps nothing of a control PDU. early holds the requests that name the
+	// next subrun (a peer whose tick ran before ours): startSubrun moves them
+	// in when this process coordinates it. Built at the first early request;
+	// the simulator never delivers one.
+	reports  []report
 	heard    []bool
-	attempts *group.Attempts
+	early    *earlyReports
+	attempts *group.Attempts // the coordinator's silence counters being folded
 
 	// sendSpent marks this subrun's one send opportunity as taken: set by
 	// broadcastOutbox, reset at every subrun open. It is what lets Flush
@@ -413,23 +443,62 @@ func NewProcess(id mid.ProcID, cfg Config, tp Transport, cb Callbacks) (*Process
 	if tp == nil {
 		return nil, fmt.Errorf("core: nil transport")
 	}
-	return &Process{
+	n := cfg.N
+	p := &Process{
 		id:        id,
 		cfg:       cfg,
 		cb:        cb,
 		tp:        tp,
-		tracker:   causal.NewTracker(cfg.N),
-		hist:      history.New(cfg.N),
-		wait:      waitlist.New(cfg.N),
-		view:      group.NewView(cfg.N),
+		tracker:   causal.NewTracker(n),
+		hist:      history.New(n),
+		wait:      waitlist.New(n),
+		view:      group.NewView(n),
 		running:   true,
 		joining:   cfg.Join,
 		synced:    !cfg.Join,
-		requests:  make([]*wire.Request, cfg.N),
-		heard:     make([]bool, cfg.N),
-		attempts:  group.NewAttempts(cfg.N, cfg.K),
-		lastClean: mid.NewSeqVector(cfg.N),
-	}, nil
+		reports:   newReports(n),
+		heard:     make([]bool, n),
+		attempts:  group.NewAttempts(n, cfg.K),
+		lastClean: mid.NewSeqVector(n),
+	}
+	vecs := mid.NewSeqVector(2 * n)
+	p.req = wire.Request{LastProcessed: vecs[:n:n], Waiting: vecs[n:]}
+	for i := range p.decs {
+		p.decs[i] = wire.NewDecision(n)
+	}
+	return p, nil
+}
+
+// report is one member's REQUEST as the coordinator keeps it: the two vectors
+// and the join flag, copied out of the PDU.
+type report struct {
+	lastProcessed, waiting mid.SeqVector
+	join                   bool
+}
+
+// newReports returns n empty slots whose vectors share one allocation.
+func newReports(n int) []report {
+	vecs := mid.NewSeqVector(2 * n * n)
+	rs := make([]report, n)
+	for i := range rs {
+		rs[i].lastProcessed, vecs = vecs[:n:n], vecs[n:]
+		rs[i].waiting, vecs = vecs[:n:n], vecs[n:]
+	}
+	return rs
+}
+
+func (r *report) set(v *wire.Request) {
+	copy(r.lastProcessed, v.LastProcessed)
+	copy(r.waiting, v.Waiting)
+	r.join = v.Join
+}
+
+// earlyReports is the request table's row for the subrun after the current
+// one.
+type earlyReports struct {
+	subrun  int64 // the subrun the held requests name
+	reports []report
+	heard   []bool
 }
 
 // ID returns the process identifier.
@@ -491,11 +560,20 @@ func (p *Process) StableTo() mid.SeqVector { return p.lastClean }
 // the caller follows up with Flush while this subrun's is still unspent.
 // The assigned MID is returned.
 func (p *Process) Submit(payload []byte, deps mid.DepList) (mid.MID, error) {
+	if err := p.admit(payload, deps); err != nil {
+		return mid.MID{}, err
+	}
+	return p.enqueue(payload, deps.Clone().Canonical()), nil
+}
+
+// admit checks that the process may generate a message now and that payload
+// and deps are ones it can carry.
+func (p *Process) admit(payload []byte, deps mid.DepList) error {
 	if !p.running {
-		return mid.MID{}, fmt.Errorf("core: process %d has left the group", p.id)
+		return fmt.Errorf("core: process %d has left the group", p.id)
 	}
 	if p.joining {
-		return mid.MID{}, fmt.Errorf("core: process %d is still joining", p.id)
+		return fmt.Errorf("core: process %d is still joining", p.id)
 	}
 	if p.joinAligning {
 		// Post-admission, the own sequence must catch up first: other
@@ -503,60 +581,78 @@ func (p *Process) Submit(payload []byte, deps mid.DepList) (mid.MID, error) {
 		// nextSeq, and generating before processing them would fork the
 		// sequence at duplicate numbers.
 		if have := p.tracker.LastProcessed(p.id); have < p.nextSeq {
-			return mid.MID{}, fmt.Errorf("core: process %d is resyncing its own sequence (%d of %d)", p.id, have, p.nextSeq)
+			return fmt.Errorf("core: process %d is resyncing its own sequence (%d of %d)", p.id, have, p.nextSeq)
 		}
 		p.joinAligning = false
 	}
 	if p.cfg.IsObserver(p.id) {
-		return mid.MID{}, fmt.Errorf("core: observer %d cannot generate messages", p.id)
+		return fmt.Errorf("core: observer %d cannot generate messages", p.id)
 	}
 	// Reject here, at the protocol boundary, anything the 16-bit wire
 	// prefixes cannot carry — before the encoder could wrap it silently.
 	if len(payload) > wire.MaxPayload {
-		return mid.MID{}, fmt.Errorf("core: payload of %d bytes: %w", len(payload), wire.ErrTooLarge)
+		return fmt.Errorf("core: payload of %d bytes: %w", len(payload), wire.ErrTooLarge)
 	}
 	if len(deps) > wire.MaxDeps {
-		return mid.MID{}, fmt.Errorf("core: %d dependencies: %w", len(deps), wire.ErrTooLarge)
+		return fmt.Errorf("core: %d dependencies: %w", len(deps), wire.ErrTooLarge)
 	}
 	for _, d := range deps {
 		if d.IsZero() {
-			return mid.MID{}, fmt.Errorf("core: zero dependency")
+			return fmt.Errorf("core: zero dependency")
 		}
 		if d.Proc == p.id {
-			return mid.MID{}, fmt.Errorf("core: own-sequence dependencies are implicit")
+			return fmt.Errorf("core: own-sequence dependencies are implicit")
 		}
 		if p.tracker.LastProcessed(d.Proc) < d.Seq {
-			return mid.MID{}, fmt.Errorf("core: dependency %v not processed locally", d)
+			return fmt.Errorf("core: dependency %v not processed locally", d)
 		}
 	}
+	return nil
+}
+
+// enqueue gives the admitted message its MID and queues it. deps is the
+// message's own list from here on: canonical, and never written again.
+func (p *Process) enqueue(payload []byte, deps mid.DepList) mid.MID {
 	p.nextSeq++
 	m := &causal.Message{
 		ID:      mid.MID{Proc: p.id, Seq: p.nextSeq},
-		Deps:    deps.Clone().Canonical(),
+		Deps:    deps,
 		Payload: payload,
 	}
 	p.outbox = append(p.outbox, m)
 	if p.cb.OnGenerate != nil {
 		p.cb.OnGenerate(m)
 	}
-	return m.ID, nil
+	return m.ID
 }
 
 // SubmitCausal queues a user message depending on the latest message this
 // process has processed from every other live sequence — the conservative
 // temporal interpretation of causality (what CBCAST enforces implicitly).
+//
+// The label list is built once, at its final size and in canonical order (one
+// label per sequence, by ProcID), and becomes the message's own.
 func (p *Process) SubmitCausal(payload []byte) (mid.MID, error) {
-	var deps mid.DepList
-	for q := 0; q < p.cfg.N; q++ {
-		qp := mid.ProcID(q)
-		if qp == p.id {
-			continue
-		}
-		if s := p.tracker.LastProcessed(qp); s > 0 {
-			deps = append(deps, mid.MID{Proc: qp, Seq: s})
+	if err := p.admit(payload, nil); err != nil {
+		return mid.MID{}, err
+	}
+	processed := p.tracker.Processed()
+	labels := 0
+	for q, s := range processed {
+		if s > 0 && mid.ProcID(q) != p.id {
+			labels++
 		}
 	}
-	return p.Submit(payload, deps)
+	var deps mid.DepList
+	if labels > 0 {
+		deps = make(mid.DepList, 0, labels)
+		for q, s := range processed {
+			if s > 0 && mid.ProcID(q) != p.id {
+				deps = append(deps, mid.MID{Proc: mid.ProcID(q), Seq: s})
+			}
+		}
+	}
+	return p.enqueue(payload, deps), nil
 }
 
 // CoordinatorOf returns the coordinator of subrun s under view v: the first
@@ -621,7 +717,7 @@ func (p *Process) startSubrun(s int64) {
 	p.subrun = s
 	p.decisionThisSub = false
 	p.sendSpent = false
-	clear(p.requests)
+	p.openReports(s)
 
 	if p.joining {
 		p.joinSubrun(s)
@@ -641,12 +737,31 @@ func (p *Process) startSubrun(s int64) {
 	if p.cb.OnSubrunStart != nil {
 		p.cb.OnSubrunStart(s, coord)
 	}
-	req := p.buildRequest(s)
 	if coord == p.id {
-		p.requests[p.id] = req
+		p.reportSelf()
 	} else {
-		p.tp.Send(coord, req)
+		p.tp.Send(coord, p.buildRequest(s, false))
 	}
+}
+
+// openReports empties the request table for subrun s. The requests that
+// arrived for s while this process was still in s-1 — their senders' ticks ran
+// first, which a free-running clock makes routine — become the table when this
+// process coordinates s: thrown away, as they used to be, they count their
+// senders silent, and K such subruns in a row declare a healthy member
+// crashed.
+func (p *Process) openReports(s int64) {
+	p.reqPrev = nil
+	if e := p.early; e != nil {
+		if e.subrun == s && p.coordinator(s) == p.id {
+			p.reports, e.reports = e.reports, p.reports
+			p.heard, e.heard = e.heard, p.heard
+			clear(e.heard)
+			return
+		}
+		clear(e.heard)
+	}
+	clear(p.heard)
 }
 
 // joinSubrun is a joiner's request phase. Before the state transfer it only
@@ -669,9 +784,7 @@ func (p *Process) joinSubrun(s int64) {
 		// report and try the next rotation.
 		return
 	}
-	req := p.buildRequest(s)
-	req.Join = true
-	p.tp.Send(coord, req)
+	p.tp.Send(coord, p.buildRequest(s, true))
 }
 
 // sponsorCandidate rotates the state-transfer solicitation over the other
@@ -773,22 +886,24 @@ func (p *Process) broadcastFrame(batch []*causal.Message, encoded int) {
 	if len(batch) == 1 {
 		m := batch[0]
 		p.Stats.Generated++
-		p.tp.Broadcast(&wire.Data{Msg: *m})
+		p.data.Msg = *m
+		p.tp.Broadcast(&p.data)
+		p.data.Msg = causal.Message{} // the frame is gone; do not pin its payload
 		if p.cb.OnBroadcast != nil {
 			p.cb.OnBroadcast(m)
 		}
 		p.processMsg(m)
 		return
 	}
-	// The simulator's transport retains PDUs by reference, so every frame
-	// gets a freshly allocated slice — never a reused scratch buffer.
-	pdu := &wire.DataBatch{Msgs: make([]causal.Message, len(batch))}
-	for i, m := range batch {
-		pdu.Msgs[i] = *m
+	pdu := &p.batch
+	for _, m := range batch {
+		pdu.Msgs = append(pdu.Msgs, *m)
 	}
 	p.Stats.Generated += len(batch)
 	p.Stats.Batches++
 	p.tp.Broadcast(pdu)
+	clear(pdu.Msgs)
+	pdu.Msgs = pdu.Msgs[:0]
 	if p.cb.OnBatchBroadcast != nil {
 		p.cb.OnBatchBroadcast(len(batch), encoded)
 	}
@@ -800,23 +915,50 @@ func (p *Process) broadcastFrame(batch []*causal.Message, encoded int) {
 	}
 }
 
-// buildRequest reports this process's state to a coordinator. The Request
-// is handed out (to the transport, or into the coordinator's table) and never
-// touched again, so it is built fresh every time — its two vectors out of one
-// allocation, as the decoder builds them.
-func (p *Process) buildRequest(s int64) *wire.Request {
-	n := p.cfg.N
-	vecs := mid.NewSeqVector(2 * n)
-	req := &wire.Request{
-		Sender:        p.id,
-		Subrun:        s,
-		LastProcessed: vecs[:n:n],
-		Waiting:       vecs[n : 2*n : 2*n],
-		Prev:          p.lastDec, // shared immutable; never mutated after build
+// buildRequest fills this process's own REQUEST record with its state for
+// subrun s. The record is lent to the transport for the Send and rewritten at
+// the next subrun; Prev is lastDec itself, borrowed the same way.
+func (p *Process) buildRequest(s int64, join bool) *wire.Request {
+	r := &p.req
+	r.Sender, r.Subrun, r.Join, r.Prev = p.id, s, join, p.lastDec
+	p.reportInto(r.LastProcessed, r.Waiting)
+	return r
+}
+
+// reportInto writes this process's last-processed and oldest-waiting vectors.
+func (p *Process) reportInto(lastProcessed, waiting mid.SeqVector) {
+	copy(lastProcessed, p.tracker.Processed())
+	clear(waiting)
+	p.wait.OldestWaitingInto(waiting)
+}
+
+// reportSelf writes the coordinator's own report straight into its slot of
+// the request table.
+func (p *Process) reportSelf() {
+	r := &p.reports[p.id]
+	p.reportInto(r.lastProcessed, r.waiting)
+	r.join = false
+	p.heard[p.id] = true
+}
+
+// spareDec returns the decision record that holds nothing: neither lastDec
+// nor reqPrev. Outside computeDecision there always is one.
+func (p *Process) spareDec() *wire.Decision {
+	for _, d := range p.decs {
+		if d != p.lastDec && d != p.reqPrev {
+			return d
+		}
 	}
-	copy(req.LastProcessed, p.tracker.Processed())
-	p.wait.OldestWaitingInto(req.Waiting)
-	return req
+	panic(fmt.Sprintf("core: process %d: no spare decision record", p.id))
+}
+
+// own copies a decision this process was only lent into the spare record and
+// returns that; the caller gives the record its role. d must be Sized to the
+// group.
+func (p *Process) own(d *wire.Decision) *wire.Decision {
+	mine := p.spareDec()
+	mine.CopyFrom(d)
+	return mine
 }
 
 func (p *Process) accountCoordinatorSilence(s int64) {
@@ -838,8 +980,9 @@ func (p *Process) decisionPhase() {
 		return
 	}
 	// Fold in our own (fresh) report.
-	p.requests[p.id] = p.buildRequest(p.subrun)
+	p.reportSelf()
 	d := p.computeDecision()
+	p.reqPrev = nil // folded into d; its record is the spare again
 	p.Stats.Decisions++
 	p.decisionThisSub = true
 	p.missedCoords = 0
@@ -847,7 +990,13 @@ func (p *Process) decisionPhase() {
 	p.applyDecision(d)
 }
 
-// Recv handles one delivered PDU.
+// Recv handles one delivered PDU, which it borrows for the call. Of a control
+// PDU — Request (and the decision embedded in it), Decision, Recover, Join,
+// JoinState — nothing is kept: what the process needs is copied into state it
+// owns, so the caller may reuse or recycle the record the moment Recv returns.
+// Of a data PDU — Data, DataBatch, Retransmit — the process keeps the
+// causal.Message records (history and waiting list hold them by reference):
+// those the caller gives away for good.
 func (p *Process) Recv(src mid.ProcID, pdu wire.PDU) {
 	if !p.running {
 		return
@@ -872,15 +1021,7 @@ func (p *Process) Recv(src mid.ProcID, pdu wire.PDU) {
 			p.handleData(src, &v.Msgs[i])
 		}
 	case *wire.Request:
-		if v.Sender < 0 || int(v.Sender) >= p.cfg.N {
-			p.Stats.Malformed++ // a sender outside the group reports nothing
-		} else if v.Subrun == p.subrun && p.coordinator(p.subrun) == p.id {
-			p.requests[v.Sender] = v
-		} else if v.Prev != nil {
-			// Not ours to coordinate, but the embedded decision may still
-			// be fresher than what we hold.
-			p.noteDecision(v.Prev)
-		}
+		p.handleRequest(v)
 	case *wire.Decision:
 		p.handleDecision(v)
 	case *wire.Recover:
@@ -892,6 +1033,64 @@ func (p *Process) Recv(src mid.ProcID, pdu wire.PDU) {
 	case *wire.JoinState:
 		// Duplicate sponsor answer after installation; stale by definition.
 	}
+}
+
+// handleRequest folds one REQUEST: into the request table when this process
+// coordinates the subrun it names, into the next subrun's row when its sender
+// merely ran ahead of our tick, and otherwise only for the decision it
+// carries.
+func (p *Process) handleRequest(v *wire.Request) {
+	n := p.cfg.N
+	if v.Sender < 0 || int(v.Sender) >= n || len(v.LastProcessed) != n || len(v.Waiting) != n ||
+		(v.Prev != nil && !v.Prev.Sized(n)) {
+		p.Stats.Malformed++ // not of this group: a stranger, or vectors of another cardinality
+		return
+	}
+	if v.Subrun == p.subrun && p.coordinator(p.subrun) == p.id {
+		p.reports[v.Sender].set(v)
+		p.heard[v.Sender] = true
+		p.foldPrev(v.Sender, v.Prev)
+		return
+	}
+	if v.Subrun == p.subrun+1 {
+		e := p.early
+		if e == nil {
+			e = &earlyReports{reports: newReports(n), heard: make([]bool, n)}
+			p.early = e
+		}
+		if e.subrun != v.Subrun {
+			e.subrun = v.Subrun
+			clear(e.heard)
+		}
+		e.reports[v.Sender].set(v)
+		e.heard[v.Sender] = true
+	}
+	if v.Prev != nil {
+		// Not ours to coordinate (yet), but the embedded decision may still
+		// be fresher than what we hold.
+		p.noteDecision(v.Prev)
+	}
+}
+
+// foldPrev keeps the decision embedded in a folded request if it is the
+// freshest this subrun's table has seen and fresher than lastDec — which it
+// must be to matter: computeDecision continues from the freshest of lastDec
+// and the table, and lastDec only ever gets fresher. lastDec itself is not
+// touched: adopting prev here would make handleDecision drop, as stale, the
+// very decision when it arrives on its own after the request that carried it.
+func (p *Process) foldPrev(from mid.ProcID, prev *wire.Decision) {
+	if prev == nil || (p.lastDec != nil && prev.Subrun <= p.lastDec.Subrun) {
+		return
+	}
+	if cur := p.reqPrev; cur != nil {
+		if prev.Subrun < cur.Subrun || (prev.Subrun == cur.Subrun && from >= p.reqPrevFrom) {
+			return
+		}
+		cur.CopyFrom(prev)
+	} else {
+		p.reqPrev = p.own(prev)
+	}
+	p.reqPrevFrom = from
 }
 
 // handleJoin answers a joiner's solicitation with a state transfer: the
@@ -906,11 +1105,11 @@ func (p *Process) handleJoin(j *wire.Join) {
 		return
 	}
 	p.Stats.Sponsored++
-	p.tp.Send(j.Joiner, &wire.JoinState{
+	p.tp.Send(j.Joiner, &wire.JoinState{ // vectors and decision lent, like every PDU's
 		Sponsor:   p.id,
 		Resume:    p.tracker.LastProcessed(j.Joiner),
-		Stable:    p.lastClean.Clone(),
-		Processed: p.tracker.Processed().Clone(),
+		Stable:    p.lastClean,
+		Processed: p.tracker.Processed(),
 		Prev:      p.lastDec,
 	})
 }
@@ -1096,7 +1295,7 @@ func (p *Process) cascade() {
 // for decisions gleaned from forwarded requests).
 func (p *Process) noteDecision(d *wire.Decision) {
 	if p.lastDec == nil || d.Subrun > p.lastDec.Subrun {
-		p.lastDec = d
+		p.lastDec = p.own(d)
 	}
 }
 
@@ -1104,13 +1303,19 @@ func (p *Process) handleDecision(d *wire.Decision) {
 	if p.lastDec != nil && d.Subrun <= p.lastDec.Subrun {
 		return // stale
 	}
+	if !d.Sized(p.cfg.N) {
+		p.Stats.Malformed++ // vectors of another group's cardinality
+		return
+	}
 	if d.Subrun == p.subrun {
 		p.decisionThisSub = true
 		p.missedCoords = 0
 	}
-	p.applyDecision(d)
+	p.applyDecision(p.own(d))
 }
 
+// applyDecision adopts d, one of this process's own records (computeDecision's,
+// or own's copy of a received one), as lastDec and acts on it.
 func (p *Process) applyDecision(d *wire.Decision) {
 	p.lastDec = d
 	if p.cb.OnDecision != nil {
@@ -1150,10 +1355,10 @@ func (p *Process) applyDecision(d *wire.Decision) {
 	if d.FullGroup {
 		// Clip to what we ourselves processed: stability says everyone
 		// covered processed these, and we are alive, but clip defensively.
-		clean := d.CleanTo.Clone()
+		clean := p.lastClean
+		copy(clean, d.CleanTo)
 		clean.MinInto(p.tracker.Processed())
 		p.hist.CleanTo(clean)
-		copy(p.lastClean, clean)
 		if p.cb.OnStable != nil {
 			p.cb.OnStable(clean)
 		}
@@ -1326,20 +1531,19 @@ func (p *Process) leave(reason LeaveReason) {
 func (p *Process) computeDecision() *wire.Decision {
 	n := p.cfg.N
 
-	// The freshest previous decision: ours or any carried by a request. (The
-	// request table is indexed by sender, so every walk over it is in the
-	// deterministic sender order.)
+	// The freshest previous decision: ours, or the one foldPrev kept of those
+	// the requests carried. (The request table is indexed by sender, so every
+	// walk over it is in the deterministic sender order.)
 	prev := p.lastDec
-	for _, r := range p.requests {
-		if r != nil && r.Prev != nil && (prev == nil || r.Prev.Subrun > prev.Subrun) {
-			prev = r.Prev
-		}
+	if p.reqPrev != nil && (prev == nil || p.reqPrev.Subrun > prev.Subrun) {
+		prev = p.reqPrev
 	}
 
-	// The decision is broadcast and kept (lastDec), never reused: a fresh one
-	// per subrun, its vectors out of one allocation.
-	d := wire.NewDecision(n)
+	// The decision is built in the spare record: lent to the transport for
+	// the broadcast, then kept as lastDec until two decisions later.
+	d := p.spareDec()
 	d.Subrun, d.Coord = p.subrun, p.id
+	clear(d.MaxProcessed)
 	for q := range d.MostUpdated {
 		d.MostUpdated[q] = mid.None
 	}
@@ -1354,17 +1558,14 @@ func (p *Process) computeDecision() *wire.Decision {
 		p.adoptMask(prev.Alive)
 	}
 	admitted := false
-	for q, r := range p.requests {
-		if r != nil && r.Join && p.view.MarkAlive(mid.ProcID(q)) {
+	for q := range p.reports {
+		if p.heard[q] && p.reports[q].join && p.view.MarkAlive(mid.ProcID(q)) {
 			p.noteJoined(mid.ProcID(q))
 			admitted = true
 		}
 	}
 	if admitted && p.cb.OnViewChange != nil {
 		p.cb.OnViewChange(p.view.AliveMask())
-	}
-	for q, r := range p.requests {
-		p.heard[q] = r != nil
 	}
 	att := p.attempts
 	att.Reset()
@@ -1397,13 +1598,13 @@ func (p *Process) computeDecision() *wire.Decision {
 			}
 		}
 	}
-	for sender, r := range p.requests {
-		if r == nil {
+	for sender := range p.reports {
+		if !p.heard[sender] {
 			continue
 		}
-		for q := 0; q < n && q < len(r.LastProcessed); q++ {
-			if r.LastProcessed[q] > d.MaxProcessed[q] {
-				d.MaxProcessed[q] = r.LastProcessed[q]
+		for q, s := range p.reports[sender].lastProcessed {
+			if s > d.MaxProcessed[q] {
+				d.MaxProcessed[q] = s
 				d.MostUpdated[q] = mid.ProcID(sender)
 			}
 		}
@@ -1417,18 +1618,21 @@ func (p *Process) computeDecision() *wire.Decision {
 		copy(d.CleanTo, prev.CleanTo)
 		copy(d.MinWaiting, prev.MinWaiting)
 	} else {
+		clear(d.Covered)
+		clear(d.MinWaiting)
 		for q := range d.CleanTo {
 			d.CleanTo[q] = ^mid.Seq(0) // +inf until first report folds in
 		}
 	}
-	for sender, r := range p.requests {
-		if r == nil {
+	for sender := range p.reports {
+		if !p.heard[sender] {
 			continue
 		}
+		r := &p.reports[sender]
 		d.Covered[sender] = true
-		d.CleanTo.MinInto(r.LastProcessed)
-		for q := 0; q < n && q < len(r.Waiting); q++ {
-			if w := r.Waiting[q]; w != 0 && (d.MinWaiting[q] == 0 || w < d.MinWaiting[q]) {
+		d.CleanTo.MinInto(r.lastProcessed)
+		for q, w := range r.waiting {
+			if w != 0 && (d.MinWaiting[q] == 0 || w < d.MinWaiting[q]) {
 				d.MinWaiting[q] = w
 			}
 		}

@@ -63,6 +63,32 @@ type entry struct {
 // live returns the retained suffix.
 func (e *entry) live() []*causal.Message { return e.msgs[e.start:] }
 
+// keepCap is the capacity an entry never shrinks below: under it the array
+// is half a kilobyte and not worth an allocation to give back.
+const keepCap = 64
+
+// purge releases the oldest drop retained messages: their slots are nilled at
+// once, so a purged message is never pinned, and start moves past them. Once
+// the dead prefix is half the slice the live part is copied down to the front
+// of the same array, which the entry keeps: a sequence that is stored to and
+// cleaned in turn — every sequence, in the steady state — never allocates,
+// and the copying stays O(1) per purged message. Only an array that a burst
+// left more than three quarters idle (and larger than keepCap) is traded for
+// one half its size, so a burst cannot pin its peak for good.
+func (e *entry) purge(drop int) {
+	clear(e.msgs[e.start : e.start+drop])
+	e.start += drop
+	if e.start*2 < len(e.msgs) {
+		return
+	}
+	live := copy(e.msgs, e.msgs[e.start:])
+	clear(e.msgs[live:])
+	e.msgs, e.start = e.msgs[:live], 0
+	if c := cap(e.msgs); c > keepCap && live < c/4 {
+		e.msgs = append(make([]*causal.Message, 0, c/2), e.msgs...)
+	}
+}
+
 // History is the per-process history buffer. It is not safe for concurrent
 // use; the protocol owns it from a single goroutine.
 type History struct {
@@ -166,12 +192,8 @@ func (h *History) Base(q mid.ProcID) mid.Seq {
 // <= stable[q]. It never purges beyond what is stored and never un-purges.
 // It returns the number of messages released.
 //
-// Purged messages are never pinned: their slots are nilled immediately, so
-// the only memory retained past a purge is the dead prefix of pointer
-// slots (8 bytes each), and the slice is compacted — releasing the whole
-// backing array — as soon as the dead prefix exceeds half of it. This
-// amortizes the old copy-the-tail-on-every-clean behaviour to O(1) slot
-// writes per purged message instead of O(live) copies per clean.
+// Purged messages are never pinned and the backing arrays are kept: see
+// entry.purge.
 func (h *History) CleanTo(stable mid.SeqVector) int {
 	released := 0
 	for q := range h.entries {
@@ -187,24 +209,10 @@ func (h *History) CleanTo(stable mid.SeqVector) int {
 			continue
 		}
 		drop := int(target - e.base)
-		for i := e.start; i < e.start+drop; i++ {
-			e.msgs[i] = nil // release the message even before compaction
-		}
-		e.start += drop
+		e.purge(drop)
 		e.base = target
 		released += drop
 		h.total -= drop
-		if e.start*2 >= len(e.msgs) {
-			live := e.live()
-			if len(live) == 0 {
-				e.msgs = nil
-			} else {
-				tail := make([]*causal.Message, len(live))
-				copy(tail, live)
-				e.msgs = tail
-			}
-			e.start = 0
-		}
 	}
 	return released
 }
@@ -244,34 +252,15 @@ func (h *History) Skip(q mid.ProcID, seq mid.Seq) int {
 	if seq <= e.base {
 		return 0
 	}
-	released := 0
-	if hi := e.base + mid.Seq(len(e.live())); seq < hi {
-		// Partial purge of the retained suffix, exactly like CleanTo.
-		drop := int(seq - e.base)
-		for i := e.start; i < e.start+drop; i++ {
-			e.msgs[i] = nil
-		}
-		e.start += drop
-		released = drop
-	} else {
-		// The jump clears (or overshoots) everything retained.
-		released = len(e.live())
-		e.msgs = nil
-		e.start = 0
+	// A partial purge of the retained suffix, exactly like CleanTo — or the
+	// jump clears (or overshoots) everything retained.
+	released := len(e.live())
+	if hi := e.base + mid.Seq(released); seq < hi {
+		released = int(seq - e.base)
 	}
+	e.purge(released)
 	e.base = seq
 	h.total -= released
-	if e.msgs != nil && e.start*2 >= len(e.msgs) {
-		live := e.live()
-		if len(live) == 0 {
-			e.msgs = nil
-		} else {
-			tail := make([]*causal.Message, len(live))
-			copy(tail, live)
-			e.msgs = tail
-		}
-		e.start = 0
-	}
 	return released
 }
 

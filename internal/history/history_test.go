@@ -338,20 +338,27 @@ func TestCleanToAmortization(t *testing.T) {
 	if get(h, 0, 3) != nil || get(h, 0, 4) == nil {
 		t.Fatal("Get wrong across dead prefix")
 	}
-	// 6 dead of 10 slots: threshold crossed, backing array replaced.
+	// 6 dead of 10 slots: threshold crossed, the live part moves to the front
+	// of the SAME array, and the vacated tail pins nothing.
+	array := cap(e.msgs)
 	if h.CleanTo(mid.SeqVector{6}) != 3 {
 		t.Fatal("clean to 6")
 	}
-	if e.start != 0 || len(e.msgs) != 4 || cap(e.msgs) != 4 {
-		t.Fatalf("start=%d len=%d cap=%d, want compacted (0, 4, 4)", e.start, len(e.msgs), cap(e.msgs))
+	if e.start != 0 || len(e.msgs) != 4 || cap(e.msgs) != array {
+		t.Fatalf("start=%d len=%d cap=%d, want compacted in place (0, 4, %d)", e.start, len(e.msgs), cap(e.msgs), array)
+	}
+	for i, m := range e.msgs[:cap(e.msgs)][4:] {
+		if m != nil {
+			t.Fatalf("vacated slot %d still pins a message", 4+i)
+		}
 	}
 	if got := rng(h, 0, 7, 10); len(got) != 4 || got[0].ID.Seq != 7 {
 		t.Fatalf("Range after compaction = %v", got)
 	}
-	// Full purge releases the backing array entirely.
+	// A full purge keeps the array too: the next Store must not allocate.
 	h.CleanTo(mid.SeqVector{10})
-	if e.msgs != nil || e.start != 0 || e.base != 10 {
-		t.Fatalf("full purge left msgs=%v start=%d base=%d", e.msgs, e.start, e.base)
+	if len(e.msgs) != 0 || cap(e.msgs) != array || e.start != 0 || e.base != 10 {
+		t.Fatalf("full purge left len=%d cap=%d start=%d base=%d", len(e.msgs), cap(e.msgs), e.start, e.base)
 	}
 	// Store keeps working against the purged base.
 	if err := h.Store(msg(0, 11)); err != nil {
@@ -359,5 +366,77 @@ func TestCleanToAmortization(t *testing.T) {
 	}
 	if get(h, 0, 11) == nil || h.MaxSeq(0) != 11 {
 		t.Fatal("store after full purge broken")
+	}
+}
+
+// TestCapacityKeptAcrossCleanStoreCycles is the steady state of every
+// sequence: a few messages stored, then declared stable, over and over. Once
+// the array has its size the cycle allocates nothing — the parent of this
+// test's change dropped the array at every full purge and built a fresh tail
+// at every other compaction.
+func TestCapacityKeptAcrossCleanStoreCycles(t *testing.T) {
+	h := New(2)
+	msgs := make([]*causal.Message, 0, 4096)
+	for s := mid.Seq(1); s <= 2048; s++ {
+		msgs = append(msgs, msg(0, s), msg(1, s))
+	}
+	next, stable := 0, mid.NewSeqVector(2)
+	cycle := func() {
+		for k := 0; k < 6; k++ { // three messages per sequence ...
+			m := msgs[next]
+			next++
+			if err := h.Store(m); err != nil {
+				t.Fatal(err)
+			}
+			stable[m.ID.Proc] = m.ID.Seq
+		}
+		stable[1]-- // ... sequence 1 trailing by one, so it is never empty
+		h.CleanTo(stable)
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(200, cycle); got != 0 {
+		t.Errorf("a store/clean cycle allocates %.1f objects, want 0", got)
+	}
+	if h.Len() != 1 {
+		t.Errorf("Len = %d, want the one trailing message", h.Len())
+	}
+}
+
+// TestBurstCapacityIsGivenBack: keeping the array must not mean keeping a
+// burst's peak for good. After 10 000 messages are stored and purged, the
+// steady trickle that follows walks the array back down to keepCap.
+func TestBurstCapacityIsGivenBack(t *testing.T) {
+	h := New(1)
+	e := &h.entries[0]
+	next := mid.Seq(1)
+	for ; next <= 10000; next++ {
+		if err := h.Store(msg(0, next)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	peak := cap(e.msgs)
+	if peak < 10000 {
+		t.Fatalf("cap %d after a 10000-message burst", peak)
+	}
+	h.CleanTo(mid.SeqVector{next - 1})
+	if c := cap(e.msgs); c >= peak {
+		t.Errorf("cap %d after the burst was purged, want under the peak %d", c, peak)
+	}
+	for i := 0; i < 64; i++ {
+		for k := 0; k < 3; k++ {
+			if err := h.Store(msg(0, next)); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		h.CleanTo(mid.SeqVector{next - 1})
+	}
+	if c := cap(e.msgs); c > keepCap {
+		t.Errorf("cap %d after 64 quiet cycles, want it back at %d", c, keepCap)
+	}
+	if h.Len() != 0 || h.MaxSeq(0) != next-1 {
+		t.Errorf("Len=%d MaxSeq=%d, want 0 and %d", h.Len(), h.MaxSeq(0), next-1)
 	}
 }

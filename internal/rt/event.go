@@ -33,7 +33,8 @@ const (
 type Host interface {
 	// Tick opens a protocol round.
 	Tick(round int)
-	// Recv delivers one decoded PDU.
+	// Recv delivers one decoded PDU. A control PDU is only lent: the loop
+	// recycles its record when Recv returns (see Inbox.Free).
 	Recv(src mid.ProcID, pdu wire.PDU)
 	// Submit runs a chain of user submissions (see Submission).
 	Submit(head *Submission)
@@ -61,7 +62,11 @@ type Event struct {
 // Inbox is a loop goroutine's event queue together with the stop signal the
 // loop dies by — the mechanics every hosted runtime shares, written once.
 type Inbox struct {
-	C       chan *Event
+	C chan *Event
+	// Free is the loop's free list of decoded control records: whoever decodes
+	// a datagram for this loop takes the record from it (Free.Unmarshal), and
+	// Run hands it back after Recv — the one recycle point (DESIGN.md §7).
+	Free    *wire.FreeList
 	stop    <-chan struct{}
 	stopped error // what Put and Call answer once stop has closed
 }
@@ -69,7 +74,7 @@ type Inbox struct {
 // NewInbox returns an inbox of the given depth for a loop that ends when stop
 // closes.
 func NewInbox(depth int, stop <-chan struct{}, stopped error) Inbox {
-	return Inbox{C: make(chan *Event, depth), stop: stop, stopped: stopped}
+	return Inbox{C: make(chan *Event, depth), Free: wire.NewFreeList(), stop: stop, stopped: stopped}
 }
 
 // Loop runs events until stop closes.
@@ -79,7 +84,7 @@ func (in *Inbox) Loop() {
 		case <-in.stop:
 			return
 		case e := <-in.C:
-			e.Run()
+			in.Run(e)
 		}
 	}
 }
@@ -129,16 +134,16 @@ var events = sync.Pool{New: func() any { return new(Event) }}
 
 // NewEvent returns a pooled record holding e, for sending into an inbox. A
 // record the inbox refuses (full, shutting down) is simply dropped for the
-// garbage collector; only Run recycles.
+// garbage collector; only Inbox.Run recycles.
 func NewEvent(e Event) *Event {
 	p := events.Get().(*Event)
 	*p = e
 	return p
 }
 
-// Run performs the event and recycles its record: e must not be used
-// afterwards. Loop goroutine only.
-func (e *Event) Run() {
+// Run performs the event and recycles its record, and with it a control PDU
+// the event carried: neither may be used afterwards. Loop goroutine only.
+func (in *Inbox) Run(e *Event) {
 	switch e.Kind {
 	case EvCall:
 		e.Call()
@@ -146,6 +151,7 @@ func (e *Event) Run() {
 		e.To.Tick(e.Round)
 	case EvRecv:
 		e.To.Recv(e.Src, e.PDU)
+		in.Free.Put(e.PDU)
 	case EvSubmit:
 		e.To.Submit(e.Sub)
 	case evFrame:

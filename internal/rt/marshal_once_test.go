@@ -16,7 +16,7 @@ func drainInboxes(c *Cluster) {
 		for {
 			select {
 			case e := <-n.inbox.C:
-				e.Run()
+				n.inbox.Run(e)
 			default:
 				goto next
 			}

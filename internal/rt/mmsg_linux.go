@@ -4,6 +4,7 @@ package rt
 
 import (
 	"net"
+	"net/netip"
 	"sync"
 	"syscall"
 	"unsafe"
@@ -174,7 +175,6 @@ type mmsgReceiver struct {
 	hdrs []mmsghdr
 	iovs []syscall.Iovec
 	sas  []syscall.RawSockaddrAny
-	addr net.UDPAddr // scratch for from(); warnings only, never retained
 
 	// One wakeup's outcome, in fields for the same reason as the sender's:
 	// read, the raw-conn callback, is built once.
@@ -255,23 +255,18 @@ func (m *mmsgReceiver) packet(i int) []byte {
 	return m.bufs[i][:m.hdrs[i].len]
 }
 
-// from decodes slot i's source address into a reused scratch UDPAddr —
-// for warnings only; callees must not retain it. The port byte swap
-// assumes a little-endian host, which covers every supported linux
+// from decodes slot i's source address, for warnings only. The port byte
+// swap assumes a little-endian host, which covers every supported linux
 // target; a wrong port in a warning line is cosmetic anyway.
-func (m *mmsgReceiver) from(i int) *net.UDPAddr {
+func (m *mmsgReceiver) from(i int) netip.AddrPort {
 	sa := &m.sas[i]
 	switch sa.Addr.Family {
 	case syscall.AF_INET:
 		sa4 := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))
-		m.addr.IP = append(m.addr.IP[:0], sa4.Addr[:]...)
-		m.addr.Port = int(sa4.Port>>8 | sa4.Port<<8)
+		return netip.AddrPortFrom(netip.AddrFrom4(sa4.Addr), sa4.Port>>8|sa4.Port<<8)
 	case syscall.AF_INET6:
 		sa6 := (*syscall.RawSockaddrInet6)(unsafe.Pointer(sa))
-		m.addr.IP = append(m.addr.IP[:0], sa6.Addr[:]...)
-		m.addr.Port = int(sa6.Port>>8 | sa6.Port<<8)
-	default:
-		m.addr = net.UDPAddr{}
+		return netip.AddrPortFrom(netip.AddrFrom16(sa6.Addr), sa6.Port>>8|sa6.Port<<8)
 	}
-	return &m.addr
+	return netip.AddrPort{}
 }

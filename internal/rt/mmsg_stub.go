@@ -4,6 +4,7 @@ package rt
 
 import (
 	"net"
+	"net/netip"
 
 	"urcgc/internal/mid"
 )
@@ -24,7 +25,7 @@ type mmsgReceiver struct{}
 
 func newMmsgReceiver(*UDPNode) *mmsgReceiver { return nil }
 
-func (m *mmsgReceiver) release()              {}
-func (m *mmsgReceiver) recv() (int, error)    { return 0, nil }
-func (m *mmsgReceiver) packet(int) []byte     { return nil }
-func (m *mmsgReceiver) from(int) *net.UDPAddr { return nil }
+func (m *mmsgReceiver) release()                {}
+func (m *mmsgReceiver) recv() (int, error)      { return 0, nil }
+func (m *mmsgReceiver) packet(int) []byte       { return nil }
+func (m *mmsgReceiver) from(int) netip.AddrPort { return netip.AddrPort{} }

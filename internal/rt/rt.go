@@ -489,9 +489,21 @@ type SharedBuf struct {
 	refs atomic.Int32
 }
 
+// sharedBufs is the leaky free list of SharedBuf records — a channel, like
+// wire.FreeList and for its reason: a record is taken on the sender's loop
+// and released on a receiver's. 64 covers a round's frames in flight; past
+// that a record is dropped for the collector.
+var sharedBufs = make(chan *SharedBuf, 64)
+
 // NewSharedBuf wraps buf with one reference: the creator's own hold.
 func NewSharedBuf(buf []byte) *SharedBuf {
-	s := &SharedBuf{Buf: buf}
+	var s *SharedBuf
+	select {
+	case s = <-sharedBufs:
+	default:
+		s = new(SharedBuf)
+	}
+	s.Buf = buf
 	s.refs.Store(1)
 	return s
 }
@@ -499,10 +511,16 @@ func NewSharedBuf(buf []byte) *SharedBuf {
 // Hold takes one more reference.
 func (s *SharedBuf) Hold() { s.refs.Add(1) }
 
-// Release drops one reference; the last one pools the buffer.
+// Release drops one reference; the last one pools the buffer and recycles
+// the record, so no holder may touch s after its own Release.
 func (s *SharedBuf) Release() {
 	if s.refs.Add(-1) == 0 {
 		wire.PutBuf(s.Buf)
+		s.Buf = nil
+		select {
+		case sharedBufs <- s:
+		default:
+		}
 	}
 }
 
@@ -605,17 +623,14 @@ func (h *nodeHost) recvFrame(src mid.ProcID, sh *SharedBuf) {
 		sh.Release()
 		return // dropped at receive; a crashed site absorbs nothing
 	}
-	decoded, err := wire.Unmarshal(sh.Buf)
-	// Receive-side duplicates each decode their own self-owned PDU
-	// from the shared bytes before those go back to the pool.
-	var extra []wire.PDU
-	for i := 0; i < act.Dup && err == nil; i++ {
-		d, derr := wire.Unmarshal(sh.Buf)
-		if derr != nil {
-			break
-		}
-		extra = append(extra, d)
+	// A control record comes from the loop's free list and goes back once
+	// Recv is done with it — unless the fault hook holds the delivery across a
+	// timer: that one decodes fresh and is never recycled.
+	free := target.inbox.Free
+	if act.Faulty() {
+		free = nil
 	}
+	decoded, err := free.Unmarshal(sh.Buf)
 	if target.cap != nil {
 		v := capture.Classify(capture.Delivered, act)
 		if err != nil {
@@ -627,19 +642,21 @@ func (h *nodeHost) recvFrame(src mid.ProcID, sh *SharedBuf) {
 	if err != nil {
 		return // undecodable dropped
 	}
+	// A receive-side duplicate is the same PDU delivered again: Recv keeps
+	// nothing of a control PDU, and of a data PDU's messages only the first
+	// delivery keeps anything (the second finds them processed or waiting).
 	if act.Delay > 0 {
 		time.AfterFunc(act.Delay, func() {
 			target.enqueue(Event{Call: func() {
-				h.Recv(src, decoded)
-				for _, d := range extra {
-					h.Recv(src, d)
+				for c := 0; c <= act.Dup; c++ {
+					h.Recv(src, decoded)
 				}
 			}})
 		})
 		return
 	}
-	target.proc.Recv(src, decoded)
-	for _, d := range extra {
-		target.proc.Recv(src, d)
+	for c := 0; c <= act.Dup; c++ {
+		target.proc.Recv(src, decoded)
 	}
+	free.Put(decoded)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -404,13 +405,14 @@ func (n *UDPNode) readLost(err error) {
 // ReadDatagrams is the classic one-syscall-per-datagram reader: it hands
 // every datagram to handle (pkt is valid only for the call — the one read
 // buffer is reused) and every transient read error to lost, until stop
-// closes. Shared with internal/topics.
-func ReadDatagrams(conn *net.UDPConn, stop <-chan struct{}, lost func(error), handle func(pkt []byte, from *net.UDPAddr)) {
+// closes; from is a value (ReadFromUDP allocates a *net.UDPAddr per
+// datagram). Shared with internal/topics.
+func ReadDatagrams(conn *net.UDPConn, stop <-chan struct{}, lost func(error), handle func(pkt []byte, from netip.AddrPort)) {
 	// One byte of slack past MaxDatagram distinguishes an exactly-full
 	// datagram from one the kernel truncated to fit the buffer.
 	buf := make([]byte, MaxDatagram+1)
 	for {
-		sz, from, err := conn.ReadFromUDP(buf)
+		sz, from, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			select {
 			case <-stop:
@@ -451,8 +453,8 @@ func (n *UDPNode) readerBurst(m *mmsgReceiver) bool {
 
 // handleDatagram validates, decodes and enqueues one received datagram.
 // pkt is valid only for the duration of the call (the read buffer is
-// reused); from is used for warnings only and may be reused by the caller.
-func (n *UDPNode) handleDatagram(pkt []byte, from *net.UDPAddr) {
+// reused); from is used for warnings only.
+func (n *UDPNode) handleDatagram(pkt []byte, from netip.AddrPort) {
 	sz := len(pkt)
 	if n.sock != nil {
 		n.sock.recvDatagrams.Inc()
@@ -498,10 +500,15 @@ func (n *UDPNode) handleDatagram(pkt []byte, from *net.UDPAddr) {
 		n.cfg.Capture.Record(capture.DirIngress, 0, src, capture.FaultDrop, act.Kinds, body)
 		return // injected receive omission (or crashed self)
 	}
-	// Decode in place: Unmarshal never aliases its input, so the read
-	// buffer is immediately reusable for the next datagram — no
-	// per-datagram copy or allocation.
-	pdu, err := wire.Unmarshal(body)
+	// Decode in place: Unmarshal never aliases its input, so the read buffer
+	// is reusable at once — no per-datagram copy, and a control record comes
+	// from the loop's free list, which gets it back after Recv. A delivery the
+	// fault hook touches is held by a closure: decoded fresh, never recycled.
+	free := n.inbox.Free
+	if act.Faulty() {
+		free = nil
+	}
+	pdu, err := free.Unmarshal(body)
 	if err != nil {
 		if n.sock != nil {
 			n.sock.dropDecode.Inc()
@@ -522,21 +529,11 @@ func (n *UDPNode) handleDatagram(pkt []byte, from *net.UDPAddr) {
 		return
 	}
 	n.cfg.Capture.Record(capture.DirIngress, 0, src, capture.Classify(capture.Delivered, act), act.Kinds, body)
-	// Receive-side duplicates each decode their own self-owned PDU
-	// before the read buffer is reused for the next datagram.
-	var extra []wire.PDU
-	for i := 0; i < act.Dup; i++ {
-		d, derr := wire.Unmarshal(body)
-		if derr != nil {
-			break
-		}
-		extra = append(extra, d)
-	}
+	// A duplicate is the same PDU delivered again (see the mesh's recvFrame).
 	deliver := func() {
 		n.enqueueDatagram(Event{Call: func() {
-			n.proc.Recv(src, pdu)
-			for _, d := range extra {
-				n.proc.Recv(src, d)
+			for c := 0; c <= act.Dup; c++ {
+				n.proc.Recv(src, pdu)
 			}
 		}})
 	}
@@ -558,18 +555,9 @@ func (n *UDPNode) enqueueDatagram(e Event) bool {
 	return false
 }
 
-// udpTransport sends PDUs as [src:4][marshaled PDU] datagrams.
+// udpTransport sends PDUs as [src:4][marshaled PDU] datagrams: the group-0
+// envelope, byte-identical to the pre-group framing.
 type udpTransport struct{ n *UDPNode }
-
-// frame encodes the group-0 envelope ([src:4][body], byte-identical to the
-// pre-group framing) into one pooled buffer: the header is reserved up
-// front so the PDU marshals directly behind it with no second buffer or
-// copy. The caller owns the result until PutBuf.
-func (t udpTransport) frame(pdu wire.PDU) ([]byte, error) {
-	buf := wire.GetBuf(wire.EnvelopeSize(0) + pdu.EncodedSize())[:0]
-	buf = wire.AppendEnvelope(buf, 0, t.n.cfg.Self)
-	return wire.MarshalAppend(buf, pdu)
-}
 
 // write ships one framed datagram and accounts for it.
 func (t udpTransport) write(dst mid.ProcID, frame []byte) {
@@ -660,7 +648,7 @@ func (t udpTransport) Send(dst mid.ProcID, pdu wire.PDU) {
 	if dst == t.n.cfg.Self || dst < 0 || int(dst) >= t.n.cfg.N {
 		return
 	}
-	frame, err := t.frame(pdu)
+	frame, err := wire.MarshalFrame(0, t.n.cfg.Self, pdu)
 	if err != nil || !t.checkSize(frame, pdu) {
 		wire.PutBuf(frame)
 		return
@@ -677,7 +665,7 @@ func (t udpTransport) Send(dst mid.ProcID, pdu wire.PDU) {
 // path. Neither sender retains the buffer, so it goes back to the pool
 // after the fan-out.
 func (t udpTransport) Broadcast(pdu wire.PDU) {
-	frame, err := t.frame(pdu)
+	frame, err := wire.MarshalFrame(0, t.n.cfg.Self, pdu)
 	if err != nil || !t.checkSize(frame, pdu) {
 		wire.PutBuf(frame)
 		return

@@ -138,7 +138,7 @@ func (t meshTransport) Send(dst mid.ProcID, pdu wire.PDU) {
 	if m.cfg.DropFrame != nil && m.cfg.DropFrame(t.s.group, m.cfg.Self, dst) {
 		return
 	}
-	frame, err := t.s.frame(pdu)
+	frame, err := wire.MarshalFrame(t.s.group, m.cfg.Self, pdu)
 	if err != nil || !m.checkSize(frame, pdu) {
 		wire.PutBuf(frame)
 		return
@@ -151,7 +151,7 @@ func (t meshTransport) Send(dst mid.ProcID, pdu wire.PDU) {
 // its own self-owned PDU from the same bytes.
 func (t meshTransport) Broadcast(pdu wire.PDU) {
 	m := t.s.m
-	frame, err := t.s.frame(pdu)
+	frame, err := wire.MarshalFrame(t.s.group, m.cfg.Self, pdu)
 	if err != nil || !m.checkSize(frame, pdu) {
 		wire.PutBuf(frame)
 		return

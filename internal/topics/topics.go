@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"net/netip"
 	"runtime"
 	"strconv"
 	"sync"
@@ -611,7 +612,7 @@ func (m *MultiNode) reader() {
 			m.mobs.dropReadErr.Inc()
 		}
 		m.warn.Warnf("socket read error (datagram lost): %v", err)
-	}, func(pkt []byte, _ *net.UDPAddr) { m.demux(pkt) })
+	}, func(pkt []byte, _ netip.AddrPort) { m.demux(pkt) })
 }
 
 // demux validates one envelope frame, decodes the PDU into self-owned
@@ -658,7 +659,8 @@ func (m *MultiNode) demux(pkt []byte) {
 		m.warn.Warnf("datagram claims member %d (group of %d, we are %d): dropped%s", src, m.cfg.N, m.cfg.Self, m.warn.CapNote(seq))
 		return
 	}
-	pdu, err := wire.Unmarshal(body)
+	s := m.sessions[group] // its shard's free list recycles control records
+	pdu, err := s.shard.inbox.Free.Unmarshal(body)
 	if err != nil {
 		if m.mobs != nil {
 			m.mobs.dropDecode.Inc()
@@ -667,7 +669,6 @@ func (m *MultiNode) demux(pkt []byte) {
 		m.warn.Warnf("undecodable datagram for group %d: %v%s", group, err, m.warn.CapNote(seq))
 		return
 	}
-	s := m.sessions[group]
 	if s.enqueue(rt.Event{Kind: rt.EvRecv, Src: src, PDU: pdu}) {
 		m.cfg.Capture.Record(capture.DirIngress, group, src, capture.Delivered, 0, body)
 	} else {
@@ -739,20 +740,12 @@ func (m *MultiNode) checkSize(frame []byte, pdu wire.PDU) bool {
 // hands them to the shared sender. Runs on the group's shard goroutine.
 type groupTransport struct{ s *session }
 
-// frame reserves the group envelope up front in one pooled buffer so the PDU
-// marshals directly behind it. The caller owns the result until PutBuf.
-func (s *session) frame(pdu wire.PDU) ([]byte, error) {
-	buf := wire.GetBuf(wire.EnvelopeSize(s.group) + pdu.EncodedSize())[:0]
-	buf = wire.AppendEnvelope(buf, s.group, s.m.cfg.Self)
-	return wire.MarshalAppend(buf, pdu)
-}
-
 func (t groupTransport) Send(dst mid.ProcID, pdu wire.PDU) {
 	m := t.s.m
 	if dst == m.cfg.Self || dst < 0 || int(dst) >= m.cfg.N {
 		return
 	}
-	frame, err := t.s.frame(pdu)
+	frame, err := wire.MarshalFrame(t.s.group, m.cfg.Self, pdu)
 	if err != nil || !m.checkSize(frame, pdu) {
 		if err == nil {
 			m.cfg.Capture.Record(capture.DirEgress, t.s.group, dst, capture.DropOversize, 0, nil)
@@ -782,7 +775,7 @@ func (t groupTransport) body(frame []byte) []byte {
 // shares the same refcounted buffer, released after the last write.
 func (t groupTransport) Broadcast(pdu wire.PDU) {
 	m := t.s.m
-	frame, err := t.s.frame(pdu)
+	frame, err := wire.MarshalFrame(t.s.group, m.cfg.Self, pdu)
 	if err != nil || !m.checkSize(frame, pdu) {
 		if err == nil {
 			m.cfg.Capture.Record(capture.DirEgress, t.s.group, mid.None, capture.DropOversize, 0, nil)

@@ -56,6 +56,15 @@ func AppendEnvelope(dst []byte, group uint32, src mid.ProcID) []byte {
 	return binary.BigEndian.AppendUint32(dst, uint32(src))
 }
 
+// MarshalFrame encodes one datagram — the envelope for (group, src), then pdu
+// behind it — into a single pooled buffer: the header is reserved up front, so
+// the PDU marshals directly behind it with no second buffer or copy. The
+// caller owns the result, error or not, until PutBuf.
+func MarshalFrame(group uint32, src mid.ProcID, pdu PDU) ([]byte, error) {
+	buf := GetBuf(EnvelopeSize(group) + pdu.EncodedSize())
+	return MarshalAppend(AppendEnvelope(buf, group, src), pdu)
+}
+
 // ParseEnvelope splits a received frame into its group, source member and
 // PDU body. The body aliases pkt; callers decode it before reusing the
 // buffer. Source validity (0 <= src < N) is the caller's check — the

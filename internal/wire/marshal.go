@@ -164,7 +164,19 @@ func grow(b []byte, n int) []byte {
 // until the history has cleaned the frame's last message. The three-index
 // slices handed out cap every field exactly, so appending to one reallocates
 // instead of reaching a neighbour.
-func Unmarshal(buf []byte) (PDU, error) {
+//
+// Unmarshal always allocates the PDU fresh, so the caller owns it for good.
+// The live runtimes' readers decode through a FreeList instead — the same
+// routine, with recycled Request and Decision records as its source.
+func Unmarshal(buf []byte) (PDU, error) { return (*FreeList)(nil).Unmarshal(buf) }
+
+// Unmarshal decodes like the package-level Unmarshal, except that a Request
+// (with its embedded decision) or a Decision is decoded into a record taken
+// from f when one is there. Such a record is the caller's only until it hands
+// it back with Put — after the protocol's Recv returned, which keeps nothing
+// of a control PDU. Every other kind is allocated fresh: its messages are
+// retained. A nil f allocates everything.
+func (f *FreeList) Unmarshal(buf []byte) (PDU, error) {
 	r := &reader{buf: buf}
 	kind, err := r.u8()
 	if err != nil {
@@ -204,7 +216,7 @@ func Unmarshal(buf []byte) (PDU, error) {
 		}
 		p = b
 	case KindRequest:
-		req := &Request{}
+		req := f.request()
 		if req.Sender, err = r.procID(); err != nil {
 			return nil, err
 		}
@@ -228,12 +240,12 @@ func Unmarshal(buf []byte) (PDU, error) {
 			return nil, fmt.Errorf("wire: non-canonical request flags %#x", flags)
 		}
 		req.Join = flags&2 != 0
-		if req.Prev, req.LastProcessed, req.Waiting, err = unmarshalPrev(r, flags&1 != 0, vecs); err != nil {
+		if err = unmarshalPrev(r, flags&1 != 0, vecs, &req.Prev, &req.LastProcessed, &req.Waiting); err != nil {
 			return nil, err
 		}
 		p = req
 	case KindDecision:
-		d := &Decision{}
+		d := f.decision()
 		if _, err := unmarshalDecisionBody(r, d, 0); err != nil {
 			return nil, err
 		}
@@ -345,7 +357,7 @@ func Unmarshal(buf []byte) (PDU, error) {
 		if has > 1 {
 			return nil, fmt.Errorf("wire: non-canonical hasPrev byte %#x", has)
 		}
-		if js.Prev, js.Stable, js.Processed, err = unmarshalPrev(r, has != 0, vecs); err != nil {
+		if err = unmarshalPrev(r, has != 0, vecs, &js.Prev, &js.Stable, &js.Processed); err != nil {
 			return nil, err
 		}
 		p = js
@@ -477,8 +489,7 @@ func unmarshalMsgBody(r *reader, m *causal.Message, sl *slab) error {
 
 func marshalDecisionBody(w *writer, d *Decision) error {
 	n := len(d.MaxProcessed)
-	if len(d.MostUpdated) != n || len(d.MinWaiting) != n || len(d.CleanTo) != n ||
-		len(d.Attempts) != n || len(d.Alive) != n || len(d.Covered) != n {
+	if !d.Sized(n) {
 		return fmt.Errorf("wire: decision field lengths disagree (n=%d)", n)
 	}
 	w.i64(d.Subrun)
@@ -499,31 +510,49 @@ func marshalDecisionBody(w *writer, d *Decision) error {
 	return nil
 }
 
-// unmarshalPrev finishes a Request or JoinState: vecs holds the two raw
-// n-entry vectors already consumed from the frame, and the optional embedded
-// decision follows. Both vectors (returned as a and b) and every field of
-// the decision come out of one arena — the decision's, asked for 2n spare
-// entries — so the whole PDU costs one vector allocation whether or not it
-// carries a decision.
-func unmarshalPrev(r *reader, hasPrev bool, vecs []byte) (prev *Decision, a, b mid.SeqVector, err error) {
+// unmarshalPrev finishes a Request or JoinState in place: vecs holds the two
+// raw n-entry vectors already consumed from the frame (they decode into *a and
+// *b), and the optional embedded decision follows (into *prev). A fresh PDU
+// gets both vectors and every field of the decision out of one arena — the
+// decision's, asked for 2n spare entries — so it costs one vector allocation
+// whether or not it carries a decision. A recycled one keeps whatever of its
+// old vectors and decision record already has the frame's geometry.
+func unmarshalPrev(r *reader, hasPrev bool, vecs []byte, prev **Decision, a, b *mid.SeqVector) error {
 	n := len(vecs) / 8
-	var spare mid.SeqVector
-	if hasPrev {
-		prev = &Decision{}
-		if spare, err = unmarshalDecisionBody(r, prev, 2*n); err != nil {
-			return nil, nil, nil, err
+	fits := *a != nil && len(*a) == n && len(*b) == n
+	spare := 0
+	if !fits {
+		spare = 2 * n
+	}
+	var arena mid.SeqVector
+	if !hasPrev {
+		*prev = nil
+		if !fits {
+			arena = make(mid.SeqVector, spare)
 		}
 	} else {
-		spare = make(mid.SeqVector, 2*n)
+		if *prev == nil {
+			*prev = &Decision{}
+		}
+		var err error
+		if arena, err = unmarshalDecisionBody(r, *prev, spare); err != nil {
+			return err
+		}
 	}
-	for i := range spare {
-		spare[i] = mid.Seq(binary.BigEndian.Uint32(vecs[4*i:]))
+	if !fits {
+		*a, *b = arena[:n:n], arena[n:2*n:2*n]
 	}
-	return prev, spare[:n:n], spare[n : 2*n : 2*n], nil
+	for i := range *a {
+		(*a)[i] = mid.Seq(binary.BigEndian.Uint32(vecs[4*i:]))
+		(*b)[i] = mid.Seq(binary.BigEndian.Uint32(vecs[4*(n+i):]))
+	}
+	return nil
 }
 
 // unmarshalDecisionBody decodes a decision into d and returns spare extra
-// zeroed entries from the same arena for the caller's own vectors.
+// zeroed entries from the same arena for the caller's own vectors. A recycled
+// d whose vectors already have the frame's n entries is decoded over in place
+// when the caller asks for no spare; anything else is carved anew.
 func unmarshalDecisionBody(r *reader, d *Decision, spare int) (mid.SeqVector, error) {
 	var err error
 	if d.Subrun, err = r.i64(); err != nil {
@@ -551,7 +580,10 @@ func unmarshalDecisionBody(r *reader, d *Decision, spare int) (mid.SeqVector, er
 	if need := 16*n + n + 2*((n+7)/8); r.remaining() < need {
 		return nil, ErrTruncated
 	}
-	extra := d.carve(n, spare)
+	var extra mid.SeqVector
+	if spare > 0 || d.MaxProcessed == nil || !d.Sized(n) {
+		extra = d.carve(n, spare)
+	}
 	if err = r.seqVecInto(d.MaxProcessed); err != nil {
 		return nil, err
 	}
@@ -576,8 +608,9 @@ func unmarshalDecisionBody(r *reader, d *Decision, spare int) (mid.SeqVector, er
 }
 
 // NewDecision returns a zeroed decision for a group of n whose vector fields
-// are all carved from one allocation, the way Unmarshal builds them — for
-// the coordinator, which fills one per subrun.
+// are all carved from one allocation, the way Unmarshal builds them — for a
+// process, which keeps three such records and copies into them or fills them
+// in place.
 func NewDecision(n int) *Decision {
 	d := &Decision{}
 	d.carve(n, 0)
@@ -587,9 +620,9 @@ func NewDecision(n int) *Decision {
 // carve gives every slice field of d its n zeroed entries out of ONE arena
 // of 4-byte words — the four 4-byte-element vectors, spare extra entries for
 // the caller (returned), and behind them the three 1-byte-element fields
-// viewed as bytes. Decisions are built once and decoded once per peer per
-// subrun, and the hot path pays per allocation, not per byte: this turns 7
-// slice allocations into 1. The three-index subslices cap each field
+// viewed as bytes. A record costs per allocation, not per byte: this turns 7
+// slice allocations into 1 wherever one is still made (a fresh decode, a
+// process's three records). The three-index subslices cap each field
 // exactly, so a later append cannot stomp a neighbouring field.
 func (d *Decision) carve(n, spare int) mid.SeqVector {
 	words := 4*n + spare
