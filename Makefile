@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench bench-e2e bench-diff bench-allocs bench-smoke bench-throughput bench-groups chaos-smoke chaos-soak inspect-smoke trace-smoke join-smoke capture-smoke clean
+.PHONY: all build test race vet fmt loc check bench bench-e2e bench-diff bench-allocs bench-smoke bench-throughput bench-groups chaos-smoke chaos-soak inspect-smoke trace-smoke join-smoke capture-smoke clean
 
 all: check
 
@@ -18,6 +18,14 @@ vet:
 fmt:
 	@out="$$(gofmt -l $$(git ls-files '*.go' ':!benchmark'))"; \
 	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# loc prints the non-test Go lines of the live-runtime packages — the number
+# ROADMAP item 2 ("one runtime, not three") states its acceptance in.
+loc:
+	@total=0; for p in rt topics chaos; do \
+		n=$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); \
+		printf '%-16s %5d\n' internal/$$p $$n; total=$$((total + n)); \
+	done; printf '%-16s %5d\n' total $$total
 
 # race runs the concurrency-sensitive packages under the race detector:
 # the real-time runtime (node loop, UDP reader, Status/Snapshot sampling),

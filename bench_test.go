@@ -75,6 +75,12 @@ func BenchmarkGroupScalingG4S4(b *testing.B) { benchsuite.GroupScalingG4S4(b) }
 func BenchmarkGroupScalingG8S8(b *testing.B) { benchsuite.GroupScalingG8S8(b) }
 func BenchmarkGroupScalingG8S1(b *testing.B) { benchsuite.GroupScalingG8S1(b) }
 
+// Set-up cost of each view of the live runtime: construct, first confirm, stop.
+
+func BenchmarkSetupUDPNodeN3(b *testing.B)     { benchsuite.SetupUDPNodeN3(b) }
+func BenchmarkSetupMultiNodeN3G1(b *testing.B) { benchsuite.SetupMultiNodeN3G1(b) }
+func BenchmarkSetupClusterN5(b *testing.B)     { benchsuite.SetupClusterN5(b) }
+
 // ---- Ablations ----
 
 // BenchmarkAblationTransportH quantifies the Section 5 trade: moving loss

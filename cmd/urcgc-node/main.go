@@ -17,7 +17,8 @@
 // rule (or a crash) took the member out: leave, restart, rejoin.
 //
 // With -groups G (and optionally -shards S) the member hosts G independent
-// groups over the same socket via the sharded multi-group runtime: stdin
+// groups over the same socket — the same runtime as -groups 1, with more
+// sessions on its shard loops: stdin
 // lines go to group 0 unless prefixed "<g>:", chatter rotates across
 // groups, printed messages carry a [gN] tag, and the shutdown summary and
 // /status include the per-group processed counts. Group 0's frames stay
@@ -55,7 +56,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"os/signal"
 	"strconv"
@@ -71,22 +71,13 @@ import (
 	"urcgc/internal/nodehttp"
 	"urcgc/internal/obs"
 	"urcgc/internal/rt"
-	"urcgc/internal/topics"
 )
 
-// member abstracts the single-group rt.UDPNode and the multi-group
-// topics.MultiNode behind the handful of operations main drives.
-type member struct {
-	start       func()
-	stop        func()
-	localAddr   func() *net.UDPAddr
-	status      func(ctx context.Context) (rt.Status, error)
-	send        func(ctx context.Context, group uint32, payload []byte) (mid.MID, error)
-	indications <-chan topics.Indication
-	left        func(group uint32) (core.LeaveReason, bool)
-	lifecycle   func() *lifecycle.Tracer   // nil tracer when tracing is off
-	lifecycles  func() []*lifecycle.Tracer // multi-group members only, indexed by group
-	groupCounts func() []int64             // nil for single-group members
+// indication is one processed message tagged with the group whose stream
+// carried it: main merges every group's stream into one channel.
+type indication struct {
+	group uint32
+	rt.Indication
 }
 
 func main() {
@@ -136,29 +127,73 @@ func main() {
 		})
 	}
 
-	var (
-		node *member
-		err  error
-	)
-	if *groups > 1 {
-		node, err = newMultiMember(cfg, addrs, *self, *groups, *shards, *round, *batchWin, *traceSlow, reg, ring)
-	} else {
-		node, err = newSingleMember(cfg, addrs, *self, *round, *batchWin, *traceSlow, reg, ring)
+	// One engine whatever -groups says; a multi-group member only speaks the
+	// other metric vocabulary (topics_* link counters, group-labeled series),
+	// which is what the per-group health rules and urcgc-inspect read.
+	multi := *groups > 1
+	family := rt.FamilyUDP
+	if multi {
+		family = rt.FamilyTopics
 	}
+	var lcOpts *lifecycle.Options
+	if *traceSlow > 0 {
+		lcOpts = &lifecycle.Options{SlowThreshold: *traceSlow}
+	}
+	node, err := rt.NewMember(rt.Config{
+		Config:        cfg,
+		Groups:        *groups,
+		Shards:        *shards,
+		Self:          mid.ProcID(*self),
+		Peers:         addrs,
+		RoundDuration: *round,
+		BatchWindow:   *batchWin,
+		Metrics:       reg,
+		Lifecycle:     lcOpts,
+		Capture:       ring,
+		Logf:          log.Printf,
+		Joined: func(_ mid.ProcID, g uint32) {
+			if multi {
+				fmt.Printf("member %d rejoined group %d (state transfer complete)\n", *self, g)
+			} else {
+				fmt.Printf("member %d rejoined the group (state transfer complete)\n", *self)
+			}
+		},
+	}, family)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "urcgc-node:", err)
 		os.Exit(1)
 	}
-	node.start()
+	// Merge every group's indication stream into one tagged channel.
+	indications := make(chan indication, 64)
+	for g := uint32(0); g < uint32(*groups); g++ {
+		ch, err := node.Indications(g)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "urcgc-node:", err)
+			os.Exit(1)
+		}
+		go func() {
+			for i := range ch {
+				indications <- indication{g, i}
+			}
+		}()
+	}
+	// /trace serves the one tracer of a single-group member, or one per group.
+	lifecycleOf := func() *lifecycle.Tracer { return node.Lifecycle(0) }
+	var lifecycles func() []*lifecycle.Tracer
+	if multi {
+		lifecycleOf = func() *lifecycle.Tracer { return nil }
+		lifecycles = node.Lifecycles
+	}
+	node.Start()
 	joining := ""
 	if *join {
 		joining = ", rejoining"
 	}
-	if *groups > 1 {
+	if multi {
 		fmt.Printf("member %d of %d up at %s (round %v, %d groups over %d shards%s)\n",
-			*self, len(addrs), node.localAddr(), *round, *groups, *shards, joining)
+			*self, len(addrs), node.LocalAddr(), *round, *groups, *shards, joining)
 	} else {
-		fmt.Printf("member %d of %d up at %s (round %v%s)\n", *self, len(addrs), node.localAddr(), *round, joining)
+		fmt.Printf("member %d of %d up at %s (round %v%s)\n", *self, len(addrs), node.LocalAddr(), *round, joining)
 	}
 
 	var flight *obs.Flight
@@ -167,7 +202,7 @@ func main() {
 		var multiEval *health.MultiEvaluator
 		if *sample > 0 {
 			flight = obs.NewFlight(reg, obs.FlightOptions{Interval: *sample, Cap: *window})
-			if *groups > 1 {
+			if multi {
 				// One rule set per hosted group over the group-labeled
 				// series: /healthz 503s name the degraded groups.
 				multiEval = health.NewMultiEvaluator(flight, strconv.Itoa(*self), *groups, health.Thresholds{})
@@ -182,16 +217,16 @@ func main() {
 			Flight:          flight,
 			Health:          evaluator,
 			MultiHealth:     multiEval,
-			Status:          node.status,
-			Lifecycle:       node.lifecycle,
-			LifecycleGroups: node.lifecycles,
+			Status:          node.Status,
+			Lifecycle:       lifecycleOf,
+			LifecycleGroups: lifecycles,
 			Capture:         ring,
 			Pprof:           true,
 		})
 		ln, err := nodehttp.Serve(*metrics, mux)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "urcgc-node: metrics:", err)
-			node.stop()
+			node.Stop()
 			os.Exit(1)
 		}
 		fmt.Printf("observability at http://%s/metrics (also /status, /healthz, /timeseries, /events, /trace, /debug/vars, /debug/pprof)\n", ln.Addr())
@@ -205,20 +240,20 @@ func main() {
 		}
 		fmt.Printf("\n--- %s: shutdown summary (member %d) ---\n", why, *self)
 		reg.WriteSummary(os.Stdout)
-		if node.groupCounts != nil {
+		if multi {
 			fmt.Printf("--- per-group processed (%d groups) ---\n", *groups)
-			for g, c := range node.groupCounts() {
+			for g, c := range node.GroupCounts() {
 				fmt.Printf("group %-4d %d\n", g, c)
 			}
 		}
-		if tr := node.lifecycle(); tr != nil {
+		if tr := lifecycleOf(); tr != nil {
 			if c := tr.Counts(); c.Completed > 0 {
 				fmt.Printf("--- slowest completed message spans (of %d) ---\n", c.Completed)
 				tr.WriteSlowest(os.Stdout, 5)
 			}
 		}
-		if node.lifecycles != nil {
-			for g, tr := range node.lifecycles() {
+		if lifecycles != nil {
+			for g, tr := range lifecycles() {
 				if c := tr.Counts(); c.Completed > 0 {
 					fmt.Printf("--- group %d slowest completed message spans (of %d) ---\n", g, c.Completed)
 					tr.WriteSlowest(os.Stdout, 5)
@@ -230,7 +265,7 @@ func main() {
 				len(evs), reg.Events().Total(), reg.Events().Dropped())
 			reg.Events().Write(os.Stdout)
 		}
-		node.stop()
+		node.Stop()
 	}
 
 	sigCh := make(chan os.Signal, 1)
@@ -238,13 +273,13 @@ func main() {
 	leftCh := make(chan core.LeaveReason, 1)
 
 	go func() {
-		for ind := range node.indications {
-			if *groups > 1 {
-				fmt.Printf("[g%d %v] %s\n", ind.Group, ind.Msg.ID, ind.Msg.Payload)
+		for ind := range indications {
+			if multi {
+				fmt.Printf("[g%d %v] %s\n", ind.group, ind.Msg.ID, ind.Msg.Payload)
 			} else {
 				fmt.Printf("[%v] %s\n", ind.Msg.ID, ind.Msg.Payload)
 			}
-			if reason, left := node.left(ind.Group); left {
+			if reason, left := node.Left(ind.group); left {
 				select {
 				case leftCh <- reason:
 				default:
@@ -261,7 +296,7 @@ func main() {
 				seq++
 				g := uint32(seq % *groups)
 				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				_, err := node.send(ctx, g, []byte(fmt.Sprintf("chatter %d from %d", seq, *self)))
+				_, err := node.Send(ctx, g, []byte(fmt.Sprintf("chatter %d from %d", seq, *self)), nil)
 				cancel()
 				if err != nil {
 					// Transient refusals are expected while rejoining (-join):
@@ -283,13 +318,13 @@ func main() {
 			}
 			g, text := splitGroup(line, *groups)
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			id, err := node.send(ctx, g, []byte(text))
+			id, err := node.Send(ctx, g, []byte(text), nil)
 			cancel()
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "send:", err)
 				continue
 			}
-			if *groups > 1 {
+			if multi {
 				fmt.Printf("confirmed %v on group %d\n", id, g)
 			} else {
 				fmt.Printf("confirmed %v\n", id)
@@ -334,115 +369,4 @@ func splitGroup(line string, groups int) (uint32, string) {
 		return 0, line
 	}
 	return uint32(g), strings.TrimSpace(rest)
-}
-
-func newSingleMember(cfg core.Config, addrs []string, self int,
-	round, batchWin, traceSlow time.Duration, reg *obs.Registry, ring *capture.Ring) (*member, error) {
-	var lcOpts *lifecycle.Options
-	if traceSlow > 0 {
-		lcOpts = &lifecycle.Options{SlowThreshold: traceSlow}
-	}
-	n, err := rt.NewUDPNode(rt.UDPConfig{
-		Config:        cfg,
-		Self:          mid.ProcID(self),
-		Peers:         addrs,
-		RoundDuration: round,
-		BatchWindow:   batchWin,
-		Metrics:       reg,
-		Lifecycle:     lcOpts,
-		Capture:       ring,
-		Logf:          log.Printf,
-		Joined: func() {
-			fmt.Printf("member %d rejoined the group (state transfer complete)\n", self)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Re-tag the untagged single-group indications as group 0 so the main
-	// loop handles one channel shape.
-	ind := make(chan topics.Indication, 64)
-	go func() {
-		defer close(ind)
-		for i := range n.Indications() {
-			ind <- topics.Indication{Group: 0, Msg: i.Msg}
-		}
-	}()
-	return &member{
-		start:     n.Start,
-		stop:      n.Stop,
-		localAddr: n.LocalAddr,
-		status:    n.Status,
-		send: func(ctx context.Context, _ uint32, payload []byte) (mid.MID, error) {
-			return n.Send(ctx, payload, nil)
-		},
-		indications: ind,
-		left:        func(uint32) (core.LeaveReason, bool) { return n.Left() },
-		lifecycle:   n.Lifecycle,
-	}, nil
-}
-
-func newMultiMember(cfg core.Config, addrs []string, self, groups, shards int,
-	round, batchWin, traceSlow time.Duration, reg *obs.Registry, ring *capture.Ring) (*member, error) {
-	var lcOpts *lifecycle.Options
-	if traceSlow > 0 {
-		lcOpts = &lifecycle.Options{SlowThreshold: traceSlow}
-	}
-	n, err := topics.NewMultiNode(topics.Config{
-		Config:        cfg,
-		Groups:        groups,
-		Shards:        shards,
-		Self:          mid.ProcID(self),
-		Peers:         addrs,
-		RoundDuration: round,
-		BatchWindow:   batchWin,
-		Metrics:       reg,
-		Lifecycle:     lcOpts,
-		Capture:       ring,
-		Logf:          log.Printf,
-		Joined: func(g uint32) {
-			fmt.Printf("member %d rejoined group %d (state transfer complete)\n", self, g)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Merge every group's indication stream into one tagged channel.
-	ind := make(chan topics.Indication, 64)
-	done := make(chan struct{}, groups)
-	for g := 0; g < groups; g++ {
-		ch, err := n.Indications(uint32(g))
-		if err != nil {
-			return nil, err
-		}
-		go func() {
-			for i := range ch {
-				ind <- i
-			}
-			done <- struct{}{}
-		}()
-	}
-	go func() {
-		for i := 0; i < groups; i++ {
-			<-done
-		}
-		close(ind)
-	}()
-	return &member{
-		start:     n.Start,
-		stop:      n.Stop,
-		localAddr: n.LocalAddr,
-		status:    n.Status,
-		send: func(ctx context.Context, g uint32, payload []byte) (mid.MID, error) {
-			return n.Send(ctx, g, payload, nil)
-		},
-		indications: ind,
-		left: func(g uint32) (core.LeaveReason, bool) {
-			reason, ok := n.Left(g)
-			return reason, ok
-		},
-		lifecycle:   func() *lifecycle.Tracer { return nil },
-		lifecycles:  n.Lifecycles,
-		groupCounts: n.GroupCounts,
-	}, nil
 }

@@ -69,6 +69,9 @@ func Baseline() []Case {
 		{"GroupScalingG4S4", GroupScalingG4S4},
 		{"GroupScalingG8S8", GroupScalingG8S8},
 		{"GroupScalingG8S1", GroupScalingG8S1},
+		{"SetupUDPNodeN3", SetupUDPNodeN3},
+		{"SetupMultiNodeN3G1", SetupMultiNodeN3G1},
+		{"SetupClusterN5", SetupClusterN5},
 	}
 }
 

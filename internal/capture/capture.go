@@ -79,9 +79,8 @@ const (
 	// DropInbox: the frame was valid but the protocol inbox (or shard
 	// inbox) was full — an overload omission.
 	DropInbox
-	// FaultDrop: a fault injector (or the test-only DropFrame seam, or a
-	// crashed receiver absorbing nothing) destroyed the frame; Fault names
-	// the kind.
+	// FaultDrop: a fault injector (or a crashed receiver absorbing nothing)
+	// destroyed the frame; Fault names the kind.
 	FaultDrop
 	// FaultDelay: an injected delay held the frame; it was still delivered
 	// (or shipped) later.

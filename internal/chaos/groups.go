@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"urcgc/internal/core"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/health"
 	"urcgc/internal/mid"
 	"urcgc/internal/obs"
@@ -238,9 +239,9 @@ func RunGroups(ctx context.Context, cfg GroupsConfig) (*GroupsReport, error) {
 		logf = func(string, ...any) {}
 	}
 
-	// The cut: an atomic flag consulted by the transport's per-frame drop
-	// hook. Only the target group's frames touching the victim are lost;
-	// every other group's traffic — on the same transport — is untouched.
+	// The cut: an atomic flag consulted by the link's fault hook for every
+	// frame. Only the target group's frames touching the victim are lost;
+	// every other group's traffic — on the same link — is untouched.
 	var cut atomic.Bool
 	tcfg := topics.Config{
 		// K far above the subruns the fault window can span, so neither
@@ -254,10 +255,10 @@ func RunGroups(ctx context.Context, cfg GroupsConfig) (*GroupsReport, error) {
 		Shards:        cfg.Shards,
 		RoundDuration: cfg.Round,
 		Metrics:       cfg.Metrics,
-		DropFrame: func(group uint32, src, dst mid.ProcID) bool {
+		Fault: faultrt.NewHook(faultrt.Cut(func(group uint32, src, dst mid.ProcID) bool {
 			return cut.Load() && group == cfg.Target &&
 				(src == cfg.Victim || dst == cfg.Victim)
-		},
+		}), nil),
 		Logf: logf,
 	}
 	cl, err := topics.NewMultiCluster(tcfg)

@@ -159,13 +159,13 @@ func RunRollingRestart(ctx context.Context, cfg RollingConfig) (*RollingReport, 
 		RoundDuration: cfg.Round,
 		Metrics:       cfg.Metrics,
 		Fault:         hook,
-		JoinInstalled: func(node mid.ProcID, stable mid.SeqVector) {
+		JoinInstalled: func(node mid.ProcID, _ uint32, stable mid.SeqVector) {
 			checker.Restart(node, stable)
 		},
-		FastForwarded: func(node, of mid.ProcID, to mid.Seq) {
+		FastForwarded: func(node mid.ProcID, _ uint32, of mid.ProcID, to mid.Seq) {
 			checker.FastForward(node, of, to)
 		},
-		Joined: func(node mid.ProcID) {
+		Joined: func(node mid.ProcID, _ uint32) {
 			select {
 			case joinedCh <- node:
 			default:

@@ -132,17 +132,20 @@ func (a *Action) merge(b Action) {
 // Injector decides which failures occur. The runtime consults Send for
 // every datagram about to leave src for dst, Recv for every datagram about
 // to be handed to dst's protocol entity, and Crashed to fail-stop whole
-// processes. now is the elapsed time since the run started.
+// processes. group is the hosted group the datagram belongs to (0 on a
+// single-group member); now is the elapsed time since the run started.
 //
 // Implementations need not be goroutine-safe: the Hook serializes every
 // consultation (the runtime consults from several node goroutines).
 type Injector interface {
 	// Crashed reports whether process p has fail-stopped by elapsed time now.
 	Crashed(p mid.ProcID, now time.Duration) bool
-	// Send returns the verdict for a datagram src->dst at the send boundary.
-	Send(src, dst mid.ProcID, now time.Duration) Action
-	// Recv returns the verdict for a datagram src->dst at the receive boundary.
-	Recv(src, dst mid.ProcID, now time.Duration) Action
+	// Send returns the verdict for a datagram of group src->dst at the send
+	// boundary.
+	Send(group uint32, src, dst mid.ProcID, now time.Duration) Action
+	// Recv returns the verdict for a datagram of group src->dst at the
+	// receive boundary.
+	Recv(group uint32, src, dst mid.ProcID, now time.Duration) Action
 }
 
 // Side selects where a fault is applied, mirroring internal/fault: the
@@ -163,10 +166,10 @@ type None struct{}
 func (None) Crashed(mid.ProcID, time.Duration) bool { return false }
 
 // Send implements Injector.
-func (None) Send(mid.ProcID, mid.ProcID, time.Duration) Action { return Action{} }
+func (None) Send(uint32, mid.ProcID, mid.ProcID, time.Duration) Action { return Action{} }
 
 // Recv implements Injector.
-func (None) Recv(mid.ProcID, mid.ProcID, time.Duration) Action { return Action{} }
+func (None) Recv(uint32, mid.ProcID, mid.ProcID, time.Duration) Action { return Action{} }
 
 // CrashAt fail-stops one process at a fixed elapsed time, permanently: from
 // At onwards it neither sends nor receives, like a crashed site.
@@ -181,7 +184,7 @@ func (c CrashAt) Crashed(p mid.ProcID, now time.Duration) bool {
 }
 
 // Send implements Injector: a crashed sender emits nothing.
-func (c CrashAt) Send(src, _ mid.ProcID, now time.Duration) Action {
+func (c CrashAt) Send(_ uint32, src, _ mid.ProcID, now time.Duration) Action {
 	if c.Crashed(src, now) {
 		return Action{Drop: true, Kinds: KindSet(0).With(KindCrash)}
 	}
@@ -189,7 +192,7 @@ func (c CrashAt) Send(src, _ mid.ProcID, now time.Duration) Action {
 }
 
 // Recv implements Injector: a crashed receiver absorbs nothing.
-func (c CrashAt) Recv(_, dst mid.ProcID, now time.Duration) Action {
+func (c CrashAt) Recv(_ uint32, _, dst mid.ProcID, now time.Duration) Action {
 	if c.Crashed(dst, now) {
 		return Action{Drop: true, Kinds: KindSet(0).With(KindCrash)}
 	}
@@ -210,7 +213,7 @@ type DropEvery struct {
 func (*DropEvery) Crashed(mid.ProcID, time.Duration) bool { return false }
 
 // Send implements Injector.
-func (d *DropEvery) Send(_, _ mid.ProcID, _ time.Duration) Action {
+func (d *DropEvery) Send(_ uint32, _, _ mid.ProcID, _ time.Duration) Action {
 	if d.Side != AtSend {
 		return Action{}
 	}
@@ -218,7 +221,7 @@ func (d *DropEvery) Send(_, _ mid.ProcID, _ time.Duration) Action {
 }
 
 // Recv implements Injector.
-func (d *DropEvery) Recv(_, _ mid.ProcID, _ time.Duration) Action {
+func (d *DropEvery) Recv(_ uint32, _, _ mid.ProcID, _ time.Duration) Action {
 	if d.Side != AtRecv {
 		return Action{}
 	}
@@ -253,7 +256,7 @@ func NewDropRate(p float64, side Side, seed int64) *DropRate {
 func (*DropRate) Crashed(mid.ProcID, time.Duration) bool { return false }
 
 // Send implements Injector.
-func (d *DropRate) Send(_, _ mid.ProcID, _ time.Duration) Action {
+func (d *DropRate) Send(_ uint32, _, _ mid.ProcID, _ time.Duration) Action {
 	if d.Side == AtSend && d.rng.Float64() < d.P {
 		return Action{Drop: true, Kinds: KindSet(0).With(KindDrop)}
 	}
@@ -261,7 +264,7 @@ func (d *DropRate) Send(_, _ mid.ProcID, _ time.Duration) Action {
 }
 
 // Recv implements Injector.
-func (d *DropRate) Recv(_, _ mid.ProcID, _ time.Duration) Action {
+func (d *DropRate) Recv(_ uint32, _, _ mid.ProcID, _ time.Duration) Action {
 	if d.Side == AtRecv && d.rng.Float64() < d.P {
 		return Action{Drop: true, Kinds: KindSet(0).With(KindDrop)}
 	}
@@ -291,7 +294,7 @@ func NewDelayEvery(n int, d, jitter time.Duration, side Side, seed int64) *Delay
 func (*DelayEvery) Crashed(mid.ProcID, time.Duration) bool { return false }
 
 // Send implements Injector.
-func (d *DelayEvery) Send(_, _ mid.ProcID, _ time.Duration) Action {
+func (d *DelayEvery) Send(_ uint32, _, _ mid.ProcID, _ time.Duration) Action {
 	if d.Side != AtSend {
 		return Action{}
 	}
@@ -299,7 +302,7 @@ func (d *DelayEvery) Send(_, _ mid.ProcID, _ time.Duration) Action {
 }
 
 // Recv implements Injector.
-func (d *DelayEvery) Recv(_, _ mid.ProcID, _ time.Duration) Action {
+func (d *DelayEvery) Recv(_ uint32, _, _ mid.ProcID, _ time.Duration) Action {
 	if d.Side != AtRecv {
 		return Action{}
 	}
@@ -338,7 +341,7 @@ type DupEvery struct {
 func (*DupEvery) Crashed(mid.ProcID, time.Duration) bool { return false }
 
 // Send implements Injector.
-func (d *DupEvery) Send(_, _ mid.ProcID, _ time.Duration) Action {
+func (d *DupEvery) Send(_ uint32, _, _ mid.ProcID, _ time.Duration) Action {
 	if d.Side != AtSend {
 		return Action{}
 	}
@@ -346,7 +349,7 @@ func (d *DupEvery) Send(_, _ mid.ProcID, _ time.Duration) Action {
 }
 
 // Recv implements Injector.
-func (d *DupEvery) Recv(_, _ mid.ProcID, _ time.Duration) Action {
+func (d *DupEvery) Recv(_ uint32, _, _ mid.ProcID, _ time.Duration) Action {
 	if d.Side != AtRecv {
 		return Action{}
 	}
@@ -384,7 +387,7 @@ type Partition struct {
 func (Partition) Crashed(mid.ProcID, time.Duration) bool { return false }
 
 // Send implements Injector.
-func (p Partition) Send(src, dst mid.ProcID, now time.Duration) Action {
+func (p Partition) Send(_ uint32, src, dst mid.ProcID, now time.Duration) Action {
 	if now < p.From || now >= p.To || p.SideA[src] == p.SideA[dst] {
 		return Action{}
 	}
@@ -392,7 +395,27 @@ func (p Partition) Send(src, dst mid.ProcID, now time.Duration) Action {
 }
 
 // Recv implements Injector.
-func (Partition) Recv(mid.ProcID, mid.ProcID, time.Duration) Action { return Action{} }
+func (Partition) Recv(uint32, mid.ProcID, mid.ProcID, time.Duration) Action { return Action{} }
+
+// Cut destroys, at the send boundary, every datagram its predicate selects —
+// a partition drawn by the caller, per group if it likes: the seam the
+// multi-group soaks and tests cut one group's traffic with while the others,
+// on the same link, flow untouched.
+type Cut func(group uint32, src, dst mid.ProcID) bool
+
+// Crashed implements Injector.
+func (Cut) Crashed(mid.ProcID, time.Duration) bool { return false }
+
+// Send implements Injector.
+func (c Cut) Send(group uint32, src, dst mid.ProcID, _ time.Duration) Action {
+	if !c(group, src, dst) {
+		return Action{}
+	}
+	return Action{Drop: true, Kinds: KindSet(0).With(KindPartition)}
+}
+
+// Recv implements Injector.
+func (Cut) Recv(uint32, mid.ProcID, mid.ProcID, time.Duration) Action { return Action{} }
 
 // During confines an inner injector's datagram faults to the window
 // [From, To). Crashes are not windowed — a crash inside the window is still
@@ -411,19 +434,19 @@ func (d During) Crashed(p mid.ProcID, now time.Duration) bool {
 }
 
 // Send implements Injector.
-func (d During) Send(src, dst mid.ProcID, now time.Duration) Action {
+func (d During) Send(group uint32, src, dst mid.ProcID, now time.Duration) Action {
 	if now < d.From || now >= d.To {
 		return Action{}
 	}
-	return d.Inner.Send(src, dst, now)
+	return d.Inner.Send(group, src, dst, now)
 }
 
 // Recv implements Injector.
-func (d During) Recv(src, dst mid.ProcID, now time.Duration) Action {
+func (d During) Recv(group uint32, src, dst mid.ProcID, now time.Duration) Action {
 	if now < d.From || now >= d.To {
 		return Action{}
 	}
-	return d.Inner.Recv(src, dst, now)
+	return d.Inner.Recv(group, src, dst, now)
 }
 
 // OnlyProc restricts an inner injector's faults to datagrams sent by (at
@@ -442,19 +465,19 @@ func (o OnlyProc) Crashed(p mid.ProcID, now time.Duration) bool {
 }
 
 // Send implements Injector.
-func (o OnlyProc) Send(src, dst mid.ProcID, now time.Duration) Action {
+func (o OnlyProc) Send(group uint32, src, dst mid.ProcID, now time.Duration) Action {
 	if src != o.Proc {
 		return Action{}
 	}
-	return o.Inner.Send(src, dst, now)
+	return o.Inner.Send(group, src, dst, now)
 }
 
 // Recv implements Injector.
-func (o OnlyProc) Recv(src, dst mid.ProcID, now time.Duration) Action {
+func (o OnlyProc) Recv(group uint32, src, dst mid.ProcID, now time.Duration) Action {
 	if dst != o.Proc {
 		return Action{}
 	}
-	return o.Inner.Recv(src, dst, now)
+	return o.Inner.Recv(group, src, dst, now)
 }
 
 // Multi composes injectors. Every member is consulted on every datagram —
@@ -475,19 +498,19 @@ func (m Multi) Crashed(p mid.ProcID, now time.Duration) bool {
 }
 
 // Send implements Injector.
-func (m Multi) Send(src, dst mid.ProcID, now time.Duration) Action {
+func (m Multi) Send(group uint32, src, dst mid.ProcID, now time.Duration) Action {
 	var act Action
 	for _, in := range m {
-		act.merge(in.Send(src, dst, now))
+		act.merge(in.Send(group, src, dst, now))
 	}
 	return act
 }
 
 // Recv implements Injector.
-func (m Multi) Recv(src, dst mid.ProcID, now time.Duration) Action {
+func (m Multi) Recv(group uint32, src, dst mid.ProcID, now time.Duration) Action {
 	var act Action
 	for _, in := range m {
-		act.merge(in.Recv(src, dst, now))
+		act.merge(in.Recv(group, src, dst, now))
 	}
 	return act
 }

@@ -14,7 +14,7 @@ func TestNone(t *testing.T) {
 	if in.Crashed(0, time.Second) {
 		t.Error("None must never crash anyone")
 	}
-	if in.Send(0, 1, 0).Faulty() || in.Recv(0, 1, 0).Faulty() {
+	if in.Send(0, 0, 1, 0).Faulty() || in.Recv(0, 0, 1, 0).Faulty() {
 		t.Error("None must never fault a datagram")
 	}
 }
@@ -30,13 +30,13 @@ func TestCrashAt(t *testing.T) {
 	if c.Crashed(1, time.Hour) {
 		t.Error("other processes unaffected")
 	}
-	if !c.Send(2, 0, time.Second).Drop {
+	if !c.Send(0, 2, 0, time.Second).Drop {
 		t.Error("crashed sender emits nothing")
 	}
-	if c.Send(0, 2, time.Second).Drop {
+	if c.Send(0, 0, 2, time.Second).Drop {
 		t.Error("sends to a crashed process still leave the sender")
 	}
-	if !c.Recv(0, 2, time.Second).Drop {
+	if !c.Recv(0, 0, 2, time.Second).Drop {
 		t.Error("crashed receiver absorbs nothing")
 	}
 }
@@ -45,14 +45,14 @@ func TestDropEverySchedule(t *testing.T) {
 	d := &DropEvery{N: 3, Side: AtSend}
 	var drops []int
 	for i := 1; i <= 9; i++ {
-		if d.Send(0, 1, 0).Drop {
+		if d.Send(0, 0, 1, 0).Drop {
 			drops = append(drops, i)
 		}
 	}
 	if len(drops) != 3 || drops[0] != 3 || drops[1] != 6 || drops[2] != 9 {
 		t.Errorf("drops = %v, want [3 6 9]", drops)
 	}
-	if d.Recv(0, 1, 0).Faulty() {
+	if d.Recv(0, 0, 1, 0).Faulty() {
 		t.Error("send-side injector must not act at receive")
 	}
 }
@@ -63,7 +63,7 @@ func TestDelayEveryReordersDeterministically(t *testing.T) {
 	}
 	a, b := mk(), mk()
 	for i := 0; i < 50; i++ {
-		av, bv := a.Recv(0, 1, 0), b.Recv(0, 1, 0)
+		av, bv := a.Recv(0, 0, 1, 0), b.Recv(0, 0, 1, 0)
 		if av != bv {
 			t.Fatalf("consult %d: %+v vs %+v", i, av, bv)
 		}
@@ -82,10 +82,10 @@ func TestDelayEveryReordersDeterministically(t *testing.T) {
 
 func TestDupEvery(t *testing.T) {
 	d := &DupEvery{N: 2, Copies: 3, Side: AtSend}
-	if d.Send(0, 1, 0).Dup != 0 {
+	if d.Send(0, 0, 1, 0).Dup != 0 {
 		t.Error("first datagram must pass")
 	}
-	act := d.Send(0, 1, 0)
+	act := d.Send(0, 0, 1, 0)
 	if act.Dup != 3 || !act.Kinds.Has(KindDuplicate) {
 		t.Errorf("second datagram: %+v", act)
 	}
@@ -94,19 +94,19 @@ func TestDupEvery(t *testing.T) {
 func TestPartitionCutsBothWaysAndHeals(t *testing.T) {
 	p := Partition{From: time.Second, To: 2 * time.Second,
 		SideA: map[mid.ProcID]bool{0: true, 1: true}}
-	if p.Send(0, 2, 500*time.Millisecond).Drop {
+	if p.Send(0, 0, 2, 500*time.Millisecond).Drop {
 		t.Error("no cut before From")
 	}
-	if !p.Send(0, 2, time.Second).Drop || !p.Send(2, 0, time.Second).Drop {
+	if !p.Send(0, 0, 2, time.Second).Drop || !p.Send(0, 2, 0, time.Second).Drop {
 		t.Error("cut must drop both directions")
 	}
-	if p.Send(0, 1, time.Second).Drop || p.Send(2, 3, time.Second).Drop {
+	if p.Send(0, 0, 1, time.Second).Drop || p.Send(0, 2, 3, time.Second).Drop {
 		t.Error("intra-side traffic must flow")
 	}
-	if p.Send(0, 2, 2*time.Second).Drop {
+	if p.Send(0, 0, 2, 2*time.Second).Drop {
 		t.Error("cut must heal at To")
 	}
-	if !p.Send(0, 2, 1500*time.Millisecond).Kinds.Has(KindPartition) {
+	if !p.Send(0, 0, 2, 1500*time.Millisecond).Kinds.Has(KindPartition) {
 		t.Error("cut drops must carry the partition kind")
 	}
 }
@@ -120,33 +120,33 @@ func TestDuringScopesInnerCounting(t *testing.T) {
 		Inner: &DropEvery{N: 3, Side: AtSend}}
 	// 5 out-of-window consultations must not advance the inner counter.
 	for i := 0; i < 5; i++ {
-		if d.Send(0, 1, 0).Faulty() {
+		if d.Send(0, 0, 1, 0).Faulty() {
 			t.Fatal("no faults before the window")
 		}
 	}
 	var drops []int
 	for i := 1; i <= 6; i++ {
-		if d.Send(0, 1, 15*time.Millisecond).Drop {
+		if d.Send(0, 0, 1, 15*time.Millisecond).Drop {
 			drops = append(drops, i)
 		}
 	}
 	if len(drops) != 2 || drops[0] != 3 || drops[1] != 6 {
 		t.Errorf("in-window drops = %v, want [3 6] (window-scoped counting)", drops)
 	}
-	if d.Send(0, 1, 25*time.Millisecond).Faulty() {
+	if d.Send(0, 0, 1, 25*time.Millisecond).Faulty() {
 		t.Error("no faults after the window")
 	}
 }
 
 func TestOnlyProcScopesInnerCounting(t *testing.T) {
 	o := OnlyProc{Proc: 1, Inner: &DropEvery{N: 2, Side: AtSend}}
-	if o.Send(0, 2, 0).Faulty() || o.Send(0, 2, 0).Faulty() {
+	if o.Send(0, 0, 2, 0).Faulty() || o.Send(0, 0, 2, 0).Faulty() {
 		t.Fatal("other senders' datagrams must pass unconsulted")
 	}
-	if o.Send(1, 2, 0).Drop {
+	if o.Send(0, 1, 2, 0).Drop {
 		t.Fatal("proc 1's first datagram must pass")
 	}
-	if !o.Send(1, 2, 0).Drop {
+	if !o.Send(0, 1, 2, 0).Drop {
 		t.Error("proc 1's second datagram must drop: other procs' traffic must not advance the counter")
 	}
 }
@@ -155,11 +155,11 @@ func TestMultiConsultsEveryMemberAndMerges(t *testing.T) {
 	a := &DropEvery{N: 2, Side: AtSend}
 	b := &DupEvery{N: 2, Copies: 1, Side: AtSend}
 	m := Multi{a, b}
-	first := m.Send(0, 1, 0)
+	first := m.Send(0, 0, 1, 0)
 	if first.Faulty() {
 		t.Fatalf("first datagram faulted: %+v", first)
 	}
-	second := m.Send(0, 1, 0)
+	second := m.Send(0, 0, 1, 0)
 	if !second.Drop || second.Dup != 1 {
 		t.Fatalf("second datagram must merge drop+dup: %+v", second)
 	}
@@ -206,8 +206,8 @@ func replay(t *testing.T, inj Injector, reg *obs.Registry) string {
 				if dst == src {
 					continue
 				}
-				h.Send(src, dst)
-				h.Recv(src, dst)
+				h.Send(0, src, dst)
+				h.Recv(0, src, dst)
 			}
 		}
 	}
@@ -270,7 +270,7 @@ func TestHookCountsKindsAndBlames(t *testing.T) {
 		t.Fatal("p1 must be crashed")
 	}
 	h.Crashed(1) // second observation must not double-count
-	act := h.Send(0, 2)
+	act := h.Send(0, 0, 2)
 	if act.Dup != 1 {
 		t.Fatalf("act = %+v", act)
 	}
@@ -294,7 +294,7 @@ func TestHookCountsKindsAndBlames(t *testing.T) {
 
 func TestNilHookIsInert(t *testing.T) {
 	var h *Hook
-	if h.Crashed(0) || h.Send(0, 1).Faulty() || h.Recv(0, 1).Faulty() {
+	if h.Crashed(0) || h.Send(0, 0, 1).Faulty() || h.Recv(0, 0, 1).Faulty() {
 		t.Error("nil hook must inject nothing")
 	}
 	if h.Blame([]mid.MID{{Proc: 0, Seq: 1}}) != "" {

@@ -138,16 +138,16 @@ func (h *Hook) Crashed(p mid.ProcID) bool {
 	return true
 }
 
-// Send returns the verdict for a datagram src->dst at the send boundary,
-// recording and counting any injected fault.
-func (h *Hook) Send(src, dst mid.ProcID) Action {
+// Send returns the verdict for a datagram of group src->dst at the send
+// boundary, recording and counting any injected fault.
+func (h *Hook) Send(group uint32, src, dst mid.ProcID) Action {
 	if h == nil {
 		return Action{}
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	now := h.now()
-	act := h.inj.Send(src, dst, now)
+	act := h.inj.Send(group, src, dst, now)
 	if act.Faulty() {
 		h.charge(src, now, act)
 		h.record(Event{At: now, Op: "send", Src: src, Dst: dst, Kinds: act.Kinds})
@@ -155,16 +155,16 @@ func (h *Hook) Send(src, dst mid.ProcID) Action {
 	return act
 }
 
-// Recv returns the verdict for a datagram src->dst at the receive boundary,
-// recording and counting any injected fault.
-func (h *Hook) Recv(src, dst mid.ProcID) Action {
+// Recv returns the verdict for a datagram of group src->dst at the receive
+// boundary, recording and counting any injected fault.
+func (h *Hook) Recv(group uint32, src, dst mid.ProcID) Action {
 	if h == nil {
 		return Action{}
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	now := h.now()
-	act := h.inj.Recv(src, dst, now)
+	act := h.inj.Recv(group, src, dst, now)
 	if act.Faulty() {
 		// Receive faults starve the sender's messages: charge the source,
 		// whose MIDs are what a stuck span will be blocked on.

@@ -37,12 +37,7 @@ func TestCoalescedSendsConverge(t *testing.T) {
 	// the flush that matters is the count-budget one at DefaultBatchMax.
 	cfg.BatchWindow = 100 * time.Millisecond
 	cfg.Metrics = reg
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
+	c := startCluster(t, cfg)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -81,12 +76,7 @@ func TestCoalescedCausalSendPreservesDeps(t *testing.T) {
 	cfg := liveConfig(3)
 	cfg.RoundDuration = time.Millisecond
 	cfg.BatchWindow = 5 * time.Millisecond
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
+	c := startCluster(t, cfg)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -104,12 +94,7 @@ func TestCoalescerFlushesOnWindow(t *testing.T) {
 	cfg := liveConfig(2)
 	cfg.RoundDuration = time.Millisecond
 	cfg.BatchWindow = 2 * time.Millisecond
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
+	c := startCluster(t, cfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if _, err := c.Node(0).Send(ctx, []byte("solo"), nil); err != nil {
@@ -124,23 +109,23 @@ func TestCoalescerFlushesOnWindow(t *testing.T) {
 // blocked on a flush that will not happen.
 func TestCoalescerStopFailsPendingWindow(t *testing.T) {
 	// No loop drains the inbox: a window that flushed would sit in it.
-	in := NewInbox(8, make(chan struct{}), errClusterStopped)
-	c := NewCoalescer(time.Hour, 16, 1<<20, &in, nil, nil)
+	in := newInbox(8, make(chan struct{}))
+	c := newCoalescer(time.Hour, 16, 1<<20, in, nil, nil)
 	const pending = 5
-	subs := make([]*Submission, pending)
+	subs := make([]*submission, pending)
 	for i := range subs {
-		subs[i] = &Submission{
+		subs[i] = &submission{
 			Payload: []byte("pending"),
-			Res:     make(chan SubResult, 1),
+			Res:     make(chan subResult, 1),
 			Confirm: make(chan struct{}, 1),
 		}
 		c.Add(subs[i])
 	}
-	if flushed := len(in.C); flushed != 0 {
+	if flushed := len(in.c); flushed != 0 {
 		t.Fatalf("window is an hour and budgets are slack, yet %d flushes ran early", flushed)
 	}
 	c.Stop()
-	if flushed := len(in.C); flushed != 0 {
+	if flushed := len(in.c); flushed != 0 {
 		t.Errorf("%d windows reached the loop after Stop", flushed)
 	}
 	for i, s := range subs {
@@ -155,7 +140,7 @@ func TestCoalescerStopFailsPendingWindow(t *testing.T) {
 	}
 	// Idempotent, and Adds after Stop fail immediately the same way.
 	c.Stop()
-	late := &Submission{Res: make(chan SubResult, 1)}
+	late := &submission{Res: make(chan subResult, 1)}
 	c.Add(late)
 	select {
 	case r := <-late.Res:
@@ -189,7 +174,7 @@ func TestClusterStopUnblocksWindowedSends(t *testing.T) {
 	// Stop races against a queued waiter rather than an unstarted goroutine.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if c.nodes[0].coal.Pending() > 0 {
+		if c.Node(0).m.sessions[0].coal.Pending() > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -256,78 +241,16 @@ func TestUDPBatchedGroupConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets and timers")
 	}
-	const n = 3
+	const n, perNode = 3, 8
 	reg := obs.New()
-	peers := freePorts(t, n)
-	nodes := make([]*UDPNode, n)
-	for i := 0; i < n; i++ {
-		node, err := NewUDPNode(UDPConfig{
-			Config:        core.Config{N: n, K: 3, R: 8, SelfExclusion: true},
-			Self:          mid.ProcID(i),
-			Peers:         peers,
-			RoundDuration: 3 * time.Millisecond,
-			BatchWindow:   2 * time.Millisecond,
-			Metrics:       reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
-	}
-	for _, node := range nodes {
-		node.Start()
-	}
-	defer func() {
-		for _, node := range nodes {
-			node.Stop()
-		}
-	}()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	const perNode = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, n*perNode)
-	for i := 0; i < n; i++ {
-		for k := 0; k < perNode; k++ {
-			wg.Add(1)
-			i, k := i, k
-			go func() {
-				defer wg.Done()
-				if _, err := nodes[i].Send(ctx, []byte(fmt.Sprintf("ub%d-%d", i, k)), nil); err != nil {
-					errs <- fmt.Errorf("node %d send %d: %w", i, k, err)
-				}
-			}()
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	want := mid.SeqVector{perNode, perNode, perNode}
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		ok := true
-		for i := 0; i < n; i++ {
-			var got mid.SeqVector
-			sctx, scancel := context.WithTimeout(ctx, 2*time.Second)
-			err := nodes[i].Snapshot(sctx, func(p *core.Process) { got = p.Processed().Clone() })
-			scancel()
-			if err != nil || !got.Equal(want) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("batched UDP group never converged")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	nodes := udpNodes(t, n, UDPConfig{
+		Config:        core.Config{N: n, K: 3, R: 8, SelfExclusion: true},
+		RoundDuration: 3 * time.Millisecond,
+		BatchWindow:   2 * time.Millisecond,
+		Metrics:       reg,
+	})
+	sendEach(t, nodes, perNode)
+	awaitProcessed(t, nodes, mid.SeqVector{perNode, perNode, perNode})
 	if reg.Counter("udp_send_oversize_total").Value() != 0 {
 		t.Error("batched traffic tripped the oversize guard; the batcher must split to the datagram budget")
 	}

@@ -12,34 +12,6 @@ import (
 	"urcgc/internal/mid"
 )
 
-// The tests below hold the runtimes to the borrow rule (DESIGN.md §7 rule 5)
-// from the outside: every loop's free list poisons the control records it
-// takes back, so a record still read after its Recv returned — by the
-// protocol, or by a reader goroutine decoding into it while the loop is not
-// done — shows up as a malformed PDU, a lost member, a diverged group, or,
-// under `make race`, as the data race it is.
-
-// sendAll has every listed sender confirm perNode messages, concurrently.
-func sendAll(t *testing.T, perNode int, senders ...func(context.Context, []byte) error) {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
-	for i, send := range senders {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 0; k < perNode; k++ {
-				if err := send(ctx, []byte(fmt.Sprintf("b%d-%d", i, k))); err != nil {
-					t.Errorf("sender %d, message %d: %v", i, k, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // TestMeshSoakLosesNoMember soaks a five-member lockstep mesh with poisoned
 // free lists and counts Left(). The lockstep clock queues round r's ticks
 // member by member, so a member that ticks at once reaches the subrun's
@@ -55,17 +27,27 @@ func TestMeshSoakLosesNoMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var senders []func(context.Context, []byte) error
 	for _, node := range c.nodes {
-		node.inbox.Free.Poison = true
-		senders = append(senders, func(ctx context.Context, b []byte) error {
-			_, err := node.SendCausal(ctx, b)
-			return err
-		})
+		node.m.shards[0].free.Poison = true
 	}
 	c.Start()
 	defer c.Stop()
-	sendAll(t, perNode, senders...)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for i, node := range c.nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < perNode; k++ {
+				if _, err := node.SendCausal(ctx, []byte(fmt.Sprintf("b%d-%d", i, k))); err != nil {
+					t.Errorf("sender %d, message %d: %v", i, k, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 	if t.Failed() {
 		return
 	}
@@ -85,80 +67,6 @@ func TestMeshSoakLosesNoMember(t *testing.T) {
 			if !alive {
 				t.Errorf("member %d believes healthy member %d crashed", i, q)
 			}
-		}
-	}
-}
-
-// udpGroup starts n UDPNodes on loopback with poisoned free lists. K and R are
-// generous: the members' clocks run free, and on a loaded host (the race
-// detector, the other packages' tests) a member descheduled for a few rounds
-// must not be taken for crashed — that is not what these tests are about.
-func udpGroup(t *testing.T, n int, round time.Duration) []*UDPNode {
-	t.Helper()
-	peers := freePorts(t, n)
-	nodes := make([]*UDPNode, n)
-	for i := range nodes {
-		node, err := NewUDPNode(UDPConfig{
-			Config:        core.Config{N: n, K: 5, R: 16, SelfExclusion: true},
-			Self:          mid.ProcID(i),
-			Peers:         peers,
-			RoundDuration: round,
-			Logf:          t.Logf,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		node.inbox.Free.Poison = true
-		nodes[i] = node
-	}
-	for _, node := range nodes {
-		node.Start()
-	}
-	t.Cleanup(func() {
-		for _, node := range nodes {
-			node.Stop()
-		}
-	})
-	return nodes
-}
-
-// TestUDPRecycledRecordsArePoisoned: over real sockets the reader goroutine
-// decodes into the records the loop goroutine hands back, so a record that
-// went back too early is a write racing the protocol's read.
-func TestUDPRecycledRecordsArePoisoned(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real sockets and timers")
-	}
-	const n, perNode = 3, 40
-	nodes := udpGroup(t, n, 5*time.Millisecond)
-	var senders []func(context.Context, []byte) error
-	for _, node := range nodes {
-		senders = append(senders, func(ctx context.Context, b []byte) error {
-			_, err := node.Send(ctx, b, nil)
-			return err
-		})
-	}
-	sendAll(t, perNode, senders...)
-	if t.Failed() {
-		return
-	}
-	want := mid.SeqVector{perNode, perNode, perNode}
-	deadline := time.Now().Add(20 * time.Second)
-	for i := 0; i < n; {
-		st, err := nodes[i].Status(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, left := nodes[i].Left(); left || st.Stats.Malformed != 0 {
-			t.Fatalf("member %d: left=%v, %d malformed PDUs", i, left, st.Stats.Malformed)
-		}
-		switch {
-		case st.Processed.Equal(want):
-			i++
-		case time.Now().After(deadline):
-			t.Fatalf("member %d stuck at %v, want %v", i, st.Processed, want)
-		default:
-			time.Sleep(5 * time.Millisecond)
 		}
 	}
 }
@@ -222,7 +130,14 @@ func TestIdleSubrunLiveAllocBudget(t *testing.T) {
 
 	t.Run("udp", func(t *testing.T) {
 		const round = 4 * time.Millisecond
-		nodes := udpGroup(t, 3, round)
+		// K and R are generous: the members' clocks run free, and on a loaded
+		// host a member descheduled for a few rounds must not be taken for
+		// crashed — that is not what this test is about.
+		nodes := udpNodes(t, 3, UDPConfig{
+			Config:        core.Config{N: 3, K: 5, R: 16, SelfExclusion: true},
+			RoundDuration: round,
+			Logf:          t.Logf,
+		})
 		got := idleSubrunMallocs(t, func() int64 {
 			var s int64
 			if err := nodes[0].Snapshot(context.Background(), func(p *core.Process) { s = p.Subrun() }); err != nil {
@@ -240,4 +155,37 @@ func TestIdleSubrunLiveAllocBudget(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSendAllocBudget is the Send path's own budget: on a single-member
+// group — no receivers to decode anything — a confirmed Send allocates the
+// message record the history retains and nothing else. The rendezvous is
+// pooled, the frame buffer recycled, and the inbox event comes from the
+// shard's free list: taken from a sync.Pool it missed every time (the loop's
+// Put parks the record on another P), which this budget would read as 2.
+func TestSendAllocBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on the measured path")
+	}
+	cfg := liveConfig(1)
+	cfg.RoundDuration = 100 * time.Microsecond
+	c := startCluster(t, cfg)
+	n, payload := c.Node(0), make([]byte, 16)
+	go func() {
+		for range n.Indications() {
+		}
+	}()
+	send := func() {
+		if _, err := n.Send(context.Background(), payload, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		send() // warm the pools and the history's backing array
+	}
+	if got := testing.AllocsPerRun(300, send); got > 1.5 {
+		t.Errorf("a confirmed Send on an idle member allocates %.2f objects, budget 1.5", got)
+	} else {
+		t.Logf("%.2f allocs per confirmed Send", got)
+	}
 }

@@ -46,12 +46,14 @@ func TestUDPNodeChurnIsHeapNeutral(t *testing.T) {
 		cycle()
 	}
 	inuse1, total1 := heap()
-	if grown := int64(inuse1) - int64(inuse0); grown > slab {
+	// The free list may hold one more receiver than it did after the warm-up
+	// cycle; half a set on top covers the spans the members' own small
+	// records leave partly used.
+	if grown := int64(inuse1) - int64(inuse0); grown > slab*3/2 {
 		t.Errorf("HeapInuse grew %d KiB over %d construct/Start/Stop cycles: more than one node's worth (%d KiB) is retained",
 			grown/1024, cycles, slab/1024)
 	}
-	// The race detector makes sync.Pool drop a quarter of its Puts at
-	// random, so "recycled" is asserted as "well under a set per cycle".
+	// "Recycled" is asserted as "well under a set per cycle".
 	perCycle := (total1 - total0) / cycles
 	t.Logf("allocated %d KiB per cycle", perCycle/1024)
 	if perCycle > slab*2/3 {

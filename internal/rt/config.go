@@ -1,0 +1,182 @@
+package rt
+
+import (
+	"fmt"
+	"log"
+	"runtime"
+	"time"
+
+	"urcgc/internal/capture"
+	"urcgc/internal/causal"
+	"urcgc/internal/core"
+	"urcgc/internal/faultrt"
+	"urcgc/internal/lifecycle"
+	"urcgc/internal/mid"
+	"urcgc/internal/obs"
+	"urcgc/internal/wire"
+)
+
+// Config configures a live member, or every member of an in-process cluster:
+// the one configuration of the one runtime. The embedded core.Config applies
+// to every hosted group; all groups share the member identity, the peer set
+// and the link. UDPConfig and topics.Config are this type.
+type Config struct {
+	core.Config
+	// Groups is how many independent groups (ids 0..Groups-1) the member
+	// hosts. Group 0 is wire-compatible with single-group members. Default 1.
+	Groups int
+	// Shards is how many shard loops carry the groups. Groups hash onto
+	// shards (group mod Shards); each shard is one goroutine owning its
+	// groups' protocol entities. Default min(Groups, GOMAXPROCS).
+	Shards int
+	// Self is this member's identity in every group; Peers[Self] is its bind
+	// address. An in-process cluster numbers its members itself.
+	Self mid.ProcID
+	// Peers maps every ProcID to its UDP address, e.g. "10.0.0.7:7701".
+	// Ignored by an in-process cluster.
+	Peers []string
+	// RoundDuration is the wall-clock length of one protocol round. It must
+	// comfortably exceed the link's delivery time: default 20ms over
+	// sockets, 2ms in process.
+	RoundDuration time.Duration
+	// BatchWindow enables the coalescing sender: Send/SendCausal calls
+	// arriving within this window (or until the BatchMax / BatchBytes
+	// budgets fill first) enter the loop goroutine as one inbox event and
+	// leave at one send opportunity as DataBatch frames. Zero disables
+	// coalescing: every Send is its own inbox event and subruns carry at
+	// most BatchMax messages. When set while BatchMax is zero, BatchMax
+	// defaults to core.DefaultBatchMax so the batches actually drain.
+	BatchWindow time.Duration
+	// InboxDepth bounds each shard's event queue; overflow drops datagrams,
+	// like any datagram network. Default 4096.
+	InboxDepth int
+	// IndicationDepth bounds each group's indication queue. Default 4096.
+	IndicationDepth int
+	// Metrics, when non-nil, receives live counters, gauges and histograms
+	// for every hosted protocol entity (series carry a node label, and a
+	// group label on multi-group members), socket-level accounting, and
+	// trace events for by-design omissions. Nil costs nothing.
+	Metrics *obs.Registry
+	// Lifecycle, when non-nil, enables per-message lifecycle tracing on
+	// every hosted entity (spans readable via Lifecycle, histograms fed into
+	// Metrics when set). Nil keeps the hot path free of stage callbacks.
+	Lifecycle *lifecycle.Options
+	// Fault, when non-nil, consults a wall-clock fault injector at the link
+	// boundary: before each datagram leaves its sender, after it reaches
+	// its receiver and passed validation, and once per round to fail-stop
+	// scheduled crashes. On a socket member the hook sees only this member's
+	// boundary, so a cluster-wide schedule needs the same seeded schedule on
+	// every member. Nil costs one pointer check per datagram. When Lifecycle
+	// is also set, stuck-span watchdog lines name the injected fault that
+	// plausibly caused the stall.
+	Fault *faultrt.Hook
+	// Logf receives throttled operator-visible warnings: malformed or
+	// oversize datagrams, socket errors, skipped ticks — omissions that
+	// would otherwise be silently recovered and invisible. Nil means
+	// log.Printf.
+	Logf func(format string, args ...any)
+	// Capture, when non-nil, records every frame crossing this member's
+	// link — ingress with the validator's verdict, egress with the fault
+	// verdict, every group on the one ring — into a bounded flight recorder
+	// served on /capture and replayable offline by urcgc-replay. Nil costs
+	// one pointer check per frame and zero allocations.
+	Capture *capture.Ring
+	// Captures is Capture for an in-process cluster: one recorder per member
+	// (indexed by ProcID; nil entries and members past the slice length are
+	// disabled).
+	Captures []*capture.Ring
+	// JoinInstalled, when non-nil, fires on the owning loop goroutine the
+	// moment a restarted incarnation installs its sponsor's state-transfer
+	// snapshot in one group — before it processes anything. The chaos
+	// harness rebaselines its invariant checker here.
+	JoinInstalled func(node mid.ProcID, group uint32, stable mid.SeqVector)
+	// Joined, when non-nil, fires on the owning loop goroutine when a joining
+	// incarnation is re-admitted into one group by a decision and resumes
+	// full participation. Groups rejoin independently.
+	Joined func(node mid.ProcID, group uint32)
+	// FastForwarded, when non-nil, fires on the owning loop goroutine when
+	// recovery tells the member that of's sequence through to was purged as
+	// uniformly stable, so its frontier skipped the gap.
+	FastForwarded func(node mid.ProcID, group uint32, of mid.ProcID, to mid.Seq)
+}
+
+// UDPConfig configures a single-group member over real UDP sockets — the
+// deployment the paper's concluding remarks describe as the prototype over
+// an Ethernet LAN.
+type UDPConfig = Config
+
+// Family is the metric vocabulary a facade's members publish: the prefix of
+// the link-level counters, and whether per-entity series carry a group label.
+// Both vocabularies predate the one runtime and have consumers of their own
+// (dashboards, the health rules, the end-to-end benchmark), so each facade
+// keeps its.
+type Family string
+
+const (
+	// FamilyNone publishes no link-level counters and per-node series: an
+	// rt.Cluster, whose in-process link has no socket to account for.
+	FamilyNone Family = ""
+	// FamilyUDP publishes udp_* counters and per-node series: rt.UDPNode.
+	FamilyUDP Family = "udp"
+	// FamilyTopics publishes topics_* counters and per-(node, group) series:
+	// topics.MultiNode and topics.MultiCluster.
+	FamilyTopics Family = "topics"
+)
+
+// grouped reports whether per-entity series and spans carry a group label.
+func (f Family) grouped() bool { return f == FamilyTopics }
+
+// fill sets the defaults; inProcess selects the in-process link's.
+func (c *Config) fill(inProcess bool) {
+	if c.Groups == 0 {
+		c.Groups = 1
+	}
+	if c.Shards == 0 {
+		c.Shards = min(c.Groups, runtime.GOMAXPROCS(0))
+	}
+	if c.RoundDuration == 0 {
+		c.RoundDuration = 20 * time.Millisecond
+		if inProcess {
+			c.RoundDuration = 2 * time.Millisecond
+		}
+	}
+	if c.BatchWindow > 0 && c.BatchMax == 0 {
+		c.BatchMax = core.DefaultBatchMax
+	}
+	if c.InboxDepth == 0 {
+		c.InboxDepth = 4096
+	}
+	if c.IndicationDepth == 0 {
+		c.IndicationDepth = 4096
+	}
+	if c.Logf == nil {
+		c.Logf = log.Printf
+	}
+}
+
+func (c *Config) validate() error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if c.Groups < 1 || c.Groups > wire.MaxGroupID {
+		return fmt.Errorf("rt: %d groups outside [1,%d]", c.Groups, int64(wire.MaxGroupID))
+	}
+	if c.Shards < 1 {
+		return fmt.Errorf("rt: %d shards", c.Shards)
+	}
+	return nil
+}
+
+// Indication is the urcgc-data.Ind primitive: a message processed at this
+// member, delivered in causal order on its group's stream.
+type Indication struct {
+	Msg causal.Message
+}
+
+// MaxDatagram bounds datagrams in both directions (a mixed deployment must
+// agree on the limit). The urcgc PDUs for paper-scale groups fit comfortably;
+// jumbo decisions for very large n would need fragmentation, which the paper
+// delegates to the transport layer.
+const MaxDatagram = 64 * 1024
+
+var errStopped = fmt.Errorf("rt: member stopped")

@@ -9,11 +9,10 @@ import (
 	"urcgc/internal/mid"
 )
 
-// Confirms is the user-facing half of one hosted protocol entity, written
-// once for all three runtimes (Node, UDPNode, a topics session): the confirm
-// waiters of in-flight Sends, the leave record, and the submit step that
-// ends by taking the subrun's send opportunity. The zero value is ready.
-type Confirms struct {
+// confirms is the user-facing half of a session: the confirm waiters of
+// in-flight Sends, the leave record, and the submit step that ends by taking
+// the subrun's send opportunity. The zero value is ready.
+type confirms struct {
 	mu       sync.Mutex
 	waiters  map[mid.MID]chan struct{}
 	leftWith *core.LeaveReason
@@ -25,7 +24,7 @@ type Confirms struct {
 // taken if it is still unspent (core.Process.Flush). Flushing any earlier
 // would process a message before its waiter exists, and split a coalescer
 // window's worth over several frames.
-func (c *Confirms) Submit(p *core.Process, o *NodeObs, head *Submission) {
+func (c *confirms) Submit(p *core.Process, o *nodeObs, head *submission) {
 	for s := head; s != nil; {
 		rest := s.cut()
 		var id mid.MID
@@ -43,7 +42,7 @@ func (c *Confirms) Submit(p *core.Process, o *NodeObs, head *Submission) {
 			c.waiters[id] = s.Confirm
 			c.mu.Unlock()
 		}
-		s.Res <- SubResult{id, err}
+		s.Res <- subResult{id, err}
 		s = rest
 	}
 	if p.Flush() {
@@ -51,18 +50,18 @@ func (c *Confirms) Submit(p *core.Process, o *NodeObs, head *Submission) {
 	}
 }
 
-// Send is the urcgc-data.Rq/Conf pair, written once for every runtime: the
-// payload goes to the loop behind in that hosts to — through coal when the
-// runtime coalesces — and Send waits for its confirm.
-func (c *Confirms) Send(ctx context.Context, in *Inbox, coal *Coalescer, to Host, o *NodeObs,
-	payload []byte, deps mid.DepList, causal bool) (mid.MID, error) {
-	s := NewSubmission(payload, deps, causal)
-	if coal != nil {
-		coal.Add(s)
-	} else if err := in.Put(ctx, Event{Kind: EvSubmit, To: to, Sub: s}); err != nil {
+// Send is the urcgc-data.Rq/Conf pair: the payload goes to the shard loop
+// that hosts to — through its coalescer when the member coalesces — and Send
+// waits for its confirm.
+func (c *confirms) Send(ctx context.Context, to *session, payload []byte, deps mid.DepList, causal bool) (mid.MID, error) {
+	s := newSubmission(payload, deps, causal)
+	in := to.shard.inbox
+	if to.coal != nil {
+		to.coal.Add(s)
+	} else if err := in.put(ctx, event{kind: evSubmit, to: to, sub: s}); err != nil {
 		return mid.MID{}, err
 	}
-	return c.Await(ctx, in, o, s)
+	return c.Await(ctx, in, to.obs, s)
 }
 
 // Await blocks a Send until its submission was accepted and then processed
@@ -72,12 +71,12 @@ func (c *Confirms) Send(ctx context.Context, in *Inbox, coal *Coalescer, to Host
 // that leaves releases its waiters, and their Sends fail. Once both of s's
 // signals are consumed — and on no other path — s is recycled: the caller
 // must not touch it after Await returns.
-func (c *Confirms) Await(ctx context.Context, in *Inbox, o *NodeObs, s *Submission) (mid.MID, error) {
-	var r SubResult
+func (c *confirms) Await(ctx context.Context, in *inbox, o *nodeObs, s *submission) (mid.MID, error) {
+	var r subResult
 	select {
 	case r = <-s.Res:
 	case <-in.stop:
-		return mid.MID{}, in.stopped
+		return mid.MID{}, errStopped
 	case <-ctx.Done():
 		return mid.MID{}, ctx.Err()
 	}
@@ -88,7 +87,7 @@ func (c *Confirms) Await(ctx context.Context, in *Inbox, o *NodeObs, s *Submissi
 	case <-s.Confirm:
 	case <-in.stop:
 		c.unwait(r.ID, s.Confirm)
-		return r.ID, in.stopped
+		return r.ID, errStopped
 	case <-ctx.Done():
 		c.unwait(r.ID, s.Confirm)
 		return r.ID, ctx.Err()
@@ -104,7 +103,7 @@ func (c *Confirms) Await(ctx context.Context, in *Inbox, o *NodeObs, s *Submissi
 
 // unwait removes a registered waiter, but only if it is still the registered
 // one, so an abandoned Send never removes a successor's.
-func (c *Confirms) unwait(id mid.MID, ch chan struct{}) {
+func (c *confirms) unwait(id mid.MID, ch chan struct{}) {
 	c.mu.Lock()
 	if c.waiters[id] == ch {
 		delete(c.waiters, id)
@@ -113,7 +112,7 @@ func (c *Confirms) unwait(id mid.MID, ch chan struct{}) {
 }
 
 // Processed confirms the Send waiting on id, if any: the OnProcess hook.
-func (c *Confirms) Processed(id mid.MID) {
+func (c *confirms) Processed(id mid.MID) {
 	c.mu.Lock()
 	if ch, ok := c.waiters[id]; ok {
 		signal(ch)
@@ -124,7 +123,7 @@ func (c *Confirms) Processed(id mid.MID) {
 
 // Leave records why the member halted and releases every waiter: the
 // OnLeave hook.
-func (c *Confirms) Leave(r core.LeaveReason) {
+func (c *confirms) Leave(r core.LeaveReason) {
 	c.mu.Lock()
 	c.leftWith = &r
 	for _, ch := range c.waiters {
@@ -146,8 +145,8 @@ func signal(ch chan struct{}) {
 }
 
 // rejoined clears the leave record once a fresh incarnation has replaced the
-// halted one (Cluster.Restart).
-func (c *Confirms) rejoined() {
+// halted one (Mesh.Restart).
+func (c *confirms) rejoined() {
 	c.mu.Lock()
 	c.leftWith = nil
 	c.mu.Unlock()
@@ -155,7 +154,7 @@ func (c *Confirms) rejoined() {
 
 // Left reports whether and why the member halted itself. Safe from any
 // goroutine.
-func (c *Confirms) Left() (core.LeaveReason, bool) {
+func (c *confirms) Left() (core.LeaveReason, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.leftWith == nil {
@@ -166,7 +165,7 @@ func (c *Confirms) Left() (core.LeaveReason, bool) {
 
 // Waiting reports how many Sends are registered and unconfirmed. For tests
 // and introspection.
-func (c *Confirms) Waiting() int {
+func (c *confirms) Waiting() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.waiters)

@@ -36,16 +36,11 @@ func sendWithin(t *testing.T, who string, send func(ctx context.Context) (mid.MI
 // Send leaves on submit, and the fast path is counted per node.
 func TestMeshIdleSendSkipsTickWait(t *testing.T) {
 	reg := obs.New()
-	c, err := NewCluster(Config{
+	c := startCluster(t, Config{
 		Config:        core.Config{N: 3, K: 3, R: 8, SelfExclusion: true},
 		RoundDuration: eagerRound,
 		Metrics:       reg,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
 	for i := 0; i < c.N(); i++ {
 		n := c.Node(mid.ProcID(i))
 		sendWithin(t, "mesh node", func(ctx context.Context) (mid.MID, error) {
@@ -63,23 +58,7 @@ func TestUDPIdleSendSkipsTickWait(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets and timers")
 	}
-	const n = 3
-	peers := freePorts(t, n)
-	nodes := make([]*UDPNode, n)
-	for i := range nodes {
-		node, err := NewUDPNode(UDPConfig{
-			Config:        core.Config{N: n, K: 3, R: 8},
-			Self:          mid.ProcID(i),
-			Peers:         peers,
-			RoundDuration: eagerRound,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
-		node.Start()
-		defer node.Stop()
-	}
+	nodes := udpNodes(t, 3, UDPConfig{Config: core.Config{N: 3, K: 3, R: 8}, RoundDuration: eagerRound})
 	for _, node := range nodes {
 		sendWithin(t, "udp node", func(ctx context.Context) (mid.MID, error) {
 			return node.Send(ctx, []byte("idle"), nil)
@@ -94,17 +73,12 @@ func TestUDPIdleSendSkipsTickWait(t *testing.T) {
 func TestCoalescedWindowLeavesEagerlyAsOneFrame(t *testing.T) {
 	reg := obs.New()
 	const burst = 5
-	c, err := NewCluster(Config{
+	c := startCluster(t, Config{
 		Config:        core.Config{N: 3, K: 3, R: 8, SelfExclusion: true, BatchMax: burst},
 		RoundDuration: eagerRound,
 		BatchWindow:   time.Hour,
 		Metrics:       reg,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
 	var wg sync.WaitGroup
 	for i := 0; i < burst; i++ {
 		wg.Add(1)
@@ -127,7 +101,7 @@ func TestCoalescedWindowLeavesEagerlyAsOneFrame(t *testing.T) {
 // TestEagerCounterDisabledAllocFree: with metrics off the post-submit step
 // pays a nil check for the fast-path counter, nothing more.
 func TestEagerCounterDisabledAllocFree(t *testing.T) {
-	var o *NodeObs
+	var o *nodeObs
 	if allocs := testing.AllocsPerRun(1000, o.EagerBroadcast); allocs != 0 {
 		t.Fatalf("disabled eager counter: %v allocs/op, want 0", allocs)
 	}
@@ -139,16 +113,11 @@ func TestEagerCounterDisabledAllocFree(t *testing.T) {
 func TestScheduledCrashStopsSendOnSubmit(t *testing.T) {
 	const crashAt = 20 * time.Millisecond
 	hook := faultrt.NewHook(faultrt.CrashAt{Proc: 1, At: crashAt}, nil)
-	c, err := NewCluster(Config{
+	c := startCluster(t, Config{
 		Config:        core.Config{N: 3, K: 3, R: 8},
 		RoundDuration: 10 * time.Second, // only tick 0 happens during the test
 		Fault:         hook,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
 	for hook.Elapsed() <= crashAt {
 		time.Sleep(time.Millisecond)
 	}

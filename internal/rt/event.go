@@ -2,161 +2,175 @@ package rt
 
 import (
 	"context"
+	"net/netip"
 	"sync"
 
 	"urcgc/internal/mid"
 	"urcgc/internal/wire"
 )
 
-// EventKind says what an Event asks of the loop goroutine that receives it.
-type EventKind uint8
+// eventKind says what an event asks of the loop goroutine that receives it.
+type eventKind uint8
 
 const (
-	// EvCall runs Call. It is for the rare commands (Snapshot, Status,
+	// evCall runs call. It is for the rare commands (Snapshot, Status,
 	// Restart) and the fault-injection slow paths, which can afford the
 	// closure; nothing that happens per tick, datagram or Send uses it.
-	EvCall EventKind = iota
-	// EvTick opens round Round on To.
-	EvTick
-	// EvRecv hands To the decoded PDU received from member Src.
-	EvRecv
-	// EvSubmit runs on To the submissions chained from Sub.
-	EvSubmit
-	// evFrame hands a mesh Node the still-encoded datagram Frame from Src:
-	// the in-process mesh decodes on the receiver's loop, as a socket would.
+	evCall eventKind = iota
+	// evTick opens round round on to.
+	evTick
+	// evRecv hands to the decoded PDU received from member src.
+	evRecv
+	// evSubmit runs on to the submissions chained from sub.
+	evSubmit
+	// evFrame hands to's member the still-encoded datagram frame: the
+	// in-process link validates and decodes on the receiver's loop, as a
+	// socket's reader would.
 	evFrame
 )
 
-// Host is one hosted protocol entity as its loop goroutine drives it: a
-// Node, a UDPNode, or one group's session of internal/topics. Every method
-// runs on the loop goroutine that owns the entity, and only there.
-type Host interface {
-	// Tick opens a protocol round.
-	Tick(round int)
-	// Recv delivers one decoded PDU. A control PDU is only lent: the loop
-	// recycles its record when Recv returns (see Inbox.Free).
-	Recv(src mid.ProcID, pdu wire.PDU)
-	// Submit runs a chain of user submissions (see Submission).
-	Submit(head *Submission)
-}
-
-// Event is one unit of work in a loop goroutine's inbox: a typed record
+// event is one unit of work in a loop goroutine's inbox: a typed record
 // instead of a closure, so a tick, a datagram or a Send captures nothing. The
-// fields a kind does not name stay zero. Inboxes carry pooled *Event records
-// (NewEvent), which keeps an inbox slot one word wide — InboxDepth slots of
-// the whole struct would make every node's set-up allocate a quarter of a
-// megabyte more — and Run gives the record back, so the steady state
-// allocates none. Everything an Event points to is owned by the receiving
-// loop from the moment the send succeeds.
-type Event struct {
-	Kind  EventKind
-	Src   mid.ProcID  // EvRecv, evFrame: the sending member
-	Round int         // EvTick
-	To    Host        // every kind but EvCall
-	PDU   wire.PDU    // EvRecv
-	Frame *SharedBuf  // evFrame
-	Sub   *Submission // EvSubmit: head of the chain
-	Call  func()      // EvCall
+// fields a kind does not name stay zero. Inboxes carry *event records from
+// their own free list, which keeps an inbox slot one word wide — InboxDepth
+// slots of the whole struct would make every member's set-up allocate a
+// quarter of a megabyte more — and run gives the record back, so the steady
+// state allocates none. Everything an event points to is owned by the
+// receiving loop from the moment the send succeeds.
+type event struct {
+	kind  eventKind
+	src   mid.ProcID  // evRecv: the sending member
+	round int         // evTick
+	to    *session    // every kind but evCall
+	pdu   wire.PDU    // evRecv
+	frame *sharedBuf  // evFrame
+	sub   *submission // evSubmit: head of the chain
+	call  func()      // evCall
 }
 
-// Inbox is a loop goroutine's event queue together with the stop signal the
-// loop dies by — the mechanics every hosted runtime shares, written once.
-type Inbox struct {
-	C chan *Event
-	// Free is the loop's free list of decoded control records: whoever decodes
-	// a datagram for this loop takes the record from it (Free.Unmarshal), and
-	// Run hands it back after Recv — the one recycle point (DESIGN.md §7).
-	Free    *wire.FreeList
-	stop    <-chan struct{}
-	stopped error // what Put and Call answer once stop has closed
+// eventListDepth bounds an inbox's parked event records: a round puts a tick,
+// n-1 datagrams and a few submissions per hosted group in flight, and a list
+// that runs dry only costs the allocation it would have saved.
+const eventListDepth = 256
+
+// inbox is a loop goroutine's event queue together with the stop signal the
+// loop dies by, and the loop's two leaky free lists. Neither is a sync.Pool,
+// for one reason: a record is taken by whoever feeds the loop — a Send's
+// goroutine, the reader, the clock, a peer's loop — and given back by the
+// loop, and a Pool parks what the loop puts in its own P's private slot,
+// where a taker on another P never finds it.
+type inbox struct {
+	c chan *event
+	// free is the list of decoded control records: whoever decodes a
+	// datagram for this loop takes the record from it (free.Unmarshal), and
+	// the loop hands it back after recv — the one recycle point (DESIGN.md §7).
+	free *wire.FreeList
+	stop <-chan struct{}
+
+	// parked holds the event records run gave back, newest last. A stack
+	// under a lock rather than a channel like free: it grows with the queue
+	// it serves, so an idle member's set-up pays nothing for it.
+	mu     sync.Mutex
+	parked []*event
 }
 
-// NewInbox returns an inbox of the given depth for a loop that ends when stop
+// newInbox returns an inbox of the given depth for a loop that ends when stop
 // closes.
-func NewInbox(depth int, stop <-chan struct{}, stopped error) Inbox {
-	return Inbox{C: make(chan *Event, depth), Free: wire.NewFreeList(), stop: stop, stopped: stopped}
+func newInbox(depth int, stop <-chan struct{}) *inbox {
+	return &inbox{c: make(chan *event, depth), free: wire.NewFreeList(), stop: stop}
 }
 
-// Loop runs events until stop closes.
-func (in *Inbox) Loop() {
+// loop runs events until stop closes.
+func (in *inbox) loop() {
 	for {
 		select {
 		case <-in.stop:
 			return
-		case e := <-in.C:
-			in.Run(e)
+		case e := <-in.c:
+			in.run(e)
 		}
 	}
 }
 
-// Offer queues e unless the inbox is full — datagram semantics: the caller
+// record returns a parked (or new) record holding e, for sending into the
+// inbox. A record the inbox then refuses (full, shutting down) is simply
+// dropped for the garbage collector; only run recycles.
+func (in *inbox) record(e event) *event {
+	var p *event
+	in.mu.Lock()
+	if n := len(in.parked); n > 0 {
+		p, in.parked = in.parked[n-1], in.parked[:n-1]
+	}
+	in.mu.Unlock()
+	if p == nil {
+		p = new(event)
+	}
+	*p = e
+	return p
+}
+
+// offer queues e unless the inbox is full — datagram semantics: the caller
 // counts the drop. It reports whether e was accepted.
-func (in *Inbox) Offer(e Event) bool {
+func (in *inbox) offer(e event) bool {
 	select {
-	case in.C <- NewEvent(e):
+	case in.c <- in.record(e):
 		return true
 	default:
 		return false
 	}
 }
 
-// Put queues e, blocking while the inbox is full — user commands are not
-// datagrams and must not be lost. It fails only when the loop stops or ctx
-// ends first.
-func (in *Inbox) Put(ctx context.Context, e Event) error {
+// put queues e, blocking while the inbox is full — user commands and a
+// lockstep clock's ticks are not datagrams and must not be lost. It fails
+// only when the loop stops or ctx ends first.
+func (in *inbox) put(ctx context.Context, e event) error {
 	select {
-	case in.C <- NewEvent(e):
+	case in.c <- in.record(e):
 		return nil
 	case <-in.stop:
-		return in.stopped
+		return errStopped
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-// Call runs fn on the loop goroutine and waits for it to return.
-func (in *Inbox) Call(ctx context.Context, fn func()) error {
+// call runs fn on the loop goroutine and waits for it to return.
+func (in *inbox) call(ctx context.Context, fn func()) error {
 	done := make(chan struct{})
-	if err := in.Put(ctx, Event{Call: func() { fn(); close(done) }}); err != nil {
+	if err := in.put(ctx, event{call: func() { fn(); close(done) }}); err != nil {
 		return err
 	}
 	select {
 	case <-done:
 		return nil
 	case <-in.stop:
-		return in.stopped
+		return errStopped
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-var events = sync.Pool{New: func() any { return new(Event) }}
-
-// NewEvent returns a pooled record holding e, for sending into an inbox. A
-// record the inbox refuses (full, shutting down) is simply dropped for the
-// garbage collector; only Inbox.Run recycles.
-func NewEvent(e Event) *Event {
-	p := events.Get().(*Event)
-	*p = e
-	return p
-}
-
-// Run performs the event and recycles its record, and with it a control PDU
+// run performs the event and recycles its record, and with it a control PDU
 // the event carried: neither may be used afterwards. Loop goroutine only.
-func (in *Inbox) Run(e *Event) {
-	switch e.Kind {
-	case EvCall:
-		e.Call()
-	case EvTick:
-		e.To.Tick(e.Round)
-	case EvRecv:
-		e.To.Recv(e.Src, e.PDU)
-		in.Free.Put(e.PDU)
-	case EvSubmit:
-		e.To.Submit(e.Sub)
+func (in *inbox) run(e *event) {
+	switch e.kind {
+	case evCall:
+		e.call()
+	case evTick:
+		e.to.tick(e.round)
+	case evRecv:
+		e.to.recv(e.src, e.pdu)
+		in.free.Put(e.pdu)
+	case evSubmit:
+		e.to.submit(e.sub)
 	case evFrame:
-		e.To.(*nodeHost).recvFrame(e.Src, e.Frame)
+		e.to.m.ingest(e.frame.buf, netip.AddrPort{}, e.to.shard)
+		e.frame.release()
 	}
-	*e = Event{}
-	events.Put(e)
+	*e = event{}
+	in.mu.Lock()
+	if len(in.parked) < eventListDepth {
+		in.parked = append(in.parked, e)
+	}
+	in.mu.Unlock()
 }

@@ -11,7 +11,7 @@ import (
 
 func TestConfigDefaultsFilled(t *testing.T) {
 	cfg := Config{Config: core.Config{N: 2, K: 2, R: 5, SelfExclusion: true}}
-	cfg.fill()
+	cfg.fill(true)
 	if cfg.RoundDuration == 0 || cfg.InboxDepth == 0 || cfg.IndicationDepth == 0 {
 		t.Errorf("defaults not filled: %+v", cfg)
 	}
@@ -20,7 +20,7 @@ func TestConfigDefaultsFilled(t *testing.T) {
 		Config:        core.Config{N: 2, K: 2, R: 5, SelfExclusion: true},
 		RoundDuration: time.Second, InboxDepth: 7, IndicationDepth: 9,
 	}
-	cfg2.fill()
+	cfg2.fill(true)
 	if cfg2.RoundDuration != time.Second || cfg2.InboxDepth != 7 || cfg2.IndicationDepth != 9 {
 		t.Errorf("explicit values overwritten: %+v", cfg2)
 	}
@@ -33,12 +33,7 @@ func TestInvalidConfigRejected(t *testing.T) {
 }
 
 func TestKilledNodeRejectsSends(t *testing.T) {
-	c, err := NewCluster(liveConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
+	c := startCluster(t, liveConfig(2))
 	c.Node(1).Kill()
 	if !c.Node(1).Killed() {
 		t.Fatal("Killed not reported")
@@ -105,12 +100,7 @@ func TestContextCancelUnblocksSend(t *testing.T) {
 }
 
 func TestIndicationOrderPerSequence(t *testing.T) {
-	c, err := NewCluster(liveConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
+	c := startCluster(t, liveConfig(3))
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	const k = 5

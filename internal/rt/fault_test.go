@@ -30,12 +30,7 @@ func TestMeshFaultHookCrashAndConverge(t *testing.T) {
 	cfg := liveConfig(4)
 	cfg.Metrics = reg
 	cfg.Fault = hook
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
+	c := startCluster(t, cfg)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -84,12 +79,7 @@ func TestSendAbandonedDoesNotLeakWaiter(t *testing.T) {
 		Config:        core.Config{N: 3, K: 3, R: 8, HistoryThreshold: 1},
 		RoundDuration: 2 * time.Second,
 	}
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
+	c := startCluster(t, cfg)
 
 	n := c.Node(1)
 	if _, err := n.Send(context.Background(), []byte("closes the valve"), nil); err != nil {
@@ -117,7 +107,7 @@ func TestSendAbandonedDoesNotLeakWaiter(t *testing.T) {
 				j, ids, errs)
 		}
 	}
-	if leaked := n.conf.Waiting(); leaked != 0 {
+	if leaked := n.m.sessions[0].conf.Waiting(); leaked != 0 {
 		t.Errorf("%d waiter entries leaked after abandoned sends", leaked)
 	}
 }
@@ -158,7 +148,7 @@ func TestUDPSendAbandonedDoesNotLeakWaiterOrGoroutines(t *testing.T) {
 	if id == (mid.MID{}) {
 		t.Fatalf("send failed before registering its waiter (err %v): the leak path was not exercised", err)
 	}
-	if leaked := node.conf.Waiting(); leaked != 0 {
+	if leaked := node.m.sessions[0].conf.Waiting(); leaked != 0 {
 		t.Errorf("%d waiter entries leaked after abandoned send", leaked)
 	}
 
@@ -179,65 +169,17 @@ func TestUDPGroupConvergesUnderFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets and timers")
 	}
-	const n = 3
-	peers := freePorts(t, n)
-	nodes := make([]*UDPNode, n)
-	for i := 0; i < n; i++ {
-		node, err := NewUDPNode(UDPConfig{
-			Config:        core.Config{N: n, K: 3, R: 8, SelfExclusion: true},
-			Self:          mid.ProcID(i),
-			Peers:         peers,
-			RoundDuration: 3 * time.Millisecond,
-			Fault: faultrt.NewHook(faultrt.Multi{
-				&faultrt.DropEvery{N: 25, Side: faultrt.AtSend},
-				&faultrt.DropEvery{N: 25, Side: faultrt.AtRecv},
-				&faultrt.DupEvery{N: 20, Copies: 1, Side: faultrt.AtSend},
-			}, nil),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
-	}
-	for _, node := range nodes {
-		node.Start()
-	}
-	defer func() {
-		for _, node := range nodes {
-			node.Stop()
-		}
-	}()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	const perNode = 4
-	for k := 0; k < perNode; k++ {
-		for i := 0; i < n; i++ {
-			if _, err := nodes[i].Send(ctx, []byte(fmt.Sprintf("f%d-%d", i, k)), nil); err != nil {
-				t.Fatalf("node %d send %d: %v", i, k, err)
-			}
-		}
-	}
-	want := mid.SeqVector{perNode, perNode, perNode}
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		ok := true
-		for i := 0; i < n; i++ {
-			var got mid.SeqVector
-			sctx, scancel := context.WithTimeout(ctx, 2*time.Second)
-			err := nodes[i].Snapshot(sctx, func(p *core.Process) { got = p.Processed().Clone() })
-			scancel()
-			if err != nil || !got.Equal(want) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("UDP group never converged under injected faults")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	const n, perNode = 3, 4
+	nodes := udpNodes(t, n, UDPConfig{
+		Config:        core.Config{N: n, K: 3, R: 8, SelfExclusion: true},
+		RoundDuration: 3 * time.Millisecond,
+		// One hook for the whole group: it serializes the members' consultations.
+		Fault: faultrt.NewHook(faultrt.Multi{
+			&faultrt.DropEvery{N: 25, Side: faultrt.AtSend},
+			&faultrt.DropEvery{N: 25, Side: faultrt.AtRecv},
+			&faultrt.DupEvery{N: 20, Copies: 1, Side: faultrt.AtSend},
+		}, nil),
+	})
+	sendEach(t, nodes, perNode)
+	awaitProcessed(t, nodes, mid.SeqVector{perNode, perNode, perNode})
 }

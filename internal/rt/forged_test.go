@@ -48,13 +48,8 @@ func awaitMalformed(t *testing.T, status func(context.Context) (Status, error), 
 
 // TestMeshForgedProcIDDropped: through the in-process mesh's wire path.
 func TestMeshForgedProcIDDropped(t *testing.T) {
-	c, err := NewCluster(liveConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
-	meshTransport{n: c.nodes[1]}.Send(0, forgedData())
+	c := startCluster(t, liveConfig(3))
+	c.nodes[1].m.sessions[0].Send(0, forgedData())
 	awaitMalformed(t, c.Node(0).Status, 1)
 }
 

@@ -20,12 +20,7 @@ func TestProtocolHealthGauges(t *testing.T) {
 	reg := obs.New()
 	cfg := liveConfig(3)
 	cfg.Metrics = reg
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
+	c := startCluster(t, cfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -110,7 +105,7 @@ func TestProtocolHealthGauges(t *testing.T) {
 // subrun/view/stability hooks never run on deliver.
 func TestSamplerDisabledDeliverAllocFree(t *testing.T) {
 	bare := driveWaitCascade(t, core.Callbacks{})
-	o := NewNodeObs(obs.New(), 0, 3)
+	o := newNodeObs(obs.New(), 0, 3)
 	instrumented := driveWaitCascade(t, o.Install(core.Callbacks{}))
 	if extra := instrumented - bare; extra > 0.5 {
 		t.Errorf("metrics hooks add %.2f allocs/op to the deliver path, want 0", extra)

@@ -17,22 +17,17 @@ func TestRestartedNodeRejoins(t *testing.T) {
 	const victim = 3
 	cfg := liveConfig(4)
 	var installed, joined atomic.Bool
-	cfg.JoinInstalled = func(node mid.ProcID, stable mid.SeqVector) {
+	cfg.JoinInstalled = func(node mid.ProcID, _ uint32, stable mid.SeqVector) {
 		if node == victim && len(stable) == 4 {
 			installed.Store(true)
 		}
 	}
-	cfg.Joined = func(node mid.ProcID) {
+	cfg.Joined = func(node mid.ProcID, _ uint32) {
 		if node == victim {
 			joined.Store(true)
 		}
 	}
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
+	c := startCluster(t, cfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 

@@ -8,14 +8,13 @@ import (
 	"urcgc/internal/wire"
 )
 
-// InstallLifecycle extends a member's callbacks with the lifecycle stage
+// installLifecycle extends a member's callbacks with the lifecycle stage
 // hooks. A nil tracer returns cb untouched, so the send/deliver hot path
 // carries no tracing branches when the layer is disabled — the same
-// optional-callback pattern NodeObs uses. Apply it after NodeObs.Install
+// optional-callback pattern nodeObs uses. Apply it after nodeObs.Install
 // so the chains compose; every hook runs on the goroutine driving the
-// protocol entity. Exported so the multi-group runtime (internal/topics)
-// chains the same stage hooks onto its per-group sessions.
-func InstallLifecycle(tr *lifecycle.Tracer, cb core.Callbacks) core.Callbacks {
+// protocol entity.
+func installLifecycle(tr *lifecycle.Tracer, cb core.Callbacks) core.Callbacks {
 	if tr == nil {
 		return cb
 	}

@@ -20,10 +20,8 @@ type nopTransport struct{}
 func (nopTransport) Send(mid.ProcID, wire.PDU) {}
 func (nopTransport) Broadcast(wire.PDU)        {}
 
-// driveWaitCascade measures the allocations of the park-then-cascade
-// deliver path on a bare process: each run parks (1, s+1) on its unmet
-// implicit predecessor, then delivers (1, s) and cascades both. The PDUs
-// are prebuilt so only the deliver path itself is measured.
+// driveWaitCascade measures the park-then-cascade deliver path (see
+// waitCascadeAllocs) on a bare process with the given callbacks.
 func driveWaitCascade(t *testing.T, cb core.Callbacks) float64 {
 	t.Helper()
 	p, err := core.NewProcess(0, core.Config{N: 3, K: 3, R: 8, SelfExclusion: true},
@@ -31,6 +29,16 @@ func driveWaitCascade(t *testing.T, cb core.Callbacks) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return waitCascadeAllocs(t, p)
+}
+
+// waitCascadeAllocs measures the allocations of the park-then-cascade
+// deliver path of a three-member group's process that nothing else drives:
+// each run parks (1, s+1) on its unmet implicit predecessor, then delivers
+// (1, s) and cascades both. The PDUs are prebuilt so only the deliver path
+// itself is measured.
+func waitCascadeAllocs(t *testing.T, p *core.Process) float64 {
+	t.Helper()
 	const runs = 500
 	payload := make([]byte, 16)
 	msgs := make([]*wire.Data, 2*(runs+2))
@@ -64,9 +72,9 @@ func driveWaitCascade(t *testing.T, cb core.Callbacks) float64 {
 // add, missingDeps, must be free too: with a no-op OnWait installed, the
 // scratch buffer keeps the delta at zero allocations per message.
 func TestLifecycleDisabledAllocFree(t *testing.T) {
-	if cb := InstallLifecycle(nil, core.Callbacks{}); cb.OnGenerate != nil ||
+	if cb := installLifecycle(nil, core.Callbacks{}); cb.OnGenerate != nil ||
 		cb.OnBroadcast != nil || cb.OnWait != nil || cb.OnStable != nil {
-		t.Fatal("InstallLifecycle(nil, ...) must not install stage hooks")
+		t.Fatal("installLifecycle(nil, ...) must not install stage hooks")
 	}
 	disabled := driveWaitCascade(t, core.Callbacks{})
 	// A park+deliver pair retains two messages it was handed and allocates
@@ -83,6 +91,26 @@ func TestLifecycleDisabledAllocFree(t *testing.T) {
 	}
 }
 
+// TestSessionDisabledObsAllocFree pins the same contract one layer up, on a
+// session of a multi-group member: with Metrics and Lifecycle both nil its
+// deliver path — confirm lookup, processed count, indication hand-off — adds
+// nothing to the core's own budget, and no per-group accounting exists.
+func TestSessionDisabledObsAllocFree(t *testing.T) {
+	mesh, err := NewMesh(Config{Config: core.Config{N: 3, K: 3, R: 8, SelfExclusion: true}, Groups: 2, Shards: 1}, FamilyTopics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Never started: this goroutine is the only one touching the process,
+	// satisfying the single-owner contract.
+	s := mesh.members[0].sessions[1]
+	if s.obs != nil || s.tracer != nil || s.stableWait != nil || s.submitStable != nil {
+		t.Fatal("disabled observability left per-group state allocated")
+	}
+	if got := waitCascadeAllocs(t, s.proc); got > 0 {
+		t.Errorf("disabled-observability deliver path allocates %.2f/op, budget 0", got)
+	}
+}
+
 // TestLiveLifecycleTrace runs the in-process mesh with tracing enabled and
 // checks a message's span picks up every stage, including uniform
 // stability, and that the stage histograms fill.
@@ -91,12 +119,7 @@ func TestLiveLifecycleTrace(t *testing.T) {
 	cfg := liveConfig(3)
 	cfg.Metrics = reg
 	cfg.Lifecycle = &lifecycle.Options{SlowThreshold: 10 * time.Second}
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
+	c := startCluster(t, cfg)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

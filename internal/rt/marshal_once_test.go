@@ -13,15 +13,10 @@ import (
 // valid for clusters that were never Started (no loop goroutines racing).
 func drainInboxes(c *Cluster) {
 	for _, n := range c.nodes {
-		for {
-			select {
-			case e := <-n.inbox.C:
-				n.inbox.Run(e)
-			default:
-				goto next
-			}
+		in := n.m.shards[0].inbox
+		for len(in.c) > 0 {
+			in.run(<-in.c)
 		}
-	next:
 	}
 }
 
@@ -40,7 +35,7 @@ func TestMeshBroadcastMarshalsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := meshTransport{n: c.nodes[0]}
+	tr := c.nodes[0].m.sessions[0]
 	before := wire.MarshalCalls()
 	tr.Broadcast(broadcastPDU())
 	if got := wire.MarshalCalls() - before; got != 1 {
@@ -52,7 +47,7 @@ func TestMeshBroadcastMarshalsOnce(t *testing.T) {
 		if i == 0 {
 			want = 0
 		}
-		if got := len(n.inbox.C); got != want {
+		if got := len(n.m.shards[0].c); got != want {
 			t.Errorf("node %d inbox holds %d datagrams, want %d", i, got, want)
 		}
 	}
@@ -70,7 +65,7 @@ func TestMeshSendMarshalsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := meshTransport{n: c.nodes[0]}
+	tr := c.nodes[0].m.sessions[0]
 	before := wire.MarshalCalls()
 	tr.Send(1, broadcastPDU())
 	if got := wire.MarshalCalls() - before; got != 1 {
@@ -91,7 +86,7 @@ func TestMeshBroadcastAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := meshTransport{n: c.nodes[0]}
+	tr := c.nodes[0].m.sessions[0]
 	pdu := broadcastPDU()
 	got := testing.AllocsPerRun(100, func() {
 		tr.Broadcast(pdu)
@@ -116,11 +111,11 @@ func TestUDPBroadcastMarshalsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Stop()
-	tr := udpTransport{n: n}
+	tr := n.m.sessions[0]
 	before := wire.MarshalCalls()
 	tr.Broadcast(broadcastPDU())
 	if got := wire.MarshalCalls() - before; got != 1 {
-		t.Fatalf("UDP Broadcast to %d peers marshaled %d times, want exactly 1", n.cfg.N-1, got)
+		t.Fatalf("UDP Broadcast to %d peers marshaled %d times, want exactly 1", n.m.cfg.N-1, got)
 	}
 	before = wire.MarshalCalls()
 	tr.Send(1, broadcastPDU())

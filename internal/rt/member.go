@@ -1,0 +1,506 @@
+package rt
+
+import (
+	"context"
+	"fmt"
+	"net"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"urcgc/internal/capture"
+	"urcgc/internal/causal"
+	"urcgc/internal/core"
+	"urcgc/internal/lifecycle"
+	"urcgc/internal/mid"
+	"urcgc/internal/obs"
+	"urcgc/internal/wire"
+)
+
+// Member is one member of every group it hosts, and the whole live runtime:
+// G sessions (one protocol entity each) on S shard loops over one link —
+// real UDP sockets, or the in-process hand-off of a Mesh. A single-group
+// member is the same engine with G = 1 and S = 1; rt.Node, rt.UDPNode and
+// topics.MultiNode are views of it. All exported methods are safe from any
+// goroutine.
+type Member struct {
+	cfg      Config
+	family   Family
+	sessions []*session
+	shards   []*shard
+	cap      *capture.Ring // nil disables frame capture
+	sock     *sockObs      // nil disables link-level accounting
+	warn     warner
+
+	udp  *udpLink // the socket link; nil on a Mesh member
+	mesh *Mesh    // the in-process link; nil on a socket member
+
+	// killed fail-stops the member: it neither ticks, sends nor receives,
+	// like a crashed site, until a Mesh restarts it.
+	killed atomic.Bool
+
+	// ticks, when set, replaces the free-running clock's ticker: tests inject
+	// a source that loses ticks, as a stalled host does.
+	ticks func(time.Duration) (<-chan time.Time, func())
+
+	stopCh   chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup
+}
+
+// shard is one loop goroutine owning the protocol entities of every group
+// hashed onto it, preserving core.Process's single-owner contract, plus what
+// only that goroutine touches when it sends.
+type shard struct {
+	*inbox
+	burst *burstSender // nil where sendmmsg is unavailable, and on a Mesh
+	dsts  []mid.ProcID // one fan-out's clean-verdict destinations
+}
+
+// session is one group's protocol entity plus its user-facing plumbing:
+// confirm waiters, indication stream, coalescing sender, labeled metrics. It
+// is the core.Transport of its process and the receiver of its shard's
+// events; everything but the user API runs on the shard goroutine.
+type session struct {
+	m      *Member
+	group  uint32
+	shard  *shard
+	proc   *core.Process
+	obs    *nodeObs
+	tracer *lifecycle.Tracer // nil unless Config.Lifecycle is set
+	coal   *coalescer        // nil unless BatchWindow is set
+	conf   confirms          // confirm waiters, leave record, the submit step
+
+	// ind is the indication queue, made by whoever needs it first — the
+	// stream's reader or the first processed message — not by the
+	// constructor: IndicationDepth slots are by far a member's largest
+	// allocation, and a process that is collecting garbage makes the
+	// allocating goroutine wait for the mark phase (DESIGN.md §11, set-up
+	// cost). A reader asking early takes that wait off the path from
+	// NewMember to the first confirm.
+	indOnce sync.Once
+	ind     chan Indication
+
+	processed atomic.Int64
+
+	// submitStable times own submissions from protocol submit to uniform
+	// stability (FamilyTopics with metrics only); stableWait holds the
+	// in-flight ones. Shard goroutine only.
+	submitStable *obs.Histogram
+	stableWait   map[mid.MID]time.Time
+}
+
+// NewMember binds the member's socket and prepares every group's protocol
+// entity. Start launches the runtime; Stop halts it.
+func NewMember(cfg Config, family Family) (*Member, error) {
+	cfg.fill(false)
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if len(cfg.Peers) != cfg.N {
+		return nil, fmt.Errorf("rt: %d peers for group of %d", len(cfg.Peers), cfg.N)
+	}
+	if cfg.Self < 0 || int(cfg.Self) >= cfg.N {
+		return nil, fmt.Errorf("rt: self %d outside group", cfg.Self)
+	}
+	link, err := newUDPLink(cfg)
+	if err != nil {
+		return nil, err
+	}
+	m := newMember(cfg, family)
+	m.udp = link
+	for _, sh := range m.shards {
+		sh.burst = newBurstSender(link.conn, link.peers, cfg.N)
+	}
+	if err := m.initSessions(); err != nil {
+		link.conn.Close()
+		return nil, err
+	}
+	return m, nil
+}
+
+// newMember builds the link-independent part of a member: shards, accounting,
+// warnings. cfg is filled and valid.
+func newMember(cfg Config, family Family) *Member {
+	m := &Member{
+		cfg:    cfg,
+		family: family,
+		cap:    cfg.Capture,
+		sock:   newSockObs(cfg.Metrics, family),
+		stopCh: make(chan struct{}),
+	}
+	who := "rt"
+	if family.grouped() {
+		who = "topics"
+	}
+	m.warn = warner{logf: cfg.Logf, prefix: fmt.Sprintf("%s[%d]: ", who, cfg.Self), captured: m.cap != nil}
+	m.shards = make([]*shard, cfg.Shards)
+	for i := range m.shards {
+		m.shards[i] = &shard{inbox: newInbox(cfg.InboxDepth, m.stopCh), dsts: make([]mid.ProcID, 0, cfg.N)}
+	}
+	return m
+}
+
+// initSessions builds one protocol entity per group, each on its shard.
+func (m *Member) initSessions() error {
+	m.sessions = make([]*session, m.cfg.Groups)
+	for g := range m.sessions {
+		s := &session{
+			m:     m,
+			group: uint32(g),
+			shard: m.shards[g%len(m.shards)],
+		}
+		grouped := m.family.grouped()
+		if grouped {
+			s.obs = newNodeObs(m.cfg.Metrics, m.cfg.Self, m.cfg.N, "group", strconv.Itoa(g))
+		} else {
+			s.obs = newNodeObs(m.cfg.Metrics, m.cfg.Self, m.cfg.N)
+		}
+		if grouped && m.cfg.Metrics != nil {
+			s.submitStable = m.cfg.Metrics.Histogram(obs.Labeled("topics_submit_to_stable_seconds",
+				"node", strconv.Itoa(int(m.cfg.Self)), "group", strconv.Itoa(g)), obs.DurationBuckets)
+			s.stableWait = make(map[mid.MID]time.Time)
+		}
+		if m.cfg.Lifecycle != nil {
+			s.tracer = m.newTracer(g)
+		}
+		p, err := s.makeProc(false)
+		if err != nil {
+			return fmt.Errorf("rt: group %d: %w", g, err)
+		}
+		s.proc = p
+		if m.cfg.BatchWindow > 0 {
+			s.coal = newCoalescer(m.cfg.BatchWindow, m.cfg.BatchMax, m.cfg.BatchBytes, s.shard.inbox, s, s.obs.Coalesced)
+		}
+		m.sessions[g] = s
+	}
+	return nil
+}
+
+// newTracer builds group g's lifecycle tracer. The stuck-span watchdog blames
+// the injected fault when there is an injector to ask, else — on a member
+// whose groups share shard loops — names the group and its shard.
+func (m *Member) newTracer(g int) *lifecycle.Tracer {
+	opts := *m.cfg.Lifecycle
+	grouped := m.family.grouped()
+	switch {
+	case opts.Blame != nil:
+	case m.cfg.Fault != nil:
+		opts.Blame = m.cfg.Fault.Blame
+	case grouped:
+		shardIdx, shards := g%len(m.shards), len(m.shards)
+		opts.Blame = func([]mid.MID) string {
+			return fmt.Sprintf("group %d on shard %d/%d", g, shardIdx, shards)
+		}
+	}
+	if grouped {
+		return lifecycle.NewGroup(m.cfg.Self, m.cfg.N, uint32(g), opts, m.cfg.Metrics)
+	}
+	return lifecycle.New(m.cfg.Self, m.cfg.N, opts, m.cfg.Metrics)
+}
+
+// makeProc builds the session's protocol entity — founding, or joining a
+// running group — with its callbacks: confirm, indication fan-out with
+// drop-on-full, leave, the join hooks, metrics and tracing on top. The one
+// place a core.Process is made for a live runtime.
+func (s *session) makeProc(join bool) (*core.Process, error) {
+	m, cfg := s.m, &s.m.cfg
+	pc := cfg.Config
+	pc.Join = pc.Join || join
+	cb := core.Callbacks{
+		OnProcess: func(msg *causal.Message) {
+			ind := s.indications()
+			s.processed.Add(1)
+			s.conf.Processed(msg.ID)
+			select {
+			case ind <- Indication{Msg: *msg}:
+			default: // slow consumer: indication dropped, like a full SAP queue
+				s.obs.IndicationDropped()
+			}
+		},
+		OnLeave: func(r core.LeaveReason) {
+			s.conf.Leave(r)
+			clear(s.stableWait)
+		},
+		OnJoinInstalled: func(stable mid.SeqVector) {
+			if cfg.JoinInstalled != nil {
+				cfg.JoinInstalled(cfg.Self, s.group, stable)
+			}
+		},
+		OnJoined: func() {
+			if cfg.Joined != nil {
+				cfg.Joined(cfg.Self, s.group)
+			}
+		},
+		OnFastForward: func(q mid.ProcID, to mid.Seq) {
+			if cfg.FastForwarded != nil {
+				cfg.FastForwarded(cfg.Self, s.group, q, to)
+			}
+		},
+	}
+	if s.submitStable != nil {
+		cb.OnGenerate = func(msg *causal.Message) { s.stableWait[msg.ID] = time.Now() }
+		cb.OnStable = s.settleStable
+	}
+	p, err := core.NewProcess(m.cfg.Self, pc, s, installLifecycle(s.tracer, s.obs.Install(cb)))
+	if err != nil {
+		return nil, err
+	}
+	s.obs.MarkJoining(pc.Join)
+	return p, nil
+}
+
+// indications returns the session's indication queue, making it on first use.
+func (s *session) indications() chan Indication {
+	s.indOnce.Do(func() { s.ind = make(chan Indication, s.m.cfg.IndicationDepth) })
+	return s.ind
+}
+
+// settleStable observes the submit→stable latency of every own submission
+// the full-group clean vector newly covers. Shard goroutine only.
+func (s *session) settleStable(clean mid.SeqVector) {
+	if len(s.stableWait) == 0 {
+		return
+	}
+	now := time.Now()
+	for id, t0 := range s.stableWait {
+		if int(id.Proc) < len(clean) && id.Seq <= clean[id.Proc] {
+			s.submitStable.Observe(now.Sub(t0).Seconds())
+			delete(s.stableWait, id)
+		}
+	}
+}
+
+// Start launches the shard loops and, on a socket member, the reader and the
+// round clock. Mesh members are started and clocked by their Mesh.
+func (m *Member) Start() {
+	for _, sh := range m.shards {
+		m.wg.Add(1)
+		go func() { defer m.wg.Done(); sh.loop() }()
+	}
+	if m.udp != nil {
+		clk := newClock([]*Member{m}, nil, m.stopCh)
+		m.wg.Add(2)
+		go func() { defer m.wg.Done(); m.reader() }()
+		go func() { defer m.wg.Done(); clk.run() }()
+	}
+}
+
+// Stop halts every group and closes the socket. Submissions still pending
+// inside any group's open coalescer window are failed, never leaked.
+func (m *Member) Stop() {
+	m.stopOnce.Do(func() {
+		close(m.stopCh)
+		if m.udp != nil {
+			m.udp.conn.Close()
+		}
+		for _, s := range m.sessions {
+			s.coal.Stop()
+		}
+	})
+	m.wg.Wait()
+}
+
+// ID returns the member identifier.
+func (m *Member) ID() mid.ProcID { return m.cfg.Self }
+
+// Groups returns how many groups this member hosts.
+func (m *Member) Groups() int { return len(m.sessions) }
+
+// Shards returns how many shard loops carry them.
+func (m *Member) Shards() int { return len(m.shards) }
+
+// LocalAddr returns the bound UDP address (useful with port 0 in tests), or
+// nil on a Mesh member or when the address is unavailable — a closed socket
+// reports a nil address, and a status probe must not panic on it.
+func (m *Member) LocalAddr() *net.UDPAddr {
+	if m.udp == nil {
+		return nil
+	}
+	addr, _ := m.udp.conn.LocalAddr().(*net.UDPAddr)
+	return addr
+}
+
+// Kill fail-stops the member: from now on it neither ticks nor receives,
+// exactly like a crashed site. The rest of the group will detect the silence
+// and exclude it. Used by the fault-injection examples and tests.
+func (m *Member) Kill() { m.killed.Store(true) }
+
+// Killed reports whether the member was fail-stopped.
+func (m *Member) Killed() bool { return m.killed.Load() }
+
+func (m *Member) session(group uint32) (*session, error) {
+	if int64(group) >= int64(len(m.sessions)) {
+		return nil, fmt.Errorf("rt: group %d outside [0,%d)", group, len(m.sessions))
+	}
+	return m.sessions[group], nil
+}
+
+// Send implements the urcgc-data.Rq/Conf primitive pair on one group: it
+// submits the payload with the given explicit cross-sequence dependencies
+// and blocks until the message has been processed locally (the Confirm), or
+// the context ends. With BatchWindow set, concurrent Sends coalesce into
+// DataBatch frames; each still waits for its own confirm.
+func (m *Member) Send(ctx context.Context, group uint32, payload []byte, deps mid.DepList) (mid.MID, error) {
+	s, err := m.session(group)
+	if err != nil {
+		return mid.MID{}, err
+	}
+	return s.conf.Send(ctx, s, payload, deps, false)
+}
+
+// SendCausal is Send with the conservative depend-on-everything-seen
+// labelling computed inside the owning shard.
+func (m *Member) SendCausal(ctx context.Context, group uint32, payload []byte) (mid.MID, error) {
+	s, err := m.session(group)
+	if err != nil {
+		return mid.MID{}, err
+	}
+	return s.conf.Send(ctx, s, payload, nil, true)
+}
+
+// Indications returns one group's urcgc-data.Ind stream: every message
+// processed at this member in that group, in causal order.
+func (m *Member) Indications(group uint32) (<-chan Indication, error) {
+	s, err := m.session(group)
+	if err != nil {
+		return nil, err
+	}
+	return s.indications(), nil
+}
+
+// Left reports whether and why this member halted itself in one group.
+// Groups leave independently: an exclusion in one does not touch the others.
+func (m *Member) Left(group uint32) (core.LeaveReason, bool) {
+	s, err := m.session(group)
+	if err != nil {
+		return 0, false
+	}
+	return s.conf.Left()
+}
+
+// Snapshot runs fn on the shard goroutine that owns one group's protocol
+// entity, and waits for it. The core.Process accessors are
+// loop-goroutine-only; fn runs on that goroutine, so they may be called
+// freely inside it, but nothing reached through p (views, vectors, history)
+// may be retained after fn returns without cloning. For the common fields,
+// GroupStatus packages a cloned, race-free sample.
+func (m *Member) Snapshot(ctx context.Context, group uint32, fn func(p *core.Process)) error {
+	s, err := m.session(group)
+	if err != nil {
+		return err
+	}
+	return s.shard.call(ctx, func() { fn(s.proc) })
+}
+
+// GroupStatus captures a race-free sample of one group's protocol state.
+func (m *Member) GroupStatus(ctx context.Context, group uint32) (Status, error) {
+	var st Status
+	err := m.Snapshot(ctx, group, func(p *core.Process) { st = statusOf(p) })
+	return st, err
+}
+
+// Status reports group 0 in the single-group shape; a member hosting more
+// groups annotates it with the per-group processed counts and one compact
+// GroupStatus per hosted group, so the /status endpoint keeps its shape for
+// single-group consumers while urcgc-inspect can judge view divergence and
+// progress skew per group.
+func (m *Member) Status(ctx context.Context) (Status, error) {
+	st, err := m.GroupStatus(ctx, 0)
+	if err != nil || len(m.sessions) == 1 {
+		return st, err
+	}
+	st.GroupProcessed = m.GroupCounts()
+	st.Groups = make([]GroupStatus, len(m.sessions))
+	for g := range m.sessions {
+		gs, gid := &st.Groups[g], uint32(g)
+		if err := m.Snapshot(ctx, gid, func(p *core.Process) { *gs = groupStatusOf(gid, p) }); err != nil {
+			return st, err
+		}
+	}
+	return st, nil
+}
+
+// Lifecycle returns one group's span tracer, or nil when tracing is disabled
+// or the group is not hosted. A nil tracer is a no-op receiver, so callers
+// may use the result unconditionally.
+func (m *Member) Lifecycle(group uint32) *lifecycle.Tracer {
+	s, err := m.session(group)
+	if err != nil {
+		return nil
+	}
+	return s.tracer
+}
+
+// Lifecycles returns the per-group span tracers indexed by group id, or nil
+// when tracing is disabled.
+func (m *Member) Lifecycles() []*lifecycle.Tracer {
+	if m.cfg.Lifecycle == nil {
+		return nil
+	}
+	out := make([]*lifecycle.Tracer, len(m.sessions))
+	for g, s := range m.sessions {
+		out[g] = s.tracer
+	}
+	return out
+}
+
+// GroupCounts returns the number of messages processed per group so far.
+// Safe even after Stop — it is the shutdown summary's data source.
+func (m *Member) GroupCounts() []int64 {
+	out := make([]int64, len(m.sessions))
+	for i, s := range m.sessions {
+		out[i] = s.processed.Load()
+	}
+	return out
+}
+
+// The methods below are a session as its shard loop drives it.
+
+// offer hands the shard loop an event for s; a full inbox drops it, like any
+// datagram, and the drop is counted and traced. Reports whether it was
+// accepted.
+func (s *session) offer(e event) bool {
+	e.to = s
+	if s.shard.offer(e) {
+		return true
+	}
+	s.obs.InboxDropped(s.m.cfg.Self)
+	return false
+}
+
+// tick opens a round unless the member is fail-stopped, and under a lockstep
+// clock always reports to the barrier: a crashed site must not stall it.
+func (s *session) tick(round int) {
+	if !s.m.Killed() {
+		s.obs.MarkRound(round)
+		s.proc.StartRound(round)
+	}
+	if s.m.mesh != nil {
+		s.m.mesh.tickDone <- struct{}{}
+	}
+}
+
+// recv delivers a decoded PDU; a crashed site absorbs nothing.
+func (s *session) recv(src mid.ProcID, pdu wire.PDU) {
+	if !s.m.Killed() {
+		s.proc.Recv(src, pdu)
+	}
+}
+
+// submit runs queued submissions. A scheduled crash takes effect here as
+// well as at the round tick: a message submitted after the crash instant
+// would otherwise leave (and be processed locally) on submit, before the
+// tick that fail-stops the member.
+func (s *session) submit(head *submission) {
+	m := s.m
+	if m.cfg.Fault.Crashed(m.cfg.Self) {
+		m.Kill()
+	}
+	if m.Killed() {
+		failAll(head, fmt.Errorf("rt: member %d is fail-stopped", m.cfg.Self))
+		return
+	}
+	s.conf.Submit(s.proc, s.obs, head)
+}

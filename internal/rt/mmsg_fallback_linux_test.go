@@ -4,8 +4,6 @@ package rt
 
 import (
 	"context"
-	"fmt"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -44,94 +42,32 @@ func TestMmsgRuntimeFallback(t *testing.T) {
 	}
 	refuseMmsg(t)
 
-	const n = 3
+	const n, perNode = 3, 8
 	reg := obs.New()
-	peers := freePorts(t, n)
-	nodes := make([]*UDPNode, n)
-	for i := 0; i < n; i++ {
-		node, err := NewUDPNode(UDPConfig{
-			Config:        core.Config{N: n, K: 5, R: 16, SelfExclusion: true},
-			Self:          mid.ProcID(i),
-			Peers:         peers,
-			RoundDuration: 3 * time.Millisecond,
-			BatchWindow:   2 * time.Millisecond,
-			Metrics:       reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The burst machinery must have been constructed — the whole point
-		// is that the refusal arrives only once the syscall runs.
-		if node.mmsend == nil {
+	nodes := udpNodes(t, n, UDPConfig{
+		Config:        core.Config{N: n, K: 5, R: 16, SelfExclusion: true},
+		RoundDuration: 3 * time.Millisecond,
+		BatchWindow:   2 * time.Millisecond,
+		Metrics:       reg,
+	})
+	// The burst machinery must have been constructed — the whole point is
+	// that the refusal arrives only once the syscall runs.
+	for _, node := range nodes {
+		if node.m.shards[0].burst == nil {
 			t.Fatal("burst sender was not built on a linux target")
 		}
-		nodes[i] = node
 	}
-	for _, node := range nodes {
-		node.Start()
-	}
-	defer func() {
-		for _, node := range nodes {
-			node.Stop()
-		}
-	}()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	const perNode = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, n*perNode)
-	for i := 0; i < n; i++ {
-		for k := 0; k < perNode; k++ {
-			wg.Add(1)
-			i, k := i, k
-			go func() {
-				defer wg.Done()
-				if _, err := nodes[i].Send(ctx, []byte(fmt.Sprintf("fb%d-%d", i, k)), nil); err != nil {
-					errs <- fmt.Errorf("node %d send %d: %w", i, k, err)
-				}
-			}()
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
 	// No frame may be lost to the refusal: the group converges on the full
 	// vector exactly as it would with the burst path live.
-	want := mid.SeqVector{perNode, perNode, perNode}
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		ok := true
-		for i := 0; i < n; i++ {
-			var got mid.SeqVector
-			sctx, scancel := context.WithTimeout(ctx, 2*time.Second)
-			err := nodes[i].Snapshot(sctx, func(p *core.Process) { got = p.Processed().Clone() })
-			scancel()
-			if err != nil || !got.Equal(want) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("group never converged after mmsg ENOSYS fallback")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	sendEach(t, nodes, perNode)
+	awaitProcessed(t, nodes, mid.SeqVector{perNode, perNode, perNode})
 
 	// Every sender must have latched the refusal and disabled its burst
 	// path (checked via Snapshot so the read happens on the loop goroutine
 	// that owns the sender).
 	for i, node := range nodes {
 		var disabled bool
-		sctx, scancel := context.WithTimeout(ctx, 2*time.Second)
-		err := node.Snapshot(sctx, func(*core.Process) { disabled = node.mmsend.disabled })
-		scancel()
+		err := node.Snapshot(context.Background(), func(*core.Process) { disabled = node.m.shards[0].burst.disabled })
 		if err != nil {
 			t.Fatal(err)
 		}

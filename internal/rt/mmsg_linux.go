@@ -5,7 +5,6 @@ package rt
 import (
 	"net"
 	"net/netip"
-	"sync"
 	"syscall"
 	"unsafe"
 
@@ -13,9 +12,8 @@ import (
 )
 
 // Burst datagram I/O via sendmmsg(2)/recvmmsg(2), straight from the
-// syscall package — no cgo, no external modules. One broadcast fan-out, one
-// drain of the multi-group sender's queue, or one reader wakeup moves a
-// whole burst of datagrams per syscall. Anything
+// syscall package — no cgo, no external modules. One broadcast fan-out or
+// one reader wakeup moves a whole burst of datagrams per syscall. Anything
 // unusual — an IPv6 peer, a kernel without the syscalls, a raw-conn
 // failure — falls back to the classic one-syscall-per-datagram path.
 
@@ -46,11 +44,10 @@ var recvmmsgRaw = func(fd uintptr, hdrs *mmsghdr, n int) (uintptr, syscall.Errno
 	return r, errno
 }
 
-// BurstSender ships a batch of datagrams, each to its own peer, in as few
-// sendmmsg calls as possible: one frame to many destinations for a
-// single-group broadcast, a mixed drain of many groups' frames for the
-// multi-group runtime's shared sender. Owned by one goroutine; no locking.
-type BurstSender struct {
+// burstSender ships a batch of datagrams, each to its own peer, in as few
+// sendmmsg calls as possible: one frame to every destination of a fan-out.
+// Owned by one shard goroutine; no locking.
+type burstSender struct {
 	rc       syscall.RawConn
 	sas      []syscall.RawSockaddrInet4 // per-peer, precomputed
 	hdrs     []mmsghdr
@@ -67,10 +64,10 @@ type BurstSender struct {
 	fellBack bool // sendmmsg itself was refused before anything left
 }
 
-// NewBurstSender returns a sender of up to slots datagrams per burst, or
+// newBurstSender returns a sender of up to slots datagrams per burst, or
 // nil when the burst path cannot be used (an IPv6 peer, no raw conn), which
 // callers treat as "use WriteToUDP per datagram".
-func NewBurstSender(conn *net.UDPConn, peers []*net.UDPAddr, slots int) *BurstSender {
+func newBurstSender(conn *net.UDPConn, peers []*net.UDPAddr, slots int) *burstSender {
 	rc, err := conn.SyscallConn()
 	if err != nil {
 		return nil
@@ -86,19 +83,19 @@ func NewBurstSender(conn *net.UDPConn, peers []*net.UDPAddr, slots int) *BurstSe
 		sas[i] = syscall.RawSockaddrInet4{Family: syscall.AF_INET, Port: p<<8 | p>>8}
 		copy(sas[i].Addr[:], ip4)
 	}
-	m := &BurstSender{rc: rc, sas: sas, hdrs: make([]mmsghdr, slots), iovs: make([]syscall.Iovec, slots)}
+	m := &burstSender{rc: rc, sas: sas, hdrs: make([]mmsghdr, slots), iovs: make([]syscall.Iovec, slots)}
 	m.write = m.writeBurst
 	return m
 }
 
-// Usable reports whether a burst of n datagrams should go through Send
+// usable reports whether a burst of n datagrams should go through send
 // rather than the classic per-datagram path (nil sender, a burst of one, or
 // sendmmsg refused earlier).
-func (m *BurstSender) Usable(n int) bool { return m != nil && !m.disabled && n >= 2 }
+func (m *burstSender) usable(n int) bool { return m != nil && !m.disabled && n >= 2 }
 
-// Queue puts frame, bound for peer dst, in slot i of the next burst. The
-// frame must stay untouched until Send returns.
-func (m *BurstSender) Queue(i int, dst mid.ProcID, frame []byte) {
+// queue puts frame, bound for peer dst, in slot i of the next burst. The
+// frame must stay untouched until send returns.
+func (m *burstSender) queue(i int, dst mid.ProcID, frame []byte) {
 	m.iovs[i].Base = &frame[0]
 	m.iovs[i].SetLen(len(frame))
 	m.hdrs[i] = mmsghdr{hdr: syscall.Msghdr{
@@ -109,12 +106,12 @@ func (m *BurstSender) Queue(i int, dst mid.ProcID, frame []byte) {
 	}}
 }
 
-// Send ships slots [0, n) and reports how many datagrams left and how many
+// send ships slots [0, n) and reports how many datagrams left and how many
 // were refused for good (loss is an omission the protocol repairs; the
 // caller counts it). ok is false when the kernel refused sendmmsg itself
 // before anything left: the caller takes the classic path for this burst and,
-// Usable being false from now on, every later one.
-func (m *BurstSender) Send(n int) (sent, errs int, ok bool) {
+// usable being false from now on, every later one.
+func (m *burstSender) send(n int) (sent, errs int, ok bool) {
 	m.want, m.sent, m.errs, m.fellBack = n, 0, 0, false
 	if werr := m.rc.Write(m.write); werr != nil {
 		m.errs = m.want - m.sent // raw-conn failure (e.g. closing socket)
@@ -125,7 +122,7 @@ func (m *BurstSender) Send(n int) (sent, errs int, ok bool) {
 // writeBurst is the raw-conn write callback: it pushes the prepared headers
 // through sendmmsg until all are taken, the socket must be waited for
 // (false), or the kernel refuses.
-func (m *BurstSender) writeBurst(fd uintptr) bool {
+func (m *burstSender) writeBurst(fd uintptr) bool {
 	for m.sent < m.want {
 		r, errno := sendmmsgRaw(fd, &m.hdrs[m.sent], m.want-m.sent)
 		switch errno {
@@ -156,22 +153,37 @@ func (m *BurstSender) writeBurst(fd uintptr) bool {
 // the classic reader.
 const burstSlot = MaxDatagram + 1
 
-// burstSlabs recycles the receivers' buffer sets (mmsgBurst slots, half a
-// megabyte) across node lifetimes, so a process that constructs and stops
-// members by the hundred — a test suite, the benchmark's set-up timing —
-// does not grow its heap by a slab of garbage per member. A reader returns
-// its slab when it exits; nothing else ever sees the bytes.
-var burstSlabs = sync.Pool{New: func() any {
+// mmsgReceivers recycles whole receivers — the buffer set (mmsgBurst slots,
+// half a megabyte) and the header arrays over it — across member lifetimes,
+// so a process that constructs and stops members by the hundred — a test
+// suite, the benchmark's set-up timing — does not grow its heap by a slab of
+// garbage per member. A reader returns its receiver when it exits; nothing
+// else ever sees the bytes. A leaky channel, not a sync.Pool: the collector
+// empties a Pool every other cycle, and the queues a member allocates at
+// set-up are a cycle's worth by themselves — so a Pool handed a churning
+// process a fresh slab per member after all.
+var mmsgReceivers = make(chan *mmsgReceiver, 4)
+
+func newReceiverBuffers() *mmsgReceiver {
+	m := &mmsgReceiver{
+		bufs: make([][]byte, mmsgBurst),
+		hdrs: make([]mmsghdr, mmsgBurst),
+		iovs: make([]syscall.Iovec, mmsgBurst),
+		sas:  make([]syscall.RawSockaddrAny, mmsgBurst),
+	}
 	slab := make([]byte, mmsgBurst*burstSlot)
-	return &slab
-}}
+	for i := range m.bufs {
+		m.bufs[i] = slab[i*burstSlot : (i+1)*burstSlot : (i+1)*burstSlot]
+	}
+	m.read = m.readBurst
+	return m
+}
 
 // mmsgReceiver drains the socket in recvmmsg bursts. Owned by the reader
 // goroutine; no locking.
 type mmsgReceiver struct {
 	rc   syscall.RawConn
-	slab *[]byte // backs bufs; back to burstSlabs on release
-	bufs [][]byte
+	bufs [][]byte // slices of one slab
 	hdrs []mmsghdr
 	iovs []syscall.Iovec
 	sas  []syscall.RawSockaddrAny
@@ -185,31 +197,29 @@ type mmsgReceiver struct {
 
 // newMmsgReceiver returns nil when burst receive cannot be used; the
 // reader then runs its classic ReadFromUDP loop.
-func newMmsgReceiver(n *UDPNode) *mmsgReceiver {
-	rc, err := n.conn.SyscallConn()
+func newMmsgReceiver(conn *net.UDPConn) *mmsgReceiver {
+	rc, err := conn.SyscallConn()
 	if err != nil {
 		return nil
 	}
-	m := &mmsgReceiver{
-		rc:   rc,
-		slab: burstSlabs.Get().(*[]byte),
-		bufs: make([][]byte, mmsgBurst),
-		hdrs: make([]mmsghdr, mmsgBurst),
-		iovs: make([]syscall.Iovec, mmsgBurst),
-		sas:  make([]syscall.RawSockaddrAny, mmsgBurst),
+	var m *mmsgReceiver
+	select {
+	case m = <-mmsgReceivers:
+	default:
+		m = newReceiverBuffers()
 	}
-	for i := range m.bufs {
-		m.bufs[i] = (*m.slab)[i*burstSlot : (i+1)*burstSlot : (i+1)*burstSlot]
-	}
-	m.read = m.readBurst
+	m.rc = rc
 	return m
 }
 
-// release hands the buffer set back for the next node's reader. The reader
-// calls it on exit; the receiver must not be used afterwards.
+// release hands the receiver back for the next member's reader. The reader
+// calls it on exit and must not use the receiver afterwards.
 func (m *mmsgReceiver) release() {
-	burstSlabs.Put(m.slab)
-	m.slab, m.bufs = nil, nil
+	m.rc = nil
+	select {
+	case mmsgReceivers <- m:
+	default:
+	}
 }
 
 // recv blocks until at least one datagram arrives and returns how many

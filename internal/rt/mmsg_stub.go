@@ -12,18 +12,18 @@ import (
 // Non-linux platforms have no sendmmsg/recvmmsg: both constructors return
 // nil and the runtime stays on the classic one-syscall-per-datagram path.
 
-// BurstSender is unavailable off linux/amd64 and linux/arm64.
-type BurstSender struct{ disabled bool }
+// burstSender is unavailable off linux/amd64 and linux/arm64.
+type burstSender struct{ disabled bool }
 
-func NewBurstSender(*net.UDPConn, []*net.UDPAddr, int) *BurstSender { return nil }
+func newBurstSender(*net.UDPConn, []*net.UDPAddr, int) *burstSender { return nil }
 
-func (m *BurstSender) Usable(int) bool                    { return false }
-func (m *BurstSender) Queue(int, mid.ProcID, []byte)      {}
-func (m *BurstSender) Send(int) (sent, errs int, ok bool) { return 0, 0, false }
+func (m *burstSender) usable(int) bool                    { return false }
+func (m *burstSender) queue(int, mid.ProcID, []byte)      {}
+func (m *burstSender) send(int) (sent, errs int, ok bool) { return 0, 0, false }
 
 type mmsgReceiver struct{}
 
-func newMmsgReceiver(*UDPNode) *mmsgReceiver { return nil }
+func newMmsgReceiver(*net.UDPConn) *mmsgReceiver { return nil }
 
 func (m *mmsgReceiver) release()                {}
 func (m *mmsgReceiver) recv() (int, error)      { return 0, nil }

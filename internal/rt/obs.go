@@ -11,11 +11,10 @@ import (
 	"urcgc/internal/wire"
 )
 
-// NodeObs holds one protocol entity's pre-resolved instruments, so hot
-// paths touch atomics instead of registry maps. A nil *NodeObs disables
-// everything. Exported so the multi-group runtime (internal/topics) reuses
-// the same instrument set with an extra group label.
-type NodeObs struct {
+// nodeObs holds one protocol entity's pre-resolved instruments, so hot
+// paths touch atomics instead of registry maps. A nil *nodeObs disables
+// everything.
+type nodeObs struct {
 	reg *obs.Registry
 
 	processed   *obs.Counter
@@ -57,17 +56,17 @@ type NodeObs struct {
 	subrunStart time.Time
 }
 
-// NewNodeObs resolves the per-member instrument set for a group of n;
+// newNodeObs resolves the per-member instrument set for a group of n;
 // nil registry → nil. Every series carries a node label; extraLabels
-// appends further Prometheus label pairs (the multi-group runtime passes
+// appends further Prometheus label pairs (a multi-group member passes
 // "group", "<g>" so each group's series stay separable).
-func NewNodeObs(reg *obs.Registry, id mid.ProcID, n int, extraLabels ...string) *NodeObs {
+func newNodeObs(reg *obs.Registry, id mid.ProcID, n int, extraLabels ...string) *nodeObs {
 	if reg == nil {
 		return nil
 	}
 	kv := append([]string{"node", strconv.Itoa(int(id))}, extraLabels...)
 	l := func(name string) string { return obs.Labeled(name, kv...) }
-	o := &NodeObs{
+	o := &nodeObs{
 		reg:         reg,
 		processed:   reg.Counter(l("rt_processed_total")),
 		indDropped:  reg.Counter(l("rt_indications_dropped_total")),
@@ -105,7 +104,7 @@ func NewNodeObs(reg *obs.Registry, id mid.ProcID, n int, extraLabels ...string) 
 // Install extends a member's protocol callbacks with the observability
 // hooks. The passed callbacks' own fields keep running first. All hooks
 // execute on the node loop goroutine, like every core callback. Nil-safe.
-func (o *NodeObs) Install(cb core.Callbacks) core.Callbacks {
+func (o *nodeObs) Install(cb core.Callbacks) core.Callbacks {
 	if o == nil {
 		return cb
 	}
@@ -220,7 +219,7 @@ func (o *NodeObs) Install(cb core.Callbacks) core.Callbacks {
 // MarkJoining publishes whether the member is currently a joiner (the
 // core_joining gauge). Called at process construction; the OnJoined hook
 // clears it when the join completes.
-func (o *NodeObs) MarkJoining(v bool) {
+func (o *nodeObs) MarkJoining(v bool) {
 	if o == nil {
 		return
 	}
@@ -233,7 +232,7 @@ func (o *NodeObs) MarkJoining(v bool) {
 
 // MarkRound notes the subrun open for decision-latency measurement. Loop
 // goroutine only.
-func (o *NodeObs) MarkRound(r int) {
+func (o *nodeObs) MarkRound(r int) {
 	if o == nil || r%2 != 0 {
 		return
 	}
@@ -242,7 +241,7 @@ func (o *NodeObs) MarkRound(r int) {
 
 // Coalesced records one coalescer flush of n submissions. Safe from any
 // goroutine.
-func (o *NodeObs) Coalesced(n int) {
+func (o *nodeObs) Coalesced(n int) {
 	if o != nil {
 		o.coalesceSz.Observe(float64(n))
 	}
@@ -251,14 +250,14 @@ func (o *NodeObs) Coalesced(n int) {
 // EagerBroadcast counts one send opportunity taken at submit time instead of
 // at the subrun tick; against core_subrun it is the share of subruns whose
 // frames skipped the tick wait. Loop goroutine.
-func (o *NodeObs) EagerBroadcast() {
+func (o *nodeObs) EagerBroadcast() {
 	if o != nil {
 		o.eager.Inc()
 	}
 }
 
 // IndicationDropped counts a slow consumer losing an indication.
-func (o *NodeObs) IndicationDropped() {
+func (o *nodeObs) IndicationDropped() {
 	if o != nil {
 		o.indDropped.Inc()
 	}
@@ -267,7 +266,7 @@ func (o *NodeObs) IndicationDropped() {
 // InboxDropped counts a datagram refused by a full inbox and records the
 // by-design omission as a trace event, so the recovery path is verifiable
 // from the log rather than assumed.
-func (o *NodeObs) InboxDropped(id mid.ProcID) {
+func (o *nodeObs) InboxDropped(id mid.ProcID) {
 	if o == nil {
 		return
 	}
@@ -277,25 +276,15 @@ func (o *NodeObs) InboxDropped(id mid.ProcID) {
 
 // ObserveConfirm records one Rq→Conf latency (the paper's delay, wall-
 // clock edition). Safe from any goroutine.
-func (o *NodeObs) ObserveConfirm(t0 time.Time) {
+func (o *nodeObs) ObserveConfirm(t0 time.Time) {
 	if o != nil {
 		o.confirmLat.ObserveSince(t0)
 	}
 }
 
 // SampleInbox publishes the current inbox depth. Safe from any goroutine.
-func (o *NodeObs) SampleInbox(depth int) {
+func (o *nodeObs) SampleInbox(depth int) {
 	if o != nil {
 		o.inboxDepth.Set(int64(depth))
 	}
-}
-
-// Processed returns the number of messages processed at this member so far
-// — the per-group shutdown-summary count of the multi-group runtime. Safe
-// from any goroutine; 0 when observability is disabled.
-func (o *NodeObs) Processed() int64 {
-	if o == nil {
-		return 0
-	}
-	return o.processed.Value()
 }

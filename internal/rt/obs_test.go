@@ -2,14 +2,11 @@ package rt
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"net"
 	"strings"
 	"testing"
 	"time"
 
-	"urcgc/internal/core"
 	"urcgc/internal/mid"
 	"urcgc/internal/obs"
 )
@@ -32,12 +29,7 @@ func TestClusterMetrics(t *testing.T) {
 	reg := obs.New()
 	cfg := liveConfig(3)
 	cfg.Metrics = reg
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
+	c := startCluster(t, cfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -143,12 +135,7 @@ func TestMetricsServedOverHTTP(t *testing.T) {
 	reg := obs.New()
 	cfg := liveConfig(2)
 	cfg.Metrics = reg
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
+	c := startCluster(t, cfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	if _, err := c.Node(0).Send(ctx, []byte("x"), nil); err != nil {
@@ -171,72 +158,6 @@ func TestMetricsServedOverHTTP(t *testing.T) {
 	}
 }
 
-// TestUDPReaderCountsMalformedDatagrams feeds a live UDP member garbage
-// and asserts the previously-silent discard paths now count each cause.
-func TestUDPReaderCountsMalformedDatagrams(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real sockets and timers")
-	}
-	reg := obs.New()
-	var logged int
-	node, err := NewUDPNode(UDPConfig{
-		Config:        core.Config{N: 2, K: 1, R: 3},
-		Self:          0,
-		Peers:         []string{"127.0.0.1:0", "127.0.0.1:1"}, // peer 1 is never started
-		RoundDuration: 5 * time.Millisecond,
-		Metrics:       reg,
-		Logf:          func(string, ...any) { logged++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	node.Start()
-	defer node.Stop()
-
-	conn, err := net.Dial("udp", node.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	// Runt: shorter than the 4-byte source header.
-	if _, err := conn.Write([]byte{0xff}); err != nil {
-		t.Fatal(err)
-	}
-	// Bad source: header names member 99 of a 2-member group.
-	bad := make([]byte, 8)
-	binary.BigEndian.PutUint32(bad, 99)
-	if _, err := conn.Write(bad); err != nil {
-		t.Fatal(err)
-	}
-	// Undecodable: valid source 1, garbage PDU body.
-	junk := make([]byte, 16)
-	binary.BigEndian.PutUint32(junk, 1)
-	for i := 4; i < len(junk); i++ {
-		junk[i] = 0xee
-	}
-	if _, err := conn.Write(junk); err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		short := reg.Counter("udp_drop_short_total").Value()
-		badsrc := reg.Counter("udp_drop_badsrc_total").Value()
-		decode := reg.Counter("udp_drop_decode_total").Value()
-		if short >= 1 && badsrc >= 1 && decode >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("drop counters: short=%d badsrc=%d decode=%d", short, badsrc, decode)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if reg.Counter("udp_recv_datagrams_total").Value() < 3 {
-		t.Errorf("udp_recv_datagrams_total = %d, want ≥ 3", reg.Counter("udp_recv_datagrams_total").Value())
-	}
-}
-
 // TestInboxOverflowIsCountedAndTraced forces the rt inbox full path and
 // asserts the drop is counted and leaves a trace event, not silence.
 func TestInboxOverflowIsCountedAndTraced(t *testing.T) {
@@ -244,12 +165,7 @@ func TestInboxOverflowIsCountedAndTraced(t *testing.T) {
 	cfg := liveConfig(2)
 	cfg.Metrics = reg
 	cfg.InboxDepth = 1
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
+	c := startCluster(t, cfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	// A tiny inbox under concurrent traffic overflows quickly; the

@@ -28,12 +28,7 @@ func TestRecycledSubmissionSeesNoStaleSignal(t *testing.T) {
 	cfg := liveConfig(3)
 	cfg.RoundDuration = 200 * time.Microsecond
 	cfg.HistoryThreshold = 4
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
+	c := startCluster(t, cfg)
 	n := c.Node(1)
 
 	var (
@@ -132,7 +127,7 @@ func TestRecycledSubmissionSeesNoStaleSignal(t *testing.T) {
 			t.Errorf("a Send that submitted %#x was told %v, which carries %#x: a recycled Submission saw a stale Res", tag, id, indicated[id])
 		}
 	}
-	if leaked := n.conf.Waiting(); leaked != 0 {
+	if leaked := n.m.sessions[0].conf.Waiting(); leaked != 0 {
 		t.Errorf("%d waiter entries left behind", leaked)
 	}
 }
@@ -142,28 +137,28 @@ func TestRecycledSubmissionSeesNoStaleSignal(t *testing.T) {
 // waiting on it — once each, none missed, none signalled twice — and fail
 // them; the channels it leaves behind must be empty for the next Send.
 func TestLeaveFailsEveryWaiterExactlyOnce(t *testing.T) {
-	var conf Confirms
+	var conf confirms
 	p, err := core.NewProcess(0, core.Config{N: 3, K: 3, R: 8, HistoryThreshold: 1}, nopTransport{},
 		core.Callbacks{OnProcess: func(m *causal.Message) { conf.Processed(m.ID) }, OnLeave: conf.Leave})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const waiters = 16
-	subs := make([]*Submission, waiters+1)
-	var head *Submission
+	subs := make([]*submission, waiters+1)
+	var head *submission
 	for i := len(subs) - 1; i >= 0; i-- {
-		subs[i] = NewSubmission([]byte("held"), nil, false)
+		subs[i] = newSubmission([]byte("held"), nil, false)
 		subs[i].next, head = head, subs[i]
 	}
 	// One loop event runs the chain: the first message leaves on submit and
 	// closes the valve, the rest stay queued with their waiters registered.
 	conf.Submit(p, nil, head)
-	in := NewInbox(1, make(chan struct{}), errClusterStopped)
+	in := newInbox(1, make(chan struct{}))
 	errs := make(chan error, len(subs))
 	for _, s := range subs {
 		s := s
 		go func() {
-			_, err := conf.Await(context.Background(), &in, nil, s)
+			_, err := conf.Await(context.Background(), in, nil, s)
 			errs <- err
 		}()
 	}
@@ -190,7 +185,7 @@ func TestLeaveFailsEveryWaiterExactlyOnce(t *testing.T) {
 	}
 	// Whatever the pool hands out next, recycled or new, carries no signal.
 	for i := 0; i < 2*len(subs); i++ {
-		if s := NewSubmission(nil, nil, false); len(s.Res) != 0 || len(s.Confirm) != 0 || s.next != nil {
+		if s := newSubmission(nil, nil, false); len(s.Res) != 0 || len(s.Confirm) != 0 || s.next != nil {
 			t.Fatalf("pooled Submission carries state: %d Res, %d Confirm, next %v", len(s.Res), len(s.Confirm), s.next)
 		}
 	}

@@ -17,6 +17,18 @@ func liveConfig(n int) Config {
 	}
 }
 
+// startCluster builds and starts a live group, and stops it when the test ends.
+func startCluster(t *testing.T, cfg Config) *Cluster {
+	t.Helper()
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	t.Cleanup(c.Stop)
+	return c
+}
+
 // waitConverged polls until every live node's processed vector equals want,
 // or the deadline passes.
 func waitConverged(t *testing.T, c *Cluster, want mid.SeqVector, timeout time.Duration) {
@@ -58,12 +70,7 @@ func waitConverged(t *testing.T, c *Cluster, want mid.SeqVector, timeout time.Du
 }
 
 func TestLiveClusterConverges(t *testing.T) {
-	c, err := NewCluster(liveConfig(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
+	c := startCluster(t, liveConfig(5))
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	const perProc = 6
@@ -89,12 +96,7 @@ func TestLiveClusterConverges(t *testing.T) {
 }
 
 func TestIndicationsAreCausallyOrdered(t *testing.T) {
-	c, err := NewCluster(liveConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
+	c := startCluster(t, liveConfig(3))
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
@@ -140,12 +142,7 @@ func TestIndicationsAreCausallyOrdered(t *testing.T) {
 }
 
 func TestSendRejectsBadDeps(t *testing.T) {
-	c, err := NewCluster(liveConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
+	c := startCluster(t, liveConfig(3))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if _, err := c.Node(0).Send(ctx, []byte("x"), mid.DepList{{Proc: 1, Seq: 99}}); err == nil {
@@ -154,12 +151,7 @@ func TestSendRejectsBadDeps(t *testing.T) {
 }
 
 func TestKilledNodeIsExcludedAndGroupContinues(t *testing.T) {
-	c, err := NewCluster(liveConfig(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
+	c := startCluster(t, liveConfig(5))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -208,12 +200,7 @@ func TestKilledNodeIsExcludedAndGroupContinues(t *testing.T) {
 }
 
 func TestSendCausal(t *testing.T) {
-	c, err := NewCluster(liveConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
+	c := startCluster(t, liveConfig(3))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if _, err := c.Node(0).Send(ctx, []byte("a"), nil); err != nil {

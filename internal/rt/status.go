@@ -1,8 +1,6 @@
 package rt
 
 import (
-	"context"
-
 	"urcgc/internal/core"
 	"urcgc/internal/mid"
 )
@@ -79,9 +77,9 @@ type GroupStatus struct {
 	HistoryLen   int           `json:"history_len"`
 }
 
-// GroupStatusOf samples one group's process into the compact per-group
-// shape. Like StatusOf it must run on the goroutine driving p.
-func GroupStatusOf(group uint32, p *core.Process) GroupStatus {
+// groupStatusOf samples one group's process into the compact per-group
+// shape. Like statusOf it must run on the goroutine driving p.
+func groupStatusOf(group uint32, p *core.Process) GroupStatus {
 	return GroupStatus{
 		Group:        group,
 		Running:      p.Running(),
@@ -98,9 +96,8 @@ func GroupStatusOf(group uint32, p *core.Process) GroupStatus {
 	}
 }
 
-// StatusOf samples p. Exported for the multi-group runtime (internal/topics),
-// which snapshots each group's process on its shard goroutine. Must run on the goroutine driving p.
-func StatusOf(p *core.Process) Status {
+// statusOf samples p. Must run on the goroutine driving p.
+func statusOf(p *core.Process) Status {
 	return Status{
 		ID:              p.ID(),
 		N:               p.View().N(),
@@ -117,20 +114,4 @@ func StatusOf(p *core.Process) Status {
 		Alive:           append([]bool(nil), p.View().AliveMask()...),
 		Stats:           p.Stats,
 	}
-}
-
-// Status captures a race-free sample of the member's protocol state by
-// running inside the node goroutine.
-func (n *Node) Status(ctx context.Context) (Status, error) {
-	var s Status
-	err := n.Snapshot(ctx, func(p *core.Process) { s = StatusOf(p) })
-	return s, err
-}
-
-// Status captures a race-free sample of the member's protocol state by
-// running inside the node goroutine.
-func (n *UDPNode) Status(ctx context.Context) (Status, error) {
-	var s Status
-	err := n.Snapshot(ctx, func(p *core.Process) { s = StatusOf(p) })
-	return s, err
 }

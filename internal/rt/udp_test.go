@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,73 +31,80 @@ func freePorts(t *testing.T, n int) []string {
 	return addrs
 }
 
-func TestUDPGroupConverges(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real sockets and timers")
-	}
-	const n = 3
-	peers := freePorts(t, n)
+// udpNodes builds n UDPNodes on loopback from the template cfg (Self and
+// Peers are filled in), starts them, and stops them when the test ends.
+func udpNodes(t *testing.T, n int, cfg UDPConfig) []*UDPNode {
+	t.Helper()
+	cfg.Peers = freePorts(t, n)
 	nodes := make([]*UDPNode, n)
-	for i := 0; i < n; i++ {
-		node, err := NewUDPNode(UDPConfig{
-			Config:        core.Config{N: n, K: 3, R: 8, SelfExclusion: true},
-			Self:          mid.ProcID(i),
-			Peers:         peers,
-			RoundDuration: 3 * time.Millisecond,
-		})
+	for i := range nodes {
+		cfg.Self = mid.ProcID(i)
+		node, err := NewUDPNode(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		nodes[i] = node
+		t.Cleanup(node.Stop)
 	}
 	for _, node := range nodes {
 		node.Start()
 	}
-	defer func() {
-		for _, node := range nodes {
-			node.Stop()
-		}
-	}()
+	return nodes
+}
 
+// awaitProcessed polls until every node's processed vector equals want.
+func awaitProcessed(t *testing.T, nodes []*UDPNode, want mid.SeqVector) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for i := 0; i < len(nodes); {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		st, err := nodes[i].Status(ctx)
+		cancel()
+		switch {
+		case err == nil && st.Processed.Equal(want):
+			i++
+		case time.Now().After(deadline):
+			t.Fatalf("UDP group never converged: node %d at %v (err %v), want %v", i, st.Processed, err, want)
+		default:
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// sendEach has every node confirm perNode messages, all concurrently.
+func sendEach(t *testing.T, nodes []*UDPNode, perNode int) {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	const perNode = 4
-	for k := 0; k < perNode; k++ {
-		for i := 0; i < n; i++ {
-			if _, err := nodes[i].Send(ctx, []byte(fmt.Sprintf("u%d-%d", i, k)), nil); err != nil {
-				t.Fatalf("node %d send %d: %v", i, k, err)
-			}
+	var wg sync.WaitGroup
+	for i, node := range nodes {
+		for k := 0; k < perNode; k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := node.Send(ctx, []byte(fmt.Sprintf("u%d-%d", i, k)), nil); err != nil {
+					t.Errorf("node %d send %d: %v", i, k, err)
+				}
+			}()
 		}
 	}
-	want := mid.SeqVector{perNode, perNode, perNode}
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		ok := true
-		for i := 0; i < n; i++ {
-			var got mid.SeqVector
-			sctx, scancel := context.WithTimeout(ctx, 2*time.Second)
-			err := nodes[i].Snapshot(sctx, func(p *core.Process) { got = p.Processed().Clone() })
-			scancel()
-			if err != nil || !got.Equal(want) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			for i := 0; i < n; i++ {
-				var got mid.SeqVector
-				sctx, scancel := context.WithTimeout(ctx, 2*time.Second)
-				_ = nodes[i].Snapshot(sctx, func(p *core.Process) { got = p.Processed().Clone() })
-				scancel()
-				t.Logf("node %d: %v", i, got)
-			}
-			t.Fatal("UDP group never converged")
-		}
-		time.Sleep(10 * time.Millisecond)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
 	}
+}
+
+func TestUDPGroupConverges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets and timers")
+	}
+	const n, perNode = 3, 4
+	nodes := udpNodes(t, n, UDPConfig{
+		Config:        core.Config{N: n, K: 3, R: 8, SelfExclusion: true},
+		RoundDuration: 3 * time.Millisecond,
+	})
+	sendEach(t, nodes, perNode)
+	awaitProcessed(t, nodes, mid.SeqVector{perNode, perNode, perNode})
 }
 
 func TestUDPConfigValidation(t *testing.T) {

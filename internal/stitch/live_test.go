@@ -8,13 +8,14 @@ import (
 	"time"
 
 	"urcgc/internal/core"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/lifecycle"
 	"urcgc/internal/mid"
 	"urcgc/internal/nodehttp"
 	"urcgc/internal/topics"
 )
 
-// Hold levels for the live stuck-message test's drop hook.
+// Hold levels for the live stuck-message test's fault hook.
 const (
 	holdNone    = iota
 	holdFromOne // member 1's group-1 frames to member 2 are withheld
@@ -31,7 +32,7 @@ const (
 // member 2 are dropped (so the dependency spreads to members 0 and 1 but
 // not 2), then every group-1 frame into member 2 is dropped, which keeps
 // the recovery machinery (RECOVER/RETRANSMIT via the decision's
-// most-updated holder) from healing the gap under the test. The drop hook
+// most-updated holder) from healing the gap under the test. The hook's cut
 // escalates itself, on the very frame that carries the blocked message to
 // member 2, so no interval — poll, round or otherwise — separates "blocked
 // arrived" from "recovery cut". It recognizes that frame by construction,
@@ -65,7 +66,7 @@ func TestTraceStuckMessageEndToEnd(t *testing.T) {
 		Lifecycle: &lifecycle.Options{
 			SlowThreshold: 50 * time.Millisecond,
 		},
-		DropFrame: func(group uint32, src, dst mid.ProcID) bool {
+		Fault: faultrt.NewHook(faultrt.Cut(func(group uint32, src, dst mid.ProcID) bool {
 			if group != 1 || dst != 2 {
 				return false
 			}
@@ -79,7 +80,7 @@ func TestTraceStuckMessageEndToEnd(t *testing.T) {
 				return true
 			}
 			return false
-		},
+		}), nil),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,12 +6,11 @@ import (
 	"testing"
 	"time"
 
-	"urcgc/internal/causal"
 	"urcgc/internal/core"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/lifecycle"
 	"urcgc/internal/mid"
 	"urcgc/internal/obs"
-	"urcgc/internal/wire"
 )
 
 // TestMultiGroupObservability drives a mesh cluster with metrics and
@@ -93,13 +92,14 @@ func TestMultiGroupObservability(t *testing.T) {
 	}
 }
 
-// TestDropFramePartitionsOneGroup pins the DropFrame seam: with every
-// frame of group 1 dropped, group 0 still replicates across the cluster
-// while group 1's messages never reach a remote member (a sender's own
-// message can still self-deliver, so the remote frontier is the witness).
+// TestDropFramePartitionsOneGroup pins the per-group fault seam: with an
+// injector dropping every frame of group 1, group 0 still replicates across
+// the cluster while group 1's messages never reach a remote member (a
+// sender's own message can still self-deliver, so the remote frontier is the
+// witness).
 func TestDropFramePartitionsOneGroup(t *testing.T) {
 	cfg := meshConfig(3, 2, 2)
-	cfg.DropFrame = func(group uint32, src, dst mid.ProcID) bool { return group == 1 }
+	cfg.Fault = faultrt.NewHook(faultrt.Cut(func(group uint32, _, _ mid.ProcID) bool { return group == 1 }), nil)
 	c, err := NewMultiCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -139,65 +139,6 @@ func TestDropFramePartitionsOneGroup(t *testing.T) {
 	}
 }
 
-// nopTransport drops every PDU, as in the rt alloc guards.
-type nopTransport struct{}
-
-func (nopTransport) Send(mid.ProcID, wire.PDU) {}
-func (nopTransport) Broadcast(wire.PDU)        {}
-
-// TestTopicsDisabledObsAllocFree pins the disabled-observability contract
-// on the multi-group deliver path: with Metrics and Lifecycle both nil, a
-// session's park-then-cascade delivery costs exactly the core's own
-// budget (see rt's TestLifecycleDisabledAllocFree) — the per-group
-// accounting added for multi-group observability must be nil-gated out.
-func TestTopicsDisabledObsAllocFree(t *testing.T) {
-	cfg := Config{
-		Config: core.Config{N: 3, K: 3, R: 8, SelfExclusion: true},
-		Groups: 2,
-		Shards: 1,
-	}
-	cfg.fill(true)
-	if err := cfg.validate(); err != nil {
-		t.Fatal(err)
-	}
-	m := newMultiNode(cfg)
-	if err := m.initSessions(func(*session) core.Transport { return nopTransport{} }); err != nil {
-		t.Fatal(err)
-	}
-	// Shards are never started: the driver below is the only goroutine
-	// touching the process, satisfying the single-owner contract.
-	s := m.sessions[1]
-	if s.gobs != nil || s.tracer != nil || s.stableWait != nil {
-		t.Fatal("disabled observability left per-group state allocated")
-	}
-
-	const runs = 400
-	payload := make([]byte, 16)
-	msgs := make([]*wire.Data, 2*(runs+2))
-	for i := range msgs {
-		msgs[i] = &wire.Data{Msg: causal.Message{
-			ID:      mid.MID{Proc: 1, Seq: mid.Seq(i + 1)},
-			Payload: payload,
-		}}
-	}
-	s.proc.Recv(1, msgs[1]) // warm scratch containers outside the measurement
-	s.proc.Recv(1, msgs[0])
-	i := 2
-	got := testing.AllocsPerRun(runs, func() {
-		s.proc.Recv(1, msgs[i+1]) // parks on the missing implicit dep (1, i)
-		s.proc.Recv(1, msgs[i])   // delivers and cascades both
-		i += 2
-	})
-	if want := mid.Seq(2 * (runs + 2)); s.proc.Processed()[1] != want {
-		t.Fatalf("processed up to %d, want %d (driver bug)", s.proc.Processed()[1], want)
-	}
-	// Same budget as the single-group runtime — nothing: the topics layer
-	// must add nothing when observability is off.
-	if got > 0 {
-		t.Errorf("disabled-observability deliver path allocates %.2f/op, budget 0", got)
-	}
-}
-
 // TestIdleSendSkipsTickWaitPerGroup: every group's send opportunity is its
 // own — an idle (member, group) session's Send leaves on submit, well inside
 // one round, and the fast path is counted on the group-labeled series.
@@ -226,9 +167,14 @@ func TestIdleSendSkipsTickWaitPerGroup(t *testing.T) {
 			if took := time.Since(t0); took > round/3 {
 				t.Errorf("member %d group %d: an idle session's Send took %v at %v rounds: it waited for the tick", i, g, took, round)
 			}
+			// The loop counts the eager send right after the step that
+			// confirmed this Send: give it a moment.
 			name := obs.Labeled("rt_eager_broadcasts_total", "node", strconv.Itoa(i), "group", strconv.Itoa(g))
-			if got := reg.Counter(name).Value(); got != 1 {
-				t.Errorf("%s = %d, want 1", name, got)
+			for deadline := time.Now().Add(time.Second); reg.Counter(name).Value() != 1; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Errorf("%s = %d, want 1", name, reg.Counter(name).Value())
+					break
+				}
 			}
 		}
 	}
