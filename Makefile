@@ -20,7 +20,7 @@ fmt:
 	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # loc prints the non-test Go lines of the live-runtime packages — the number
-# ROADMAP item 2 ("one runtime, not three") states its acceptance in.
+# ROADMAP item 5 ("finish the collapse") states its acceptance in.
 loc:
 	@total=0; for p in rt topics chaos; do \
 		n=$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); \
@@ -82,19 +82,22 @@ join-smoke:
 capture-smoke:
 	sh scripts/capture_smoke.sh
 
-# chaos-smoke is the CI chaos gate: a short seeded soak (one crash, one
-# healed partition, 1/100 omission bursts, background reordering and
-# duplication) under -race, audited for uniform atomicity and ordering;
-# plus the rolling-restart smoke (every member kill -9'd and rejoined in
-# turn under omissions, invariants audited across incarnations).
+# chaos-smoke is the CI chaos gate: every ungated test of the one harness
+# under -race, each scenario audited for uniform atomicity and ordering on
+# every group — the seeded soak (one crash, one healed partition, 1/100
+# omission bursts, background reordering and duplication; batched, on two
+# groups sharing the link), the one-group partition of a three-group
+# cluster, and the rolling-restart smoke (every member kill -9'd and
+# rejoined in turn under omissions, audited across incarnations). The
+# env-gated soaks skip themselves.
 chaos-smoke:
-	$(GO) test -race -run 'TestSmokeSoak|TestSameSeedSamePlan|TestRollingRestartSmoke' -count 1 ./internal/chaos/
+	$(GO) test -race -count 1 ./internal/chaos/
 
 # chaos-soak is the 60-second acceptance soak (same shape, longer wall
 # clock), which also asserts member health degraded under the faults and
-# recovered after; the five-member rolling-restart soak (every member
-# kill -9'd and rejoined sequentially under 1/100 omission, the uniform
-# invariants audited across incarnations); plus the five-member
+# recovered after; the five-member, two-group rolling-restart soak (every
+# member kill -9'd and rejoined sequentially under 1/100 omission, the
+# uniform invariants audited per group across incarnations); plus the five-member
 # partition/heal demo: inspect healthy -> divergence naming the cut-off
 # member -> healthy again. Also available interactively as
 # `go run ./cmd/urcgc-chaos`.

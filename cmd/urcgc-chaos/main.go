@@ -107,7 +107,7 @@ func main() {
 			}
 		}
 	}
-	if !rep.Ok() || !rep.Converged {
+	if !rep.Ok() || !rep.Converged() {
 		os.Exit(1)
 	}
 }

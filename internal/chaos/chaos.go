@@ -1,14 +1,25 @@
-// Package chaos soaks a live in-process cluster under a seeded wall-clock
-// fault schedule and verifies the paper's two uniform properties
-// afterwards: Uniform Ordering (causal order respected at every member)
-// and Uniform Atomicity (every decided message processed by all surviving
-// members or none). It is the wall-clock counterpart of the simulator's
-// scripted fault experiments: the faultrt schedule expands a seed into one
-// crash, one healed partition, omission bursts and background
-// reordering/duplication, the cluster runs under generated load, and a
-// faultrt.Checker audits every member's indication stream at the end.
+// Package chaos is the one harness that holds the live runtime to the
+// paper's contract, Definition 3.2: Uniform Ordering (causal order respected
+// at every member) and Uniform Atomicity (every decided message processed by
+// all surviving members or none), under omissions and up to t=(n-1)/2
+// crashes. It is the wall-clock counterpart of the simulator's scripted fault
+// experiments. One soak is one phase skeleton over an in-process rt.Mesh
+// hosting G >= 1 groups on one link:
 //
-// Determinism contract: the fault plan is a pure function of the seed
+//	boot -> consume (one faultrt.Checker per group) -> load every (member,
+//	group) -> the Scenario drives its fault plan -> heal -> settle -> audit
+//
+// and a Scenario is the only thing that varies: Seeded (the default: a
+// seed-expanded crash, healed partition, omission bursts and background
+// reordering/duplication), GroupPartition (one group cut off from one
+// member, the others untouched on the same link) and RollingRestart (every
+// member kill -9'd and rejoined in turn). Whatever the scenario, every group
+// is audited by its own checker, every member's frames can be captured for
+// offline replay, and — with a metrics registry — one per-(member, group)
+// health monitor reports who degraded under the faults and whether the
+// survivors recovered.
+//
+// Determinism contract: Seeded's fault plan is a pure function of the seed
 // (Report.Schedule renders it), so a same-seed rerun faces the identical
 // scripted adversary. The realized injection trace additionally depends on
 // the datagram interleaving of the run, which wall-clock concurrency does
@@ -17,10 +28,12 @@
 package chaos
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -30,7 +43,6 @@ import (
 	"urcgc/internal/capture"
 	"urcgc/internal/core"
 	"urcgc/internal/faultrt"
-	"urcgc/internal/health"
 	"urcgc/internal/lifecycle"
 	"urcgc/internal/mid"
 	"urcgc/internal/obs"
@@ -38,124 +50,147 @@ import (
 )
 
 // Config parameterizes one soak. The zero value of every field gets a
-// usable default.
+// usable default; N, K, R, Groups, Duration and Settle default per Scenario.
 type Config struct {
-	// Seed selects the fault schedule; same seed, same plan.
+	// Scenario is the fault plan the soak drives (default Seeded()).
+	Scenario Scenario
+	// Seed selects Seeded's fault schedule; same seed, same plan.
 	Seed int64
-	// N is the group size (default 5).
+	// N is the group size.
 	N int
-	// K is the protocol's silence threshold (default 4); the schedule's
-	// partition is kept shorter than K subruns so it heals as an omission
-	// burst instead of evicting half the group.
+	// Groups is how many groups (ids 0..Groups-1) share the members and the
+	// link; each is loaded and audited on its own.
+	Groups int
+	// K is the protocol's silence threshold; Seeded keeps its partition
+	// shorter than K subruns so it heals as an omission burst instead of
+	// evicting half the group. GroupPartition runs at its own K.
 	K int
-	// R is the recovery-exhaustion threshold (default 8).
+	// R is the recovery-exhaustion threshold.
 	R int
-	// Round is the wall-clock round length (default 2ms).
+	// Round is the wall-clock round length (default 2ms). Every cadence of
+	// the harness — load, polls, health sampling — is a multiple of it.
 	Round time.Duration
-	// Duration is the fault phase: load runs and faults fire (default 2s).
+	// Duration is how long the faults last: Seeded's schedule length,
+	// GroupPartition's cut. RollingRestart is paced by the protocol instead.
 	Duration time.Duration
-	// Settle bounds the post-fault convergence wait (default Duration).
+	// Settle bounds each wait for the protocol or the health verdicts to
+	// get somewhere: the warm-up, every phase of a rolling restart, the
+	// post-fault convergence and the health recovery.
 	Settle time.Duration
-	// SendEvery is each member's submission cadence (default 4*Round).
-	SendEvery time.Duration
 	// BatchWindow, when positive, enables the runtime's coalescing sender
-	// so the soak exercises DataBatch traffic under the fault schedule.
+	// so the soak exercises DataBatch traffic under the fault plan.
 	BatchWindow time.Duration
 	// BatchMax caps the per-subrun drain when batching (0 = runtime
 	// default when BatchWindow is set).
 	BatchMax int
-	// SendTimeout abandons a confirm wait (default max(100*Round, 200ms));
-	// abandoned sends are legal — the message stays in flight.
-	SendTimeout time.Duration
 	// CaptureFrames, when positive, arms a frame flight recorder of that
 	// many records on every member (internal/capture); the rings ride the
 	// Report so a violating run can be dumped and replayed offline.
 	CaptureFrames int
-	// CaptureBytes bounds each ring's retained frame bytes (0 = default).
-	CaptureBytes int
 	// Inject, when non-nil, layers an extra scripted adversary onto the
-	// seeded schedule — tests use it for targeted faults (a permanent
-	// partition, say) the background plan never generates.
+	// scenario's — tests use it for targeted faults (a permanent
+	// partition, say) no scenario generates.
 	Inject faultrt.Injector
 	// Metrics, when non-nil, receives the cluster's and the injector's
-	// instruments (faultrt_injected_total{kind} among them).
+	// instruments (faultrt_injected_total{kind} among them) and turns the
+	// health monitor on.
 	Metrics *obs.Registry
 	// Lifecycle, when non-nil, enables per-message tracing; stuck-span
 	// watchdog lines name the injected fault that plausibly caused the
 	// stall.
 	Lifecycle *lifecycle.Options
-	// Logf, when non-nil, narrates progress.
+	// Logf, when non-nil, narrates progress and carries the runtime's
+	// throttled warnings.
 	Logf func(format string, args ...any)
-}
-
-func (c Config) fill() Config {
-	if c.N == 0 {
-		c.N = 5
-	}
-	if c.K == 0 {
-		c.K = 4
-	}
-	if c.R == 0 {
-		c.R = 8
-	}
-	if c.Round == 0 {
-		c.Round = 2 * time.Millisecond
-	}
-	if c.Duration == 0 {
-		c.Duration = 2 * time.Second
-	}
-	if c.Settle == 0 {
-		c.Settle = c.Duration
-	}
-	if c.SendEvery == 0 {
-		c.SendEvery = 4 * c.Round
-	}
-	if c.SendTimeout == 0 {
-		c.SendTimeout = 100 * c.Round
-		if c.SendTimeout < 200*time.Millisecond {
-			c.SendTimeout = 200 * time.Millisecond
-		}
-	}
-	return c
 }
 
 // Report is the outcome of one soak.
 type Report struct {
-	// Schedule is the seed-deterministic fault plan the run executed.
+	// Scenario names the fault plan that ran.
+	Scenario string
+	// Schedule is Seeded's seed-deterministic fault plan; nil otherwise.
 	Schedule *faultrt.Schedule
 	// Injected counts realized injections per fault kind.
 	Injected map[string]int64
-	// Sent and Confirmed count submissions and completed confirm waits.
+	// Sent and Confirmed count submissions and completed confirm waits over
+	// every group.
 	Sent, Confirmed int64
-	// Survivors are the members neither fail-stopped nor self-excluded.
-	Survivors []mid.ProcID
-	// Killed are the fail-stopped members (the schedule's crash).
+	// Killed are the members fail-stopped at the end of the run.
 	Killed []mid.ProcID
-	// Left maps self-excluded members to their protocol-level reason.
-	Left map[mid.ProcID]core.LeaveReason
-	// Processed counts indications per member.
-	Processed map[mid.ProcID]int
-	// Converged reports whether the survivors' histories stabilized at the
-	// same length inside the settle window.
-	Converged bool
-	// Violations are the invariant breaches found; empty means clean.
-	Violations []faultrt.Violation
-	// HealthMonitored reports whether per-node health verdicts were
-	// evaluated over a flight recording during the run (Metrics was set).
+	// Restarted lists the members RollingRestart killed and revived, in
+	// order; Rejoined those every group re-admitted in time.
+	Restarted, Rejoined []mid.ProcID
+	// Groups holds each group's audit, indexed by group id.
+	Groups []GroupReport
+	// HealthMonitored reports whether per-(member, group) health verdicts
+	// were evaluated over a flight recording (Metrics was set).
 	HealthMonitored bool
-	// HealthDegraded reports whether any member's health verdict went
-	// unhealthy while the faults were active — the health layer noticed
-	// the adversary.
-	HealthDegraded bool
-	// DegradedNodes maps each member that went unhealthy to the rules
-	// that fired on it.
-	DegradedNodes map[mid.ProcID][]string
-	// HealthRecovered reports whether every survivor's verdict returned
-	// to healthy after the faults cleared.
+	// HealthyBeforeFault reports whether a scenario that warms up first saw
+	// every verdict healthy, with traffic confirmed in every group, before
+	// its fault.
+	HealthyBeforeFault bool
+	// HealthRecovered reports whether every survivor's verdict returned to
+	// healthy after the faults cleared.
 	HealthRecovered bool
 	// Captures holds each member's frame flight recorder when
 	// Config.CaptureFrames armed one; DumpCaptures persists them.
 	Captures []*capture.Ring
+}
+
+// GroupReport is one group's share of a Report.
+type GroupReport struct {
+	// Confirmed counts the group's completed confirm waits.
+	Confirmed int64
+	// Survivors are the members neither fail-stopped nor self-excluded from
+	// this group.
+	Survivors []mid.ProcID
+	// Left maps self-excluded members to their protocol-level reason.
+	Left map[mid.ProcID]core.LeaveReason
+	// Processed counts indications per member (current incarnation).
+	Processed map[mid.ProcID]int
+	// Converged reports whether the survivors' processed vectors became
+	// equal and stopped moving inside the settle window.
+	Converged bool
+	// ViewsAgree reports whether, at the end, every survivor was running,
+	// done joining, and held exactly the survivors alive in its view.
+	ViewsAgree bool
+	// Degraded maps each member whose verdict for this group went unhealthy
+	// to the rules that fired.
+	Degraded map[mid.ProcID][]string
+	// Violations are the invariant breaches the group's checker found;
+	// empty means clean.
+	Violations []faultrt.Violation
+}
+
+func (r *Report) all(ok func(*GroupReport) bool) bool {
+	for g := range r.Groups {
+		if !ok(&r.Groups[g]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Ok reports whether every group upheld both uniform properties.
+func (r *Report) Ok() bool {
+	return r.all(func(g *GroupReport) bool { return len(g.Violations) == 0 })
+}
+
+// Converged reports whether every group's survivors converged.
+func (r *Report) Converged() bool { return r.all(func(g *GroupReport) bool { return g.Converged }) }
+
+// ViewsAgree reports whether every group ended with settled views.
+func (r *Report) ViewsAgree() bool { return r.all(func(g *GroupReport) bool { return g.ViewsAgree }) }
+
+// DegradedGroups lists the groups in which any member's health degraded.
+func (r *Report) DegradedGroups() []uint32 {
+	var out []uint32
+	for g := range r.Groups {
+		if len(r.Groups[g].Degraded) > 0 {
+			out = append(out, uint32(g))
+		}
+	}
+	return out
 }
 
 // DumpCaptures writes every member's capture ring to dir as
@@ -170,9 +205,6 @@ func (r *Report) DumpCaptures(dir string) ([]string, error) {
 	}
 	var paths []string
 	for _, ring := range r.Captures {
-		if ring == nil {
-			continue
-		}
 		path := filepath.Join(dir, fmt.Sprintf("capture-node%d.bin", ring.Node()))
 		f, err := os.Create(path)
 		if err != nil {
@@ -190,22 +222,37 @@ func (r *Report) DumpCaptures(dir string) ([]string, error) {
 	return paths, nil
 }
 
-// Ok reports whether the run upheld both uniform properties.
-func (r *Report) Ok() bool { return len(r.Violations) == 0 }
-
 // String renders a human summary.
 func (r *Report) String() string {
 	var b strings.Builder
-	b.WriteString(r.Schedule.String())
-	fmt.Fprintf(&b, "sent=%d confirmed=%d\n", r.Sent, r.Confirmed)
-	for _, p := range r.Survivors {
-		fmt.Fprintf(&b, "  survivor p%d processed %d\n", p, r.Processed[p])
+	fmt.Fprintf(&b, "%s soak: sent=%d confirmed=%d killed=%v\n", r.Scenario, r.Sent, r.Confirmed, r.Killed)
+	if r.Schedule != nil {
+		b.WriteString(r.Schedule.String())
 	}
-	for _, p := range r.Killed {
-		fmt.Fprintf(&b, "  killed p%d processed %d\n", p, r.Processed[p])
+	if len(r.Restarted) > 0 {
+		fmt.Fprintf(&b, "  %d members cycled, %d rejoined\n", len(r.Restarted), len(r.Rejoined))
 	}
-	for p, reason := range r.Left {
-		fmt.Fprintf(&b, "  left p%d (%v) processed %d\n", p, reason, r.Processed[p])
+	violations := 0
+	for g := range r.Groups {
+		gr := &r.Groups[g]
+		fmt.Fprintf(&b, "  group %d: confirmed=%d converged=%v views-agree=%v\n", g, gr.Confirmed, gr.Converged, gr.ViewsAgree)
+		for _, p := range gr.Survivors {
+			fmt.Fprintf(&b, "    survivor p%d processed %d\n", p, gr.Processed[p])
+		}
+		for p, reason := range gr.Left {
+			fmt.Fprintf(&b, "    left p%d (%v) processed %d\n", p, reason, gr.Processed[p])
+		}
+		degraded := make([]string, 0, len(gr.Degraded))
+		for p, rules := range gr.Degraded {
+			degraded = append(degraded, fmt.Sprintf("p%d(%s)", p, strings.Join(rules, "+")))
+		}
+		if sort.Strings(degraded); len(degraded) > 0 {
+			fmt.Fprintf(&b, "    degraded %s\n", strings.Join(degraded, " "))
+		}
+		for _, v := range gr.Violations {
+			fmt.Fprintf(&b, "    VIOLATION %v\n", v)
+		}
+		violations += len(gr.Violations)
 	}
 	kinds := make([]string, 0, len(r.Injected))
 	for k := range r.Injected {
@@ -215,384 +262,316 @@ func (r *Report) String() string {
 	for _, k := range kinds {
 		fmt.Fprintf(&b, "  injected %s: %d\n", k, r.Injected[k])
 	}
-	if !r.Converged {
+	if !r.Converged() {
 		b.WriteString("  WARNING: survivors did not converge inside the settle window\n")
 	}
 	if r.HealthMonitored {
-		degraded := make([]string, 0, len(r.DegradedNodes))
-		for p, rules := range r.DegradedNodes {
-			degraded = append(degraded, fmt.Sprintf("p%d(%s)", p, strings.Join(rules, "+")))
-		}
-		sort.Strings(degraded)
-		fmt.Fprintf(&b, "  health: degraded=%v [%s] recovered=%v\n",
-			r.HealthDegraded, strings.Join(degraded, " "), r.HealthRecovered)
+		fmt.Fprintf(&b, "  health: degraded groups %v recovered=%v\n", r.DegradedGroups(), r.HealthRecovered)
 	}
-	if r.Ok() {
+	if violations == 0 {
 		b.WriteString("invariants: uniform atomicity and uniform ordering hold\n")
 	} else {
-		fmt.Fprintf(&b, "invariants: %d VIOLATIONS\n", len(r.Violations))
-		for _, v := range r.Violations {
-			fmt.Fprintf(&b, "  %v\n", v)
-		}
+		fmt.Fprintf(&b, "invariants: %d VIOLATIONS\n", violations)
 	}
 	return b.String()
 }
 
-// Run executes one soak: build the schedule, start the cluster with the
-// fault hook at its transport boundary, generate load through the fault
-// phase, let the survivors settle, then audit every history. ctx aborts
-// the fault phase early (the audit still runs on what happened).
+// soak is one run in flight: what the phase skeleton and the scenario's
+// drive step share.
+type soak struct {
+	ctx      context.Context
+	cfg      Config // filled: every default resolved, Logf never nil
+	mesh     *rt.Mesh
+	checkers []*faultrt.Checker // one per group
+	mon      *monitor           // nil without Config.Metrics
+	rep      *Report
+
+	// poll is the cadence of every wait on protocol state.
+	poll time.Duration
+	// sent and confirmed (per group) count the load generator's submissions.
+	sent      atomic.Int64
+	confirmed []atomic.Int64
+	// joined counts Joined callbacks per member and group.
+	joined [][]atomic.Int32
+}
+
+// Run executes one soak: start the groups with the scenario's adversary at
+// the link boundary, feed every indication stream to its group's checker,
+// load every (member, group), let the scenario drive its fault plan, let the
+// survivors settle, then audit every group. ctx aborts the fault plan early
+// (the settle and the audit still run on what happened).
 func Run(ctx context.Context, cfg Config) (*Report, error) {
-	cfg = cfg.fill()
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
+	cfg.Scenario = cmp.Or(cfg.Scenario, Seeded())
+	cfg.Round = cmp.Or(cfg.Round, 2*time.Millisecond)
+	pc := cfg.Scenario.protocol(&cfg)
+	cfg.Groups = cmp.Or(cfg.Groups, 1)
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
 	}
-	sched := faultrt.NewSchedule(cfg.Seed, cfg.N, cfg.Duration, cfg.Round, cfg.K)
-	logf("%s", sched)
-	inj := faultrt.Injector(sched.Injector())
+	s := &soak{
+		ctx: ctx, cfg: cfg,
+		rep:       &Report{Scenario: fmt.Sprint(cfg.Scenario), Groups: make([]GroupReport, cfg.Groups)},
+		poll:      max(5*cfg.Round, 5*time.Millisecond),
+		confirmed: make([]atomic.Int64, cfg.Groups),
+		joined:    make([][]atomic.Int32, cfg.N),
+	}
+	for g := 0; g < cfg.Groups; g++ {
+		s.checkers = append(s.checkers, faultrt.NewChecker())
+	}
+	for i := range s.joined {
+		s.joined[i] = make([]atomic.Int32, cfg.Groups)
+	}
+
+	inj := cfg.Scenario.injector(s)
 	if cfg.Inject != nil {
 		inj = faultrt.Multi{inj, cfg.Inject}
 	}
 	hook := faultrt.NewHook(inj, cfg.Metrics)
-	var rings []*capture.Ring
 	if cfg.CaptureFrames > 0 {
-		rings = make([]*capture.Ring, cfg.N)
-		for i := range rings {
-			rings[i] = capture.New(capture.Options{
-				Node: mid.ProcID(i), N: cfg.N, K: cfg.K, R: cfg.R,
-				MaxFrames: cfg.CaptureFrames, MaxBytes: cfg.CaptureBytes,
-			})
+		for i := 0; i < cfg.N; i++ {
+			s.rep.Captures = append(s.rep.Captures, capture.New(capture.Options{
+				Node: mid.ProcID(i), N: cfg.N, K: pc.K, R: pc.R, MaxFrames: cfg.CaptureFrames,
+			}))
 		}
 		// The hook sees every crash verdict first; the mark fences the
 		// member's ring so replay knows its silence is death, not loss.
 		hook.OnCrash = func(p mid.ProcID, _ time.Duration) {
-			if int(p) < len(rings) {
-				rings[p].Mark(capture.Crash, faultrt.KindSet(0).With(faultrt.KindCrash))
-			}
+			s.rep.Captures[p].Mark(capture.Crash, faultrt.KindSet(0).With(faultrt.KindCrash))
 		}
 	}
-	cl, err := rt.NewCluster(rt.Config{
-		Config:        core.Config{N: cfg.N, K: cfg.K, R: cfg.R, BatchMax: cfg.BatchMax},
+	var err error
+	s.mesh, err = rt.NewMesh(rt.Config{
+		Config:        pc,
+		Groups:        cfg.Groups,
 		RoundDuration: cfg.Round,
 		BatchWindow:   cfg.BatchWindow,
 		Metrics:       cfg.Metrics,
 		Lifecycle:     cfg.Lifecycle,
 		Fault:         hook,
-		Captures:      rings,
-	})
+		Captures:      s.rep.Captures,
+		Logf:          cfg.Logf,
+		// Only a restarted incarnation fires these: the checker rebaselines
+		// at the installed stable vector, skips what recovery reports purged,
+		// and the rolling plan learns the group re-admitted the member.
+		JoinInstalled: func(node mid.ProcID, group uint32, stable mid.SeqVector) {
+			s.checkers[group].Restart(node, stable)
+		},
+		FastForwarded: func(node mid.ProcID, group uint32, of mid.ProcID, to mid.Seq) {
+			s.checkers[group].FastForward(node, of, to)
+		},
+		Joined: func(node mid.ProcID, group uint32) { s.joined[node][group].Add(1) },
+	}, rt.FamilyTopics)
 	if err != nil {
 		return nil, err
 	}
-	checker := faultrt.NewChecker()
-	cl.Start()
-
-	// Health watch: with a registry present, a flight recording of the
-	// cluster's gauges feeds one evaluator per member, so the run can
-	// assert the health layer notices the adversary and calms down after.
-	var monitor *healthMonitor
+	s.mesh.Start()
 	if cfg.Metrics != nil {
-		monitor = newHealthMonitor(cfg)
-		monitor.start()
+		s.mon = startMonitor(cfg)
+		s.rep.HealthMonitored = true
 	}
 
-	// Consumers: one per member, feeding the indication stream into the
-	// checker; after drainStop they empty whatever is still buffered.
-	var consumers sync.WaitGroup
-	drainStop := make(chan struct{})
+	// Consumers feed each (member, group) indication stream to the group's
+	// checker; the load generator submits on every (member, group) every
+	// fourth round until the fault plan is over. A send fails fast on a
+	// fail-stopped or joining member and is abandoned after the timeout
+	// otherwise; both are legal, the message stays in flight.
+	var consumers, load sync.WaitGroup
+	drain := make(chan struct{})
+	loadCtx, stopLoad := context.WithCancel(ctx)
+	defer stopLoad()
 	for i := 0; i < cfg.N; i++ {
-		node := cl.Node(mid.ProcID(i))
-		consumers.Add(1)
-		go func() {
-			defer consumers.Done()
-			for {
-				select {
-				case ind := <-node.Indications():
-					checker.Record(node.ID(), &ind.Msg)
-				case <-drainStop:
-					for {
-						select {
-						case ind := <-node.Indications():
-							checker.Record(node.ID(), &ind.Msg)
-						default:
-							return
+		for g := uint32(0); g < uint32(cfg.Groups); g++ {
+			m := s.mesh.Node(mid.ProcID(i))
+			ind, _ := m.Indications(g) // g is hosted, the only error there is
+			consumers.Add(1)
+			go func() {
+				defer consumers.Done()
+				record := func(in rt.Indication) { s.checkers[g].Record(m.ID(), &in.Msg) }
+				for {
+					select {
+					case in := <-ind:
+						record(in)
+					case <-drain: // the mesh has stopped: empty what is buffered
+						for n := len(ind); n > 0; n-- {
+							record(<-ind)
 						}
+						return
 					}
 				}
-			}
-		}()
-	}
-
-	// Load: every member submits on a fixed cadence through the fault
-	// phase. Sends fail fast on a fail-stopped member and are abandoned
-	// after SendTimeout otherwise — both legal under the fault model.
-	loadCtx, cancelLoad := context.WithCancel(ctx)
-	var sent, confirmed atomic.Int64
-	var load sync.WaitGroup
-	for i := 0; i < cfg.N; i++ {
-		node := cl.Node(mid.ProcID(i))
-		load.Add(1)
-		go func() {
-			defer load.Done()
-			tick := time.NewTicker(cfg.SendEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-loadCtx.Done():
-					return
-				case <-tick.C:
+			}()
+			load.Add(1)
+			go func() {
+				defer load.Done()
+				tick := time.NewTicker(4 * cfg.Round)
+				defer tick.Stop()
+				for {
+					select {
+					case <-loadCtx.Done():
+						return
+					case <-tick.C:
+					}
+					sctx, cancel := context.WithTimeout(loadCtx, max(100*cfg.Round, 200*time.Millisecond))
+					s.sent.Add(1)
+					if _, err := m.SendCausal(sctx, g, []byte("chaos")); err == nil {
+						s.confirmed[g].Add(1)
+					}
+					cancel()
 				}
-				sctx, cancel := context.WithTimeout(loadCtx, cfg.SendTimeout)
-				sent.Add(1)
-				if _, err := node.SendCausal(sctx, []byte("chaos")); err == nil {
-					confirmed.Add(1)
-				}
-				cancel()
-			}
-		}()
-	}
-
-	select {
-	case <-time.After(cfg.Duration):
-	case <-ctx.Done():
-	}
-	cancelLoad()
-	load.Wait()
-	logf("fault phase over: sent=%d confirmed=%d; settling", sent.Load(), confirmed.Load())
-
-	// Settle: poll until every survivor's history has the same length and
-	// has stopped growing — the protocol has recovered everything the
-	// faults delayed — or the settle budget runs out.
-	survivors := surviving(cl, cfg.N)
-	converged := false
-	poll := 20 * cfg.Round
-	if poll < 10*time.Millisecond {
-		poll = 10 * time.Millisecond
-	}
-	deadline := time.Now().Add(cfg.Settle)
-	prev := counts(checker, survivors)
-	for time.Now().Before(deadline) {
-		time.Sleep(poll)
-		survivors = surviving(cl, cfg.N)
-		cur := counts(checker, survivors)
-		if equalAll(cur) && sameCounts(prev, cur) {
-			converged = true
-			break
+			}()
 		}
-		prev = cur
 	}
 
-	// Health verdicts are read before Stop (the evaluators watch live
-	// gauges); recovery gets its own settle-sized budget since the
+	cfg.Scenario.drive(s)
+	stopLoad()
+	load.Wait()
+	cfg.Logf("%v fault plan over: sent=%d; settling", cfg.Scenario, s.sent.Load())
+
+	// Settle: the protocol has recovered everything the faults delayed once,
+	// in every group, the survivors' processed vectors are equal and were
+	// the same one poll ago. Verdicts and views are read before Stop (they
+	// watch the live members); recovery gets its own budget since the health
 	// windows need a stretch of healthy samples to clear.
-	var monitored, recovered bool
-	var degraded map[mid.ProcID][]string
-	if monitor != nil {
-		monitored = true
-		recovered = monitor.awaitRecovery(surviving(cl, cfg.N), cfg.Settle)
-		degraded = monitor.degradedNodes()
-		monitor.shutdown()
-		logf("health: degraded=%d nodes, survivors recovered=%v", len(degraded), recovered)
+	prev := make([]mid.SeqVector, cfg.Groups)
+	waitUntil(context.Background(), cfg.Settle, 4*s.poll, func() bool {
+		for g := range prev {
+			cur := s.frontier(uint32(g))
+			s.rep.Groups[g].Converged = cur != nil && cur.Equal(prev[g])
+			prev[g] = cur
+		}
+		return s.rep.Converged()
+	})
+	if s.mon != nil {
+		s.rep.HealthRecovered = waitUntil(context.Background(), cfg.Settle, s.poll, s.healthy)
+		degraded := s.mon.stop()
+		for d := range degraded {
+			gr := &s.rep.Groups[d.group]
+			if gr.Degraded == nil {
+				gr.Degraded = make(map[mid.ProcID][]string)
+			}
+			gr.Degraded[d.node] = append(gr.Degraded[d.node], d.rule)
+			sort.Strings(gr.Degraded[d.node])
+		}
+		cfg.Logf("health: degraded groups %v, survivors recovered=%v", s.rep.DegradedGroups(), s.rep.HealthRecovered)
 	}
-	cl.Stop()
-	close(drainStop)
+	for g := range s.rep.Groups {
+		gr := &s.rep.Groups[g]
+		gr.Survivors = s.survivors(uint32(g))
+		alive := make([]bool, cfg.N)
+		for _, p := range gr.Survivors {
+			alive[p] = true
+		}
+		gr.ViewsAgree = s.everyStatus(gr.Survivors, uint32(g), func(st rt.Status) bool {
+			return st.Running && !st.Joining && slices.Equal(st.Alive, alive)
+		})
+	}
+	s.mesh.Stop()
+	close(drain)
 	consumers.Wait()
 
-	rep := &Report{
-		HealthMonitored: monitored,
-		HealthDegraded:  len(degraded) > 0,
-		DegradedNodes:   degraded,
-		HealthRecovered: recovered,
-		Schedule:        sched,
-		Injected:        hook.Injected(),
-		Sent:            sent.Load(),
-		Confirmed:       confirmed.Load(),
-		Left:            make(map[mid.ProcID]core.LeaveReason),
-		Processed:       make(map[mid.ProcID]int),
-		Converged:       converged,
-		Captures:        rings,
-	}
+	// Audit: every group's checker against that group's survivors.
+	s.rep.Injected = hook.Injected()
+	s.rep.Sent = s.sent.Load()
 	for i := 0; i < cfg.N; i++ {
-		p := mid.ProcID(i)
-		node := cl.Node(p)
-		rep.Processed[p] = checker.Recorded(p)
-		if reason, left := node.Left(); left {
-			rep.Left[p] = reason
-			continue
+		if s.mesh.Node(mid.ProcID(i)).Killed() {
+			s.rep.Killed = append(s.rep.Killed, mid.ProcID(i))
 		}
-		if node.Killed() {
-			rep.Killed = append(rep.Killed, p)
-			continue
-		}
-		rep.Survivors = append(rep.Survivors, p)
 	}
-	rep.Violations = checker.Check(rep.Survivors)
-	return rep, nil
-}
-
-// healthMonitor samples the cluster's gauges into a flight recording and
-// evaluates every member's health on a poll cadence, accumulating which
-// members degraded and why while the adversary was active.
-type healthMonitor struct {
-	flight *obs.Flight
-	evals  []*health.Evaluator
-	poll   time.Duration
-
-	mu       sync.Mutex
-	degraded map[mid.ProcID]map[string]bool
-
-	stop chan struct{}
-	done chan struct{}
-}
-
-// newHealthMonitor tunes the sampling interval and rule windows to the
-// round length, so a soak at 2ms rounds degrades and recovers inside the
-// CI smoke budget while a slower cluster still gets sane windows.
-func newHealthMonitor(cfg Config) *healthMonitor {
-	interval := 5 * cfg.Round
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	th := health.Thresholds{
-		TokenStallSamples: 10, HistoryWindow: 12, HistoryGrowthMin: 32,
-		WaitingStuckSamples: 15, FrontierLagWindow: 12, FrontierLagMin: 12,
-	}
-	m := &healthMonitor{
-		flight:   obs.NewFlight(cfg.Metrics, obs.FlightOptions{Interval: interval, Cap: 2048}),
-		poll:     2 * interval,
-		degraded: make(map[mid.ProcID]map[string]bool),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	for i := 0; i < cfg.N; i++ {
-		m.evals = append(m.evals, health.NewEvaluator(m.flight, fmt.Sprint(i), th))
-	}
-	return m
-}
-
-func (m *healthMonitor) start() {
-	m.flight.Start()
-	go func() {
-		defer close(m.done)
-		t := time.NewTicker(m.poll)
-		defer t.Stop()
-		for {
-			select {
-			case <-m.stop:
-				return
-			case <-t.C:
-				m.evalOnce()
+	for g := range s.rep.Groups {
+		gr := &s.rep.Groups[g]
+		gr.Confirmed = s.confirmed[g].Load()
+		s.rep.Confirmed += gr.Confirmed
+		gr.Left = make(map[mid.ProcID]core.LeaveReason)
+		gr.Processed = make(map[mid.ProcID]int)
+		for i := 0; i < cfg.N; i++ {
+			p := mid.ProcID(i)
+			gr.Processed[p] = s.checkers[g].Recorded(p)
+			if reason, left := s.mesh.Node(p).Left(uint32(g)); left {
+				gr.Left[p] = reason
 			}
 		}
-	}()
-}
-
-func (m *healthMonitor) evalOnce() {
-	for i, e := range m.evals {
-		st := e.Eval()
-		if st.Healthy {
-			continue
-		}
-		m.mu.Lock()
-		set := m.degraded[mid.ProcID(i)]
-		if set == nil {
-			set = make(map[string]bool)
-			m.degraded[mid.ProcID(i)] = set
-		}
-		for _, r := range st.Reasons {
-			set[r.Rule] = true
-		}
-		m.mu.Unlock()
+		gr.Violations = s.checkers[g].Check(gr.Survivors)
 	}
+	return s.rep, nil
 }
 
-// degradedNodes snapshots who went unhealthy so far, and why.
-func (m *healthMonitor) degradedNodes() map[mid.ProcID][]string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[mid.ProcID][]string, len(m.degraded))
-	for p, set := range m.degraded {
-		rules := make([]string, 0, len(set))
-		for r := range set {
-			rules = append(rules, r)
-		}
-		sort.Strings(rules)
-		out[p] = rules
-	}
-	return out
-}
-
-// awaitRecovery polls until every listed member's verdict is healthy
-// again, or the budget runs out.
-func (m *healthMonitor) awaitRecovery(members []mid.ProcID, budget time.Duration) bool {
-	deadline := time.Now().Add(budget)
-	for {
-		healthy := true
-		for _, p := range members {
-			if !m.evals[p].Eval().Healthy {
-				healthy = false
-				break
-			}
-		}
-		if healthy {
-			return true
-		}
-		if time.Now().After(deadline) {
+// waitUntil polls cond every `every` until it holds; false means the budget
+// ran out or ctx ended first. It is the harness's only way of waiting.
+func waitUntil(ctx context.Context, budget, every time.Duration, cond func() bool) bool {
+	deadline := time.After(budget)
+	for !cond() {
+		select {
+		case <-time.After(every):
+		case <-deadline:
 			return false
-		}
-		time.Sleep(m.poll)
-	}
-}
-
-func (m *healthMonitor) shutdown() {
-	close(m.stop)
-	<-m.done
-	m.flight.Stop()
-}
-
-// surviving lists members neither fail-stopped nor self-excluded.
-func surviving(cl *rt.Cluster, n int) []mid.ProcID {
-	var out []mid.ProcID
-	for i := 0; i < n; i++ {
-		node := cl.Node(mid.ProcID(i))
-		if _, left := node.Left(); left || node.Killed() {
-			continue
-		}
-		out = append(out, mid.ProcID(i))
-	}
-	return out
-}
-
-func counts(c *faultrt.Checker, procs []mid.ProcID) map[mid.ProcID]int {
-	out := make(map[mid.ProcID]int, len(procs))
-	for _, p := range procs {
-		out[p] = c.Recorded(p)
-	}
-	return out
-}
-
-// equalAll reports whether every count is identical.
-func equalAll(m map[mid.ProcID]int) bool {
-	first, have := 0, false
-	for _, v := range m {
-		if !have {
-			first, have = v, true
-			continue
-		}
-		if v != first {
+		case <-ctx.Done():
 			return false
 		}
 	}
 	return true
 }
 
-func sameCounts(a, b map[mid.ProcID]int) bool {
-	if len(a) != len(b) {
-		return false
+// hold lets d of the fault plan pass (less if the run is aborted).
+func (s *soak) hold(d time.Duration) {
+	waitUntil(s.ctx, d, d, func() bool { return false })
+}
+
+// phase waits, inside the settle budget, for a step of the fault plan.
+func (s *soak) phase(cond func() bool) bool {
+	return waitUntil(s.ctx, s.cfg.Settle, s.poll, cond)
+}
+
+// survivors lists the members neither fail-stopped nor self-excluded from
+// group g.
+func (s *soak) survivors(g uint32) []mid.ProcID {
+	var out []mid.ProcID
+	for i := 0; i < s.cfg.N; i++ {
+		m := s.mesh.Node(mid.ProcID(i))
+		if _, left := m.Left(g); !left && !m.Killed() {
+			out = append(out, m.ID())
+		}
 	}
-	for p, v := range a {
-		if b[p] != v {
+	return out
+}
+
+// everyStatus samples group g at each listed member and reports whether
+// every sample could be taken and satisfies ok.
+func (s *soak) everyStatus(members []mid.ProcID, g uint32, ok func(rt.Status) bool) bool {
+	for _, p := range members {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		st, err := s.mesh.Node(p).GroupStatus(ctx, g)
+		cancel()
+		if err != nil || !ok(st) {
 			return false
+		}
+	}
+	return true
+}
+
+// frontier returns the processed vector group g's survivors agree on, or
+// nil while they differ.
+func (s *soak) frontier(g uint32) mid.SeqVector {
+	var common mid.SeqVector
+	agree := s.everyStatus(s.survivors(g), g, func(st rt.Status) bool {
+		if common == nil {
+			common = st.Processed
+		}
+		return common.Equal(st.Processed)
+	})
+	if !agree {
+		return nil
+	}
+	return common
+}
+
+// healthy reports whether every group's every survivor has a healthy verdict
+// right now.
+func (s *soak) healthy() bool {
+	verdicts := s.mon.eval()
+	for g := 0; g < s.cfg.Groups; g++ {
+		for _, p := range s.survivors(uint32(g)) {
+			if !verdicts[p].Groups[g].Healthy {
+				return false
+			}
 		}
 	}
 	return true

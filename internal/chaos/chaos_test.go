@@ -38,11 +38,12 @@ func TestSmokeSoak(t *testing.T) {
 // on — coalescing sender plus multi-message DataBatch frames — and holds
 // it to the same invariant audit: batching must not cost Uniform Atomicity
 // or Uniform Ordering under crashes, partitions, omissions, reordering and
-// duplication.
+// duplication — audited per group, with two groups sharing the link.
 func TestSmokeSoakBatched(t *testing.T) {
 	reg := obs.New()
 	cfg := Config{
 		Seed:        41,
+		Groups:      2,
 		Duration:    1500 * time.Millisecond,
 		BatchWindow: 2 * time.Millisecond,
 		BatchMax:    16,
@@ -84,39 +85,20 @@ func TestLongSoak(t *testing.T) {
 // assessSoak asserts the soak acceptance criteria on a finished report.
 func assessSoak(t *testing.T, rep *Report, reg *obs.Registry) {
 	t.Helper()
-	t.Logf("\n%s", rep)
-	if !rep.Ok() {
-		for _, v := range rep.Violations {
-			t.Errorf("invariant violated: %v", v)
-		}
-		// Preserve the evidence: with URCGC_CAPTURE_DIR set (CI exports
-		// it), a violating soak dumps every member's frame capture for
-		// offline replay with urcgc-replay.
-		if dir := os.Getenv("URCGC_CAPTURE_DIR"); dir != "" {
-			if paths, err := rep.DumpCaptures(dir); err != nil {
-				t.Logf("capture dump failed: %v", err)
-			} else if len(paths) > 0 {
-				t.Logf("capture dumps written: %v — replay with: urcgc-replay %s", paths, dir)
-			}
-		}
-	}
-	if !rep.Converged {
-		t.Error("survivors did not converge inside the settle window")
-	}
+	assessAudit(t, rep)
 	if len(rep.Killed) != 1 || rep.Killed[0] != rep.Schedule.CrashProc {
 		t.Errorf("killed = %v, want exactly the scheduled crash of p%d",
 			rep.Killed, rep.Schedule.CrashProc)
 	}
-	if len(rep.Survivors) != rep.Schedule.N-1 || len(rep.Left) != 0 {
-		t.Errorf("survivors = %v, left = %v: the healed partition must not evict anyone",
-			rep.Survivors, rep.Left)
-	}
-	if rep.Confirmed == 0 {
-		t.Error("no send ever confirmed under faults")
-	}
-	for _, p := range rep.Survivors {
-		if rep.Processed[p] == 0 {
-			t.Errorf("survivor p%d processed nothing", p)
+	for g, gr := range rep.Groups {
+		if len(gr.Survivors) != rep.Schedule.N-1 || len(gr.Left) != 0 {
+			t.Errorf("group %d: survivors = %v, left = %v: the healed partition must not evict anyone",
+				g, gr.Survivors, gr.Left)
+		}
+		for _, p := range gr.Survivors {
+			if gr.Processed[p] == 0 {
+				t.Errorf("group %d: survivor p%d processed nothing", g, p)
+			}
 		}
 	}
 	// The health layer must have noticed the adversary — at minimum the
@@ -125,11 +107,11 @@ func assessSoak(t *testing.T, rep *Report, reg *obs.Registry) {
 	if !rep.HealthMonitored {
 		t.Error("health was not monitored despite a metrics registry")
 	}
-	if !rep.HealthDegraded || len(rep.DegradedNodes) == 0 {
+	if len(rep.DegradedGroups()) == 0 {
 		t.Error("no member's health ever degraded during the fault phase")
 	}
 	if !rep.HealthRecovered {
-		t.Errorf("survivors did not return to healthy after the faults: degraded=%v", rep.DegradedNodes)
+		t.Error("survivors did not return to healthy after the faults")
 	}
 	// Every scheduled fault kind must have fired, and the per-kind
 	// counters must be visible on the metrics registry.
@@ -141,6 +123,34 @@ func assessSoak(t *testing.T, rep *Report, reg *obs.Registry) {
 		name := obs.Labeled("faultrt_injected_total", "kind", k.String())
 		if snap[name] == 0 {
 			t.Errorf("%s not exported on /metrics", name)
+		}
+	}
+}
+
+// assessAudit asserts what every scenario owes: Definition 3.2 upheld and
+// the survivors converged, in every group, with traffic confirmed.
+func assessAudit(t *testing.T, rep *Report) {
+	t.Helper()
+	t.Logf("\n%s", rep)
+	for g, gr := range rep.Groups {
+		for _, v := range gr.Violations {
+			t.Errorf("group %d: invariant violated: %v", g, v)
+		}
+		if !gr.Converged {
+			t.Errorf("group %d: survivors did not converge inside the settle window", g)
+		}
+		if gr.Confirmed == 0 {
+			t.Errorf("group %d: no send ever confirmed under faults", g)
+		}
+	}
+	// Preserve the evidence: with URCGC_CAPTURE_DIR set (CI exports it), a
+	// violating soak dumps every member's frame capture for offline replay
+	// with urcgc-replay.
+	if dir := os.Getenv("URCGC_CAPTURE_DIR"); dir != "" && !rep.Ok() {
+		if paths, err := rep.DumpCaptures(dir); err != nil {
+			t.Logf("capture dump failed: %v", err)
+		} else if len(paths) > 0 {
+			t.Logf("capture dumps written: %v — replay with: urcgc-replay %s", paths, dir)
 		}
 	}
 }

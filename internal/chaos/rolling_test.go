@@ -5,31 +5,19 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"urcgc/internal/obs"
 )
 
 // assessRolling asserts the rolling-restart acceptance criteria.
-func assessRolling(t *testing.T, rep *RollingReport, n int) {
+func assessRolling(t *testing.T, rep *Report, n int) {
 	t.Helper()
-	t.Logf("\n%s", rep)
-	if !rep.Ok() {
-		for _, v := range rep.Violations {
-			t.Errorf("invariant violated: %v", v)
-		}
+	assessAudit(t, rep)
+	if len(rep.Restarted) != n || len(rep.Rejoined) != n {
+		t.Errorf("plan cycled %d and rejoined %d of %d members", len(rep.Restarted), len(rep.Rejoined), n)
 	}
-	if len(rep.Restarted) != n {
-		t.Errorf("plan cycled %d of %d members", len(rep.Restarted), n)
-	}
-	if len(rep.Rejoined) != n {
-		t.Errorf("only %d of %d members rejoined", len(rep.Rejoined), n)
-	}
-	if !rep.Converged {
-		t.Error("the group did not re-converge after the rolling restart")
-	}
-	if !rep.Healthy {
+	if !rep.ViewsAgree() {
 		t.Error("not every member ended running, joined and with a full view")
-	}
-	if rep.Confirmed == 0 {
-		t.Error("no send ever confirmed during the rolling restart")
 	}
 }
 
@@ -38,32 +26,31 @@ func assessRolling(t *testing.T, rep *RollingReport, n int) {
 // omissions and continuous load, audited for uniform atomicity and uniform
 // ordering across incarnations. Fast enough for -race on a CI runner.
 func TestRollingRestartSmoke(t *testing.T) {
-	cfg := RollingConfig{
-		Seed: 11,
-		N:    4,
-		Logf: t.Logf,
-	}
-	rep, err := RunRollingRestart(context.Background(), cfg)
+	cfg := Config{Scenario: RollingRestart(), N: 4, Logf: t.Logf}
+	rep, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assessRolling(t, rep, cfg.N)
 }
 
-// TestRollingRestartSoak is the acceptance shape: n=5 with slower rounds
-// and generous budgets. Gated behind URCGC_CHAOS_SOAK=1 like TestLongSoak.
+// TestRollingRestartSoak is the acceptance shape: n=5 hosting two groups,
+// with slower rounds, generous budgets and the health monitor on. Gated
+// behind URCGC_CHAOS_SOAK=1 like TestLongSoak.
 func TestRollingRestartSoak(t *testing.T) {
 	if os.Getenv("URCGC_CHAOS_SOAK") == "" {
 		t.Skip("set URCGC_CHAOS_SOAK=1 to run the rolling-restart acceptance soak")
 	}
-	cfg := RollingConfig{
-		Seed:        1,
-		N:           5,
-		Round:       4 * time.Millisecond,
-		PhaseBudget: 30 * time.Second,
-		Logf:        t.Logf,
+	cfg := Config{
+		Scenario: RollingRestart(),
+		N:        5,
+		Groups:   2,
+		Round:    4 * time.Millisecond,
+		Settle:   30 * time.Second,
+		Metrics:  obs.New(),
+		Logf:     t.Logf,
 	}
-	rep, err := RunRollingRestart(context.Background(), cfg)
+	rep, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestEndToEndPartitionForensics(t *testing.T) {
 	if rep.Ok() {
 		t.Fatalf("permanent partition of p%d produced no live violations", victim)
 	}
-	t.Logf("live verdict: %d violations, survivors %v", len(rep.Violations), rep.Survivors)
+	t.Logf("live verdict: %d violations, survivors %v", len(rep.Groups[0].Violations), rep.Groups[0].Survivors)
 
 	// Dump the evidence and read it back through the decoder — the test
 	// exercises the same artifact path an operator uses.
@@ -95,8 +95,8 @@ func TestEndToEndPartitionForensics(t *testing.T) {
 
 	// The offline verdict must equal the live one: same survivors, same
 	// violation set.
-	liveSurv := make([]int32, 0, len(rep.Survivors))
-	for _, p := range rep.Survivors {
+	liveSurv := make([]int32, 0, len(rep.Groups[0].Survivors))
+	for _, p := range rep.Groups[0].Survivors {
 		liveSurv = append(liveSurv, int32(p))
 	}
 	sort.Slice(liveSurv, func(i, j int) bool { return liveSurv[i] < liveSurv[j] })
@@ -109,7 +109,7 @@ func TestEndToEndPartitionForensics(t *testing.T) {
 		}
 	}
 	live := map[string]bool{}
-	for _, v := range rep.Violations {
+	for _, v := range rep.Groups[0].Violations {
 		live[verdictKey(v.Invariant, int32(v.Node), v.Msg.String())] = true
 	}
 	offline := map[string]bool{}

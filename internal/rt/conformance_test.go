@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"urcgc/internal/capture"
+	"urcgc/internal/causal"
 	"urcgc/internal/core"
 	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
@@ -191,6 +192,7 @@ func TestConformance(t *testing.T) {
 		{"refused_frames", conformRefusedFrames},
 		{"fault_verdicts", conformFaultVerdicts},
 		{"poisoned_records", conformPoisonedRecords},
+		{"forged_sender", conformForgedSender},
 	}
 	for _, link := range []string{"mesh", "udp"} {
 		for _, groups := range []int{1, 4} {
@@ -332,17 +334,12 @@ func conformStopOpenWindow(t *testing.T, link string, groups int) {
 
 // conformRefusedFrames: the validator refuses, counts and captures a runt, a
 // non-member source, the receiver's own source id, an unhosted group and an
-// undecodable body; DATA naming process -2 decodes, reaches the protocol and
-// is dropped there (Stats.Malformed) in its group only. The member stays up.
+// undecodable body. The member stays up.
 func conformRefusedFrames(t *testing.T, link string, groups int) {
 	c := startCell(t, link, groups, nil)
 	last := uint32(groups - 1)
 	env := func(group uint32, src mid.ProcID, body ...byte) []byte {
 		return append(wire.AppendEnvelope(nil, group, src), body...)
-	}
-	forged, err := wire.MarshalAppend(env(last, 1), forgedData())
-	if err != nil {
-		t.Fatal(err)
 	}
 	junk := []byte{0xee, 0xee, 0xee, 0xee, 0xee, 0xee, 0xee, 0xee, 0xee, 0xee, 0xee, 0xee}
 	for _, frame := range [][]byte{
@@ -351,7 +348,6 @@ func conformRefusedFrames(t *testing.T, link string, groups int) {
 		env(last, 0, junk...),           // the receiver's own id
 		env(uint32(groups), 1, junk...), // a group nobody hosts
 		env(last, 1, junk...),           // undecodable
-		forged,
 	} {
 		c.inject(t, frame)
 	}
@@ -359,7 +355,7 @@ func conformRefusedFrames(t *testing.T, link string, groups int) {
 	if c.family == FamilyTopics {
 		short = "_drop_envelope_total"
 	}
-	want := map[string]int64{"_recv_datagrams_total": 6, short: 1, "_drop_badsrc_total": 2, "_drop_group_total": 1, "_drop_decode_total": 1}
+	want := map[string]int64{"_recv_datagrams_total": 5, short: 1, "_drop_badsrc_total": 2, "_drop_group_total": 1, "_drop_decode_total": 1}
 	c.awaitAll(t, c.members[:1], "counting the refused frames", func(Status) bool {
 		for name, n := range want {
 			if c.reg.Counter(string(c.family)+name).Value() < n {
@@ -368,15 +364,8 @@ func conformRefusedFrames(t *testing.T, link string, groups int) {
 		}
 		return true
 	})
-	c.awaitAll(t, c.members[:1], "dropping the forged DATA", func(st Status) bool {
-		// awaitAll walks the groups in order: only the last was hit.
-		return st.Stats.Malformed == 0 || (st.Stats.Malformed == 1 && st.WaitingLen == 0)
-	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if st, err := c.members[0].GroupStatus(ctx, last); err != nil || st.Stats.Malformed != 1 {
-		t.Fatalf("group %d: Malformed = %d (err %v), want the forged DATA counted once", last, st.Stats.Malformed, err)
-	}
 	got := c.verdicts(0)
 	for v, n := range map[string]int{"in drop-short": 1, "in drop-badsrc": 2, "in drop-group": 1, "in drop-decode": 1} {
 		if got[v] != n {
@@ -384,7 +373,7 @@ func conformRefusedFrames(t *testing.T, link string, groups int) {
 		}
 	}
 	if id, err := c.members[0].Send(ctx, last, []byte("mine"), nil); err != nil || id != (mid.MID{Proc: 0, Seq: 1}) {
-		t.Fatalf("own first message after the forgeries: %v, %v", id, err)
+		t.Fatalf("own first message after the refused frames: %v, %v", id, err)
 	}
 }
 
@@ -454,5 +443,59 @@ func conformPoisonedRecords(t *testing.T, link string, groups int) {
 				t.Errorf("member %d group %d: left=%v, %d malformed PDUs (err %v)", m.ID(), g, left, st.Stats.Malformed, err)
 			}
 		}
+	}
+}
+
+// conformForgedSender: frames that pass the validator and lie about who sent
+// what, from anyone who can reach the link. DATA from "member 1" depending on
+// process -2 (the causal check used to index the processed vector with it),
+// then the receiver's own next message — relayed by "member 1", which the
+// protocol must drop (a member that processed its own sequence off the wire
+// would collide with the number its next broadcast takes, which used to
+// panic), and under its own source id, which stops at the validator. The hit
+// group drops and counts each (Stats.Malformed) and keeps nothing, the other
+// groups never notice, and the member's own first message is still number 1.
+func conformForgedSender(t *testing.T, link string, groups int) {
+	c := startCell(t, link, groups, nil)
+	last := uint32(groups - 1)
+	forged := &wire.Data{Msg: causal.Message{
+		ID:      mid.MID{Proc: 1, Seq: 1},
+		Deps:    mid.DepList{{Proc: -2, Seq: 1}},
+		Payload: []byte("forged"),
+	}}
+	own := &wire.Data{Msg: causal.Message{ID: mid.MID{Proc: 0, Seq: 1}, Payload: []byte("not mine")}}
+	for malformed, f := range []struct {
+		src mid.ProcID
+		pdu wire.PDU
+	}{{1, forged}, {1, own}, {0, own}} {
+		frame, err := wire.MarshalAppend(wire.AppendEnvelope(nil, last, f.src), f.pdu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.inject(t, frame)
+		want := min(malformed+1, 2) // the one "from ourselves" never reaches the protocol
+		c.awaitAll(t, c.members[:1], "dropping the forged DATA", func(st Status) bool {
+			// awaitAll walks the groups in order: only the last was hit.
+			return st.Stats.Malformed == 0 || st.Stats.Malformed == want
+		})
+	}
+	c.awaitAll(t, c.members[:1], "refusing the member's own source id", func(Status) bool {
+		return c.reg.Counter(string(c.family)+"_drop_badsrc_total").Value() == 1
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for g := uint32(0); g <= last; g++ {
+		st, err := c.members[0].GroupStatus(ctx, g)
+		want := 0
+		if g == last {
+			want = 2
+		}
+		if err != nil || st.Stats.Malformed != want || st.Stats.ProcessedN != 0 || st.WaitingLen != 0 {
+			t.Errorf("group %d: %d malformed (want %d), %d processed, %d waiting (err %v): something of a forgery was kept or leaked across groups",
+				g, st.Stats.Malformed, want, st.Stats.ProcessedN, st.WaitingLen, err)
+		}
+	}
+	if id, err := c.members[0].Send(ctx, last, []byte("mine"), nil); err != nil || id != (mid.MID{Proc: 0, Seq: 1}) {
+		t.Fatalf("own first message after the impersonation: %v, %v", id, err)
 	}
 }
