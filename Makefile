@@ -20,12 +20,20 @@ fmt:
 	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # loc prints the non-test Go lines of the live-runtime packages — the number
-# ROADMAP item 5 ("finish the collapse") states its acceptance in.
+# ROADMAP item 5 ("finish the collapse") states its acceptance in — and of
+# the operator surface (the HTTP endpoints, the health rules, the probes and
+# the CLIs over them; ROADMAP item 6). The probe CLI list names the
+# pre-merge directories too, so the same loop counts a checkout of either
+# side of the urcgc-ctl merge.
 loc:
-	@total=0; for p in rt topics chaos; do \
-		n=$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); \
-		printf '%-16s %5d\n' internal/$$p $$n; total=$$((total + n)); \
-	done; printf '%-16s %5d\n' total $$total
+	@count() { label=$$1; shift; total=0; for p in "$$@"; do \
+		[ -e $$p ] || continue; \
+		n=$$(find $$p -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+		printf '%-24s %5d\n' $$p $$n; total=$$((total + n)); \
+	done; printf '%-24s %5d\n' "$$label" $$total; }; \
+	count 'live runtime' internal/rt internal/topics internal/chaos; \
+	count 'operator surface' internal/nodehttp internal/health internal/inspect internal/stitch internal/probe \
+		internal/rt/status.go cmd/urcgc-node cmd/urcgc-ctl cmd/urcgc-inspect cmd/urcgc-trace cmd/urcgc-replay
 
 # race runs the concurrency-sensitive packages under the race detector:
 # the real-time runtime (node loop, UDP reader, Status/Snapshot sampling),
@@ -51,7 +59,7 @@ race:
 # nodes must replay offline to a clean verdict.
 check: fmt vet test race bench-smoke bench-allocs bench-throughput bench-groups chaos-smoke inspect-smoke trace-smoke join-smoke capture-smoke
 
-# inspect-smoke boots three urcgc-node processes, points urcgc-inspect at
+# inspect-smoke boots three urcgc-node processes, points urcgc-ctl inspect at
 # their observability endpoints, and requires a healthy one-shot verdict —
 # the end-to-end gate for the flight recorder, /healthz and the
 # cluster-wide divergence detector.
@@ -59,7 +67,7 @@ inspect-smoke:
 	sh scripts/inspect_smoke.sh
 
 # trace-smoke boots a three-member two-group cluster with lifecycle
-# tracing on and requires urcgc-trace to stitch at least one cross-node
+# tracing on and requires urcgc-ctl trace to stitch at least one cross-node
 # message timeline out of the members' /trace reports — the end-to-end
 # gate for per-group spans, /trace?group=N and the (group, MID) join.
 trace-smoke:
@@ -68,15 +76,15 @@ trace-smoke:
 # join-smoke is the dynamic-membership end-to-end gate: three urcgc-node
 # processes form a group, one is kill -9'd, the survivors exclude it, and
 # a restart with -join must state-transfer back in, be re-admitted into
-# every view, answer /healthz 200 and leave urcgc-inspect healthy. A
+# every view, answer /healthz 200 and leave urcgc-ctl inspect healthy. A
 # failure with URCGC_CAPTURE_DIR set preserves the live members' /capture
-# dumps there for urcgc-replay (CI uploads them as artifacts).
+# dumps there for urcgc-ctl replay (CI uploads them as artifacts).
 join-smoke:
 	sh scripts/join_smoke.sh
 
 # capture-smoke is the forensic-pipeline end-to-end gate: three urcgc-node
 # processes with the frame flight recorder on (-capture), a burst of
-# multicast traffic, then urcgc-replay collects every member's /capture
+# multicast traffic, then urcgc-ctl replay collects every member's /capture
 # dump and must reproduce a clean verdict offline — from the live
 # endpoints and again from the saved dump files.
 capture-smoke:

@@ -9,7 +9,7 @@
 // against the identical scripted adversary by passing the same seed.
 // Every member additionally records its wire traffic into a frame flight
 // recorder (-capture); a violating run dumps the recordings to
-// -capture-dir (default: a fresh temp dir) so urcgc-replay can reproduce
+// -capture-dir (default: a fresh temp dir) so urcgc-ctl replay can reproduce
 // and attribute the breach offline.
 //
 //	urcgc-chaos -seed 1 -duration 60s
@@ -102,7 +102,7 @@ func main() {
 			if paths, err := rep.DumpCaptures(dir); err != nil {
 				fmt.Fprintf(os.Stderr, "urcgc-chaos: capture dump failed: %v\n", err)
 			} else if len(paths) > 0 {
-				fmt.Printf("capture dumps written (%d members): replay with\n  urcgc-replay %s\n",
+				fmt.Printf("capture dumps written (%d members): replay with\n  urcgc-ctl replay %s\n",
 					len(paths), dir)
 			}
 		}

@@ -1,30 +1,12 @@
-// Command urcgc-replay re-runs a cluster's captured wire traffic offline
-// and audits the result. It ingests the frame flight recorders of every
-// member — capture dump files (or directories of them), or the live
-// /capture endpoints — merges them into one cluster-wide timeline joined
-// by (group, MID), replays each member's delivered ingress frames through
-// a fresh protocol entity, and re-runs the uniform-atomicity and
-// uniform-ordering audit. A violation observed live either reproduces
-// from the artifacts alone or is refuted by them; a reproduced one is
-// attributed to the first captured frame whose loss broke the invariant.
-//
-//	urcgc-replay capture-node0.bin capture-node1.bin capture-node2.bin
-//	urcgc-replay /tmp/chaos-captures/
-//	urcgc-replay -nodes 127.0.0.1:9100,127.0.0.1:9101 -save dumps/
-//
-// The exit code is 0 on a clean replay, 1 when violations reproduced,
-// 2 on collection or decode errors.
 package main
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"urcgc/internal/capture"
@@ -32,28 +14,32 @@ import (
 	"urcgc/internal/replay"
 )
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "urcgc-replay: "+format+"\n", args...)
-	os.Exit(2)
-}
-
-func main() {
+// replayCmd re-runs a cluster's captured wire traffic offline and audits
+// the result. It ingests the frame flight recorders of every member —
+// capture dump files (or directories of them) given as arguments, or the
+// live /capture endpoints named by -nodes — merges them into one
+// cluster-wide timeline joined by (group, MID), replays each member's
+// delivered ingress frames through a fresh protocol entity, and re-runs the
+// uniform-atomicity and uniform-ordering audit. A violation observed live
+// either reproduces from the artifacts alone or is refuted by them; a
+// reproduced one (exit 1) is attributed to the first captured frame whose
+// loss broke the invariant.
+func replayCmd(fs *flag.FlagSet, args []string) int {
 	var (
-		nodes   = flag.String("nodes", "", "comma-separated addresses to fetch /capture from (instead of dump files)")
-		save    = flag.String("save", "", "directory to save fetched dumps into (with -nodes)")
-		timeout = flag.Duration("timeout", 5*time.Second, "per-request HTTP timeout (with -nodes)")
-		asJSON  = flag.Bool("json", false, "emit the replay result as JSON")
+		cluster = clusterFlags(fs, "comma-separated addresses to fetch /capture from (instead of dump files)", 5*time.Second)
+		save    = fs.String("save", "", "directory to save fetched dumps into (with -nodes)")
+		asJSON  = fs.Bool("json", false, "emit the replay result as JSON")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	var dumps []*capture.Dump
 	switch {
-	case *nodes != "":
-		dumps = fetch(strings.Split(*nodes, ","), *timeout, *save)
-	case flag.NArg() > 0:
-		dumps = load(flag.Args())
+	case len(cluster.Nodes) > 0:
+		dumps = fetch(*cluster, *save)
+	case fs.NArg() > 0:
+		dumps = load(fs.Args())
 	default:
-		fail("nothing to replay: pass dump files/directories or -nodes")
+		fail("replay: nothing to replay: pass dump files/directories or -nodes")
 	}
 
 	res, err := replay.Run(dumps)
@@ -61,17 +47,14 @@ func main() {
 		fail("%v", err)
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fail("%v", err)
-		}
+		printJSON(res)
 	} else {
 		write(res)
 	}
 	if !res.Clean {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // load reads dump files; a directory argument means every regular file
@@ -115,32 +98,24 @@ func load(args []string) []*capture.Dump {
 
 // fetch collects /capture from live members in parallel, optionally
 // persisting each dump before decoding it.
-func fetch(addrs []string, timeout time.Duration, save string) []*capture.Dump {
+func fetch(c probe.Cluster, save string) []*capture.Dump {
 	if save != "" {
 		if err := os.MkdirAll(save, 0o755); err != nil {
 			fail("%v", err)
 		}
 	}
-	client := &http.Client{Timeout: timeout}
 	type fetched struct {
 		addr string
 		dump *capture.Dump
 		err  error
 	}
-	results := probe.Fanout(addrs, func(_ int, addr string) fetched {
-		url := probe.NormalizeAddr(addr) + "/capture"
-		body, code, err := probe.Fetch(context.Background(), client, url)
+	results := probe.Fanout(c.Nodes, func(_ int, addr string) fetched {
+		body, err := c.Get(context.Background(), probe.NormalizeAddr(addr), "/capture")
 		if err != nil {
-			return fetched{addr: addr, err: err}
+			return fetched{addr: addr, err: fmt.Errorf("%w (is the node running with -capture?)", err)}
 		}
-		if code != http.StatusOK {
-			return fetched{addr: addr, err: fmt.Errorf("HTTP %d (is the node running with capture enabled?)", code)}
-		}
-		d, err := capture.Decode(strings.NewReader(string(body)))
-		if err != nil {
-			return fetched{addr: addr, err: err}
-		}
-		return fetched{addr: addr, dump: d}
+		d, err := capture.Decode(bytes.NewReader(body))
+		return fetched{addr: addr, dump: d, err: err}
 	})
 	var dumps []*capture.Dump
 	for _, r := range results {

@@ -11,7 +11,7 @@
 //
 //	urcgc-load -n 3 -groups 8 -shards 8 -sessions 2000 -duration 10s
 //
-// The tool is the load half of the observability story: point urcgc-inspect
+// The tool is the load half of the observability story: point urcgc-ctl inspect
 // or curl at the -metrics listener of any member while it runs to watch the
 // per-group counters move.
 package main
@@ -238,7 +238,7 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 // driver needs.
 type loadCluster struct {
 	send        func(ctx context.Context, member mid.ProcID, g uint32, payload []byte) (mid.MID, error)
-	status      func(ctx context.Context) (rt.Status, error)
+	status      func(ctx context.Context) (rt.NodeStatus, error)
 	groupCounts func() []int64
 	shards      func() int
 	stop        func()
@@ -255,7 +255,7 @@ func startCluster(cfg topics.Config, mesh bool) (*loadCluster, *obs.Registry, er
 			send: func(ctx context.Context, member mid.ProcID, g uint32, payload []byte) (mid.MID, error) {
 				return c.Node(member).Send(ctx, g, payload, nil)
 			},
-			status:      func(ctx context.Context) (rt.Status, error) { return c.Node(0).Status(ctx) },
+			status:      c.Node(0).Status,
 			groupCounts: func() []int64 { return c.Node(0).GroupCounts() },
 			shards:      func() int { return c.Node(0).Shards() },
 			stop:        c.Stop,
@@ -291,7 +291,7 @@ func startCluster(cfg topics.Config, mesh bool) (*loadCluster, *obs.Registry, er
 		send: func(ctx context.Context, member mid.ProcID, g uint32, payload []byte) (mid.MID, error) {
 			return nodes[member].Send(ctx, g, payload, nil)
 		},
-		status:      func(ctx context.Context) (rt.Status, error) { return nodes[0].Status(ctx) },
+		status:      nodes[0].Status,
 		groupCounts: func() []int64 { return nodes[0].GroupCounts() },
 		shards:      func() int { return nodes[0].Shards() },
 		stop: func() {

@@ -16,38 +16,38 @@
 // accepts new submissions. This is the recovery path after the suicide
 // rule (or a crash) took the member out: leave, restart, rejoin.
 //
-// With -groups G (and optionally -shards S) the member hosts G independent
-// groups over the same socket — the same runtime as -groups 1, with more
-// sessions on its shard loops: stdin
-// lines go to group 0 unless prefixed "<g>:", chatter rotates across
-// groups, printed messages carry a [gN] tag, and the shutdown summary and
-// /status include the per-group processed counts. Group 0's frames stay
-// wire-compatible with single-group members. The observability surface
-// grows the group dimension with it: /healthz aggregates one rule set per
-// group (503s name the degraded {group, rule, reason} triples), /trace
-// serves every group's spans (filter with ?group=N), and the per-group
-// series carry a group label on /metrics and /timeseries.
+// The member hosts -groups G independent groups (default 1) over its one
+// socket, as G sessions on -shards S shard loops: stdin lines go to group 0
+// unless prefixed "<g>:", chatter rotates across groups, printed messages
+// carry a [gN] tag, and the shutdown summary lists the per-group processed
+// counts. Everything observable is indexed by group, one group included:
+// the per-entity series carry {node, group} labels on /metrics and
+// /timeseries, and /status, /healthz and /trace each serve one document
+// listing every hosted group.
 //
 // The node is observable while it runs: -metrics (default 127.0.0.1:0)
 // binds an HTTP listener serving
 //
 //	/metrics     live counters, gauges and histograms (Prometheus text)
-//	/status      this member's protocol state (view, vectors, buffers);
-//	             append ?format=json for the machine-readable form
-//	/healthz     per-node protocol health: 200 healthy, 503 + reasons
+//	/status      every hosted group's protocol state (view, vectors,
+//	             buffers); append ?format=json for the machine-readable form
+//	/healthz     protocol health, one rule set per group: 200 healthy, 503
+//	             naming the degraded {group, rule, reason} triples
 //	/timeseries  the flight recorder's gauge window as JSON
 //	/events      recent trace events (inbox drops and other omissions)
-//	/trace       per-message lifecycle spans: recent completed plus the
-//	             slowest in-flight, waiting ones with their blocking MIDs
+//	/trace       per-message lifecycle spans of every group (?group=N keeps
+//	             one): recent completed plus the slowest in-flight, waiting
+//	             ones with their blocking MIDs
 //	/capture     the frame flight recorder's raw wire traffic as a binary
-//	             dump for urcgc-replay (?decode=1 for JSON; needs -capture)
+//	             dump for `urcgc-ctl replay` (?decode=1 for JSON; needs
+//	             -capture)
 //	/debug/vars  the same registry as expvar JSON
 //	/debug/pprof CPU/heap/goroutine profiles
 //
 // and a summary table of every instrument is printed on shutdown (SIGINT,
-// SIGTERM, stdin EOF, or leaving the group). The whole cluster's health
-// picture — view agreement, token progress, stability-frontier skew — is
-// reconstructed from these endpoints by `urcgc-inspect`.
+// SIGTERM, stdin EOF, or leaving a group). The whole cluster's health
+// picture — view agreement, token progress, stability-frontier skew, per
+// group — is reconstructed from these endpoints by `urcgc-ctl inspect`.
 package main
 
 import (
@@ -87,7 +87,7 @@ func main() {
 		k         = flag.Int("k", 3, "K parameter")
 		join      = flag.Bool("join", false, "rejoin a running group: state-transfer from a live member instead of starting fresh (use when restarting a member of a live cluster)")
 		groups    = flag.Int("groups", 1, "independent groups hosted over this member's socket")
-		shards    = flag.Int("shards", 0, "protocol shard loops when -groups > 1 (0 = min(groups, GOMAXPROCS))")
+		shards    = flag.Int("shards", 0, "protocol shard loops (0 = min(groups, GOMAXPROCS))")
 		round     = flag.Duration("round", 20*time.Millisecond, "round duration")
 		chatter   = flag.Duration("chatter", 0, "generate a synthetic message this often (0 = stdin only)")
 		metrics   = flag.String("metrics", "127.0.0.1:0", "HTTP address for /metrics, /status, /healthz, /timeseries, /events, /trace and /debug/* (empty disables)")
@@ -96,7 +96,7 @@ func main() {
 		window    = flag.Int("window", 512, "flight-recorder ring length: samples of history retained")
 		batchWin  = flag.Duration("batch-window", 0, "coalesce submissions arriving within this window into one DataBatch broadcast (0 disables batching)")
 		batchMax  = flag.Int("batch-max", 0, "max messages per subrun drain when batching (0 = default when -batch-window is set)")
-		capFrames = flag.Int("capture", 0, "frame flight-recorder depth: raw wire frames retained for /capture and urcgc-replay (0 disables)")
+		capFrames = flag.Int("capture", 0, "frame flight-recorder depth: raw wire frames retained for /capture and urcgc-ctl replay (0 disables)")
 	)
 	flag.Parse()
 
@@ -127,14 +127,6 @@ func main() {
 		})
 	}
 
-	// One engine whatever -groups says; a multi-group member only speaks the
-	// other metric vocabulary (topics_* link counters, group-labeled series),
-	// which is what the per-group health rules and urcgc-inspect read.
-	multi := *groups > 1
-	family := rt.FamilyUDP
-	if multi {
-		family = rt.FamilyTopics
-	}
 	var lcOpts *lifecycle.Options
 	if *traceSlow > 0 {
 		lcOpts = &lifecycle.Options{SlowThreshold: *traceSlow}
@@ -152,13 +144,9 @@ func main() {
 		Capture:       ring,
 		Logf:          log.Printf,
 		Joined: func(_ mid.ProcID, g uint32) {
-			if multi {
-				fmt.Printf("member %d rejoined group %d (state transfer complete)\n", *self, g)
-			} else {
-				fmt.Printf("member %d rejoined the group (state transfer complete)\n", *self)
-			}
+			fmt.Printf("member %d rejoined group %d (state transfer complete)\n", *self, g)
 		},
-	}, family)
+	}, rt.FamilyTopics) // the {node, group}-labelled series the health rules and urcgc-ctl read
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "urcgc-node:", err)
 		os.Exit(1)
@@ -177,51 +165,31 @@ func main() {
 			}
 		}()
 	}
-	// /trace serves the one tracer of a single-group member, or one per group.
-	lifecycleOf := func() *lifecycle.Tracer { return node.Lifecycle(0) }
-	var lifecycles func() []*lifecycle.Tracer
-	if multi {
-		lifecycleOf = func() *lifecycle.Tracer { return nil }
-		lifecycles = node.Lifecycles
-	}
 	node.Start()
 	joining := ""
 	if *join {
 		joining = ", rejoining"
 	}
-	if multi {
-		fmt.Printf("member %d of %d up at %s (round %v, %d groups over %d shards%s)\n",
-			*self, len(addrs), node.LocalAddr(), *round, *groups, *shards, joining)
-	} else {
-		fmt.Printf("member %d of %d up at %s (round %v%s)\n", *self, len(addrs), node.LocalAddr(), *round, joining)
-	}
+	fmt.Printf("member %d of %d up at %s (round %v, %d groups over %d shards%s)\n",
+		*self, len(addrs), node.LocalAddr(), *round, *groups, node.Shards(), joining)
 
 	var flight *obs.Flight
 	if *metrics != "" {
 		var evaluator *health.Evaluator
-		var multiEval *health.MultiEvaluator
 		if *sample > 0 {
 			flight = obs.NewFlight(reg, obs.FlightOptions{Interval: *sample, Cap: *window})
-			if multi {
-				// One rule set per hosted group over the group-labeled
-				// series: /healthz 503s name the degraded groups.
-				multiEval = health.NewMultiEvaluator(flight, strconv.Itoa(*self), *groups, health.Thresholds{})
-			} else {
-				evaluator = health.NewEvaluator(flight, strconv.Itoa(*self), health.Thresholds{})
-			}
+			evaluator = health.New(flight, strconv.Itoa(*self), *groups, health.Thresholds{})
 			flight.Start()
 		}
 		reg.PublishExpvar("urcgc")
 		mux := nodehttp.Mux(nodehttp.Options{
-			Registry:        reg,
-			Flight:          flight,
-			Health:          evaluator,
-			MultiHealth:     multiEval,
-			Status:          node.Status,
-			Lifecycle:       lifecycleOf,
-			LifecycleGroups: lifecycles,
-			Capture:         ring,
-			Pprof:           true,
+			Registry:  reg,
+			Flight:    flight,
+			Health:    evaluator,
+			Status:    node.Status,
+			Lifecycle: node.Lifecycles,
+			Capture:   ring,
+			Pprof:     true,
 		})
 		ln, err := nodehttp.Serve(*metrics, mux)
 		if err != nil {
@@ -240,24 +208,14 @@ func main() {
 		}
 		fmt.Printf("\n--- %s: shutdown summary (member %d) ---\n", why, *self)
 		reg.WriteSummary(os.Stdout)
-		if multi {
-			fmt.Printf("--- per-group processed (%d groups) ---\n", *groups)
-			for g, c := range node.GroupCounts() {
-				fmt.Printf("group %-4d %d\n", g, c)
-			}
+		fmt.Printf("--- per-group processed (%d groups) ---\n", *groups)
+		for g, c := range node.GroupCounts() {
+			fmt.Printf("group %-4d %d\n", g, c)
 		}
-		if tr := lifecycleOf(); tr != nil {
+		for g, tr := range node.Lifecycles() {
 			if c := tr.Counts(); c.Completed > 0 {
-				fmt.Printf("--- slowest completed message spans (of %d) ---\n", c.Completed)
+				fmt.Printf("--- group %d slowest completed message spans (of %d) ---\n", g, c.Completed)
 				tr.WriteSlowest(os.Stdout, 5)
-			}
-		}
-		if lifecycles != nil {
-			for g, tr := range lifecycles() {
-				if c := tr.Counts(); c.Completed > 0 {
-					fmt.Printf("--- group %d slowest completed message spans (of %d) ---\n", g, c.Completed)
-					tr.WriteSlowest(os.Stdout, 5)
-				}
 			}
 		}
 		if evs := reg.Events().Events(); len(evs) > 0 {
@@ -274,11 +232,7 @@ func main() {
 
 	go func() {
 		for ind := range indications {
-			if multi {
-				fmt.Printf("[g%d %v] %s\n", ind.group, ind.Msg.ID, ind.Msg.Payload)
-			} else {
-				fmt.Printf("[%v] %s\n", ind.Msg.ID, ind.Msg.Payload)
-			}
+			fmt.Printf("[g%d %v] %s\n", ind.group, ind.Msg.ID, ind.Msg.Payload)
 			if reason, left := node.Left(ind.group); left {
 				select {
 				case leftCh <- reason:
@@ -324,11 +278,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "send:", err)
 				continue
 			}
-			if multi {
-				fmt.Printf("confirmed %v on group %d\n", id, g)
-			} else {
-				fmt.Printf("confirmed %v\n", id)
-			}
+			fmt.Printf("confirmed %v on group %d\n", id, g)
 		}
 	}()
 
@@ -357,9 +307,6 @@ func main() {
 // splitGroup routes a stdin line: "<g>: text" goes to group g when g parses
 // as a hosted group index; everything else goes to group 0 verbatim.
 func splitGroup(line string, groups int) (uint32, string) {
-	if groups <= 1 {
-		return 0, line
-	}
 	head, rest, ok := strings.Cut(line, ":")
 	if !ok {
 		return 0, line

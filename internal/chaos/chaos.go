@@ -194,7 +194,7 @@ func (r *Report) DegradedGroups() []uint32 {
 }
 
 // DumpCaptures writes every member's capture ring to dir as
-// capture-node<N>.bin (the /capture binary format urcgc-replay ingests),
+// capture-node<N>.bin (the /capture binary format urcgc-ctl replay ingests),
 // returning the written paths. It is a no-op without armed rings.
 func (r *Report) DumpCaptures(dir string) ([]string, error) {
 	if len(r.Captures) == 0 {

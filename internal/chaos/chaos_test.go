@@ -145,12 +145,12 @@ func assessAudit(t *testing.T, rep *Report) {
 	}
 	// Preserve the evidence: with URCGC_CAPTURE_DIR set (CI exports it), a
 	// violating soak dumps every member's frame capture for offline replay
-	// with urcgc-replay.
+	// with urcgc-ctl replay.
 	if dir := os.Getenv("URCGC_CAPTURE_DIR"); dir != "" && !rep.Ok() {
 		if paths, err := rep.DumpCaptures(dir); err != nil {
 			t.Logf("capture dump failed: %v", err)
 		} else if len(paths) > 0 {
-			t.Logf("capture dumps written: %v — replay with: urcgc-replay %s", paths, dir)
+			t.Logf("capture dumps written: %v — replay with: urcgc-ctl replay %s", paths, dir)
 		}
 	}
 }

@@ -19,12 +19,12 @@ type degradation struct {
 }
 
 // monitor is the harness's health watch: a flight recording of the shared
-// registry feeds one health.MultiEvaluator per member — the wiring urcgc-node
+// registry feeds one health.Evaluator per member — the wiring urcgc-node
 // serves on /healthz — and a poller accumulates which (member, group)
 // verdicts went unhealthy, and why, while the adversary was active.
 type monitor struct {
 	flight *obs.Flight
-	evals  []*health.MultiEvaluator
+	evals  []*health.Evaluator
 
 	mu       sync.Mutex
 	degraded map[degradation]bool
@@ -48,7 +48,7 @@ func startMonitor(cfg Config) *monitor {
 		done:     make(chan struct{}),
 	}
 	for i := 0; i < cfg.N; i++ {
-		m.evals = append(m.evals, health.NewMultiEvaluator(m.flight, strconv.Itoa(i), cfg.Groups, th))
+		m.evals = append(m.evals, health.New(m.flight, strconv.Itoa(i), cfg.Groups, th))
 	}
 	m.flight.Start()
 	go func() {
@@ -68,8 +68,8 @@ func startMonitor(cfg Config) *monitor {
 }
 
 // eval takes every member's verdict now, remembering each rule that fired.
-func (m *monitor) eval() []health.MultiStatus {
-	out := make([]health.MultiStatus, len(m.evals))
+func (m *monitor) eval() []health.Status {
+	out := make([]health.Status, len(m.evals))
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i, e := range m.evals {

@@ -1,6 +1,10 @@
-// Package health evaluates one node's protocol health from the flight
-// recorder's gauge time series. Each rule turns a paper claim into a
-// runtime check over a sample window:
+// Package health evaluates one member's protocol health from the flight
+// recorder's gauge time series. The unit of agreement is the group, so the
+// rules run once per hosted group over that group's {node, group}-labelled
+// series, and the member is healthy iff every group it hosts is — a
+// partition that stalls one group's token degrades exactly that group's
+// verdict. Each rule turns a paper claim into a runtime check over a sample
+// window:
 //
 //   - token-stall: the rotating-coordinator scheme means decisions keep
 //     arriving with fresh subrun stamps; a frozen core_decision_subrun
@@ -17,7 +21,7 @@
 //     growing gap between messages processed and messages uniformly
 //     stable says full-group decisions have stopped covering the group.
 //
-// Rules fire only on evidence spanning a full window; a node with too few
+// Rules fire only on evidence spanning a full window; a group with too few
 // samples is healthy ("warming up"). All rules recover: one sample of
 // progress resets the window.
 package health
@@ -95,20 +99,38 @@ type Reason struct {
 	Detail string `json:"detail"`
 }
 
-// Status is one node's health verdict, the JSON shape of /healthz.
-type Status struct {
-	Node string `json:"node"`
-	// Group is set when the verdict covers one hosted group of a
-	// multi-group member rather than the whole node.
-	Group   *int     `json:"group,omitempty"`
+// GroupVerdict is what the rules say about one hosted group.
+type GroupVerdict struct {
+	Group   int      `json:"group"`
 	Healthy bool     `json:"healthy"`
-	Samples int64    `json:"samples"`
 	Reasons []Reason `json:"reasons,omitempty"`
 	// Joining reports that the member is (or very recently was)
 	// state-transferring into the group: the rules are suppressed for a
 	// full window because a joiner legitimately freezes the series they
 	// watch (no decisions reach it pre-sync, its history installs in one
 	// jump, its frontier is the sponsor's).
+	Joining bool `json:"joining,omitempty"`
+}
+
+// GroupReason is one unhealthy-group explanation in a member's verdict:
+// the {group, rule, reason} triple /healthz lists on a 503.
+type GroupReason struct {
+	Group  int    `json:"group"`
+	Rule   string `json:"rule"`
+	Reason string `json:"reason"`
+}
+
+// Status is one member's health verdict, the JSON shape of /healthz: the
+// member is healthy iff every hosted group is. Groups carries the per-group
+// verdicts; Reasons flattens every firing rule with its group.
+type Status struct {
+	Node    string         `json:"node"`
+	Healthy bool           `json:"healthy"`
+	Samples int64          `json:"samples"`
+	Groups  []GroupVerdict `json:"groups"`
+	Reasons []GroupReason  `json:"reasons,omitempty"`
+	// Joining reports that at least one hosted group is still inside its
+	// join grace window (see GroupVerdict).
 	Joining bool `json:"joining,omitempty"`
 }
 
@@ -157,62 +179,63 @@ func stuckNonEmpty(vals []int64, window int) bool {
 	return true
 }
 
-// Evaluator applies the rules to one node's flight series. Safe for
+// Evaluator applies the rules to every hosted group of one member. Safe for
 // concurrent use (the HTTP handler may race a poller).
 type Evaluator struct {
 	flight *obs.Flight
 	node   string
-	group  int // hosted-group id, or -1 when the verdict is whole-node
 	th     Thresholds
 
 	mu                 sync.Mutex
 	bufA, bufB, bufLag []int64
-
-	// Pre-composed series names (the per-node label is fixed).
-	sDecision, sHistory, sWaiting, sProcessed, sStable, sJoining string
+	groups             []groupSeries
 }
 
-// NewEvaluator builds an evaluator for the node with the given label
-// (the "node" label value used by the rt instruments, e.g. "0").
-func NewEvaluator(f *obs.Flight, node string, th Thresholds) *Evaluator {
-	l := func(name string) string { return obs.Labeled(name, "node", node) }
-	return newEvaluator(f, node, -1, th, l)
+// groupSeries holds one group's pre-composed series names (label order
+// matches the rt instruments: node first, then group).
+type groupSeries struct {
+	decision, history, waiting, processed, stable, joining string
 }
 
-// NewGroupEvaluator builds an evaluator for one hosted group of a
-// multi-group member: same rules, read from the group-labeled series the
-// topics runtime registers (label order matches rt.NewNodeObs — node
-// first, then group).
-func NewGroupEvaluator(f *obs.Flight, node string, group int, th Thresholds) *Evaluator {
-	g := strconv.Itoa(group)
-	l := func(name string) string { return obs.Labeled(name, "node", node, "group", g) }
-	return newEvaluator(f, node, group, th, l)
-}
-
-func newEvaluator(f *obs.Flight, node string, group int, th Thresholds, l func(string) string) *Evaluator {
-	return &Evaluator{
-		flight:     f,
-		node:       node,
-		group:      group,
-		th:         th.withDefaults(),
-		sDecision:  l("core_decision_subrun"),
-		sHistory:   l("core_history_len"),
-		sWaiting:   l("core_waiting_len"),
-		sProcessed: l("rt_processed_total"),
-		sStable:    l("core_stable_sum"),
-		sJoining:   l("core_joining"),
+// New builds the evaluator of the member with the given "node" label value
+// (e.g. "0") hosting groups 0..groups-1, over the member's flight recorder.
+func New(f *obs.Flight, node string, groups int, th Thresholds) *Evaluator {
+	e := &Evaluator{flight: f, node: node, th: th.withDefaults()}
+	for g := 0; g < groups; g++ {
+		l := func(name string) string { return obs.Labeled(name, "node", node, "group", strconv.Itoa(g)) }
+		e.groups = append(e.groups, groupSeries{
+			decision:  l("core_decision_subrun"),
+			history:   l("core_history_len"),
+			waiting:   l("core_waiting_len"),
+			processed: l("rt_processed_total"),
+			stable:    l("core_stable_sum"),
+			joining:   l("core_joining"),
+		})
 	}
+	return e
 }
 
-// Eval applies every rule to the current flight window.
+// Eval applies every group's rules to the current flight window.
 func (e *Evaluator) Eval() Status {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := Status{Node: e.node, Healthy: true, Samples: e.flight.Samples()}
-	if e.group >= 0 {
-		g := e.group
-		st.Group = &g
+	st := Status{Node: e.node, Samples: e.flight.Samples()}
+	for g := range e.groups {
+		gs := e.evalGroup(g)
+		st.Joining = st.Joining || gs.Joining
+		for _, r := range gs.Reasons {
+			st.Reasons = append(st.Reasons, GroupReason{Group: g, Rule: r.Rule, Reason: r.Detail})
+		}
+		st.Groups = append(st.Groups, gs)
 	}
+	st.Healthy = len(st.Reasons) == 0
+	return st
+}
+
+// evalGroup applies the rules to one group's series. Caller holds e.mu.
+func (e *Evaluator) evalGroup(g int) GroupVerdict {
+	s := &e.groups[g]
+	st := GroupVerdict{Group: g, Healthy: true}
 
 	// The widest window any rule needs bounds every Tail read.
 	max := e.th.TokenStallSamples
@@ -228,7 +251,7 @@ func (e *Evaluator) Eval() Status {
 	// the widest rule window still shows core_joining set, report the
 	// join instead of false alarms; once the gauge has been clear for a
 	// full window the rules resume on post-join evidence only.
-	e.bufA = e.flight.Tail(e.sJoining, e.bufA[:0], max)
+	e.bufA = e.flight.Tail(s.joining, e.bufA[:0], max)
 	for _, v := range e.bufA {
 		if v != 0 {
 			st.Joining = true
@@ -236,7 +259,7 @@ func (e *Evaluator) Eval() Status {
 		}
 	}
 
-	e.bufA = e.flight.Tail(e.sDecision, e.bufA[:0], max)
+	e.bufA = e.flight.Tail(s.decision, e.bufA[:0], max)
 	if tokenStalled(e.bufA, e.th.TokenStallSamples) {
 		st.Reasons = append(st.Reasons, Reason{
 			Rule: "token-stall",
@@ -245,7 +268,7 @@ func (e *Evaluator) Eval() Status {
 		})
 	}
 
-	e.bufA = e.flight.Tail(e.sHistory, e.bufA[:0], max)
+	e.bufA = e.flight.Tail(s.history, e.bufA[:0], max)
 	if growingMonotonically(e.bufA, e.th.HistoryWindow, e.th.HistoryGrowthMin) {
 		st.Reasons = append(st.Reasons, Reason{
 			Rule: "history-growth",
@@ -254,7 +277,7 @@ func (e *Evaluator) Eval() Status {
 		})
 	}
 
-	e.bufA = e.flight.Tail(e.sWaiting, e.bufA[:0], max)
+	e.bufA = e.flight.Tail(s.waiting, e.bufA[:0], max)
 	if stuckNonEmpty(e.bufA, e.th.WaitingStuckSamples) {
 		st.Reasons = append(st.Reasons, Reason{
 			Rule: "waiting-stuck",
@@ -263,8 +286,8 @@ func (e *Evaluator) Eval() Status {
 		})
 	}
 
-	e.bufA = e.flight.Tail(e.sProcessed, e.bufA[:0], max)
-	e.bufB = e.flight.Tail(e.sStable, e.bufB[:0], max)
+	e.bufA = e.flight.Tail(s.processed, e.bufA[:0], max)
+	e.bufB = e.flight.Tail(s.stable, e.bufB[:0], max)
 	if len(e.bufA) == len(e.bufB) {
 		e.bufLag = e.bufLag[:0]
 		for i := range e.bufA {
@@ -283,8 +306,9 @@ func (e *Evaluator) Eval() Status {
 	return st
 }
 
-// Handler serves the verdict as JSON: HTTP 200 when healthy, 503 when
-// not (the /healthz endpoint).
+// Handler serves the verdict as JSON (the /healthz endpoint): 200 when every
+// group is healthy, 503 listing the {group, rule, reason} triples when any
+// is not.
 func (e *Evaluator) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		st := e.Eval()

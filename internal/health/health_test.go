@@ -3,6 +3,7 @@ package health
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"urcgc/internal/obs"
@@ -79,35 +80,40 @@ func TestStuckNonEmpty(t *testing.T) {
 	}
 }
 
-// evalHarness drives a Flight deterministically for one node's series.
-type evalHarness struct {
-	reg       *obs.Registry
-	flight    *obs.Flight
-	eval      *Evaluator
-	decision  *obs.Gauge
-	history   *obs.Gauge
-	waiting   *obs.Gauge
-	processed *obs.Counter
-	stable    *obs.Gauge
-	joining   *obs.Gauge
+// groupGauges are the instruments the rules read for one hosted group.
+type groupGauges struct {
+	decision, history, waiting, stable, joining *obs.Gauge
+	processed                                   *obs.Counter
 }
 
-func newEvalHarness(t *testing.T, th Thresholds) *evalHarness {
+// evalHarness drives a Flight deterministically for one member's series;
+// the embedded groupGauges are group 0's, so single-group tests name them
+// directly.
+type evalHarness struct {
+	flight *obs.Flight
+	eval   *Evaluator
+	groups []groupGauges
+	groupGauges
+}
+
+func newEvalHarness(t *testing.T, groups int, th Thresholds) *evalHarness {
 	t.Helper()
 	reg := obs.New()
-	l := func(name string) string { return obs.Labeled(name, "node", "0") }
 	f := obs.NewFlight(reg, obs.FlightOptions{Cap: 64})
-	return &evalHarness{
-		reg:       reg,
-		flight:    f,
-		eval:      NewEvaluator(f, "0", th),
-		decision:  reg.Gauge(l("core_decision_subrun")),
-		history:   reg.Gauge(l("core_history_len")),
-		waiting:   reg.Gauge(l("core_waiting_len")),
-		processed: reg.Counter(l("rt_processed_total")),
-		stable:    reg.Gauge(l("core_stable_sum")),
-		joining:   reg.Gauge(l("core_joining")),
+	h := &evalHarness{flight: f, eval: New(f, "0", groups, th)}
+	for g := 0; g < groups; g++ {
+		l := func(name string) string { return obs.Labeled(name, "node", "0", "group", strconv.Itoa(g)) }
+		h.groups = append(h.groups, groupGauges{
+			decision:  reg.Gauge(l("core_decision_subrun")),
+			history:   reg.Gauge(l("core_history_len")),
+			waiting:   reg.Gauge(l("core_waiting_len")),
+			processed: reg.Counter(l("rt_processed_total")),
+			stable:    reg.Gauge(l("core_stable_sum")),
+			joining:   reg.Gauge(l("core_joining")),
+		})
 	}
+	h.groupGauges = h.groups[0]
+	return h
 }
 
 // tick advances the simulated node one sample: a healthy node's decision
@@ -147,7 +153,7 @@ func TestEvaluatorLifecycle(t *testing.T) {
 		FrontierLagWindow:   4,
 		FrontierLagMin:      6,
 	}
-	h := newEvalHarness(t, th)
+	h := newEvalHarness(t, 1, th)
 
 	// Warming up: no samples at all is healthy.
 	if st := h.eval.Eval(); !st.Healthy || st.Samples != 0 {
@@ -228,7 +234,7 @@ func TestEvaluatorLifecycle(t *testing.T) {
 // TestEvaluatorIdleIsHealthy pins that a quiescent node — flat series,
 // no traffic, token still advancing — stays healthy forever.
 func TestEvaluatorIdleIsHealthy(t *testing.T) {
-	h := newEvalHarness(t, Thresholds{
+	h := newEvalHarness(t, 1, Thresholds{
 		TokenStallSamples: 4, HistoryWindow: 4, HistoryGrowthMin: 8,
 		WaitingStuckSamples: 4, FrontierLagWindow: 4, FrontierLagMin: 6,
 	})
@@ -250,7 +256,7 @@ func TestJoiningSuppressesRules(t *testing.T) {
 		TokenStallSamples: 4, HistoryWindow: 4, HistoryGrowthMin: 8,
 		WaitingStuckSamples: 4, FrontierLagWindow: 4, FrontierLagMin: 6,
 	}
-	h := newEvalHarness(t, th)
+	h := newEvalHarness(t, 1, th)
 	for i := 0; i < 6; i++ {
 		h.tickHealthy()
 	}
@@ -293,31 +299,80 @@ func TestJoiningSuppressesRules(t *testing.T) {
 	}
 }
 
+// TestMultiEvaluatorIsolatesGroups stalls group 1's token while groups 0
+// and 2 keep circulating decisions: the member must go unhealthy with
+// exactly one {group, rule} triple, and per-group verdicts must disagree.
+func TestMultiEvaluatorIsolatesGroups(t *testing.T) {
+	h := newEvalHarness(t, 3, Thresholds{TokenStallSamples: 4})
+	for i := 0; i < 8; i++ {
+		h.groups[0].decision.Add(1)
+		if i < 3 {
+			h.groups[1].decision.Add(1) // group 1's token freezes after sample 3
+		}
+		h.groups[2].decision.Add(1)
+		h.flight.Sample()
+	}
+	st := h.eval.Eval()
+	if st.Healthy {
+		t.Fatalf("stalled group not flagged: %+v", st)
+	}
+	if len(st.Reasons) != 1 || st.Reasons[0].Group != 1 || st.Reasons[0].Rule != "token-stall" {
+		t.Fatalf("reasons = %+v, want one token-stall on group 1", st.Reasons)
+	}
+	if len(st.Groups) != 3 {
+		t.Fatalf("groups = %d, want 3", len(st.Groups))
+	}
+	for g, gs := range st.Groups {
+		if gs.Group != g {
+			t.Fatalf("group %d verdict carries tag %d", g, gs.Group)
+		}
+		if wantHealthy := g != 1; gs.Healthy != wantHealthy {
+			t.Fatalf("group %d healthy = %v, want %v", g, gs.Healthy, wantHealthy)
+		}
+	}
+
+	// Recovery: the partitioned group's token resumes.
+	h.groups[1].decision.Add(1)
+	h.flight.Sample()
+	if st := h.eval.Eval(); !st.Healthy {
+		t.Fatalf("aggregate did not recover: %+v", st.Reasons)
+	}
+}
+
+// TestHandlerStatusCodes drives the one /healthz handler at G = 1 and
+// G = 2: 200 while every group's token circulates, 503 naming the last
+// group once its token freezes — the same document at either G.
 func TestHandlerStatusCodes(t *testing.T) {
-	th := Thresholds{TokenStallSamples: 3}
-	h := newEvalHarness(t, th)
-	for i := 0; i < 4; i++ {
-		h.tickHealthy()
-	}
-	rec := httptest.NewRecorder()
-	h.eval.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	if rec.Code != 200 {
-		t.Fatalf("healthy code = %d, body %s", rec.Code, rec.Body.String())
-	}
-	var st Status
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || !st.Healthy || st.Node != "0" {
-		t.Fatalf("healthy body: %v %s", err, rec.Body.String())
-	}
-	for i := 0; i < 3; i++ {
-		h.flight.Sample() // freeze the token
-	}
-	rec = httptest.NewRecorder()
-	h.eval.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	if rec.Code != 503 {
-		t.Fatalf("unhealthy code = %d", rec.Code)
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || st.Healthy || len(st.Reasons) == 0 {
-		t.Fatalf("unhealthy body: %v %s", err, rec.Body.String())
+	for _, groups := range []int{1, 2} {
+		h := newEvalHarness(t, groups, Thresholds{TokenStallSamples: 3})
+		get := func() (int, Status) {
+			rec := httptest.NewRecorder()
+			h.eval.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+			var st Status
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+				t.Fatalf("G=%d body: %v %s", groups, err, rec.Body.String())
+			}
+			return rec.Code, st
+		}
+		for i := 0; i < 4; i++ {
+			for _, g := range h.groups {
+				g.decision.Add(1)
+			}
+			h.flight.Sample()
+		}
+		if code, st := get(); code != 200 || !st.Healthy || st.Node != "0" || len(st.Groups) != groups {
+			t.Fatalf("G=%d healthy: code %d, %+v", groups, code, st)
+		}
+		for i := 0; i < 3; i++ {
+			for _, g := range h.groups[:groups-1] {
+				g.decision.Add(1) // the last group's token is frozen
+			}
+			h.flight.Sample()
+		}
+		code, st := get()
+		if code != 503 || st.Healthy || len(st.Reasons) != 1 || st.Reasons[0].Group != groups-1 {
+			t.Fatalf("G=%d unhealthy: code %d, %+v", groups, code, st)
+		}
 	}
 }
 

@@ -1,14 +1,16 @@
 // Package inspect reconstructs the cluster-wide protocol picture from the
 // per-node observability endpoints (/status, /metrics, /timeseries,
 // /healthz — the nodehttp surface). One probe per node yields a Report:
-// the global view agreement, the token position each member believes, the
-// min/max stability frontier across the group, and per-sender history
-// occupancy. On top of the raw picture it flags divergence:
+// per hosted group, the view agreement, the token position each member
+// believes, the min/max stability frontier and per-sender history
+// occupancy. The unit of agreement is the group, so every protocol rule
+// runs once per group over that group's status and {node, group} series,
+// and names the group it fired for (one group is simply G = 1):
 //
 //   - unreachable:      a node did not answer its /status probe.
-//   - left:             a node answered but no longer runs the protocol
-//     (it left the group — suicide, recovery exhaustion
-//     or coordinator silence).
+//   - left:             a member answered but no longer runs the protocol
+//     in the group (it left — suicide, recovery
+//     exhaustion or coordinator silence).
 //   - view-divergence:  two members disagree about who is alive. Benign
 //     while a crash propagates, so one-shot probes give
 //     it a grace re-probe before declaring it real.
@@ -25,6 +27,9 @@
 //     partition, which halts stability group-wide while
 //     only the cut-off members stop processing; again
 //     the laggards are named.
+//   - joining:          a member is state-transferring back into the
+//     group; informational, and it exempts the member
+//     from the rules its join legitimately trips.
 //   - node-unhealthy:   the node's own /healthz verdict is 503; its
 //     machine-readable reasons are carried through.
 //
@@ -34,11 +39,10 @@ package inspect
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -51,10 +55,8 @@ import (
 
 // Config tells the collector where the nodes are and how strict to be.
 type Config struct {
-	// Nodes lists the observability addresses, "host:port" or full URLs.
-	Nodes []string
-	// Timeout bounds each HTTP request; 0 means 2s.
-	Timeout time.Duration
+	// Cluster lists the nodes and bounds each HTTP request.
+	probe.Cluster
 	// Grace is how long OneShot waits before re-probing to confirm that
 	// view divergence (and other problems) persist; 0 skips the re-probe.
 	Grace time.Duration
@@ -64,22 +66,14 @@ type Config struct {
 	// StallWindow is how many trailing flight samples of a frozen decision
 	// subrun count as a token stall; 0 means 12.
 	StallWindow int
-	// Client overrides the HTTP client (tests); nil uses a default.
-	Client *http.Client
 }
 
 func (c Config) withDefaults() Config {
-	if c.Timeout <= 0 {
-		c.Timeout = 2 * time.Second
-	}
 	if c.FrontierSkew <= 0 {
 		c.FrontierSkew = 64
 	}
 	if c.StallWindow <= 0 {
 		c.StallWindow = 12
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
 	}
 	return c
 }
@@ -93,18 +87,26 @@ type NodeProbe struct {
 	// Err holds the probe error when unreachable.
 	Err string `json:"error,omitempty"`
 	// Status is the node's protocol state (from /status?format=json).
-	Status *rt.Status `json:"status,omitempty"`
+	Status *rt.NodeStatus `json:"status,omitempty"`
 	// Health is the node's own verdict (from /healthz), if served.
 	Health *health.Status `json:"health,omitempty"`
-	// StableSum is the node's stability frontier: the sum of its clean
-	// vector, read from core_stable_sum on /metrics (falling back to the
-	// status StableTo vector when the gauge is absent).
+	// Groups holds, element for element of Status.Groups, what the node's
+	// {node, group} series add to that group's status.
+	Groups []GroupProbe `json:"groups,omitempty"`
+}
+
+// GroupProbe is what one hosted group's series say.
+type GroupProbe struct {
+	Group uint32 `json:"group"`
+	// StableSum is the stability frontier: the sum of the clean vector,
+	// read from core_stable_sum on /metrics (falling back to the status
+	// StableTo vector when the gauge is absent).
 	StableSum int64 `json:"stable_sum"`
 	// ProcessedSum is the total messages processed, read from
 	// rt_processed_total on /metrics (falling back to the status vector).
 	ProcessedSum int64 `json:"processed_sum"`
-	// DecisionTail is the trailing window of the node's decision-subrun
-	// gauge from /timeseries, oldest first; empty without a flight.
+	// DecisionTail is the trailing window of the decision-subrun gauge from
+	// /timeseries, oldest first; empty without a flight.
 	DecisionTail []int64 `json:"decision_tail,omitempty"`
 }
 
@@ -113,8 +115,8 @@ type Problem struct {
 	// Kind is "unreachable", "left", "view-divergence", "token-stall",
 	// "frontier-skew", "progress-skew", "node-unhealthy" or "joining".
 	Kind string `json:"kind"`
-	// Group, when set, scopes the problem to one hosted group of a
-	// multi-group cluster; nil means whole-node.
+	// Group is the group the problem was found in; nil only for the kinds
+	// about the node itself ("unreachable", "node-unhealthy").
 	Group *uint32 `json:"group,omitempty"`
 	// Nodes are the addresses involved (for frontier-skew, the laggards).
 	Nodes []string `json:"nodes,omitempty"`
@@ -126,8 +128,8 @@ type Problem struct {
 	Informational bool `json:"informational,omitempty"`
 }
 
-// Report is the reconstructed global picture, the JSON shape urcgc-inspect
-// prints in one-shot mode.
+// Report is the reconstructed global picture, the JSON shape `urcgc-ctl
+// inspect` prints in one-shot mode.
 type Report struct {
 	// Healthy is true when no problems were detected.
 	Healthy bool `json:"healthy"`
@@ -136,11 +138,12 @@ type Report struct {
 	// Problems lists every detected divergence.
 	Problems []Problem `json:"problems,omitempty"`
 	// MinFrontier/MaxFrontier bound the stability frontiers observed
-	// across reachable nodes (both 0 when none are reachable).
+	// across every group of every reachable node (both 0 when none are
+	// reachable).
 	MinFrontier int64 `json:"min_frontier"`
 	MaxFrontier int64 `json:"max_frontier"`
-	// ViewsAgree reports whether every reachable running member holds the
-	// same alive mask.
+	// ViewsAgree reports whether, in every group, every reachable running
+	// member holds the same alive mask.
 	ViewsAgree bool `json:"views_agree"`
 }
 
@@ -168,60 +171,39 @@ func metricValue(body []byte, series string) (int64, bool) {
 // a cluster without a flight recorder still inspects.
 func probeNode(ctx context.Context, cfg Config, addr string) NodeProbe {
 	p := NodeProbe{Addr: addr}
-	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
-	defer cancel()
-
-	body, code, err := probe.Fetch(ctx, cfg.Client, addr+"/status?format=json")
-	if err != nil {
+	var st rt.NodeStatus
+	if err := cfg.GetJSON(ctx, addr, "/status?format=json", &st); err != nil {
 		p.Err = err.Error()
 		return p
 	}
-	if code != http.StatusOK {
-		p.Err = fmt.Sprintf("/status: HTTP %d", code)
-		return p
-	}
-	var st rt.Status
-	if err := json.Unmarshal(body, &st); err != nil {
-		p.Err = "decoding /status: " + err.Error()
-		return p
-	}
-	p.Reachable = true
-	p.Status = &st
-	for _, v := range st.StableTo {
-		p.StableSum += int64(v)
-	}
-	for _, v := range st.Processed {
-		p.ProcessedSum += int64(v)
-	}
-
-	node := strconv.Itoa(int(st.ID))
-	if body, code, err := probe.Fetch(ctx, cfg.Client, addr+"/metrics"); err == nil && code == http.StatusOK {
-		if v, ok := metricValue(body, obs.Labeled("core_stable_sum", "node", node)); ok {
-			p.StableSum = v
-		}
-		if v, ok := metricValue(body, obs.Labeled("rt_processed_total", "node", node)); ok {
-			p.ProcessedSum = v
-		}
-	}
+	p.Reachable, p.Status = true, &st
 
 	// /healthz answers 200 or 503; both carry the JSON verdict.
-	if body, code, err := probe.Fetch(ctx, cfg.Client, addr+"/healthz"); err == nil &&
-		(code == http.StatusOK || code == http.StatusServiceUnavailable) {
-		var h health.Status
-		if json.Unmarshal(body, &h) == nil {
-			p.Health = &h
-		}
+	var h health.Status
+	if cfg.GetJSON(ctx, addr, "/healthz", &h, http.StatusServiceUnavailable) == nil {
+		p.Health = &h
 	}
+	metrics, _ := cfg.Get(ctx, addr, "/metrics")
+	var flight obs.FlightSnapshot
+	_ = cfg.GetJSON(ctx, addr, "/timeseries", &flight)
 
-	if body, code, err := probe.Fetch(ctx, cfg.Client, addr+"/timeseries"); err == nil && code == http.StatusOK {
-		var fs obs.FlightSnapshot
-		if json.Unmarshal(body, &fs) == nil {
-			tail := fs.Series[obs.Labeled("core_decision_subrun", "node", node)]
-			if len(tail) > cfg.StallWindow {
-				tail = tail[len(tail)-cfg.StallWindow:]
-			}
-			p.DecisionTail = tail
+	node := strconv.Itoa(int(st.ID))
+	for _, gs := range st.Groups {
+		series := func(name string) string {
+			return obs.Labeled(name, "node", node, "group", strconv.Itoa(int(gs.Group)))
 		}
+		gp := GroupProbe{Group: gs.Group, StableSum: int64(gs.StableTo.Sum()), ProcessedSum: int64(gs.Processed.Sum())}
+		if v, ok := metricValue(metrics, series("core_stable_sum")); ok {
+			gp.StableSum = v
+		}
+		if v, ok := metricValue(metrics, series("rt_processed_total")); ok {
+			gp.ProcessedSum = v
+		}
+		gp.DecisionTail = flight.Series[series("core_decision_subrun")]
+		if len(gp.DecisionTail) > cfg.StallWindow {
+			gp.DecisionTail = gp.DecisionTail[len(gp.DecisionTail)-cfg.StallWindow:]
+		}
+		p.Groups = append(p.Groups, gp)
 	}
 	return p
 }
@@ -239,27 +221,29 @@ func maskString(alive []bool) string {
 	return b.String()
 }
 
-// joining reports whether the probe's member is mid-join: its own status
-// says so, or its /healthz verdict is still inside the join grace window.
-// A joiner's frozen token and lagging frontier are the join, not a fault,
-// so the divergence rules skip it.
-func joining(p NodeProbe) bool {
-	if !p.Reachable {
-		return false
-	}
-	return (p.Status != nil && p.Status.Joining) || (p.Health != nil && p.Health.Joining)
+// entity is one reachable member's protocol entity in one group: the unit
+// every protocol rule judges.
+type entity struct {
+	addr string
+	st   *rt.Status
+	gp   *GroupProbe
+	// joining reports the entity mid-join: its own status says so, or its
+	// /healthz verdict for the group is still inside the join grace window.
+	// A joiner's stale view, frozen token and lagging frontier are the
+	// join, not a fault, so the divergence rules skip it.
+	joining bool
 }
 
-// skewProblem flags a spread wider than the threshold in one per-node
+// skewProblem flags a spread wider than the threshold in one per-entity
 // quantity, naming the members that trail the leader by more than it.
-func skewProblem(probes []NodeProbe, threshold int64, kind, what string, value func(NodeProbe) int64) []Problem {
+func skewProblem(members []entity, threshold int64, kind, what string, value func(entity) int64) []Problem {
 	var min, max int64
 	first := true
-	for _, p := range probes {
-		if !p.Reachable || joining(p) {
+	for _, e := range members {
+		if e.joining {
 			continue
 		}
-		v := value(p)
+		v := value(e)
 		if first {
 			min, max = v, v
 			first = false
@@ -276,9 +260,9 @@ func skewProblem(probes []NodeProbe, threshold int64, kind, what string, value f
 		return nil
 	}
 	var laggards []string
-	for _, p := range probes {
-		if p.Reachable && !joining(p) && max-value(p) > threshold {
-			laggards = append(laggards, fmt.Sprintf("%s (member %d, %s %d)", p.Addr, p.Status.ID, what, value(p)))
+	for _, e := range members {
+		if !e.joining && max-value(e) > threshold {
+			laggards = append(laggards, fmt.Sprintf("%s (member %d, %s %d)", e.addr, e.st.ID, what, value(e)))
 		}
 	}
 	return []Problem{{
@@ -288,147 +272,49 @@ func skewProblem(probes []NodeProbe, threshold int64, kind, what string, value f
 	}}
 }
 
-// groupProblems re-applies the view-divergence and skew rules once per
-// hosted group of a multi-group cluster, reading each member's per-group
-// summary from Status.Groups. Whole-node checks stay in force (a whole
-// node losing the token is still whole-node news); the per-group pass is
-// what localizes a divergence to the one group it afflicts — one
-// partitioned group reads as that group's problem, not the node's.
-func groupProblems(probes []NodeProbe, cfg Config) []Problem {
-	ids := map[uint32]bool{}
-	for _, p := range probes {
-		if !p.Reachable || p.Status == nil {
-			continue
-		}
-		for _, gs := range p.Status.Groups {
-			ids[gs.Group] = true
-		}
-	}
-	if len(ids) == 0 {
-		return nil
-	}
-	order := make([]uint32, 0, len(ids))
-	for g := range ids {
-		order = append(order, g)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-
-	var out []Problem
-	for _, gid := range order {
-		gid := gid
-		// Project each member's per-group summary onto a probe copy so the
-		// whole-node rules apply unchanged to the one group's numbers.
-		var sub []NodeProbe
-		masks := map[string][]string{}
-		for _, p := range probes {
-			if !p.Reachable || p.Status == nil {
-				continue
-			}
-			for _, gs := range p.Status.Groups {
-				if gs.Group != gid {
-					continue
-				}
-				if gs.Joining {
-					// The member is still state-transferring into this
-					// group: report it, but keep its frozen numbers out of
-					// the mask and skew evidence.
-					g := gid
-					out = append(out, Problem{
-						Kind: "joining", Group: &g, Nodes: []string{p.Addr}, Informational: true,
-						Detail: fmt.Sprintf("group %d: %s (member %d) is state-transferring back into the group",
-							gid, p.Addr, p.Status.ID),
-					})
-					continue
-				}
-				q := p
-				q.StableSum = gs.StableSum
-				q.ProcessedSum = gs.ProcessedSum
-				sub = append(sub, q)
-				if gs.Running {
-					m := maskString(gs.Alive)
-					masks[m] = append(masks[m], p.Addr)
-				}
-			}
-		}
-		if len(masks) > 1 {
-			keys := make([]string, 0, len(masks))
-			for m := range masks {
-				keys = append(keys, m)
-			}
-			sort.Strings(keys)
-			var parts []string
-			var nodes []string
-			for _, m := range keys {
-				sort.Strings(masks[m])
-				parts = append(parts, fmt.Sprintf("%s held by %s", m, strings.Join(masks[m], ",")))
-				nodes = append(nodes, masks[m]...)
-			}
-			g := gid
-			out = append(out, Problem{
-				Kind: "view-divergence", Group: &g, Nodes: nodes,
-				Detail: fmt.Sprintf("group %d: members disagree about who is alive: %s",
-					gid, strings.Join(parts, "; ")),
-			})
-		}
-		skews := append(
-			skewProblem(sub, cfg.FrontierSkew, "frontier-skew",
-				"stability frontier", func(p NodeProbe) int64 { return p.StableSum }),
-			skewProblem(sub, cfg.FrontierSkew, "progress-skew",
-				"processed count", func(p NodeProbe) int64 { return p.ProcessedSum })...)
-		for _, pr := range skews {
-			g := gid
-			pr.Group = &g
-			pr.Detail = fmt.Sprintf("group %d: %s", gid, pr.Detail)
-			out = append(out, pr)
-		}
-	}
-	return out
-}
-
-// diagnose applies the divergence rules to one round of probes.
-func diagnose(probes []NodeProbe, cfg Config) (problems []Problem, viewsAgree bool) {
-	viewsAgree = true
-
-	for _, p := range probes {
-		if !p.Reachable {
+// diagnoseGroup applies the protocol rules to the members of one group.
+func diagnoseGroup(gid uint32, members []entity, cfg Config) (problems []Problem) {
+	for _, e := range members {
+		if !e.st.Running {
 			problems = append(problems, Problem{
-				Kind: "unreachable", Nodes: []string{p.Addr},
-				Detail: fmt.Sprintf("%s: %s", p.Addr, p.Err),
-			})
-		}
-	}
-	for _, p := range probes {
-		if p.Reachable && !p.Status.Running {
-			problems = append(problems, Problem{
-				Kind: "left", Nodes: []string{p.Addr},
-				Detail: fmt.Sprintf("%s (member %d) no longer runs the protocol", p.Addr, p.Status.ID),
+				Kind: "left", Nodes: []string{e.addr},
+				Detail: fmt.Sprintf("%s (member %d) no longer runs the protocol", e.addr, e.st.ID),
 			})
 		}
 	}
 
-	// View agreement: every reachable running member must hold the same
-	// alive mask. A mid-join member is excluded: its view is the
-	// sponsor's snapshot until a decision admits it, and it does not yet
-	// appear alive in the others' masks — both disagreements are the join
-	// in progress, not divergence.
+	// Surface mid-join members as informational problems: visible in the
+	// report and in watch mode, but never a failing exit code — a rolling
+	// restart would otherwise flap the one-shot verdict on every member.
+	for _, e := range members {
+		if e.joining {
+			problems = append(problems, Problem{
+				Kind: "joining", Nodes: []string{e.addr}, Informational: true,
+				Detail: fmt.Sprintf("%s (member %d) is state-transferring back into the group", e.addr, e.st.ID),
+			})
+		}
+	}
+
+	// View agreement: every running member must hold the same alive mask.
+	// A mid-join member is excluded: its view is the sponsor's snapshot
+	// until a decision admits it, and it does not yet appear alive in the
+	// others' masks — both disagreements are the join in progress.
 	masks := map[string][]string{}
-	for _, p := range probes {
-		if p.Reachable && p.Status.Running && !joining(p) {
-			m := maskString(p.Status.Alive)
-			masks[m] = append(masks[m], p.Addr)
+	for _, e := range members {
+		if e.st.Running && !e.joining {
+			m := maskString(e.st.Alive)
+			masks[m] = append(masks[m], e.addr)
 		}
 	}
 	if len(masks) > 1 {
-		viewsAgree = false
 		keys := make([]string, 0, len(masks))
 		for m := range masks {
 			keys = append(keys, m)
 		}
-		sort.Strings(keys)
-		var parts []string
-		var nodes []string
+		slices.Sort(keys)
+		var parts, nodes []string
 		for _, m := range keys {
-			sort.Strings(masks[m])
+			slices.Sort(masks[m])
 			parts = append(parts, fmt.Sprintf("%s held by %s", m, strings.Join(masks[m], ",")))
 			nodes = append(nodes, masks[m]...)
 		}
@@ -441,24 +327,16 @@ func diagnose(probes []NodeProbe, cfg Config) (problems []Problem, viewsAgree bo
 	// Token stall: a frozen decision-subrun window on any running member.
 	// A joiner's subrun is legitimately frozen until the sponsor's state
 	// installs, so joiners are exempt.
-	for _, p := range probes {
-		if !p.Reachable || !p.Status.Running || joining(p) || len(p.DecisionTail) < cfg.StallWindow {
+	for _, e := range members {
+		tail := e.gp.DecisionTail
+		if !e.st.Running || e.joining || len(tail) < cfg.StallWindow || slices.Max(tail) != slices.Min(tail) {
 			continue
 		}
-		frozen := true
-		for _, v := range p.DecisionTail[1:] {
-			if v != p.DecisionTail[0] {
-				frozen = false
-				break
-			}
-		}
-		if frozen {
-			problems = append(problems, Problem{
-				Kind: "token-stall", Nodes: []string{p.Addr},
-				Detail: fmt.Sprintf("%s (member %d): decision subrun frozen at %d for %d samples",
-					p.Addr, p.Status.ID, p.DecisionTail[0], cfg.StallWindow),
-			})
-		}
+		problems = append(problems, Problem{
+			Kind: "token-stall", Nodes: []string{e.addr},
+			Detail: fmt.Sprintf("%s (member %d): decision subrun frozen at %d for %d samples",
+				e.addr, e.st.ID, tail[0], cfg.StallWindow),
+		})
 	}
 
 	// Skew rules: name the lagging members. Stability-frontier skew says
@@ -468,31 +346,53 @@ func diagnose(probes []NodeProbe, cfg Config) (problems []Problem, viewsAgree bo
 	// looks like from outside: stability halts group-wide (a full-group
 	// decision needs reports from every believed-alive member), while the
 	// majority side keeps processing and the cut-off member does not.
-	problems = append(problems, skewProblem(probes, cfg.FrontierSkew, "frontier-skew",
-		"stability frontier", func(p NodeProbe) int64 { return p.StableSum })...)
-	problems = append(problems, skewProblem(probes, cfg.FrontierSkew, "progress-skew",
-		"processed count", func(p NodeProbe) int64 { return p.ProcessedSum })...)
+	problems = append(problems, skewProblem(members, cfg.FrontierSkew, "frontier-skew",
+		"stability frontier", func(e entity) int64 { return e.gp.StableSum })...)
+	problems = append(problems, skewProblem(members, cfg.FrontierSkew, "progress-skew",
+		"processed count", func(e entity) int64 { return e.gp.ProcessedSum })...)
 
-	// Per-group pass: multi-group members expose Status.Groups, and a
-	// divergence confined to one group is reported against that group.
-	perGroup := groupProblems(probes, cfg)
-	for _, p := range perGroup {
-		if p.Kind == "view-divergence" {
-			viewsAgree = false
+	for i := range problems {
+		problems[i].Group = &gid
+		problems[i].Detail = fmt.Sprintf("group %d: %s", gid, problems[i].Detail)
+	}
+	return problems
+}
+
+// diagnose applies the divergence rules to one round of probes: the
+// node-level ones per node, the protocol ones per group in group order —
+// a divergence confined to one group reads as that group's problem.
+func diagnose(probes []NodeProbe, cfg Config) (problems []Problem, viewsAgree bool) {
+	viewsAgree = true
+	groups := map[uint32][]entity{}
+	var gids []uint32
+	for i := range probes {
+		p := &probes[i]
+		if !p.Reachable {
+			problems = append(problems, Problem{
+				Kind: "unreachable", Nodes: []string{p.Addr},
+				Detail: fmt.Sprintf("%s: %s", p.Addr, p.Err),
+			})
+			continue
+		}
+		for g := range p.Status.Groups {
+			e := entity{addr: p.Addr, st: &p.Status.Groups[g], gp: &p.Groups[g]}
+			e.joining = e.st.Joining
+			if p.Health != nil {
+				for _, v := range p.Health.Groups {
+					e.joining = e.joining || (v.Joining && v.Group == int(e.st.Group))
+				}
+			}
+			if _, ok := groups[e.st.Group]; !ok {
+				gids = append(gids, e.st.Group)
+			}
+			groups[e.st.Group] = append(groups[e.st.Group], e)
 		}
 	}
-	problems = append(problems, perGroup...)
-
-	// Surface mid-join members as informational problems: visible in the
-	// report and in watch mode, but never a failing exit code — a rolling
-	// restart would otherwise flap the one-shot verdict on every member.
-	for _, p := range probes {
-		if joining(p) {
-			problems = append(problems, Problem{
-				Kind: "joining", Nodes: []string{p.Addr}, Informational: true,
-				Detail: fmt.Sprintf("%s (member %d) is state-transferring back into the group",
-					p.Addr, p.Status.ID),
-			})
+	slices.Sort(gids)
+	for _, gid := range gids {
+		for _, pr := range diagnoseGroup(gid, groups[gid], cfg) {
+			viewsAgree = viewsAgree && pr.Kind != "view-divergence"
+			problems = append(problems, pr)
 		}
 	}
 
@@ -501,7 +401,7 @@ func diagnose(probes []NodeProbe, cfg Config) (problems []Problem, viewsAgree bo
 		if p.Health != nil && !p.Health.Healthy {
 			var rules []string
 			for _, r := range p.Health.Reasons {
-				rules = append(rules, r.Rule)
+				rules = append(rules, fmt.Sprintf("group %d %s", r.Group, r.Rule))
 			}
 			problems = append(problems, Problem{
 				Kind: "node-unhealthy", Nodes: []string{p.Addr},
@@ -520,17 +420,14 @@ func Collect(ctx context.Context, cfg Config) Report {
 	})}
 	r.Problems, r.ViewsAgree = diagnose(r.Nodes, cfg)
 	r.Healthy = healthyProblems(r.Problems)
+	first := true
 	for _, p := range r.Nodes {
-		if p.Reachable {
-			if r.MinFrontier == 0 && r.MaxFrontier == 0 {
-				r.MinFrontier, r.MaxFrontier = p.StableSum, p.StableSum
+		for _, gp := range p.Groups {
+			if first {
+				r.MinFrontier, r.MaxFrontier, first = gp.StableSum, gp.StableSum, false
 			}
-			if p.StableSum < r.MinFrontier {
-				r.MinFrontier = p.StableSum
-			}
-			if p.StableSum > r.MaxFrontier {
-				r.MaxFrontier = p.StableSum
-			}
+			r.MinFrontier = min(r.MinFrontier, gp.StableSum)
+			r.MaxFrontier = max(r.MaxFrontier, gp.StableSum)
 		}
 	}
 	return r
@@ -551,7 +448,8 @@ func healthyProblems(problems []Problem) bool {
 // OneShot probes once and, if problems showed up and a grace period is
 // configured, re-probes after it — transient divergence (a crash still
 // propagating through attempts counters, a frontier catching up) clears
-// itself; only problem kinds present in both rounds are reported.
+// itself; only problems whose (kind, group) was present in both rounds are
+// reported.
 // Informational problems are always carried through: they never triggered
 // the re-probe and must not be able to suppress or cause a failure.
 func OneShot(ctx context.Context, cfg Config) Report {
@@ -567,17 +465,26 @@ func OneShot(ctx context.Context, cfg Config) Report {
 	second := Collect(ctx, cfg)
 	seen := map[string]bool{}
 	for _, p := range first.Problems {
-		seen[p.Kind] = true
+		seen[p.key()] = true
 	}
 	persistent := second.Problems[:0]
 	for _, p := range second.Problems {
-		if p.Informational || seen[p.Kind] {
+		if p.Informational || seen[p.key()] {
 			persistent = append(persistent, p)
 		}
 	}
 	second.Problems = persistent
 	second.Healthy = healthyProblems(second.Problems)
 	return second
+}
+
+// key identifies what a problem is about across probe rounds: its kind and
+// the group it was found in.
+func (p Problem) key() string {
+	if p.Group == nil {
+		return p.Kind
+	}
+	return fmt.Sprintf("%s/%d", p.Kind, *p.Group)
 }
 
 // Summary renders one human-readable line per report, for watch mode.

@@ -14,22 +14,32 @@ import (
 	"urcgc/internal/health"
 	"urcgc/internal/mid"
 	"urcgc/internal/obs"
+	"urcgc/internal/probe"
 	"urcgc/internal/rt"
 )
 
 // fakeNode serves canned nodehttp responses for one member.
 type fakeNode struct {
 	mu         sync.Mutex
-	status     rt.Status
+	status     rt.NodeStatus
 	health     *health.Status
 	metrics    string
 	timeseries *obs.FlightSnapshot
 	srv        *httptest.Server
 }
 
-func newFakeNode(t *testing.T, st rt.Status) *fakeNode {
+// nodeStatus assembles a member's /status document from its per-group
+// samples, in group order.
+func nodeStatus(groups ...rt.Status) rt.NodeStatus {
+	for g := range groups {
+		groups[g].Group = uint32(g)
+	}
+	return rt.NodeStatus{ID: groups[0].ID, N: groups[0].N, Groups: groups}
+}
+
+func newFakeNode(t *testing.T, groups ...rt.Status) *fakeNode {
 	t.Helper()
-	f := &fakeNode{status: st}
+	f := &fakeNode{status: nodeStatus(groups...)}
 	f.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
@@ -68,7 +78,7 @@ func (f *fakeNode) set(mut func(*fakeNode)) {
 	mut(f)
 }
 
-// runningStatus builds a healthy member's status.
+// runningStatus builds a healthy member's status in one group.
 func runningStatus(id, n int, stable int64) rt.Status {
 	alive := make([]bool, n)
 	for i := range alive {
@@ -88,12 +98,18 @@ func runningStatus(id, n int, stable int64) rt.Status {
 	return st
 }
 
-func addrs(fakes []*fakeNode) []string {
-	out := make([]string, len(fakes))
-	for i, f := range fakes {
-		out[i] = f.srv.URL
+// on points a sweep at the fakes.
+func on(fakes ...*fakeNode) probe.Cluster {
+	c := probe.Cluster{}
+	for _, f := range fakes {
+		c.Nodes = append(c.Nodes, f.srv.URL)
 	}
-	return out
+	return c
+}
+
+// series names one (node, group) series the way the runtime labels it.
+func series(name string, node, group int) string {
+	return obs.Labeled(name, "node", fmt.Sprint(node), "group", fmt.Sprint(group))
 }
 
 func collect(t *testing.T, cfg Config) Report {
@@ -126,7 +142,7 @@ func TestHealthyCluster(t *testing.T) {
 		newFakeNode(t, runningStatus(1, 3, 12)),
 		newFakeNode(t, runningStatus(2, 3, 9)),
 	}
-	r := collect(t, Config{Nodes: addrs(fakes)})
+	r := collect(t, Config{Cluster: on(fakes...)})
 	if !r.Healthy || !r.ViewsAgree {
 		t.Fatalf("healthy cluster flagged: %+v", r.Problems)
 	}
@@ -143,7 +159,7 @@ func TestUnreachableNode(t *testing.T) {
 	f1 := newFakeNode(t, runningStatus(1, 2, 4))
 	dead := f1.srv.URL
 	f1.srv.Close()
-	r := collect(t, Config{Nodes: []string{f0.srv.URL, dead}, Timeout: time.Second})
+	r := collect(t, Config{Cluster: probe.Cluster{Nodes: []string{f0.srv.URL, dead}, Timeout: time.Second}})
 	if r.Healthy || !hasProblem(r, "unreachable") {
 		t.Fatalf("dead node not flagged: %v", problemKinds(r))
 	}
@@ -160,30 +176,9 @@ func TestLeftNode(t *testing.T) {
 		newFakeNode(t, st),
 		newFakeNode(t, runningStatus(2, 3, 6)),
 	}
-	r := collect(t, Config{Nodes: addrs(fakes)})
+	r := collect(t, Config{Cluster: on(fakes...)})
 	if r.Healthy || !hasProblem(r, "left") {
 		t.Fatalf("departed member not flagged: %v", problemKinds(r))
-	}
-}
-
-func TestViewDivergence(t *testing.T) {
-	st2 := runningStatus(2, 3, 6)
-	st2.Alive = []bool{true, false, true} // believes member 1 crashed
-	fakes := []*fakeNode{
-		newFakeNode(t, runningStatus(0, 3, 6)),
-		newFakeNode(t, runningStatus(1, 3, 6)),
-		newFakeNode(t, st2),
-	}
-	r := collect(t, Config{Nodes: addrs(fakes)})
-	if r.Healthy || r.ViewsAgree || !hasProblem(r, "view-divergence") {
-		t.Fatalf("divergent views not flagged: %v", problemKinds(r))
-	}
-	for _, p := range r.Problems {
-		if p.Kind == "view-divergence" {
-			if !strings.Contains(p.Detail, "101") || !strings.Contains(p.Detail, "111") {
-				t.Fatalf("divergence detail lacks the masks: %s", p.Detail)
-			}
-		}
 	}
 }
 
@@ -193,7 +188,7 @@ func TestTokenStall(t *testing.T) {
 		f.timeseries = &obs.FlightSnapshot{
 			Samples: 8,
 			Series: map[string][]int64{
-				obs.Labeled("core_decision_subrun", "node", "0"): {7, 7, 7, 7, 7, 7, 7, 7},
+				series("core_decision_subrun", 0, 0): {7, 7, 7, 7, 7, 7, 7, 7},
 			},
 		}
 	})
@@ -202,11 +197,11 @@ func TestTokenStall(t *testing.T) {
 		f.timeseries = &obs.FlightSnapshot{
 			Samples: 8,
 			Series: map[string][]int64{
-				obs.Labeled("core_decision_subrun", "node", "1"): {3, 4, 5, 6, 7, 8, 9, 10},
+				series("core_decision_subrun", 1, 0): {3, 4, 5, 6, 7, 8, 9, 10},
 			},
 		}
 	})
-	r := collect(t, Config{Nodes: addrs([]*fakeNode{frozen, moving}), StallWindow: 6})
+	r := collect(t, Config{Cluster: on(frozen, moving), StallWindow: 6})
 	if r.Healthy || !hasProblem(r, "token-stall") {
 		t.Fatalf("frozen token not flagged: %v", problemKinds(r))
 	}
@@ -231,11 +226,11 @@ func TestTokenStallNeedsFullWindow(t *testing.T) {
 		fn.timeseries = &obs.FlightSnapshot{
 			Samples: 3,
 			Series: map[string][]int64{
-				obs.Labeled("core_decision_subrun", "node", "0"): {7, 7, 7},
+				series("core_decision_subrun", 0, 0): {7, 7, 7},
 			},
 		}
 	})
-	r := collect(t, Config{Nodes: addrs([]*fakeNode{f}), StallWindow: 6})
+	r := collect(t, Config{Cluster: on(f), StallWindow: 6})
 	if hasProblem(r, "token-stall") {
 		t.Fatalf("warming-up node flagged as stalled: %v", problemKinds(r))
 	}
@@ -247,7 +242,7 @@ func TestFrontierSkewNamesLaggards(t *testing.T) {
 		newFakeNode(t, runningStatus(1, 3, 117)),
 		newFakeNode(t, runningStatus(2, 3, 3)), // partitioned away
 	}
-	r := collect(t, Config{Nodes: addrs(fakes), FrontierSkew: 32})
+	r := collect(t, Config{Cluster: on(fakes...), FrontierSkew: 32})
 	if r.Healthy || !hasProblem(r, "frontier-skew") {
 		t.Fatalf("skew not flagged: %v", problemKinds(r))
 	}
@@ -278,7 +273,7 @@ func TestProgressSkewNamesPartitionedNode(t *testing.T) {
 		newFakeNode(t, majority(1)),
 		newFakeNode(t, cut),
 	}
-	r := collect(t, Config{Nodes: addrs(fakes), FrontierSkew: 32})
+	r := collect(t, Config{Cluster: on(fakes...), FrontierSkew: 32})
 	if r.Healthy || !hasProblem(r, "progress-skew") {
 		t.Fatalf("processing laggard not flagged: %v", problemKinds(r))
 	}
@@ -298,24 +293,24 @@ func TestMetricsOverrideStatusSums(t *testing.T) {
 	f := newFakeNode(t, runningStatus(0, 1, 6))
 	f.set(func(fn *fakeNode) {
 		fn.metrics = "# TYPE core_stable_sum gauge\n" +
-			"core_stable_sum{node=\"0\"} 42\n" +
+			"core_stable_sum{node=\"0\",group=\"0\"} 42\n" +
 			"# TYPE rt_processed_total counter\n" +
-			"rt_processed_total{node=\"0\"} 43\n"
+			"rt_processed_total{node=\"0\",group=\"0\"} 43\n"
 	})
-	r := collect(t, Config{Nodes: addrs([]*fakeNode{f})})
-	if r.Nodes[0].StableSum != 42 || r.Nodes[0].ProcessedSum != 43 {
-		t.Fatalf("metrics did not override sums: %+v", r.Nodes[0])
+	r := collect(t, Config{Cluster: on(f)})
+	if g := r.Nodes[0].Groups[0]; g.StableSum != 42 || g.ProcessedSum != 43 {
+		t.Fatalf("metrics did not override sums: %+v", g)
 	}
 }
 
 func TestNodeUnhealthyCarriesReasons(t *testing.T) {
 	f := newFakeNode(t, runningStatus(0, 1, 6))
 	f.set(func(fn *fakeNode) {
-		fn.health = &health.Status{Node: "0", Healthy: false, Reasons: []health.Reason{
-			{Rule: "token-stall", Detail: "frozen"},
+		fn.health = &health.Status{Node: "0", Healthy: false, Reasons: []health.GroupReason{
+			{Group: 0, Rule: "token-stall", Reason: "frozen"},
 		}}
 	})
-	r := collect(t, Config{Nodes: addrs([]*fakeNode{f})})
+	r := collect(t, Config{Cluster: on(f)})
 	if r.Healthy || !hasProblem(r, "node-unhealthy") {
 		t.Fatalf("503 healthz not surfaced: %v", problemKinds(r))
 	}
@@ -327,30 +322,39 @@ func TestNodeUnhealthyCarriesReasons(t *testing.T) {
 }
 
 // TestOneShotGraceClearsTransient pins the grace re-probe: divergence that
-// heals between the two probes is not reported, divergence that persists is.
+// heals between the two probes is not reported, divergence that persists is
+// — and persistence is per (kind, group): a transient in one group followed
+// by the same kind in another group is two transients, not one persistent
+// problem.
 func TestOneShotGraceClearsTransient(t *testing.T) {
-	st1 := runningStatus(1, 2, 6)
-	st1.Alive = []bool{false, true} // transiently disagrees
-	f0 := newFakeNode(t, runningStatus(0, 2, 6))
-	f1 := newFakeNode(t, st1)
-
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		f1.set(func(fn *fakeNode) { fn.status = runningStatus(1, 2, 6) })
-	}()
+	// disagree builds member 1's status with its view diverging in the
+	// listed groups (of three).
+	disagree := func(groups ...int) rt.NodeStatus {
+		st := nodeStatus(runningStatus(1, 2, 6), runningStatus(1, 2, 6), runningStatus(1, 2, 6))
+		for _, g := range groups {
+			st.Groups[g].Alive = []bool{false, true}
+		}
+		return st
+	}
+	f0 := newFakeNode(t, runningStatus(0, 2, 6), runningStatus(0, 2, 6), runningStatus(0, 2, 6))
+	f1 := newFakeNode(t, runningStatus(1, 2, 6))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	cfg := Config{Nodes: addrs([]*fakeNode{f0, f1}), Grace: 300 * time.Millisecond}
-	if r := OneShot(ctx, cfg); !r.Healthy {
-		t.Fatalf("healed divergence still reported: %v", problemKinds(r))
+	cfg := Config{Cluster: on(f0, f1), Grace: 300 * time.Millisecond}
+
+	for _, second := range [][]int{nil, {2}} { // heals; moves to another group
+		f1.set(func(fn *fakeNode) { fn.status = disagree(1) })
+		go func() {
+			time.Sleep(50 * time.Millisecond)
+			f1.set(func(fn *fakeNode) { fn.status = disagree(second...) })
+		}()
+		if r := OneShot(ctx, cfg); !r.Healthy {
+			t.Fatalf("transient divergence (then %v) reported as persistent: %+v", second, r.Problems)
+		}
 	}
 
 	// Persistent divergence survives the grace re-probe.
-	f1.set(func(fn *fakeNode) {
-		st := runningStatus(1, 2, 6)
-		st.Alive = []bool{false, true}
-		fn.status = st
-	})
+	f1.set(func(fn *fakeNode) { fn.status = disagree(1) })
 	cfg.Grace = 50 * time.Millisecond
 	if r := OneShot(ctx, cfg); r.Healthy || !hasProblem(r, "view-divergence") {
 		t.Fatalf("persistent divergence cleared: %v", problemKinds(r))
@@ -362,7 +366,7 @@ func TestWatchEmitsSummaries(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 	defer cancel()
 	var buf strings.Builder
-	r := Watch(ctx, Config{Nodes: addrs([]*fakeNode{f})}, 50*time.Millisecond, &buf)
+	r := Watch(ctx, Config{Cluster: on(f)}, 50*time.Millisecond, &buf)
 	if !r.Healthy {
 		t.Fatalf("watch final report unhealthy: %v", problemKinds(r))
 	}
@@ -403,35 +407,32 @@ func TestSummaryLine(t *testing.T) {
 }
 
 // TestJoiningMemberIsInformational pins the rejoin grace: a member that is
-// state-transferring back into the group trips none of the divergence
-// rules its join legitimately causes — the stale view mask, the frozen
-// decision subrun, the lagging frontier — and is surfaced only as an
-// informational "joining" problem that leaves the verdict healthy.
+// state-transferring back into one group trips none of the divergence
+// rules its join legitimately causes there — the stale view mask, the
+// frozen decision subrun, the lagging frontier — and is surfaced only as an
+// informational "joining" problem against that group, which leaves the
+// verdict healthy.
 func TestJoiningMemberIsInformational(t *testing.T) {
-	// Survivors still exclude member 2; the joiner reports a full view
-	// from its sponsor's snapshot, a frontier far behind, and no fresh
-	// decisions yet.
-	survivor := func(id int) rt.Status {
-		st := runningStatus(id, 3, 120)
-		st.Alive = []bool{true, true, false}
-		return st
-	}
+	// Group 0 is in step everywhere. In group 1 the survivors still exclude
+	// member 2; the joiner reports a full view from its sponsor's snapshot,
+	// a frontier far behind, and no fresh decisions yet.
+	survivor := runningStatus(0, 3, 120)
+	survivor.Alive = []bool{true, true, false}
 	joiner := runningStatus(2, 3, 3)
 	joiner.Joining = true
 	fakes := []*fakeNode{
-		newFakeNode(t, survivor(0)),
-		newFakeNode(t, survivor(1)),
-		newFakeNode(t, joiner),
+		newFakeNode(t, runningStatus(0, 3, 12), survivor),
+		newFakeNode(t, runningStatus(1, 3, 12), survivor),
+		newFakeNode(t, runningStatus(2, 3, 12), joiner),
 	}
 	fakes[2].set(func(f *fakeNode) {
 		f.timeseries = &obs.FlightSnapshot{
 			Samples: 8,
-			Series: map[string][]int64{
-				obs.Labeled("core_decision_subrun", "node", "2"): {7, 7, 7, 7, 7, 7, 7, 7},
-			},
+			Series:  map[string][]int64{series("core_decision_subrun", 2, 1): {7, 7, 7, 7, 7, 7, 7, 7}},
 		}
 	})
-	r := collect(t, Config{Nodes: addrs(fakes), FrontierSkew: 32, StallWindow: 6})
+	cfg := Config{Cluster: on(fakes...), FrontierSkew: 32, StallWindow: 6}
+	r := collect(t, cfg)
 	if !r.Healthy {
 		t.Fatalf("joining member flipped the verdict: %v", problemKinds(r))
 	}
@@ -445,8 +446,8 @@ func TestJoiningMemberIsInformational(t *testing.T) {
 		if p.Kind != "joining" {
 			t.Fatalf("rule fired on join evidence: %+v", p)
 		}
-		if !p.Informational || !strings.Contains(p.Detail, "member 2") {
-			t.Fatalf("joining problem malformed: %+v", p)
+		if !p.Informational || !strings.Contains(p.Detail, "member 2") || p.Group == nil || *p.Group != 1 {
+			t.Fatalf("joining problem malformed or not scoped to group 1: %+v", p)
 		}
 	}
 	if s := Summary(r); !strings.Contains(s, "healthy [joining]") {
@@ -457,123 +458,81 @@ func TestJoiningMemberIsInformational(t *testing.T) {
 	// cost the exit-code verdict a re-probe round either.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	one := OneShot(ctx, Config{Nodes: addrs(fakes), FrontierSkew: 32, StallWindow: 6, Grace: 200 * time.Millisecond})
+	cfg.Grace = 200 * time.Millisecond
+	one := OneShot(ctx, cfg)
 	if !one.Healthy || !hasProblem(one, "joining") {
 		t.Fatalf("one-shot verdict with joiner: healthy=%v problems=%v", one.Healthy, problemKinds(one))
 	}
 }
 
-// TestPerGroupJoiningIsInformational is the multi-group variant: one
-// hosted group of one member mid-join is reported against that group,
-// informationally, while the rest of the cluster stays clean.
-func TestPerGroupJoiningIsInformational(t *testing.T) {
-	mkStatus := func(id int, g1 rt.GroupStatus) rt.Status {
-		st := runningStatus(id, 3, 12)
-		st.Groups = []rt.GroupStatus{groupSummary(0, 3, 200, nil), g1}
-		return st
-	}
-	rejoining := groupSummary(1, 3, 5, nil)
-	rejoining.Joining = true
-	fakes := []*fakeNode{
-		newFakeNode(t, mkStatus(0, groupSummary(1, 3, 200, []bool{true, true, false}))),
-		newFakeNode(t, mkStatus(1, groupSummary(1, 3, 200, []bool{true, true, false}))),
-		newFakeNode(t, mkStatus(2, rejoining)),
-	}
-	r := collect(t, Config{Nodes: addrs(fakes)})
-	if !r.Healthy || !r.ViewsAgree {
-		t.Fatalf("per-group join flagged: %v", problemKinds(r))
-	}
-	if !hasProblem(r, "joining") {
-		t.Fatalf("per-group join not surfaced: %v", problemKinds(r))
-	}
-	for _, p := range r.Problems {
-		if p.Kind != "joining" || !p.Informational {
-			t.Fatalf("unexpected problem: %+v", p)
-		}
-		if p.Group == nil || *p.Group != 1 {
-			t.Fatalf("joining problem not scoped to group 1: %+v", p)
-		}
-	}
-}
-
-// groupSummary builds one hosted group's summary for a multi-group fake.
-func groupSummary(group uint32, n int, processed int64, alive []bool) rt.GroupStatus {
-	if alive == nil {
-		alive = make([]bool, n)
-		for i := range alive {
-			alive[i] = true
-		}
-	}
-	return rt.GroupStatus{
-		Group: group, Running: true, Subrun: 40,
-		Alive:        alive,
-		ProcessedSum: processed,
-		StableSum:    processed,
-	}
-}
-
-// TestPerGroupProblems pins satellite behaviour: on multi-group members a
-// divergence confined to one group is reported against that group — with
-// the group id in the Problem JSON — while the healthy group and the
-// whole-node rules stay quiet.
+// TestPerGroupProblems pins that every protocol rule judges each group on
+// its own: a divergence confined to one group is reported against that
+// group — with the group id in the Problem JSON — while the healthy group
+// stays quiet.
 func TestPerGroupProblems(t *testing.T) {
-	mkStatus := func(id int, g1Processed int64, g1Alive []bool) rt.Status {
-		st := runningStatus(id, 3, 12)
-		st.Groups = []rt.GroupStatus{
-			groupSummary(0, 3, 200, nil),
-			groupSummary(1, 3, g1Processed, g1Alive),
+	// cluster builds three two-group members, every group in step — unless
+	// cut, when member 2's group 1 is cut off: it stopped processing and its
+	// view dropped member 0, while its group 0 stays in step.
+	cluster := func(cut bool) []*fakeNode {
+		var fakes []*fakeNode
+		for id := 0; id < 3; id++ {
+			g1 := runningStatus(id, 3, 198)
+			if cut && id == 2 {
+				g1.Processed, g1.Alive = mid.SeqVector{10, 0, 0}, []bool{false, true, true}
+			}
+			fakes = append(fakes, newFakeNode(t, runningStatus(id, 3, 198), g1))
 		}
-		return st
+		return fakes
 	}
-	fakes := []*fakeNode{
-		newFakeNode(t, mkStatus(0, 200, nil)),
-		newFakeNode(t, mkStatus(1, 200, nil)),
-		// Member 2: group 1 is cut off — it stopped processing and its view
-		// dropped member 0 — while its group 0 stays in step.
-		newFakeNode(t, mkStatus(2, 10, []bool{false, true, true})),
-	}
-	r := collect(t, Config{Nodes: addrs(fakes)})
-	if r.Healthy {
-		t.Fatal("per-group divergence went undetected")
-	}
-	var sawView, sawSkew bool
-	for _, p := range r.Problems {
-		if p.Group == nil {
-			t.Fatalf("whole-node problem fired on a per-group fault: %+v", p)
+	inGroup1 := func(r Report, kinds ...string) {
+		t.Helper()
+		seen := map[string]bool{}
+		for _, p := range r.Problems {
+			if p.Group == nil || *p.Group != 1 || !strings.Contains(p.Detail, "group 1") {
+				t.Fatalf("problem not scoped to group 1: %+v", p)
+			}
+			seen[p.Kind] = true
 		}
-		if *p.Group != 1 {
-			t.Fatalf("problem against healthy group %d: %+v", *p.Group, p)
+		for _, k := range kinds {
+			if !seen[k] {
+				t.Fatalf("want %v against group 1, got %v", kinds, problemKinds(r))
+			}
 		}
-		if !strings.Contains(p.Detail, "group 1") {
-			t.Fatalf("detail does not name the group: %q", p.Detail)
-		}
-		switch p.Kind {
-		case "view-divergence":
-			sawView = true
-		case "progress-skew":
-			sawSkew = true
-		}
-	}
-	if !sawView || !sawSkew {
-		t.Fatalf("want per-group view-divergence and progress-skew, got %v", problemKinds(r))
-	}
-	if r.ViewsAgree {
-		t.Fatal("per-group view divergence must clear ViewsAgree")
 	}
 
-	// The Problem JSON carries the group field.
+	r := collect(t, Config{Cluster: on(cluster(true)...)})
+	if r.Healthy || r.ViewsAgree {
+		t.Fatalf("per-group divergence went undetected: healthy=%v views_agree=%v", r.Healthy, r.ViewsAgree)
+	}
+	inGroup1(r, "view-divergence", "progress-skew")
+	for _, p := range r.Problems {
+		if p.Kind == "view-divergence" && (!strings.Contains(p.Detail, "011") || !strings.Contains(p.Detail, "111")) {
+			t.Fatalf("divergence detail lacks the masks: %s", p.Detail)
+		}
+	}
 	raw, _ := json.Marshal(r.Problems[0])
 	if !strings.Contains(string(raw), `"group":1`) {
 		t.Fatalf("problem JSON lacks group: %s", raw)
 	}
 
+	// Group 1's token stops reaching member 2 while group 0's keeps
+	// advancing there: the stall is read from the {node, group} series and
+	// named against group 1 only.
+	stalled := cluster(false)
+	stalled[2].set(func(f *fakeNode) {
+		f.timeseries = &obs.FlightSnapshot{Samples: 6, Series: map[string][]int64{
+			series("core_decision_subrun", 2, 0): {3, 4, 5, 6, 7, 8},
+			series("core_decision_subrun", 2, 1): {7, 7, 7, 7, 7, 7},
+		}}
+	})
+	r = collect(t, Config{Cluster: on(stalled...), StallWindow: 6})
+	if len(r.Problems) != 1 || r.Problems[0].Nodes[0] != stalled[2].srv.URL {
+		t.Fatalf("want one stall naming member 2, got %+v", r.Problems)
+	}
+	inGroup1(r, "token-stall")
+
 	// All groups in step: no problems.
-	healthy := collect(t, Config{Nodes: addrs([]*fakeNode{
-		newFakeNode(t, mkStatus(0, 200, nil)),
-		newFakeNode(t, mkStatus(1, 200, nil)),
-		newFakeNode(t, mkStatus(2, 200, nil)),
-	})})
-	if !healthy.Healthy {
+	if healthy := collect(t, Config{Cluster: on(cluster(false)...)}); !healthy.Healthy {
 		t.Fatalf("healthy multi-group cluster flagged: %v", problemKinds(healthy))
 	}
 }

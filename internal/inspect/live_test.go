@@ -16,6 +16,7 @@ import (
 	"urcgc/internal/mid"
 	"urcgc/internal/nodehttp"
 	"urcgc/internal/obs"
+	"urcgc/internal/probe"
 	"urcgc/internal/rt"
 )
 
@@ -51,13 +52,15 @@ func TestInspectSmoke(t *testing.T) {
 	obsAddrs := make([]string, n)
 	for i := 0; i < n; i++ {
 		reg := obs.New()
-		node, err := rt.NewUDPNode(rt.UDPConfig{
-			Config:        core.Config{N: n, K: 3, R: 8, SelfExclusion: true},
+		node, err := rt.NewMember(rt.Config{
+			// K = 20 subruns (120 ms) of tolerated silence: under -race on a
+			// loaded box K = 3 let a scheduling stall read as three crashes.
+			Config:        core.Config{N: n, K: 20, R: 42, SelfExclusion: true},
 			Self:          mid.ProcID(i),
 			Peers:         peers,
 			RoundDuration: 3 * time.Millisecond,
 			Metrics:       reg,
-		})
+		}, rt.FamilyTopics)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +68,7 @@ func TestInspectSmoke(t *testing.T) {
 		mux := nodehttp.Mux(nodehttp.Options{
 			Registry: reg,
 			Flight:   flight,
-			Health:   health.NewEvaluator(flight, strconv.Itoa(i), health.Thresholds{}),
+			Health:   health.New(flight, strconv.Itoa(i), 1, health.Thresholds{}),
 			Status:   node.Status,
 		})
 		ln, err := nodehttp.Serve("127.0.0.1:0", mux)
@@ -80,8 +83,8 @@ func TestInspectSmoke(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		const perNode = 4
 		for k := 0; k < perNode; k++ {
-			go func(node *rt.UDPNode, i, k int) {
-				if _, err := node.Send(ctx, []byte(fmt.Sprintf("s%d-%d", i, k)), nil); err != nil {
+			go func(node *rt.Member, i, k int) {
+				if _, err := node.Send(ctx, 0, []byte(fmt.Sprintf("s%d-%d", i, k)), nil); err != nil {
 					t.Errorf("node %d send: %v", i, err)
 				}
 			}(node, i, k)
@@ -89,7 +92,7 @@ func TestInspectSmoke(t *testing.T) {
 		defer cancel()
 	}
 
-	cfg := Config{Nodes: obsAddrs, Timeout: 2 * time.Second}
+	cfg := Config{Cluster: probe.Cluster{Nodes: obsAddrs, Timeout: 2 * time.Second}}
 	deadline := time.Now().Add(30 * time.Second)
 	var r Report
 	for {
@@ -113,8 +116,8 @@ func TestInspectSmoke(t *testing.T) {
 		if p.Health == nil || !p.Health.Healthy {
 			t.Errorf("node %d /healthz: %+v", i, p.Health)
 		}
-		if len(p.Status.HistoryBySender) != n {
-			t.Errorf("node %d per-sender occupancy: %v", i, p.Status.HistoryBySender)
+		if len(p.Status.Groups) != 1 || len(p.Status.Groups[0].HistoryBySender) != n {
+			t.Errorf("node %d per-sender occupancy: %+v", i, p.Status.Groups)
 		}
 	}
 }
@@ -143,12 +146,12 @@ func TestInspectPartitionRecovery(t *testing.T) {
 	}, reg)
 	// K far above the subruns a partition window can span, so neither side
 	// declares the other crashed; SelfExclusion off so nobody leaves.
-	c, err := rt.NewCluster(rt.Config{
+	c, err := rt.NewMesh(rt.Config{
 		Config:        core.Config{N: n, K: 600, R: 1202, SelfExclusion: false},
 		RoundDuration: round,
 		Metrics:       reg,
 		Fault:         hook,
-	})
+	}, rt.FamilyTopics)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +172,7 @@ func TestInspectPartitionRecovery(t *testing.T) {
 		mux := nodehttp.Mux(nodehttp.Options{
 			Registry: reg,
 			Flight:   flight,
-			Health:   health.NewEvaluator(flight, strconv.Itoa(i), th),
+			Health:   health.New(flight, strconv.Itoa(i), 1, th),
 			Status:   node.Status,
 		})
 		ln, err := nodehttp.Serve("127.0.0.1:0", mux)
@@ -194,7 +197,7 @@ func TestInspectPartitionRecovery(t *testing.T) {
 				case <-time.After(10 * time.Millisecond):
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-				_, err := c.Node(mid.ProcID(i)).Send(ctx, []byte(fmt.Sprintf("l%d-%d", i, seq)), nil)
+				_, err := c.Node(mid.ProcID(i)).Send(ctx, 0, []byte(fmt.Sprintf("l%d-%d", i, seq)), nil)
 				cancel()
 				if err != nil {
 					select {
@@ -209,7 +212,7 @@ func TestInspectPartitionRecovery(t *testing.T) {
 	}
 	defer func() { close(stop); wg.Wait() }()
 
-	cfg := Config{Nodes: obsAddrs, Timeout: 2 * time.Second, FrontierSkew: 25, StallWindow: 10}
+	cfg := Config{Cluster: probe.Cluster{Nodes: obsAddrs, Timeout: 2 * time.Second}, FrontierSkew: 25, StallWindow: 10}
 	inspectOnce := func() Report {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

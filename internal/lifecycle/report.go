@@ -120,9 +120,8 @@ type Report struct {
 	Recent        []SpanView `json:"recent_completed,omitempty"`
 }
 
-// MultiReport is the /trace payload of a multi-group member when no group
-// filter is given: one Report per hosted group. The stitcher accepts both
-// shapes (the "groups" key discriminates).
+// MultiReport is the /trace payload of a member: one Report per hosted
+// group, or only the one a ?group=N filter asked for.
 type MultiReport struct {
 	Node   int      `json:"node"`
 	Groups []Report `json:"groups"`

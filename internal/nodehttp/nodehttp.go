@@ -1,14 +1,18 @@
 // Package nodehttp assembles the observability HTTP surface of one live
-// group member. cmd/urcgc-node, the inspect smoke tests and the chaos
-// harness all serve the same mux, so urcgc-inspect talks to one endpoint
-// shape everywhere:
+// member. cmd/urcgc-node and the inspect and stitch live tests all serve
+// the same mux, so urcgc-ctl talks to one endpoint shape everywhere — and
+// each endpoint has one response shape, indexed by hosted group, whether the
+// member hosts one group or many:
 //
 //	/metrics     Prometheus text exposition of the registry
-//	/status      protocol state; text by default, ?format=json for JSON
-//	/healthz     health verdict (200 healthy / 503 + reasons)
+//	/status      protocol state of every hosted group; text by default,
+//	             ?format=json for the rt.NodeStatus document
+//	/healthz     health.Status verdict (200 healthy / 503 + the
+//	             {group, rule, reason} triples)
 //	/timeseries  the flight recorder's gauge window as JSON
 //	/events      recent trace events
-//	/trace       message lifecycle spans (when tracing is enabled)
+//	/trace       lifecycle.MultiReport of every group's message spans
+//	             (?group=N keeps only that group's element)
 //	/capture     flight-recorder frame dump (binary; ?decode=1 for JSON)
 //	/debug/*     expvar + pprof (opt-in)
 package nodehttp
@@ -40,24 +44,15 @@ type Options struct {
 	Flight *obs.Flight
 	// Health, if set, backs /healthz.
 	Health *health.Evaluator
-	// MultiHealth, if set, backs /healthz with the per-group aggregate
-	// verdict of a multi-group member (503 lists {group, rule, reason}
-	// triples). Takes precedence over Health.
-	MultiHealth *health.MultiEvaluator
 	// Status, if set, backs /status. It must be safe to call from any
-	// goroutine (rt.Node.Status and rt.UDPNode.Status are).
-	Status func(ctx context.Context) (rt.Status, error)
-	// Lifecycle, if set, backs /trace; returning nil reports tracing
-	// disabled.
-	Lifecycle func() *lifecycle.Tracer
-	// LifecycleGroups, if set, backs /trace for a multi-group member: the
-	// slice is indexed by group id. `?group=N` serves that group's Report;
-	// without the parameter every group's report is wrapped in one
-	// MultiReport. Takes precedence over Lifecycle.
-	LifecycleGroups func() []*lifecycle.Tracer
+	// goroutine (rt.Member.Status is).
+	Status func(ctx context.Context) (rt.NodeStatus, error)
+	// Lifecycle, if set, backs /trace with the member's span tracers
+	// indexed by group id; returning none reports tracing disabled.
+	Lifecycle func() []*lifecycle.Tracer
 	// Capture, if set, backs /capture with the member's frame flight
-	// recorder: the versioned binary dump by default (what urcgc-replay
-	// ingests), or decoded JSON with ?decode=1.
+	// recorder: the versioned binary dump by default (what `urcgc-ctl
+	// replay` ingests), or decoded JSON with ?decode=1.
 	Capture *capture.Ring
 	// Pprof mounts /debug/vars and /debug/pprof.
 	Pprof bool
@@ -83,9 +78,7 @@ func Mux(o Options) *http.ServeMux {
 	if o.Flight != nil {
 		mux.Handle("/timeseries", o.Flight.Handler())
 	}
-	if o.MultiHealth != nil {
-		mux.Handle("/healthz", o.MultiHealth.Handler())
-	} else if o.Health != nil {
+	if o.Health != nil {
 		mux.Handle("/healthz", o.Health.Handler())
 	}
 	if o.Status != nil {
@@ -110,49 +103,33 @@ func Mux(o Options) *http.ServeMux {
 			WriteStatusText(w, st)
 		})
 	}
-	if o.LifecycleGroups != nil {
+	if o.Lifecycle != nil {
 		mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-			trs := o.LifecycleGroups()
+			trs := o.Lifecycle()
 			if len(trs) == 0 {
 				http.Error(w, "lifecycle tracing disabled (-trace-slow 0)", http.StatusNotFound)
 				return
 			}
-			slowN := queryInt(r, "slow", 10)
-			recentN := queryInt(r, "recent", 25)
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
 			if gq := r.URL.Query().Get("group"); gq != "" {
 				g, err := strconv.Atoi(gq)
 				if err != nil || g < 0 || g >= len(trs) {
 					http.Error(w, fmt.Sprintf("group %q outside [0,%d)", gq, len(trs)), http.StatusBadRequest)
 					return
 				}
-				w.Header().Set("Content-Type", "application/json; charset=utf-8")
-				_ = enc.Encode(trs[g].Report(slowN, recentN))
-				return
-			}
-			multi := lifecycle.MultiReport{}
-			for _, tr := range trs {
-				r := tr.Report(slowN, recentN)
-				multi.Node = r.Node
-				multi.Groups = append(multi.Groups, r)
-			}
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			_ = enc.Encode(multi)
-		})
-	} else if o.Lifecycle != nil {
-		mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-			tr := o.Lifecycle()
-			if tr == nil {
-				http.Error(w, "lifecycle tracing disabled (-trace-slow 0)", http.StatusNotFound)
-				return
+				trs = trs[g : g+1]
 			}
 			slowN := queryInt(r, "slow", 10)
 			recentN := queryInt(r, "recent", 25)
+			var rep lifecycle.MultiReport
+			for _, tr := range trs {
+				gr := tr.Report(slowN, recentN)
+				rep.Node = gr.Node
+				rep.Groups = append(rep.Groups, gr)
+			}
 			w.Header().Set("Content-Type", "application/json; charset=utf-8")
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
-			_ = enc.Encode(tr.Report(slowN, recentN))
+			_ = enc.Encode(rep)
 		})
 	}
 	if o.Capture != nil {
@@ -180,31 +157,22 @@ func Mux(o Options) *http.ServeMux {
 	return mux
 }
 
-// WriteStatusText renders the human-readable /status body.
-func WriteStatusText(w http.ResponseWriter, st rt.Status) {
-	fmt.Fprintf(w, "id         %d of %d\n", st.ID, st.N)
-	fmt.Fprintf(w, "running    %v\n", st.Running)
-	if st.Joining {
-		fmt.Fprintf(w, "joining    true (state transfer in progress)\n")
-	}
-	fmt.Fprintf(w, "subrun     %d (coordinator %d)\n", st.Subrun, st.Coordinator)
-	fmt.Fprintf(w, "processed  %v\n", st.Processed)
-	fmt.Fprintf(w, "stable_to  %v\n", st.StableTo)
-	fmt.Fprintf(w, "alive      %v\n", st.Alive)
-	fmt.Fprintf(w, "history    %d by-sender %v\n", st.HistoryLen, st.HistoryBySender)
-	fmt.Fprintf(w, "waiting    %d\n", st.WaitingLen)
-	fmt.Fprintf(w, "pending    %d\n", st.Pending)
-	fmt.Fprintf(w, "stats      %+v\n", st.Stats)
-	if len(st.GroupProcessed) > 0 {
-		fmt.Fprintf(w, "groups     %d processed %v\n", len(st.GroupProcessed), st.GroupProcessed)
-	}
+// WriteStatusText renders the human-readable /status body: the member's
+// identity, then one block per hosted group.
+func WriteStatusText(w http.ResponseWriter, st rt.NodeStatus) {
+	fmt.Fprintf(w, "id         %d of %d, %d groups\n", st.ID, st.N, len(st.Groups))
 	for _, g := range st.Groups {
-		join := ""
+		fmt.Fprintf(w, "group %-4d running %v, subrun %d (coordinator %d)\n", g.Group, g.Running, g.Subrun, g.Coordinator)
 		if g.Joining {
-			join = " joining"
+			fmt.Fprintf(w, "  joining    true (state transfer in progress)\n")
 		}
-		fmt.Fprintf(w, "group %-4d subrun %d processed %d stable %d waiting %d history %d alive %v%s\n",
-			g.Group, g.Subrun, g.ProcessedSum, g.StableSum, g.WaitingLen, g.HistoryLen, g.Alive, join)
+		fmt.Fprintf(w, "  processed  %v\n", g.Processed)
+		fmt.Fprintf(w, "  stable_to  %v\n", g.StableTo)
+		fmt.Fprintf(w, "  alive      %v\n", g.Alive)
+		fmt.Fprintf(w, "  history    %d by-sender %v\n", g.HistoryLen, g.HistoryBySender)
+		fmt.Fprintf(w, "  waiting    %d\n", g.WaitingLen)
+		fmt.Fprintf(w, "  pending    %d\n", g.Pending)
+		fmt.Fprintf(w, "  stats      %+v\n", g.Stats)
 	}
 }
 

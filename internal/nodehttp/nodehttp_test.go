@@ -13,6 +13,7 @@ import (
 
 	"urcgc/internal/capture"
 	"urcgc/internal/causal"
+	"urcgc/internal/core"
 	"urcgc/internal/health"
 	"urcgc/internal/lifecycle"
 	"urcgc/internal/mid"
@@ -22,7 +23,7 @@ import (
 )
 
 // multiFixture assembles the observability state of a member hosting
-// `groups` groups, with the same series shapes topics.MultiNode registers.
+// `groups` groups, with the same series shapes rt.Member registers.
 type multiFixture struct {
 	reg      *obs.Registry
 	flight   *obs.Flight
@@ -52,14 +53,14 @@ func newMultiFixture(t *testing.T, groups int) *multiFixture {
 func (f *multiFixture) mux(t *testing.T) *httptest.Server {
 	t.Helper()
 	srv := httptest.NewServer(Mux(Options{
-		Registry:        f.reg,
-		Flight:          f.flight,
-		MultiHealth:     health.NewMultiEvaluator(f.flight, "0", len(f.decision), health.Thresholds{TokenStallSamples: 4}),
-		LifecycleGroups: func() []*lifecycle.Tracer { return f.tracers },
-		Status: func(context.Context) (rt.Status, error) {
-			st := rt.Status{ID: 0, N: 3, Running: true}
+		Registry:  f.reg,
+		Flight:    f.flight,
+		Health:    health.New(f.flight, "0", len(f.decision), health.Thresholds{TokenStallSamples: 4}),
+		Lifecycle: func() []*lifecycle.Tracer { return f.tracers },
+		Status: func(context.Context) (rt.NodeStatus, error) {
+			st := rt.NodeStatus{ID: 0, N: 3}
 			for g := range f.decision {
-				st.Groups = append(st.Groups, rt.GroupStatus{Group: uint32(g), Running: true})
+				st.Groups = append(st.Groups, rt.Status{N: 3, Group: uint32(g), Running: true})
 			}
 			return st, nil
 		},
@@ -68,7 +69,7 @@ func (f *multiFixture) mux(t *testing.T) *httptest.Server {
 	return srv
 }
 
-// TestHealthzPerGroupReasons drives the aggregate /healthz of a 3-group
+// TestHealthzPerGroupReasons drives the /healthz of a 3-group
 // member: healthy while every group's token circulates, then 503 naming
 // exactly the group whose token froze.
 func TestHealthzPerGroupReasons(t *testing.T) {
@@ -103,7 +104,7 @@ func TestHealthzPerGroupReasons(t *testing.T) {
 	if res.StatusCode != 503 {
 		t.Fatalf("degraded member /healthz = %d", res.StatusCode)
 	}
-	var st health.MultiStatus
+	var st health.Status
 	if err := json.NewDecoder(res.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +116,9 @@ func TestHealthzPerGroupReasons(t *testing.T) {
 	}
 }
 
-// TestTraceGroupFilter pins /trace on a multi-group member: ?group=N
-// serves that group's Report, no parameter serves the MultiReport of
-// every group, and an unhosted group is a 400.
+// TestTraceGroupFilter pins /trace: it serves the MultiReport of every
+// hosted group, ?group=N keeps only that group's element of the same
+// document, and an unhosted group is a 400.
 func TestTraceGroupFilter(t *testing.T) {
 	f := newMultiFixture(t, 2)
 	srv := f.mux(t)
@@ -125,41 +126,101 @@ func TestTraceGroupFilter(t *testing.T) {
 	f.tracers[1].Generated(mid.MID{Proc: 0, Seq: 1}) // same MID, different group
 	f.tracers[1].Generated(mid.MID{Proc: 0, Seq: 2})
 
-	res, err := srv.Client().Get(srv.URL + "/trace?group=1")
-	if err != nil {
-		t.Fatal(err)
+	get := func(query string) (int, lifecycle.MultiReport) {
+		res, err := srv.Client().Get(srv.URL + "/trace" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		var rep lifecycle.MultiReport
+		if res.StatusCode == 200 {
+			if err := json.NewDecoder(res.Body).Decode(&rep); err != nil {
+				t.Fatalf("/trace%s: %v", query, err)
+			}
+		}
+		return res.StatusCode, rep
 	}
-	var rep lifecycle.Report
-	err = json.NewDecoder(res.Body).Decode(&rep)
-	res.Body.Close()
-	if err != nil || res.StatusCode != 200 {
-		t.Fatalf("?group=1: code %d err %v", res.StatusCode, err)
+	if _, rep := get("?group=1"); len(rep.Groups) != 1 || rep.Groups[0].Group != 1 || rep.Groups[0].Counts.Started != 2 {
+		t.Fatalf("?group=1 report = %+v", rep.Groups)
 	}
-	if rep.Group != 1 || rep.Counts.Started != 2 {
-		t.Fatalf("?group=1 report = group %d, %d spans", rep.Group, rep.Counts.Started)
+	if _, rep := get(""); len(rep.Groups) != 2 || rep.Groups[0].Group != 0 || rep.Groups[1].Group != 1 {
+		t.Fatalf("unfiltered /trace = %+v", rep.Groups)
 	}
+	if code, _ := get("?group=7"); code != 400 {
+		t.Fatalf("unhosted group code = %d, want 400", code)
+	}
+}
 
-	res, err = srv.Client().Get(srv.URL + "/trace")
-	if err != nil {
-		t.Fatal(err)
+// TestOneShapeAtEveryG boots a G = 1 and a G = 3 member of the real runtime
+// and requires /status?format=json, /healthz and /trace to serve documents
+// with identical key sets, differing only in how many groups they list.
+func TestOneShapeAtEveryG(t *testing.T) {
+	// keys flattens a decoded document into its set of key paths, arrays
+	// collapsed.
+	var keys func(prefix string, v any, into map[string]bool)
+	keys = func(prefix string, v any, into map[string]bool) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, e := range v {
+				into[prefix+"."+k] = true
+				keys(prefix+"."+k, e, into)
+			}
+		case []any:
+			for _, e := range v {
+				keys(prefix+"[]", e, into)
+			}
+		}
 	}
-	var multi lifecycle.MultiReport
-	err = json.NewDecoder(res.Body).Decode(&multi)
-	res.Body.Close()
-	if err != nil || len(multi.Groups) != 2 {
-		t.Fatalf("unfiltered /trace: err %v, %d groups", err, len(multi.Groups))
-	}
-	if multi.Groups[0].Group != 0 || multi.Groups[1].Group != 1 {
-		t.Fatalf("group tags = %d,%d", multi.Groups[0].Group, multi.Groups[1].Group)
-	}
+	shapes := map[int]map[string]bool{}
+	for _, groups := range []int{1, 3} {
+		reg := obs.New()
+		mesh, err := rt.NewMesh(rt.Config{
+			Config:    core.Config{N: 3, K: 3, R: 8},
+			Groups:    groups,
+			Metrics:   reg,
+			Lifecycle: &lifecycle.Options{SlowThreshold: time.Hour},
+		}, rt.FamilyTopics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mesh.Start()
+		t.Cleanup(mesh.Stop)
+		flight := obs.NewFlight(reg, obs.FlightOptions{Cap: 8})
+		flight.Sample()
+		srv := httptest.NewServer(Mux(Options{
+			Registry:  reg,
+			Health:    health.New(flight, "0", groups, health.Thresholds{}),
+			Status:    mesh.Node(0).Status,
+			Lifecycle: mesh.Node(0).Lifecycles,
+		}))
+		t.Cleanup(srv.Close)
 
-	res, err = srv.Client().Get(srv.URL + "/trace?group=7")
-	if err != nil {
-		t.Fatal(err)
+		shapes[groups] = map[string]bool{}
+		listed := map[string]int{"/status?format=json": groups, "/healthz": groups, "/trace": groups, "/trace?group=0": 1}
+		for path, want := range listed {
+			res, err := srv.Client().Get(srv.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc map[string]any
+			err = json.NewDecoder(res.Body).Decode(&doc)
+			res.Body.Close()
+			if err != nil || res.StatusCode != 200 {
+				t.Fatalf("G=%d %s: code %d, err %v", groups, path, res.StatusCode, err)
+			}
+			if got, _ := doc["groups"].([]any); len(got) != want {
+				t.Fatalf("G=%d %s lists %d groups, want %d", groups, path, len(got), want)
+			}
+			keys(path, doc, shapes[groups])
+		}
 	}
-	res.Body.Close()
-	if res.StatusCode != 400 {
-		t.Fatalf("unhosted group code = %d, want 400", res.StatusCode)
+	for k := range shapes[3] {
+		if !shapes[1][k] {
+			t.Errorf("G=3 serves key %s that G=1 does not", k)
+		}
+	}
+	if len(shapes[1]) != len(shapes[3]) || len(shapes[1]) < 30 {
+		t.Errorf("G=1 serves %d key paths, G=3 %d; want equal, and the documents non-trivial", len(shapes[1]), len(shapes[3]))
 	}
 }
 

@@ -1,18 +1,69 @@
-// Package probe is the shared HTTP-collection substrate of every tool
-// that sweeps a cluster's nodehttp endpoints — urcgc-inspect (/status,
-// /metrics, /healthz, /timeseries), urcgc-trace (/trace) and
-// urcgc-replay (/capture). Each of them grew the same three fragments:
-// normalizing "host:port" into a base URL, one bounded GET, and an
-// order-preserving parallel fan-out over the node list. This package
-// holds the one copy; the diagnosis logic stays in the callers.
+// Package probe is the shared HTTP-collection substrate of every
+// urcgc-ctl subcommand that sweeps a cluster's nodehttp endpoints —
+// inspect (/status, /metrics, /healthz, /timeseries), trace (/trace) and
+// replay (/capture). It holds the one copy of what each of them needs:
+// where the members are and how long to wait (Cluster), normalizing
+// "host:port" into a base URL, one bounded GET that checks the status and
+// decodes the body, and an order-preserving parallel fan-out over the node
+// list. The diagnosis logic stays in the callers.
 package probe
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
+	"time"
 )
+
+// Cluster is what every sweep is told: where the members' observability
+// endpoints are and how patient to be with each.
+type Cluster struct {
+	// Nodes lists the observability addresses, "host:port" or full URLs.
+	Nodes []string
+	// Timeout bounds each HTTP request; 0 means 3s.
+	Timeout time.Duration
+	// Client overrides the HTTP client (tests); nil uses the default.
+	Client *http.Client
+}
+
+// Get performs one GET of base+path bounded by c.Timeout and returns the
+// body. A status other than 200 — or one of the codes in also, for
+// endpoints whose error status still carries the document — is an error
+// naming the code and the first line of the body.
+func (c Cluster) Get(ctx context.Context, base, path string, also ...int) ([]byte, error) {
+	timeout := c.Timeout
+	if timeout <= 0 {
+		timeout = 3 * time.Second
+	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	body, code, err := Fetch(ctx, c.Client, base+path)
+	if err != nil {
+		return nil, err
+	}
+	if code != http.StatusOK && !slices.Contains(also, code) {
+		line, _, _ := bytes.Cut(bytes.TrimSpace(body), []byte("\n"))
+		return nil, fmt.Errorf("%s: HTTP %d: %s", path, code, line)
+	}
+	return body, nil
+}
+
+// GetJSON is Get with the body decoded into v.
+func (c Cluster) GetJSON(ctx context.Context, base, path string, v any, also ...int) error {
+	body, err := c.Get(ctx, base, path, also...)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		return fmt.Errorf("decoding %s: %w", path, err)
+	}
+	return nil
+}
 
 // MaxBody bounds one response body read (16MB) — larger than any
 // endpoint legitimately answers, small enough that a misconfigured

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestNormalizeAddr(t *testing.T) {
@@ -54,5 +55,36 @@ func TestFanoutOrder(t *testing.T) {
 		if want := fmt.Sprintf("%d:%s", i, addr); got[i] != want {
 			t.Fatalf("slot %d = %q, want %q", i, got[i], want)
 		}
+	}
+}
+
+// TestClusterGet pins the one "GET, check the status, decode" helper: 200
+// decodes, any other status is an error naming it — unless the caller
+// listed it as also carrying the document — and a slow node costs Timeout.
+func TestClusterGet(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/sick":
+			w.WriteHeader(http.StatusServiceUnavailable)
+		case "/slow":
+			<-r.Context().Done()
+			return
+		}
+		fmt.Fprint(w, `{"v": 7}`)
+	}))
+	t.Cleanup(srv.Close)
+	c := Cluster{Timeout: 200 * time.Millisecond, Client: srv.Client()}
+	var doc struct{ V int }
+	if err := c.GetJSON(context.Background(), srv.URL, "/ok", &doc); err != nil || doc.V != 7 {
+		t.Fatalf("200: %v, %+v", err, doc)
+	}
+	if err := c.GetJSON(context.Background(), srv.URL, "/sick", &doc); err == nil || !strings.Contains(err.Error(), "/sick: HTTP 503") {
+		t.Fatalf("unlisted 503 = %v, want an error naming it", err)
+	}
+	if err := c.GetJSON(context.Background(), srv.URL, "/sick", &doc, http.StatusServiceUnavailable); err != nil {
+		t.Fatalf("listed 503: %v", err)
+	}
+	if _, err := c.Get(context.Background(), srv.URL, "/slow"); err == nil {
+		t.Fatal("request outlived Cluster.Timeout")
 	}
 }

@@ -397,25 +397,18 @@ func (m *Member) Snapshot(ctx context.Context, group uint32, fn func(p *core.Pro
 // GroupStatus captures a race-free sample of one group's protocol state.
 func (m *Member) GroupStatus(ctx context.Context, group uint32) (Status, error) {
 	var st Status
-	err := m.Snapshot(ctx, group, func(p *core.Process) { st = statusOf(p) })
+	err := m.Snapshot(ctx, group, func(p *core.Process) { st = statusOf(group, p) })
 	return st, err
 }
 
-// Status reports group 0 in the single-group shape; a member hosting more
-// groups annotates it with the per-group processed counts and one compact
-// GroupStatus per hosted group, so the /status endpoint keeps its shape for
-// single-group consumers while urcgc-inspect can judge view divergence and
-// progress skew per group.
-func (m *Member) Status(ctx context.Context) (Status, error) {
-	st, err := m.GroupStatus(ctx, 0)
-	if err != nil || len(m.sessions) == 1 {
-		return st, err
-	}
-	st.GroupProcessed = m.GroupCounts()
-	st.Groups = make([]GroupStatus, len(m.sessions))
+// Status samples every hosted group, in group order: the document /status
+// serves. Each group is sampled on its own shard loop, so the groups are
+// each consistent but not mutually simultaneous.
+func (m *Member) Status(ctx context.Context) (NodeStatus, error) {
+	st := NodeStatus{ID: m.ID(), N: m.cfg.N, Groups: make([]Status, len(m.sessions))}
 	for g := range m.sessions {
-		gs, gid := &st.Groups[g], uint32(g)
-		if err := m.Snapshot(ctx, gid, func(p *core.Process) { *gs = groupStatusOf(gid, p) }); err != nil {
+		var err error
+		if st.Groups[g], err = m.GroupStatus(ctx, uint32(g)); err != nil {
 			return st, err
 		}
 	}

@@ -82,7 +82,7 @@ func (n single) Snapshot(ctx context.Context, fn func(p *core.Process)) error {
 
 // Status captures a race-free sample of the member's protocol state by
 // running inside the loop goroutine.
-func (n single) Status(ctx context.Context) (Status, error) { return n.m.Status(ctx) }
+func (n single) Status(ctx context.Context) (Status, error) { return n.m.GroupStatus(ctx, 0) }
 
 // Lifecycle returns the member's message-lifecycle tracer, or nil when
 // tracing is disabled.

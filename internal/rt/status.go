@@ -5,17 +5,19 @@ import (
 	"urcgc/internal/mid"
 )
 
-// Status is a consistent sample of one live member's protocol state,
-// captured inside the node loop goroutine and cloned, so it is safe to
-// hold and read from anywhere. It is the supported way to observe a live
-// member; the raw core.Process accessors are loop-goroutine-only (see the
-// core.Process concurrency contract). The JSON shape is what
-// /status?format=json serves and what urcgc-inspect consumes.
+// Status is a consistent sample of one hosted group's protocol entity at a
+// live member, captured inside the shard loop goroutine and cloned, so it is
+// safe to hold and read from anywhere. It is the supported way to observe a
+// live member; the raw core.Process accessors are loop-goroutine-only (see
+// the core.Process concurrency contract). One Status per hosted group makes
+// up the NodeStatus document /status?format=json serves.
 type Status struct {
 	// ID is the member's process identifier.
 	ID mid.ProcID `json:"id"`
 	// N is the group cardinality (live and crashed members).
 	N int `json:"n"`
+	// Group is the hosted group this entity belongs to.
+	Group uint32 `json:"group"`
 	// Running reports whether the member still executes the protocol.
 	Running bool `json:"running"`
 	// Joining reports whether the member is a restarted incarnation still
@@ -48,59 +50,24 @@ type Status struct {
 	Alive []bool `json:"alive"`
 	// Stats is a copy of the protocol activity counters.
 	Stats core.Stats `json:"stats"`
-	// GroupProcessed, when the member hosts multiple groups (internal/topics),
-	// is the per-group processed-message count; empty for single-group
-	// members, so existing consumers see an unchanged shape.
-	GroupProcessed []int64 `json:"group_processed,omitempty"`
-	// Groups, when the member hosts multiple groups, is a per-group
-	// protocol summary — what urcgc-inspect needs to judge view divergence
-	// and progress skew per group instead of whole-node. Empty for
-	// single-group members.
-	Groups []GroupStatus `json:"groups,omitempty"`
 }
 
-// GroupStatus is one hosted group's protocol summary inside a multi-group
-// member's Status: enough to compare views and frontiers across members
-// without shipping every group's full Status.
-type GroupStatus struct {
-	Group        uint32        `json:"group"`
-	Running      bool          `json:"running"`
-	Joining      bool          `json:"joining,omitempty"`
-	Subrun       int64         `json:"subrun"`
-	Coordinator  mid.ProcID    `json:"coordinator"`
-	Alive        []bool        `json:"alive"`
-	Processed    mid.SeqVector `json:"processed"`
-	StableTo     mid.SeqVector `json:"stable_to"`
-	ProcessedSum int64         `json:"processed_sum"`
-	StableSum    int64         `json:"stable_sum"`
-	WaitingLen   int           `json:"waiting_len"`
-	HistoryLen   int           `json:"history_len"`
+// NodeStatus is one member's /status?format=json document, and what
+// `urcgc-ctl inspect` consumes: the member's identity and one full Status per
+// hosted group, in group order — the same shape whether the member hosts one
+// group or many.
+type NodeStatus struct {
+	ID     mid.ProcID `json:"id"`
+	N      int        `json:"n"`
+	Groups []Status   `json:"groups"`
 }
 
-// groupStatusOf samples one group's process into the compact per-group
-// shape. Like statusOf it must run on the goroutine driving p.
-func groupStatusOf(group uint32, p *core.Process) GroupStatus {
-	return GroupStatus{
-		Group:        group,
-		Running:      p.Running(),
-		Joining:      p.Joining(),
-		Subrun:       p.Subrun(),
-		Coordinator:  p.CurrentCoordinator(),
-		Alive:        append([]bool(nil), p.View().AliveMask()...),
-		Processed:    p.Processed().Clone(),
-		StableTo:     p.StableTo().Clone(),
-		ProcessedSum: int64(p.Processed().Sum()),
-		StableSum:    int64(p.StableTo().Sum()),
-		WaitingLen:   p.WaitingLen(),
-		HistoryLen:   p.HistoryLen(),
-	}
-}
-
-// statusOf samples p. Must run on the goroutine driving p.
-func statusOf(p *core.Process) Status {
+// statusOf samples one group's process. Must run on the goroutine driving p.
+func statusOf(group uint32, p *core.Process) Status {
 	return Status{
 		ID:              p.ID(),
 		N:               p.View().N(),
+		Group:           group,
 		Running:         p.Running(),
 		Joining:         p.Joining(),
 		Subrun:          p.Subrun(),

@@ -12,6 +12,7 @@ import (
 	"urcgc/internal/lifecycle"
 	"urcgc/internal/mid"
 	"urcgc/internal/nodehttp"
+	"urcgc/internal/probe"
 	"urcgc/internal/topics"
 )
 
@@ -91,7 +92,7 @@ func TestTraceStuckMessageEndToEnd(t *testing.T) {
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
 		node := cl.Node(mid.ProcID(i))
-		mux := nodehttp.Mux(nodehttp.Options{LifecycleGroups: node.Lifecycles})
+		mux := nodehttp.Mux(nodehttp.Options{Lifecycle: node.Lifecycles})
 		ln, err := nodehttp.Serve("127.0.0.1:0", mux)
 		if err != nil {
 			t.Fatal(err)
@@ -138,7 +139,7 @@ func TestTraceStuckMessageEndToEnd(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	var rep *Report
 	for {
-		rep = Stitch(Collect(Config{Nodes: addrs, Group: -1}))
+		rep = Stitch(Collect(Config{Cluster: probe.Cluster{Nodes: addrs}, Group: -1}))
 		if blockedOn(rep, blocked.String(), dep.String()) {
 			break
 		}

@@ -1,7 +1,7 @@
 // Package stitch builds the first cross-node observability layer: it
-// collects the /trace lifecycle reports from every member of a cluster
-// and joins the spans by (group, MID) into one stitched timeline per
-// message. MIDs are only unique within a group — every group is an
+// collects the /trace document of every member of a cluster (one
+// lifecycle.MultiReport each, a report per hosted group) and joins the
+// spans by (group, MID) into one stitched timeline per message. MIDs are only unique within a group — every group is an
 // independent sequence space — so the group id is part of the join key;
 // within a group the same MID names the same message on every member,
 // which is what makes the join sound with no wire changes.
@@ -19,13 +19,10 @@ package stitch
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
 	"strings"
-	"time"
 
 	"urcgc/internal/lifecycle"
 	"urcgc/internal/probe"
@@ -33,33 +30,14 @@ import (
 
 // Config configures one collection sweep.
 type Config struct {
-	// Nodes lists every member's observability address (host:port or URL).
-	Nodes []string
+	// Cluster lists every member's observability address and bounds each
+	// request.
+	probe.Cluster
 	// Group restricts the sweep to one group id; -1 collects every hosted
 	// group.
 	Group int
 	// Slow and Recent size each node's report (default 32 each).
 	Slow, Recent int
-	// Timeout bounds each probe (default 3s).
-	Timeout time.Duration
-	// Client overrides the HTTP client (tests).
-	Client *http.Client
-}
-
-func (c Config) fill() Config {
-	if c.Slow == 0 {
-		c.Slow = 32
-	}
-	if c.Recent == 0 {
-		c.Recent = 32
-	}
-	if c.Timeout == 0 {
-		c.Timeout = 3 * time.Second
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: c.Timeout}
-	}
-	return c
 }
 
 // NodeTrace is one member's collected reports (one per hosted group), or
@@ -74,52 +52,25 @@ type NodeTrace struct {
 // are reported, not fatal: a stitched view of the reachable majority is
 // still useful.
 func Collect(cfg Config) []NodeTrace {
-	cfg = cfg.fill()
+	if cfg.Slow == 0 {
+		cfg.Slow = 32
+	}
+	if cfg.Recent == 0 {
+		cfg.Recent = 32
+	}
+	path := fmt.Sprintf("/trace?slow=%d&recent=%d", cfg.Slow, cfg.Recent)
+	if cfg.Group >= 0 {
+		path += fmt.Sprintf("&group=%d", cfg.Group)
+	}
 	return probe.Fanout(cfg.Nodes, func(_ int, addr string) NodeTrace {
-		return collectOne(cfg, addr)
+		nt := NodeTrace{Addr: addr}
+		var rep lifecycle.MultiReport
+		if err := cfg.GetJSON(context.Background(), probe.NormalizeAddr(addr), path, &rep); err != nil {
+			nt.Err = err.Error()
+		}
+		nt.Reports = rep.Groups
+		return nt
 	})
-}
-
-func collectOne(cfg Config, addr string) NodeTrace {
-	nt := NodeTrace{Addr: addr}
-	url := fmt.Sprintf("%s/trace?slow=%d&recent=%d", probe.NormalizeAddr(addr), cfg.Slow, cfg.Recent)
-	if cfg.Group >= 0 {
-		url += fmt.Sprintf("&group=%d", cfg.Group)
-	}
-	raw, code, err := probe.Fetch(context.Background(), cfg.Client, url)
-	if err != nil {
-		nt.Err = err.Error()
-		return nt
-	}
-	if code != http.StatusOK {
-		nt.Err = fmt.Sprintf("HTTP %d: %s", code, strings.TrimSpace(string(raw)))
-		return nt
-	}
-	// A multi-group member answers with {"groups":[...]}; a single-group
-	// member with one bare Report. The groups key discriminates.
-	var multi lifecycle.MultiReport
-	if err := json.Unmarshal(raw, &multi); err == nil && len(multi.Groups) > 0 {
-		nt.Reports = multi.Groups
-	} else {
-		var rep lifecycle.Report
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			nt.Err = fmt.Sprintf("undecodable /trace: %v", err)
-			return nt
-		}
-		nt.Reports = []lifecycle.Report{rep}
-	}
-	if cfg.Group >= 0 {
-		// A legacy single-group node ignores the group filter; drop
-		// reports for groups we did not ask about.
-		kept := nt.Reports[:0]
-		for _, r := range nt.Reports {
-			if r.Group == cfg.Group {
-				kept = append(kept, r)
-			}
-		}
-		nt.Reports = kept
-	}
-	return nt
 }
 
 // Observation is one member's view of one message.

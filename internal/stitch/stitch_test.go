@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
 	"urcgc/internal/lifecycle"
+	"urcgc/internal/probe"
 )
 
 func span(mid, outcome string) lifecycle.SpanView {
@@ -126,48 +128,45 @@ func TestStitchRanksSlowestFirst(t *testing.T) {
 	}
 }
 
-// TestCollectBothShapes serves one multi-group member, one single-group
-// member and one dead address; Collect must decode both report shapes and
-// tolerate the failure.
-func TestCollectBothShapes(t *testing.T) {
-	multi := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/trace" {
-			http.NotFound(w, r)
-			return
-		}
-		_ = json.NewEncoder(w).Encode(lifecycle.MultiReport{Node: 0, Groups: []lifecycle.Report{
-			{Node: 0, Group: 0, Recent: []lifecycle.SpanView{span("p0#1", "processed")}},
-			{Node: 0, Group: 1, Recent: []lifecycle.SpanView{span("p0#1", "processed")}},
-		}})
-	}))
-	defer multi.Close()
-	single := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_ = json.NewEncoder(w).Encode(lifecycle.Report{
-			Node: 1, Group: 0, Recent: []lifecycle.SpanView{span("p0#1", "processed")},
-		})
-	}))
-	defer single.Close()
+// TestCollectOneShape serves a two-group member, a one-group member and
+// one dead address: Collect decodes the one /trace document either serves,
+// passes the group filter through, and tolerates the failure.
+func TestCollectOneShape(t *testing.T) {
+	member := func(node int, groups ...int) *httptest.Server {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			rep := lifecycle.MultiReport{Node: node}
+			for _, g := range groups {
+				if q := r.URL.Query().Get("group"); q == "" || q == strconv.Itoa(g) {
+					rep.Groups = append(rep.Groups, lifecycle.Report{
+						Node: node, Group: g, Recent: []lifecycle.SpanView{span("p0#1", "processed")},
+					})
+				}
+			}
+			_ = json.NewEncoder(w).Encode(rep)
+		}))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	two, one := member(0, 0, 1), member(1, 0)
+	on := probe.Cluster{Nodes: []string{two.URL, one.URL, "127.0.0.1:1"}}
 
-	nodes := Collect(Config{Nodes: []string{multi.URL, single.URL, "127.0.0.1:1"}, Group: -1})
+	nodes := Collect(Config{Cluster: on, Group: -1})
 	if nodes[0].Err != "" || len(nodes[0].Reports) != 2 {
-		t.Fatalf("multi node: %+v", nodes[0])
+		t.Fatalf("two-group node: %+v", nodes[0])
 	}
 	if nodes[1].Err != "" || len(nodes[1].Reports) != 1 {
-		t.Fatalf("single node: %+v", nodes[1])
+		t.Fatalf("one-group node: %+v", nodes[1])
 	}
 	if nodes[2].Err == "" {
 		t.Fatal("dead node reported no error")
 	}
-	r := Stitch(nodes)
-	if len(r.Messages) != 2 {
+	if r := Stitch(nodes); len(r.Messages) != 2 {
 		t.Fatalf("stitched %d messages, want 2", len(r.Messages))
 	}
 
-	// A group filter keeps only matching reports, even from the legacy
-	// shape that ignores the query parameter.
-	nodes = Collect(Config{Nodes: []string{single.URL}, Group: 1})
-	if len(nodes[0].Reports) != 0 {
-		t.Fatalf("legacy node leaked group-0 report under group=1 filter: %+v", nodes[0].Reports)
+	nodes = Collect(Config{Cluster: on, Group: 1})
+	if len(nodes[0].Reports) != 1 || nodes[0].Reports[0].Group != 1 || len(nodes[1].Reports) != 0 {
+		t.Fatalf("group=1 sweep: %+v / %+v", nodes[0].Reports, nodes[1].Reports)
 	}
 }
 

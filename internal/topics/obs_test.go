@@ -17,7 +17,7 @@ import (
 // tracing enabled and checks the per-group observability surface: each
 // group's tracer is group-tagged, its report carries the group id, the
 // per-group submit→stable histogram fills, and Status exposes one
-// GroupStatus per hosted group.
+// sample per hosted group.
 func TestMultiGroupObservability(t *testing.T) {
 	const n, groups = 3, 3
 	reg := obs.New()
@@ -86,7 +86,7 @@ func TestMultiGroupObservability(t *testing.T) {
 		t.Fatalf("status groups = %d, want %d", len(st.Groups), groups)
 	}
 	for g, gs := range st.Groups {
-		if int(gs.Group) != g || !gs.Running || gs.ProcessedSum < 3 {
+		if int(gs.Group) != g || !gs.Running || gs.Processed.Sum() < 3 {
 			t.Fatalf("group %d status = %+v", g, gs)
 		}
 	}

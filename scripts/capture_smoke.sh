@@ -1,7 +1,7 @@
 #!/bin/sh
 # capture-smoke: boot a three-member urcgc cluster from the real binaries
 # with the frame flight recorder on, drive a burst of multicast traffic,
-# then collect every member's /capture dump with urcgc-replay and require
+# then collect every member's /capture dump with urcgc-ctl replay and require
 # the offline replay to reproduce a clean verdict — the end-to-end gate
 # for the whole forensic pipeline: capture hooks -> ring -> /capture ->
 # dump codec -> timeline merge -> deterministic replay -> invariant audit.
@@ -17,7 +17,7 @@ BIN=$(mktemp -d)
 trap 'kill $P0 $P1 $P2 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$BIN"' EXIT
 
 $GO build -o "$BIN/urcgc-node" ./cmd/urcgc-node
-$GO build -o "$BIN/urcgc-replay" ./cmd/urcgc-replay
+$GO build -o "$BIN/urcgc-ctl" ./cmd/urcgc-ctl
 
 # Fixed loopback ports, chosen high and unusual to avoid collisions (and
 # distinct from the other smokes so they can share a CI job).
@@ -47,7 +47,7 @@ feed 2 | "$BIN/urcgc-node" -self 2 -peers "$PEERS" -metrics "$OBS2" -round 5ms -
 # slow CI runner still settling its last decisions.
 sleep 3
 tries=0
-until "$BIN/urcgc-replay" -nodes "$OBS0,$OBS1,$OBS2" -save "$BIN/dumps" >"$BIN/replay.out" 2>&1; do
+until "$BIN/urcgc-ctl" replay -nodes "$OBS0,$OBS1,$OBS2" -save "$BIN/dumps" >"$BIN/replay.out" 2>&1; do
     tries=$((tries + 1))
     if [ "$tries" -ge 8 ]; then
         echo "capture-smoke: replay never reached a clean verdict" >&2
@@ -69,7 +69,7 @@ fi
 
 # The saved dumps must round-trip offline too — same clean verdict from
 # the artifacts alone, the path an operator replays after the fact.
-if ! "$BIN/urcgc-replay" "$BIN/dumps" >"$BIN/replay-offline.out" 2>&1; then
+if ! "$BIN/urcgc-ctl" replay "$BIN/dumps" >"$BIN/replay-offline.out" 2>&1; then
     echo "capture-smoke: saved dumps did not replay clean" >&2
     cat "$BIN/replay-offline.out" >&2
     exit 1

@@ -1,6 +1,6 @@
 #!/bin/sh
 # inspect-smoke: boot a three-member urcgc cluster from the real binaries,
-# point urcgc-inspect at the members' observability endpoints, and require
+# point urcgc-ctl inspect at the members' observability endpoints, and require
 # a healthy one-shot verdict (exit 0). This is the end-to-end gate for the
 # whole health stack: core callbacks -> rt gauges -> flight recorder ->
 # /healthz + /timeseries -> cluster-wide reconstruction.
@@ -11,7 +11,7 @@ BIN=$(mktemp -d)
 trap 'kill $P0 $P1 $P2 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$BIN"' EXIT
 
 $GO build -o "$BIN/urcgc-node" ./cmd/urcgc-node
-$GO build -o "$BIN/urcgc-inspect" ./cmd/urcgc-inspect
+$GO build -o "$BIN/urcgc-ctl" ./cmd/urcgc-ctl
 
 # Fixed loopback ports, chosen high and unusual to avoid collisions.
 PEERS=127.0.0.1:17841,127.0.0.1:17842,127.0.0.1:17843
@@ -29,7 +29,7 @@ OBS2=127.0.0.1:18843
 # briefly so a slow CI runner's boot doesn't flake the gate.
 sleep 2
 tries=0
-until "$BIN/urcgc-inspect" -nodes "$OBS0,$OBS1,$OBS2" -grace 1s; do
+until "$BIN/urcgc-ctl" inspect -nodes "$OBS0,$OBS1,$OBS2" -grace 1s; do
     tries=$((tries + 1))
     if [ "$tries" -ge 8 ]; then
         echo "inspect-smoke: cluster never inspected healthy" >&2

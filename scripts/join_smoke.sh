@@ -3,7 +3,7 @@
 # kill -9 one member, let the survivors exclude it, then restart it with
 # -join and require the full end-to-end rejoin: state transfer from a live
 # member, re-admission into every view, /healthz 200 on all members, and a
-# healthy one-shot urcgc-inspect verdict. This is the end-to-end gate for
+# healthy one-shot urcgc-ctl inspect verdict. This is the end-to-end gate for
 # dynamic membership: Join/JoinState PDUs -> core join state machine ->
 # rt restart -> joining status/health grace -> inspect informational kind.
 set -eu
@@ -13,7 +13,7 @@ BIN=$(mktemp -d)
 trap 'kill $P0 $P1 $P2 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$BIN"' EXIT
 
 $GO build -o "$BIN/urcgc-node" ./cmd/urcgc-node
-$GO build -o "$BIN/urcgc-inspect" ./cmd/urcgc-inspect
+$GO build -o "$BIN/urcgc-ctl" ./cmd/urcgc-ctl
 
 # Fixed loopback ports, chosen high and unusual to avoid collisions (and
 # distinct from inspect_smoke/trace_smoke so the smokes can run in one CI
@@ -40,14 +40,14 @@ dump_logs() {
 
 # preserve_captures saves the live members' frame flight recorders to
 # URCGC_CAPTURE_DIR (CI exports it and uploads the dumps as artifacts),
-# so a failed gate can be replayed offline with urcgc-replay.
+# so a failed gate can be replayed offline with urcgc-ctl replay.
 preserve_captures() {
     [ -n "${URCGC_CAPTURE_DIR:-}" ] || return 0
     mkdir -p "$URCGC_CAPTURE_DIR"
     for i in 0 1 2; do
         eval "obs=\$OBS$i"
         if curl -fsS "http://$obs/capture" -o "$URCGC_CAPTURE_DIR/capture-node$i.bin" 2>/dev/null; then
-            echo "join-smoke: saved $URCGC_CAPTURE_DIR/capture-node$i.bin (replay with urcgc-replay)" >&2
+            echo "join-smoke: saved $URCGC_CAPTURE_DIR/capture-node$i.bin (replay with urcgc-ctl replay)" >&2
         fi
     done
 }
@@ -71,7 +71,7 @@ wait_until() {
 # Phase 1: the cluster forms and inspects healthy.
 sleep 2
 wait_until 8 2 "cluster never inspected healthy" \
-    "$BIN/urcgc-inspect" -nodes "$OBS0,$OBS1,$OBS2" -grace 1s >/dev/null
+    "$BIN/urcgc-ctl" inspect -nodes "$OBS0,$OBS1,$OBS2" -grace 1s >/dev/null
 
 # Phase 2: kill -9 member 2; the survivors' silence detection must
 # exclude it from the view (alive mask [true true false] at member 0).
@@ -85,7 +85,7 @@ wait_until 60 0.5 "survivors never excluded the killed member" excluded
 # re-admitted into every member's view, and log the completed join.
 "$BIN/urcgc-node" -self 2 -peers "$PEERS" -metrics "$OBS2" -round 5ms -sample 100ms -chatter 50ms -capture 16384 -join </dev/null >"$BIN/node2-rejoin.log" 2>&1 & P2=$!
 echo "join-smoke: restarted member 2 with -join"
-rejoined_log() { grep -q 'rejoined the group' "$BIN/node2-rejoin.log"; }
+rejoined_log() { grep -q 'rejoined group 0' "$BIN/node2-rejoin.log"; }
 wait_until 60 0.5 "restarted member never completed its join" rejoined_log
 readmitted() {
     for obs in "$OBS0" "$OBS1" "$OBS2"; do
@@ -104,6 +104,6 @@ healthz_ok() {
 }
 wait_until 30 1 "a member still answers /healthz 503 after the rejoin" healthz_ok
 wait_until 8 2 "cluster never inspected healthy after the rejoin" \
-    "$BIN/urcgc-inspect" -nodes "$OBS0,$OBS1,$OBS2" -grace 1s >/dev/null
+    "$BIN/urcgc-ctl" inspect -nodes "$OBS0,$OBS1,$OBS2" -grace 1s >/dev/null
 
 echo "join-smoke: member 2 rejoined; cluster healthy"
