@@ -44,9 +44,12 @@ loc:
 # cross-node trace stitcher (parallel /trace collection), and the fault
 # injection layer whose checker audits invariants across restarts (the
 # rt and core lists include the join/state-transfer paths: Cluster.Restart
-# swaps the process on the loop goroutine while Status/Send race it).
+# swaps the process on the loop goroutine while Status/Send race it), and
+# the codec, whose message arena is unsynchronised by design: one goroutine
+# takes from a free list, the socket reader or the mesh shard loop, which the
+# rt tables run on both links.
 race:
-	$(GO) test -race ./internal/rt/... ./internal/topics/... ./internal/core/... ./internal/obs/... ./internal/health/... ./internal/inspect/... ./internal/stitch/... ./internal/faultrt/...
+	$(GO) test -race ./internal/rt/... ./internal/topics/... ./internal/core/... ./internal/obs/... ./internal/health/... ./internal/inspect/... ./internal/stitch/... ./internal/faultrt/... ./internal/wire/...
 
 # check is the tier-1 gate: everything is gofmt-clean, builds, vets clean,
 # passes the full suite, the concurrency-sensitive packages pass under -race,

@@ -51,6 +51,8 @@ func BenchmarkWaitlistCascade(b *testing.B)           { benchsuite.WaitlistCasca
 func BenchmarkWireMarshalDecision(b *testing.B)       { benchsuite.WireMarshalDecision(b) }
 func BenchmarkWireMarshalAppendDecision(b *testing.B) { benchsuite.WireMarshalAppendDecision(b) }
 func BenchmarkWireUnmarshalData(b *testing.B)         { benchsuite.WireUnmarshalData(b) }
+func BenchmarkWireDecodeStreamData(b *testing.B)      { benchsuite.WireDecodeStreamData(b) }
+func BenchmarkWireDecodeStreamBatch32(b *testing.B)   { benchsuite.WireDecodeStreamBatch32(b) }
 func BenchmarkIdleSubrunN3(b *testing.B)              { benchsuite.IdleSubrunN3(b) }
 func BenchmarkIdleSubrunN9(b *testing.B)              { benchsuite.IdleSubrunN9(b) }
 func BenchmarkVectorClockDeliverable(b *testing.B)    { benchsuite.VectorClockDeliverable(b) }

@@ -52,6 +52,8 @@ func Baseline() []Case {
 		{"WireMarshalDecision", WireMarshalDecision},
 		{"WireMarshalAppendDecision", WireMarshalAppendDecision},
 		{"WireUnmarshalData", WireUnmarshalData},
+		{"WireDecodeStreamData", WireDecodeStreamData},
+		{"WireDecodeStreamBatch32", WireDecodeStreamBatch32},
 		{"IdleSubrunN3", IdleSubrunN3},
 		{"IdleSubrunN9", IdleSubrunN9},
 		{"VectorClockDeliverable", VectorClockDeliverable},
@@ -351,15 +353,19 @@ func WireMarshalAppendDecision(b *testing.B) {
 	}
 }
 
-// WireUnmarshalData measures decoding a 64-byte-payload data message — the
-// per-datagram cost of the UDP reader.
-func WireUnmarshalData(b *testing.B) {
-	d := &wire.Data{Msg: causal.Message{
-		ID:      mid.MID{Proc: 3, Seq: 17},
+// benchMsg is a data message of two labels and a 64-byte payload.
+func benchMsg(seq mid.Seq) causal.Message {
+	return causal.Message{
+		ID:      mid.MID{Proc: 3, Seq: seq},
 		Deps:    mid.DepList{{Proc: 0, Seq: 4}, {Proc: 2, Seq: 9}},
 		Payload: make([]byte, 64),
-	}}
-	buf, err := wire.Marshal(d)
+	}
+}
+
+// WireUnmarshalData measures decoding a 64-byte-payload data message with the
+// plain, allocate-fresh decoder: what a frame costs a holder that keeps it.
+func WireUnmarshalData(b *testing.B) {
+	buf, err := wire.Marshal(&wire.Data{Msg: benchMsg(17)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -370,6 +376,42 @@ func WireUnmarshalData(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchDecodeStream decodes one frame per op through one FreeList and hands
+// the record back, as a runtime loop does after Recv — the per-datagram cost
+// of the live readers. The messages are carved from the list's arena, so a
+// stream costs a share of a chunk per frame: 0 allocs/op, held exactly by
+// `make bench-allocs`.
+func benchDecodeStream(b *testing.B, p wire.PDU) {
+	buf, err := wire.Marshal(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := wire.NewFreeList()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pdu, err := f.Unmarshal(buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f.Put(pdu)
+	}
+}
+
+// WireDecodeStreamData is a stream of singleton Data frames, what an
+// unbatched group's receivers decode.
+func WireDecodeStreamData(b *testing.B) { benchDecodeStream(b, &wire.Data{Msg: benchMsg(17)}) }
+
+// WireDecodeStreamBatch32 is a stream of full 32-message DataBatch frames,
+// what a saturated group's receivers decode.
+func WireDecodeStreamBatch32(b *testing.B) {
+	batch := &wire.DataBatch{Msgs: make([]causal.Message, 32)}
+	for i := range batch.Msgs {
+		batch.Msgs[i] = benchMsg(mid.Seq(i + 1))
+	}
+	benchDecodeStream(b, batch)
 }
 
 // VectorClockDeliverable measures the CBCAST delivery test.

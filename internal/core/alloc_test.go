@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"urcgc/internal/causal"
 	"urcgc/internal/mid"
 	"urcgc/internal/wire"
 )
@@ -68,6 +69,46 @@ func TestIdleSubrunAllocBudget(t *testing.T) {
 	for _, p := range procs {
 		if !p.Running() {
 			t.Fatalf("member %d left during the idle run: %v", p.ID(), p.Stats)
+		}
+	}
+}
+
+// TestSubmitAllocBudget states what generating a message costs the process:
+// a share of a chunk. The message record and its own label list — the sorted
+// copy Submit keeps of the caller's, the one SubmitCausal builds from the
+// processed vector — are carved from the process's arena, and the queue grows
+// by doubling, so a stream of submissions allocates next to nothing per
+// message. The parent of the arena measured 2 (Submit with labels: record and
+// list) and 2 (SubmitCausal).
+func TestSubmitAllocBudget(t *testing.T) {
+	const stream, budget = 256, 0.1
+	procs := syncGroup(t, Config{N: 3, K: 3, R: 8, SelfExclusion: true})
+	p, payload := procs[0], make([]byte, 64)
+	// One message processed from each peer, so SubmitCausal has two labels.
+	for _, q := range procs[1:] {
+		p.Recv(q.ID(), &wire.Data{Msg: causal.Message{ID: mid.MID{Proc: q.ID(), Seq: 1}}})
+	}
+	if got := p.Processed(); got[1] != 1 || got[2] != 1 {
+		t.Fatalf("processed %v, want one message from each peer", got)
+	}
+	deps := mid.DepList{{Proc: 2, Seq: 1}, {Proc: 1, Seq: 1}}
+	for _, c := range []struct {
+		name   string
+		submit func() (mid.MID, error)
+	}{
+		{"Submit", func() (mid.MID, error) { return p.Submit(payload, deps) }},
+		{"SubmitCausal", func() (mid.MID, error) { return p.SubmitCausal(payload) }},
+	} {
+		got := testing.AllocsPerRun(4, func() {
+			for i := 0; i < stream; i++ {
+				if _, err := c.submit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}) / stream
+		t.Logf("%s: %.3f objects per message", c.name, got)
+		if got > budget {
+			t.Errorf("%s allocates %.3f objects per message, budget %.1f", c.name, got, budget)
 		}
 	}
 }

@@ -336,6 +336,9 @@ type Process struct {
 	nextSeq mid.Seq
 	outbox  []*causal.Message // user messages awaiting their send opportunity
 	taken   []*causal.Message // broadcastOutbox's scratch: the messages of the drain in progress
+	// arena is where the messages this process generates are carved: their
+	// records and label lists (DESIGN.md §7 rule 6).
+	arena wire.Arena
 
 	// The PDUs this process sends every subrun are built in place, in records
 	// it owns, and lent to the transport for the call (see Transport): its
@@ -563,7 +566,9 @@ func (p *Process) Submit(payload []byte, deps mid.DepList) (mid.MID, error) {
 	if err := p.admit(payload, deps); err != nil {
 		return mid.MID{}, err
 	}
-	return p.enqueue(payload, deps.Clone().Canonical()), nil
+	own := p.arena.Labels(len(deps))
+	copy(own, deps)
+	return p.enqueue(payload, own.Canonical()), nil
 }
 
 // admit checks that the process may generate a message now and that payload
@@ -614,11 +619,8 @@ func (p *Process) admit(payload []byte, deps mid.DepList) error {
 // message's own list from here on: canonical, and never written again.
 func (p *Process) enqueue(payload []byte, deps mid.DepList) mid.MID {
 	p.nextSeq++
-	m := &causal.Message{
-		ID:      mid.MID{Proc: p.id, Seq: p.nextSeq},
-		Deps:    deps,
-		Payload: payload,
-	}
+	m := p.arena.Message(len(payload) + 8*len(deps))
+	m.ID, m.Deps, m.Payload = mid.MID{Proc: p.id, Seq: p.nextSeq}, deps, payload
 	p.outbox = append(p.outbox, m)
 	if p.cb.OnGenerate != nil {
 		p.cb.OnGenerate(m)
@@ -643,13 +645,10 @@ func (p *Process) SubmitCausal(payload []byte) (mid.MID, error) {
 			labels++
 		}
 	}
-	var deps mid.DepList
-	if labels > 0 {
-		deps = make(mid.DepList, 0, labels)
-		for q, s := range processed {
-			if s > 0 && mid.ProcID(q) != p.id {
-				deps = append(deps, mid.MID{Proc: mid.ProcID(q), Seq: s})
-			}
+	deps := p.arena.Labels(labels)[:0]
+	for q, s := range processed {
+		if s > 0 && mid.ProcID(q) != p.id {
+			deps = append(deps, mid.MID{Proc: mid.ProcID(q), Seq: s})
 		}
 	}
 	return p.enqueue(payload, deps), nil

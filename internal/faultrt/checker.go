@@ -27,12 +27,13 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: node %d, %v: %s", v.Invariant, v.Node, v.Msg, v.Detail)
 }
 
-// checkerEntry is one processing event: the message and its declared
-// cross-sequence dependencies (the implicit same-sequence predecessor is
-// derived from the MID).
+// checkerEntry is one processing event: the message, and where its declared
+// cross-sequence dependencies sit in the incarnation's label log (the
+// implicit same-sequence predecessor is derived from the MID). 16 bytes: the
+// log is what a long run keeps per processed message.
 type checkerEntry struct {
-	id   mid.MID
-	deps mid.DepList
+	id     mid.MID
+	off, n uint32
 }
 
 // incarnation is one lifetime of a member: its processing log plus the
@@ -43,8 +44,12 @@ type checkerEntry struct {
 // incarnation existed, so the invariants treat that prefix as processed.
 type incarnation struct {
 	entries  []checkerEntry
+	labels   []mid.MID // every entry's dependency labels, back to back
 	baseline mid.SeqVector
 }
+
+// deps returns e's dependency labels.
+func (in *incarnation) deps(e checkerEntry) []mid.MID { return in.labels[e.off : e.off+e.n] }
 
 // covered reports whether m lies in the incarnation's exempt prefix.
 func (in *incarnation) covered(m mid.MID) bool {
@@ -94,11 +99,12 @@ func (c *Checker) liveFor(node mid.ProcID) *incarnation {
 }
 
 // Record appends one processed message to node's current incarnation,
-// cloning the dependency list.
+// copying the dependency list into the incarnation's label log.
 func (c *Checker) Record(node mid.ProcID, m *causal.Message) {
 	c.mu.Lock()
 	in := c.liveFor(node)
-	in.entries = append(in.entries, checkerEntry{id: m.ID, deps: m.Deps.Clone()})
+	in.entries = append(in.entries, checkerEntry{id: m.ID, off: uint32(len(in.labels)), n: uint32(len(m.Deps))})
+	in.labels = append(in.labels, m.Deps...)
 	c.mu.Unlock()
 }
 
@@ -217,7 +223,7 @@ func (c *Checker) orderingOne(node mid.ProcID, in *incarnation) []Violation {
 				Detail: fmt.Sprintf("sequence predecessor %v not processed first", prev),
 			})
 		}
-		for _, d := range e.deps {
+		for _, d := range in.deps(e) {
 			if !have(d) {
 				out = append(out, Violation{
 					Invariant: "uniform-ordering", Node: node, Msg: e.id,

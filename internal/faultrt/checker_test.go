@@ -1,6 +1,10 @@
 package faultrt
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"urcgc/internal/causal"
@@ -165,5 +169,203 @@ func TestCheckerFastForward(t *testing.T) {
 	c.Record(1, a3)
 	if v := c.Check([]mid.ProcID{0, 1}); len(v) != 0 {
 		t.Fatalf("fast-forwarded rejoin flagged: %v", v)
+	}
+}
+
+// refChecker is the Checker as it was before its log was made compact: one
+// entry per event holding a clone of the message's label list. It is kept as
+// the reference the compact log must agree with.
+type refChecker struct {
+	live     map[mid.ProcID]*refIncarnation
+	archived map[mid.ProcID][]*refIncarnation
+}
+
+type refIncarnation struct {
+	entries []struct {
+		id   mid.MID
+		deps mid.DepList
+	}
+	baseline mid.SeqVector
+}
+
+func (in *refIncarnation) covered(m mid.MID) bool {
+	return in.baseline != nil && int(m.Proc) < len(in.baseline) && m.Seq <= in.baseline[m.Proc]
+}
+
+func (c *refChecker) liveFor(node mid.ProcID) *refIncarnation {
+	if c.live[node] == nil {
+		c.live[node] = &refIncarnation{}
+	}
+	return c.live[node]
+}
+
+func (c *refChecker) Record(node mid.ProcID, m *causal.Message) {
+	in := c.liveFor(node)
+	in.entries = append(in.entries, struct {
+		id   mid.MID
+		deps mid.DepList
+	}{m.ID, m.Deps.Clone()})
+}
+
+func (c *refChecker) Restart(node mid.ProcID, baseline mid.SeqVector) {
+	if in := c.live[node]; in != nil && len(in.entries) > 0 {
+		c.archived[node] = append(c.archived[node], in)
+	}
+	c.live[node] = &refIncarnation{baseline: baseline.Clone()}
+}
+
+func (c *refChecker) FastForward(node, proc mid.ProcID, seq mid.Seq) {
+	in := c.liveFor(node)
+	for len(in.baseline) <= int(proc) {
+		in.baseline = append(in.baseline, 0)
+	}
+	if seq > in.baseline[proc] {
+		in.baseline[proc] = seq
+	}
+}
+
+func (c *refChecker) Check(survivors []mid.ProcID) []Violation {
+	var out []Violation
+	nodes := map[mid.ProcID]bool{}
+	for n := range c.live {
+		nodes[n] = true
+	}
+	for n := range c.archived {
+		nodes[n] = true
+	}
+	sorted := make([]mid.ProcID, 0, len(nodes))
+	for n := range nodes {
+		sorted = append(sorted, n)
+	}
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	ordering := func(node mid.ProcID, in *refIncarnation) {
+		done := map[mid.MID]bool{}
+		have := func(m mid.MID) bool { return done[m] || in.covered(m) }
+		for _, e := range in.entries {
+			if done[e.id] {
+				out = append(out, Violation{"uniform-ordering", node, e.id, "processed twice"})
+				continue
+			}
+			if in.covered(e.id) {
+				out = append(out, Violation{"uniform-ordering", node, e.id, "processed below the join baseline"})
+			}
+			if prev := e.id.Prev(); !prev.IsZero() && !have(prev) {
+				out = append(out, Violation{"uniform-ordering", node, e.id, fmt.Sprintf("sequence predecessor %v not processed first", prev)})
+			}
+			for _, d := range e.deps {
+				if !have(d) {
+					out = append(out, Violation{"uniform-ordering", node, e.id, fmt.Sprintf("dependency %v not processed first", d)})
+				}
+			}
+			done[e.id] = true
+		}
+	}
+	for _, node := range sorted {
+		for _, in := range c.archived[node] {
+			ordering(node, in)
+		}
+		if in := c.live[node]; in != nil {
+			ordering(node, in)
+		}
+	}
+	union := map[mid.MID]mid.ProcID{}
+	perNode := map[mid.ProcID]map[mid.MID]bool{}
+	for _, node := range survivors {
+		in := c.live[node]
+		if in == nil {
+			perNode[node] = nil
+			continue
+		}
+		set := map[mid.MID]bool{}
+		for _, e := range in.entries {
+			set[e.id] = true
+			if _, ok := union[e.id]; !ok {
+				union[e.id] = node
+			}
+		}
+		perNode[node] = set
+	}
+	all := make([]mid.MID, 0, len(union))
+	for m := range union {
+		all = append(all, m)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].Less(all[j]) })
+	surv := append([]mid.ProcID(nil), survivors...)
+	sort.Slice(surv, func(i, j int) bool { return surv[i] < surv[j] })
+	for _, m := range all {
+		for _, node := range surv {
+			if perNode[node][m] {
+				continue
+			}
+			if in := c.live[node]; in != nil && in.covered(m) {
+				continue
+			}
+			out = append(out, Violation{"uniform-atomicity", node, m, fmt.Sprintf("processed at survivor %d but not here", union[m])})
+		}
+	}
+	return out
+}
+
+// TestCheckerCompactLogAgreesWithReference feeds seeded random histories —
+// out-of-order and duplicated processing, labels on messages not yet seen,
+// restarts at random baselines and fast-forwards — to the Checker and to the
+// reference with the old log, and requires the same violations in the same
+// order, at every check along the way.
+func TestCheckerCompactLogAgreesWithReference(t *testing.T) {
+	const nodes, senders = 4, 4
+	violations := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := NewChecker()
+		ref := &refChecker{live: map[mid.ProcID]*refIncarnation{}, archived: map[mid.ProcID][]*refIncarnation{}}
+		next := make([]mid.Seq, nodes*senders) // per (node, sender): the next seq the node processes
+		for step := 0; step < 400; step++ {
+			node := mid.ProcID(rng.Intn(nodes))
+			switch r := rng.Intn(100); {
+			case r < 3:
+				base := make(mid.SeqVector, senders)
+				for q := range base {
+					base[q] = mid.Seq(rng.Intn(6))
+				}
+				c.Restart(node, base)
+				ref.Restart(node, base)
+			case r < 6:
+				proc, seq := mid.ProcID(rng.Intn(senders)), mid.Seq(rng.Intn(10))
+				c.FastForward(node, proc, seq)
+				ref.FastForward(node, proc, seq)
+			default:
+				q := mid.ProcID(rng.Intn(senders))
+				k := int(node)*senders + int(q)
+				if rng.Intn(10) > 0 { // mostly in order; else a gap or a repeat
+					next[k]++
+				} else if rng.Intn(2) == 0 {
+					next[k] += 2
+				}
+				m := &causal.Message{ID: mid.MID{Proc: q, Seq: max(next[k], 1)}}
+				for d := rng.Intn(senders); d > 0; d-- {
+					if p := mid.ProcID(rng.Intn(senders)); p != q {
+						m.Deps = append(m.Deps, mid.MID{Proc: p, Seq: mid.Seq(rng.Intn(12) + 1)})
+					}
+				}
+				c.Record(node, m)
+				ref.Record(node, m)
+			}
+			if step%50 == 49 {
+				var survivors []mid.ProcID
+				for n := 0; n < nodes; n++ {
+					if rng.Intn(4) > 0 {
+						survivors = append(survivors, mid.ProcID(n))
+					}
+				}
+				got, want := c.Check(survivors), ref.Check(survivors)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d: the compact log finds %d violations, the reference %d:\n%v\n%v", seed, step, len(got), len(want), got, want)
+				}
+				violations += len(got)
+			}
+		}
+	}
+	if violations == 0 {
+		t.Fatal("no history produced a violation: the comparison proved nothing")
 	}
 }

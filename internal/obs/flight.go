@@ -12,7 +12,7 @@ import (
 // every counter and gauge in a Registry into bounded ring buffers. It
 // turns the instantaneous per-node metrics into short time series, which
 // is what the health rules in internal/health and the cross-node
-// divergence checks in urcgc-inspect evaluate — a stalled token or an
+// divergence checks in urcgc-ctl inspect evaluate — a stalled token or an
 // unbounded history buffer is a property of a *window*, not of any one
 // scrape.
 //

@@ -157,12 +157,105 @@ func TestIdleSubrunLiveAllocBudget(t *testing.T) {
 	})
 }
 
+// TestMallocsPerConfirmedMessage is the end-to-end allocation budget of the
+// live data path, held by tier-1 rather than only by the benchmark: a
+// three-member in-process mesh publishing urcgc-node's vocabulary, every frame
+// through the wire codec and the datagram validator — the runtime's whole
+// per-message cost with the harness's share reduced to nothing (background
+// contexts, one shared payload, indication consumers that allocate nothing).
+// Two shapes: full 32-message batches from a closed loop of 96 sessions, and
+// the singleton Data frames that one session per member sends on submit, as
+// lan_light does.
+//
+// What a message may allocate is what the group retains of it — the record
+// at the sender and at each receiver, labels and payload — and all of it is
+// carved from the chunks of an arena (DESIGN.md §7 rule 6); an idle subrun
+// allocates nothing (TestIdleSubrunLiveAllocBudget). The parent of the arena
+// measured 1.2 (batched) and 5.0 (singleton: the record at the sender, Data
+// record and slab at both receivers) here. The ceiling leaves room for
+// batches a loaded host leaves half full, not for a regression: a
+// per-message record, closure, rendezvous, clone or payload copy adds 1 to 3
+// each. Under the race detector, which drops a share of what sync.Pool is
+// given, the run still holds the path to its pre-arena ceiling of 4.
+func TestMallocsPerConfirmedMessage(t *testing.T) {
+	const n = 3
+	ceiling := 1.0
+	if raceDetector {
+		ceiling = 4
+	}
+	for _, c := range []struct {
+		name              string
+		sessions, perSess int
+		batch             bool
+	}{
+		{"batched_B32", 96, 64, true}, // 32 per member: every subrun drains a full batch
+		{"singleton", n, 150, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := liveConfig(n)
+			if c.batch {
+				cfg.BatchMax, cfg.BatchWindow = 32, 100*time.Microsecond
+			}
+			mesh, err := NewMesh(cfg, FamilyTopics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mesh.Start()
+			defer mesh.Stop()
+			for i := 0; i < n; i++ {
+				ind, err := mesh.Node(mid.ProcID(i)).Indications(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				go func() {
+					for range ind {
+					}
+				}()
+			}
+			payload := make([]byte, 64)
+			leg := func(count int) {
+				var wg sync.WaitGroup
+				for s := 0; s < c.sessions; s++ {
+					node := mesh.Node(mid.ProcID(s % n))
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < count; i++ {
+							if _, err := node.Send(context.Background(), 0, payload, nil); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+			}
+			leg(c.perSess / 8) // warm the pools, the histories' backing arrays, the goroutine stacks
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			leg(c.perSess)
+			runtime.ReadMemStats(&after)
+			if t.Failed() {
+				return
+			}
+			msgs := c.sessions * c.perSess
+			perMsg := float64(after.Mallocs-before.Mallocs) / float64(msgs)
+			t.Logf("%.2f mallocs per confirmed message over %d messages", perMsg, msgs)
+			if perMsg > ceiling {
+				t.Errorf("live data path allocates %.2f objects per confirmed message, ceiling %.1f", perMsg, ceiling)
+			}
+		})
+	}
+}
+
 // TestSendAllocBudget is the Send path's own budget: on a single-member
-// group — no receivers to decode anything — a confirmed Send allocates the
-// message record the history retains and nothing else. The rendezvous is
-// pooled, the frame buffer recycled, and the inbox event comes from the
-// shard's free list: taken from a sync.Pool it missed every time (the loop's
-// Put parks the record on another P), which this budget would read as 2.
+// group — no receivers to decode anything — a confirmed Send allocates a
+// share of a chunk of the process's arena for the message record the history
+// retains, and nothing else. The rendezvous is pooled, the frame buffer
+// recycled, and the inbox event comes from the shard's free list: taken from a
+// sync.Pool it missed every time (the loop's Put parks the record on another
+// P), which this budget would read as 2. Before the arena the record alone
+// was 1 object per Send.
 func TestSendAllocBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates on the measured path")
@@ -183,8 +276,8 @@ func TestSendAllocBudget(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		send() // warm the pools and the history's backing array
 	}
-	if got := testing.AllocsPerRun(300, send); got > 1.5 {
-		t.Errorf("a confirmed Send on an idle member allocates %.2f objects, budget 1.5", got)
+	if got := testing.AllocsPerRun(300, send); got > 0.5 {
+		t.Errorf("a confirmed Send on an idle member allocates %.2f objects, budget 0.5", got)
 	} else {
 		t.Logf("%.2f allocs per confirmed Send", got)
 	}

@@ -78,7 +78,7 @@ type Config struct {
 	// Capture, when non-nil, records every frame crossing this member's
 	// link — ingress with the validator's verdict, egress with the fault
 	// verdict, every group on the one ring — into a bounded flight recorder
-	// served on /capture and replayable offline by urcgc-replay. Nil costs
+	// served on /capture and replayable offline by urcgc-ctl replay. Nil costs
 	// one pointer check per frame and zero allocations.
 	Capture *capture.Ring
 	// Captures is Capture for an in-process cluster: one recorder per member
@@ -168,7 +168,10 @@ func (c *Config) validate() error {
 }
 
 // Indication is the urcgc-data.Ind primitive: a message processed at this
-// member, delivered in causal order on its group's stream.
+// member, delivered in causal order on its group's stream. Its labels and
+// payload are carved from a chunk shared with other messages (DESIGN.md §7
+// rule 6): a consumer that keeps one long after the group has moved on, and
+// wants it alone, copies it.
 type Indication struct {
 	Msg causal.Message
 }

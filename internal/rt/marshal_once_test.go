@@ -78,8 +78,8 @@ func TestMeshSendMarshalsOnce(t *testing.T) {
 // The budget covers the per-broadcast bookkeeping: the shared-buffer
 // refcount, a fresh wire buffer while none cycle back through the pool, and
 // one event record per peer — fresh here only because no loop is running to
-// give records back (TestMallocsPerConfirmedMessage in internal/topics holds
-// the recycling steady state). A re-marshal-per-peer regression costs
+// give records back (TestMallocsPerConfirmedMessage holds the recycling
+// steady state). A re-marshal-per-peer regression costs
 // several allocations per peer and blows well past it.
 func TestMeshBroadcastAllocBudget(t *testing.T) {
 	c, err := NewCluster(liveConfig(5))

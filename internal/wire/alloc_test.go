@@ -70,36 +70,47 @@ func TestMarshalAllocBudget(t *testing.T) {
 	}
 }
 
+// fullBatch is the batch the saturated runtimes actually ship: 32 messages of
+// two labels and 64 payload bytes.
+func fullBatch() *DataBatch {
+	b := &DataBatch{Msgs: make([]causal.Message, 32)}
+	for i := range b.Msgs {
+		b.Msgs[i] = causal.Message{
+			ID:      mid.MID{Proc: 1, Seq: mid.Seq(i + 1)},
+			Deps:    mid.DepList{{Proc: 0, Seq: 4}, {Proc: 2, Seq: 9}},
+			Payload: make([]byte, 64),
+		}
+	}
+	return b
+}
+
 // TestUnmarshalAllocBudget pins the decode path to its allocation counts so
-// the per-frame slab and the single vector arena cannot silently regress.
-// What a decoded PDU costs is what it retains: its struct, one slab for
-// every label list and payload of the frame, one arena for every vector.
+// the per-frame slab, the single vector arena and the list's message arena
+// cannot silently regress. Plain Unmarshal allocates what the PDU retains:
+// its struct, one header array and one slab for every label list and payload
+// of the frame, one arena for every vector. Through a FreeList a stream of
+// data frames costs a share of a chunk per frame: the messages are carved from
+// the list's arena and the DataBatch and Retransmit records come back with
+// Put, as the runtime's loop hands them back after Recv.
 func TestUnmarshalAllocBudget(t *testing.T) {
 	budgets := map[string]float64{
 		"Data":       2, // struct + slab
 		"Request":    3, // struct + prev decision struct + the one arena they share
 		"Decision":   2, // struct + arena
 		"Recover":    2, // struct + wants
-		"Retransmit": 5, // struct + msgs + 2 msg structs + slab
-		"DataBatch":  3, // struct + header arena + slab
+		"Retransmit": 5, // struct + msgs + header array + slab (4; 5 under the race detector)
+		"DataBatch":  3, // struct + header array + slab
 	}
 	cases := allocCases()
-	// The batch the saturated runtimes actually ship: the budget does not
-	// grow with the message count.
-	full := &DataBatch{Msgs: make([]causal.Message, 32)}
-	for i := range full.Msgs {
-		full.Msgs[i] = causal.Message{
-			ID:      mid.MID{Proc: 1, Seq: mid.Seq(i + 1)},
-			Deps:    mid.DepList{{Proc: 0, Seq: 4}, {Proc: 2, Seq: 9}},
-			Payload: make([]byte, 64),
-		}
-	}
-	cases["DataBatch32"], budgets["DataBatch32"] = full, 3
+	// The budget does not grow with the message count.
+	cases["DataBatch32"], budgets["DataBatch32"] = fullBatch(), 3
+	frames := map[string][]byte{}
 	for name, p := range cases {
 		buf, err := Marshal(p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		frames[name] = buf
 		got := testing.AllocsPerRun(200, func() {
 			if _, err := Unmarshal(buf); err != nil {
 				t.Fatal(err)
@@ -107,6 +118,24 @@ func TestUnmarshalAllocBudget(t *testing.T) {
 		})
 		if got > budgets[name] {
 			t.Errorf("%s: Unmarshal allocates %.1f/op, budget %.0f", name, got, budgets[name])
+		}
+	}
+
+	const stream, perFrame = 256, 0.1
+	for _, name := range []string{"Data", "DataBatch32", "Retransmit"} {
+		f, buf := NewFreeList(), frames[name]
+		got := testing.AllocsPerRun(4, func() {
+			for i := 0; i < stream; i++ {
+				p, err := f.Unmarshal(buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Put(p)
+			}
+		}) / stream
+		t.Logf("%s: %.3f objects per frame through a FreeList", name, got)
+		if got > perFrame {
+			t.Errorf("%s: a stream through a FreeList allocates %.3f objects per frame, budget %.1f", name, got, perFrame)
 		}
 	}
 }

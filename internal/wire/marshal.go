@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -155,28 +156,37 @@ func grow(b []byte, n int) []byte {
 // every byte of its variable-length fields: nothing in it aliases buf, so
 // the caller may reuse or pool buf the moment Unmarshal returns.
 //
-// What the PDU owns is allocated per frame, not per field: every payload and
-// dependency list of a Data, DataBatch or Retransmit is carved out of ONE
-// slab sized from the frame (see slab), and the vectors of a Request,
-// Decision or JoinState — the embedded decision's included — out of one
-// arena. The fields of one PDU therefore share their backing memory, and it
-// stays reachable until the last of them is dropped: a batch's slab lives
-// until the history has cleaned the frame's last message. The three-index
-// slices handed out cap every field exactly, so appending to one reallocates
-// instead of reaching a neighbour.
+// What the PDU owns is allocated per frame, not per field: every message
+// header of a Data, DataBatch or Retransmit comes from one array and every
+// payload and dependency list from ONE slab sized from the frame (see slab),
+// and the vectors of a Request, Decision or JoinState — the embedded
+// decision's included — from one arena. The fields of one PDU therefore share
+// their backing memory, and it stays reachable until the last of them is
+// dropped: a batch's slab lives until the history has cleaned the frame's
+// last message. The three-index slices handed out cap every field exactly, so
+// appending to one reallocates instead of reaching a neighbour.
 //
 // Unmarshal always allocates the PDU fresh, so the caller owns it for good.
 // The live runtimes' readers decode through a FreeList instead — the same
-// routine, with recycled Request and Decision records as its source.
+// routine, with the list's Arena and recycled records as its source.
 func Unmarshal(buf []byte) (PDU, error) { return (*FreeList)(nil).Unmarshal(buf) }
 
-// Unmarshal decodes like the package-level Unmarshal, except that a Request
-// (with its embedded decision) or a Decision is decoded into a record taken
-// from f when one is there. Such a record is the caller's only until it hands
-// it back with Put — after the protocol's Recv returned, which keeps nothing
-// of a control PDU. Every other kind is allocated fresh: its messages are
-// retained. A nil f allocates everything.
+// Unmarshal decodes like the package-level Unmarshal, except for where the
+// memory comes from. The messages of a Data, DataBatch or Retransmit are
+// carved from f's Arena, to be retained for good. A Request (with its
+// embedded decision), a Decision, and the DataBatch or Retransmit record
+// around the messages are decoded into a record taken from f when one is
+// there: such a record is the caller's only until it hands it back with Put —
+// after the protocol's Recv returned, which keeps nothing of it. A nil f
+// allocates everything fresh.
+//
+// One goroutine takes from a list: the socket reader, or the mesh shard loop
+// a frame was handed to. The arena is not synchronised.
 func (f *FreeList) Unmarshal(buf []byte) (PDU, error) {
+	if f == nil {
+		f = &FreeList{} // no records to take, and a fresh arena: exact allocations
+	}
+	a := &f.arena
 	r := &reader{buf: buf}
 	kind, err := r.u8()
 	if err != nil {
@@ -185,14 +195,16 @@ func (f *FreeList) Unmarshal(buf []byte) (PDU, error) {
 	var p PDU
 	switch Kind(kind) {
 	case KindData:
-		d := &Data{}
-		sl := newSlab(r.remaining() - msgFixed)
-		if err := unmarshalMsgBody(r, &d.Msg, &sl); err != nil {
+		// The Data record is the message itself (core keeps &d.Msg): it is
+		// carved as a header, which has its layout.
+		size := max(r.remaining()-msgFixed, 0)
+		d := (*Data)(unsafe.Pointer(a.Message(size)))
+		if err := unmarshalMsgBody(r, &d.Msg, a.slab(size)); err != nil {
 			return nil, err
 		}
 		p = d
 	case KindDataBatch:
-		b := &DataBatch{}
+		b := take(f.batches)
 		cnt, err := r.u16()
 		if err != nil {
 			return nil, err
@@ -202,21 +214,21 @@ func (f *FreeList) Unmarshal(buf []byte) (PDU, error) {
 		if r.remaining() < msgFixed*int(cnt) {
 			return nil, ErrTruncated
 		}
-		// One arena for all message headers: decoded messages are handed
-		// to the protocol individually (&Msgs[i]), but share the batch's
-		// single slice allocation. What the frame holds beyond the fixed
-		// fields is exactly its dependency labels and payload bytes: one
-		// slab of that size backs them all.
-		b.Msgs = make([]causal.Message, cnt)
-		sl := newSlab(r.remaining() - msgFixed*int(cnt))
+		// Decoded messages are handed to the protocol individually
+		// (&Msgs[i]) but are carved side by side. What the frame holds
+		// beyond the fixed fields is exactly its dependency labels and
+		// payload bytes: one slab with that much room backs them all.
+		size := r.remaining() - msgFixed*int(cnt)
+		b.Msgs = a.carve(int(cnt), size)
+		sl := a.slab(size)
 		for i := range b.Msgs {
-			if err := unmarshalMsgBody(r, &b.Msgs[i], &sl); err != nil {
+			if err := unmarshalMsgBody(r, &b.Msgs[i], sl); err != nil {
 				return nil, err
 			}
 		}
 		p = b
 	case KindRequest:
-		req := f.request()
+		req := take(f.reqs)
 		if req.Sender, err = r.procID(); err != nil {
 			return nil, err
 		}
@@ -245,7 +257,7 @@ func (f *FreeList) Unmarshal(buf []byte) (PDU, error) {
 		}
 		p = req
 	case KindDecision:
-		d := f.decision()
+		d := take(f.decs)
 		if _, err := unmarshalDecisionBody(r, d, 0); err != nil {
 			return nil, err
 		}
@@ -276,7 +288,7 @@ func (f *FreeList) Unmarshal(buf []byte) (PDU, error) {
 		}
 		p = rec
 	case KindRetransmit:
-		rt := &Retransmit{}
+		rt := take(f.resends)
 		if rt.Responder, err = r.procID(); err != nil {
 			return nil, err
 		}
@@ -284,20 +296,22 @@ func (f *FreeList) Unmarshal(buf []byte) (PDU, error) {
 		if err != nil {
 			return nil, err
 		}
+		rt.Msgs = rt.Msgs[:0]
 		if cnt > 0 {
 			// The two-byte compacted count follows the messages; the ranges
 			// behind it make the slab a few bytes generous, never short.
 			if r.remaining() < msgFixed*int(cnt)+2 {
 				return nil, ErrTruncated
 			}
-			rt.Msgs = make([]*causal.Message, cnt)
-			sl := newSlab(r.remaining() - msgFixed*int(cnt) - 2)
-			for i := range rt.Msgs {
-				m := &causal.Message{}
-				if err := unmarshalMsgBody(r, m, &sl); err != nil {
+			size := r.remaining() - msgFixed*int(cnt) - 2
+			msgs := a.carve(int(cnt), size)
+			sl := a.slab(size)
+			rt.Msgs = slices.Grow(rt.Msgs, int(cnt))
+			for i := range msgs {
+				if err := unmarshalMsgBody(r, &msgs[i], sl); err != nil {
 					return nil, err
 				}
-				rt.Msgs[i] = m
+				rt.Msgs = append(rt.Msgs, &msgs[i])
 			}
 		}
 		ccnt, err := r.u16()
@@ -307,8 +321,9 @@ func (f *FreeList) Unmarshal(buf []byte) (PDU, error) {
 		if r.remaining() < 12*int(ccnt) {
 			return nil, ErrTruncated
 		}
+		rt.Compacted = rt.Compacted[:0]
 		if ccnt > 0 {
-			rt.Compacted = make([]WantRange, ccnt)
+			rt.Compacted = slices.Grow(rt.Compacted, int(ccnt))[:ccnt]
 			for i := range rt.Compacted {
 				if rt.Compacted[i].Proc, err = r.procID(); err != nil {
 					return nil, err
@@ -394,47 +409,6 @@ func marshalMsgBody(w *writer, m *causal.Message) error {
 // msgFixed is the fixed part of one encoded message body: mid(8) +
 // depCount(2) + payloadLen(2).
 const msgFixed = 12
-
-// slab is the one allocation behind every dependency list and payload a
-// frame decodes to. Label lists are carved upwards from the front, where the
-// 8-byte stride of mid.MID keeps each one aligned; payloads downwards from
-// the back, where alignment does not matter — so a slab of exactly the
-// frame's variable bytes is used to the last byte, with no padding to
-// budget for. Backing it with uint64 words guarantees the front is 8-byte
-// aligned and holds no pointers, which is what lets a stretch of it be
-// viewed as []mid.MID.
-type slab struct {
-	b      []byte
-	lo, hi int
-}
-
-func newSlab(size int) slab {
-	if size <= 0 {
-		return slab{}
-	}
-	words := make([]uint64, (size+7)/8)
-	return slab{b: unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), size), hi: size}
-}
-
-// deps carves a list of n labels, or reports false when the frame's counts
-// claim more than the frame holds.
-func (s *slab) deps(n int) (mid.DepList, bool) {
-	if 8*n > s.hi-s.lo {
-		return nil, false
-	}
-	d := unsafe.Slice((*mid.MID)(unsafe.Pointer(&s.b[s.lo])), n)
-	s.lo += 8 * n
-	return d[:n:n], true
-}
-
-// bytes carves room for an n-byte payload, or reports false like deps.
-func (s *slab) bytes(n int) ([]byte, bool) {
-	if n > s.hi-s.lo {
-		return nil, false
-	}
-	s.hi -= n
-	return s.b[s.hi : s.hi+n : s.hi+n], true
-}
 
 // unmarshalMsgBody decodes one message, copying its labels and payload into
 // sl so the message owns them: decoded PDUs are retained indefinitely

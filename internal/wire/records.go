@@ -8,7 +8,7 @@ import (
 // This file holds what the borrow rule needs of the codec (DESIGN.md §7 rule
 // 5): a PDU handed to a transport or to the protocol's Recv is lent for the
 // call, so whoever keeps one clones it, whoever owns a record copies into it,
-// and the live readers recycle the control records they decode.
+// and the live readers recycle the records they decode into.
 
 // Sized reports whether every vector of d has exactly n entries.
 func (d *Decision) Sized(n int) bool {
@@ -68,22 +68,32 @@ func Clone(p PDU) PDU {
 }
 
 // freeListDepth bounds how many records of a kind one loop parks: a subrun
-// puts at most n-1 Requests and one Decision per hosted group in flight, and a
-// list that runs dry only costs the allocation it would have saved.
+// puts at most n-1 Requests, one Decision and a few data frames per hosted
+// group in flight, and a list that runs dry only costs the allocation it would
+// have saved.
 const freeListDepth = 16
 
-// FreeList is a loop goroutine's leaky free list of decoded control records:
-// its reader takes a Request or Decision record from it to decode into
+// FreeList is the memory a loop's decoder takes from: a leaky free list of the
+// records it decodes into, and the Arena every decoded message is carved from.
+// The decoder takes a Request, Decision, DataBatch or Retransmit record from it
 // (FreeList.Unmarshal), the loop hands the record back once Recv has returned
 // (Put). Both ends are non-blocking — an empty list allocates, a full one
 // drops the record for the collector — so nothing is ever built ahead of need.
-// It is a pair of buffered channels rather than a sync.Pool because a record
+// It is a set of buffered channels rather than a sync.Pool because a record
 // cycles between exactly two goroutines: a Pool parks what the loop puts in
 // that P's private slot, where the reader on another P never finds it. The
-// nil *FreeList is the allocate-everything source behind the plain Unmarshal.
+// messages themselves never come back: the protocol keeps them, and their
+// chunks are the collector's (DESIGN.md §7 rule 6). The nil *FreeList is the
+// allocate-everything source behind the plain Unmarshal.
 type FreeList struct {
-	reqs chan *Request
-	decs chan *Decision
+	reqs    chan *Request
+	decs    chan *Decision
+	batches chan *DataBatch
+	resends chan *Retransmit
+
+	// arena is taken from by Unmarshal only, on the list's one decoding
+	// goroutine; Put never touches it.
+	arena Arena
 
 	// Poison makes Put overwrite every record it takes back with garbage
 	// (see Poison), so that anything still reading a released record shows up
@@ -94,35 +104,40 @@ type FreeList struct {
 
 // NewFreeList returns an empty list.
 func NewFreeList() *FreeList {
-	return &FreeList{reqs: make(chan *Request, freeListDepth), decs: make(chan *Decision, freeListDepth)}
-}
-
-func (f *FreeList) request() *Request {
-	if f != nil {
-		select {
-		case r := <-f.reqs:
-			return r
-		default:
-		}
+	return &FreeList{
+		reqs:    make(chan *Request, freeListDepth),
+		decs:    make(chan *Decision, freeListDepth),
+		batches: make(chan *DataBatch, freeListDepth),
+		resends: make(chan *Retransmit, freeListDepth),
 	}
-	return &Request{}
 }
 
-func (f *FreeList) decision() *Decision {
-	if f != nil {
-		select {
-		case d := <-f.decs:
-			return d
-		default:
-		}
+// take returns a record parked in c, or a new one when there is none (or no
+// channel: the zero FreeList parks nothing).
+func take[T any](c chan *T) *T {
+	select {
+	case r := <-c:
+		return r
+	default:
+		return new(T)
 	}
-	return &Decision{}
 }
 
-// Put hands a Request (its embedded decision stays attached to it) or a
-// Decision back for reuse; any other kind, and any PDU on a nil list, is left
-// alone. The caller must hold the only reference: the record is rewritten by
-// a later decode.
+// park parks r in c unless c is full.
+func park[T any](c chan *T, r *T) {
+	select {
+	case c <- r:
+	default:
+	}
+}
+
+// Put hands a Request (its embedded decision stays attached to it), a
+// Decision, or the DataBatch or Retransmit record around received messages
+// back for reuse; a Data record (the protocol keeps it as the message), any
+// other kind, and any PDU on a nil list are left alone. The caller must hold
+// the only reference to the record: it is rewritten by a later decode. The
+// messages a data record carried are not: Put drops its references to them
+// and never writes to them.
 func (f *FreeList) Put(p PDU) {
 	if f == nil {
 		return
@@ -137,18 +152,22 @@ func (f *FreeList) Put(p PDU) {
 			Poison(v)
 			v.Prev = prev
 		}
-		select {
-		case f.reqs <- v:
-		default:
-		}
+		park(f.reqs, v)
 	case *Decision:
 		if f.Poison {
 			Poison(v)
 		}
-		select {
-		case f.decs <- v:
-		default:
+		park(f.decs, v)
+	case *DataBatch:
+		v.Msgs = nil
+		park(f.batches, v)
+	case *Retransmit:
+		if f.Poison {
+			Poison(v)
 		}
+		clear(v.Msgs)
+		v.Msgs = v.Msgs[:0]
+		park(f.resends, v)
 	}
 }
 
@@ -165,7 +184,9 @@ const (
 // moment a lent PDU goes back, so a pointer kept past the call reads nonsense.
 // It stays inside what p owns — message payloads and dependency lists belong
 // to the messages, and an embedded Prev to whoever lent it, so Poison only
-// drops those references.
+// drops those references. A DataBatch owns its message headers only on the
+// sending side (a process builds its frame in place); a received one's are the
+// arena's, which is why Put never poisons a DataBatch.
 func Poison(p PDU) {
 	junk := causal.Message{ID: mid.MID{Proc: poisonProc, Seq: poisonSeq}}
 	fill := func(v mid.SeqVector) {

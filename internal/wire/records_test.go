@@ -107,17 +107,32 @@ func TestFreeListSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestFreeListIsLeakyNotBlocking: a list nobody takes from drops what it
-// cannot hold, a nil list takes nothing, and data PDUs never enter one.
+// cannot hold, a nil list takes nothing, a Data record (which the protocol
+// keeps as the message) never enters one, and a DataBatch or Retransmit
+// record enters without its messages.
 func TestFreeListIsLeakyNotBlocking(t *testing.T) {
 	f := NewFreeList()
+	cases := allocCases()
 	for i := 0; i < 4*freeListDepth; i++ {
 		f.Put(mkDecision(3))
 		f.Put(&Request{})
+		f.Put(Clone(cases["DataBatch"]))
+		f.Put(Clone(cases["Retransmit"]))
 	}
-	if len(f.decs) != freeListDepth || len(f.reqs) != freeListDepth {
-		t.Errorf("list holds %d decisions and %d requests, want %d of each", len(f.decs), len(f.reqs), freeListDepth)
+	for _, held := range []int{len(f.decs), len(f.reqs), len(f.batches), len(f.resends)} {
+		if held != freeListDepth {
+			t.Errorf("list holds %d decisions, %d requests, %d batches and %d retransmits, want %d of each",
+				len(f.decs), len(f.reqs), len(f.batches), len(f.resends), freeListDepth)
+			break
+		}
 	}
-	f.Put(allocCases()["Data"])
+	if b := <-f.batches; b.Msgs != nil {
+		t.Errorf("a parked DataBatch still references %d messages", len(b.Msgs))
+	}
+	if r := <-f.resends; len(r.Msgs) != 0 || r.Msgs[:cap(r.Msgs)][0] != nil {
+		t.Errorf("a parked Retransmit still references its messages")
+	}
+	f.Put(cases["Data"])
 	(*FreeList)(nil).Put(mkDecision(3))
 }
 
