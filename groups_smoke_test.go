@@ -9,8 +9,9 @@ import (
 
 // TestGroupScalingSmoke is the `make bench-groups` gate: hosting two groups
 // over two shards must beat the single-group baseline by at least 1.5x in
-// aggregate confirmed msgs/s. Per-group throughput is round-pacing-bound,
-// so if multiplexing a second group does NOT add throughput, the sharded
+// aggregate confirmed msgs/s. Per-group throughput is bound by its closed
+// loop's latency (one coalescer window per confirm), not by the cores, so
+// if multiplexing a second group does NOT add throughput, the sharded
 // runtime has regressed into serializing its groups. Gated behind an env
 // var because it measures wall-clock rates — a plain `go test ./...` (and
 // especially -race) should not depend on scheduler timing.

@@ -16,12 +16,15 @@ import (
 // ---- Group scaling: aggregate msgs/s x groups x shards ----
 
 // benchGroupScaling saturates a multi-group mesh cluster and reports the
-// aggregate confirmed rate across every group. Each group's throughput is
-// round-pacing-bound (confirm latency is one or two subruns), so hosting G
-// independent groups over S shard loops multiplies the aggregate even on
-// one core — the sharded runtime's whole point. Workers spread across
-// groups and members; the iteration budget is shared, so msgs/s is the
-// true aggregate.
+// aggregate confirmed rate across every group. A group's eight closed-loop
+// workers never fill its 64-message subrun budget, so every coalescer
+// window leaves on submit and no confirm waits for a tick: each group's
+// throughput is bound by its closed loop's latency (the window, the loop
+// hand-offs), not by the round clock and not by the cores. Hosting G
+// independent groups over S shard loops therefore multiplies the aggregate
+// even on two cores — the sharded runtime's whole point. Workers spread
+// across groups and members; the iteration budget is shared, so msgs/s is
+// the true aggregate.
 func benchGroupScaling(b *testing.B, groups, shards int) {
 	const n = 3
 	c, err := topics.NewMultiCluster(topics.Config{

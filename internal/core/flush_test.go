@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"urcgc/internal/mid"
@@ -155,17 +158,283 @@ func TestFlushSendsCoalescedBatchAsOneFrame(t *testing.T) {
 }
 
 // TestFlushEmptyOutboxAllocFree: the runtimes call Flush after every
-// submission event, and on a busy member it is almost always a no-op.
+// submission event, and on a busy member it is almost always a no-op: the
+// outbox is empty, or the subrun's budget is spent.
 func TestFlushEmptyOutboxAllocFree(t *testing.T) {
-	p, _ := flushProc(t, 0, Config{N: 3, K: 2, R: 5, ThresholdPerAlive: 8})
-	p.StartRound(0)
-	if allocs := testing.AllocsPerRun(1000, func() { p.Flush() }); allocs != 0 {
-		t.Fatalf("Flush on an empty outbox: %v allocs/op, want 0", allocs)
+	for _, b := range []int{1, 4} {
+		p, _ := flushProc(t, 0, Config{N: 3, K: 2, R: 5, ThresholdPerAlive: 8, BatchMax: b})
+		p.StartRound(0)
+		if allocs := testing.AllocsPerRun(1000, func() { p.Flush() }); allocs != 0 {
+			t.Fatalf("B=%d: Flush on an empty outbox: %v allocs/op, want 0", b, allocs)
+		}
+		submitN(t, p, b)
+		p.Flush()
+		mustSubmit(t, p, "past the budget") // budget spent, outbox non-empty
+		if allocs := testing.AllocsPerRun(1000, func() { p.Flush() }); allocs != 0 {
+			t.Fatalf("B=%d: Flush with the budget spent: %v allocs/op, want 0", b, allocs)
+		}
+		if p.PendingSubmissions() != 1 {
+			t.Fatalf("B=%d: %d pending, want the one past the budget", b, p.PendingSubmissions())
+		}
 	}
-	mustSubmit(t, p, "a")
-	p.Flush()
-	mustSubmit(t, p, "b") // opportunity spent, outbox non-empty
-	if allocs := testing.AllocsPerRun(1000, func() { p.Flush() }); allocs != 0 {
-		t.Fatalf("Flush with the opportunity spent: %v allocs/op, want 0", allocs)
+}
+
+func submitN(t *testing.T, p *Process, k int) {
+	t.Helper()
+	for i := 0; i < k; i++ {
+		mustSubmit(t, p, "x")
+	}
+}
+
+// frameSeqs lists the own sequence numbers a Data or DataBatch frame carries.
+func frameSeqs(pdu wire.PDU) (out []mid.Seq) {
+	switch f := pdu.(type) {
+	case *wire.Data:
+		out = append(out, f.Msg.ID.Seq)
+	case *wire.DataBatch:
+		for _, m := range f.Msgs {
+			out = append(out, m.ID.Seq)
+		}
+	}
+	return out
+}
+
+// frameLog is the captured data frames as sequence lists, in send order.
+func frameLog(tp *captureTP) (out [][]mid.Seq) {
+	for _, f := range tp.dataFrames() {
+		out = append(out, frameSeqs(f))
+	}
+	return out
+}
+
+func frameSizes(tp *captureTP) (out []int) {
+	for _, f := range frameLog(tp) {
+		out = append(out, len(f))
+	}
+	return out
+}
+
+// TestFlushSpendsTheSubrunBudget pins the budget rule at B > 1: a subrun
+// carries up to BatchMax of the member's messages however many flushes they
+// leave in, a message past the budget waits for the tick, and a closed valve
+// defers a flush with budget still left.
+func TestFlushSpendsTheSubrunBudget(t *testing.T) {
+	const b = 8
+	t.Run("two windows in one subrun", func(t *testing.T) {
+		p, tp := flushProc(t, 0, Config{N: 3, K: 2, R: 5, BatchMax: b})
+		p.StartRound(0) // the tick finds an empty outbox: the whole budget is left
+		submitN(t, p, 5)
+		if !p.Flush() {
+			t.Fatal("idle member: Flush refused the first window")
+		}
+		submitN(t, p, 3)
+		if !p.Flush() {
+			t.Fatal("the second window found 3 of the budget's 8 left, yet Flush refused")
+		}
+		if got := frameSizes(tp); !slices.Equal(got, []int{5, 3}) {
+			t.Fatalf("frames of %v messages, want [5 3] in one subrun", got)
+		}
+		mustSubmit(t, p, "ninth")
+		if p.Flush() {
+			t.Fatal("the subrun's 9th message was flushed past the budget")
+		}
+		p.StartRound(1) // decision phase: no new budget
+		if p.Flush() {
+			t.Fatal("the decision round refilled the budget")
+		}
+		p.StartRound(2) // next subrun: the tick sends the 9th
+		if got := frameLog(tp); !slices.Equal(frameSizes(tp), []int{5, 3, 1}) || got[2][0] != 9 {
+			t.Fatalf("frames %v, want the 9th alone at the tick", got)
+		}
+		if p.Stats.EagerBroadcasts != 2 || p.Stats.Generated != 9 {
+			t.Fatalf("Stats %+v: want EagerBroadcasts 2, Generated 9", p.Stats)
+		}
+	})
+	t.Run("window larger than what is left", func(t *testing.T) {
+		p, tp := flushProc(t, 0, Config{N: 3, K: 2, R: 5, BatchMax: b})
+		p.StartRound(0)
+		submitN(t, p, 5)
+		p.Flush()
+		submitN(t, p, 6)
+		if !p.Flush() {
+			t.Fatal("Flush refused with 3 of the budget left")
+		}
+		if got := frameSizes(tp); !slices.Equal(got, []int{5, 3}) || p.PendingSubmissions() != 3 {
+			t.Fatalf("frames of %v messages with %d pending, want [5 3] and 3 left for the tick", got, p.PendingSubmissions())
+		}
+		p.StartRound(1)
+		p.StartRound(2)
+		if got := frameSizes(tp); !slices.Equal(got, []int{5, 3, 3}) || p.PendingSubmissions() != 0 {
+			t.Fatalf("frames of %v messages after the tick, want [5 3 3]", got)
+		}
+	})
+	t.Run("closed valve between flushes", func(t *testing.T) {
+		p, tp := flushProc(t, 1, Config{N: 3, K: 2, R: 5, BatchMax: b, HistoryThreshold: 4})
+		p.StartRound(0)
+		submitN(t, p, 4)
+		if !p.Flush() {
+			t.Fatal("open valve: Flush refused")
+		}
+		submitN(t, p, 2)
+		if p.Flush() {
+			t.Fatal("Flush broadcast through a closed valve (history at threshold) on the strength of the budget")
+		}
+		p.Recv(0, fullGroupDecision(3, 0, 0, mid.SeqVector{0, 4, 0}))
+		if p.HistoryLen() != 0 {
+			t.Fatalf("history length %d after the cleaning decision, want 0", p.HistoryLen())
+		}
+		if !p.Flush() {
+			t.Fatal("valve reopened mid-subrun with 4 of the budget left, yet Flush refused")
+		}
+		if got := frameSizes(tp); !slices.Equal(got, []int{4, 2}) {
+			t.Fatalf("frames of %v messages, want [4 2]", got)
+		}
+	})
+}
+
+// budgetModel is the send rule on its own — a queue, a budget and a history
+// count — predicting the data frames a member's submissions, flushes, ticks
+// and cleaning decisions produce. old selects the rule the budget replaced,
+// one send opportunity per subrun spent by any drain, kept as the reference
+// the budget must reproduce at B = 1.
+type budgetModel struct {
+	b, threshold        int
+	old                 bool
+	queued, sent, clean mid.Seq
+	left                int
+	frames              [][]mid.Seq
+}
+
+func newBudgetModel(b, threshold int, old bool) *budgetModel {
+	return &budgetModel{b: b, threshold: threshold, old: old, left: b}
+}
+
+func (m *budgetModel) submit() { m.queued++ }
+
+func (m *budgetModel) valveOpen() bool {
+	return m.threshold == 0 || int(m.sent-m.clean) < m.threshold
+}
+
+// flush is Flush, and the tick's drain: it reports whether it broadcast.
+func (m *budgetModel) flush() bool {
+	if m.left == 0 || m.queued == m.sent || !m.valveOpen() {
+		return false
+	}
+	frame := make([]mid.Seq, min(m.left, int(m.queued-m.sent)))
+	for i := range frame {
+		m.sent++
+		frame[i] = m.sent
+	}
+	m.frames = append(m.frames, frame)
+	if m.old {
+		m.left = 0
+	} else {
+		m.left -= len(frame)
+	}
+	return true
+}
+
+func (m *budgetModel) round(r int) {
+	if r%2 == 0 {
+		m.left = m.b
+		m.flush()
+	}
+}
+
+// TestFlushBudgetProperty drives a member through seeded random sequences of
+// submissions, flushes, rounds and cleaning decisions (which reopen a closed
+// valve) and holds it, at every step, to the model of the budget rule and to
+// the two properties the rule exists for: no subrun carries more than B of
+// the member's messages, and its sequence leaves contiguous. At B = 1 the
+// frame log must also be the old one-opportunity rule's, step for step.
+func TestFlushBudgetProperty(t *testing.T) {
+	const self, n = 1, 3
+	var multiDrain, deferred int
+	for _, b := range []int{1, 4, 32} {
+		for seed := int64(1); seed <= 40; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			threshold := []int{0, 3, 2 * b, 4 * b}[rng.Intn(4)]
+			// K high and no self-exclusion: the lone member must not declare
+			// its silent peers crashed or leave; its own coordinator
+			// decisions never cover the group, so only the injected ones clean.
+			p, tp := flushProc(t, self, Config{N: n, K: 200, R: 1, BatchMax: b, HistoryThreshold: threshold})
+			model, ref := newBudgetModel(b, threshold, false), newBudgetModel(b, threshold, true)
+			round, injected := 0, int64(-1)
+			subrunStart := []int{0} // frame index at which each subrun opens; the first segment precedes round 0
+			for step := 0; step < 300; step++ {
+				var op string
+				switch r := rng.Intn(100); {
+				case r < 35:
+					op = "submit"
+					for k := 1 + rng.Intn(b+2); k > 0; k-- {
+						mustSubmit(t, p, "x")
+						model.submit()
+						ref.submit()
+					}
+				case r < 70:
+					op = "flush"
+					left := model.left > 0 && model.queued > model.sent
+					got, want := p.Flush(), model.flush()
+					ref.flush()
+					if got != want {
+						t.Fatalf("B=%d seed %d step %d: Flush = %v, model %v", b, seed, step, got, want)
+					}
+					if left && !got {
+						deferred++
+					}
+				case r < 85:
+					op = "round"
+					if round%2 == 0 {
+						subrunStart = append(subrunStart, len(frameLog(tp)))
+					}
+					p.StartRound(round)
+					model.round(round)
+					ref.round(round)
+					round++
+				default:
+					op = "clean"
+					if s := p.Subrun(); s%n != self && s > injected && round > 0 {
+						injected = s
+						clean := mid.SeqVector{0, model.sent, 0}
+						p.Recv(mid.ProcID(s%n), fullGroupDecision(n, s, mid.ProcID(s%n), clean))
+						model.clean, ref.clean = model.sent, ref.sent
+					}
+				}
+				got := frameLog(tp)
+				if !reflect.DeepEqual(got, model.frames) {
+					t.Fatalf("B=%d seed %d step %d (%s): frames %v, the budget model %v", b, seed, step, op, got, model.frames)
+				}
+				if b == 1 && !reflect.DeepEqual(got, ref.frames) {
+					t.Fatalf("B=1 seed %d step %d (%s): frames %v, the one-opportunity rule %v", seed, step, op, got, ref.frames)
+				}
+			}
+			log := frameLog(tp)
+			next := mid.Seq(1)
+			for _, f := range log {
+				for _, s := range f {
+					if s != next {
+						t.Fatalf("B=%d seed %d: own sequence left as %v, not contiguous", b, seed, log)
+					}
+					next++
+				}
+			}
+			subrunStart = append(subrunStart, len(log))
+			for i := 1; i < len(subrunStart); i++ {
+				msgs, frames := 0, log[subrunStart[i-1]:subrunStart[i]]
+				for _, f := range frames {
+					msgs += len(f)
+				}
+				if msgs > b {
+					t.Fatalf("B=%d seed %d: one subrun carried %d messages in frames %v", b, seed, msgs, frames)
+				}
+				if len(frames) > 1 {
+					multiDrain++
+				}
+			}
+		}
+	}
+	t.Logf("%d subruns with several drains, %d flushes deferred by the valve", multiDrain, deferred)
+	if multiDrain == 0 || deferred == 0 {
+		t.Fatalf("%d subruns with several drains, %d flushes deferred by the valve: the sequences did not exercise the rule", multiDrain, deferred)
 	}
 }

@@ -3,15 +3,17 @@
 // rotating coordinator, history buffers and the reliable circulation of
 // decisions.
 //
-// Time advances in rounds; a subrun is two rounds. In the first round of a
-// subrun every process may broadcast one new user message — which it also
-// processes immediately — and sends a REQUEST to the subrun's coordinator
-// carrying its last-processed vector, its oldest-waiting vector, and the
-// freshest DECISION it holds. In the second round the coordinator folds the
-// requests it received into a new DECISION — message stability (history
-// cleaning), per-sequence most-updated holders for recovery, silence
-// counters whose saturation at K declares crashes, and orphaned-sequence
-// gaps whose dependents the group agrees to destroy — and broadcasts it.
+// Time advances in rounds; a subrun is two rounds. Within a subrun every
+// process may broadcast up to BatchMax new user messages (classically one) —
+// each of which it also processes immediately — at the subrun's opening or,
+// through Flush, as they are submitted. At the opening it also sends a
+// REQUEST to the subrun's coordinator carrying its last-processed vector,
+// its oldest-waiting vector, and the freshest DECISION it holds. In the
+// second round the coordinator folds the requests it received into a new
+// DECISION — message stability (history cleaning), per-sequence
+// most-updated holders for recovery, silence counters whose saturation at K
+// declares crashes, and orphaned-sequence gaps whose dependents the group
+// agrees to destroy — and broadcasts it.
 // Decisions chain across coordinators, so crash recovery is embedded in
 // normal processing: nothing ever blocks, which is the paper's headline
 // property.
@@ -334,7 +336,7 @@ type Process struct {
 
 	running bool
 	nextSeq mid.Seq
-	outbox  []*causal.Message // user messages awaiting their send opportunity
+	outbox  []*causal.Message // user messages awaiting the subrun budget and the valve
 	taken   []*causal.Message // broadcastOutbox's scratch: the messages of the drain in progress
 	// arena is where the messages this process generates are carved: their
 	// records and label lists (DESIGN.md §7 rule 6).
@@ -372,10 +374,11 @@ type Process struct {
 	early    *earlyReports
 	attempts *group.Attempts // the coordinator's silence counters being folded
 
-	// sendSpent marks this subrun's one send opportunity as taken: set by
-	// broadcastOutbox, reset at every subrun open. It is what lets Flush
-	// send mid-subrun without ever sending twice in one.
-	sendSpent bool
+	// sendLeft is what remains of this subrun's message budget (BatchMax,
+	// classically one): reset at every subrun open, drawn down by
+	// broadcastOutbox. It is what lets Flush send mid-subrun without a
+	// subrun ever carrying more than BatchMax of this process's messages.
+	sendLeft int
 
 	subrun            int64 // current subrun index
 	missedCoords      int   // consecutive subruns with no decision from a believed-alive coordinator
@@ -426,8 +429,9 @@ type Stats struct {
 	// something that is not of this group stops.
 	Malformed int
 	Batches   int // multi-message DataBatch frames broadcast
-	// EagerBroadcasts counts send opportunities taken by Flush — at submit
-	// time, mid-subrun — instead of at the subrun's opening tick.
+	// EagerBroadcasts counts the flushes that broadcast — drains at submit
+	// time, mid-subrun, from what the subrun's budget had left — instead of
+	// at the subrun's opening tick. A subrun may hold several.
 	EagerBroadcasts int
 
 	Sponsored    int // JOIN-STATE transfers served to joiners
@@ -457,6 +461,7 @@ func NewProcess(id mid.ProcID, cfg Config, tp Transport, cb Callbacks) (*Process
 		wait:      waitlist.New(n),
 		view:      group.NewView(n),
 		running:   true,
+		sendLeft:  cfg.batchMax(),
 		joining:   cfg.Join,
 		synced:    !cfg.Join,
 		reports:   newReports(n),
@@ -557,11 +562,10 @@ func (p *Process) StableTo() mid.SeqVector { return p.lastClean }
 // Submit queues a user message. Its causal dependencies are the explicit
 // deps given (each must already be processed locally — a process can only
 // causally relate messages it has seen, Definition 3.1) plus, implicitly,
-// the sender's previous message. The message leaves at the process's next
-// send opportunity permitted by flow control — there is one per subrun, up
-// to BatchMax messages wide: the opening of the next subrun, or at once if
-// the caller follows up with Flush while this subrun's is still unspent.
-// The assigned MID is returned.
+// the sender's previous message. The message leaves as soon as flow control
+// and the per-subrun budget of BatchMax messages allow: at once if the
+// caller follows up with Flush while this subrun's budget is not yet spent,
+// else at the opening of a later subrun. The assigned MID is returned.
 func (p *Process) Submit(payload []byte, deps mid.DepList) (mid.MID, error) {
 	if err := p.admit(payload, deps); err != nil {
 		return mid.MID{}, err
@@ -715,7 +719,7 @@ func (p *Process) startSubrun(s int64) {
 	}
 	p.subrun = s
 	p.decisionThisSub = false
-	p.sendSpent = false
+	p.sendLeft = p.cfg.batchMax()
 	p.openReports(s)
 
 	if p.joining {
@@ -725,8 +729,9 @@ func (p *Process) startSubrun(s int64) {
 
 	// Broadcast queued user messages, unless flow control defers: at most
 	// BatchMax per subrun (classically one), split into byte-budgeted
-	// DataBatch frames when more than one leaves at once. An empty outbox or
-	// a closed valve leaves the opportunity open for Flush.
+	// DataBatch frames when more than one leaves at once. Whatever of the
+	// budget an empty or short outbox or a closed valve leaves unspent is
+	// there for Flush.
 	if p.canSend() {
 		p.broadcastOutbox()
 	}
@@ -820,14 +825,15 @@ func (p *Process) canSend() bool {
 	return threshold == 0 || p.hist.Len() < threshold
 }
 
-// Flush takes this subrun's send opportunity now instead of at the next
-// tick, if it is still there to take: the subrun's opening found the outbox
-// empty (or the valve closed, and the history has drained since), something
-// is queued, and the process is a running, admitted member. It reports
-// whether it broadcast. The rule is one opportunity per subrun, spent at the
-// first instant there is something to send, so the n*BatchMax/(2*round)
-// ceiling, the frames per subrun and the flow-control valve are exactly the
-// tick path's; a second submission in the same subrun waits for the tick.
+// Flush broadcasts queued messages now instead of at the next tick, from
+// what is left of this subrun's message budget: it sends if some of the
+// budget is left, something is queued, the flow-control valve is open, and
+// the process is a running, admitted member. It reports whether it
+// broadcast. The rule is BatchMax messages per subrun, spent as soon as
+// there is something to send — at the opening tick, then by as many flushes
+// as it takes — so the n*BatchMax/(2*round) ceiling and the flow-control
+// valve are exactly the tick path's; a message past the budget waits for
+// the tick.
 //
 // Nothing in the protocol ties DATA to a round — Data/DataBatch carry no
 // subrun number and handleData ignores the receiver's — so a mid-subrun
@@ -835,7 +841,7 @@ func (p *Process) canSend() bool {
 // the live runtimes call Flush, after registering the submitter's confirm
 // waiter; the simulator and Cluster never do and stay lockstep.
 func (p *Process) Flush() bool {
-	if p.sendSpent || !p.running || p.joining || !p.canSend() {
+	if p.sendLeft == 0 || !p.running || p.joining || !p.canSend() {
 		return false
 	}
 	p.Stats.EagerBroadcasts++
@@ -843,18 +849,15 @@ func (p *Process) Flush() bool {
 	return true
 }
 
-// broadcastOutbox spends the subrun's send opportunity: it drains up to
-// BatchMax queued messages onto the wire. A single message travels as
+// broadcastOutbox spends the subrun's budget: it drains as many queued
+// messages onto the wire as the budget has left. A single message travels as
 // classic Data (wire-compatible with unbatched peers); a larger drain is
 // split greedily into DataBatch frames whose encoded size stays within
 // BatchBytes. Each broadcast message is also processed locally, exactly as
 // the unbatched path did.
 func (p *Process) broadcastOutbox() {
-	p.sendSpent = true
-	take := p.cfg.batchMax()
-	if take > len(p.outbox) {
-		take = len(p.outbox)
-	}
+	take := min(p.sendLeft, len(p.outbox))
+	p.sendLeft -= take
 	// The drained messages move to scratch and the rest of the queue slides to
 	// the front of its array, so a steady stream of submissions reuses one
 	// backing array instead of walking off its end every few subruns.

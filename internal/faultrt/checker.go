@@ -2,6 +2,7 @@ package faultrt
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -27,13 +28,31 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: node %d, %v: %s", v.Invariant, v.Node, v.Msg, v.Detail)
 }
 
-// checkerEntry is one processing event: the message, and where its declared
-// cross-sequence dependencies sit in the incarnation's label log (the
-// implicit same-sequence predecessor is derived from the MID). 16 bytes: the
-// log is what a long run keeps per processed message.
+// checkerEntry is a run of processing events: the message id, then the next
+// more messages of the same sender at the sequence numbers after it, each
+// processed right after the one before and declaring no dependency of its
+// own. The first message's declared cross-sequence dependencies sit in the
+// incarnation's label log at off (the implicit same-sequence predecessor is
+// derived from the MID). 16 bytes, and a batched stream costs about one
+// entry per frame: the log grows with the stream's irregularities — a
+// dependency, another sender's message in between, a gap, a repeat — not
+// with its volume.
 type checkerEntry struct {
-	id     mid.MID
-	off, n uint32
+	id   mid.MID
+	off  uint32
+	n    uint16 // labels at off; wire.MaxDeps bounds a message's list
+	more uint16 // messages the run holds after id
+}
+
+// at returns the i-th message of the run (0 is id itself).
+func (e checkerEntry) at(i int) mid.MID {
+	return mid.MID{Proc: e.id.Proc, Seq: e.id.Seq + mid.Seq(i)}
+}
+
+// extends reports whether a dependency-free m, processed next, continues
+// the run.
+func (e checkerEntry) extends(m mid.MID) bool {
+	return e.more < math.MaxUint16 && m == e.at(int(e.more)+1)
 }
 
 // incarnation is one lifetime of a member: its processing log plus the
@@ -45,11 +64,18 @@ type checkerEntry struct {
 type incarnation struct {
 	entries  []checkerEntry
 	labels   []mid.MID // every entry's dependency labels, back to back
+	events   int       // processing events on record: the runs' total length
 	baseline mid.SeqVector
 }
 
-// deps returns e's dependency labels.
-func (in *incarnation) deps(e checkerEntry) []mid.MID { return in.labels[e.off : e.off+e.n] }
+// deps returns the labels of the i-th message of run e: the first message's
+// list, and none for the rest.
+func (in *incarnation) deps(e checkerEntry, i int) []mid.MID {
+	if i > 0 {
+		return nil
+	}
+	return in.labels[e.off : e.off+uint32(e.n)]
+}
 
 // covered reports whether m lies in the incarnation's exempt prefix.
 func (in *incarnation) covered(m mid.MID) bool {
@@ -98,13 +124,24 @@ func (c *Checker) liveFor(node mid.ProcID) *incarnation {
 	return in
 }
 
-// Record appends one processed message to node's current incarnation,
-// copying the dependency list into the incarnation's label log.
+// Record appends one processed message to node's current incarnation: a
+// dependency-free message that follows its sender's previous one extends
+// the last run, any other opens a new entry, copying its dependency list
+// into the incarnation's label log. A list longer than wire.MaxDeps cannot
+// have travelled, and panics.
 func (c *Checker) Record(node mid.ProcID, m *causal.Message) {
+	if len(m.Deps) > math.MaxUint16 {
+		panic(fmt.Sprintf("faultrt: %v declares %d dependencies, more than a message can carry", m.ID, len(m.Deps)))
+	}
 	c.mu.Lock()
 	in := c.liveFor(node)
-	in.entries = append(in.entries, checkerEntry{id: m.ID, off: uint32(len(in.labels)), n: uint32(len(m.Deps))})
-	in.labels = append(in.labels, m.Deps...)
+	in.events++
+	if last := len(in.entries) - 1; last >= 0 && len(m.Deps) == 0 && in.entries[last].extends(m.ID) {
+		in.entries[last].more++
+	} else {
+		in.entries = append(in.entries, checkerEntry{id: m.ID, off: uint32(len(in.labels)), n: uint16(len(m.Deps))})
+		in.labels = append(in.labels, m.Deps...)
+	}
 	c.mu.Unlock()
 }
 
@@ -114,7 +151,7 @@ func (c *Checker) Recorded(node mid.ProcID) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if in := c.live[node]; in != nil {
-		return len(in.entries)
+		return in.events
 	}
 	return 0
 }
@@ -196,42 +233,45 @@ func (c *Checker) orderingLocked() []Violation {
 	return out
 }
 
-// orderingOne checks one incarnation's log. Dependencies at or below the
-// incarnation's baseline were uniformly stable before it existed and count
-// as processed.
+// orderingOne checks one incarnation's log, expanding its runs in recording
+// order. Dependencies at or below the incarnation's baseline were uniformly
+// stable before it existed and count as processed.
 func (c *Checker) orderingOne(node mid.ProcID, in *incarnation) []Violation {
 	var out []Violation
-	done := make(map[mid.MID]bool, len(in.entries))
+	done := make(map[mid.MID]bool, in.events)
 	have := func(m mid.MID) bool { return done[m] || in.covered(m) }
 	for _, e := range in.entries {
-		if done[e.id] {
-			out = append(out, Violation{
-				Invariant: "uniform-ordering", Node: node, Msg: e.id,
-				Detail: "processed twice",
-			})
-			continue
-		}
-		if in.covered(e.id) {
-			out = append(out, Violation{
-				Invariant: "uniform-ordering", Node: node, Msg: e.id,
-				Detail: "processed below the join baseline",
-			})
-		}
-		if prev := e.id.Prev(); !prev.IsZero() && !have(prev) {
-			out = append(out, Violation{
-				Invariant: "uniform-ordering", Node: node, Msg: e.id,
-				Detail: fmt.Sprintf("sequence predecessor %v not processed first", prev),
-			})
-		}
-		for _, d := range in.deps(e) {
-			if !have(d) {
+		for i := 0; i <= int(e.more); i++ {
+			id := e.at(i)
+			if done[id] {
 				out = append(out, Violation{
-					Invariant: "uniform-ordering", Node: node, Msg: e.id,
-					Detail: fmt.Sprintf("dependency %v not processed first", d),
+					Invariant: "uniform-ordering", Node: node, Msg: id,
+					Detail: "processed twice",
+				})
+				continue
+			}
+			if in.covered(id) {
+				out = append(out, Violation{
+					Invariant: "uniform-ordering", Node: node, Msg: id,
+					Detail: "processed below the join baseline",
 				})
 			}
+			if prev := id.Prev(); !prev.IsZero() && !have(prev) {
+				out = append(out, Violation{
+					Invariant: "uniform-ordering", Node: node, Msg: id,
+					Detail: fmt.Sprintf("sequence predecessor %v not processed first", prev),
+				})
+			}
+			for _, d := range in.deps(e, i) {
+				if !have(d) {
+					out = append(out, Violation{
+						Invariant: "uniform-ordering", Node: node, Msg: id,
+						Detail: fmt.Sprintf("dependency %v not processed first", d),
+					})
+				}
+			}
+			done[id] = true
 		}
-		done[e.id] = true
 	}
 	return out
 }
@@ -249,11 +289,14 @@ func (c *Checker) atomicityLocked(survivors []mid.ProcID) []Violation {
 			perNode[node] = nil
 			continue
 		}
-		set := make(map[mid.MID]bool, len(in.entries))
+		set := make(map[mid.MID]bool, in.events)
 		for _, e := range in.entries {
-			set[e.id] = true
-			if _, ok := union[e.id]; !ok {
-				union[e.id] = node
+			for i := 0; i <= int(e.more); i++ {
+				id := e.at(i)
+				set[id] = true
+				if _, ok := union[id]; !ok {
+					union[id] = node
+				}
 			}
 		}
 		perNode[node] = set

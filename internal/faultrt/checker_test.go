@@ -2,10 +2,12 @@ package faultrt
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"urcgc/internal/causal"
 	"urcgc/internal/mid"
@@ -367,5 +369,117 @@ func TestCheckerCompactLogAgreesWithReference(t *testing.T) {
 	}
 	if violations == 0 {
 		t.Fatal("no history produced a violation: the comparison proved nothing")
+	}
+
+	// Run-heavy streams, the shape a batched group produces and the log folds:
+	// runs of consecutive dependency-free messages from three senders,
+	// interleaved at each node, broken by a dependency, a duplicate, a gap or a
+	// restart mid-run, with fast-forwards after runs.
+	const runSenders = 3
+	violations = 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := NewChecker()
+		ref := &refChecker{live: map[mid.ProcID]*refIncarnation{}, archived: map[mid.ProcID][]*refIncarnation{}}
+		next := make([]mid.Seq, nodes*runSenders)
+		for run := 0; run < 120; run++ {
+			node, q := mid.ProcID(rng.Intn(nodes)), mid.ProcID(rng.Intn(runSenders))
+			k := int(node)*runSenders + int(q)
+			for i := 1 + rng.Intn(40); i > 0; i-- {
+				m := &causal.Message{}
+				switch r := rng.Intn(100); {
+				case r < 2:
+					base := make(mid.SeqVector, runSenders)
+					for p := range base {
+						base[p] = mid.Seq(rng.Intn(int(next[int(node)*runSenders+p]) + 2))
+					}
+					c.Restart(node, base)
+					ref.Restart(node, base)
+				case r < 5: // a duplicate inside the run
+				case r < 7:
+					next[k] += 2 // a gap
+				case r < 11:
+					p := mid.ProcID((int(q) + 1 + rng.Intn(runSenders-1)) % runSenders)
+					m.Deps = mid.DepList{{Proc: p, Seq: mid.Seq(rng.Intn(30) + 1)}}
+					next[k]++
+				default:
+					next[k]++
+				}
+				m.ID = mid.MID{Proc: q, Seq: max(next[k], 1)}
+				c.Record(node, m)
+				ref.Record(node, m)
+			}
+			if rng.Intn(8) == 0 {
+				proc := mid.ProcID(rng.Intn(runSenders))
+				seq := next[int(node)*runSenders+int(proc)] + mid.Seq(rng.Intn(5))
+				c.FastForward(node, proc, seq)
+				ref.FastForward(node, proc, seq)
+			}
+			if run%10 == 9 {
+				var survivors []mid.ProcID
+				for n := 0; n < nodes; n++ {
+					if rng.Intn(4) > 0 {
+						survivors = append(survivors, mid.ProcID(n))
+					}
+				}
+				got, want := c.Check(survivors), ref.Check(survivors)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("runs, seed %d run %d: the run-length log finds %d violations, the reference %d:\n%v\n%v", seed, run, len(got), len(want), got, want)
+				}
+				for n := 0; n < nodes; n++ {
+					node := mid.ProcID(n)
+					want := 0
+					if in := ref.live[node]; in != nil {
+						want = len(in.entries)
+					}
+					if got := c.Recorded(node); got != want {
+						t.Fatalf("runs, seed %d run %d: node %d Recorded %d, the reference holds %d events", seed, run, node, got, want)
+					}
+				}
+				violations += len(got)
+			}
+		}
+	}
+	if violations == 0 {
+		t.Fatal("no run-heavy history produced a violation: the comparison proved nothing")
+	}
+}
+
+// TestCheckerLogGrowsWithRuns states what the log costs: an entry is 16
+// bytes, a stream of runs costs one entry per run rather than per event,
+// and a run longer than an entry's count continues in a fresh entry.
+func TestCheckerLogGrowsWithRuns(t *testing.T) {
+	if size := unsafe.Sizeof(checkerEntry{}); size != 16 {
+		t.Fatalf("checkerEntry is %d bytes, want 16", size)
+	}
+	const senders, run, rounds = 3, 16, 50
+	c := NewChecker()
+	seq := make([]mid.Seq, senders)
+	for r := 0; r < rounds; r++ {
+		for q := mid.ProcID(0); q < senders; q++ {
+			for i := 0; i < run; i++ {
+				seq[q]++
+				c.Record(0, msg(q, seq[q]))
+			}
+		}
+	}
+	events := senders * run * rounds
+	if got := c.Recorded(0); got != events {
+		t.Fatalf("Recorded = %d, want %d", got, events)
+	}
+	if got, limit := len(c.live[0].entries), events/run+senders; got > limit {
+		t.Fatalf("%d events in runs of %d from %d senders kept %d entries, want at most %d", events, run, senders, got, limit)
+	}
+
+	long := NewChecker()
+	const n = 2*(math.MaxUint16+1) + 5
+	for s := mid.Seq(1); s <= n; s++ {
+		long.Record(0, msg(0, s))
+	}
+	if got := len(long.live[0].entries); got != 3 {
+		t.Fatalf("a run of %d kept %d entries, want 3 (an entry holds %d)", n, got, math.MaxUint16+1)
+	}
+	if v := long.Check([]mid.ProcID{0}); len(v) != 0 || long.Recorded(0) != n {
+		t.Fatalf("a saturated run: violations %v, Recorded %d of %d", v, long.Recorded(0), n)
 	}
 }

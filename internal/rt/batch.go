@@ -92,8 +92,8 @@ func (s *submission) wireCost() int {
 // coalescer batches user submissions: Sends arriving within BatchWindow
 // (or until the count/byte budget fills first) are handed to the node
 // goroutine as ONE inbox event, so the protocol's outbox drains them as
-// DataBatch frames at one send opportunity — at once when the subrun's is
-// still unspent, else at the next subrun's opening — instead of dribbling
+// DataBatch frames in one flush — at once as far as the subrun's BatchMax
+// budget has room, the rest at the next subrun's opening — instead of dribbling
 // one Data per subrun. Confirm semantics are untouched — every Send still
 // blocks until its own message is processed locally. A window is a chain
 // through the submissions themselves and its timer is re-armed, not

@@ -42,10 +42,12 @@ type Config struct {
 	// BatchWindow enables the coalescing sender: Send/SendCausal calls
 	// arriving within this window (or until the BatchMax / BatchBytes
 	// budgets fill first) enter the loop goroutine as one inbox event and
-	// leave at one send opportunity as DataBatch frames. Zero disables
-	// coalescing: every Send is its own inbox event and subruns carry at
-	// most BatchMax messages. When set while BatchMax is zero, BatchMax
-	// defaults to core.DefaultBatchMax so the batches actually drain.
+	// leave together as DataBatch frames. Zero disables coalescing: every
+	// Send is its own inbox event and its own flush, so with BatchMax > 1 a
+	// subrun may carry up to BatchMax single-message Data frames of a member
+	// instead of fewer, wider DataBatch frames. Either way a subrun carries at
+	// most BatchMax messages of a member. When set while BatchMax is zero,
+	// BatchMax defaults to core.DefaultBatchMax so the batches actually drain.
 	BatchWindow time.Duration
 	// InboxDepth bounds each shard's event queue; overflow drops datagrams,
 	// like any datagram network. Default 4096.

@@ -10,8 +10,9 @@ import (
 )
 
 // confirms is the user-facing half of a session: the confirm waiters of
-// in-flight Sends, the leave record, and the submit step that ends by taking
-// the subrun's send opportunity. The zero value is ready.
+// in-flight Sends, the leave record, and the submit step that ends by
+// spending what is left of the subrun's message budget. The zero value is
+// ready.
 type confirms struct {
 	mu       sync.Mutex
 	waiters  map[mid.MID]chan struct{}
@@ -20,10 +21,12 @@ type confirms struct {
 
 // Submit runs submissions on the loop goroutine that owns p: each enters the
 // protocol and has its confirm waiter registered, and only then — waiters in
-// place, the whole coalesced batch queued — is the subrun's send opportunity
-// taken if it is still unspent (core.Process.Flush). Flushing any earlier
-// would process a message before its waiter exists, and split a coalescer
-// window's worth over several frames.
+// place, the whole coalesced batch queued — does one core.Process.Flush send
+// as much of the queue as the subrun's BatchMax budget has left; the rest
+// waits for the tick. Flushing any earlier would process a message before
+// its waiter exists, and split a coalescer window's worth over several
+// frames. One flush per event means a subrun carries as many eager frames as
+// windows arrive in it, until the budget is spent.
 func (c *confirms) Submit(p *core.Process, o *nodeObs, head *submission) {
 	for s := head; s != nil; {
 		rest := s.cut()

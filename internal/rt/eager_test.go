@@ -2,6 +2,7 @@ package rt
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -96,6 +97,116 @@ func TestCoalescedWindowLeavesEagerlyAsOneFrame(t *testing.T) {
 	if got := nodeCounter(reg, "rt_eager_broadcasts_total", 0); got != 1 {
 		t.Errorf("rt_eager_broadcasts_total{node=0} = %d, want 1", got)
 	}
+}
+
+// TestSubrunBudgetSpentAcrossWindows: with BatchMax 8 a subrun carries up to
+// eight of a member's messages however many submission events bring them —
+// back-to-back Sends each leave on submit, from what the ones before left of
+// the budget — and the subrun's 9th message waits for the tick.
+// rt_eager_broadcasts_total counts flushes, one per event here. The frame
+// shape is pinned with and without a coalescer window: sequential Sends are
+// one event each either way, so the budget leaves as eight single-message
+// Data frames, not one DataBatch.
+func TestSubrunBudgetSpentAcrossWindows(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		window time.Duration
+	}{
+		{"window 1ms", time.Millisecond}, // sequential Sends: one window each
+		{"no window", 0},                 // every Send its own inbox event
+	} {
+		t.Run(tc.name, func(t *testing.T) { subrunBudgetAcrossEvents(t, tc.window) })
+	}
+}
+
+func subrunBudgetAcrossEvents(t *testing.T, window time.Duration) {
+	const budget = 8
+	reg := obs.New()
+	c := startCluster(t, Config{
+		Config:        core.Config{N: 3, K: 3, R: 8, SelfExclusion: true, BatchMax: budget},
+		RoundDuration: eagerRound,
+		BatchWindow:   window,
+		Metrics:       reg,
+	})
+	node := c.Node(0)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	state := func() (subrun int64, pending int) {
+		if err := node.Snapshot(ctx, func(p *core.Process) { subrun, pending = p.Subrun(), p.PendingSubmissions() }); err != nil {
+			t.Fatal(err)
+		}
+		return subrun, pending
+	}
+	send := func(ctx context.Context) (mid.MID, error) { return node.Send(ctx, []byte("windowed"), nil) }
+
+	// Start just after a subrun opens, so the eight Sends fit well inside
+	// its 600 ms; a run that still straddles a tick is retried.
+	for attempt := 0; attempt < 3; attempt++ {
+		s0, _ := state()
+		for s, _ := state(); s == s0; s, _ = state() {
+			time.Sleep(time.Millisecond)
+		}
+		s0, _ = state()
+		eager0 := nodeCounter(reg, "rt_eager_broadcasts_total", 0)
+		eager := func() int64 { return nodeCounter(reg, "rt_eager_broadcasts_total", 0) - eager0 }
+		batches0 := nodeCounter(reg, "rt_batch_frames_total", 0)
+		for i := 1; i <= budget; i++ {
+			sendWithin(t, fmt.Sprintf("send %d of the subrun", i), send)
+		}
+		// The loop counts a flush right after the step that confirmed its
+		// Send: give the last one a moment.
+		for deadline := time.Now().Add(time.Second); eager() != budget && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if got := eager(); got != budget {
+			t.Fatalf("rt_eager_broadcasts_total moved by %d over %d Sends, want one per Send", got, budget)
+		}
+		if got := nodeCounter(reg, "rt_batch_frames_total", 0) - batches0; got != 0 {
+			t.Fatalf("%d DataBatch frames over %d sequential Sends, want each alone in a Data frame", got, budget)
+		}
+
+		ninth := make(chan error, 1)
+		go func() {
+			_, err := send(ctx)
+			ninth <- err
+		}()
+		var s int64
+		var confirmed bool
+		for pending := 0; pending == 0 && !confirmed; {
+			select {
+			case err := <-ninth:
+				if err != nil {
+					t.Fatal(err)
+				}
+				confirmed = true
+			case <-time.After(time.Millisecond):
+				s, pending = state()
+			}
+		}
+		if confirmed {
+			s, _ = state()
+		}
+		if s != s0 {
+			if !confirmed {
+				<-ninth
+			}
+			continue // a tick fell inside the run: the 9th was not the subrun's
+		}
+		if confirmed {
+			t.Fatal("the subrun's 9th message confirmed without waiting for the tick")
+		}
+		if err := <-ninth; err != nil {
+			t.Fatal(err)
+		}
+		if after, _ := state(); after <= s0 {
+			t.Fatalf("the subrun's 9th message confirmed in subrun %d, its own: it did not wait for the tick", after)
+		}
+		if got := eager(); got != budget {
+			t.Fatalf("rt_eager_broadcasts_total moved by %d, want %d: the 9th was flushed past the budget", got, budget)
+		}
+		return
+	}
+	t.Fatal("every attempt straddled a subrun tick")
 }
 
 // TestEagerCounterDisabledAllocFree: with metrics off the post-submit step

@@ -49,7 +49,7 @@ type nodeObs struct {
 	batchMsgs   *obs.Counter   // user messages carried by those frames
 	batchSize   *obs.Histogram // messages per DataBatch frame
 	coalesceSz  *obs.Histogram // submissions per coalescer flush
-	eager       *obs.Counter   // send opportunities taken at submit time, not at the tick
+	eager       *obs.Counter   // flushes that broadcast at submit time, not at the tick
 
 	// subrunStart is the wall-clock open of the member's current subrun,
 	// written and read only on the node loop goroutine.
@@ -247,9 +247,9 @@ func (o *nodeObs) Coalesced(n int) {
 	}
 }
 
-// EagerBroadcast counts one send opportunity taken at submit time instead of
-// at the subrun tick; against core_subrun it is the share of subruns whose
-// frames skipped the tick wait. Loop goroutine.
+// EagerBroadcast counts one flush that broadcast at submit time instead of
+// waiting for the subrun tick; a subrun may hold several, one per coalescer
+// window, until its BatchMax budget is spent. Loop goroutine.
 func (o *nodeObs) EagerBroadcast() {
 	if o != nil {
 		o.eager.Inc()

@@ -37,8 +37,8 @@ const (
 // escalates itself, on the very frame that carries the blocked message to
 // member 2, so no interval — poll, round or otherwise — separates "blocked
 // arrived" from "recovery cut". It recognizes that frame by construction,
-// not by timing: member 0 never sent in group 1 before, so its send
-// opportunity is unspent and the blocked message leaves inside the loop
+// not by timing: member 0 never sent in group 1 before, so its subrun
+// budget is unspent and the blocked message leaves inside the loop
 // event that submits it (send on submit) — the only span ever in flight at
 // member 0's group-1 tracer, open from Submit until local processing, with
 // exactly that broadcast in between.
@@ -106,7 +106,7 @@ func TestTraceStuckMessageEndToEnd(t *testing.T) {
 
 	// Both groups flowing first, so the stitch also joins healthy
 	// completed spans. Member 2 warms group 1: members 0 and 1 keep their
-	// group-1 send opportunities for the two messages below.
+	// group-1 budgets whole for the two messages below.
 	if _, err := cl.Node(0).Send(ctx, 0, []byte("ok"), nil); err != nil {
 		t.Fatal(err)
 	}

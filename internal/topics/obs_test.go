@@ -139,7 +139,7 @@ func TestDropFramePartitionsOneGroup(t *testing.T) {
 	}
 }
 
-// TestIdleSendSkipsTickWaitPerGroup: every group's send opportunity is its
+// TestIdleSendSkipsTickWaitPerGroup: every group's subrun budget is its
 // own — an idle (member, group) session's Send leaves on submit, well inside
 // one round, and the fast path is counted on the group-labeled series.
 func TestIdleSendSkipsTickWaitPerGroup(t *testing.T) {
