@@ -87,6 +87,13 @@ func FuzzRecv(f *testing.F) {
 		f.Add(int32(1), buf)
 	}
 	f.Add(int32(-3), []byte{byte(wire.KindJoin), 0xff, 0xff, 0xff, 0xfe})
+	for _, pdu := range forgedSubruns() {
+		buf, err := wire.Marshal(pdu)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(int32(1), buf)
+	}
 	f.Fuzz(func(t *testing.T, src int32, data []byte) {
 		pdu, err := wire.Unmarshal(data)
 		if err != nil {
@@ -101,9 +108,11 @@ func FuzzRecv(f *testing.F) {
 			t.Fatal(err)
 		}
 		p.Recv(mid.ProcID(src), pdu)
+		p.Advance()
 		p.StartRound(1)
 		p.StartRound(2)
 		p.Recv(mid.ProcID(src), pdu)
+		p.Advance()
 		p.StartRound(3)
 	})
 }

@@ -18,6 +18,15 @@
 // normal processing: nothing ever blocks, which is the paper's headline
 // property.
 //
+// The rounds are a bound, not a pace. StartRound alone — the simulator, the
+// experiments, Cluster — runs the paper's lockstep schedule. A live runtime
+// also calls Advance after every event, and then arrivals pace agreement: a
+// coordinator decides as soon as every believed-alive member has reported,
+// and a member in step opens the next subrun, numbered (T, k) inside the
+// clock's subrun T, as soon as it holds the decision and has work. Fault
+// detection — the silence counters, coordinator silence and the R rule —
+// stays on the clock's subruns, so its bounds are the paper's.
+//
 // Dynamic membership rides the same machinery: a (re)starting member
 // solicits a live sponsor for a state transfer (JOIN/JOIN-STATE), installs
 // the group's stability watermark as its past, catches up through the
@@ -269,10 +278,11 @@ type Callbacks struct {
 	// member from believed-alive to declared-crashed, whether it made the
 	// declaration as coordinator or adopted it from a decision.
 	OnCrashDeclared func(q mid.ProcID)
-	// OnSubrunStart is invoked at the opening of every subrun with the
-	// subrun index and the coordinator this process will report to — the
-	// local token-pass event of the rotating-coordinator scheme. A health
-	// layer watching this sees the token position advance (or stall).
+	// OnSubrunStart is invoked at the opening of every subrun, the clock's
+	// and Advance's, with the subrun number (see SplitSubrun) and the
+	// coordinator this process will report to — the local token-pass event
+	// of the rotating-coordinator scheme. A health layer watching this sees
+	// the token position advance (or stall).
 	OnSubrunStart func(subrun int64, coord mid.ProcID)
 	// OnViewChange is invoked whenever the local view changes composition —
 	// members declared crashed, or a joiner admitted back — after the
@@ -365,10 +375,11 @@ type Process struct {
 	// reports is this subrun's request table: one value slot per sender,
 	// heard its present mask (and the coordinator's who-reported input to the
 	// silence counters). A REQUEST is copied into its sender's slot — Recv
-	// keeps nothing of a control PDU. early holds the requests that name the
-	// next subrun (a peer whose tick ran before ours): startSubrun moves them
-	// in when this process coordinates it. Built at the first early request;
-	// the simulator never delivers one.
+	// keeps nothing of a control PDU. early holds the requests that name a
+	// subrun this process may open next — (T, k+1) or (T+1, 0): a peer whose
+	// tick or decision ran before ours — and openReports moves them in when
+	// this process coordinates it. Built at the first early request; the
+	// simulator never delivers one.
 	reports  []report
 	heard    []bool
 	early    *earlyReports
@@ -380,9 +391,10 @@ type Process struct {
 	// subrun ever carrying more than BatchMax of this process's messages.
 	sendLeft int
 
-	subrun            int64 // current subrun index
-	missedCoords      int   // consecutive subruns with no decision from a believed-alive coordinator
-	decisionThisSub   bool  // a decision for the previous subrun arrived
+	subrun            int64 // current subrun: (T, k) packed as T | k<<earlyShift
+	missedCoords      int   // consecutive clock subruns with no decision from a believed-alive coordinator
+	decisionThisSub   bool  // a decision for the current subrun arrived (or the join admitted us)
+	decided           bool  // this process decided the current subrun: one decision per subrun
 	recoveryFailures  int
 	lastProgress      uint64 // processed-sum at the last decision, for the R rule
 	recoveryRequested bool
@@ -433,6 +445,9 @@ type Stats struct {
 	// time, mid-subrun, from what the subrun's budget had left — instead of
 	// at the subrun's opening tick. A subrun may hold several.
 	EagerBroadcasts int
+	// EarlySubruns counts the subruns Advance opened between the clock's:
+	// zero wherever only StartRound drives the process.
+	EarlySubruns int
 
 	Sponsored    int // JOIN-STATE transfers served to joiners
 	FastForwards int // compacted recovery gaps skipped while syncing
@@ -545,7 +560,9 @@ func (p *Process) Processed() mid.SeqVector { return p.tracker.Processed() }
 // Loop-goroutine-only.
 func (p *Process) PendingSubmissions() int { return len(p.outbox) }
 
-// Subrun returns the index of the current subrun. Loop-goroutine-only.
+// Subrun returns the number of the current subrun, (T, k) packed as
+// SplitSubrun reads it; T alone wherever only StartRound drives the process.
+// Loop-goroutine-only.
 func (p *Process) Subrun() int64 { return p.subrun }
 
 // CurrentCoordinator returns the coordinator of the current subrun under
@@ -659,8 +676,8 @@ func (p *Process) SubmitCausal(payload []byte) (mid.MID, error) {
 }
 
 // CoordinatorOf returns the coordinator of subrun s under view v: the first
-// believed-alive process at or cyclically after s mod n. If the view is
-// empty it falls back to s mod n.
+// believed-alive process at or cyclically after (T+k) mod n, for s = (T, k)
+// (see SplitSubrun). If the view is empty it falls back to (T+k) mod n.
 func CoordinatorOf(s int64, v *group.View) mid.ProcID {
 	return coordinatorOf(s, v, nil)
 }
@@ -669,7 +686,8 @@ func CoordinatorOf(s int64, v *group.View) mid.ProcID {
 // only peers rotate through the coordinator role.
 func coordinatorOf(s int64, v *group.View, observers []bool) mid.ProcID {
 	n := int64(v.N())
-	start := mid.ProcID(s % n)
+	t, k := SplitSubrun(s)
+	start := mid.ProcID((t + k) % n)
 	for i := int64(0); i < n; i++ {
 		c := mid.ProcID((int64(start) + i) % n)
 		if int(c) < len(observers) && observers[c] {
@@ -708,6 +726,8 @@ func (p *Process) StartRound(r int) {
 	}
 }
 
+// startSubrun opens clock subrun s, (s, 0), from whatever subrun of the
+// previous period this process is in.
 func (p *Process) startSubrun(s int64) {
 	// Close the books on the previous subrun: did its coordinator reach us?
 	// A joiner expects nothing yet and counts no silence.
@@ -717,8 +737,16 @@ func (p *Process) startSubrun(s int64) {
 			return // the silence rule made us leave
 		}
 	}
+	p.openSubrun(s)
+}
+
+// openSubrun is the opening every subrun shares, the clock's and Advance's:
+// a fresh budget and request table, the queued messages the budget and the
+// valve let out, and the REQUEST to the subrun's coordinator.
+func (p *Process) openSubrun(s int64) {
 	p.subrun = s
 	p.decisionThisSub = false
+	p.decided = false
 	p.sendLeft = p.cfg.batchMax()
 	p.openReports(s)
 
@@ -749,11 +777,13 @@ func (p *Process) startSubrun(s int64) {
 }
 
 // openReports empties the request table for subrun s. The requests that
-// arrived for s while this process was still in s-1 — their senders' ticks ran
-// first, which a free-running clock makes routine — become the table when this
-// process coordinates s: thrown away, as they used to be, they count their
-// senders silent, and K such subruns in a row declare a healthy member
-// crashed.
+// arrived for s while this process was still in the subrun before — their
+// senders' ticks or decisions ran first, which a free-running clock and
+// arrival pacing make routine — become the table when this process
+// coordinates s: thrown away, as they used to be, they count their senders
+// silent, and K such subruns in a row declare a healthy member crashed. A row
+// that names a subrun still ahead of s — the next clock subrun, while this
+// process opens an early one — is kept for it.
 func (p *Process) openReports(s int64) {
 	p.reqPrev = nil
 	if e := p.early; e != nil {
@@ -763,7 +793,9 @@ func (p *Process) openReports(s int64) {
 			clear(e.heard)
 			return
 		}
-		clear(e.heard)
+		if !laterSubrun(e.subrun, s) {
+			clear(e.heard)
+		}
 	}
 	clear(p.heard)
 }
@@ -830,10 +862,10 @@ func (p *Process) canSend() bool {
 // budget is left, something is queued, the flow-control valve is open, and
 // the process is a running, admitted member. It reports whether it
 // broadcast. The rule is BatchMax messages per subrun, spent as soon as
-// there is something to send — at the opening tick, then by as many flushes
-// as it takes — so the n*BatchMax/(2*round) ceiling and the flow-control
-// valve are exactly the tick path's; a message past the budget waits for
-// the tick.
+// there is something to send — at the subrun's opening, then by as many
+// flushes as it takes — so n*BatchMax per subrun and the flow-control valve
+// are exactly the opening's; a message past the budget waits for the next
+// opening, Advance's or the tick's.
 //
 // Nothing in the protocol ties DATA to a round — Data/DataBatch carry no
 // subrun number and handleData ignores the receiver's — so a mid-subrun
@@ -963,8 +995,11 @@ func (p *Process) own(d *wire.Decision) *wire.Decision {
 	return mine
 }
 
+// accountCoordinatorSilence closes clock subrun s. It counts as heard if a
+// decision of the period arrived: the current subrun's, or the one an early
+// subrun was opened on — an early subrun abandoned undecided is not counted.
 func (p *Process) accountCoordinatorSilence(s int64) {
-	if p.decisionThisSub {
+	if _, k := SplitSubrun(p.subrun); p.decisionThisSub || k > 0 {
 		p.missedCoords = 0
 		return
 	}
@@ -977,15 +1012,25 @@ func (p *Process) accountCoordinatorSilence(s int64) {
 	}
 }
 
+// decisionPhase is the odd tick: the deadline of the clock subrun's decision.
+// An early subrun still undecided here is abandoned — the next tick opens
+// the next clock subrun — and one already decided is not decided again.
 func (p *Process) decisionPhase() {
-	if p.joining || p.coordinator(p.subrun) != p.id {
+	if _, k := SplitSubrun(p.subrun); p.joining || k > 0 || p.decided || p.coordinator(p.subrun) != p.id {
 		return
 	}
+	p.decide()
+}
+
+// decide folds the request table into the current subrun's decision,
+// circulates it and applies it.
+func (p *Process) decide() {
 	// Fold in our own (fresh) report.
 	p.reportSelf()
 	d := p.computeDecision()
 	p.reqPrev = nil // folded into d; its record is the spare again
 	p.Stats.Decisions++
+	p.decided = true
 	p.decisionThisSub = true
 	p.missedCoords = 0
 	p.tp.Broadcast(d)
@@ -1039,13 +1084,12 @@ func (p *Process) Recv(src mid.ProcID, pdu wire.PDU) {
 
 // handleRequest folds one REQUEST: into the request table when this process
 // coordinates the subrun it names, into the next subrun's row when its sender
-// merely ran ahead of our tick, and otherwise only for the decision it
-// carries.
+// merely ran ahead of us, and otherwise only for the decision it carries.
 func (p *Process) handleRequest(v *wire.Request) {
 	n := p.cfg.N
 	if v.Sender < 0 || int(v.Sender) >= n || len(v.LastProcessed) != n || len(v.Waiting) != n ||
-		(v.Prev != nil && !v.Prev.Sized(n)) {
-		p.Stats.Malformed++ // not of this group: a stranger, or vectors of another cardinality
+		(v.Prev != nil && (!v.Prev.Sized(n) || !validSubrun(v.Prev.Subrun))) || !validSubrun(v.Subrun) {
+		p.Stats.Malformed++ // not of this group: a stranger, vectors of another cardinality, a subrun no member opens
 		return
 	}
 	if v.Subrun == p.subrun && p.coordinator(p.subrun) == p.id {
@@ -1054,18 +1098,26 @@ func (p *Process) handleRequest(v *wire.Request) {
 		p.foldPrev(v.Sender, v.Prev)
 		return
 	}
-	if v.Subrun == p.subrun+1 {
+	if p.nextSubrun(v.Subrun) {
 		e := p.early
 		if e == nil {
 			e = &earlyReports{reports: newReports(n), heard: make([]bool, n)}
 			p.early = e
 		}
-		if e.subrun != v.Subrun {
+		if e.subrun != v.Subrun && !laterSubrun(e.subrun, v.Subrun) {
 			e.subrun = v.Subrun
 			clear(e.heard)
 		}
-		e.reports[v.Sender].set(v)
-		e.heard[v.Sender] = true
+		if e.subrun == v.Subrun { // the row keeps the later candidate: the next clock subrun's reports
+			e.reports[v.Sender].set(v)
+			e.heard[v.Sender] = true
+		}
+		if v.Prev != nil {
+			// The sender opened its subrun on this decision: likely the one
+			// of our own current subrun, which may not have reached us yet.
+			p.handleDecision(v.Prev)
+			return
+		}
 	}
 	if v.Prev != nil {
 		// Not ours to coordinate (yet), but the embedded decision may still
@@ -1081,11 +1133,11 @@ func (p *Process) handleRequest(v *wire.Request) {
 // touched: adopting prev here would make handleDecision drop, as stale, the
 // very decision when it arrives on its own after the request that carried it.
 func (p *Process) foldPrev(from mid.ProcID, prev *wire.Decision) {
-	if prev == nil || (p.lastDec != nil && prev.Subrun <= p.lastDec.Subrun) {
+	if prev == nil || (p.lastDec != nil && !laterSubrun(prev.Subrun, p.lastDec.Subrun)) {
 		return
 	}
 	if cur := p.reqPrev; cur != nil {
-		if prev.Subrun < cur.Subrun || (prev.Subrun == cur.Subrun && from >= p.reqPrevFrom) {
+		if laterSubrun(cur.Subrun, prev.Subrun) || (prev.Subrun == cur.Subrun && from >= p.reqPrevFrom) {
 			return
 		}
 		cur.CopyFrom(prev)
@@ -1208,14 +1260,16 @@ func (p *Process) handleData(src mid.ProcID, m *causal.Message) {
 		p.Stats.Duplicates++
 		return
 	}
-	if m.ID.Proc == p.id && src != p.id && !p.joining && !p.joinAligning {
+	if m.ID.Proc == p.id && ((src != p.id && !p.joining && !p.joinAligning) || (src == p.id && m.ID.Seq <= p.nextSeq)) {
 		// Only an incarnation resyncing after a rejoin learns its own
 		// sequence from its peers. Anyone else is being impersonated:
 		// processing the copy would collide with the number the next own
 		// broadcast takes. (src == self is not the network — the transports
 		// never deliver a member its own frames, and the socket runtimes
 		// refuse datagrams claiming to — but the offline replayer feeding a
-		// member its own captured broadcasts, which is how it processed them.)
+		// member its own captured broadcasts, which is how it processed them.
+		// A replayed member generates nothing, so a number it did generate
+		// is a collision from self as well.)
 		p.Stats.Malformed++
 		return
 	}
@@ -1296,20 +1350,28 @@ func (p *Process) cascade() {
 // noteDecision keeps the freshest decision seen without applying it (used
 // for decisions gleaned from forwarded requests).
 func (p *Process) noteDecision(d *wire.Decision) {
-	if p.lastDec == nil || d.Subrun > p.lastDec.Subrun {
+	if p.lastDec == nil || laterSubrun(d.Subrun, p.lastDec.Subrun) {
 		p.lastDec = p.own(d)
 	}
 }
 
 func (p *Process) handleDecision(d *wire.Decision) {
-	if p.lastDec != nil && d.Subrun <= p.lastDec.Subrun {
+	if !validSubrun(d.Subrun) {
+		p.Stats.Malformed++ // a subrun no member opens: in the packed order it would outrank every real one
+		return
+	}
+	if p.lastDec != nil && !laterSubrun(d.Subrun, p.lastDec.Subrun) {
 		return // stale
 	}
 	if !d.Sized(p.cfg.N) {
 		p.Stats.Malformed++ // vectors of another group's cardinality
 		return
 	}
-	if d.Subrun == p.subrun {
+	if sameClock(d.Subrun, p.subrun) && !laterSubrun(p.subrun, d.Subrun) {
+		// The decision of the current subrun — or of a later early subrun of
+		// the same period, which catches this process up past a decision it
+		// lost.
+		p.subrun = d.Subrun
 		p.decisionThisSub = true
 		p.missedCoords = 0
 	}
@@ -1326,11 +1388,13 @@ func (p *Process) applyDecision(d *wire.Decision) {
 
 	// Group composition: adopt the decision's membership verdicts.
 	p.adoptMask(d.Alive)
-	if p.joining && d.Subrun > p.subrun {
+	if p.joining && laterSubrun(d.Subrun, p.subrun) {
 		// Chase the group's subrun numbering: a restarted member's round
 		// clock restarts at zero, and requests naming a stale subrun are
 		// never folded.
-		p.subrunBias += d.Subrun - p.subrun
+		dt, _ := SplitSubrun(d.Subrun)
+		pt, _ := SplitSubrun(p.subrun)
+		p.subrunBias += dt - pt
 		p.subrun = d.Subrun
 	}
 	if p.joinAligning && int(p.id) < len(d.MaxProcessed) && d.MaxProcessed[p.id] > p.nextSeq {
@@ -1392,7 +1456,12 @@ func (p *Process) applyDecision(d *wire.Decision) {
 	// are behind on.
 	p.requestRecovery(d)
 
-	// The R rule: leaving after R recovery attempts with no progress.
+	// The R rule: leaving after R recovery attempts with no progress. Like
+	// every fault count it is kept on the clock's subruns, so R bounds
+	// clock subruns however many early ones run between them.
+	if _, k := SplitSubrun(d.Subrun); k > 0 {
+		return
+	}
 	cur := p.tracker.Processed().Sum()
 	if p.recoveryRequested {
 		if cur == p.lastProgress {
@@ -1536,10 +1605,7 @@ func (p *Process) computeDecision() *wire.Decision {
 	// The freshest previous decision: ours, or the one foldPrev kept of those
 	// the requests carried. (The request table is indexed by sender, so every
 	// walk over it is in the deterministic sender order.)
-	prev := p.lastDec
-	if p.reqPrev != nil && (prev == nil || p.reqPrev.Subrun > prev.Subrun) {
-		prev = p.reqPrev
-	}
+	prev := p.prevDecision()
 
 	// The decision is built in the spare record: lent to the transport for
 	// the broadcast, then kept as lastDec until two decisions later.

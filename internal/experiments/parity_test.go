@@ -66,6 +66,9 @@ func TestClusterLogMatchesLockstepReference(t *testing.T) {
 		if st.EagerBroadcasts != 0 {
 			t.Errorf("p%d: the simulated cluster took %d eager send opportunities; it must stay lockstep", i, st.EagerBroadcasts)
 		}
+		if st.EarlySubruns != 0 {
+			t.Errorf("p%d: the simulated cluster opened %d subruns on arrivals; it must stay lockstep", i, st.EarlySubruns)
+		}
 	}
 	if got := digest(out); got != clusterLogDigest {
 		t.Errorf("core.Cluster output for seed 42 changed: digest %s, want %s", got, clusterLogDigest)

@@ -1,8 +1,10 @@
 package faultrt
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -28,59 +30,182 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: node %d, %v: %s", v.Invariant, v.Node, v.Msg, v.Detail)
 }
 
-// checkerEntry is a run of processing events: the message id, then the next
-// more messages of the same sender at the sequence numbers after it, each
-// processed right after the one before and declaring no dependency of its
-// own. The first message's declared cross-sequence dependencies sit in the
-// incarnation's label log at off (the implicit same-sequence predecessor is
-// derived from the MID). 16 bytes, and a batched stream costs about one
-// entry per frame: the log grows with the stream's irregularities — a
-// dependency, another sender's message in between, a gap, a repeat — not
-// with its volume.
-type checkerEntry struct {
-	id   mid.MID
-	off  uint32
-	n    uint16 // labels at off; wire.MaxDeps bounds a message's list
-	more uint16 // messages the run holds after id
+const (
+	uniformOrdering  = "uniform-ordering"
+	uniformAtomicity = "uniform-atomicity"
+)
+
+// sortViolations puts a Check report in its canonical order: the ordering
+// breaches by node, message and detail, then the atomicity breaches by
+// message, node and detail.
+func sortViolations(vs []Violation) {
+	slices.SortStableFunc(vs, func(a, b Violation) int {
+		if a.Invariant != b.Invariant {
+			if a.Invariant == uniformOrdering {
+				return -1
+			}
+			return 1
+		}
+		first, second := cmp.Compare(a.Node, b.Node), compareMID(a.Msg, b.Msg)
+		if a.Invariant == uniformAtomicity {
+			first, second = second, first
+		}
+		return cmp.Or(first, second, cmp.Compare(a.Detail, b.Detail))
+	})
 }
 
-// at returns the i-th message of the run (0 is id itself).
-func (e checkerEntry) at(i int) mid.MID {
-	return mid.MID{Proc: e.id.Proc, Seq: e.id.Seq + mid.Seq(i)}
+func compareMID(a, b mid.MID) int {
+	return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.Seq, b.Seq))
 }
 
-// extends reports whether a dependency-free m, processed next, continues
-// the run.
-func (e checkerEntry) extends(m mid.MID) bool {
-	return e.more < math.MaxUint16 && m == e.at(int(e.more)+1)
+// seqRange is the sequence numbers from through to, both included.
+type seqRange struct{ from, to mid.Seq }
+
+// seqSet is a set of one sender's sequence numbers: sorted ranges that
+// neither overlap nor touch. A sender's stream processed in order is one
+// range, whatever its length.
+type seqSet []seqRange
+
+// after is the sequence number that would extend a range ending at s.
+func after(s mid.Seq) uint64 { return uint64(s) + 1 }
+
+// has reports whether q is in the set.
+func (s seqSet) has(q mid.Seq) bool {
+	i := sort.Search(len(s), func(i int) bool { return s[i].to >= q })
+	return i < len(s) && s[i].from <= q
 }
 
-// incarnation is one lifetime of a member: its processing log plus the
-// stability baseline it joined at. The baseline is nil for a member's first
-// incarnation (it was present at group birth and owes the full prefix);
-// for a rejoined incarnation it is the stable vector installed by the state
-// transfer — everything at or below it was uniformly stable before the
-// incarnation existed, so the invariants treat that prefix as processed.
-type incarnation struct {
-	entries  []checkerEntry
-	labels   []mid.MID // every entry's dependency labels, back to back
-	events   int       // processing events on record: the runs' total length
-	baseline mid.SeqVector
-}
-
-// deps returns the labels of the i-th message of run e: the first message's
-// list, and none for the rest.
-func (in *incarnation) deps(e checkerEntry, i int) []mid.MID {
-	if i > 0 {
-		return nil
+// add puts q, not yet in the set, in it. The next number of the last range —
+// a stream in order — costs no search.
+func (s *seqSet) add(q mid.Seq) {
+	rs := *s
+	n := len(rs)
+	switch {
+	case n == 0 || uint64(q) > after(rs[n-1].to):
+		*s = append(rs, seqRange{q, q})
+		return
+	case uint64(q) == after(rs[n-1].to):
+		rs[n-1].to = q
+		return
 	}
-	return in.labels[e.off : e.off+uint32(e.n)]
+	// rs[i] is the first range q touches from above or precedes; the one
+	// before it ends more than one below q.
+	i := sort.Search(n, func(i int) bool { return after(rs[i].to) >= uint64(q) })
+	switch r := &rs[i]; {
+	case uint64(q) == after(r.to):
+		r.to = q
+		if i+1 < n && uint64(rs[i+1].from) == after(q) {
+			r.to = rs[i+1].to
+			*s = slices.Delete(rs, i+1, i+2)
+		}
+	case after(q) == uint64(r.from):
+		r.from = q
+	default:
+		*s = slices.Insert(rs, i, seqRange{q, q})
+	}
+}
+
+// union returns the numbers in s or o.
+func (s seqSet) union(o seqSet) seqSet {
+	out := make(seqSet, 0, len(s)+len(o))
+	for len(s) > 0 || len(o) > 0 {
+		var r seqRange
+		if len(o) == 0 || (len(s) > 0 && s[0].from <= o[0].from) {
+			r, s = s[0], s[1:]
+		} else {
+			r, o = o[0], o[1:]
+		}
+		if last := len(out) - 1; last >= 0 && uint64(r.from) <= after(out[last].to) {
+			out[last].to = max(out[last].to, r.to)
+		} else {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// minus returns the numbers in s, not in o, and above floor.
+func (s seqSet) minus(o seqSet, floor mid.Seq) seqSet {
+	var out seqSet
+	for _, r := range s {
+		if r.to <= floor {
+			continue
+		}
+		from := uint64(max(r.from, floor+1)) // the first number of r not yet judged
+		for len(o) > 0 && uint64(o[0].to) < from {
+			o = o[1:] // both are sorted: a cut below r is below every later range
+		}
+		for _, cut := range o {
+			if cut.from > r.to || from > uint64(r.to) {
+				break
+			}
+			if uint64(cut.from) > from {
+				out = append(out, seqRange{mid.Seq(from), cut.from - 1})
+			}
+			from = after(cut.to)
+		}
+		if from <= uint64(r.to) {
+			out = append(out, seqRange{mid.Seq(from), r.to})
+		}
+	}
+	return out
+}
+
+// each calls fn for every number of the set, in order.
+func (s seqSet) each(fn func(mid.Seq)) {
+	for _, r := range s {
+		for q := uint64(r.from); q <= uint64(r.to); q++ {
+			fn(mid.Seq(q))
+		}
+	}
+}
+
+// parked is an ordering check that failed at Record: msg was processed
+// before need, which was neither processed nor below the baseline then. It is
+// a breach unless the final baseline covers need.
+type parked struct {
+	msg, need mid.MID
+	dep       bool // need is a declared dependency, not the sequence predecessor
+}
+
+// incarnation is one lifetime of a member: what it processed, the stability
+// baseline it joined at, and the ordering checks still open. The baseline is
+// nil for a member's first incarnation (it was present at group birth and
+// owes the full prefix); for a rejoined incarnation it is the stable vector
+// installed by the state transfer — everything at or below it was uniformly
+// stable before the incarnation existed, so the invariants treat that prefix
+// as processed.
+//
+// Ordering is judged as the messages are recorded: a clean stream leaves one
+// range per sender and nothing else, so the record grows with the stream's
+// irregularities — a gap, a repeat, a dependency not yet met — not with its
+// volume.
+type incarnation struct {
+	done     []seqSet // per sender: every sequence number processed, each once
+	events   int      // processing events on record, repeats included
+	baseline mid.SeqVector
+	parked   []parked
+	twice    []mid.MID // every repeat: a breach whatever the baseline
+	below    []mid.MID // processed at or below the baseline as it stood then
+}
+
+// has reports whether m was processed by the incarnation.
+func (in *incarnation) has(m mid.MID) bool {
+	return m.Proc >= 0 && int(m.Proc) < len(in.done) && in.done[m.Proc].has(m.Seq)
 }
 
 // covered reports whether m lies in the incarnation's exempt prefix.
 func (in *incarnation) covered(m mid.MID) bool {
-	return in.baseline != nil && int(m.Proc) < len(in.baseline) &&
+	return in.baseline != nil && m.Proc >= 0 && int(m.Proc) < len(in.baseline) &&
 		m.Seq <= in.baseline[m.Proc]
+}
+
+// floor is the top of the exempt prefix of proc's sequence.
+func (in *incarnation) floor(proc int) mid.Seq {
+	if proc < len(in.baseline) {
+		return in.baseline[proc]
+	}
+	return 0
 }
 
 // Checker records every member's processed sequence during a chaos run and
@@ -124,25 +249,40 @@ func (c *Checker) liveFor(node mid.ProcID) *incarnation {
 	return in
 }
 
-// Record appends one processed message to node's current incarnation: a
-// dependency-free message that follows its sender's previous one extends
-// the last run, any other opens a new entry, copying its dependency list
-// into the incarnation's label log. A list longer than wire.MaxDeps cannot
-// have travelled, and panics.
+// Record adds one processed message to node's current incarnation and judges
+// its ordering there and then: a repeat is a breach, and so is a message the
+// baseline covers — the join installed it as processed, or a fast-forward
+// skipped it; a predecessor or a declared dependency neither processed before
+// it nor below the baseline is parked, to be judged at Check against the
+// final baseline. A message of a negative sender, or with a list longer than
+// wire.MaxDeps, cannot have travelled, and panics.
 func (c *Checker) Record(node mid.ProcID, m *causal.Message) {
-	if len(m.Deps) > math.MaxUint16 {
-		panic(fmt.Sprintf("faultrt: %v declares %d dependencies, more than a message can carry", m.ID, len(m.Deps)))
+	if len(m.Deps) > math.MaxUint16 || m.ID.Proc < 0 {
+		panic(fmt.Sprintf("faultrt: %v with %d dependencies cannot have been processed", m.ID, len(m.Deps)))
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	in := c.liveFor(node)
 	in.events++
-	if last := len(in.entries) - 1; last >= 0 && len(m.Deps) == 0 && in.entries[last].extends(m.ID) {
-		in.entries[last].more++
-	} else {
-		in.entries = append(in.entries, checkerEntry{id: m.ID, off: uint32(len(in.labels)), n: uint16(len(m.Deps))})
-		in.labels = append(in.labels, m.Deps...)
+	if in.has(m.ID) {
+		in.twice = append(in.twice, m.ID)
+		return
 	}
-	c.mu.Unlock()
+	if in.covered(m.ID) {
+		in.below = append(in.below, m.ID)
+	}
+	if prev := m.ID.Prev(); !prev.IsZero() && !in.has(prev) && !in.covered(prev) {
+		in.parked = append(in.parked, parked{msg: m.ID, need: prev})
+	}
+	for _, d := range m.Deps {
+		if !in.has(d) && !in.covered(d) {
+			in.parked = append(in.parked, parked{msg: m.ID, need: d, dep: true})
+		}
+	}
+	if p := int(m.ID.Proc); p >= len(in.done) {
+		in.done = append(in.done, make([]seqSet, p+1-len(in.done))...)
+	}
+	in.done[m.ID.Proc].add(m.ID.Seq)
 }
 
 // Recorded returns how many processing events node's current incarnation
@@ -166,7 +306,7 @@ func (c *Checker) Recorded(node mid.ProcID) int {
 func (c *Checker) Restart(node mid.ProcID, baseline mid.SeqVector) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if in := c.live[node]; in != nil && len(in.entries) > 0 {
+	if in := c.live[node]; in != nil && in.events > 0 {
 		c.archived[node] = append(c.archived[node], in)
 	}
 	c.live[node] = &incarnation{baseline: baseline.Clone()}
@@ -175,7 +315,8 @@ func (c *Checker) Restart(node mid.ProcID, baseline mid.SeqVector) {
 // FastForward raises node's baseline entry for proc to at least seq: the
 // recovery machinery told the rejoined incarnation that proc's sequence
 // through seq was purged as uniformly stable, and the incarnation skipped
-// its frontier over the gap instead of processing it.
+// its frontier over the gap instead of processing it. What it processed of
+// the prefix before the skip stays legitimately processed.
 func (c *Checker) FastForward(node mid.ProcID, proc mid.ProcID, seq mid.Seq) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -195,133 +336,94 @@ func (c *Checker) FastForward(node mid.ProcID, proc mid.ProcID, seq mid.Seq) {
 // (crashed and pre-restart prefixes must be causally ordered too),
 // atomicity over the surviving members' live incarnations only — a crashed
 // member legitimately stops mid-prefix, and a rejoined one legitimately
-// starts past its baseline. Returns every violation found, nil when the
-// run was clean.
+// starts past its baseline. Returns every violation found, in the order
+// sortViolations gives them, nil when the run was clean.
 func (c *Checker) Check(survivors []mid.ProcID) []Violation {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []Violation
-	out = append(out, c.orderingLocked()...)
+	for node, in := range c.live {
+		out = append(out, ordering(node, in)...)
+	}
+	for node, ins := range c.archived {
+		for _, in := range ins {
+			out = append(out, ordering(node, in)...)
+		}
+	}
 	out = append(out, c.atomicityLocked(survivors)...)
+	sortViolations(out)
 	return out
 }
 
-// orderingLocked asserts Uniform Ordering and no double processing within
-// every incarnation of every recorded member.
-func (c *Checker) orderingLocked() []Violation {
+// ordering reports one incarnation's ordering breaches: its repeats, what it
+// processed below its baseline, and the parked checks the final baseline does
+// not settle.
+func ordering(node mid.ProcID, in *incarnation) []Violation {
 	var out []Violation
-	nodes := make(map[mid.ProcID]bool, len(c.live))
-	for n := range c.live {
-		nodes[n] = true
+	for _, m := range in.twice {
+		out = append(out, Violation{Invariant: uniformOrdering, Node: node, Msg: m, Detail: "processed twice"})
 	}
-	for n := range c.archived {
-		nodes[n] = true
+	for _, m := range in.below {
+		out = append(out, Violation{Invariant: uniformOrdering, Node: node, Msg: m, Detail: "processed below the join baseline"})
 	}
-	sorted := make([]mid.ProcID, 0, len(nodes))
-	for n := range nodes {
-		sorted = append(sorted, n)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for _, node := range sorted {
-		for _, in := range c.archived[node] {
-			out = append(out, c.orderingOne(node, in)...)
+	for _, p := range in.parked {
+		if in.covered(p.need) {
+			continue
 		}
-		if in := c.live[node]; in != nil {
-			out = append(out, c.orderingOne(node, in)...)
+		what := "sequence predecessor"
+		if p.dep {
+			what = "dependency"
 		}
-	}
-	return out
-}
-
-// orderingOne checks one incarnation's log, expanding its runs in recording
-// order. Dependencies at or below the incarnation's baseline were uniformly
-// stable before it existed and count as processed.
-func (c *Checker) orderingOne(node mid.ProcID, in *incarnation) []Violation {
-	var out []Violation
-	done := make(map[mid.MID]bool, in.events)
-	have := func(m mid.MID) bool { return done[m] || in.covered(m) }
-	for _, e := range in.entries {
-		for i := 0; i <= int(e.more); i++ {
-			id := e.at(i)
-			if done[id] {
-				out = append(out, Violation{
-					Invariant: "uniform-ordering", Node: node, Msg: id,
-					Detail: "processed twice",
-				})
-				continue
-			}
-			if in.covered(id) {
-				out = append(out, Violation{
-					Invariant: "uniform-ordering", Node: node, Msg: id,
-					Detail: "processed below the join baseline",
-				})
-			}
-			if prev := id.Prev(); !prev.IsZero() && !have(prev) {
-				out = append(out, Violation{
-					Invariant: "uniform-ordering", Node: node, Msg: id,
-					Detail: fmt.Sprintf("sequence predecessor %v not processed first", prev),
-				})
-			}
-			for _, d := range in.deps(e, i) {
-				if !have(d) {
-					out = append(out, Violation{
-						Invariant: "uniform-ordering", Node: node, Msg: id,
-						Detail: fmt.Sprintf("dependency %v not processed first", d),
-					})
-				}
-			}
-			done[id] = true
-		}
+		out = append(out, Violation{Invariant: uniformOrdering, Node: node, Msg: p.msg,
+			Detail: fmt.Sprintf("%s %v not processed first", what, p.need)})
 	}
 	return out
 }
 
 // atomicityLocked asserts that the surviving members' live incarnations
 // processed the same message set, minus each incarnation's exempt baseline
-// prefix.
+// prefix, by range arithmetic over their sets: each survivor is missing the
+// survivors' union less its own set, above its floor.
 func (c *Checker) atomicityLocked(survivors []mid.ProcID) []Violation {
+	var union []seqSet
+	for _, node := range survivors {
+		if in := c.live[node]; in != nil {
+			for len(union) < len(in.done) {
+				union = append(union, nil)
+			}
+			for proc, set := range in.done {
+				union[proc] = union[proc].union(set)
+			}
+		}
+	}
 	var out []Violation
-	union := make(map[mid.MID]mid.ProcID) // message -> one survivor that processed it
-	perNode := make(map[mid.ProcID]map[mid.MID]bool, len(survivors))
 	for _, node := range survivors {
 		in := c.live[node]
 		if in == nil {
-			perNode[node] = nil
-			continue
+			in = &incarnation{}
 		}
-		set := make(map[mid.MID]bool, in.events)
-		for _, e := range in.entries {
-			for i := 0; i <= int(e.more); i++ {
-				id := e.at(i)
-				set[id] = true
-				if _, ok := union[id]; !ok {
-					union[id] = node
-				}
+		for proc, set := range union {
+			var own seqSet
+			if proc < len(in.done) {
+				own = in.done[proc]
 			}
-		}
-		perNode[node] = set
-	}
-	// Deterministic report order.
-	all := make([]mid.MID, 0, len(union))
-	for m := range union {
-		all = append(all, m)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Less(all[j]) })
-	sorted := append([]mid.ProcID(nil), survivors...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for _, m := range all {
-		for _, node := range sorted {
-			if perNode[node][m] {
-				continue
-			}
-			if in := c.live[node]; in != nil && in.covered(m) {
-				continue
-			}
-			out = append(out, Violation{
-				Invariant: "uniform-atomicity", Node: node, Msg: m,
-				Detail: fmt.Sprintf("processed at survivor %d but not here", union[m]),
+			set.minus(own, in.floor(proc)).each(func(q mid.Seq) {
+				m := mid.MID{Proc: mid.ProcID(proc), Seq: q}
+				out = append(out, Violation{Invariant: uniformAtomicity, Node: node, Msg: m,
+					Detail: fmt.Sprintf("processed at survivor %d but not here", c.firstHolder(survivors, m))})
 			})
 		}
 	}
 	return out
+}
+
+// firstHolder returns the first survivor, in the order given, that
+// processed m.
+func (c *Checker) firstHolder(survivors []mid.ProcID, m mid.MID) mid.ProcID {
+	for _, node := range survivors {
+		if in := c.live[node]; in != nil && in.has(m) {
+			return node
+		}
+	}
+	return mid.None
 }

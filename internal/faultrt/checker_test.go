@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"unsafe"
 
 	"urcgc/internal/causal"
 	"urcgc/internal/mid"
@@ -159,34 +158,45 @@ func TestCheckerArchivedOrderingStillChecked(t *testing.T) {
 }
 
 // TestCheckerFastForward: a recovery-driven skip raises the baseline so the
-// skipped range stops counting against atomicity and satisfies deps.
+// skipped range stops counting against atomicity and satisfies deps — and
+// what the incarnation processed before a skip covered it stays
+// legitimately processed: a joiner syncing against a moving stability
+// watermark processes (0,2) and then learns (0,3) was purged.
 func TestCheckerFastForward(t *testing.T) {
 	c := NewChecker()
-	a1, a2, a3 := msg(0, 1), msg(0, 2), msg(0, 3)
-	c.Record(0, a1)
-	c.Record(0, a2)
-	c.Record(0, a3)
+	a1, a2, a3, a4 := msg(0, 1), msg(0, 2), msg(0, 3), msg(0, 4)
+	for _, m := range []*causal.Message{a1, a2, a3, a4} {
+		c.Record(0, m)
+	}
 	c.Restart(1, mid.SeqVector{1, 0})
 	c.FastForward(1, 0, 2) // (0,2) purged at the responder: skipped
 	c.Record(1, a3)
-	if v := c.Check([]mid.ProcID{0, 1}); len(v) != 0 {
-		t.Fatalf("fast-forwarded rejoin flagged: %v", v)
+	c.Restart(2, mid.SeqVector{1, 0})
+	c.Record(2, a2)
+	c.FastForward(2, 0, 3) // (0,3) purged after (0,2) was processed here
+	c.Record(2, a4)
+	if v := c.Check([]mid.ProcID{0, 1, 2}); len(v) != 1 || v[0].Node != 1 || v[0].Msg != a4.ID {
+		t.Fatalf("violations %v: want only a4 missing at node 1", v)
 	}
 }
 
 // refChecker is the Checker as it was before its log was made compact: one
-// entry per event holding a clone of the message's label list. It is kept as
-// the reference the compact log must agree with.
+// entry per event holding a clone of the message's label list, and whether
+// the baseline covered the message when it was processed. It is kept as the
+// reference the compact log must agree with.
 type refChecker struct {
 	live     map[mid.ProcID]*refIncarnation
 	archived map[mid.ProcID][]*refIncarnation
 }
 
+type refEntry struct {
+	id    mid.MID
+	deps  mid.DepList
+	below bool
+}
+
 type refIncarnation struct {
-	entries []struct {
-		id   mid.MID
-		deps mid.DepList
-	}
+	entries  []refEntry
 	baseline mid.SeqVector
 }
 
@@ -203,10 +213,7 @@ func (c *refChecker) liveFor(node mid.ProcID) *refIncarnation {
 
 func (c *refChecker) Record(node mid.ProcID, m *causal.Message) {
 	in := c.liveFor(node)
-	in.entries = append(in.entries, struct {
-		id   mid.MID
-		deps mid.DepList
-	}{m.ID, m.Deps.Clone()})
+	in.entries = append(in.entries, refEntry{m.ID, m.Deps.Clone(), in.covered(m.ID)})
 }
 
 func (c *refChecker) Restart(node mid.ProcID, baseline mid.SeqVector) {
@@ -248,7 +255,7 @@ func (c *refChecker) Check(survivors []mid.ProcID) []Violation {
 				out = append(out, Violation{"uniform-ordering", node, e.id, "processed twice"})
 				continue
 			}
-			if in.covered(e.id) {
+			if e.below {
 				out = append(out, Violation{"uniform-ordering", node, e.id, "processed below the join baseline"})
 			}
 			if prev := e.id.Prev(); !prev.IsZero() && !have(prev) {
@@ -311,8 +318,9 @@ func (c *refChecker) Check(survivors []mid.ProcID) []Violation {
 // TestCheckerCompactLogAgreesWithReference feeds seeded random histories —
 // out-of-order and duplicated processing, labels on messages not yet seen,
 // restarts at random baselines and fast-forwards — to the Checker and to the
-// reference with the old log, and requires the same violations in the same
-// order, at every check along the way.
+// reference with the old log, and requires the same violations, at every
+// check along the way: the same list, once the reference's is put in the
+// Checker's canonical order (sortViolations).
 func TestCheckerCompactLogAgreesWithReference(t *testing.T) {
 	const nodes, senders = 4, 4
 	violations := 0
@@ -360,6 +368,7 @@ func TestCheckerCompactLogAgreesWithReference(t *testing.T) {
 					}
 				}
 				got, want := c.Check(survivors), ref.Check(survivors)
+				sortViolations(want)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d step %d: the compact log finds %d violations, the reference %d:\n%v\n%v", seed, step, len(got), len(want), got, want)
 				}
@@ -423,8 +432,9 @@ func TestCheckerCompactLogAgreesWithReference(t *testing.T) {
 					}
 				}
 				got, want := c.Check(survivors), ref.Check(survivors)
+				sortViolations(want)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("runs, seed %d run %d: the run-length log finds %d violations, the reference %d:\n%v\n%v", seed, run, len(got), len(want), got, want)
+					t.Fatalf("runs, seed %d run %d: the range log finds %d violations, the reference %d:\n%v\n%v", seed, run, len(got), len(want), got, want)
 				}
 				for n := 0; n < nodes; n++ {
 					node := mid.ProcID(n)
@@ -445,41 +455,93 @@ func TestCheckerCompactLogAgreesWithReference(t *testing.T) {
 	}
 }
 
-// TestCheckerLogGrowsWithRuns states what the log costs: an entry is 16
-// bytes, a stream of runs costs one entry per run rather than per event,
-// and a run longer than an entry's count continues in a fresh entry.
-func TestCheckerLogGrowsWithRuns(t *testing.T) {
-	if size := unsafe.Sizeof(checkerEntry{}); size != 16 {
-		t.Fatalf("checkerEntry is %d bytes, want 16", size)
+// entries is what an incarnation's record holds: its ranges, its parked
+// checks and its repeats.
+func entries(in *incarnation) int {
+	n := len(in.parked) + len(in.twice)
+	for _, set := range in.done {
+		n += len(set)
 	}
-	const senders, run, rounds = 3, 16, 50
-	c := NewChecker()
-	seq := make([]mid.Seq, senders)
-	for r := 0; r < rounds; r++ {
-		for q := mid.ProcID(0); q < senders; q++ {
-			for i := 0; i < run; i++ {
-				seq[q]++
-				c.Record(0, msg(q, seq[q]))
-			}
-		}
-	}
-	events := senders * run * rounds
-	if got := c.Recorded(0); got != events {
-		t.Fatalf("Recorded = %d, want %d", got, events)
-	}
-	if got, limit := len(c.live[0].entries), events/run+senders; got > limit {
-		t.Fatalf("%d events in runs of %d from %d senders kept %d entries, want at most %d", events, run, senders, got, limit)
-	}
+	return n
+}
 
+// TestCheckerLogGrowsWithRuns states what the log costs: a stream of runs
+// costs one range per sender however long it runs — past any fixed count —
+// and every irregularity that is judged later adds one entry: a gap leaves a
+// range and parks the missing predecessor, a repeat is kept, an unmet
+// dependency is parked, and a message filling a gap merges two ranges back
+// into one.
+func TestCheckerLogGrowsWithRuns(t *testing.T) {
 	long := NewChecker()
 	const n = 2*(math.MaxUint16+1) + 5
 	for s := mid.Seq(1); s <= n; s++ {
 		long.Record(0, msg(0, s))
 	}
-	if got := len(long.live[0].entries); got != 3 {
-		t.Fatalf("a run of %d kept %d entries, want 3 (an entry holds %d)", n, got, math.MaxUint16+1)
+	if got := entries(long.live[0]); got != 1 {
+		t.Fatalf("a run of %d kept %d entries, want 1", n, got)
 	}
 	if v := long.Check([]mid.ProcID{0}); len(v) != 0 || long.Recorded(0) != n {
-		t.Fatalf("a saturated run: violations %v, Recorded %d of %d", v, long.Recorded(0), n)
+		t.Fatalf("a long run: violations %v, Recorded %d of %d", v, long.Recorded(0), n)
+	}
+
+	c := NewChecker()
+	steps := []struct {
+		m    *causal.Message
+		want int
+	}{
+		{msg(0, 1), 1},
+		{msg(0, 2), 1},
+		{msg(0, 4), 3},               // a gap: a second range, (0,3) parked
+		{msg(0, 4), 4},               // a repeat
+		{msg(1, 1, msg(2, 9).ID), 6}, // a new sender's range, (2,9) parked
+		{msg(0, 3), 5},               // the gap filled: the ranges merge
+	}
+	for i, s := range steps {
+		c.Record(0, s.m)
+		if got := entries(c.live[0]); got != s.want {
+			t.Fatalf("step %d (%v): %d entries, want %d", i, s.m.ID, got, s.want)
+		}
+	}
+	if v := c.Check([]mid.ProcID{0}); len(v) != 3 {
+		t.Fatalf("violations %v, want the gap, the repeat and the unmet dependency", v)
+	}
+}
+
+// TestCheckerCleanStreamCostsOneRangePerSender is the size the benchmark's
+// gated runs rely on: three senders' batched streams interleaved at three
+// members, the way a saturated batched group processes them, cost each
+// member one range per sender — O(n) entries — whatever the volume, and a
+// clean Check of them builds nothing per message.
+func TestCheckerCleanStreamCostsOneRangePerSender(t *testing.T) {
+	const senders, batch, subruns = 3, 32, 2000
+	c := NewChecker()
+	seq := make([]mid.Seq, senders)
+	for s := 0; s < subruns; s++ {
+		for q := mid.ProcID(0); q < senders; q++ {
+			for i := 0; i < batch; i++ {
+				seq[q]++
+				m := msg(q, seq[q])
+				for node := mid.ProcID(0); node < senders; node++ {
+					c.Record(node, m)
+				}
+			}
+		}
+	}
+	survivors := []mid.ProcID{0, 1, 2}
+	for _, node := range survivors {
+		if got := c.Recorded(node); got != senders*batch*subruns {
+			t.Fatalf("node %d Recorded %d, want %d", node, got, senders*batch*subruns)
+		}
+		if got := entries(c.live[node]); got != senders {
+			t.Fatalf("node %d keeps %d entries for %d messages from %d senders, want %d", node, got, senders*batch*subruns, senders, senders)
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if v := c.Check(survivors); len(v) != 0 {
+			t.Fatalf("a clean stream flagged: %v", v[:min(len(v), 5)])
+		}
+	})
+	if allocs > 100 {
+		t.Errorf("a clean Check of %d messages allocates %v objects, want a handful per sender", senders*batch*subruns, allocs)
 	}
 }

@@ -162,7 +162,7 @@ func Mux(o Options) *http.ServeMux {
 func WriteStatusText(w http.ResponseWriter, st rt.NodeStatus) {
 	fmt.Fprintf(w, "id         %d of %d, %d groups\n", st.ID, st.N, len(st.Groups))
 	for _, g := range st.Groups {
-		fmt.Fprintf(w, "group %-4d running %v, subrun %d (coordinator %d)\n", g.Group, g.Running, g.Subrun, g.Coordinator)
+		fmt.Fprintf(w, "group %-4d running %v, subrun %d+%d (coordinator %d)\n", g.Group, g.Running, g.Subrun, g.Early, g.Coordinator)
 		if g.Joining {
 			fmt.Fprintf(w, "  joining    true (state transfer in progress)\n")
 		}

@@ -23,10 +23,11 @@ type confirms struct {
 // protocol and has its confirm waiter registered, and only then — waiters in
 // place, the whole coalesced batch queued — does one core.Process.Flush send
 // as much of the queue as the subrun's BatchMax budget has left; the rest
-// waits for the tick. Flushing any earlier would process a message before
-// its waiter exists, and split a coalescer window's worth over several
-// frames. One flush per event means a subrun carries as many eager frames as
-// windows arrive in it, until the budget is spent.
+// waits for the next subrun, which Advance may open at once. Flushing any
+// earlier would process a message before its waiter exists, and split a
+// coalescer window's worth over several frames. One flush per event means a
+// subrun carries as many eager frames as windows arrive in it, until the
+// budget is spent.
 func (c *confirms) Submit(p *core.Process, o *nodeObs, head *submission) {
 	for s := head; s != nil; {
 		rest := s.cut()
@@ -51,6 +52,7 @@ func (c *confirms) Submit(p *core.Process, o *nodeObs, head *submission) {
 	if p.Flush() {
 		o.EagerBroadcast()
 	}
+	p.Advance()
 }
 
 // Send is the urcgc-data.Rq/Conf pair: the payload goes to the shard loop

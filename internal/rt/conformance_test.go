@@ -101,14 +101,20 @@ func (c *cell) poison() {
 }
 
 // inject hands member 0 a raw datagram the way its link would: through the
-// socket, or queued at the shard loop as a mesh peer's hand-off.
+// socket, or as a mesh peer's hand-off to the loop of the group the envelope
+// names — group 0's when it names none member 0 hosts, which the validator
+// refuses wherever it runs.
 func (c *cell) inject(t *testing.T, frame []byte) {
 	t.Helper()
 	m := c.members[0]
 	if c.link == "mesh" {
-		if !m.sessions[0].offer(event{kind: evFrame, frame: newSharedBuf(append(wire.GetBuf(len(frame)), frame...))}) {
-			t.Fatal("inbox full")
+		group, _, _, err := wire.ParseEnvelope(frame)
+		if err != nil || int64(group) >= int64(len(m.sessions)) {
+			group = 0
 		}
+		sh := newSharedBuf(append(wire.GetBuf(len(frame)), frame...))
+		m.deliver(group, sh)
+		sh.release()
 		return
 	}
 	conn, err := net.Dial("udp", m.LocalAddr().String())

@@ -47,6 +47,11 @@ func TestMeshIdleSendSkipsTickWait(t *testing.T) {
 		sendWithin(t, "mesh node", func(ctx context.Context) (mid.MID, error) {
 			return n.Send(ctx, []byte("idle"), nil)
 		})
+		// The loop counts the flush right after the step that confirmed the
+		// Send: give it a moment.
+		for deadline := time.Now().Add(time.Second); nodeCounter(reg, "rt_eager_broadcasts_total", i) == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
 		if got := nodeCounter(reg, "rt_eager_broadcasts_total", i); got != 1 {
 			t.Errorf("rt_eager_broadcasts_total{node=%d} = %d, want 1", i, got)
 		}
@@ -102,11 +107,13 @@ func TestCoalescedWindowLeavesEagerlyAsOneFrame(t *testing.T) {
 // TestSubrunBudgetSpentAcrossWindows: with BatchMax 8 a subrun carries up to
 // eight of a member's messages however many submission events bring them —
 // back-to-back Sends each leave on submit, from what the ones before left of
-// the budget — and the subrun's 9th message waits for the tick.
-// rt_eager_broadcasts_total counts flushes, one per event here. The frame
-// shape is pinned with and without a coalescer window: sequential Sends are
-// one event each either way, so the budget leaves as eight single-message
-// Data frames, not one DataBatch.
+// the budget. In a group in step the 9th leaves in an early subrun, opened on
+// the decision without waiting for the tick; in a group held out of step — a
+// killed peer whose report every early subrun would need — it waits for the
+// tick. rt_eager_broadcasts_total counts flushes, one per event here. The
+// frame shape is pinned with and without a coalescer window: sequential Sends
+// are one event each either way, so the budget leaves as eight
+// single-message Data frames, not one DataBatch.
 func TestSubrunBudgetSpentAcrossWindows(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -123,7 +130,9 @@ func subrunBudgetAcrossEvents(t *testing.T, window time.Duration) {
 	const budget = 8
 	reg := obs.New()
 	c := startCluster(t, Config{
-		Config:        core.Config{N: 3, K: 3, R: 8, SelfExclusion: true, BatchMax: budget},
+		// K far above the test's length: the killed peer must hold the group
+		// out of step, not be excluded from it.
+		Config:        core.Config{N: 3, K: 100, R: 8, BatchMax: budget},
 		RoundDuration: eagerRound,
 		BatchWindow:   window,
 		Metrics:       reg,
@@ -139,8 +148,28 @@ func subrunBudgetAcrossEvents(t *testing.T, window time.Duration) {
 	}
 	send := func(ctx context.Context) (mid.MID, error) { return node.Send(ctx, []byte("windowed"), nil) }
 
-	// Start just after a subrun opens, so the eight Sends fit well inside
-	// its 600 ms; a run that still straddles a tick is retried.
+	// In step: once the group's first subrun is decided, the budget's worth
+	// and one more, none waiting for a tick.
+	for nodeCounter(reg, "rt_decisions_total", 0) == 0 {
+		if ctx.Err() != nil {
+			t.Fatal("the group never decided its first subrun")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	early0 := nodeCounter(reg, "rt_early_subruns_total", 0)
+	for i := 1; i <= budget+1; i++ {
+		sendWithin(t, fmt.Sprintf("send %d of a group in step", i), send)
+	}
+	// The last Send's confirm may beat the opening it caused to the counter.
+	for deadline := time.Now().Add(eagerRound / 3); nodeCounter(reg, "rt_early_subruns_total", 0) == early0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a group in step opened no early subrun")
+		}
+	}
+
+	// Out of step: start just after a subrun opens, so the eight Sends fit
+	// well inside it; a run that still straddles a tick is retried.
+	c.Node(2).Kill()
 	for attempt := 0; attempt < 3; attempt++ {
 		s0, _ := state()
 		for s, _ := state(); s == s0; s, _ = state() {
@@ -198,7 +227,7 @@ func subrunBudgetAcrossEvents(t *testing.T, window time.Duration) {
 		if err := <-ninth; err != nil {
 			t.Fatal(err)
 		}
-		if after, _ := state(); after <= s0 {
+		if after, _ := state(); after == s0 {
 			t.Fatalf("the subrun's 9th message confirmed in subrun %d, its own: it did not wait for the tick", after)
 		}
 		if got := eager(); got != budget {

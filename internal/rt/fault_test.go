@@ -67,19 +67,87 @@ func TestMeshFaultHookCrashAndConverge(t *testing.T) {
 	}
 }
 
+// TestKilledMemberExcludedOnTheClock: arrivals pace agreement, the clock
+// paces fault detection. A member killed after a burst that ran on early
+// subruns is excluded K clock subruns later — no sooner for the early
+// subruns, no later — and once the survivors' view has dropped it they are
+// in step again: early subruns resume.
+func TestKilledMemberExcludedOnTheClock(t *testing.T) {
+	const k = 3
+	reg := obs.New()
+	c := startCluster(t, Config{
+		Config:        core.Config{N: 3, K: k, R: 8, SelfExclusion: true},
+		RoundDuration: 20 * time.Millisecond,
+		Metrics:       reg,
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	burst := func(senders int) {
+		for j := 0; j < 5; j++ {
+			for i := 0; i < senders; i++ {
+				if _, err := c.Node(mid.ProcID(i)).Send(ctx, []byte(fmt.Sprintf("b%d-%d", i, j)), nil); err != nil {
+					t.Fatalf("node %d send %d: %v", i, j, err)
+				}
+			}
+		}
+	}
+	status := func(i mid.ProcID) Status {
+		st, err := c.Node(i).Status(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	burst(3)
+	for nodeCounter(reg, "rt_early_subruns_total", 0) == 0 {
+		if ctx.Err() != nil {
+			t.Fatal("the burst ran on the clock alone: no early subrun opened")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	killedAt := status(0).Subrun
+	c.Node(2).Kill()
+	var excludedAt int64
+	for {
+		st := status(0)
+		if !st.Alive[2] {
+			excludedAt = st.Subrun
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatal("the killed member was never excluded")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if took := excludedAt - killedAt; took < k-1 || took > k+2 {
+		t.Errorf("excluded %d clock subruns after the kill, want K = %d (K-1 to K+2: the kill and the poll each land mid-subrun)", took, k)
+	}
+
+	early := nodeCounter(reg, "rt_early_subruns_total", 0)
+	burst(2)
+	waitConverged(t, c, mid.SeqVector{10, 10, 5}, 10*time.Second)
+	if nodeCounter(reg, "rt_early_subruns_total", 0) == early {
+		t.Error("the survivors never opened an early subrun after the exclusion")
+	}
+}
+
 // TestSendAbandonedDoesNotLeakWaiter is the regression test for the
 // waiter-map leak: a Send abandoned on context timeout while its message
 // is still unprocessed must remove its confirm entry. The later submissions
 // are held in the outbox by construction, not by timing: with a history
 // threshold of one, the first Send (which leaves at once — send on submit)
 // closes the flow-control valve, and it cannot reopen before a full-group
-// decision has made that message stable, two-second rounds away.
+// decision has made that message stable. With member 2 killed there is none:
+// no early subrun gathers every report, and the clock's decisions do not
+// cover the silent member until K two-second rounds have excluded it.
 func TestSendAbandonedDoesNotLeakWaiter(t *testing.T) {
 	cfg := Config{
 		Config:        core.Config{N: 3, K: 3, R: 8, HistoryThreshold: 1},
 		RoundDuration: 2 * time.Second,
 	}
 	c := startCluster(t, cfg)
+	c.Node(2).Kill()
 
 	n := c.Node(1)
 	if _, err := n.Send(context.Background(), []byte("closes the valve"), nil); err != nil {

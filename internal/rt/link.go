@@ -164,7 +164,10 @@ func (m *Member) checkSize(frame []byte, group uint32, to mid.ProcID, pdu wire.P
 // (a reader reuses its buffer at once; Unmarshal never aliases its input).
 // loop is nil on a socket's reader goroutine, which queues the decoded PDU
 // for the owning shard; a mesh peer's frame arrives on that shard's loop
-// already, named by loop, and is handed straight to the protocol.
+// already, named by loop, and is handed straight to the protocol. A frame
+// that reached the loop of another shard — it names a group that shard does
+// not own — is queued for the owner like a reader's: a core.Process runs on
+// its own shard's goroutine only.
 func (m *Member) ingest(pkt []byte, from netip.AddrPort, loop *shard) {
 	m.sock.received(len(pkt))
 	if len(pkt) > MaxDatagram {
@@ -187,6 +190,7 @@ func (m *Member) ingest(pkt []byte, from netip.AddrPort, loop *shard) {
 		return
 	}
 	s := m.sessions[group]
+	direct := loop == s.shard
 	act := m.cfg.Fault.Recv(group, src, m.cfg.Self)
 	if act.Drop || m.Killed() {
 		if m.cap != nil {
@@ -211,7 +215,7 @@ func (m *Member) ingest(pkt []byte, from netip.AddrPort, loop *shard) {
 		return
 	}
 	if !act.Faulty() {
-		if loop != nil {
+		if direct {
 			m.cap.Record(capture.DirIngress, group, src, capture.Delivered, 0, body)
 			s.recv(src, pdu)
 			free.Put(pdu)
@@ -235,7 +239,7 @@ func (m *Member) ingest(pkt []byte, from netip.AddrPort, loop *shard) {
 	switch {
 	case act.Delay > 0:
 		time.AfterFunc(act.Delay, func() { s.offer(event{call: again}) })
-	case loop != nil:
+	case direct:
 		again()
 	default:
 		s.offer(event{call: again})

@@ -465,20 +465,23 @@ func (s *session) offer(e event) bool {
 
 // tick opens a round unless the member is fail-stopped, and under a lockstep
 // clock always reports to the barrier: a crashed site must not stall it.
+// Like every event, it ends by letting arrivals advance agreement.
 func (s *session) tick(round int) {
 	if !s.m.Killed() {
-		s.obs.MarkRound(round)
 		s.proc.StartRound(round)
+		s.proc.Advance()
 	}
 	if s.m.mesh != nil {
 		s.m.mesh.tickDone <- struct{}{}
 	}
 }
 
-// recv delivers a decoded PDU; a crashed site absorbs nothing.
+// recv delivers a decoded PDU — which may be the report or the decision that
+// lets agreement advance; a crashed site absorbs nothing.
 func (s *session) recv(src mid.ProcID, pdu wire.PDU) {
 	if !s.m.Killed() {
 		s.proc.Recv(src, pdu)
+		s.proc.Advance()
 	}
 }
 

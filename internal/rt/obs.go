@@ -50,6 +50,7 @@ type nodeObs struct {
 	batchSize   *obs.Histogram // messages per DataBatch frame
 	coalesceSz  *obs.Histogram // submissions per coalescer flush
 	eager       *obs.Counter   // flushes that broadcast at submit time, not at the tick
+	early       *obs.Counter   // subruns opened by arrivals, between the clock's
 
 	// subrunStart is the wall-clock open of the member's current subrun,
 	// written and read only on the node loop goroutine.
@@ -96,6 +97,7 @@ func newNodeObs(reg *obs.Registry, id mid.ProcID, n int, extraLabels ...string) 
 		batchSize:   reg.Histogram(l("rt_batch_frame_msgs"), obs.LengthBuckets),
 		coalesceSz:  reg.Histogram(l("rt_coalesce_flush_msgs"), obs.LengthBuckets),
 		eager:       reg.Counter(l("rt_eager_broadcasts_total")),
+		early:       reg.Counter(l("rt_early_subruns_total")),
 	}
 	o.aliveCount.Set(int64(n))
 	return o
@@ -120,7 +122,8 @@ func (o *nodeObs) Install(cb core.Callbacks) core.Callbacks {
 			prevDecision(d)
 		}
 		o.decisions.Inc()
-		o.decisionSub.Set(d.Subrun)
+		clock, _ := core.SplitSubrun(d.Subrun) // monotone, as the token-stall rule reads it
+		o.decisionSub.Set(clock)
 		if !o.subrunStart.IsZero() {
 			o.decisionLat.ObserveSince(o.subrunStart)
 		}
@@ -139,8 +142,12 @@ func (o *nodeObs) Install(cb core.Callbacks) core.Callbacks {
 		if prevSubrun != nil {
 			prevSubrun(s, coord)
 		}
-		o.subrunG.Set(s)
+		o.subrunG.Add(1) // subruns opened, the clock's and the early ones
+		if _, k := core.SplitSubrun(s); k > 0 {
+			o.early.Inc()
+		}
 		o.coordG.Set(int64(coord))
+		o.subrunStart = time.Now()
 	}
 	prevView := cb.OnViewChange
 	cb.OnViewChange = func(alive []bool) {
@@ -228,15 +235,6 @@ func (o *nodeObs) MarkJoining(v bool) {
 	} else {
 		o.joiningG.Set(0)
 	}
-}
-
-// MarkRound notes the subrun open for decision-latency measurement. Loop
-// goroutine only.
-func (o *nodeObs) MarkRound(r int) {
-	if o == nil || r%2 != 0 {
-		return
-	}
-	o.subrunStart = time.Now()
 }
 
 // Coalesced records one coalescer flush of n submissions. Safe from any

@@ -25,9 +25,12 @@ type Status struct {
 	// the state transfer, or waiting for an admitting decision. A joining
 	// member does not generate and is legitimately behind.
 	Joining bool `json:"joining,omitempty"`
-	// Subrun is the member's current subrun index — the local view of the
-	// token position in the coordinator rotation.
+	// Subrun is the clock subrun T the member is in — the local view of the
+	// token position in the coordinator rotation — and Early the index k of
+	// the subrun arrivals opened inside it, 0 for the clock's own: the
+	// member is in subrun T+k (see core.SplitSubrun).
 	Subrun int64 `json:"subrun"`
+	Early  int64 `json:"early,omitempty"`
 	// Coordinator is the coordinator of the current subrun under this
 	// member's view.
 	Coordinator mid.ProcID `json:"coordinator"`
@@ -64,13 +67,15 @@ type NodeStatus struct {
 
 // statusOf samples one group's process. Must run on the goroutine driving p.
 func statusOf(group uint32, p *core.Process) Status {
+	clock, early := core.SplitSubrun(p.Subrun())
 	return Status{
 		ID:              p.ID(),
 		N:               p.View().N(),
 		Group:           group,
 		Running:         p.Running(),
 		Joining:         p.Joining(),
-		Subrun:          p.Subrun(),
+		Subrun:          clock,
+		Early:           early,
 		Coordinator:     p.CurrentCoordinator(),
 		HistoryLen:      p.HistoryLen(),
 		HistoryBySender: p.History().PerSender(),
