@@ -62,27 +62,6 @@ func BenchmarkStageLatencyBreakdown(b *testing.B)     { benchsuite.StageLatencyB
 func BenchmarkLifecycleOverhead(b *testing.B)         { benchsuite.LifecycleOverhead(b) }
 func BenchmarkSamplerOverhead(b *testing.B)           { benchsuite.SamplerOverhead(b) }
 
-// ---- Throughput saturation: msgs/sec x cluster size x batch size ----
-
-func BenchmarkThroughputSaturationN5B1(b *testing.B)  { benchsuite.ThroughputSaturationN5B1(b) }
-func BenchmarkThroughputSaturationN5B8(b *testing.B)  { benchsuite.ThroughputSaturationN5B8(b) }
-func BenchmarkThroughputSaturationN5B32(b *testing.B) { benchsuite.ThroughputSaturationN5B32(b) }
-func BenchmarkThroughputSaturationN9B32(b *testing.B) { benchsuite.ThroughputSaturationN9B32(b) }
-
-// ---- Group scaling: aggregate msgs/sec x groups x shards ----
-
-func BenchmarkGroupScalingG1S1(b *testing.B) { benchsuite.GroupScalingG1S1(b) }
-func BenchmarkGroupScalingG2S2(b *testing.B) { benchsuite.GroupScalingG2S2(b) }
-func BenchmarkGroupScalingG4S4(b *testing.B) { benchsuite.GroupScalingG4S4(b) }
-func BenchmarkGroupScalingG8S8(b *testing.B) { benchsuite.GroupScalingG8S8(b) }
-func BenchmarkGroupScalingG8S1(b *testing.B) { benchsuite.GroupScalingG8S1(b) }
-
-// Set-up cost of each view of the live runtime: construct, first confirm, stop.
-
-func BenchmarkSetupUDPNodeN3(b *testing.B)     { benchsuite.SetupUDPNodeN3(b) }
-func BenchmarkSetupMultiNodeN3G1(b *testing.B) { benchsuite.SetupMultiNodeN3G1(b) }
-func BenchmarkSetupClusterN5(b *testing.B)     { benchsuite.SetupClusterN5(b) }
-
 // ---- Ablations ----
 
 // BenchmarkAblationTransportH quantifies the Section 5 trade: moving loss

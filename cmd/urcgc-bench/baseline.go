@@ -28,8 +28,8 @@ type baselineEntry struct {
 	BytesPerOp  int64   `json:"b_op"`
 	AllocsPerOp int64   `json:"allocs_op"`
 	// AllocsExact is allocs/op before testing's integer division: the live
-	// families sit at a handful of objects per message, where the -diff
-	// guard's 5% is a fraction of one. Absent from older recordings.
+	// confirm path's observer off/on pairs differ by fractions of an object
+	// per message. Absent from older recordings.
 	AllocsExact float64            `json:"allocs_op_exact,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }

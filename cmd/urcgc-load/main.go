@@ -34,7 +34,6 @@ import (
 	"urcgc/internal/nodehttp"
 	"urcgc/internal/obs"
 	"urcgc/internal/rt"
-	"urcgc/internal/topics"
 )
 
 func main() {
@@ -63,7 +62,7 @@ func main() {
 	if *verbose {
 		logf = log.Printf
 	}
-	cfg := topics.Config{
+	cfg := rt.Config{
 		Config: core.Config{
 			N: *n, K: *k, R: 2**k + 2, SelfExclusion: true,
 			BatchMax: core.DefaultBatchMax,
@@ -244,9 +243,9 @@ type loadCluster struct {
 	stop        func()
 }
 
-func startCluster(cfg topics.Config, mesh bool) (*loadCluster, *obs.Registry, error) {
+func startCluster(cfg rt.Config, mesh bool) (*loadCluster, *obs.Registry, error) {
 	if mesh {
-		c, err := topics.NewMultiCluster(cfg)
+		c, err := rt.NewMesh(cfg, rt.FamilyTopics)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -266,7 +265,7 @@ func startCluster(cfg topics.Config, mesh bool) (*loadCluster, *obs.Registry, er
 	if err != nil {
 		return nil, nil, err
 	}
-	nodes := make([]*topics.MultiNode, cfg.N)
+	nodes := make([]*rt.Member, cfg.N)
 	var reg *obs.Registry
 	for i := range nodes {
 		nc := cfg
@@ -276,7 +275,7 @@ func startCluster(cfg topics.Config, mesh bool) (*loadCluster, *obs.Registry, er
 			reg = obs.New()
 			nc.Metrics = reg
 		}
-		nodes[i], err = topics.NewMultiNode(nc)
+		nodes[i], err = rt.NewMember(nc, rt.FamilyTopics)
 		if err != nil {
 			for _, n := range nodes[:i] {
 				n.Stop()

@@ -1,10 +1,8 @@
 package benchsuite
 
 import (
-	"context"
 	"math/rand"
 	"testing"
-	"time"
 
 	"urcgc/internal/core"
 	"urcgc/internal/fault"
@@ -67,28 +65,7 @@ func StageLatencyBreakdown(b *testing.B) {
 }
 
 // LifecycleOverhead is LiveConfirmLatency with lifecycle tracing enabled —
-// the same mesh, codec and load. Comparing its ns/op and allocs/op against
+// the same mesh, codec and load. Comparing its allocs/op against
 // LiveConfirmLatency bounds what span recording costs when switched on;
 // the disabled path is separately proven 0-extra-allocs by the rt tests.
-func LifecycleOverhead(b *testing.B) {
-	c, err := rt.NewCluster(rt.Config{
-		Config:        core.Config{N: 5, K: 3, R: 8, SelfExclusion: true},
-		RoundDuration: 200 * time.Microsecond,
-		Lifecycle:     &lifecycle.Options{},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	payload := make([]byte, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Node(mid.ProcID(i%5)).Send(ctx, payload, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func LifecycleOverhead(b *testing.B) { benchLiveConfirm(b, rt.Config{Lifecycle: &lifecycle.Options{}}) }

@@ -163,9 +163,11 @@ func TestIdleSubrunLiveAllocBudget(t *testing.T) {
 // through the wire codec and the datagram validator — the runtime's whole
 // per-message cost with the harness's share reduced to nothing (background
 // contexts, one shared payload, indication consumers that allocate nothing).
-// Two shapes: full 32-message batches from a closed loop of 96 sessions, and
-// the singleton Data frames that one session per member sends on submit, as
-// lan_light does.
+// Three shapes: full 32-message batches from a closed loop of 96 sessions; the
+// singleton Data frames that one session per member sends on submit, as
+// lan_light does; and eight batched groups sharing one shard loop per member,
+// so a subrun's work is spread over many small groups' frames, as on
+// lan_groups4 but with every group behind the same loop.
 //
 // What a message may allocate is what the group retains of it — the record
 // at the sender and at each receiver, labels and payload — and all of it is
@@ -184,15 +186,17 @@ func TestMallocsPerConfirmedMessage(t *testing.T) {
 		ceiling = 4
 	}
 	for _, c := range []struct {
-		name              string
-		sessions, perSess int
-		batch             bool
+		name                      string
+		groups, sessions, perSess int
+		batch                     bool
 	}{
-		{"batched_B32", 96, 64, true}, // 32 per member: every subrun drains a full batch
-		{"singleton", n, 150, false},
+		{"batched_B32", 1, 96, 64, true}, // 32 per member: every subrun drains a full batch
+		{"singleton", 1, n, 150, false},
+		{"groups8_shard1", 8, 48, 64, true}, // two sessions per (member, group)
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := liveConfig(n)
+			cfg.Groups, cfg.Shards = c.groups, 1
 			if c.batch {
 				cfg.BatchMax, cfg.BatchWindow = 32, 100*time.Microsecond
 			}
@@ -203,25 +207,29 @@ func TestMallocsPerConfirmedMessage(t *testing.T) {
 			mesh.Start()
 			defer mesh.Stop()
 			for i := 0; i < n; i++ {
-				ind, err := mesh.Node(mid.ProcID(i)).Indications(0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				go func() {
-					for range ind {
+				for g := uint32(0); g < uint32(c.groups); g++ {
+					ind, err := mesh.Node(mid.ProcID(i)).Indications(g)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}()
+					go func() {
+						for range ind {
+						}
+					}()
+				}
 			}
 			payload := make([]byte, 64)
 			leg := func(count int) {
 				var wg sync.WaitGroup
 				for s := 0; s < c.sessions; s++ {
-					node := mesh.Node(mid.ProcID(s % n))
+					// n and the group counts are coprime: every (member, group)
+					// pair gets sessions/(n·groups) of them.
+					node, g := mesh.Node(mid.ProcID(s%n)), uint32(s%c.groups)
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
 						for i := 0; i < count; i++ {
-							if _, err := node.Send(context.Background(), 0, payload, nil); err != nil {
+							if _, err := node.Send(context.Background(), g, payload, nil); err != nil {
 								t.Error(err)
 								return
 							}

@@ -3,6 +3,7 @@ package rt
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -199,6 +200,7 @@ func TestConformance(t *testing.T) {
 		{"fault_verdicts", conformFaultVerdicts},
 		{"poisoned_records", conformPoisonedRecords},
 		{"forged_sender", conformForgedSender},
+		{"shard_independence", conformShardIndependence},
 	}
 	for _, link := range []string{"mesh", "udp"} {
 		for _, groups := range []int{1, 4} {
@@ -503,5 +505,55 @@ func conformForgedSender(t *testing.T, link string, groups int) {
 	}
 	if id, err := c.members[0].Send(ctx, last, []byte("mine"), nil); err != nil || id != (mid.MID{Proc: 0, Seq: 1}) {
 		t.Fatalf("own first message after the impersonation: %v, %v", id, err)
+	}
+}
+
+// conformShardIndependence: a shard loop held busy stops the groups hashed
+// onto it and no other. Member 0's loop for group 0 is held inside a command;
+// over two shard loops, group 1 still answers a Snapshot and confirms a Send.
+// Over one loop for every group, the same probe waits out its context — so
+// the row detects groups serialised behind one loop by what completes, not by
+// a rate.
+func conformShardIndependence(t *testing.T, link string, groups int) {
+	if groups == 1 {
+		t.Skip("one group: no other shard loop to stay free")
+	}
+	for _, shards := range []int{2, 1} {
+		t.Run(fmt.Sprintf("S%d", shards), func(t *testing.T) {
+			c := startCell(t, link, groups, func(cfg *Config) { cfg.Shards = shards })
+			m := c.members[0]
+			held, release := make(chan struct{}), make(chan struct{})
+			defer close(release)
+			go m.Snapshot(context.Background(), 0, func(*core.Process) { close(held); <-release })
+			select {
+			case <-held:
+			case <-time.After(30 * time.Second):
+				t.Fatal("group 0's shard loop never ran the holding command")
+			}
+			// A free loop answers well inside the generous budget; a held one
+			// can not answer at all, so the short budget only bounds the wait.
+			budget := 30 * time.Second
+			if shards == 1 {
+				budget = 50 * time.Millisecond
+			}
+			probe := func(what string, op func(context.Context) error) {
+				ctx, cancel := context.WithTimeout(context.Background(), budget)
+				defer cancel()
+				err := op(ctx)
+				switch {
+				case shards > 1 && err != nil:
+					t.Errorf("%s on group 1 with group 0's loop held: %v", what, err)
+				case shards == 1 && !errors.Is(err, context.DeadlineExceeded):
+					t.Errorf("%s on group 1 returned %v with the only loop held, want it to wait", what, err)
+				}
+			}
+			probe("Snapshot", func(ctx context.Context) error {
+				return m.Snapshot(ctx, 1, func(*core.Process) {})
+			})
+			probe("Send", func(ctx context.Context) error {
+				_, err := m.Send(ctx, 1, []byte("past the held loop"), nil)
+				return err
+			})
+		})
 	}
 }
