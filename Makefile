@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt loc check bench bench-e2e bench-allocs bench-smoke chaos-smoke chaos-soak inspect-smoke trace-smoke join-smoke capture-smoke clean
+.PHONY: all build test race vet fmt loc check bench-module bench bench-e2e bench-allocs bench-smoke chaos-smoke chaos-soak inspect-smoke trace-smoke join-smoke capture-smoke clean
 
 all: check
 
@@ -22,9 +22,11 @@ fmt:
 # loc prints the non-test Go lines of the live-runtime packages — the number
 # ROADMAP item 5 ("finish the collapse") states its acceptance in — and of
 # the operator surface (the HTTP endpoints, the health rules, the probes and
-# the CLIs over them; ROADMAP item 6). The probe CLI list names the
-# pre-merge directories too, so the same loop counts a checkout of either
-# side of the urcgc-ctl merge.
+# the CLIs over them; ROADMAP item 6), then the root module's non-test Go
+# total (benchmark/ is its own module) and its number of internal/ packages:
+# the figures a simplicity change reports its net lines from. The probe CLI
+# list names the pre-merge directories too, so the same loop counts a
+# checkout of either side of the urcgc-ctl merge.
 loc:
 	@count() { label=$$1; shift; total=0; for p in "$$@"; do \
 		[ -e $$p ] || continue; \
@@ -33,7 +35,11 @@ loc:
 	done; printf '%-24s %5d\n' "$$label" $$total; }; \
 	count 'live runtime' internal/rt internal/topics internal/chaos; \
 	count 'operator surface' internal/nodehttp internal/health internal/inspect internal/stitch internal/probe \
-		internal/rt/status.go cmd/urcgc-node cmd/urcgc-ctl cmd/urcgc-inspect cmd/urcgc-trace cmd/urcgc-replay
+		internal/rt/status.go cmd/urcgc-node cmd/urcgc-ctl cmd/urcgc-inspect cmd/urcgc-trace cmd/urcgc-replay; \
+	printf '%-24s %5d\n' 'non-test Go' $$(find . \( -path ./benchmark -o -path ./.git \) -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
+	printf '%-24s %5d\n' 'internal packages' $$(find internal -name '*.go' ! -name '*_test.go' \
+		-exec dirname {} \; | sort -u | wc -l)
 
 # race runs the concurrency-sensitive packages under the race detector:
 # the real-time runtime (node loop, UDP reader, Status/Snapshot sampling),
@@ -53,13 +59,22 @@ race:
 
 # check is the tier-1 gate: everything is gofmt-clean, builds, vets clean,
 # passes the full suite, the concurrency-sensitive packages pass under -race,
+# the nested benchmark/ module vets clean and passes its short tests,
 # every benchmark body still runs (one iteration each), the guarded families
 # allocate no more per operation than BENCH_BASELINE.json records, a seeded
 # chaos soak upholds the uniform invariants under the race detector, and a live
 # three-member cluster inspects healthy end to end through the real
 # binaries — including the forensic pipeline: capture dumps from real
 # nodes must replay offline to a clean verdict.
-check: fmt vet test race bench-smoke bench-allocs chaos-smoke inspect-smoke trace-smoke join-smoke capture-smoke
+check: fmt vet test race bench-module bench-smoke bench-allocs chaos-smoke inspect-smoke trace-smoke join-smoke capture-smoke
+
+# bench-module vets and short-tests the end-to-end benchmark (benchmark/), a
+# nested module that ./... in the root module skips: without it a change to
+# an API the benchmark imports (faultrt, rt, topics, core, obs, lifecycle)
+# passes every other gate and breaks only the benchmark run. No go build
+# here: with one main package it would leave a binary in benchmark/.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 # inspect-smoke boots three urcgc-node processes, points urcgc-ctl inspect at
 # their observability endpoints, and requires a healthy one-shot verdict —

@@ -18,7 +18,7 @@ import (
 
 	"urcgc/internal/benchsuite"
 	"urcgc/internal/core"
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 )
@@ -77,9 +77,9 @@ func BenchmarkAblationTransportH(b *testing.B) {
 					Config:     core.Config{N: 5, K: 3, R: 8, SelfExclusion: true},
 					Seed:       int64(i) + 11,
 					TransportH: h,
-					Injector: fault.During{
-						From: 0, To: 12 * sim.TicksPerRTD,
-						Inner: fault.NewRate(0.04, fault.AtSend, int64(i)+77),
+					Injector: faultrt.During{
+						From: 0, To: (12 * sim.TicksPerRTD).Duration(),
+						Inner: faultrt.NewDropRate(0.04, faultrt.AtSend, int64(i)+77),
 					},
 				})
 				if err != nil {
@@ -134,7 +134,7 @@ func BenchmarkAblationFlowControl(b *testing.B) {
 						N: 10, K: 5, R: 12, HistoryThreshold: threshold, SelfExclusion: true,
 					},
 					Seed:     int64(i) + 3,
-					Injector: fault.Crash{Proc: 9, At: 2 * sim.TicksPerRTD},
+					Injector: faultrt.CrashAt{Proc: 9, At: (2 * sim.TicksPerRTD).Duration()},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -172,9 +172,9 @@ func BenchmarkAblationCausalLabelling(b *testing.B) {
 				c, err := core.NewCluster(core.ClusterConfig{
 					Config: core.Config{N: 8, K: 3, R: 8, SelfExclusion: true},
 					Seed:   int64(i) + 5,
-					Injector: fault.During{
-						From: 0, To: 20 * sim.TicksPerRTD,
-						Inner: &fault.EveryNth{N: 150, Side: fault.AtSend},
+					Injector: faultrt.During{
+						From: 0, To: (20 * sim.TicksPerRTD).Duration(),
+						Inner: &faultrt.DropEvery{N: 150, Side: faultrt.AtSend},
 					},
 				})
 				if err != nil {

@@ -18,7 +18,7 @@ import (
 	"strings"
 
 	"urcgc/internal/core"
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 	"urcgc/internal/wire"
@@ -45,7 +45,7 @@ func main() {
 	if *r == 0 {
 		*r = 2**k + 2
 	}
-	inj, err := buildInjector(*crash, *omit, *omitUntil, *partition)
+	inj, err := buildInjector(*n, *crash, *omit, *omitUntil, *partition)
 	if err != nil {
 		fatal(err)
 	}
@@ -96,8 +96,12 @@ func main() {
 
 	fmt.Printf("urcgc simulation: n=%d K=%d R=%d load=%.2f subruns=%d seed=%d h=%d\n",
 		*n, *k, *r, *load, *subruns, *seed, *transH)
-	if *crash != "" || *omit > 0 || *partition != "" {
-		fmt.Printf("failures: crash=%q omission=1/%d partition=%q\n", *crash, *omit, *partition)
+	if inj != nil {
+		omission := ""
+		if *omit > 0 {
+			omission = fmt.Sprintf(" omission=1/%d", *omit)
+		}
+		fmt.Printf("failures: crash=%q%s partition=%q\n", *crash, omission, *partition)
 	}
 	fmt.Println()
 	if res.QuiescentAtRound >= 0 {
@@ -138,36 +142,38 @@ func main() {
 	}
 }
 
-func buildInjector(crash string, omit, omitUntil int, partition string) (fault.Injector, error) {
-	var inj fault.Multi
+// buildInjector composes the failure model the flags describe over a group
+// of n; nil means a reliable run. Every error names the flag at fault.
+func buildInjector(n int, crash string, omit, omitUntil int, partition string) (faultrt.Injector, error) {
+	var inj faultrt.Multi
 	if crash != "" {
 		for _, part := range strings.Split(crash, ",") {
 			bits := strings.Split(strings.TrimSpace(part), "@")
 			if len(bits) != 2 {
-				return nil, fmt.Errorf("bad crash spec %q (want proc@subrun)", part)
+				return nil, fmt.Errorf("-crash: bad spec %q (want proc@subrun)", part)
 			}
-			proc, err := strconv.Atoi(bits[0])
+			proc, err := member(bits[0], n)
 			if err != nil {
-				return nil, fmt.Errorf("bad crash proc %q: %v", bits[0], err)
+				return nil, fmt.Errorf("-crash: %v", err)
 			}
 			at, err := strconv.Atoi(bits[1])
-			if err != nil {
-				return nil, fmt.Errorf("bad crash subrun %q: %v", bits[1], err)
+			if err != nil || at < 0 {
+				return nil, fmt.Errorf("-crash: bad subrun %q (want a subrun >= 0)", bits[1])
 			}
-			inj = append(inj, fault.Crash{Proc: mid.ProcID(proc), At: sim.StartOfSubrun(at)})
+			inj = append(inj, faultrt.CrashAt{Proc: proc, At: sim.StartOfSubrun(at).Duration()})
 		}
 	}
 	if omit > 0 {
-		var om fault.Injector = &fault.EveryNth{N: omit, Side: fault.AtSend}
+		var om faultrt.Injector = &faultrt.DropEvery{N: omit, Side: faultrt.AtSend}
 		if omitUntil > 0 {
-			om = fault.During{From: 0, To: sim.Time(omitUntil) * sim.TicksPerRTD, Inner: om}
+			om = faultrt.During{From: 0, To: (sim.Time(omitUntil) * sim.TicksPerRTD).Duration(), Inner: om}
 		}
 		inj = append(inj, om)
 	}
 	if partition != "" {
-		p, err := parsePartition(partition)
+		p, err := parsePartition(partition, n)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("-partition: %v", err)
 		}
 		inj = append(inj, p)
 	}
@@ -177,38 +183,44 @@ func buildInjector(crash string, omit, omitUntil int, partition string) (fault.I
 	return inj, nil
 }
 
-// parsePartition reads "0,1,2@6-10": side-A members, cut from subrun 6 to
-// subrun 10 (exclusive).
-func parsePartition(spec string) (fault.Partition, error) {
+// parsePartition reads "0,1,2@6-10": side-A members of a group of n, cut
+// from subrun 6 to subrun 10 (exclusive).
+func parsePartition(spec string, n int) (faultrt.Partition, error) {
 	parts := strings.Split(spec, "@")
 	if len(parts) != 2 {
-		return fault.Partition{}, fmt.Errorf("bad partition spec %q (want members@from-to)", spec)
+		return faultrt.Partition{}, fmt.Errorf("bad spec %q (want members@from-to)", spec)
 	}
 	side := map[mid.ProcID]bool{}
 	for _, m := range strings.Split(parts[0], ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(m))
+		p, err := member(m, n)
 		if err != nil {
-			return fault.Partition{}, fmt.Errorf("bad partition member %q: %v", m, err)
+			return faultrt.Partition{}, err
 		}
-		side[mid.ProcID(v)] = true
+		side[p] = true
 	}
 	rng := strings.Split(parts[1], "-")
 	if len(rng) != 2 {
-		return fault.Partition{}, fmt.Errorf("bad partition window %q (want from-to)", parts[1])
+		return faultrt.Partition{}, fmt.Errorf("bad window %q (want from-to)", parts[1])
 	}
-	from, err := strconv.Atoi(rng[0])
-	if err != nil {
-		return fault.Partition{}, err
+	from, errFrom := strconv.Atoi(rng[0])
+	to, errTo := strconv.Atoi(rng[1])
+	if errFrom != nil || errTo != nil || from < 0 || from >= to {
+		return faultrt.Partition{}, fmt.Errorf("bad window %q (want subruns 0 <= from < to)", parts[1])
 	}
-	to, err := strconv.Atoi(rng[1])
-	if err != nil {
-		return fault.Partition{}, err
-	}
-	return fault.Partition{
-		From:  sim.StartOfSubrun(from),
-		To:    sim.StartOfSubrun(to),
+	return faultrt.Partition{
+		From:  sim.StartOfSubrun(from).Duration(),
+		To:    sim.StartOfSubrun(to).Duration(),
 		SideA: side,
 	}, nil
+}
+
+// member parses a process identifier of a group of n.
+func member(s string, n int) (mid.ProcID, error) {
+	v, err := strconv.Atoi(strings.TrimSpace(s))
+	if err != nil || v < 0 || v >= n {
+		return 0, fmt.Errorf("bad member %q (want a process in [0, %d))", s, n)
+	}
+	return mid.ProcID(v), nil
 }
 
 func fatal(err error) {

@@ -25,21 +25,21 @@ import (
 	"log"
 
 	"urcgc/internal/core"
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 	"urcgc/internal/wire"
 )
 
 func main() {
-	inj := fault.Multi{
+	inj := faultrt.Multi{
 		// All of p0's sends in subrun 0 vanish (that is where p0#1 goes).
-		fault.During{
-			From: 0, To: sim.StartOfSubrun(1),
-			Inner: fault.OnlyProc{Proc: 0, Inner: &fault.EveryNth{N: 1, Side: fault.AtSend}},
+		faultrt.During{
+			From: 0, To: sim.StartOfSubrun(1).Duration(),
+			Inner: faultrt.OnlyProc{Proc: 0, Inner: &faultrt.DropEvery{N: 1, Side: faultrt.AtSend}},
 		},
 		// p0 crashes shortly after broadcasting p0#2.
-		fault.Crash{Proc: 0, At: sim.StartOfRound(2) + 400},
+		faultrt.CrashAt{Proc: 0, At: (sim.StartOfRound(2) + 400).Duration()},
 	}
 	c, err := core.NewCluster(core.ClusterConfig{
 		Config:   core.Config{N: 5, K: 2, R: 8, SelfExclusion: true},

@@ -18,7 +18,7 @@ import (
 	"log"
 
 	"urcgc/internal/core"
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/groups"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
@@ -29,7 +29,7 @@ func main() {
 	cluster, err := core.NewCluster(core.ClusterConfig{
 		Config:   core.Config{N: servers, K: 3, R: 8, SelfExclusion: true},
 		Seed:     7,
-		Injector: fault.Crash{Proc: 4, At: sim.StartOfSubrun(6)},
+		Injector: faultrt.CrashAt{Proc: 4, At: sim.StartOfSubrun(6).Duration()},
 	})
 	if err != nil {
 		log.Fatal(err)

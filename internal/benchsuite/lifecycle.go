@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"urcgc/internal/core"
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/lifecycle"
 	"urcgc/internal/mid"
 	"urcgc/internal/rt"
@@ -28,7 +28,7 @@ func StageLatencyBreakdown(b *testing.B) {
 		c, err := core.NewCluster(core.ClusterConfig{
 			Config:   core.Config{N: 10, K: 3, R: 8, SelfExclusion: true},
 			Seed:     int64(i) + 1,
-			Injector: &fault.EveryNth{N: 50, Side: fault.AtSend},
+			Injector: &faultrt.DropEvery{N: 50, Side: faultrt.AtSend},
 		})
 		if err != nil {
 			b.Fatal(err)

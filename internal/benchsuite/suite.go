@@ -16,7 +16,7 @@ import (
 	"urcgc/internal/cbcast"
 	"urcgc/internal/core"
 	"urcgc/internal/experiments"
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/history"
 	"urcgc/internal/mid"
 	"urcgc/internal/rt"
@@ -67,11 +67,11 @@ func Baseline() []Case {
 
 // ---- Figure 4: mean end-to-end delay vs offered load ----
 
-func benchFig4(b *testing.B, inj func() fault.Injector) {
+func benchFig4(b *testing.B, inj func() faultrt.Injector) {
 	b.ReportAllocs()
 	var lastD float64
 	for i := 0; i < b.N; i++ {
-		var fi fault.Injector
+		var fi faultrt.Injector
 		if inj != nil {
 			fi = inj()
 		}
@@ -112,24 +112,24 @@ func Fig4Reliable(b *testing.B) { benchFig4(b, nil) }
 
 // Fig4Crashes injects four staggered crashes (the paper's crash curve).
 func Fig4Crashes(b *testing.B) {
-	benchFig4(b, func() fault.Injector {
-		return fault.Multi{
-			fault.Crash{Proc: 9, At: sim.StartOfSubrun(20)},
-			fault.Crash{Proc: 8, At: sim.StartOfSubrun(45)},
-			fault.Crash{Proc: 7, At: sim.StartOfSubrun(70)},
-			fault.Crash{Proc: 6, At: sim.StartOfSubrun(95)},
+	benchFig4(b, func() faultrt.Injector {
+		return faultrt.Multi{
+			faultrt.CrashAt{Proc: 9, At: sim.StartOfSubrun(20).Duration()},
+			faultrt.CrashAt{Proc: 8, At: sim.StartOfSubrun(45).Duration()},
+			faultrt.CrashAt{Proc: 7, At: sim.StartOfSubrun(70).Duration()},
+			faultrt.CrashAt{Proc: 6, At: sim.StartOfSubrun(95).Duration()},
 		}
 	})
 }
 
 // Fig4Omit500 drops every 500th send.
 func Fig4Omit500(b *testing.B) {
-	benchFig4(b, func() fault.Injector { return &fault.EveryNth{N: 500, Side: fault.AtSend} })
+	benchFig4(b, func() faultrt.Injector { return &faultrt.DropEvery{N: 500, Side: faultrt.AtSend} })
 }
 
 // Fig4Omit100 drops every 100th send.
 func Fig4Omit100(b *testing.B) {
-	benchFig4(b, func() fault.Injector { return &fault.EveryNth{N: 100, Side: fault.AtSend} })
+	benchFig4(b, func() faultrt.Injector { return &faultrt.DropEvery{N: 100, Side: faultrt.AtSend} })
 }
 
 // ---- Figure 5: agreement time vs consecutive coordinator crashes ----

@@ -5,7 +5,7 @@ import (
 	"math"
 	"testing"
 
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 	"urcgc/internal/wire"
@@ -117,7 +117,7 @@ func TestCrashTriggersFlushAndViewInstall(t *testing.T) {
 	c := run(t, ClusterConfig{
 		Config:   Config{N: 5, K: 2},
 		Seed:     5,
-		Injector: fault.Crash{Proc: 3, At: failAt},
+		Injector: faultrt.CrashAt{Proc: 3, At: failAt.Duration()},
 	}, 400, everyOther(40))
 	// All survivors must have installed a view excluding 3.
 	for i := 0; i < 5; i++ {
@@ -159,7 +159,7 @@ func TestSurvivorsConvergeAfterCrash(t *testing.T) {
 	c := run(t, ClusterConfig{
 		Config:   Config{N: 4, K: 2},
 		Seed:     6,
-		Injector: fault.Crash{Proc: 2, At: failAt},
+		Injector: faultrt.CrashAt{Proc: 2, At: failAt.Duration()},
 	}, 500, everyOther(25))
 	// After the run, survivors must agree on delivered counts per sender.
 	var ref []uint32
@@ -185,8 +185,8 @@ func TestAgreementGrowsWithManagerCrash(t *testing.T) {
 	// right after it starts the flush, forcing a restart by the next
 	// manager. T must grow by roughly 5K subruns.
 	k := 2
-	base := func(extra fault.Injector) float64 {
-		inj := fault.Multi{fault.Crash{Proc: 4, At: sim.StartOfSubrun(6)}}
+	base := func(extra faultrt.Injector) float64 {
+		inj := faultrt.Multi{faultrt.CrashAt{Proc: 4, At: sim.StartOfSubrun(6).Duration()}}
 		if extra != nil {
 			inj = append(inj, extra)
 		}
@@ -213,7 +213,7 @@ func TestAgreementGrowsWithManagerCrash(t *testing.T) {
 		return c.AgreementRTD(last, sim.StartOfSubrun(6))
 	}
 	t0 := base(nil)
-	t1 := base(fault.Crash{Proc: 0, At: sim.StartOfSubrun(6) + 3*sim.TicksPerSubrun})
+	t1 := base(faultrt.CrashAt{Proc: 0, At: (sim.StartOfSubrun(6) + 3*sim.TicksPerSubrun).Duration()})
 	if !(t1 > t0+float64(k)) {
 		t.Errorf("manager crash should lengthen agreement: T(f=0)=%.1f T(f=1)=%.1f", t0, t1)
 	}
@@ -229,7 +229,7 @@ func TestDelayDegradesDuringFlush(t *testing.T) {
 	crashed := run(t, ClusterConfig{
 		Config:   Config{N: 5, K: 3},
 		Seed:     8,
-		Injector: fault.Crash{Proc: 4, At: sim.StartOfSubrun(10)},
+		Injector: faultrt.CrashAt{Proc: 4, At: sim.StartOfSubrun(10).Duration()},
 	}, 400, everyOther(60))
 	d0, d1 := reliable.Delay.MeanRTD(), crashed.Delay.MeanRTD()
 	if !(d1 > d0*1.5) {

@@ -3,7 +3,7 @@ package cbcast
 import (
 	"fmt"
 
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/metrics"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
@@ -15,7 +15,7 @@ import (
 type ClusterConfig struct {
 	Config
 	Seed     int64
-	Injector fault.Injector
+	Injector faultrt.Injector
 	Latency  simnet.Latency
 }
 
@@ -54,12 +54,8 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	if err := cc.Validate(); err != nil {
 		return nil, err
 	}
-	inj := cc.Injector
-	if inj == nil {
-		inj = fault.None{}
-	}
 	eng := sim.NewEngine(cc.Seed)
-	nw := simnet.New(eng, cc.N, inj)
+	nw := simnet.New(eng, cc.N, cc.Injector)
 	if cc.Latency != nil {
 		nw.SetLatency(cc.Latency)
 	}
@@ -108,13 +104,7 @@ func (c *Cluster) Proc(i mid.ProcID) *Process { return c.procs[i] }
 func (c *Cluster) N() int { return c.cfg.N }
 
 // Crashed reports whether the failure model has fail-stopped p.
-func (c *Cluster) Crashed(p mid.ProcID) bool {
-	inj := c.cfg.Injector
-	if inj == nil {
-		return false
-	}
-	return inj.Crashed(p, c.eng.Now())
-}
+func (c *Cluster) Crashed(p mid.ProcID) bool { return c.net.Crashed(p) }
 
 // Submit queues a payload at p and records generation time against the MID
 // the message will carry ((p, current sent count + queued + 1)).

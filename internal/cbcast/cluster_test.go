@@ -3,7 +3,7 @@ package cbcast
 import (
 	"testing"
 
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 )
@@ -56,7 +56,7 @@ func TestCrashedMemberStopsDelivering(t *testing.T) {
 	c := run(t, ClusterConfig{
 		Config:   Config{N: 3, K: 2},
 		Seed:     4,
-		Injector: fault.Crash{Proc: 2, At: failAt},
+		Injector: faultrt.CrashAt{Proc: 2, At: failAt.Duration()},
 	}, 200, everyOther(20))
 	// The dead member's log froze around the crash.
 	dead := len(c.DeliveredLog[2])

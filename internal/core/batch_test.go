@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"testing"
 
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 	"urcgc/internal/wire"
@@ -91,7 +91,7 @@ func TestBatchedCrashRunConverges(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Config:   cfg,
 		Seed:     22,
-		Injector: fault.Crash{Proc: 4, At: sim.StartOfSubrun(3)},
+		Injector: faultrt.CrashAt{Proc: 4, At: sim.StartOfSubrun(3).Duration()},
 	})
 	if err != nil {
 		t.Fatal(err)

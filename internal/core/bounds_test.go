@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 	"urcgc/internal/wire"
@@ -19,7 +19,7 @@ func TestLemma41DetectionBound(t *testing.T) {
 		c, err := NewCluster(ClusterConfig{
 			Config:   Config{N: 6, K: k, R: 2*k + 2, SelfExclusion: true},
 			Seed:     int64(k),
-			Injector: fault.Crash{Proc: 5, At: crashAt},
+			Injector: faultrt.CrashAt{Proc: 5, At: crashAt.Duration()},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -67,9 +67,9 @@ func TestLemma42RecoveryBound(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Config: Config{N: 5, K: k, R: 2*k + 2, SelfExclusion: true},
 		Seed:   9,
-		Injector: fault.During{
-			From: lossFrom, To: lossTo,
-			Inner: fault.OnlyProc{Proc: 3, Inner: &fault.EveryNth{N: 1, Side: fault.AtRecv}},
+		Injector: faultrt.During{
+			From: lossFrom.Duration(), To: lossTo.Duration(),
+			Inner: faultrt.OnlyProc{Proc: 3, Inner: &faultrt.DropEvery{N: 1, Side: faultrt.AtRecv}},
 		},
 	})
 	if err != nil {
@@ -112,10 +112,10 @@ func TestRecoveryExhaustionLeave(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Config: Config{N: 4, K: k, R: 2*k + 1, SelfExclusion: true},
 		Seed:   10,
-		Injector: fault.During{
-			From: sim.StartOfSubrun(3), To: 1 << 40,
+		Injector: faultrt.During{
+			From: sim.StartOfSubrun(3).Duration(), To: sim.Time(1 << 40).Duration(),
 			// p3 stops receiving DATA and decisions entirely.
-			Inner: fault.OnlyProc{Proc: 3, Inner: &fault.EveryNth{N: 1, Side: fault.AtRecv}},
+			Inner: faultrt.OnlyProc{Proc: 3, Inner: &faultrt.DropEvery{N: 1, Side: faultrt.AtRecv}},
 		},
 	})
 	if err != nil {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"urcgc/internal/causal"
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/metrics"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
@@ -20,7 +20,7 @@ type ClusterConfig struct {
 	// Seed drives every random choice of the run.
 	Seed int64
 	// Injector is the failure model; nil means a reliable system.
-	Injector fault.Injector
+	Injector faultrt.Injector
 	// Latency overrides the network latency model; nil means the default.
 	Latency simnet.Latency
 	// TransportH selects the paper's h parameter for the underlying
@@ -131,12 +131,8 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	if err := cc.Validate(); err != nil {
 		return nil, err
 	}
-	inj := cc.Injector
-	if inj == nil {
-		inj = fault.None{}
-	}
 	eng := sim.NewEngine(cc.Seed)
-	nw := simnet.New(eng, cc.N, inj)
+	nw := simnet.New(eng, cc.N, cc.Injector)
 	if cc.Latency != nil {
 		nw.SetLatency(cc.Latency)
 	}
@@ -230,10 +226,10 @@ func (c *Cluster) callbacks(id mid.ProcID) Callbacks {
 // the new one bootstraps through the join protocol against a live sponsor.
 // The Left record of the previous incarnation is cleared: its exit is
 // undone by rejoining, which is the whole point. Callers pairing Rejoin
-// with an injected crash should use a bounded crash (fault.CrashWindow)
-// ending at the rejoin instant, since the cluster driver keeps consulting
-// the injector for liveness. Only direct-datagram clusters (TransportH <=
-// 1) support rejoin.
+// with an injected crash should bound the crash to end at the rejoin
+// instant, since the cluster driver keeps consulting the injector for
+// liveness — TestSimJoinConvergence's crashWindow is the pattern. Only
+// direct-datagram clusters (TransportH <= 1) support rejoin.
 func (c *Cluster) Rejoin(i mid.ProcID) error {
 	if int(i) >= c.cfg.N || i < 0 {
 		return fmt.Errorf("core: rejoin of process %d outside group of %d", i, c.cfg.N)
@@ -270,13 +266,7 @@ func (c *Cluster) Proc(i mid.ProcID) *Process { return c.procs[i] }
 func (c *Cluster) N() int { return c.cfg.N }
 
 // Crashed reports whether the failure model has fail-stopped process p.
-func (c *Cluster) Crashed(p mid.ProcID) bool {
-	inj := c.cfg.Injector
-	if inj == nil {
-		return false
-	}
-	return inj.Crashed(p, c.eng.Now())
-}
+func (c *Cluster) Crashed(p mid.ProcID) bool { return c.net.Crashed(p) }
 
 // Active reports whether process p is still executing the protocol: not
 // fail-stopped by the failure model and not self-excluded.

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/group"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
@@ -165,7 +165,7 @@ func TestCrashedProcessIsDeclaredAndExcluded(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Config:   baseCfg(5),
 		Seed:     4,
-		Injector: fault.Crash{Proc: 4, At: crashAt},
+		Injector: faultrt.CrashAt{Proc: 4, At: crashAt.Duration()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestCoordinatorCrashDoesNotBlock(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Config:   baseCfg(5),
 		Seed:     5,
-		Injector: fault.Crash{Proc: 0, At: sim.StartOfSubrun(5)},
+		Injector: faultrt.CrashAt{Proc: 0, At: sim.StartOfSubrun(5).Duration()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -243,9 +243,9 @@ func TestOmissionRecoveryFromHistory(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Config: cfg,
 		Seed:   6,
-		Injector: fault.During{
-			From: 0, To: 10 * sim.TicksPerRTD,
-			Inner: fault.NewRate(0.03, fault.AtSend, 1234),
+		Injector: faultrt.During{
+			From: 0, To: (10 * sim.TicksPerRTD).Duration(),
+			Inner: faultrt.NewDropRate(0.03, faultrt.AtSend, 1234),
 		},
 	})
 	if err != nil {
@@ -292,9 +292,9 @@ func TestSendFaultyProcessSuicides(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Config: baseCfg(5),
 		Seed:   7,
-		Injector: fault.During{
-			From: sim.StartOfSubrun(2), To: 1 << 40,
-			Inner: fault.OnlyProc{Proc: 3, Inner: &fault.EveryNth{N: 1, Side: fault.AtSend}},
+		Injector: faultrt.During{
+			From: sim.StartOfSubrun(2).Duration(), To: sim.Time(1 << 40).Duration(),
+			Inner: faultrt.OnlyProc{Proc: 3, Inner: &faultrt.DropEvery{N: 1, Side: faultrt.AtSend}},
 		},
 	})
 	if err != nil {
@@ -323,12 +323,12 @@ func TestOrphanedSequenceIsDiscarded(t *testing.T) {
 	// subrun 0 dropped), then msg2 which arrives. Receivers wait for msg1.
 	// p0 crashes before any recovery can succeed. The group must agree to
 	// destroy msg2 everywhere and move on.
-	inj := fault.Multi{
-		fault.During{
-			From: 0, To: sim.StartOfSubrun(1),
-			Inner: fault.OnlyProc{Proc: 0, Inner: &fault.EveryNth{N: 1, Side: fault.AtSend}},
+	inj := faultrt.Multi{
+		faultrt.During{
+			From: 0, To: sim.StartOfSubrun(1).Duration(),
+			Inner: faultrt.OnlyProc{Proc: 0, Inner: &faultrt.DropEvery{N: 1, Side: faultrt.AtSend}},
 		},
-		fault.Crash{Proc: 0, At: sim.StartOfRound(2) + 400},
+		faultrt.CrashAt{Proc: 0, At: (sim.StartOfRound(2) + 400).Duration()},
 	}
 	c, err := NewCluster(ClusterConfig{Config: baseCfg(5), Seed: 8, Injector: inj})
 	if err != nil {
@@ -424,7 +424,7 @@ func TestDeterminism(t *testing.T) {
 		c, err := NewCluster(ClusterConfig{
 			Config:   baseCfg(5),
 			Seed:     42,
-			Injector: fault.Multi{fault.Crash{Proc: 2, At: sim.StartOfSubrun(4)}, &fault.EveryNth{N: 11, Side: fault.AtSend}},
+			Injector: faultrt.Multi{faultrt.CrashAt{Proc: 2, At: sim.StartOfSubrun(4).Duration()}, &faultrt.DropEvery{N: 11, Side: faultrt.AtSend}},
 		})
 		if err != nil {
 			t.Fatal(err)

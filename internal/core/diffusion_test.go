@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 	"urcgc/internal/wire"
@@ -82,9 +82,9 @@ func TestObserverStalenessBlocksCleaning(t *testing.T) {
 	// stability (uniformity protects it), then be declared crashed and
 	// excluded, after which cleaning resumes — same machinery as peers.
 	cfg := diffusionCfg(4, 1)
-	inj := fault.During{
-		From: sim.StartOfSubrun(4), To: 1 << 40,
-		Inner: fault.OnlyProc{Proc: 3, Inner: &fault.EveryNth{N: 1, Side: fault.AtSend}},
+	inj := faultrt.During{
+		From: sim.StartOfSubrun(4).Duration(), To: sim.Time(1 << 40).Duration(),
+		Inner: faultrt.OnlyProc{Proc: 3, Inner: &faultrt.DropEvery{N: 1, Side: faultrt.AtSend}},
 	}
 	c, err := NewCluster(ClusterConfig{Config: cfg, Seed: 23, Injector: inj})
 	if err != nil {

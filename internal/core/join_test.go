@@ -2,9 +2,10 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"urcgc/internal/causal"
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 	"urcgc/internal/wire"
@@ -227,6 +228,24 @@ func TestRetransmitCompactedFastForward(t *testing.T) {
 	}
 }
 
+// crashWindow fail-stops one process for [at, until): inside the window the
+// process neither sends nor receives; at until the site is back up — the
+// model for a kill-and-restart experiment, where the new incarnation
+// re-enters the group through the join protocol. (Crash knowledge already
+// spread through decisions does not evaporate: the restarted process is
+// re-admitted by a coordinator, not by the injector.) The simulated network
+// drops a crashed process's traffic on Crashed alone, so the embedded None
+// answers every datagram.
+type crashWindow struct {
+	faultrt.None
+	proc      mid.ProcID
+	at, until time.Duration
+}
+
+func (c crashWindow) Crashed(p mid.ProcID, now time.Duration) bool {
+	return p == c.proc && now >= c.at && now < c.until
+}
+
 // TestSimJoinConvergence is the simulator-level rejoin scenario at n=5: a
 // member fail-stops under load, is declared crashed, restarts as a joiner,
 // state-transfers, is re-admitted, and the group converges — identical
@@ -237,8 +256,8 @@ func TestSimJoinConvergence(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Config: Config{N: 5, K: 2, R: 6, SelfExclusion: true},
 		Seed:   7,
-		Injector: fault.CrashWindow{
-			Proc: victim, At: sim.StartOfRound(40), Until: sim.StartOfRound(160),
+		Injector: crashWindow{
+			proc: victim, at: sim.StartOfRound(40).Duration(), until: sim.StartOfRound(160).Duration(),
 		},
 	})
 	if err != nil {

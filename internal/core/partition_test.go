@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 	"urcgc/internal/simnet"
@@ -15,9 +15,9 @@ import (
 // heal every message is recovered from history and the group reconverges.
 func TestShortPartitionHeals(t *testing.T) {
 	k := 4
-	cut := fault.Partition{
-		From:  sim.StartOfSubrun(6),
-		To:    sim.StartOfSubrun(8), // 2 subruns < K
+	cut := faultrt.Partition{
+		From:  sim.StartOfSubrun(6).Duration(),
+		To:    sim.StartOfSubrun(8).Duration(), // 2 subruns < K
 		SideA: map[mid.ProcID]bool{0: true, 1: true, 2: true},
 	}
 	c, err := NewCluster(ClusterConfig{
@@ -69,9 +69,9 @@ func TestShortPartitionHeals(t *testing.T) {
 // offline verifier finds no clause violation among the survivors.
 func TestLongPartitionStaysSafe(t *testing.T) {
 	k := 2
-	cut := fault.Partition{
-		From:  sim.StartOfSubrun(6),
-		To:    sim.StartOfSubrun(16), // 10 subruns >> K
+	cut := faultrt.Partition{
+		From:  sim.StartOfSubrun(6).Duration(),
+		To:    sim.StartOfSubrun(16).Duration(), // 10 subruns >> K
 		SideA: map[mid.ProcID]bool{0: true, 1: true},
 	}
 	c, err := NewCluster(ClusterConfig{

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/group"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
@@ -37,7 +37,7 @@ func TestRandomizedFailureSchedules(t *testing.T) {
 		// At most (n-1)/2 crashes, spread over the early run; a mild global
 		// omission rate stays within the per-subrun resilience with high
 		// probability.
-		var inj fault.Multi
+		var inj faultrt.Multi
 		crashes := rng.Intn(group.Resilience(n) + 1)
 		crashedAt := map[mid.ProcID]sim.Time{}
 		for len(crashedAt) < crashes {
@@ -47,13 +47,13 @@ func TestRandomizedFailureSchedules(t *testing.T) {
 			}
 			at := sim.Time(rng.Int63n(int64(20 * sim.TicksPerRTD)))
 			crashedAt[p] = at
-			inj = append(inj, fault.Crash{Proc: p, At: at})
+			inj = append(inj, faultrt.CrashAt{Proc: p, At: at.Duration()})
 		}
 		if rng.Intn(2) == 0 {
-			inj = append(inj, fault.During{
+			inj = append(inj, faultrt.During{
 				From:  0,
-				To:    sim.Time(10+rng.Intn(20)) * sim.TicksPerRTD,
-				Inner: fault.NewRate(0.01+0.02*rng.Float64(), fault.AtSend, rng.Int63()),
+				To:    (sim.Time(10+rng.Intn(20)) * sim.TicksPerRTD).Duration(),
+				Inner: faultrt.NewDropRate(0.01+0.02*rng.Float64(), faultrt.AtSend, rng.Int63()),
 			})
 		}
 
@@ -118,9 +118,9 @@ func TestRandomizedFailureSchedules(t *testing.T) {
 func TestResilienceBoundCrashBurst(t *testing.T) {
 	n := 9 // t = 4
 	cfg := Config{N: n, K: 3, R: 8, SelfExclusion: true}
-	var inj fault.Multi
+	var inj faultrt.Multi
 	for i := 0; i < group.Resilience(n); i++ {
-		inj = append(inj, fault.Crash{Proc: mid.ProcID(2*i + 1), At: sim.StartOfSubrun(4) + sim.Time(i*10)})
+		inj = append(inj, faultrt.CrashAt{Proc: mid.ProcID(2*i + 1), At: (sim.StartOfSubrun(4) + sim.Time(i*10)).Duration()})
 	}
 	c, err := NewCluster(ClusterConfig{Config: cfg, Seed: 77, Injector: inj})
 	if err != nil {
@@ -157,9 +157,9 @@ func TestBackToBackCoordinatorCrashes(t *testing.T) {
 	cfg := Config{N: n, K: 3, R: 8, SelfExclusion: true}
 	// Coordinators rotate 0,1,2,...; kill coordinators of subruns 3 and 4
 	// just before their decision phases.
-	inj := fault.Multi{
-		fault.Crash{Proc: 3, At: sim.StartOfSubrun(3) + sim.TicksPerRound - 1},
-		fault.Crash{Proc: 4, At: sim.StartOfSubrun(4) + sim.TicksPerRound - 1},
+	inj := faultrt.Multi{
+		faultrt.CrashAt{Proc: 3, At: (sim.StartOfSubrun(3) + sim.TicksPerRound - 1).Duration()},
+		faultrt.CrashAt{Proc: 4, At: (sim.StartOfSubrun(4) + sim.TicksPerRound - 1).Duration()},
 	}
 	c, err := NewCluster(ClusterConfig{Config: cfg, Seed: 3, Injector: inj})
 	if err != nil {

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 	"urcgc/internal/trace"
@@ -23,16 +23,16 @@ func TestTraceVerifierOnFaultyRuns(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		n := 4 + rng.Intn(4)
 		cfg := Config{N: n, K: 3, R: 8, SelfExclusion: true}
-		var inj fault.Multi
+		var inj faultrt.Multi
 		if rng.Intn(2) == 0 {
-			inj = append(inj, fault.Crash{
+			inj = append(inj, faultrt.CrashAt{
 				Proc: mid.ProcID(rng.Intn(n)),
-				At:   sim.Time(rng.Int63n(int64(15 * sim.TicksPerRTD))),
+				At:   sim.Time(rng.Int63n(int64(15 * sim.TicksPerRTD))).Duration(),
 			})
 		}
-		inj = append(inj, fault.During{
-			From: 0, To: 15 * sim.TicksPerRTD,
-			Inner: fault.NewRate(0.02, fault.AtSend, rng.Int63()),
+		inj = append(inj, faultrt.During{
+			From: 0, To: (15 * sim.TicksPerRTD).Duration(),
+			Inner: faultrt.NewDropRate(0.02, faultrt.AtSend, rng.Int63()),
 		})
 		c, err := NewCluster(ClusterConfig{Config: cfg, Seed: rng.Int63(), Injector: inj})
 		if err != nil {

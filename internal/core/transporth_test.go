@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 )
@@ -20,9 +20,9 @@ func TestTransportHShiftsRecoveryIntoTransport(t *testing.T) {
 			Config:     cfg,
 			Seed:       11,
 			TransportH: h,
-			Injector: fault.During{
-				From: 0, To: 12 * sim.TicksPerRTD,
-				Inner: fault.NewRate(0.04, fault.AtSend, 77),
+			Injector: faultrt.During{
+				From: 0, To: (12 * sim.TicksPerRTD).Duration(),
+				Inner: faultrt.NewDropRate(0.04, faultrt.AtSend, 77),
 			},
 		})
 		if err != nil {

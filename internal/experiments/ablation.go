@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"urcgc/internal/core"
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 	"urcgc/internal/workload"
@@ -71,9 +71,9 @@ func ablateTransport(cfg AblationConfig, h int) (recoveries, retries int, err er
 		Config:     core.Config{N: cfg.N, K: cfg.K, R: 2*cfg.K + 2, SelfExclusion: true},
 		Seed:       cfg.Seed + 11,
 		TransportH: h,
-		Injector: fault.During{
-			From: 0, To: 12 * sim.TicksPerRTD,
-			Inner: fault.NewRate(0.04, fault.AtSend, cfg.Seed+77),
+		Injector: faultrt.During{
+			From: 0, To: (12 * sim.TicksPerRTD).Duration(),
+			Inner: faultrt.NewDropRate(0.04, faultrt.AtSend, cfg.Seed+77),
 		},
 	})
 	if err != nil {
@@ -100,9 +100,9 @@ func ablateLabelling(cfg AblationConfig, shape workload.Shape) (waitPeak, p95 fl
 	c, err := core.NewCluster(core.ClusterConfig{
 		Config: core.Config{N: cfg.N, K: cfg.K, R: 2*cfg.K + 2, SelfExclusion: true},
 		Seed:   cfg.Seed + 5,
-		Injector: fault.During{
-			From: 0, To: 30 * sim.TicksPerRTD,
-			Inner: &fault.EveryNth{N: 40, Side: fault.AtSend},
+		Injector: faultrt.During{
+			From: 0, To: (30 * sim.TicksPerRTD).Duration(),
+			Inner: &faultrt.DropEvery{N: 40, Side: faultrt.AtSend},
 		},
 	})
 	if err != nil {
@@ -130,7 +130,7 @@ func ablateFlowControl(cfg AblationConfig, threshold int) (float64, error) {
 			HistoryThreshold: threshold, SelfExclusion: true,
 		},
 		Seed:     cfg.Seed + 3,
-		Injector: fault.Crash{Proc: mid.ProcID(cfg.N - 1), At: 2 * sim.TicksPerRTD},
+		Injector: faultrt.CrashAt{Proc: mid.ProcID(cfg.N - 1), At: (2 * sim.TicksPerRTD).Duration()},
 	})
 	if err != nil {
 		return 0, err

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"urcgc/internal/core"
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 
@@ -63,11 +63,11 @@ func Fig4(cfg Fig4Config) (Fig4Result, error) {
 		if err != nil {
 			return res, err
 		}
-		om500, err := fig4Run(cfg, load, seed, &fault.EveryNth{N: 500, Side: fault.AtSend})
+		om500, err := fig4Run(cfg, load, seed, &faultrt.DropEvery{N: 500, Side: faultrt.AtSend})
 		if err != nil {
 			return res, err
 		}
-		om100, err := fig4Run(cfg, load, seed, &fault.EveryNth{N: 100, Side: fault.AtSend})
+		om100, err := fig4Run(cfg, load, seed, &faultrt.DropEvery{N: 100, Side: faultrt.AtSend})
 		if err != nil {
 			return res, err
 		}
@@ -80,16 +80,16 @@ func Fig4(cfg Fig4Config) (Fig4Result, error) {
 
 // fig4Crashes spreads cfg.Crashes fail-stops across the run, one at a time,
 // never more than the per-subrun resilience.
-func fig4Crashes(cfg Fig4Config) fault.Injector {
-	var inj fault.Multi
+func fig4Crashes(cfg Fig4Config) faultrt.Injector {
+	var inj faultrt.Multi
 	for i := 0; i < cfg.Crashes; i++ {
 		at := sim.StartOfSubrun(20 + 25*i)
-		inj = append(inj, fault.Crash{Proc: mid.ProcID(cfg.N - 1 - i), At: at})
+		inj = append(inj, faultrt.CrashAt{Proc: mid.ProcID(cfg.N - 1 - i), At: at.Duration()})
 	}
 	return inj
 }
 
-func fig4Run(cfg Fig4Config, load float64, seed int64, inj fault.Injector) (float64, error) {
+func fig4Run(cfg Fig4Config, load float64, seed int64, inj faultrt.Injector) (float64, error) {
 	c, err := core.NewCluster(core.ClusterConfig{
 		Config: core.Config{
 			N: cfg.N, K: cfg.K, R: 2*cfg.K + 2, SelfExclusion: true,

@@ -6,7 +6,7 @@ import (
 
 	"urcgc/internal/cbcast"
 	"urcgc/internal/core"
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/psync"
 	"urcgc/internal/sim"
@@ -89,12 +89,12 @@ func fig5URCGC(cfg Fig5Config, f int) (float64, error) {
 	const s0 = 6
 	subject := mid.ProcID(3) // not a coordinator around subrun s0 for n>=8
 	t0 := sim.StartOfSubrun(s0)
-	inj := fault.Multi{fault.Crash{Proc: subject, At: t0}}
+	inj := faultrt.Multi{faultrt.CrashAt{Proc: subject, At: t0.Duration()}}
 	for i := 1; i <= f; i++ {
 		coord := mid.ProcID((s0 + i) % cfg.N)
-		inj = append(inj, fault.Crash{
+		inj = append(inj, faultrt.CrashAt{
 			Proc: coord,
-			At:   sim.StartOfSubrun(s0+i) + sim.TicksPerRound - 1,
+			At:   (sim.StartOfSubrun(s0+i) + sim.TicksPerRound - 1).Duration(),
 		})
 	}
 	c, err := core.NewCluster(core.ClusterConfig{
@@ -150,13 +150,13 @@ func fig5CBCAST(cfg Fig5Config, f int) (float64, error) {
 	const s0 = 6
 	subject := mid.ProcID(cfg.N - 1)
 	t0 := sim.StartOfSubrun(s0)
-	inj := fault.Multi{fault.Crash{Proc: subject, At: t0}}
+	inj := faultrt.Multi{faultrt.CrashAt{Proc: subject, At: t0.Duration()}}
 	// Managers are the lowest-ranked live members: 0, then 1, ... Crash
 	// manager i a little into its flush attempt.
 	for i := 0; i < f; i++ {
-		inj = append(inj, fault.Crash{
+		inj = append(inj, faultrt.CrashAt{
 			Proc: mid.ProcID(i),
-			At:   t0 + sim.Time(cfg.K*(2+3*i))*sim.TicksPerSubrun,
+			At:   (t0 + sim.Time(cfg.K*(2+3*i))*sim.TicksPerSubrun).Duration(),
 		})
 	}
 	c, err := cbcast.NewCluster(cbcast.ClusterConfig{
@@ -222,7 +222,7 @@ func fig5Psync(cfg Fig5Config) (float64, error) {
 	c, err := psync.NewCluster(psync.ClusterConfig{
 		Config:   psync.Config{N: cfg.N, K: cfg.K},
 		Seed:     cfg.Seed,
-		Injector: fault.Crash{Proc: subject, At: t0},
+		Injector: faultrt.CrashAt{Proc: subject, At: t0.Duration()},
 	})
 	if err != nil {
 		return 0, err

@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"urcgc/internal/core"
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/metrics"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
@@ -87,20 +87,20 @@ func fig6(cfg Fig6Config, flow bool) (Fig6Result, error) {
 }
 
 func fig6Run(cfg Fig6Config, k int, faulty, flow bool) (Fig6Curve, error) {
-	var inj fault.Injector
+	var inj faultrt.Injector
 	if faulty {
 		// General omission during the first FailWindowRTD rtd: two staggered
 		// crashes plus 1/500 send omissions. (Our stability chain cleans
 		// faster than the authors' simulator, so a single crash stalls the
 		// histories less; the second admissible crash inside the same window
 		// restores the paper's growth regime — see EXPERIMENTS.md.)
-		inj = fault.Multi{
-			fault.Crash{Proc: mid.ProcID(cfg.N - 1), At: 2 * sim.TicksPerRTD},
-			fault.Crash{Proc: mid.ProcID(cfg.N - 2), At: 4 * sim.TicksPerRTD},
-			fault.During{
+		inj = faultrt.Multi{
+			faultrt.CrashAt{Proc: mid.ProcID(cfg.N - 1), At: (2 * sim.TicksPerRTD).Duration()},
+			faultrt.CrashAt{Proc: mid.ProcID(cfg.N - 2), At: (4 * sim.TicksPerRTD).Duration()},
+			faultrt.During{
 				From:  0,
-				To:    sim.Time(cfg.FailWindowRTD) * sim.TicksPerRTD,
-				Inner: &fault.EveryNth{N: 500, Side: fault.AtSend},
+				To:    (sim.Time(cfg.FailWindowRTD) * sim.TicksPerRTD).Duration(),
+				Inner: &faultrt.DropEvery{N: 500, Side: faultrt.AtSend},
 			},
 		}
 	}

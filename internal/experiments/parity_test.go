@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"urcgc/internal/core"
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 )
@@ -30,9 +30,9 @@ func TestClusterLogMatchesLockstepReference(t *testing.T) {
 	c, err := core.NewCluster(core.ClusterConfig{
 		Config: core.Config{N: 5, K: 3, R: 8, SelfExclusion: true, BatchMax: 4, HistoryThreshold: 40},
 		Seed:   42,
-		Injector: fault.Multi{
-			fault.Crash{Proc: 2, At: sim.StartOfSubrun(4)},
-			&fault.EveryNth{N: 11, Side: fault.AtSend},
+		Injector: faultrt.Multi{
+			faultrt.CrashAt{Proc: 2, At: sim.StartOfSubrun(4).Duration()},
+			&faultrt.DropEvery{N: 11, Side: faultrt.AtSend},
 		},
 	})
 	if err != nil {

@@ -6,7 +6,7 @@ import (
 
 	"urcgc/internal/cbcast"
 	"urcgc/internal/core"
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 	"urcgc/internal/wire"
@@ -57,8 +57,8 @@ type Table1Result struct {
 func Table1(cfg Table1Config) (Table1Result, error) {
 	res := Table1Result{Cfg: cfg}
 	for _, n := range cfg.Ns {
-		crashInj := func() fault.Injector {
-			return fault.Crash{Proc: mid.ProcID(n - 1), At: sim.StartOfSubrun(8)}
+		crashInj := func() faultrt.Injector {
+			return faultrt.CrashAt{Proc: mid.ProcID(n - 1), At: sim.StartOfSubrun(8).Duration()}
 		}
 		// urcgc reliable and crash.
 		ur, err := table1URCGC(cfg, n, nil)
@@ -93,7 +93,7 @@ func Table1(cfg Table1Config) (Table1Result, error) {
 	return res, nil
 }
 
-func table1URCGC(cfg Table1Config, n int, inj fault.Injector) (Table1Row, error) {
+func table1URCGC(cfg Table1Config, n int, inj faultrt.Injector) (Table1Row, error) {
 	c, err := core.NewCluster(core.ClusterConfig{
 		Config:   core.Config{N: n, K: cfg.K, R: 2*cfg.K + 2, SelfExclusion: true},
 		Seed:     cfg.Seed,
@@ -125,7 +125,7 @@ func table1URCGC(cfg Table1Config, n int, inj fault.Injector) (Table1Row, error)
 	return row, nil
 }
 
-func table1CBCAST(cfg Table1Config, n int, inj fault.Injector) (Table1Row, error) {
+func table1CBCAST(cfg Table1Config, n int, inj faultrt.Injector) (Table1Row, error) {
 	c, err := cbcast.NewCluster(cbcast.ClusterConfig{
 		Config:   cbcast.Config{N: n, K: cfg.K},
 		Seed:     cfg.Seed,

@@ -5,7 +5,7 @@ import (
 
 	"urcgc/internal/cbcast"
 	"urcgc/internal/core"
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 	"urcgc/internal/workload"
@@ -51,7 +51,7 @@ func Throughput(cfg ThroughputConfig) (ThroughputResult, error) {
 	uc, err := core.NewCluster(core.ClusterConfig{
 		Config:   core.Config{N: cfg.N, K: cfg.K, R: 2*cfg.K + 2, SelfExclusion: true},
 		Seed:     cfg.Seed,
-		Injector: fault.Crash{Proc: mid.ProcID(cfg.N - 1), At: crashT},
+		Injector: faultrt.CrashAt{Proc: mid.ProcID(cfg.N - 1), At: crashT.Duration()},
 	})
 	if err != nil {
 		return res, err
@@ -95,7 +95,7 @@ func Throughput(cfg ThroughputConfig) (ThroughputResult, error) {
 	cc, err := cbcast.NewCluster(cbcast.ClusterConfig{
 		Config:   cbcast.Config{N: cfg.N, K: cfg.K},
 		Seed:     cfg.Seed,
-		Injector: fault.Crash{Proc: mid.ProcID(cfg.N - 1), At: crashT},
+		Injector: faultrt.CrashAt{Proc: mid.ProcID(cfg.N - 1), At: crashT.Duration()},
 	})
 	if err != nil {
 		return res, err

@@ -1,21 +1,48 @@
+// Package fault holds no code. The simulator's failure model is the
+// internal/faultrt injectors, which simnet consults on virtual time through
+// sim.Time.Duration. These tests pin that reading: every injector, driven
+// on ticks as the simulator drives it, fails exactly what the tick-level
+// failure model of the published figures failed, boundaries included.
 package fault
 
 import (
 	"testing"
+	"time"
 
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 )
 
+// onTicks consults an injector the way simnet does: at group 0, on the
+// elapsed time a tick count stands for, reading only the Drop verdict.
+type onTicks struct{ inj faultrt.Injector }
+
+func (o onTicks) Crashed(p mid.ProcID, now sim.Time) bool {
+	return o.inj.Crashed(p, now.Duration())
+}
+
+func (o onTicks) DropSend(src, dst mid.ProcID, now sim.Time) bool {
+	return o.inj.Send(0, src, dst, now.Duration()).Drop
+}
+
+func (o onTicks) DropRecv(src, dst mid.ProcID, now sim.Time) bool {
+	return o.inj.Recv(0, src, dst, now.Duration()).Drop
+}
+
+func crashAt(p mid.ProcID, at sim.Time) faultrt.CrashAt {
+	return faultrt.CrashAt{Proc: p, At: at.Duration()}
+}
+
 func TestNone(t *testing.T) {
-	var in None
+	in := onTicks{faultrt.None{}}
 	if in.Crashed(0, 100) || in.DropSend(0, 1, 0) || in.DropRecv(0, 1, 0) {
 		t.Error("None must never fail anything")
 	}
 }
 
 func TestCrash(t *testing.T) {
-	c := Crash{Proc: 2, At: 100}
+	c := onTicks{crashAt(2, 100)}
 	if c.Crashed(2, 99) {
 		t.Error("not crashed before At")
 	}
@@ -37,7 +64,7 @@ func TestCrash(t *testing.T) {
 }
 
 func TestEveryNthSend(t *testing.T) {
-	e := &EveryNth{N: 3, Side: AtSend}
+	e := onTicks{&faultrt.DropEvery{N: 3, Side: faultrt.AtSend}}
 	var drops []int
 	for i := 1; i <= 9; i++ {
 		if e.DropSend(0, 1, 0) {
@@ -53,7 +80,7 @@ func TestEveryNthSend(t *testing.T) {
 }
 
 func TestEveryNthRecv(t *testing.T) {
-	e := &EveryNth{N: 2, Side: AtRecv}
+	e := onTicks{&faultrt.DropEvery{N: 2, Side: faultrt.AtRecv}}
 	d1, d2 := e.DropRecv(0, 1, 0), e.DropRecv(0, 1, 0)
 	if d1 || !d2 {
 		t.Errorf("drops = %v %v, want false true", d1, d2)
@@ -64,7 +91,7 @@ func TestEveryNthRecv(t *testing.T) {
 }
 
 func TestEveryNthDisabled(t *testing.T) {
-	e := &EveryNth{N: 0, Side: AtSend}
+	e := onTicks{&faultrt.DropEvery{N: 0, Side: faultrt.AtSend}}
 	for i := 0; i < 10; i++ {
 		if e.DropSend(0, 1, 0) {
 			t.Fatal("N=0 must never drop")
@@ -74,10 +101,10 @@ func TestEveryNthDisabled(t *testing.T) {
 
 func TestRateDeterministicPerSeed(t *testing.T) {
 	run := func() []bool {
-		r := NewRate(0.5, AtSend, 99)
+		r := onTicks{faultrt.NewDropRate(0.5, faultrt.AtSend, 99)}
 		out := make([]bool, 100)
 		for i := range out {
-			out[i] = r.DropSend(0, 1, 0)
+			out[i] = r.DropSend(0, 1, sim.Time(i))
 		}
 		return out
 	}
@@ -94,29 +121,27 @@ func TestRateDeterministicPerSeed(t *testing.T) {
 	if drops < 30 || drops > 70 {
 		t.Errorf("0.5 rate produced %d/100 drops", drops)
 	}
-	if r := NewRate(0.5, AtSend, 1); r.DropRecv(0, 1, 0) {
+	if r := (onTicks{faultrt.NewDropRate(0.5, faultrt.AtSend, 1)}); r.DropRecv(0, 1, 0) {
 		t.Error("send-side rate must not drop at receive")
 	}
 }
 
 func TestDuringWindowsOmissionsNotCrashes(t *testing.T) {
-	inner := Multi{
-		&EveryNth{N: 1, Side: AtSend}, // drops everything
-		Crash{Proc: 1, At: 50},
+	inner := faultrt.Multi{
+		&faultrt.DropEvery{N: 1, Side: faultrt.AtSend}, // drops everything
+		crashAt(1, 50),
 	}
-	d := During{From: 100, To: 200, Inner: inner}
+	d := onTicks{faultrt.During{From: sim.Time(100).Duration(), To: sim.Time(200).Duration(), Inner: inner}}
 	if d.DropSend(0, 1, 99) {
 		t.Error("before window")
 	}
 	if !d.DropSend(0, 1, 150) {
 		t.Error("inside window")
 	}
-	if d.DropSend(0, 1, 200) && d.Inner.Crashed(0, 200) {
-		t.Error("at window end")
+	if d.DropSend(0, 1, 200) {
+		t.Error("at window end: the window is half-open")
 	}
-	// DropSend at 200 still true because the crash makes proc 1... no: src 0
-	// is not crashed; EveryNth is windowed out. Verify:
-	if d.DropSend(2, 3, 200) {
+	if d.DropSend(2, 3, 300) {
 		t.Error("omission outside window must not fire")
 	}
 	if !d.Crashed(1, 300) {
@@ -125,14 +150,14 @@ func TestDuringWindowsOmissionsNotCrashes(t *testing.T) {
 }
 
 func TestOnlyProc(t *testing.T) {
-	o := OnlyProc{Proc: 1, Inner: &EveryNth{N: 1, Side: AtSend}}
+	o := onTicks{faultrt.OnlyProc{Proc: 1, Inner: &faultrt.DropEvery{N: 1, Side: faultrt.AtSend}}}
 	if o.DropSend(0, 1, 0) {
 		t.Error("other senders unaffected")
 	}
 	if !o.DropSend(1, 0, 0) {
 		t.Error("target sender drops")
 	}
-	o2 := OnlyProc{Proc: 1, Inner: &EveryNth{N: 1, Side: AtRecv}}
+	o2 := onTicks{faultrt.OnlyProc{Proc: 1, Inner: &faultrt.DropEvery{N: 1, Side: faultrt.AtRecv}}}
 	if o2.DropRecv(0, 2, 0) {
 		t.Error("other receivers unaffected")
 	}
@@ -142,10 +167,10 @@ func TestOnlyProc(t *testing.T) {
 }
 
 func TestMultiComposition(t *testing.T) {
-	m := Multi{
-		Crash{Proc: 0, At: 10},
-		&EveryNth{N: 2, Side: AtSend},
-	}
+	m := onTicks{faultrt.Multi{
+		crashAt(0, 10),
+		&faultrt.DropEvery{N: 2, Side: faultrt.AtSend},
+	}}
 	if !m.Crashed(0, 10) || m.Crashed(1, 10) {
 		t.Error("Crashed composition wrong")
 	}
@@ -154,7 +179,7 @@ func TestMultiComposition(t *testing.T) {
 		t.Error("first packet survives")
 	}
 	if !m.DropSend(1, 2, 0) {
-		t.Error("second packet dropped by EveryNth")
+		t.Error("second packet dropped by DropEvery")
 	}
 	// Crashed sender drops regardless of counter.
 	if !m.DropSend(0, 1, 10) {
@@ -163,17 +188,25 @@ func TestMultiComposition(t *testing.T) {
 }
 
 func TestCrashesBuilder(t *testing.T) {
-	m := Crashes(map[mid.ProcID]sim.Time{3: 100, 1: 50})
+	m := faultrt.Crashes(map[mid.ProcID]time.Duration{3: sim.Time(100).Duration(), 1: sim.Time(50).Duration()})
 	if len(m) != 2 {
 		t.Fatalf("len = %d", len(m))
 	}
-	if !m.Crashed(1, 50) || !m.Crashed(3, 100) || m.Crashed(2, 1000) {
+	v := onTicks{m}
+	if !v.Crashed(1, 50) || !v.Crashed(3, 100) || v.Crashed(2, 1000) {
 		t.Error("schedule not honoured")
+	}
+	if v.Crashed(1, 49) || v.Crashed(3, 99) {
+		t.Error("nobody crashes before its tick")
 	}
 }
 
 func TestPartition(t *testing.T) {
-	p := Partition{From: 100, To: 200, SideA: map[mid.ProcID]bool{0: true, 1: true}}
+	p := onTicks{faultrt.Partition{
+		From:  sim.Time(100).Duration(),
+		To:    sim.Time(200).Duration(),
+		SideA: map[mid.ProcID]bool{0: true, 1: true},
+	}}
 	if p.DropSend(0, 1, 150) {
 		t.Error("same side must flow")
 	}
@@ -188,38 +221,43 @@ func TestPartition(t *testing.T) {
 	}
 }
 
-// TestCrashesHighProcIDAndOrder is the regression test for the builder's
-// old linear probe over ProcIDs 0..65535, which silently dropped any
-// schedule entry at or above 1<<16: every entry must survive, in ascending
-// ProcID order for rng reproducibility.
+// TestCrashesHighProcIDAndOrder is the regression test for a builder that
+// probed ProcIDs 0..65535 linearly and so silently dropped any schedule
+// entry at or above 1<<16: every entry must survive, in ascending ProcID
+// order for rng reproducibility.
 func TestCrashesHighProcIDAndOrder(t *testing.T) {
-	m := Crashes(map[mid.ProcID]sim.Time{
-		1 << 20: 100, // above the old probe ceiling
-		7:       50,
-		1 << 16: 75, // exactly at the old ceiling
+	m := faultrt.Crashes(map[mid.ProcID]time.Duration{
+		1 << 20: sim.Time(100).Duration(), // above the old probe ceiling
+		7:       sim.Time(50).Duration(),
+		1 << 16: sim.Time(75).Duration(), // exactly at the old ceiling
 	})
 	if len(m) != 3 {
 		t.Fatalf("len = %d, want 3 (high ProcIDs dropped)", len(m))
 	}
 	want := []mid.ProcID{7, 1 << 16, 1 << 20}
 	for i, in := range m {
-		c := in.(Crash)
+		c := in.(faultrt.CrashAt)
 		if c.Proc != want[i] {
 			t.Errorf("member %d = p%d, want p%d", i, c.Proc, want[i])
 		}
 	}
-	if !m.Crashed(1<<20, 100) || !m.Crashed(1<<16, 75) {
+	v := onTicks{m}
+	if !v.Crashed(1<<20, 100) || !v.Crashed(1<<16, 75) {
 		t.Error("high ProcID crashes must be honoured")
 	}
 }
 
 // TestDuringScopesInnerCounter pins the combinator scoping contract the
 // experiment schedules depend on: During does not consult its inner
-// injector outside the window, so During{EveryNth{N}} drops every Nth
+// injector outside the window, so During{DropEvery{N}} drops every Nth
 // packet of the window — out-of-window traffic must not advance the
 // counter.
 func TestDuringScopesInnerCounter(t *testing.T) {
-	d := During{From: 100, To: 200, Inner: &EveryNth{N: 3, Side: AtSend}}
+	d := onTicks{faultrt.During{
+		From:  sim.Time(100).Duration(),
+		To:    sim.Time(200).Duration(),
+		Inner: &faultrt.DropEvery{N: 3, Side: faultrt.AtSend},
+	}}
 	// Heavy out-of-window traffic: must not touch the inner counter.
 	for i := 0; i < 7; i++ {
 		if d.DropSend(0, 1, sim.Time(i)) {
@@ -243,7 +281,7 @@ func TestDuringScopesInnerCounter(t *testing.T) {
 // TestOnlyProcScopesInnerCounter pins the same contract for the process
 // filter: other processes' packets never advance the inner counter.
 func TestOnlyProcScopesInnerCounter(t *testing.T) {
-	o := OnlyProc{Proc: 1, Inner: &EveryNth{N: 2, Side: AtSend}}
+	o := onTicks{faultrt.OnlyProc{Proc: 1, Inner: &faultrt.DropEvery{N: 2, Side: faultrt.AtSend}}}
 	if o.DropSend(0, 2, 0) || o.DropSend(0, 2, 1) || o.DropSend(2, 0, 2) {
 		t.Fatal("other senders' packets must pass unconsulted")
 	}
@@ -259,9 +297,9 @@ func TestOnlyProcScopesInnerCounter(t *testing.T) {
 // member sees every packet, so sibling counters advance in lockstep
 // however the composition is ordered.
 func TestMultiConsultsEveryMember(t *testing.T) {
-	a := &EveryNth{N: 2, Side: AtSend}
-	b := &EveryNth{N: 2, Side: AtSend}
-	m := Multi{a, b}
+	a := &faultrt.DropEvery{N: 2, Side: faultrt.AtSend}
+	b := &faultrt.DropEvery{N: 2, Side: faultrt.AtSend}
+	m := onTicks{faultrt.Multi{a, b}}
 	if m.DropSend(0, 1, 0) {
 		t.Fatal("first packet must pass both counters")
 	}

@@ -1,16 +1,26 @@
-// Package faultrt brings the general omission failure model of Section 3
-// of the paper to the wall-clock runtime (internal/rt), where internal/fault
-// serves the simulator. Faults are injected at the transport boundary — the
-// in-process mesh consults the injector where a datagram would cross node
-// boundaries, the UDP runtime immediately before the socket write and after
-// the datagram read — so every injected failure is indistinguishable, to the
-// protocol, from a real network or process fault, and the protocol's
-// history-based recovery, attempts counters and suicide rule do the repair.
+// Package faultrt implements the general omission failure model of Section 3
+// of the paper: a process fails either by crashing (fail stop) or by
+// omitting to send or receive a subset of the messages the protocol
+// requires. Subnetwork loss is modelled as an omission attributed to the
+// link, which the protocol cannot distinguish from process omissions —
+// exactly the property urcgc exploits to stay transport-agnostic.
+//
+// One vocabulary serves two clocks. The wall-clock runtime (internal/rt)
+// injects at the transport boundary — the in-process mesh where a datagram
+// would cross node boundaries, the UDP runtime immediately before the
+// socket write and after the datagram read — and the discrete-event
+// simulator (internal/simnet) consults the same injectors on every
+// simulated packet, reading its virtual clock as elapsed time
+// (sim.Time.Duration). Either way every injected failure is
+// indistinguishable, to the protocol, from a real network or process fault,
+// and the protocol's history-based recovery, attempts counters and suicide
+// rule do the repair.
 //
 // Injectors are deterministic given their construction parameters (seed
 // where randomized) and the sequence of consultations: replaying the same
 // consultation sequence against an injector built from the same parameters
-// yields the identical verdict sequence. Under real concurrency the
+// yields the identical verdict sequence. The simulator is single-goroutine,
+// so a simulated run replays exactly. Under real concurrency the
 // consultation sequence itself varies run to run, so end-to-end determinism
 // lives one level up, in the seeded Schedule (the planned faults are a pure
 // function of the seed) and in the serialized Hook trace.
@@ -19,11 +29,16 @@
 // the run started, so schedules read like the paper's experiment scripts
 // ("the crash occurs at 10 s", "failures occur during the first 5 rtd").
 //
-// Combinator scoping follows internal/fault: During and OnlyProc restrict
-// the world their inner injector sees (an inner counter counts only
-// in-window / own-process packets), while Multi consults every member on
-// every packet. See the internal/fault package documentation for the
-// rationale.
+// Combinator scoping: During and OnlyProc scope the world their inner
+// injector sees. Outside During's window, or for another process's
+// datagrams, the inner injector is not consulted at all, so a
+// counter-based inner like DropEvery counts in-window (own-process)
+// datagrams only — During{DropEvery{N}} means "every Nth datagram of the
+// window", not "the window's share of a run-long cadence". Multi is the
+// deliberate opposite: it consults every member on every datagram, so
+// sibling counters advance consistently regardless of composition order.
+// The simulated experiments (Figure 6, the ablations) depend on
+// window-scoped counting; a regression test pins the composed schedule.
 package faultrt
 
 import (
@@ -129,14 +144,16 @@ func (a *Action) merge(b Action) {
 	a.Kinds |= b.Kinds
 }
 
-// Injector decides which failures occur. The runtime consults Send for
-// every datagram about to leave src for dst, Recv for every datagram about
-// to be handed to dst's protocol entity, and Crashed to fail-stop whole
-// processes. group is the hosted group the datagram belongs to (0 on a
-// single-group member); now is the elapsed time since the run started.
+// Injector decides which failures occur. The runtime and the simulator
+// consult Send for every datagram about to leave src for dst, Recv for every
+// datagram about to be handed to dst's protocol entity, and Crashed to
+// fail-stop whole processes. group is the hosted group the datagram belongs
+// to (0 on a single-group member, and always 0 in the simulator); now is the
+// elapsed time since the run started.
 //
 // Implementations need not be goroutine-safe: the Hook serializes every
-// consultation (the runtime consults from several node goroutines).
+// consultation (the runtime consults from several node goroutines), and the
+// simulator consults from its one goroutine.
 type Injector interface {
 	// Crashed reports whether process p has fail-stopped by elapsed time now.
 	Crashed(p mid.ProcID, now time.Duration) bool
@@ -148,9 +165,9 @@ type Injector interface {
 	Recv(group uint32, src, dst mid.ProcID, now time.Duration) Action
 }
 
-// Side selects where a fault is applied, mirroring internal/fault: the
-// protocol cannot distinguish the two, but the runtime hooks differ (send
-// faults happen before the wire, receive faults after it).
+// Side selects where a fault is applied: the protocol cannot distinguish
+// the two, but the hooks differ (send faults happen before the wire, receive
+// faults after it).
 type Side int
 
 // Fault sides.
@@ -200,9 +217,9 @@ func (c CrashAt) Recv(_ uint32, _, dst mid.ProcID, now time.Duration) Action {
 }
 
 // DropEvery destroys every N-th datagram it is consulted about on its side,
-// counting globally — the wall-clock twin of fault.EveryNth and the
-// deterministic reading of the paper's "one omission failure each 500
-// messages". N <= 0 disables it.
+// counting globally — the deterministic reading of the paper's "one
+// omission failure each 500 messages" (the 1/500 and 1/100 curves of
+// Figure 4). N <= 0 disables it.
 type DropEvery struct {
 	N    int
 	Side Side
@@ -419,10 +436,10 @@ func (Cut) Recv(uint32, mid.ProcID, mid.ProcID, time.Duration) Action { return A
 
 // During confines an inner injector's datagram faults to the window
 // [From, To). Crashes are not windowed — a crash inside the window is still
-// permanent. Like fault.During, the window scopes the inner injector's
-// world: outside it the inner injector is not consulted, so counter-based
-// inner injectors (DropEvery, DelayEvery, DupEvery) count only in-window
-// datagrams.
+// permanent, matching Figure 6's "failures are considered to occur during
+// the first 5 rtd". The window scopes the inner injector's world: outside it
+// the inner injector is not consulted, so counter-based inner injectors
+// (DropEvery, DelayEvery, DupEvery) count only in-window datagrams.
 type During struct {
 	From, To time.Duration
 	Inner    Injector
@@ -452,8 +469,8 @@ func (d During) Recv(group uint32, src, dst mid.ProcID, now time.Duration) Actio
 // OnlyProc restricts an inner injector's faults to datagrams sent by (at
 // the send boundary) or addressed to (at the receive boundary) one process,
 // modelling a single faulty process under the general omission model. Like
-// fault.OnlyProc, the filter scopes the inner injector's world: other
-// processes' datagrams are not consulted.
+// During, the filter scopes the inner injector's world: other processes'
+// datagrams are not consulted.
 type OnlyProc struct {
 	Proc  mid.ProcID
 	Inner Injector
@@ -481,9 +498,10 @@ func (o OnlyProc) Recv(group uint32, src, dst mid.ProcID, now time.Duration) Act
 }
 
 // Multi composes injectors. Every member is consulted on every datagram —
-// the fault.Multi contract — so counter-based members advance consistently
-// regardless of composition order; the verdicts merge (any drop wins, the
-// longest delay wins, duplicates accumulate).
+// even after an earlier member already injected a fault — so counter- and
+// rng-based members advance identically however the composition is
+// ordered; the verdicts merge (any drop wins, the longest delay wins,
+// duplicates accumulate).
 type Multi []Injector
 
 // Crashed implements Injector.

@@ -1,6 +1,7 @@
 package faultrt
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -41,19 +42,36 @@ func TestCrashAt(t *testing.T) {
 	}
 }
 
+// TestDropEverySchedule consults each omission injector nine times on its
+// own side, and as often on the other side, where it must never act.
 func TestDropEverySchedule(t *testing.T) {
-	d := &DropEvery{N: 3, Side: AtSend}
-	var drops []int
-	for i := 1; i <= 9; i++ {
-		if d.Send(0, 0, 1, 0).Drop {
-			drops = append(drops, i)
+	for _, tc := range []struct {
+		name string
+		inj  Injector
+		side Side
+		want []int
+	}{
+		{"every 3rd at send", &DropEvery{N: 3, Side: AtSend}, AtSend, []int{3, 6, 9}},
+		{"every 2nd at recv", &DropEvery{N: 2, Side: AtRecv}, AtRecv, []int{2, 4, 6, 8}},
+		{"N=0 disabled", &DropEvery{N: 0, Side: AtSend}, AtSend, nil},
+		{"rate 1 at send", NewDropRate(1, AtSend, 1), AtSend, []int{1, 2, 3, 4, 5, 6, 7, 8, 9}},
+	} {
+		own, other := tc.inj.Send, tc.inj.Recv
+		if tc.side == AtRecv {
+			own, other = other, own
 		}
-	}
-	if len(drops) != 3 || drops[0] != 3 || drops[1] != 6 || drops[2] != 9 {
-		t.Errorf("drops = %v, want [3 6 9]", drops)
-	}
-	if d.Recv(0, 0, 1, 0).Faulty() {
-		t.Error("send-side injector must not act at receive")
+		var drops []int
+		for i := 1; i <= 9; i++ {
+			if own(0, 0, 1, 0).Drop {
+				drops = append(drops, i)
+			}
+			if other(0, 0, 1, 0).Faulty() {
+				t.Fatalf("%s: the injector acted on the other side", tc.name)
+			}
+		}
+		if fmt.Sprint(drops) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: drops = %v, want %v", tc.name, drops, tc.want)
+		}
 	}
 }
 
@@ -106,18 +124,21 @@ func TestPartitionCutsBothWaysAndHeals(t *testing.T) {
 	if p.Send(0, 0, 2, 2*time.Second).Drop {
 		t.Error("cut must heal at To")
 	}
+	if p.Crashed(0, time.Second) || p.Recv(0, 0, 2, time.Second).Faulty() {
+		t.Error("a partition neither crashes nor acts at receive")
+	}
 	if !p.Send(0, 0, 2, 1500*time.Millisecond).Kinds.Has(KindPartition) {
 		t.Error("cut drops must carry the partition kind")
 	}
 }
 
-// TestDuringScopesInnerCounting pins the combinator scoping contract shared
-// with internal/fault: During does not consult its inner injector outside
-// the window, so a counter-based inner injector counts in-window datagrams
-// only.
+// TestDuringScopesInnerCounting pins the combinator scoping contract the
+// simulated experiments depend on: During does not consult its inner
+// injector outside the window, so a counter-based inner injector counts
+// in-window datagrams only. Crashes are not windowed.
 func TestDuringScopesInnerCounting(t *testing.T) {
 	d := During{From: 10 * time.Millisecond, To: 20 * time.Millisecond,
-		Inner: &DropEvery{N: 3, Side: AtSend}}
+		Inner: Multi{&DropEvery{N: 3, Side: AtSend}, CrashAt{Proc: 1, At: 5 * time.Millisecond}}}
 	// 5 out-of-window consultations must not advance the inner counter.
 	for i := 0; i < 5; i++ {
 		if d.Send(0, 0, 1, 0).Faulty() {
@@ -136,6 +157,9 @@ func TestDuringScopesInnerCounting(t *testing.T) {
 	if d.Send(0, 0, 1, 25*time.Millisecond).Faulty() {
 		t.Error("no faults after the window")
 	}
+	if !d.Crashed(1, 30*time.Millisecond) || d.Crashed(0, 30*time.Millisecond) {
+		t.Error("the crash must outlive the window, and only p1 crashes")
+	}
 }
 
 func TestOnlyProcScopesInnerCounting(t *testing.T) {
@@ -148,6 +172,10 @@ func TestOnlyProcScopesInnerCounting(t *testing.T) {
 	}
 	if !o.Send(0, 1, 2, 0).Drop {
 		t.Error("proc 1's second datagram must drop: other procs' traffic must not advance the counter")
+	}
+	r := OnlyProc{Proc: 1, Inner: &DropEvery{N: 1, Side: AtRecv}}
+	if r.Recv(0, 0, 2, 0).Drop || !r.Recv(0, 0, 1, 0).Drop {
+		t.Error("at receive the filter selects datagrams addressed to proc 1")
 	}
 }
 
@@ -170,7 +198,7 @@ func TestMultiConsultsEveryMemberAndMerges(t *testing.T) {
 
 func TestCrashesDeterministicOrderWithHighProcID(t *testing.T) {
 	sched := map[mid.ProcID]time.Duration{
-		70000: time.Second, // above 1<<16: the sim-side bug this mirrors
+		70000: time.Second, // above 1<<16, where an old linear probe stopped
 		3:     2 * time.Second,
 		1:     3 * time.Second,
 	}
@@ -187,6 +215,9 @@ func TestCrashesDeterministicOrderWithHighProcID(t *testing.T) {
 	}
 	if !m.Crashed(70000, time.Second) {
 		t.Error("high ProcID crash must be honored")
+	}
+	if m.Crashed(3, time.Second) || !m.Crashed(3, 2*time.Second) || m.Crashed(2, time.Hour) {
+		t.Error("each entry crashes its own process at its own time, nobody else")
 	}
 }
 
@@ -216,21 +247,29 @@ func replay(t *testing.T, inj Injector, reg *obs.Registry) string {
 
 // TestHookTraceDeterministic is the determinism guarantee: the same seed
 // and the same consultation schedule yield the identical injected-fault
-// trace, byte for byte.
+// trace, byte for byte — for the seeded Schedule and for a seeded injector
+// on its own.
 func TestHookTraceDeterministic(t *testing.T) {
-	sched := func() *Schedule {
-		return NewSchedule(7, 4, 2*time.Second, 2*time.Millisecond, 8)
-	}
-	t1 := replay(t, sched().Injector(), nil)
-	t2 := replay(t, sched().Injector(), nil)
-	if t1 != t2 {
-		t.Fatalf("traces differ under identical seed+schedule:\n--- run 1 ---\n%.400s\n--- run 2 ---\n%.400s", t1, t2)
-	}
-	if t1 == "" {
-		t.Fatal("the schedule injected nothing over 2000 steps")
-	}
-	if t3 := replay(t, NewSchedule(8, 4, 2*time.Second, 2*time.Millisecond, 8).Injector(), nil); t3 == t1 {
-		t.Error("a different seed should produce a different trace")
+	for _, tc := range []struct {
+		name string
+		mk   func(seed int64) Injector
+	}{
+		{"schedule", func(seed int64) Injector {
+			return NewSchedule(seed, 4, 2*time.Second, 2*time.Millisecond, 8).Injector()
+		}},
+		{"drop rate", func(seed int64) Injector { return NewDropRate(0.5, AtSend, seed) }},
+	} {
+		t1 := replay(t, tc.mk(7), nil)
+		t2 := replay(t, tc.mk(7), nil)
+		if t1 != t2 {
+			t.Fatalf("%s: traces differ under identical seed+schedule:\n--- run 1 ---\n%.400s\n--- run 2 ---\n%.400s", tc.name, t1, t2)
+		}
+		if t1 == "" {
+			t.Fatalf("%s: injected nothing over 2000 steps", tc.name)
+		}
+		if t3 := replay(t, tc.mk(8), nil); t3 == t1 {
+			t.Errorf("%s: a different seed should produce a different trace", tc.name)
+		}
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"urcgc/internal/core"
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 )
@@ -13,7 +13,7 @@ import (
 // counterService is a deterministic replicated state machine: each request
 // adds its input's first byte to a per-server accumulator and answers with
 // the running total. Identical causal order => identical answers.
-func newCounterService(t *testing.T, n int, seed int64, inj fault.Injector) (*Service, *core.Cluster) {
+func newCounterService(t *testing.T, n int, seed int64, inj faultrt.Injector) (*Service, *core.Cluster) {
 	t.Helper()
 	c, err := core.NewCluster(core.ClusterConfig{
 		Config:   core.Config{N: n, K: 3, R: 8, SelfExclusion: true},
@@ -75,7 +75,7 @@ func TestReplicatedCallsAgree(t *testing.T) {
 }
 
 func TestCallsSurviveServerCrash(t *testing.T) {
-	svc, c := newCounterService(t, 5, 2, fault.Crash{Proc: 4, At: sim.StartOfSubrun(5)})
+	svc, c := newCounterService(t, 5, 2, faultrt.CrashAt{Proc: 4, At: sim.StartOfSubrun(5).Duration()})
 	calls := 8
 	_, err := c.Run(core.RunOptions{
 		MaxRounds: 400, MinRounds: 2 * 2 * calls,

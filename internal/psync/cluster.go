@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"urcgc/internal/causal"
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/metrics"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
@@ -16,7 +16,7 @@ import (
 type ClusterConfig struct {
 	Config
 	Seed     int64
-	Injector fault.Injector
+	Injector faultrt.Injector
 	Latency  simnet.Latency
 }
 
@@ -49,12 +49,8 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	if err := cc.Validate(); err != nil {
 		return nil, err
 	}
-	inj := cc.Injector
-	if inj == nil {
-		inj = fault.None{}
-	}
 	eng := sim.NewEngine(cc.Seed)
-	nw := simnet.New(eng, cc.N, inj)
+	nw := simnet.New(eng, cc.N, cc.Injector)
 	if cc.Latency != nil {
 		nw.SetLatency(cc.Latency)
 	}
@@ -96,13 +92,7 @@ func (c *Cluster) Proc(i mid.ProcID) *Process { return c.procs[i] }
 func (c *Cluster) N() int { return c.cfg.N }
 
 // Crashed reports whether the failure model has fail-stopped p.
-func (c *Cluster) Crashed(p mid.ProcID) bool {
-	inj := c.cfg.Injector
-	if inj == nil {
-		return false
-	}
-	return inj.Crashed(p, c.eng.Now())
-}
+func (c *Cluster) Crashed(p mid.ProcID) bool { return c.net.Crashed(p) }
 
 // Submit queues a payload at p, recording generation time.
 func (c *Cluster) Submit(p mid.ProcID, payload []byte) mid.MID {

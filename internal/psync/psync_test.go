@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 )
@@ -82,9 +82,9 @@ func TestNakRepairsOmissions(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Config: Config{N: 4, K: 4},
 		Seed:   3,
-		Injector: fault.During{
-			From: 0, To: 8 * sim.TicksPerRTD,
-			Inner: fault.NewRate(0.05, fault.AtSend, 99),
+		Injector: faultrt.During{
+			From: 0, To: (8 * sim.TicksPerRTD).Duration(),
+			Inner: faultrt.NewDropRate(0.05, faultrt.AtSend, 99),
 		},
 	})
 	if err != nil {
@@ -116,9 +116,9 @@ func TestFlowControlDeletesBeyondBound(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Config: Config{N: 4, K: 40, WaitBound: 2},
 		Seed:   4,
-		Injector: fault.During{
-			From: 0, To: 10 * sim.TicksPerRTD,
-			Inner: fault.OnlyProc{Proc: 3, Inner: fault.NewRate(0.5, fault.AtRecv, 7)},
+		Injector: faultrt.During{
+			From: 0, To: (10 * sim.TicksPerRTD).Duration(),
+			Inner: faultrt.OnlyProc{Proc: 3, Inner: faultrt.NewDropRate(0.5, faultrt.AtRecv, 7)},
 		},
 	})
 	if err != nil {
@@ -141,7 +141,7 @@ func TestMaskOutOnCrash(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Config:   Config{N: 4, K: 2},
 		Seed:     5,
-		Injector: fault.Crash{Proc: 2, At: failAt},
+		Injector: faultrt.CrashAt{Proc: 2, At: failAt.Duration()},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"time"
 )
 
 // Time is virtual time in ticks.
@@ -24,6 +25,15 @@ const (
 	TicksPerRTD         = TicksPerRound * RoundsPerRTD
 	TicksPerSubrun      = TicksPerRTD
 )
+
+// Tick is the elapsed time one tick stands for: a round is 500 µs. The
+// conversion lets the simulator consult the failure injectors of
+// internal/faultrt, which read elapsed time; it is exact and monotone, so
+// every time comparison an injector makes answers as it would on ticks.
+const Tick = time.Microsecond
+
+// Duration converts virtual time to elapsed time since the run started.
+func (t Time) Duration() time.Duration { return time.Duration(t) * Tick }
 
 // RTD converts ticks to (fractional) round-trip delays.
 func (t Time) RTD() float64 { return float64(t) / float64(TicksPerRTD) }

@@ -12,7 +12,7 @@ package simnet
 import (
 	"fmt"
 
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/metrics"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
@@ -49,10 +49,11 @@ func FixedLatency(d sim.Time) Latency {
 	return func(_, _ mid.ProcID, _ *sim.Engine) sim.Time { return d }
 }
 
-// Network is the simulated subnetwork for one group.
+// Network is the simulated subnetwork for one group, and the one place the
+// simulator consults its failure injector.
 type Network struct {
 	eng      *sim.Engine
-	inj      fault.Injector
+	inj      faultrt.Injector
 	latency  Latency
 	handlers []Handler
 	load     *metrics.Load
@@ -64,10 +65,10 @@ type Network struct {
 }
 
 // New returns a network for n processes over the given engine with the given
-// failure injector.
-func New(eng *sim.Engine, n int, inj fault.Injector) *Network {
+// failure injector; nil means a reliable system.
+func New(eng *sim.Engine, n int, inj faultrt.Injector) *Network {
 	if inj == nil {
-		inj = fault.None{}
+		inj = faultrt.None{}
 	}
 	return &Network{
 		eng:      eng,
@@ -101,18 +102,24 @@ func (nw *Network) Load() *metrics.Load { return nw.load }
 // Drops returns the number of packets destroyed by the failure injector.
 func (nw *Network) Drops() int { return nw.drops }
 
+// Crashed reports whether the failure model has fail-stopped process p by
+// the engine's current time.
+func (nw *Network) Crashed(p mid.ProcID) bool {
+	return nw.inj.Crashed(p, nw.eng.Now().Duration())
+}
+
 // Send transmits one datagram from src to dst. Sends from a crashed process
 // or to oneself are ignored (processes handle their own messages locally).
 func (nw *Network) Send(src, dst mid.ProcID, pdu wire.PDU) {
 	if src == dst {
 		return
 	}
-	now := nw.eng.Now()
+	now := nw.eng.Now().Duration()
 	if nw.inj.Crashed(src, now) {
 		return
 	}
 	nw.load.Add(pdu.Kind(), pdu.EncodedSize())
-	if nw.inj.DropSend(src, dst, now) {
+	if dropped(nw.inj.Send(0, src, dst, now)) {
 		nw.drops++
 		return
 	}
@@ -130,8 +137,8 @@ func (nw *Network) Multicast(src mid.ProcID, dsts []mid.ProcID, pdu wire.PDU) {
 }
 
 func (nw *Network) deliver(src, dst mid.ProcID, pdu wire.PDU) {
-	now := nw.eng.Now()
-	if nw.inj.Crashed(dst, now) || nw.inj.DropRecv(src, dst, now) {
+	now := nw.eng.Now().Duration()
+	if nw.inj.Crashed(dst, now) || dropped(nw.inj.Recv(0, src, dst, now)) {
 		nw.drops++
 		return
 	}
@@ -144,6 +151,16 @@ func (nw *Network) deliver(src, dst mid.ProcID, pdu wire.PDU) {
 		nw.OnDeliver(src, dst, pdu)
 	}
 	h.Recv(src, pdu)
+}
+
+// dropped applies a verdict. The sub-round latency model has no place for a
+// delayed or duplicated datagram, so those verdicts are refused: they belong
+// on the live runtime's link (internal/rt).
+func dropped(a faultrt.Action) bool {
+	if a.Delay != 0 || a.Dup != 0 {
+		panic(fmt.Sprintf("simnet: injector verdict %+v delays or duplicates; only the live runtime's link (internal/rt) implements those", a))
+	}
+	return a.Drop
 }
 
 // MatrixLatency draws per-pair latencies from a base matrix plus uniform

@@ -1,10 +1,13 @@
 package simnet
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"urcgc/internal/causal"
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 	"urcgc/internal/wire"
@@ -79,7 +82,7 @@ func TestMulticastFanout(t *testing.T) {
 
 func TestCrashedSenderSendsNothing(t *testing.T) {
 	eng := sim.NewEngine(1)
-	nw := New(eng, 2, fault.Crash{Proc: 0, At: 0})
+	nw := New(eng, 2, faultrt.CrashAt{Proc: 0, At: 0})
 	rec := &recorder{eng: eng}
 	nw.Attach(1, rec)
 	nw.Send(0, 1, data(0, 1))
@@ -94,7 +97,7 @@ func TestCrashedSenderSendsNothing(t *testing.T) {
 
 func TestCrashedReceiverAbsorbsNothing(t *testing.T) {
 	eng := sim.NewEngine(1)
-	nw := New(eng, 2, fault.Crash{Proc: 1, At: 0})
+	nw := New(eng, 2, faultrt.CrashAt{Proc: 1, At: 0})
 	rec := &recorder{eng: eng}
 	nw.Attach(1, rec)
 	nw.Send(0, 1, data(0, 1))
@@ -107,9 +110,92 @@ func TestCrashedReceiverAbsorbsNothing(t *testing.T) {
 	}
 }
 
+// consultLog is an injector that records every consultation in order, with
+// the offered load the network had accounted when it asked.
+type consultLog struct {
+	nw      *Network
+	crashed mid.ProcID
+	verdict faultrt.Action
+	calls   []string
+}
+
+func (c *consultLog) Crashed(p mid.ProcID, now time.Duration) bool {
+	c.calls = append(c.calls, fmt.Sprintf("crashed %d @%v load=%d", p, now, c.nw.Load().TotalMsgs()))
+	return p == c.crashed
+}
+
+func (c *consultLog) Send(group uint32, src, dst mid.ProcID, now time.Duration) faultrt.Action {
+	c.calls = append(c.calls, fmt.Sprintf("send g%d %d->%d @%v load=%d", group, src, dst, now, c.nw.Load().TotalMsgs()))
+	return c.verdict
+}
+
+func (c *consultLog) Recv(group uint32, src, dst mid.ProcID, now time.Duration) faultrt.Action {
+	c.calls = append(c.calls, fmt.Sprintf("recv g%d %d->%d @%v load=%d", group, src, dst, now, c.nw.Load().TotalMsgs()))
+	return c.verdict
+}
+
+func newConsultNet(n int, crashed mid.ProcID, verdict faultrt.Action) (*sim.Engine, *Network, *consultLog) {
+	eng := sim.NewEngine(1)
+	log := &consultLog{crashed: crashed, verdict: verdict}
+	nw := New(eng, n, log)
+	log.nw = nw
+	nw.SetLatency(FixedLatency(100))
+	for p := 0; p < n; p++ {
+		nw.Attach(mid.ProcID(p), HandlerFunc(func(mid.ProcID, wire.PDU) {}))
+	}
+	return eng, nw, log
+}
+
+// TestInjectorConsultationSequence pins the order in which the network
+// consults its injector. Counter- and rng-based injectors answer in
+// consultation order, so every simulated figure depends on it: per send,
+// Crashed(src), then the load accounting, then Send; per delivery,
+// Crashed(dst) and, only for a live destination, Recv. The group is
+// always 0 and the clock reads one microsecond per tick.
+func TestInjectorConsultationSequence(t *testing.T) {
+	eng, nw, log := newConsultNet(3, 2, faultrt.Action{})
+	nw.Multicast(0, []mid.ProcID{0, 1, 2}, data(0, 1))
+	eng.Run()
+	want := []string{
+		"crashed 0 @0s load=0",
+		"send g0 0->1 @0s load=1",
+		"crashed 0 @0s load=1",
+		"send g0 0->2 @0s load=2",
+		"crashed 1 @100µs load=2",
+		"recv g0 0->1 @100µs load=2",
+		"crashed 2 @100µs load=2",
+	}
+	if got := strings.Join(log.calls, "\n"); got != strings.Join(want, "\n") {
+		t.Errorf("consultations:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
+	}
+	if nw.Drops() != 1 {
+		t.Errorf("Drops = %d, want 1 (the crashed destination)", nw.Drops())
+	}
+	if !nw.Crashed(2) || nw.Crashed(0) {
+		t.Error("Network.Crashed must answer from the injector")
+	}
+}
+
+// TestDelayAndDupVerdictsRefused: the sub-round latency model has no place
+// for a delayed or duplicated datagram, so such a verdict must stop the run
+// rather than be silently ignored.
+func TestDelayAndDupVerdictsRefused(t *testing.T) {
+	for _, v := range []faultrt.Action{{Delay: time.Millisecond}, {Dup: 1}} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "internal/rt") {
+					t.Errorf("verdict %+v: recovered %v, want a panic naming internal/rt", v, r)
+				}
+			}()
+			_, nw, _ := newConsultNet(2, -1, v)
+			nw.Send(0, 1, data(0, 1))
+		}()
+	}
+}
+
 func TestSendOmission(t *testing.T) {
 	eng := sim.NewEngine(1)
-	nw := New(eng, 2, &fault.EveryNth{N: 2, Side: fault.AtSend})
+	nw := New(eng, 2, &faultrt.DropEvery{N: 2, Side: faultrt.AtSend})
 	rec := &recorder{eng: eng}
 	nw.Attach(1, rec)
 	for i := 0; i < 6; i++ {

@@ -5,14 +5,14 @@ import (
 	"testing"
 
 	"urcgc/internal/causal"
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 	"urcgc/internal/simnet"
 	"urcgc/internal/wire"
 )
 
-func fragSetup(t *testing.T, n, mtu int, inj fault.Injector) (*sim.Engine, *simnet.Network, []*Entity, []*sink) {
+func fragSetup(t *testing.T, n, mtu int, inj faultrt.Injector) (*sim.Engine, *simnet.Network, []*Entity, []*sink) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	nw := simnet.New(eng, n, inj)
@@ -78,7 +78,7 @@ func TestSmallPDUNotFragmented(t *testing.T) {
 func TestLostFragmentLosesWholePDU(t *testing.T) {
 	// Drop one packet mid-burst: the PDU must not be delivered (and must
 	// not crash the reassembler) — an ordinary omission for the layer above.
-	eng, _, es, sinks := fragSetup(t, 2, 64, &fault.EveryNth{N: 3, Side: fault.AtSend})
+	eng, _, es, sinks := fragSetup(t, 2, 64, &faultrt.DropEvery{N: 3, Side: faultrt.AtSend})
 	es[0].DataRq([]mid.ProcID{0, 1}, 1, nil, bigData(300))
 	eng.Run()
 	if len(sinks[1].got) != 0 {

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"urcgc/internal/causal"
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 	"urcgc/internal/simnet"
@@ -25,7 +25,7 @@ func data(seq mid.Seq) *wire.Data {
 	return &wire.Data{Msg: causal.Message{ID: mid.MID{Proc: 0, Seq: seq}}}
 }
 
-func setup(t *testing.T, n int, inj fault.Injector) (*sim.Engine, *simnet.Network, []*Entity, []*sink) {
+func setup(t *testing.T, n int, inj faultrt.Injector) (*sim.Engine, *simnet.Network, []*Entity, []*sink) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	nw := simnet.New(eng, n, inj)
@@ -63,7 +63,7 @@ func TestH1IsPlainDatagram(t *testing.T) {
 func TestHNRetransmitsUntilAcked(t *testing.T) {
 	// Drop the first two frames; with h=2 the entity must retry until both
 	// destinations acked.
-	eng, nw, es, sinks := setup(t, 3, &fault.EveryNth{N: 2, Side: fault.AtSend})
+	eng, nw, es, sinks := setup(t, 3, &faultrt.DropEvery{N: 2, Side: faultrt.AtSend})
 	es[0].DataRq([]mid.ProcID{0, 1, 2}, 2, nil, data(1))
 	eng.Run()
 	delivered := 0
@@ -107,7 +107,7 @@ func TestPrimitiveNeverFails(t *testing.T) {
 	// Destination 1 is crashed: h=2 can never be reached, but the request
 	// must terminate after MaxRetries without error and deliver to the
 	// live destination.
-	eng, _, es, sinks := setup(t, 3, fault.Crash{Proc: 1, At: 0})
+	eng, _, es, sinks := setup(t, 3, faultrt.CrashAt{Proc: 1, At: 0})
 	es[0].DataRq([]mid.ProcID{0, 1, 2}, 2, nil, data(1))
 	eng.Run()
 	if len(sinks[2].got) != 1 {

@@ -96,7 +96,7 @@ type Config struct {
 // NewGroup builds the underlying cluster. The wrapped cluster runs
 // reliably: fault injection under the virtual construction requires
 // crashing all of an owner's members together (they share a machine), so a
-// faulty variant must compose one fault.Crash per virtual member of the
+// faulty variant must compose one faultrt.CrashAt per virtual member of the
 // dying owner, all at the same instant — partial-owner crashes would break
 // the shared-fate assumption.
 func NewGroup(cfg Config) (*Group, error) {

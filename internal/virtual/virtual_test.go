@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"urcgc/internal/core"
-	"urcgc/internal/fault"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 )
@@ -220,13 +220,13 @@ func TestTreeStructuredHistoryEquivalence(t *testing.T) {
 func TestOwnerCrashSharedFate(t *testing.T) {
 	m := Mapping{Procs: 3, StreamsPerProc: 2}
 	crashAt := sim.StartOfSubrun(4)
-	var inj fault.Multi
+	var inj faultrt.Multi
 	for s := 0; s < m.StreamsPerProc; s++ {
 		v, err := m.Virtual(StreamID{Owner: 2, Stream: s})
 		if err != nil {
 			t.Fatal(err)
 		}
-		inj = append(inj, fault.Crash{Proc: v, At: crashAt})
+		inj = append(inj, faultrt.CrashAt{Proc: v, At: crashAt.Duration()})
 	}
 	inner, err := core.NewCluster(core.ClusterConfig{
 		Config:   core.Config{N: m.GroupSize(), K: 3, R: 8, SelfExclusion: true},
