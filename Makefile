@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt loc check bench-module bench bench-e2e bench-allocs bench-smoke chaos-smoke chaos-soak inspect-smoke trace-smoke join-smoke capture-smoke clean
+.PHONY: all build test race vet fmt loc check examples bench-module bench bench-e2e bench-allocs bench-smoke chaos-smoke chaos-soak inspect-smoke trace-smoke join-smoke capture-smoke clean
 
 all: check
 
@@ -65,8 +65,20 @@ race:
 # chaos soak upholds the uniform invariants under the race detector, and a live
 # three-member cluster inspects healthy end to end through the real
 # binaries — including the forensic pipeline: capture dumps from real
-# nodes must replay offline to a clean verdict.
-check: fmt vet test race bench-module bench-smoke bench-allocs chaos-smoke inspect-smoke trace-smoke join-smoke capture-smoke
+# nodes must replay offline to a clean verdict. Every example must run to a
+# clean exit, faultdemo's Definition 3.2 verdict among them.
+check: fmt vet test race examples bench-module bench-smoke bench-allocs chaos-smoke inspect-smoke trace-smoke join-smoke capture-smoke
+
+# examples builds every program under examples/ into a temporary directory
+# and runs it, failing on the first non-zero exit: each self-reports, and
+# faultdemo exits 1 when its run's trace violates Definition 3.2.
+examples:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	for e in examples/*/; do n=$$(basename $$e); \
+		$(GO) build -o "$$dir/$$n" ./$$e && "$$dir/$$n" </dev/null >"$$dir/$$n.out" 2>&1 \
+			|| { echo "examples: $$n failed:"; cat "$$dir/$$n.out"; exit 1; }; \
+		echo "examples: $$n ok"; \
+	done
 
 # bench-module vets and short-tests the end-to-end benchmark (benchmark/), a
 # nested module that ./... in the root module skips: without it a change to

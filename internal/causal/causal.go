@@ -44,9 +44,9 @@ func (m *Message) Clone() *Message {
 // EffectiveDeps returns the full dependency set of m under the intermediate
 // interpretation: the explicit labels plus the implicit dependency on the
 // sender's previous message, canonicalized into a fresh list. It is for
-// offline callers that want the set itself (Graph, the trace verifier); the
-// hot-path verdicts (Ready, Doomed, Process) walk Deps and ID.Prev() in
-// place and never build it.
+// offline callers that want the set itself (Graph); the hot-path verdicts
+// (Ready, Doomed, Process) walk Deps and ID.Prev() in place and never build
+// it.
 func (m *Message) EffectiveDeps() mid.DepList {
 	deps := m.Deps.Clone()
 	if prev := m.ID.Prev(); !prev.IsZero() && !deps.Covers(prev) {
@@ -280,7 +280,8 @@ func (t *Tracker) CondemnedFrom(q mid.ProcID) mid.Seq {
 // Graph is an offline validator for a set of messages: it checks that the
 // causal relation they describe is acyclic and respects Definition 3.1
 // (dependencies point strictly backwards within each sequence). It is used
-// by tests and by the trace verifier, not on the hot path.
+// by tests, not on the hot path; the trace audit judges processing order
+// through faultrt.Checker instead.
 type Graph struct {
 	msgs map[mid.MID]*Message
 }

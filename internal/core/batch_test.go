@@ -45,10 +45,7 @@ func burstWorkload(c *Cluster, period, bursts, burst int) func(round int) {
 func TestBatchedRunConverges(t *testing.T) {
 	cfg := baseCfg(5)
 	cfg.BatchMax = 8
-	c, err := NewCluster(ClusterConfig{Config: cfg, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := auditedCluster(t, ClusterConfig{Config: cfg, Seed: 21})
 	const bursts, burst = 6, 4
 	res, err := c.Run(RunOptions{
 		MaxRounds: 400, MinRounds: 4 * bursts,
@@ -61,8 +58,7 @@ func TestBatchedRunConverges(t *testing.T) {
 	if res.QuiescentAtRound < 0 {
 		t.Fatal("batched group never became quiescent")
 	}
-	checkUniformity(t, c)
-	checkCausalOrder(t, c)
+	audit(t, c)
 	want := mid.Seq(bursts * burst)
 	batches := 0
 	for i := 0; i < c.N(); i++ {
@@ -88,16 +84,13 @@ func TestBatchedRunConverges(t *testing.T) {
 func TestBatchedCrashRunConverges(t *testing.T) {
 	cfg := baseCfg(5)
 	cfg.BatchMax = 8
-	c, err := NewCluster(ClusterConfig{
+	c := auditedCluster(t, ClusterConfig{
 		Config:   cfg,
 		Seed:     22,
 		Injector: faultrt.CrashAt{Proc: 4, At: sim.StartOfSubrun(3).Duration()},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const bursts, burst = 6, 4
-	_, err = c.Run(RunOptions{
+	_, err := c.Run(RunOptions{
 		MaxRounds: 600, MinRounds: 4 * bursts,
 		OnRound:           burstWorkload(c, 4, bursts, burst),
 		StopWhenQuiescent: true, DrainSubruns: 6,
@@ -105,8 +98,7 @@ func TestBatchedCrashRunConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkUniformity(t, c)
-	checkCausalOrder(t, c)
+	audit(t, c)
 }
 
 // captureTP records broadcast PDUs for frame-shape assertions.

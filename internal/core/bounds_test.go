@@ -109,7 +109,7 @@ func TestLemma42RecoveryBound(t *testing.T) {
 // enabled.
 func TestRecoveryExhaustionLeave(t *testing.T) {
 	k := 2
-	c, err := NewCluster(ClusterConfig{
+	c := auditedCluster(t, ClusterConfig{
 		Config: Config{N: 4, K: k, R: 2*k + 1, SelfExclusion: true},
 		Seed:   10,
 		Injector: faultrt.During{
@@ -118,10 +118,7 @@ func TestRecoveryExhaustionLeave(t *testing.T) {
 			Inner: faultrt.OnlyProc{Proc: 3, Inner: &faultrt.DropEvery{N: 1, Side: faultrt.AtRecv}},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.Run(RunOptions{
+	_, err := c.Run(RunOptions{
 		MaxRounds: 200,
 		OnRound:   steadyWorkload(c, 2, 30),
 	})
@@ -143,5 +140,5 @@ func TestRecoveryExhaustionLeave(t *testing.T) {
 			t.Errorf("proc %d still believes 3 alive", p)
 		}
 	}
-	checkUniformity(t, c)
+	audit(t, c)
 }

@@ -52,8 +52,8 @@ type Cluster struct {
 	// WaitMax samples the waiting-list length across live processes.
 	WaitMax metrics.Series
 
-	// ProcessedLog records, per process, the MIDs in processing order —
-	// the raw material for the atomicity and ordering invariant checks.
+	// ProcessedLog records, per process, the MIDs in processing order, across
+	// incarnations. The invariants are judged from Trace, not from here.
 	ProcessedLog [][]mid.MID
 	// DiscardLog records, per process, the MIDs destroyed by agreement.
 	DiscardLog [][]mid.MID
@@ -64,8 +64,9 @@ type Cluster struct {
 	// OnDecision, when set, observes every fresh decision applied at any
 	// process, with the cluster clock available via Engine().Now().
 	OnDecision func(p mid.ProcID, d *wire.Decision)
-	// Trace, when set before Run, records every protocol event for the
-	// offline URCGC verifier (internal/trace).
+	// Trace, when set before the first Submit, records every protocol event;
+	// its Verify audits the run against Definition 3.2 through
+	// faultrt.Checker.
 	Trace *trace.Recorder
 
 	crashSeen []bool
@@ -147,6 +148,7 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 		DiscardLog:   make([][]mid.MID, cc.N),
 		Left:         make(map[mid.ProcID]LeaveReason),
 		Decisions:    make([]int, cc.N),
+		crashSeen:    make([]bool, cc.N),
 	}
 	for i := 0; i < cc.N; i++ {
 		id := mid.ProcID(i)
@@ -182,6 +184,12 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 func (c *Cluster) callbacks(id mid.ProcID) Callbacks {
 	eng := c.eng
 	return Callbacks{
+		OnGenerate: func(m *causal.Message) {
+			c.Delay.Generated(m.ID, eng.Now())
+			if c.Trace != nil {
+				c.Trace.Generate(eng.Now(), id, m.ID, m.Deps)
+			}
+		},
 		OnBroadcast: func(m *causal.Message) {
 			if c.Trace != nil {
 				c.Trace.Broadcast(eng.Now(), id, m.ID)
@@ -217,6 +225,16 @@ func (c *Cluster) callbacks(id mid.ProcID) Callbacks {
 				c.OnDecision(id, d)
 			}
 		},
+		OnJoinInstalled: func(stable mid.SeqVector) {
+			if c.Trace != nil {
+				c.Trace.Join(eng.Now(), id, stable)
+			}
+		},
+		OnFastForward: func(q mid.ProcID, to mid.Seq) {
+			if c.Trace != nil {
+				c.Trace.FastForward(eng.Now(), id, q, to)
+			}
+		},
 	}
 }
 
@@ -228,8 +246,9 @@ func (c *Cluster) callbacks(id mid.ProcID) Callbacks {
 // undone by rejoining, which is the whole point. Callers pairing Rejoin
 // with an injected crash should bound the crash to end at the rejoin
 // instant, since the cluster driver keeps consulting the injector for
-// liveness — TestSimJoinConvergence's crashWindow is the pattern. Only
-// direct-datagram clusters (TransportH <= 1) support rejoin.
+// liveness — TestSimJoinConvergence's crashWindow is the pattern; a crash of
+// the new incarnation is traced afresh. Only direct-datagram clusters
+// (TransportH <= 1) support rejoin.
 func (c *Cluster) Rejoin(i mid.ProcID) error {
 	if int(i) >= c.cfg.N || i < 0 {
 		return fmt.Errorf("core: rejoin of process %d outside group of %d", i, c.cfg.N)
@@ -246,6 +265,7 @@ func (c *Cluster) Rejoin(i mid.ProcID) error {
 	c.procs[i] = p
 	c.net.Attach(i, p)
 	delete(c.Left, i)
+	c.crashSeen[i] = false
 	return nil
 }
 
@@ -285,44 +305,16 @@ func (c *Cluster) ActiveSet() []mid.ProcID {
 	return out
 }
 
-// Submit queues a user message at process p and records its generation
-// instant for delay measurement.
+// Submit queues a user message at process p (Process.Submit). Its
+// generation instant and labels reach Delay and Trace through OnGenerate.
 func (c *Cluster) Submit(p mid.ProcID, payload []byte, deps mid.DepList) (mid.MID, error) {
-	id, err := c.procs[p].Submit(payload, deps)
-	if err != nil {
-		return id, err
-	}
-	c.Delay.Generated(id, c.eng.Now())
-	if c.Trace != nil {
-		c.Trace.Generate(c.eng.Now(), p, id, deps)
-	}
-	return id, nil
+	return c.procs[p].Submit(payload, deps)
 }
 
 // SubmitCausal is Submit with the conservative depend-on-everything-seen
-// labelling.
+// labelling (Process.SubmitCausal).
 func (c *Cluster) SubmitCausal(p mid.ProcID, payload []byte) (mid.MID, error) {
-	id, err := c.procs[p].SubmitCausal(payload)
-	if err != nil {
-		return id, err
-	}
-	c.Delay.Generated(id, c.eng.Now())
-	if c.Trace != nil {
-		// The conservative labelling is reconstructed for the verifier:
-		// every sequence's latest processed message at submission time.
-		var deps mid.DepList
-		for q := 0; q < c.cfg.N; q++ {
-			qp := mid.ProcID(q)
-			if qp == p {
-				continue
-			}
-			if s := c.procs[p].Processed()[qp]; s > 0 {
-				deps = append(deps, mid.MID{Proc: qp, Seq: s})
-			}
-		}
-		c.Trace.Generate(c.eng.Now(), p, id, deps)
-	}
-	return id, nil
+	return c.procs[p].SubmitCausal(payload)
 }
 
 // RunOptions controls a cluster run.
@@ -370,9 +362,6 @@ func (c *Cluster) Run(opts RunOptions) (RunResult, error) {
 			opts.OnRound(round)
 		}
 		if c.Trace != nil {
-			if c.crashSeen == nil {
-				c.crashSeen = make([]bool, c.cfg.N)
-			}
 			for i := range c.procs {
 				p := mid.ProcID(i)
 				if !c.crashSeen[i] && c.Crashed(p) {

@@ -8,46 +8,31 @@ import (
 	"urcgc/internal/group"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
+	"urcgc/internal/trace"
 )
 
 func baseCfg(n int) Config {
 	return Config{N: n, K: 2, R: 8, SelfExclusion: true}
 }
 
-// checkCausalOrder asserts each process's log respects the causal relation:
-// every message appears after all its effective dependencies.
-func checkCausalOrder(t *testing.T, c *Cluster) {
+// auditedCluster builds a simulated group with a trace.Recorder attached,
+// for audit to judge once the run is over.
+func auditedCluster(t *testing.T, cc ClusterConfig) *Cluster {
 	t.Helper()
-	// Rebuild the message population from the logs to know the deps.
-	for i, log := range c.ProcessedLog {
-		seen := make(map[mid.MID]bool, len(log))
-		last := mid.NewSeqVector(c.N())
-		for _, id := range log {
-			if id.Seq != last[id.Proc]+1 {
-				t.Fatalf("proc %d log breaks sequence contiguity at %v (last %d)", i, id, last[id.Proc])
-			}
-			last[id.Proc] = id.Seq
-			seen[id] = true
-		}
+	c, err := NewCluster(cc)
+	if err != nil {
+		t.Fatal(err)
 	}
+	c.Trace = trace.NewRecorder(cc.N)
+	return c
 }
 
-// checkUniformity asserts all active processes processed exactly the same
-// messages (Uniform Atomicity restricted to survivors) and that ordering
-// agreed (same per-sequence prefixes follow from contiguity + equal counts).
-func checkUniformity(t *testing.T, c *Cluster) {
+// audit judges the run's log against Definition 3.2 (trace.Recorder.Verify,
+// a faultrt.Checker replay) and dumps the log on a breach.
+func audit(t *testing.T, c *Cluster) {
 	t.Helper()
-	var ref mid.SeqVector
-	var refID mid.ProcID
-	for _, p := range c.ActiveSet() {
-		v := c.Proc(p).Processed()
-		if ref == nil {
-			ref, refID = v, p
-			continue
-		}
-		if !ref.Equal(v) {
-			t.Fatalf("active processes %d and %d disagree: %v vs %v", refID, p, ref, v)
-		}
+	if v := c.Trace.Verify(); len(v) != 0 {
+		t.Fatalf("%d violations of Definition 3.2, first %v\nlog:\n%s", len(v), v[:min(len(v), 10)], c.Trace.Dump())
 	}
 }
 
@@ -81,10 +66,7 @@ func steadyWorkload(c *Cluster, period, perProc int) func(round int) {
 }
 
 func TestReliableRunConverges(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{Config: baseCfg(5), Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := auditedCluster(t, ClusterConfig{Config: baseCfg(5), Seed: 1})
 	perProc := 10
 	res, err := c.Run(RunOptions{
 		MaxRounds: 400, MinRounds: 2 * 2 * perProc,
@@ -97,8 +79,7 @@ func TestReliableRunConverges(t *testing.T) {
 	if res.QuiescentAtRound < 0 {
 		t.Fatal("group never became quiescent")
 	}
-	checkUniformity(t, c)
-	checkCausalOrder(t, c)
+	audit(t, c)
 	want := mid.Seq(perProc)
 	for i := 0; i < 5; i++ {
 		v := c.Proc(mid.ProcID(i)).Processed()
@@ -162,14 +143,11 @@ func TestHistoryCleanedUnderReliableRun(t *testing.T) {
 
 func TestCrashedProcessIsDeclaredAndExcluded(t *testing.T) {
 	crashAt := sim.StartOfSubrun(3)
-	c, err := NewCluster(ClusterConfig{
+	c := auditedCluster(t, ClusterConfig{
 		Config:   baseCfg(5),
 		Seed:     4,
 		Injector: faultrt.CrashAt{Proc: 4, At: crashAt.Duration()},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := c.Run(RunOptions{
 		MaxRounds: 300, MinRounds: 60,
 		OnRound:           steadyWorkload(c, 2, 12),
@@ -181,7 +159,7 @@ func TestCrashedProcessIsDeclaredAndExcluded(t *testing.T) {
 	if res.QuiescentAtRound < 0 {
 		t.Fatal("group never became quiescent despite the crash")
 	}
-	checkUniformity(t, c)
+	audit(t, c)
 	for _, p := range c.ActiveSet() {
 		if c.Proc(p).View().Alive(4) {
 			t.Errorf("proc %d still believes 4 alive", p)
@@ -201,14 +179,11 @@ func TestCrashedProcessIsDeclaredAndExcluded(t *testing.T) {
 func TestCoordinatorCrashDoesNotBlock(t *testing.T) {
 	// Process 0 coordinates subrun 0, 5, 10...; crash it right before its
 	// second stint, mid-run.
-	c, err := NewCluster(ClusterConfig{
+	c := auditedCluster(t, ClusterConfig{
 		Config:   baseCfg(5),
 		Seed:     5,
 		Injector: faultrt.CrashAt{Proc: 0, At: sim.StartOfSubrun(5).Duration()},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := c.Run(RunOptions{
 		MaxRounds: 300, MinRounds: 80,
 		OnRound:           steadyWorkload(c, 2, 15),
@@ -220,7 +195,7 @@ func TestCoordinatorCrashDoesNotBlock(t *testing.T) {
 	if res.QuiescentAtRound < 0 {
 		t.Fatal("group never became quiescent despite coordinator crash")
 	}
-	checkUniformity(t, c)
+	audit(t, c)
 	// Decisions kept flowing: later subruns produced decisions from other
 	// coordinators. Count decisions observed by a survivor.
 	if c.Decisions[1] < 10 {
@@ -240,7 +215,7 @@ func TestOmissionRecoveryFromHistory(t *testing.T) {
 	// losses from triggering spurious crash declarations; every lost DATA
 	// message must be recovered from history.
 	cfg := Config{N: 5, K: 3, R: 8, SelfExclusion: true}
-	c, err := NewCluster(ClusterConfig{
+	c := auditedCluster(t, ClusterConfig{
 		Config: cfg,
 		Seed:   6,
 		Injector: faultrt.During{
@@ -248,9 +223,6 @@ func TestOmissionRecoveryFromHistory(t *testing.T) {
 			Inner: faultrt.NewDropRate(0.03, faultrt.AtSend, 1234),
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := c.Run(RunOptions{
 		MaxRounds: 600, MinRounds: 80,
 		OnRound:           steadyWorkload(c, 2, 15),
@@ -262,8 +234,7 @@ func TestOmissionRecoveryFromHistory(t *testing.T) {
 	if res.QuiescentAtRound < 0 {
 		t.Fatal("group never recovered from omissions")
 	}
-	checkUniformity(t, c)
-	checkCausalOrder(t, c)
+	audit(t, c)
 	if len(c.Left) != 0 {
 		t.Fatalf("processes left under mild omissions: %v", c.Left)
 	}
@@ -289,7 +260,7 @@ func TestSendFaultyProcessSuicides(t *testing.T) {
 	// Process 3's sends all vanish from subrun 2 on: it stays alive and
 	// keeps receiving, so it must learn it was declared crashed and commit
 	// suicide.
-	c, err := NewCluster(ClusterConfig{
+	c := auditedCluster(t, ClusterConfig{
 		Config: baseCfg(5),
 		Seed:   7,
 		Injector: faultrt.During{
@@ -297,10 +268,7 @@ func TestSendFaultyProcessSuicides(t *testing.T) {
 			Inner: faultrt.OnlyProc{Proc: 3, Inner: &faultrt.DropEvery{N: 1, Side: faultrt.AtSend}},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.Run(RunOptions{
+	_, err := c.Run(RunOptions{
 		MaxRounds: 200, MinRounds: 60,
 		OnRound: steadyWorkload(c, 2, 10),
 	})
@@ -315,7 +283,7 @@ func TestSendFaultyProcessSuicides(t *testing.T) {
 			t.Errorf("proc %d still believes 3 alive", p)
 		}
 	}
-	checkUniformity(t, c)
+	audit(t, c)
 }
 
 func TestOrphanedSequenceIsDiscarded(t *testing.T) {
@@ -330,11 +298,8 @@ func TestOrphanedSequenceIsDiscarded(t *testing.T) {
 		},
 		faultrt.CrashAt{Proc: 0, At: (sim.StartOfRound(2) + 400).Duration()},
 	}
-	c, err := NewCluster(ClusterConfig{Config: baseCfg(5), Seed: 8, Injector: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.Run(RunOptions{
+	c := auditedCluster(t, ClusterConfig{Config: baseCfg(5), Seed: 8, Injector: inj})
+	_, err := c.Run(RunOptions{
 		MaxRounds: 200, MinRounds: 40,
 		OnRound: func(round int) {
 			switch round {
@@ -374,7 +339,7 @@ func TestOrphanedSequenceIsDiscarded(t *testing.T) {
 	if discards == 0 {
 		t.Error("expected agreed discards of the orphaned message")
 	}
-	checkUniformity(t, c)
+	audit(t, c)
 	if len(c.Left) != 0 {
 		t.Errorf("no survivor should self-exclude: %v", c.Left)
 	}
@@ -383,10 +348,7 @@ func TestOrphanedSequenceIsDiscarded(t *testing.T) {
 func TestFlowControlBoundsHistory(t *testing.T) {
 	cfg := baseCfg(4)
 	cfg.HistoryThreshold = 8 // very tight: 2n
-	c, err := NewCluster(ClusterConfig{Config: cfg, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := auditedCluster(t, ClusterConfig{Config: cfg, Seed: 9})
 	// Submit a big burst up front; flow control must pace it out.
 	for i := 0; i < 4; i++ {
 		for k := 0; k < 20; k++ {
@@ -405,7 +367,7 @@ func TestFlowControlBoundsHistory(t *testing.T) {
 	if res.QuiescentAtRound < 0 {
 		t.Fatal("burst never drained")
 	}
-	checkUniformity(t, c)
+	audit(t, c)
 	// The bound: a process checks the threshold before generating, so the
 	// history can overshoot by at most one generation wave (n messages).
 	limit := float64(cfg.HistoryThreshold + cfg.N)

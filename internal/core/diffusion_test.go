@@ -24,10 +24,7 @@ func TestDiffusionGroupDelivery(t *testing.T) {
 	// never coordinate, stability still cleans histories (observers'
 	// reports count toward the full-group chain).
 	cfg := diffusionCfg(6, 3)
-	c, err := NewCluster(ClusterConfig{Config: cfg, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := auditedCluster(t, ClusterConfig{Config: cfg, Seed: 21})
 	perProc := 10
 	res, err := c.Run(RunOptions{
 		MaxRounds: 400, MinRounds: 2 * 2 * perProc,
@@ -49,7 +46,7 @@ func TestDiffusionGroupDelivery(t *testing.T) {
 	if res.QuiescentAtRound < 0 {
 		t.Fatal("never quiescent")
 	}
-	checkUniformity(t, c)
+	audit(t, c)
 	for i := 0; i < 6; i++ {
 		v := c.Proc(mid.ProcID(i)).Processed()
 		if v.Sum() != 30 {
@@ -86,12 +83,9 @@ func TestObserverStalenessBlocksCleaning(t *testing.T) {
 		From: sim.StartOfSubrun(4).Duration(), To: sim.Time(1 << 40).Duration(),
 		Inner: faultrt.OnlyProc{Proc: 3, Inner: &faultrt.DropEvery{N: 1, Side: faultrt.AtSend}},
 	}
-	c, err := NewCluster(ClusterConfig{Config: cfg, Seed: 23, Injector: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := auditedCluster(t, ClusterConfig{Config: cfg, Seed: 23, Injector: inj})
 	perProc := 15
-	_, err = c.Run(RunOptions{
+	_, err := c.Run(RunOptions{
 		MaxRounds: 500, MinRounds: 2 * 2 * perProc,
 		OnRound: func(round int) {
 			if round%2 != 0 || round/2 >= perProc {
@@ -113,7 +107,7 @@ func TestObserverStalenessBlocksCleaning(t *testing.T) {
 		t.Fatalf("silent observer should suicide, Left=%v", c.Left)
 	}
 	// The servers cleaned up and converged without it.
-	checkUniformity(t, c)
+	audit(t, c)
 	for i := 0; i < 3; i++ {
 		if h := c.Proc(mid.ProcID(i)).HistoryLen(); h > 8 {
 			t.Errorf("server %d history %d not cleaned after exclusion", i, h)

@@ -249,23 +249,21 @@ func (c crashWindow) Crashed(p mid.ProcID, now time.Duration) bool {
 // TestSimJoinConvergence is the simulator-level rejoin scenario at n=5: a
 // member fail-stops under load, is declared crashed, restarts as a joiner,
 // state-transfers, is re-admitted, and the group converges — identical
-// processed vectors, all-alive views everywhere, and the rejoined member
-// generating again on its old sequence.
+// processed vectors, all-alive views everywhere, the rejoined member
+// generating again on its old sequence, and a log that satisfies Definition
+// 3.2 across both of the victim's incarnations.
 func TestSimJoinConvergence(t *testing.T) {
 	const victim = 2
-	c, err := NewCluster(ClusterConfig{
+	c := auditedCluster(t, ClusterConfig{
 		Config: Config{N: 5, K: 2, R: 6, SelfExclusion: true},
 		Seed:   7,
 		Injector: crashWindow{
 			proc: victim, at: sim.StartOfRound(40).Duration(), until: sim.StartOfRound(160).Duration(),
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rejoined := false
 	victimSubmits := 0
-	_, err = c.Run(RunOptions{
+	_, err := c.Run(RunOptions{
 		MaxRounds: 2400, MinRounds: 420,
 		StopWhenQuiescent: true, DrainSubruns: 8,
 		OnRound: func(round int) {
@@ -324,4 +322,5 @@ func TestSimJoinConvergence(t *testing.T) {
 			t.Errorf("p%d processed %v, want %v", i, c.Proc(mid.ProcID(i)).Processed(), ref)
 		}
 	}
+	audit(t, c)
 }

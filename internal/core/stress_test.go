@@ -57,10 +57,7 @@ func TestRandomizedFailureSchedules(t *testing.T) {
 			})
 		}
 
-		c, err := NewCluster(ClusterConfig{Config: cfg, Seed: rng.Int63(), Injector: inj})
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := auditedCluster(t, ClusterConfig{Config: cfg, Seed: rng.Int63(), Injector: inj})
 		res, err := c.Run(RunOptions{
 			MaxRounds:         1200,
 			MinRounds:         2 * 2 * perProc,
@@ -76,8 +73,7 @@ func TestRandomizedFailureSchedules(t *testing.T) {
 				trial, n, crashes, c.ActiveSet(), c.Left)
 		}
 
-		checkUniformity(t, c)
-		checkCausalOrder(t, c)
+		audit(t, c)
 
 		active := c.ActiveSet()
 		if len(active) == 0 {
@@ -122,10 +118,7 @@ func TestResilienceBoundCrashBurst(t *testing.T) {
 	for i := 0; i < group.Resilience(n); i++ {
 		inj = append(inj, faultrt.CrashAt{Proc: mid.ProcID(2*i + 1), At: (sim.StartOfSubrun(4) + sim.Time(i*10)).Duration()})
 	}
-	c, err := NewCluster(ClusterConfig{Config: cfg, Seed: 77, Injector: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := auditedCluster(t, ClusterConfig{Config: cfg, Seed: 77, Injector: inj})
 	perProc := 8
 	res, err := c.Run(RunOptions{
 		MaxRounds: 800, MinRounds: 2 * 2 * perProc,
@@ -138,7 +131,7 @@ func TestResilienceBoundCrashBurst(t *testing.T) {
 	if res.QuiescentAtRound < 0 {
 		t.Fatalf("never quiescent; left=%v", c.Left)
 	}
-	checkUniformity(t, c)
+	audit(t, c)
 	if len(c.ActiveSet()) != n-group.Resilience(n) {
 		t.Errorf("active = %v", c.ActiveSet())
 	}
@@ -161,10 +154,7 @@ func TestBackToBackCoordinatorCrashes(t *testing.T) {
 		faultrt.CrashAt{Proc: 3, At: (sim.StartOfSubrun(3) + sim.TicksPerRound - 1).Duration()},
 		faultrt.CrashAt{Proc: 4, At: (sim.StartOfSubrun(4) + sim.TicksPerRound - 1).Duration()},
 	}
-	c, err := NewCluster(ClusterConfig{Config: cfg, Seed: 3, Injector: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := auditedCluster(t, ClusterConfig{Config: cfg, Seed: 3, Injector: inj})
 	perProc := 10
 	res, err := c.Run(RunOptions{
 		MaxRounds: 800, MinRounds: 2 * 2 * perProc,
@@ -177,7 +167,7 @@ func TestBackToBackCoordinatorCrashes(t *testing.T) {
 	if res.QuiescentAtRound < 0 {
 		t.Fatalf("never quiescent; left=%v", c.Left)
 	}
-	checkUniformity(t, c)
+	audit(t, c)
 	for _, p := range c.ActiveSet() {
 		v := c.Proc(p).View()
 		if v.Alive(3) || v.Alive(4) {

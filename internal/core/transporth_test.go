@@ -16,7 +16,7 @@ func TestTransportHShiftsRecoveryIntoTransport(t *testing.T) {
 	run := func(h int) (recoveries, retries int) {
 		cfg := baseCfg(5)
 		cfg.K = 3
-		c, err := NewCluster(ClusterConfig{
+		c := auditedCluster(t, ClusterConfig{
 			Config:     cfg,
 			Seed:       11,
 			TransportH: h,
@@ -25,9 +25,6 @@ func TestTransportHShiftsRecoveryIntoTransport(t *testing.T) {
 				Inner: faultrt.NewDropRate(0.04, faultrt.AtSend, 77),
 			},
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		res, err := c.Run(RunOptions{
 			MaxRounds: 600, MinRounds: 60,
 			OnRound:           steadyWorkload(c, 2, 15),
@@ -39,7 +36,7 @@ func TestTransportHShiftsRecoveryIntoTransport(t *testing.T) {
 		if res.QuiescentAtRound < 0 {
 			t.Fatalf("h=%d: never quiescent (left=%v)", h, c.Left)
 		}
-		checkUniformity(t, c)
+		audit(t, c)
 		for i := 0; i < c.N(); i++ {
 			recoveries += c.Proc(mid.ProcID(i)).Stats.Recoveries
 			if e := c.TransportEntity(mid.ProcID(i)); e != nil {

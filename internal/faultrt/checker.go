@@ -14,8 +14,8 @@ import (
 
 // Violation is one invariant breach found by the Checker.
 type Violation struct {
-	// Invariant names the broken property: "uniform-atomicity" or
-	// "uniform-ordering".
+	// Invariant names the broken property: "uniform-ordering",
+	// "uniform-atomicity" or "fail-stop".
 	Invariant string
 	// Node is the member at which the breach was observed.
 	Node mid.ProcID
@@ -33,18 +33,20 @@ func (v Violation) String() string {
 const (
 	uniformOrdering  = "uniform-ordering"
 	uniformAtomicity = "uniform-atomicity"
+	failStop         = "fail-stop"
 )
+
+// invariants is the rank of each invariant in a Check report.
+var invariants = []string{uniformOrdering, uniformAtomicity, failStop}
 
 // sortViolations puts a Check report in its canonical order: the ordering
 // breaches by node, message and detail, then the atomicity breaches by
-// message, node and detail.
+// message, node and detail, then the fail-stop breaches by node, message and
+// detail.
 func sortViolations(vs []Violation) {
 	slices.SortStableFunc(vs, func(a, b Violation) int {
-		if a.Invariant != b.Invariant {
-			if a.Invariant == uniformOrdering {
-				return -1
-			}
-			return 1
+		if c := cmp.Compare(slices.Index(invariants, a.Invariant), slices.Index(invariants, b.Invariant)); c != 0 {
+			return c
 		}
 		first, second := cmp.Compare(a.Node, b.Node), compareMID(a.Msg, b.Msg)
 		if a.Invariant == uniformAtomicity {
@@ -168,13 +170,13 @@ type parked struct {
 	dep       bool // need is a declared dependency, not the sequence predecessor
 }
 
-// incarnation is one lifetime of a member: what it processed, the stability
-// baseline it joined at, and the ordering checks still open. The baseline is
-// nil for a member's first incarnation (it was present at group birth and
-// owes the full prefix); for a rejoined incarnation it is the stable vector
-// installed by the state transfer — everything at or below it was uniformly
-// stable before the incarnation existed, so the invariants treat that prefix
-// as processed.
+// incarnation is one lifetime of a member: what it processed and discarded,
+// the stability baseline it joined at, the ordering checks still open, and
+// whether it has halted. The baseline is nil for a member's first
+// incarnation (it was present at group birth and owes the full prefix); for a
+// rejoined incarnation it is the stable vector installed by the state
+// transfer — everything at or below it was uniformly stable before the
+// incarnation existed, so the invariants treat that prefix as processed.
 //
 // Ordering is judged as the messages are recorded: a clean stream leaves one
 // range per sender and nothing else, so the record grows with the stream's
@@ -187,6 +189,11 @@ type incarnation struct {
 	parked   []parked
 	twice    []mid.MID // every repeat: a breach whatever the baseline
 	below    []mid.MID // processed at or below the baseline as it stood then
+
+	discarded []seqSet  // per sender: every sequence number destroyed by agreement
+	destroyed []mid.MID // discarded after being processed here
+	halted    bool
+	late      []mid.MID // processed after the incarnation halted
 }
 
 // has reports whether m was processed by the incarnation.
@@ -208,15 +215,21 @@ func (in *incarnation) floor(proc int) mid.Seq {
 	return 0
 }
 
-// Checker records every member's processed sequence during a chaos run and
-// asserts, after churn, the paper's two uniform properties:
+// Checker is the one judge of Definition 3.2. It records every member's
+// processed sequence — live (chaos, the benchmark) or replayed from a capture
+// (internal/replay) or a simulator log (trace.Recorder.Verify) — and
+// asserts, after churn, the paper's uniform properties:
 //
 //   - Uniform Atomicity (Definition 3.2): every message processed by any
 //     surviving member was processed by all surviving members — decided
-//     messages are delivered everywhere or nowhere.
+//     messages are delivered everywhere or nowhere. A message destroyed by
+//     agreement (Discard) at a surviving member was processed by none, and
+//     no member destroys a message it processed.
 //   - Uniform Ordering (Definition 3.1): at every member, a message was
 //     processed only after every message it causally depends on — its
 //     declared dependencies and its same-sequence predecessor.
+//   - Fail-stop: a member that crashed or left (Halt) processes nothing more
+//     in that incarnation.
 //
 // Members may die and rejoin: Restart closes the current incarnation's log
 // and opens a fresh one anchored at the join baseline. Ordering is checked
@@ -254,8 +267,9 @@ func (c *Checker) liveFor(node mid.ProcID) *incarnation {
 // baseline covers — the join installed it as processed, or a fast-forward
 // skipped it; a predecessor or a declared dependency neither processed before
 // it nor below the baseline is parked, to be judged at Check against the
-// final baseline. A message of a negative sender, or with a list longer than
-// wire.MaxDeps, cannot have travelled, and panics.
+// final baseline. Any message recorded after Halt is a fail-stop breach. A
+// message of a negative sender, or with a list longer than wire.MaxDeps,
+// cannot have travelled, and panics.
 func (c *Checker) Record(node mid.ProcID, m *causal.Message) {
 	if len(m.Deps) > math.MaxUint16 || m.ID.Proc < 0 {
 		panic(fmt.Sprintf("faultrt: %v with %d dependencies cannot have been processed", m.ID, len(m.Deps)))
@@ -264,6 +278,9 @@ func (c *Checker) Record(node mid.ProcID, m *causal.Message) {
 	defer c.mu.Unlock()
 	in := c.liveFor(node)
 	in.events++
+	if in.halted {
+		in.late = append(in.late, m.ID)
+	}
 	if in.has(m.ID) {
 		in.twice = append(in.twice, m.ID)
 		return
@@ -283,6 +300,34 @@ func (c *Checker) Record(node mid.ProcID, m *causal.Message) {
 		in.done = append(in.done, make([]seqSet, p+1-len(in.done))...)
 	}
 	in.done[m.ID.Proc].add(m.ID.Seq)
+}
+
+// Discard records that node's current incarnation destroyed m by agreement
+// instead of processing it. Destroying a message the incarnation processed is
+// a uniform-atomicity breach there and then; one a surviving member processed
+// is judged at Check. A message of a negative sender panics, as in Record.
+func (c *Checker) Discard(node mid.ProcID, m mid.MID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	in := c.liveFor(node)
+	if in.has(m) {
+		in.destroyed = append(in.destroyed, m)
+	}
+	if p := int(m.Proc); p >= len(in.discarded) {
+		in.discarded = append(in.discarded, make([]seqSet, p+1-len(in.discarded))...)
+	}
+	if !in.discarded[m.Proc].has(m.Seq) {
+		in.discarded[m.Proc].add(m.Seq)
+	}
+}
+
+// Halt records that node's current incarnation fail-stopped: it crashed or
+// left the group. A message it records from now on is a fail-stop breach;
+// Restart opens a fresh incarnation, which has not halted.
+func (c *Checker) Halt(node mid.ProcID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.liveFor(node).halted = true
 }
 
 // Recorded returns how many processing events node's current incarnation
@@ -332,22 +377,23 @@ func (c *Checker) FastForward(node mid.ProcID, proc mid.ProcID, seq mid.Seq) {
 	}
 }
 
-// Check verifies both invariants: ordering over every recorded incarnation
-// (crashed and pre-restart prefixes must be causally ordered too),
-// atomicity over the surviving members' live incarnations only — a crashed
-// member legitimately stops mid-prefix, and a rejoined one legitimately
-// starts past its baseline. Returns every violation found, in the order
-// sortViolations gives them, nil when the run was clean.
+// Check verifies the invariants: ordering, fail-stop and the destruction of
+// processed messages over every recorded incarnation (crashed and
+// pre-restart prefixes are judged too), atomicity across members over the
+// surviving members' live incarnations only — a crashed member legitimately
+// stops mid-prefix, and a rejoined one legitimately starts past its
+// baseline. Returns every violation found, in the order sortViolations gives
+// them, nil when the run was clean.
 func (c *Checker) Check(survivors []mid.ProcID) []Violation {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []Violation
 	for node, in := range c.live {
-		out = append(out, ordering(node, in)...)
+		out = append(out, judge(node, in)...)
 	}
 	for node, ins := range c.archived {
 		for _, in := range ins {
-			out = append(out, ordering(node, in)...)
+			out = append(out, judge(node, in)...)
 		}
 	}
 	out = append(out, c.atomicityLocked(survivors)...)
@@ -355,11 +401,18 @@ func (c *Checker) Check(survivors []mid.ProcID) []Violation {
 	return out
 }
 
-// ordering reports one incarnation's ordering breaches: its repeats, what it
-// processed below its baseline, and the parked checks the final baseline does
-// not settle.
-func ordering(node mid.ProcID, in *incarnation) []Violation {
+// judge reports the breaches one incarnation shows on its own: its repeats,
+// what it processed below its baseline, the parked checks the final baseline
+// does not settle, what it discarded after processing, and what it processed
+// after halting.
+func judge(node mid.ProcID, in *incarnation) []Violation {
 	var out []Violation
+	for _, m := range in.destroyed {
+		out = append(out, Violation{Invariant: uniformAtomicity, Node: node, Msg: m, Detail: "discarded after processing it"})
+	}
+	for _, m := range in.late {
+		out = append(out, Violation{Invariant: failStop, Node: node, Msg: m, Detail: "processed after halting"})
+	}
 	for _, m := range in.twice {
 		out = append(out, Violation{Invariant: uniformOrdering, Node: node, Msg: m, Detail: "processed twice"})
 	}
@@ -382,8 +435,9 @@ func ordering(node mid.ProcID, in *incarnation) []Violation {
 
 // atomicityLocked asserts that the surviving members' live incarnations
 // processed the same message set, minus each incarnation's exempt baseline
-// prefix, by range arithmetic over their sets: each survivor is missing the
-// survivors' union less its own set, above its floor.
+// prefix, and discarded none of it, by range arithmetic over their sets: each
+// survivor is missing the survivors' union less its own set, above its floor,
+// and wrongly discarded its discarded set less what no survivor processed.
 func (c *Checker) atomicityLocked(survivors []mid.ProcID) []Violation {
 	var union []seqSet
 	for _, node := range survivors {
@@ -411,6 +465,13 @@ func (c *Checker) atomicityLocked(survivors []mid.ProcID) []Violation {
 				m := mid.MID{Proc: mid.ProcID(proc), Seq: q}
 				out = append(out, Violation{Invariant: uniformAtomicity, Node: node, Msg: m,
 					Detail: fmt.Sprintf("processed at survivor %d but not here", c.firstHolder(survivors, m))})
+			})
+		}
+		for proc, set := range in.discarded[:min(len(in.discarded), len(union))] {
+			set.minus(set.minus(union[proc], 0), 0).each(func(q mid.Seq) {
+				m := mid.MID{Proc: mid.ProcID(proc), Seq: q}
+				out = append(out, Violation{Invariant: uniformAtomicity, Node: node, Msg: m,
+					Detail: fmt.Sprintf("discarded here but processed at survivor %d", c.firstHolder(survivors, m))})
 			})
 		}
 	}

@@ -5,7 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"urcgc/internal/causal"
@@ -181,8 +183,9 @@ func TestCheckerFastForward(t *testing.T) {
 }
 
 // refChecker is the Checker as it was before its log was made compact: one
-// entry per event holding a clone of the message's label list, and whether
-// the baseline covered the message when it was processed. It is kept as the
+// entry per event holding a clone of the message's label list, whether the
+// baseline covered the message when it was processed and whether the
+// incarnation had halted, and one entry per discard. It is kept as the
 // reference the compact log must agree with.
 type refChecker struct {
 	live     map[mid.ProcID]*refIncarnation
@@ -193,11 +196,19 @@ type refEntry struct {
 	id    mid.MID
 	deps  mid.DepList
 	below bool
+	late  bool
+}
+
+type refDiscard struct {
+	id        mid.MID
+	processed bool // the incarnation had processed id when it discarded it
 }
 
 type refIncarnation struct {
 	entries  []refEntry
+	discards []refDiscard
 	baseline mid.SeqVector
+	halted   bool
 }
 
 func (in *refIncarnation) covered(m mid.MID) bool {
@@ -213,8 +224,19 @@ func (c *refChecker) liveFor(node mid.ProcID) *refIncarnation {
 
 func (c *refChecker) Record(node mid.ProcID, m *causal.Message) {
 	in := c.liveFor(node)
-	in.entries = append(in.entries, refEntry{m.ID, m.Deps.Clone(), in.covered(m.ID)})
+	in.entries = append(in.entries, refEntry{m.ID, m.Deps.Clone(), in.covered(m.ID), in.halted})
 }
+
+func (c *refChecker) Discard(node mid.ProcID, m mid.MID) {
+	in := c.liveFor(node)
+	processed := false
+	for _, e := range in.entries {
+		processed = processed || e.id == m
+	}
+	in.discards = append(in.discards, refDiscard{m, processed})
+}
+
+func (c *refChecker) Halt(node mid.ProcID) { c.liveFor(node).halted = true }
 
 func (c *refChecker) Restart(node mid.ProcID, baseline mid.SeqVector) {
 	if in := c.live[node]; in != nil && len(in.entries) > 0 {
@@ -250,7 +272,15 @@ func (c *refChecker) Check(survivors []mid.ProcID) []Violation {
 	ordering := func(node mid.ProcID, in *refIncarnation) {
 		done := map[mid.MID]bool{}
 		have := func(m mid.MID) bool { return done[m] || in.covered(m) }
+		for _, d := range in.discards {
+			if d.processed {
+				out = append(out, Violation{"uniform-atomicity", node, d.id, "discarded after processing it"})
+			}
+		}
 		for _, e := range in.entries {
+			if e.late {
+				out = append(out, Violation{"fail-stop", node, e.id, "processed after halting"})
+			}
 			if done[e.id] {
 				out = append(out, Violation{"uniform-ordering", node, e.id, "processed twice"})
 				continue
@@ -312,18 +342,59 @@ func (c *refChecker) Check(survivors []mid.ProcID) []Violation {
 			out = append(out, Violation{"uniform-atomicity", node, m, fmt.Sprintf("processed at survivor %d but not here", union[m])})
 		}
 	}
+	for _, node := range surv {
+		in := c.live[node]
+		if in == nil {
+			continue
+		}
+		seen := map[mid.MID]bool{}
+		for _, d := range in.discards {
+			if holder, ok := union[d.id]; ok && !seen[d.id] {
+				out = append(out, Violation{"uniform-atomicity", node, d.id, fmt.Sprintf("discarded here but processed at survivor %d", holder)})
+			}
+			seen[d.id] = true
+		}
+	}
 	return out
+}
+
+// sortedLike puts the reference's violations in the Checker's canonical
+// order, from a shuffled copy too: the order is total, so both must agree.
+func sortedLike(t *testing.T, rng *rand.Rand, want []Violation) []Violation {
+	t.Helper()
+	shuffled := slices.Clone(want)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	sortViolations(want)
+	sortViolations(shuffled)
+	if !reflect.DeepEqual(want, shuffled) {
+		t.Fatalf("the canonical order depends on the input order:\n%v\n%v", want, shuffled)
+	}
+	return want
+}
+
+// tally counts violations by invariant, and the discard clause's two
+// breaches by the start of their detail.
+func tally(seen map[string]int, vs []Violation) {
+	for _, v := range vs {
+		seen[v.Invariant]++
+		for _, clause := range []string{"discarded after", "discarded here"} {
+			if strings.HasPrefix(v.Detail, clause) {
+				seen[clause]++
+			}
+		}
+	}
 }
 
 // TestCheckerCompactLogAgreesWithReference feeds seeded random histories —
 // out-of-order and duplicated processing, labels on messages not yet seen,
-// restarts at random baselines and fast-forwards — to the Checker and to the
-// reference with the old log, and requires the same violations, at every
-// check along the way: the same list, once the reference's is put in the
-// Checker's canonical order (sortViolations).
+// restarts at random baselines, fast-forwards, discards of processed and
+// unprocessed messages, and halts — to the Checker and to the reference with
+// the old log, and requires the same violations, at every check along the
+// way: the same list, once the reference's is put in the Checker's canonical
+// order (sortViolations), which a shuffle of it must not change.
 func TestCheckerCompactLogAgreesWithReference(t *testing.T) {
 	const nodes, senders = 4, 4
-	violations := 0
+	seen := map[string]int{}
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := NewChecker()
@@ -343,6 +414,14 @@ func TestCheckerCompactLogAgreesWithReference(t *testing.T) {
 				proc, seq := mid.ProcID(rng.Intn(senders)), mid.Seq(rng.Intn(10))
 				c.FastForward(node, proc, seq)
 				ref.FastForward(node, proc, seq)
+			case r < 9:
+				q := mid.ProcID(rng.Intn(senders))
+				m := mid.MID{Proc: q, Seq: mid.Seq(rng.Intn(int(next[int(node)*senders+int(q)])+3) + 1)}
+				c.Discard(node, m)
+				ref.Discard(node, m)
+			case r < 10:
+				c.Halt(node)
+				ref.Halt(node)
 			default:
 				q := mid.ProcID(rng.Intn(senders))
 				k := int(node)*senders + int(q)
@@ -367,25 +446,26 @@ func TestCheckerCompactLogAgreesWithReference(t *testing.T) {
 						survivors = append(survivors, mid.ProcID(n))
 					}
 				}
-				got, want := c.Check(survivors), ref.Check(survivors)
-				sortViolations(want)
+				got, want := c.Check(survivors), sortedLike(t, rng, ref.Check(survivors))
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d step %d: the compact log finds %d violations, the reference %d:\n%v\n%v", seed, step, len(got), len(want), got, want)
 				}
-				violations += len(got)
+				tally(seen, got)
 			}
 		}
 	}
-	if violations == 0 {
-		t.Fatal("no history produced a violation: the comparison proved nothing")
+	for _, want := range []string{uniformOrdering, uniformAtomicity, failStop, "discarded after", "discarded here"} {
+		if seen[want] == 0 {
+			t.Fatalf("no history produced a %q violation: the comparison proved nothing for it (%v)", want, seen)
+		}
 	}
 
 	// Run-heavy streams, the shape a batched group produces and the log folds:
 	// runs of consecutive dependency-free messages from three senders,
 	// interleaved at each node, broken by a dependency, a duplicate, a gap or a
-	// restart mid-run, with fast-forwards after runs.
+	// restart mid-run, with fast-forwards, discards and halts after runs.
 	const runSenders = 3
-	violations = 0
+	seen = map[string]int{}
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := NewChecker()
@@ -424,6 +504,15 @@ func TestCheckerCompactLogAgreesWithReference(t *testing.T) {
 				c.FastForward(node, proc, seq)
 				ref.FastForward(node, proc, seq)
 			}
+			if rng.Intn(8) == 0 {
+				m := mid.MID{Proc: q, Seq: max(next[k], 1) + mid.Seq(rng.Intn(3))}
+				c.Discard(node, m)
+				ref.Discard(node, m)
+			}
+			if rng.Intn(30) == 0 {
+				c.Halt(node)
+				ref.Halt(node)
+			}
 			if run%10 == 9 {
 				var survivors []mid.ProcID
 				for n := 0; n < nodes; n++ {
@@ -431,8 +520,7 @@ func TestCheckerCompactLogAgreesWithReference(t *testing.T) {
 						survivors = append(survivors, mid.ProcID(n))
 					}
 				}
-				got, want := c.Check(survivors), ref.Check(survivors)
-				sortViolations(want)
+				got, want := c.Check(survivors), sortedLike(t, rng, ref.Check(survivors))
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("runs, seed %d run %d: the range log finds %d violations, the reference %d:\n%v\n%v", seed, run, len(got), len(want), got, want)
 				}
@@ -446,12 +534,14 @@ func TestCheckerCompactLogAgreesWithReference(t *testing.T) {
 						t.Fatalf("runs, seed %d run %d: node %d Recorded %d, the reference holds %d events", seed, run, node, got, want)
 					}
 				}
-				violations += len(got)
+				tally(seen, got)
 			}
 		}
 	}
-	if violations == 0 {
-		t.Fatal("no run-heavy history produced a violation: the comparison proved nothing")
+	for _, want := range []string{uniformOrdering, uniformAtomicity, failStop, "discarded after", "discarded here"} {
+		if seen[want] == 0 {
+			t.Fatalf("no run-heavy history produced a %q violation: the comparison proved nothing for it (%v)", want, seen)
+		}
 	}
 }
 

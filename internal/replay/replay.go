@@ -3,10 +3,10 @@
 // (internal/capture), merges the records into one cluster-wide timeline
 // joined by (group, MID), and replays each member's delivered ingress
 // frames — in capture order — through a fresh core.Process wired to a
-// no-op transport. A faultrt.Checker audits the replayed processing logs
-// exactly as the live chaos harness audits the live ones, so a violation
-// seen in production either reproduces from the artifact alone or is
-// refuted by it. For every reproduced violation the timeline is searched
+// no-op transport. A faultrt.Checker audits the replayed processing and
+// discard logs exactly as the live chaos harness audits the live ones, so a
+// violation seen in production either reproduces from the artifact alone or
+// is refuted by it. For every reproduced violation the timeline is searched
 // for the blocking frame: the first captured frame carrying the missing
 // message whose loss explains the breach — an ingress discard at the
 // violating member, an injected fault at the sender, or a broadcast that
@@ -257,6 +257,7 @@ func replayGroup(g uint32, dumps []*capture.Dump, tl *Timeline) (*GroupResult, e
 		gr.Members = append(gr.Members, int32(node))
 		proc, err := core.NewProcess(node, procConfig(d), nullTransport{}, core.Callbacks{
 			OnProcess: func(m *causal.Message) { ck.Record(node, m) },
+			OnDiscard: func(m *causal.Message) { ck.Discard(node, m.ID) },
 		})
 		if err != nil {
 			return nil, fmt.Errorf("replay: member %d: %w", node, err)

@@ -7,8 +7,9 @@ import (
 	"urcgc/internal/trace"
 )
 
-// The offline verifier reconstructs the causal relation from the recorded
-// labels and reports any URCGC clause a log violates.
+// The offline audit replays the log into faultrt.Checker, with the causal
+// relation taken from the recorded labels, and reports any invariant of
+// Definition 3.2 the log violates.
 func ExampleRecorder_Verify() {
 	r := trace.NewRecorder(2)
 	a := mid.MID{Proc: 0, Seq: 1}
@@ -23,5 +24,5 @@ func ExampleRecorder_Verify() {
 	for _, v := range r.Verify() {
 		fmt.Println(v)
 	}
-	// Output: ordering: p0 processed p1#1 before its dependency p0#1
+	// Output: uniform-ordering: node 0, p1#1: dependency p0#1 not processed first
 }

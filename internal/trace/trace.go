@@ -1,19 +1,20 @@
-// Package trace records protocol events as structured logs and verifies
-// the URCGC correctness clauses offline, from the logs alone.
+// Package trace records protocol events as structured logs and audits them
+// offline, from the logs alone.
 //
-// The verifier is deliberately independent of the protocol implementation:
-// it reconstructs the causal relation from the messages' own dependency
-// labels and checks Definition 3.2 against what each process actually did.
-// Tests attach a Recorder to a simulated cluster and then run Verify; a bug
-// anywhere in the pipeline (protocol, network, harness) surfaces as a
-// violated clause.
+// The audit is deliberately independent of the protocol implementation:
+// Verify replays what each process actually did into faultrt.Checker, the
+// one judge of Definition 3.2, with the causal relation taken from the
+// messages' own dependency labels as recorded at generation. Tests attach a
+// Recorder to a simulated cluster and then run Verify; a bug anywhere in the
+// pipeline (protocol, network, harness) surfaces as a violated invariant.
 package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
+	"urcgc/internal/causal"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 )
@@ -23,13 +24,15 @@ type Kind uint8
 
 // Event kinds.
 const (
-	EvGenerate  Kind = iota + 1 // a user message entered the system at Proc
-	EvProcess                   // Proc processed Msg
-	EvDiscard                   // Proc destroyed Msg by agreement
-	EvCrash                     // Proc fail-stopped (injected)
-	EvLeave                     // Proc self-excluded
-	EvBroadcast                 // Proc's own Msg left the outbox onto the wire
-	EvWait                      // Msg parked in Proc's waiting list; Deps = unmet dependencies
+	EvGenerate    Kind = iota + 1 // a user message entered the system at Proc
+	EvProcess                     // Proc processed Msg
+	EvDiscard                     // Proc destroyed Msg by agreement
+	EvCrash                       // Proc fail-stopped (injected)
+	EvLeave                       // Proc self-excluded
+	EvBroadcast                   // Proc's own Msg left the outbox onto the wire
+	EvWait                        // Msg parked in Proc's waiting list; Deps = unmet dependencies
+	EvJoin                        // Proc's joiner incarnation installed the state transfer; Stable = its stability vector
+	EvFastForward                 // Proc skipped Msg.Proc's sequence through Msg.Seq, purged as uniformly stable
 )
 
 // String implements fmt.Stringer.
@@ -49,6 +52,10 @@ func (k Kind) String() string {
 		return "broadcast"
 	case EvWait:
 		return "wait"
+	case EvJoin:
+		return "join"
+	case EvFastForward:
+		return "fastfwd"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -56,11 +63,12 @@ func (k Kind) String() string {
 
 // Event is one recorded protocol event.
 type Event struct {
-	At   sim.Time
-	Kind Kind
-	Proc mid.ProcID
-	Msg  mid.MID     // EvGenerate/EvProcess/EvDiscard/EvBroadcast/EvWait
-	Deps mid.DepList // EvGenerate: the message's labels; EvWait: the unmet deps
+	At     sim.Time
+	Kind   Kind
+	Proc   mid.ProcID
+	Msg    mid.MID       // EvGenerate/EvProcess/EvDiscard/EvBroadcast/EvWait/EvFastForward
+	Deps   mid.DepList   // EvGenerate: the message's labels; EvWait: the unmet deps
+	Stable mid.SeqVector // EvJoin: the stability vector installed
 }
 
 // String renders the event compactly.
@@ -68,10 +76,12 @@ func (e Event) String() string {
 	switch e.Kind {
 	case EvGenerate:
 		return fmt.Sprintf("%6.2f %-8s p%d %v deps=%v", e.At.RTD(), e.Kind, e.Proc, e.Msg, e.Deps)
-	case EvProcess, EvDiscard, EvBroadcast:
+	case EvProcess, EvDiscard, EvBroadcast, EvFastForward:
 		return fmt.Sprintf("%6.2f %-8s p%d %v", e.At.RTD(), e.Kind, e.Proc, e.Msg)
 	case EvWait:
 		return fmt.Sprintf("%6.2f %-8s p%d %v missing=%v", e.At.RTD(), e.Kind, e.Proc, e.Msg, e.Deps)
+	case EvJoin:
+		return fmt.Sprintf("%6.2f %-8s p%d stable=%v", e.At.RTD(), e.Kind, e.Proc, e.Stable)
 	default:
 		return fmt.Sprintf("%6.2f %-8s p%d", e.At.RTD(), e.Kind, e.Proc)
 	}
@@ -126,6 +136,16 @@ func (r *Recorder) Leave(at sim.Time, p mid.ProcID) {
 	r.Add(Event{At: at, Kind: EvLeave, Proc: p})
 }
 
+// Join records a joiner incarnation installing the state transfer at stable.
+func (r *Recorder) Join(at sim.Time, p mid.ProcID, stable mid.SeqVector) {
+	r.Add(Event{At: at, Kind: EvJoin, Proc: p, Stable: stable.Clone()})
+}
+
+// FastForward records p skipping q's sequence through to.
+func (r *Recorder) FastForward(at sim.Time, p, q mid.ProcID, to mid.Seq) {
+	r.Add(Event{At: at, Kind: EvFastForward, Proc: p, Msg: mid.MID{Proc: q, Seq: to}})
+}
+
 // Dump renders the whole log.
 func (r *Recorder) Dump() string {
 	var b strings.Builder
@@ -136,135 +156,52 @@ func (r *Recorder) Dump() string {
 	return b.String()
 }
 
-// Violation is one broken clause.
-type Violation struct {
-	Clause string
-	Detail string
-}
-
-func (v Violation) String() string { return v.Clause + ": " + v.Detail }
-
-// Verify checks the URCGC clauses against the log:
-//
-//   - per-process sequence contiguity (each log processes (q,1),(q,2),...);
-//   - Uniform Ordering: no process processes a message before one of its
-//     labelled dependencies (reconstructed from the EvGenerate labels and
-//     the implicit own-sequence predecessor);
-//   - Uniform Atomicity among survivors: processes that neither crashed
-//     nor left end with identical processed sets;
-//   - discard consistency: a message processed by any survivor is
-//     discarded at no survivor;
-//   - no processing after crash or leave.
-//
-// It returns every violation found (empty = the log is URCGC-consistent).
-func (r *Recorder) Verify() []Violation {
-	var out []Violation
-	deps := map[mid.MID]mid.DepList{}
-	halted := map[mid.ProcID]sim.Time{}
+// Verify replays the log into a faultrt.Checker and returns what it finds,
+// empty when the log satisfies Definition 3.2: EvProcess is Record, with the
+// labels of the message's earlier EvGenerate event; EvDiscard, EvJoin and
+// EvFastForward are Discard, Restart and FastForward; an incarnation's first
+// EvCrash or EvLeave is Halt once the log's clock has passed its instant —
+// what the process did at that very instant still precedes the halt.
+// Survivors are the processes whose last incarnation never halted. An event
+// of a process outside [0, N) is reported as a "model" violation, first, and
+// not replayed.
+func (r *Recorder) Verify() []faultrt.Violation {
+	var out []faultrt.Violation
+	ck := faultrt.NewChecker()
+	labels := map[mid.MID]mid.DepList{}
+	halted := map[mid.ProcID]sim.Time{} // the current incarnation's halt instant
 	for _, e := range r.Events {
-		if e.Kind == EvGenerate {
-			deps[e.Msg] = e.Deps
+		if e.Proc < 0 || int(e.Proc) >= r.N {
+			out = append(out, faultrt.Violation{Invariant: "model", Node: e.Proc, Msg: e.Msg,
+				Detail: fmt.Sprintf("%v event of a process outside the group of %d", e.Kind, r.N)})
+			continue
 		}
-		if e.Kind == EvCrash || e.Kind == EvLeave {
-			if _, dup := halted[e.Proc]; !dup {
+		if at, ok := halted[e.Proc]; ok && e.At > at {
+			ck.Halt(e.Proc)
+		}
+		switch e.Kind {
+		case EvGenerate:
+			labels[e.Msg] = e.Deps
+		case EvProcess:
+			ck.Record(e.Proc, &causal.Message{ID: e.Msg, Deps: labels[e.Msg]})
+		case EvDiscard:
+			ck.Discard(e.Proc, e.Msg)
+		case EvCrash, EvLeave:
+			if _, ok := halted[e.Proc]; !ok {
 				halted[e.Proc] = e.At
 			}
+		case EvJoin:
+			delete(halted, e.Proc)
+			ck.Restart(e.Proc, e.Stable)
+		case EvFastForward:
+			ck.FastForward(e.Proc, e.Msg.Proc, e.Msg.Seq)
 		}
 	}
-
-	processed := make([]map[mid.MID]bool, r.N)
-	discarded := make([]map[mid.MID]bool, r.N)
-	last := make([]mid.SeqVector, r.N)
-	for i := range processed {
-		processed[i] = map[mid.MID]bool{}
-		discarded[i] = map[mid.MID]bool{}
-		last[i] = mid.NewSeqVector(r.N)
-	}
-
-	for _, e := range r.Events {
-		switch e.Kind {
-		case EvProcess:
-			if at, dead := halted[e.Proc]; dead && e.At > at {
-				out = append(out, Violation{"liveness-bound", fmt.Sprintf("p%d processed %v after halting at %v", e.Proc, e.Msg, at)})
-			}
-			if int(e.Proc) >= r.N {
-				out = append(out, Violation{"model", fmt.Sprintf("process %d outside group", e.Proc)})
-				continue
-			}
-			if e.Msg.Seq != last[e.Proc][e.Msg.Proc]+1 {
-				out = append(out, Violation{"ordering", fmt.Sprintf("p%d processed %v after (q,%d): sequence gap", e.Proc, e.Msg, last[e.Proc][e.Msg.Proc])})
-			}
-			last[e.Proc][e.Msg.Proc] = e.Msg.Seq
-			for _, d := range effectiveDeps(e.Msg, deps) {
-				if !processed[e.Proc][d] {
-					out = append(out, Violation{"ordering", fmt.Sprintf("p%d processed %v before its dependency %v", e.Proc, e.Msg, d)})
-				}
-			}
-			processed[e.Proc][e.Msg] = true
-		case EvDiscard:
-			discarded[e.Proc][e.Msg] = true
-			if processed[e.Proc][e.Msg] {
-				out = append(out, Violation{"atomicity", fmt.Sprintf("p%d discarded %v it had processed", e.Proc, e.Msg)})
-			}
-		}
-	}
-
-	// Survivors: never halted.
 	var survivors []mid.ProcID
-	for i := 0; i < r.N; i++ {
-		if _, dead := halted[mid.ProcID(i)]; !dead {
-			survivors = append(survivors, mid.ProcID(i))
+	for p := mid.ProcID(0); int(p) < r.N; p++ {
+		if _, ok := halted[p]; !ok {
+			survivors = append(survivors, p)
 		}
 	}
-	if len(survivors) > 1 {
-		ref := survivors[0]
-		refSet := keys(processed[ref])
-		for _, p := range survivors[1:] {
-			got := keys(processed[p])
-			if !sameSet(refSet, got) {
-				out = append(out, Violation{"atomicity", fmt.Sprintf("survivors p%d and p%d processed different sets (%d vs %d messages)", ref, p, len(refSet), len(got))})
-			}
-		}
-	}
-	for _, p := range survivors {
-		for m := range discarded[p] {
-			for _, q := range survivors {
-				if processed[q][m] {
-					out = append(out, Violation{"atomicity", fmt.Sprintf("%v discarded at p%d but processed at p%d", m, p, q)})
-				}
-			}
-		}
-	}
-	return out
-}
-
-// effectiveDeps mirrors causal.Message.EffectiveDeps using the recorded
-// labels: the explicit deps plus the implicit own-sequence predecessor.
-func effectiveDeps(m mid.MID, labels map[mid.MID]mid.DepList) mid.DepList {
-	d := labels[m].Clone()
-	if prev := m.Prev(); !prev.IsZero() && !d.Covers(prev) {
-		d = append(d, prev)
-	}
-	return d
-}
-
-func keys(set map[mid.MID]bool) []mid.MID {
-	out := make([]mid.MID, 0, len(set))
-	for m := range set {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-func sameSet(a, b []mid.MID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return append(out, ck.Check(survivors)...)
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 )
@@ -31,7 +32,7 @@ func TestDetectsOrderingViolation(t *testing.T) {
 	r.Process(10, 0, m(1, 1))
 	r.Process(20, 0, m(0, 1))
 	v := r.Verify()
-	if !hasClause(v, "ordering") {
+	if !hasClause(v, "uniform-ordering") {
 		t.Errorf("ordering violation not detected: %v", v)
 	}
 }
@@ -42,7 +43,7 @@ func TestDetectsSequenceGap(t *testing.T) {
 	r.Generate(0, 0, m(0, 2), nil)
 	r.Process(10, 1, m(0, 2)) // skipped (0,1)
 	v := r.Verify()
-	if !hasClause(v, "ordering") {
+	if !hasClause(v, "uniform-ordering") {
 		t.Errorf("gap not detected: %v", v)
 	}
 }
@@ -53,7 +54,7 @@ func TestDetectsSurvivorDivergence(t *testing.T) {
 	r.Process(0, 0, m(0, 1))
 	// p1 never processes it and nobody halted.
 	v := r.Verify()
-	if !hasClause(v, "atomicity") {
+	if !hasClause(v, "uniform-atomicity") {
 		t.Errorf("divergence not detected: %v", v)
 	}
 }
@@ -74,8 +75,23 @@ func TestDetectsProcessingAfterHalt(t *testing.T) {
 	r.Crash(5, 0)
 	r.Process(10, 0, m(0, 1))
 	v := r.Verify()
-	if !hasClause(v, "liveness-bound") {
+	if !hasClause(v, "fail-stop") {
 		t.Errorf("post-crash processing not detected: %v", v)
+	}
+
+	// Processing at the crash instant precedes the halt, and a rejoined
+	// incarnation processes again, owing what lies above its join vector.
+	r = NewRecorder(2)
+	r.Generate(0, 0, m(0, 1), nil)
+	r.Generate(0, 0, m(0, 2), nil)
+	r.Process(0, 0, m(0, 1))
+	r.Process(5, 1, m(0, 1))
+	r.Crash(5, 1)
+	r.Process(10, 0, m(0, 2))
+	r.Join(20, 1, mid.SeqVector{1, 0})
+	r.Process(30, 1, m(0, 2))
+	if v := r.Verify(); len(v) != 0 {
+		t.Errorf("rejoined incarnation flagged: %v", v)
 	}
 }
 
@@ -86,7 +102,7 @@ func TestDetectsDiscardProcessedConflict(t *testing.T) {
 	r.Process(1, 1, m(0, 1))
 	r.Discard(5, 1, m(0, 1)) // p1 discards what it processed
 	v := r.Verify()
-	if !hasClause(v, "atomicity") {
+	if !hasClause(v, "uniform-atomicity") {
 		t.Errorf("discard/process conflict not detected: %v", v)
 	}
 }
@@ -103,7 +119,7 @@ func TestDetectsDiscardAtOneProcessedAtOther(t *testing.T) {
 	r.Process(1, 0, m(0, 2))
 	r.Discard(2, 1, m(0, 2))
 	v := r.Verify()
-	if !hasClause(v, "atomicity") {
+	if !hasClause(v, "uniform-atomicity") {
 		t.Errorf("cross discard conflict not detected: %v", v)
 	}
 }
@@ -124,8 +140,10 @@ func TestDumpAndStrings(t *testing.T) {
 	r.Generate(0, 0, m(0, 1), mid.DepList{m(1, 3)})
 	r.Process(sim.TicksPerRTD, 1, m(0, 1))
 	r.Crash(2*sim.TicksPerRTD, 0)
+	r.Join(3*sim.TicksPerRTD, 0, mid.SeqVector{1, 2})
+	r.FastForward(3*sim.TicksPerRTD, 0, 1, 3)
 	d := r.Dump()
-	for _, want := range []string{"generate", "process", "crash", "p0#1"} {
+	for _, want := range []string{"generate", "process", "crash", "p0#1", "join", "stable=", "fastfwd", "p1#3"} {
 		if !strings.Contains(d, want) {
 			t.Errorf("dump missing %q:\n%s", want, d)
 		}
@@ -135,9 +153,9 @@ func TestDumpAndStrings(t *testing.T) {
 	}
 }
 
-func hasClause(vs []Violation, clause string) bool {
+func hasClause(vs []faultrt.Violation, invariant string) bool {
 	for _, v := range vs {
-		if v.Clause == clause {
+		if v.Invariant == invariant {
 			return true
 		}
 	}
