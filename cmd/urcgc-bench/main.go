@@ -3,25 +3,12 @@
 //
 // Usage:
 //
-//	urcgc-bench [-exp fig4|fig5|table1|fig6a|fig6b|all] [-n N] [-k K] [-seed S]
-//	urcgc-bench -baseline BENCH_BASELINE.json [-note "..."]
-//	urcgc-bench -diff BENCH_BASELINE.json
+//	urcgc-bench [-exp fig4|fig5|table1|fig6a|fig6b|throughput|ablation|all] [-n N] [-k K] [-seed S] [-csv]
 //
 // Each experiment prints the same rows/series the paper reports. Absolute
 // values depend on the simulated substrate; see EXPERIMENTS.md for the
-// paper-vs-measured comparison.
-//
-// With -baseline, the command instead runs the recorded benchmark suite
-// (internal/benchsuite: the figure benches, the hot-path micro benches and the
-// live confirm path with its observers off and on) through testing.Benchmark
-// and writes the perf trajectory artifact; a pre-existing file's numbers are
-// preserved under "previous" so the artifact carries before/after for the
-// latest change. With -diff, it re-runs the guarded families — the wire codec
-// and the idle subrun, whose allocs/op repeat exactly — and exits 1 when a
-// case allocates more per operation than the recording says, or is missing
-// from it (`make bench-allocs`, part of `make check`). Time per operation is
-// not judged here: the live runtime's throughput, latency and set-up are
-// gated end to end by benchmark/ (BENCHMARK.json).
+// paper-vs-measured comparison. The same drivers back the benchmarks in
+// internal/experiments (`go test -bench . ./internal/experiments/`).
 package main
 
 import (
@@ -38,19 +25,7 @@ func main() {
 	k := flag.Int("k", 0, "override K (0 = experiment default)")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	baseline := flag.String("baseline", "", "record the benchmark baseline to this JSON file and exit")
-	diff := flag.String("diff", "", "re-run the guarded bench families and exit 1 when one allocates more per op than this baseline JSON records, or is missing from it")
-	note := flag.String("note", "", "annotation stored in the baseline file")
 	flag.Parse()
-
-	if *baseline != "" {
-		exitOn(runBaseline(*baseline, *note))
-		return
-	}
-	if *diff != "" {
-		exitOn(runDiff(*diff))
-		return
-	}
 
 	run := func(name string) bool { return *exp == "all" || *exp == name }
 	any := false

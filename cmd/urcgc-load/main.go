@@ -7,7 +7,7 @@
 // the latency. On exit it prints aggregate confirmed msgs/s plus the
 // p50/p95/p99 confirm-latency quantiles; -json emits the same results as
 // one machine-readable object instead, so load runs can be diffed across
-// changes like BENCH_BASELINE.json.
+// changes.
 //
 //	urcgc-load -n 3 -groups 8 -shards 8 -sessions 2000 -duration 10s
 //
@@ -197,8 +197,8 @@ func main() {
 }
 
 // loadResult is the -json shape: one flat object per run so results diff
-// cleanly across changes, BENCH_BASELINE.json style. Latencies are
-// milliseconds to match the baseline file's convention.
+// cleanly across changes. Latencies are milliseconds, the unit of the
+// end-to-end benchmark's results.
 type loadResult struct {
 	N           int     `json:"n"`
 	Groups      int     `json:"groups"`

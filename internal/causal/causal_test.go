@@ -373,3 +373,27 @@ func TestTrackerVerdictsAllocFree(t *testing.T) {
 		t.Errorf("Process allocates %v objects per call, want 0", got)
 	}
 }
+
+// BenchmarkDeliveryReadyTest measures the causal readiness test on a warm
+// tracker.
+func BenchmarkDeliveryReadyTest(b *testing.B) {
+	tr := NewTracker(40)
+	for q := 0; q < 40; q++ {
+		for s := mid.Seq(1); s <= 10; s++ {
+			if err := tr.Process(&Message{ID: mid.MID{Proc: mid.ProcID(q), Seq: s}}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	m := &Message{
+		ID:   mid.MID{Proc: 3, Seq: 11},
+		Deps: mid.DepList{{Proc: 7, Seq: 10}, {Proc: 20, Seq: 9}, {Proc: 39, Seq: 10}},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !tr.Ready(m) {
+			b.Fatal("should be ready")
+		}
+	}
+}

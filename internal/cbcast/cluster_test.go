@@ -71,3 +71,30 @@ func TestCrashedMemberStopsDelivering(t *testing.T) {
 		t.Error("Crashed accessor wrong")
 	}
 }
+
+// BenchmarkCBCASTRun exercises the baseline end to end, at the shape of the
+// urcgc Figure 4 benchmarks (n=10, full load for 120 subruns, seed 1), for
+// comparison with them.
+func BenchmarkCBCASTRun(b *testing.B) {
+	b.ReportAllocs()
+	var d float64
+	for i := 0; i < b.N; i++ {
+		c, err := NewCluster(ClusterConfig{Config: Config{N: 10, K: 3}, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		err = c.Run(2*120+100, func(round int) {
+			if round%2 != 0 || round/2 >= 120 {
+				return
+			}
+			for p := 0; p < c.N(); p++ {
+				c.Submit(mid.ProcID(p), make([]byte, 64))
+			}
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		d = c.Delay.MeanRTD()
+	}
+	b.ReportMetric(d, "delay_rtd")
+}

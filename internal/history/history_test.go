@@ -440,3 +440,27 @@ func TestBurstCapacityIsGivenBack(t *testing.T) {
 		t.Errorf("Len=%d MaxSeq=%d, want 0 and %d", h.Len(), h.MaxSeq(0), next-1)
 	}
 }
+
+// BenchmarkHistoryStoreAndClean measures the store-then-purge cycle for 40
+// senders.
+func BenchmarkHistoryStoreAndClean(b *testing.B) {
+	b.ReportAllocs()
+	stable := mid.NewSeqVector(40)
+	for i := range stable {
+		stable[i] = 10
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := New(40)
+		for q := 0; q < 40; q++ {
+			for s := mid.Seq(1); s <= 10; s++ {
+				if err := h.Store(&causal.Message{ID: mid.MID{Proc: mid.ProcID(q), Seq: s}}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if h.CleanTo(stable) != 400 {
+			b.Fatal("clean mismatch")
+		}
+	}
+}

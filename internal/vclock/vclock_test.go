@@ -153,3 +153,21 @@ func TestDeliverableRespectsCausality(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkVectorClockDeliverable measures the CBCAST delivery test.
+func BenchmarkVectorClockDeliverable(b *testing.B) {
+	local := New(40)
+	ts := New(40)
+	for i := range local {
+		local[i] = uint32(i)
+		ts[i] = uint32(i)
+	}
+	ts[5] = local[5] + 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !Deliverable(ts, 5, local) {
+			b.Fatal("should deliver")
+		}
+	}
+}

@@ -165,3 +165,34 @@ func TestAllReturnsEverything(t *testing.T) {
 		t.Errorf("All returned %d messages", len(got))
 	}
 }
+
+// BenchmarkWaitlistCascade measures releasing a 64-deep dependency chain that
+// arrived in reverse.
+func BenchmarkWaitlistCascade(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tr := causal.NewTracker(8)
+		wl := New(8)
+		for s := mid.Seq(64); s >= 2; s-- {
+			wl.Add(&causal.Message{ID: mid.MID{Proc: 0, Seq: s}})
+		}
+		b.StartTimer()
+		if err := tr.Process(&causal.Message{ID: mid.MID{Proc: 0, Seq: 1}}); err != nil {
+			b.Fatal(err)
+		}
+		for {
+			m := wl.NextReady(tr)
+			if m == nil {
+				break
+			}
+			wl.Remove(m.ID)
+			if err := tr.Process(m); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if wl.Len() != 0 {
+			b.Fatal("cascade incomplete")
+		}
+	}
+}

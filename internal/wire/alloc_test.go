@@ -157,3 +157,83 @@ func TestPooledRoundTripAllocFree(t *testing.T) {
 		t.Errorf("pooled marshal cycle allocates %.1f/op, want 0", got)
 	}
 }
+
+// The codec benchmarks run the inputs the budgets above pin: the n=40
+// decision, the two-label 64-byte Data message and the full 32-message batch.
+
+// BenchmarkWireMarshalDecision round-trips an n=40 decision through Marshal
+// and Unmarshal — the dominant control-plane codec cost per round.
+func BenchmarkWireMarshalDecision(b *testing.B) {
+	d := mkDecision(40)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf, err := Marshal(d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Unmarshal(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWireMarshalAppendDecision measures the pure encode hot path:
+// MarshalAppend into a reused buffer, which the broadcast fan-out runs once
+// per PDU.
+func BenchmarkWireMarshalAppendDecision(b *testing.B) {
+	d := mkDecision(40)
+	buf := make([]byte, 0, d.EncodedSize())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if buf, err = MarshalAppend(buf[:0], d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWireUnmarshalData measures decoding a Data frame with the plain,
+// allocate-fresh decoder: what a frame costs a holder that keeps it.
+func BenchmarkWireUnmarshalData(b *testing.B) {
+	buf, err := Marshal(allocCases()["Data"])
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Unmarshal(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchDecodeStream decodes one frame per op through one FreeList and hands
+// the record back, as a runtime loop does after Recv: the per-datagram cost
+// of the live readers.
+func benchDecodeStream(b *testing.B, p PDU) {
+	buf, err := Marshal(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := NewFreeList()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pdu, err := f.Unmarshal(buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f.Put(pdu)
+	}
+}
+
+// BenchmarkWireDecodeStreamData is a stream of singleton Data frames, what an
+// unbatched group's receivers decode.
+func BenchmarkWireDecodeStreamData(b *testing.B) { benchDecodeStream(b, allocCases()["Data"]) }
+
+// BenchmarkWireDecodeStreamBatch32 is a stream of full 32-message DataBatch
+// frames, what a saturated group's receivers decode.
+func BenchmarkWireDecodeStreamBatch32(b *testing.B) { benchDecodeStream(b, fullBatch()) }
