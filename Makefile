@@ -53,9 +53,12 @@ loc:
 # swaps the process on the loop goroutine while Status/Send race it), and
 # the codec, whose message arena is unsynchronised by design: one goroutine
 # takes from a free list, the socket reader or the mesh shard loop, which the
-# rt tables run on both links.
+# rt tables run on both links. The second line reruns the Send rendezvous
+# tests ten times: a stale signal on a recycled submission depends on
+# interleaving, and a single run can miss it.
 race:
 	$(GO) test -race ./internal/rt/... ./internal/topics/... ./internal/core/... ./internal/obs/... ./internal/health/... ./internal/inspect/... ./internal/stitch/... ./internal/faultrt/... ./internal/wire/...
+	$(GO) test -race -count=10 -run '^(TestSubmitSignalsOnlyOnProcessing|TestEverySendEndsOnce|TestRecycledSubmissionSeesNoStaleSignal|TestLeaveFailsEveryWaiterExactlyOnce|TestSendAbandonedDoesNotLeakWaiter|TestUDPSendAbandonedDoesNotLeakWaiterOrGoroutines|TestCoalescerStopFailsPendingWindow|TestClusterStopUnblocksWindowedSends)$$' ./internal/rt/
 
 # check is the tier-1 gate: everything is gofmt-clean, builds, vets clean,
 # passes the full suite (the allocs/op budgets of the codec, the idle subrun

@@ -15,35 +15,37 @@ import (
 //
 // Life cycle. A Send takes a submission from the pool (newSubmission), hands
 // it to the loop — alone, or chained into a coalescer window — and waits in
-// confirms.Await for two signals: the submit outcome on Res, then the local
-// processing on Confirm. Both channels have capacity one and are signalled by
-// a send, never closed, so they can serve the next Send. The rendezvous goes
-// back to the pool at exactly one point: Await, after it has consumed BOTH
-// signals — only then is it certain that the loop holds no reference and no
-// signal is still in flight. A Send abandoned earlier (context, shutdown)
-// leaves its submission to the garbage collector: the loop may still be
-// about to answer it, and a recycled rendezvous must never see a stale Res
-// or Confirm.
+// confirms.Await for one signal on done, sent exactly once: when the submit
+// is refused, the message is processed locally, the member leaves, or the
+// coalescer stops; a successful submit signals nothing. done has capacity one
+// and is signalled by a send, never closed, so it can serve the next Send.
+// The rendezvous goes back to the pool at exactly one point: Await, after it
+// has consumed that signal — only then is it certain that the loop holds no
+// reference and no signal is still in flight. A Send abandoned earlier
+// (context, shutdown) leaves its submission to the garbage collector: the
+// loop may still be about to signal it, and a recycled rendezvous must never
+// see a stale signal.
 type submission struct {
 	Payload []byte
 	Deps    mid.DepList
 	Causal  bool
-	Res     chan subResult // receives the submit outcome (buffered, cap 1)
-	Confirm chan struct{}  // signalled (cap 1) when the message is processed locally, or the member leaves
+	done    chan struct{} // signalled (cap 1) exactly once, when the Send's outcome is known
 
-	next *submission // the rest of a coalescer window; cut before Res is answered
-	born time.Time   // the Rq instant, for the confirm-latency histogram
+	id   mid.MID     // the submitted message, written by the loop under confirms.mu
+	err  error       // why the submit was refused, written before done is signalled
+	next *submission // the rest of a coalescer window; cut before s is submitted
+	born time.Time   // the Rq instant, for the confirm-latency histogram; zero when unrecorded
 }
 
 var submissions = sync.Pool{New: func() any {
-	return &submission{Res: make(chan subResult, 1), Confirm: make(chan struct{}, 1)}
+	return &submission{done: make(chan struct{}, 1)}
 }}
 
 // newSubmission packages one user Send for the loop goroutine, reusing a
 // rendezvous that a completed Send gave back.
 func newSubmission(payload []byte, deps mid.DepList, causal bool) *submission {
 	s := submissions.Get().(*submission)
-	s.Payload, s.Deps, s.Causal, s.born = payload, deps, causal, time.Now()
+	s.Payload, s.Deps, s.Causal = payload, deps, causal
 	return s
 }
 
@@ -51,30 +53,31 @@ func newSubmission(payload []byte, deps mid.DepList, causal bool) *submission {
 // caller's references go with it, so the pool pins no payload.
 func (s *submission) recycle() {
 	s.Payload, s.Deps, s.next = nil, nil, nil
+	s.id, s.err, s.born = mid.MID{}, nil, time.Time{}
 	submissions.Put(s)
 }
 
 // cut detaches s from its chain and returns the rest. A loop calls it before
-// answering s.Res: from that answer on, s belongs to its Send again.
+// submitting or failing s: from then on, s belongs to its Send again.
 func (s *submission) cut() *submission {
 	rest := s.next
 	s.next = nil
 	return rest
 }
 
-// failAll answers every submission of a chain that will never run.
+// fail signals s's one outcome: a submit that will never run.
+func (s *submission) fail(err error) {
+	s.err = err
+	signal(s.done)
+}
+
+// failAll fails every submission of a chain that will never run.
 func failAll(head *submission, err error) {
 	for s := head; s != nil; {
 		rest := s.cut()
-		s.Res <- subResult{Err: err}
+		s.fail(err)
 		s = rest
 	}
-}
-
-// subResult is the outcome of running one submission inside the loop.
-type subResult struct {
-	ID  mid.MID
-	Err error
 }
 
 // ErrCoalescerStopped answers submissions caught pending in the coalescer
@@ -137,13 +140,13 @@ func newCoalescer(window time.Duration, maxCount, maxBytes int, in *inbox, to *s
 }
 
 // Add queues one submission. It returns once the submission is part of a
-// flushed or pending batch; the caller then waits on s.Res and s.Confirm
-// under its own context. After Stop, submissions fail immediately on Res.
+// flushed or pending batch; the caller then waits on s.done under its own
+// context. After Stop, submissions fail immediately.
 func (c *coalescer) Add(s *submission) {
 	c.mu.Lock()
 	if c.stopped {
 		c.mu.Unlock()
-		s.Res <- subResult{Err: ErrCoalescerStopped}
+		s.fail(ErrCoalescerStopped)
 		return
 	}
 	if c.tail == nil {

@@ -105,7 +105,7 @@ func TestCoalescerFlushesOnWindow(t *testing.T) {
 
 // TestCoalescerStopFailsPendingWindow pins the shutdown edge: submissions
 // queued inside an open batch window when Stop arrives must be answered —
-// each waiter gets ErrCoalescerStopped on its Res channel — never left
+// each waiter's done is signalled with ErrCoalescerStopped — never left
 // blocked on a flush that will not happen.
 func TestCoalescerStopFailsPendingWindow(t *testing.T) {
 	// No loop drains the inbox: a window that flushed would sit in it.
@@ -114,11 +114,7 @@ func TestCoalescerStopFailsPendingWindow(t *testing.T) {
 	const pending = 5
 	subs := make([]*submission, pending)
 	for i := range subs {
-		subs[i] = &submission{
-			Payload: []byte("pending"),
-			Res:     make(chan subResult, 1),
-			Confirm: make(chan struct{}, 1),
-		}
+		subs[i] = &submission{Payload: []byte("pending"), done: make(chan struct{}, 1)}
 		c.Add(subs[i])
 	}
 	if flushed := len(in.c); flushed != 0 {
@@ -130,25 +126,25 @@ func TestCoalescerStopFailsPendingWindow(t *testing.T) {
 	}
 	for i, s := range subs {
 		select {
-		case r := <-s.Res:
-			if r.Err != ErrCoalescerStopped {
-				t.Errorf("submission %d: err = %v, want ErrCoalescerStopped", i, r.Err)
+		case <-s.done:
+			if s.err != ErrCoalescerStopped {
+				t.Errorf("submission %d: err = %v, want ErrCoalescerStopped", i, s.err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("submission %d leaked: no Res after Stop", i)
+			t.Fatalf("submission %d leaked: no signal after Stop", i)
 		}
 	}
 	// Idempotent, and Adds after Stop fail immediately the same way.
 	c.Stop()
-	late := &submission{Res: make(chan subResult, 1)}
+	late := &submission{done: make(chan struct{}, 1)}
 	c.Add(late)
 	select {
-	case r := <-late.Res:
-		if r.Err != ErrCoalescerStopped {
-			t.Errorf("post-Stop Add: err = %v, want ErrCoalescerStopped", r.Err)
+	case <-late.done:
+		if late.err != ErrCoalescerStopped {
+			t.Errorf("post-Stop Add: err = %v, want ErrCoalescerStopped", late.err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("post-Stop Add leaked: no Res")
+		t.Fatal("post-Stop Add leaked: no signal")
 	}
 }
 

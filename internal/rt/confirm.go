@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"urcgc/internal/core"
 	"urcgc/internal/mid"
@@ -15,19 +17,19 @@ import (
 // ready.
 type confirms struct {
 	mu       sync.Mutex
-	waiters  map[mid.MID]chan struct{}
-	leftWith *core.LeaveReason
+	waiters  map[mid.MID]*submission
+	leftWith atomic.Pointer[core.LeaveReason]
 }
 
 // Submit runs submissions on the loop goroutine that owns p: each enters the
-// protocol and has its confirm waiter registered, and only then — waiters in
-// place, the whole coalesced batch queued — does one core.Process.Flush send
-// as much of the queue as the subrun's BatchMax budget has left; the rest
-// waits for the next subrun, which Advance may open at once. Flushing any
-// earlier would process a message before its waiter exists, and split a
-// coalescer window's worth over several frames. One flush per event means a
-// subrun carries as many eager frames as windows arrive in it, until the
-// budget is spent.
+// protocol and has its confirm waiter registered, unsignalled (a refused one
+// is failed), and only then — waiters in place, the whole coalesced batch
+// queued — does one core.Process.Flush send as much of the queue as the
+// subrun's BatchMax budget has left; the rest waits for the next subrun,
+// which Advance may open at once. Flushing any earlier would process a
+// message before its waiter exists, and split a coalescer window's worth over
+// several frames. One flush per event means a subrun carries as many eager
+// frames as windows arrive in it, until the budget is spent.
 func (c *confirms) Submit(p *core.Process, o *nodeObs, head *submission) {
 	for s := head; s != nil; {
 		rest := s.cut()
@@ -38,15 +40,17 @@ func (c *confirms) Submit(p *core.Process, o *nodeObs, head *submission) {
 		} else {
 			id, err = p.Submit(s.Payload, s.Deps)
 		}
-		if err == nil {
+		if err != nil {
+			s.fail(err)
+		} else {
 			c.mu.Lock()
 			if c.waiters == nil {
-				c.waiters = make(map[mid.MID]chan struct{})
+				c.waiters = make(map[mid.MID]*submission)
 			}
-			c.waiters[id] = s.Confirm
+			s.id = id
+			c.waiters[id] = s
 			c.mu.Unlock()
 		}
-		s.Res <- subResult{id, err}
 		s = rest
 	}
 	if p.Flush() {
@@ -60,6 +64,9 @@ func (c *confirms) Submit(p *core.Process, o *nodeObs, head *submission) {
 // waits for its confirm.
 func (c *confirms) Send(ctx context.Context, to *session, payload []byte, deps mid.DepList, causal bool) (mid.MID, error) {
 	s := newSubmission(payload, deps, causal)
+	if to.obs != nil {
+		s.born = time.Now()
+	}
 	in := to.shard.inbox
 	if to.coal != nil {
 		to.coal.Add(s)
@@ -69,58 +76,49 @@ func (c *confirms) Send(ctx context.Context, to *session, payload []byte, deps m
 	return c.Await(ctx, in, to.obs, s)
 }
 
-// Await blocks a Send until its submission was accepted and then processed
-// locally (the Confirm, whose Rq→Conf latency o records), ctx ends, or the
-// loop behind in stops. A Send abandoned while its message is
-// still in flight removes its own waiter entry, so it cannot leak; a member
-// that leaves releases its waiters, and their Sends fail. Once both of s's
-// signals are consumed — and on no other path — s is recycled: the caller
-// must not touch it after Await returns.
+// Await blocks a Send until s's one signal — refused, processed locally (the
+// Confirm, whose Rq→Conf latency o records), member left, coalescer stopped —
+// or until ctx ends or the loop behind in stops: such an abandoned Send drops
+// its own waiter entry, so it cannot leak. Once the signal is consumed — and
+// on no other path — s is recycled: the caller must not touch it after Await
+// returns.
 func (c *confirms) Await(ctx context.Context, in *inbox, o *nodeObs, s *submission) (mid.MID, error) {
-	var r subResult
 	select {
-	case r = <-s.Res:
+	case <-s.done:
 	case <-in.stop:
-		return mid.MID{}, errStopped
+		return c.abandon(s), errStopped
 	case <-ctx.Done():
-		return mid.MID{}, ctx.Err()
+		return c.abandon(s), ctx.Err()
 	}
-	if r.Err != nil {
-		return mid.MID{}, r.Err
-	}
-	select {
-	case <-s.Confirm:
-	case <-in.stop:
-		c.unwait(r.ID, s.Confirm)
-		return r.ID, errStopped
-	case <-ctx.Done():
-		c.unwait(r.ID, s.Confirm)
-		return r.ID, ctx.Err()
-	}
-	born := s.born
+	id, err, born := s.id, s.err, s.born
 	s.recycle()
+	if err != nil {
+		return mid.MID{}, err
+	}
 	if _, left := c.Left(); left {
-		return r.ID, fmt.Errorf("rt: member %d left the group", r.ID.Proc)
+		return id, fmt.Errorf("rt: member %d left the group", id.Proc)
 	}
 	o.ObserveConfirm(born)
-	return r.ID, nil
+	return id, nil
 }
 
-// unwait removes a registered waiter, but only if it is still the registered
-// one, so an abandoned Send never removes a successor's.
-func (c *confirms) unwait(id mid.MID, ch chan struct{}) {
+// abandon drops the waiter of a Send that gives up, if s is still the one
+// registered, and returns its MID: zero when the loop has not submitted it.
+func (c *confirms) abandon(s *submission) mid.MID {
 	c.mu.Lock()
-	if c.waiters[id] == ch {
-		delete(c.waiters, id)
+	defer c.mu.Unlock()
+	if c.waiters[s.id] == s {
+		delete(c.waiters, s.id)
 	}
-	c.mu.Unlock()
+	return s.id
 }
 
-// Processed confirms the Send waiting on id, if any: the OnProcess hook.
+// Processed confirms the Send waiting on id, if any: the OnProcess hook for
+// the messages this member sent.
 func (c *confirms) Processed(id mid.MID) {
 	c.mu.Lock()
-	if ch, ok := c.waiters[id]; ok {
-		signal(ch)
+	if s, ok := c.waiters[id]; ok {
+		signal(s.done)
 		delete(c.waiters, id)
 	}
 	c.mu.Unlock()
@@ -130,18 +128,18 @@ func (c *confirms) Processed(id mid.MID) {
 // OnLeave hook.
 func (c *confirms) Leave(r core.LeaveReason) {
 	c.mu.Lock()
-	c.leftWith = &r
-	for _, ch := range c.waiters {
-		signal(ch)
+	c.leftWith.Store(&r)
+	for _, s := range c.waiters {
+		signal(s.done)
 	}
 	c.waiters = nil
 	c.mu.Unlock()
 }
 
-// signal wakes the one Send waiting on a Confirm channel. A registered
-// waiter is signalled exactly once — Processed and Leave drop the entry under
-// the lock — so the cap-1 channel always has room; the default arm only keeps
-// a broken invariant from ever blocking a loop goroutine.
+// signal wakes the one Send waiting on a done channel. A submission is
+// signalled exactly once — failed, or dropped under the lock by Processed or
+// Leave — so the cap-1 channel always has room; the default arm only keeps a
+// broken invariant from ever blocking a loop goroutine.
 func signal(ch chan struct{}) {
 	select {
 	case ch <- struct{}{}:
@@ -151,21 +149,15 @@ func signal(ch chan struct{}) {
 
 // rejoined clears the leave record once a fresh incarnation has replaced the
 // halted one (Mesh.Restart).
-func (c *confirms) rejoined() {
-	c.mu.Lock()
-	c.leftWith = nil
-	c.mu.Unlock()
-}
+func (c *confirms) rejoined() { c.leftWith.Store(nil) }
 
 // Left reports whether and why the member halted itself. Safe from any
 // goroutine.
 func (c *confirms) Left() (core.LeaveReason, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.leftWith == nil {
-		return 0, false
+	if r := c.leftWith.Load(); r != nil {
+		return *r, true
 	}
-	return *c.leftWith, true
+	return 0, false
 }
 
 // Waiting reports how many Sends are registered and unconfirmed. For tests

@@ -212,7 +212,9 @@ func (s *session) makeProc(join bool) (*core.Process, error) {
 		OnProcess: func(msg *causal.Message) {
 			ind := s.indications()
 			s.processed.Add(1)
-			s.conf.Processed(msg.ID)
+			if msg.ID.Proc == cfg.Self {
+				s.conf.Processed(msg.ID)
+			}
 			select {
 			case ind <- Indication{Msg: *msg}:
 			default: // slow consumer: indication dropped, like a full SAP queue
