@@ -143,8 +143,10 @@ func main() {
 		Lifecycle:     lcOpts,
 		Capture:       ring,
 		Logf:          log.Printf,
-		Joined: func(_ mid.ProcID, g uint32) {
-			fmt.Printf("member %d rejoined group %d (state transfer complete)\n", *self, g)
+		Observe: func(_ mid.ProcID, g uint32) core.Callbacks {
+			return core.Callbacks{OnJoined: func() {
+				fmt.Printf("member %d rejoined group %d (state transfer complete)\n", *self, g)
+			}}
 		},
 	}, rt.FamilyTopics) // the {node, group}-labelled series the health rules and urcgc-ctl read
 	if err != nil {

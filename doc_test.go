@@ -1,0 +1,96 @@
+package urcgc
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// docs are the prose files that cite tests, benchmarks and make targets.
+var docs = []string{"DESIGN.md", "EXPERIMENTS.md", "NOTES.md", "README.md"}
+
+// readDocs returns each doc's text by name.
+func readDocs(t *testing.T) map[string]string {
+	t.Helper()
+	out := make(map[string]string, len(docs))
+	for _, name := range docs {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = string(b)
+	}
+	return out
+}
+
+// definedTests returns the name of every Test, Benchmark and Fuzz function
+// declared in a _test.go file of the repository, the nested benchmark
+// module included.
+func definedTests(t *testing.T) []string {
+	t.Helper()
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	var names []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		for _, m := range decl.FindAllStringSubmatch(string(b), -1) {
+			names = append(names, m[1])
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// TestDocsCiteTestsThatExist fails when a doc names a test, benchmark or fuzz
+// target that no _test.go declares. A trailing * cites every name with that
+// prefix, and at least one must exist.
+func TestDocsCiteTestsThatExist(t *testing.T) {
+	defined := definedTests(t)
+	cite := regexp.MustCompile(`\b((?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*)(\*?)`)
+	for name, text := range readDocs(t) {
+		for _, m := range cite.FindAllStringSubmatch(text, -1) {
+			cited, prefix := m[1], m[2] == "*"
+			if !slices.ContainsFunc(defined, func(d string) bool {
+				return d == cited || prefix && strings.HasPrefix(d, cited)
+			}) {
+				t.Errorf("%s cites %s%s, which no _test.go declares", name, cited, m[2])
+			}
+		}
+	}
+}
+
+// TestDocsCiteMakeTargetsThatExist fails when a doc tells the reader to run
+// a make target the Makefile does not have. A citation is `make <target>` in
+// code: inline after a backquote, or at the start of a line of a code block.
+func TestDocsCiteMakeTargetsThatExist(t *testing.T) {
+	b, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var targets []string
+	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`).FindAllStringSubmatch(string(b), -1) {
+		targets = append(targets, m[1])
+	}
+	cite := regexp.MustCompile("(?m)(?:^|`)make ([a-z][a-z0-9-]*)")
+	for name, text := range readDocs(t) {
+		for _, m := range cite.FindAllStringSubmatch(text, -1) {
+			if !slices.Contains(targets, m[1]) {
+				t.Errorf("%s cites make %s, which the Makefile does not define", name, m[1])
+			}
+		}
+	}
+}

@@ -6,8 +6,9 @@
 // experiments. One soak is one phase skeleton over an in-process rt.Mesh
 // hosting G >= 1 groups on one link:
 //
-//	boot -> consume (one faultrt.Checker per group) -> load every (member,
-//	group) -> the Scenario drives its fault plan -> heal -> settle -> audit
+//	boot (one faultrt.Checker per group, fed by every member through
+//	core.Audit) -> load every (member, group) -> the Scenario drives its
+//	fault plan -> heal -> settle -> audit
 //
 // and a Scenario is the only thing that varies: Seeded (the default: a
 // seed-expanded crash, healed partition, omission bursts and background
@@ -146,7 +147,7 @@ type GroupReport struct {
 	Survivors []mid.ProcID
 	// Left maps self-excluded members to their protocol-level reason.
 	Left map[mid.ProcID]core.LeaveReason
-	// Processed counts indications per member (current incarnation).
+	// Processed counts processing events per member (current incarnation).
 	Processed map[mid.ProcID]int
 	// Converged reports whether the survivors' processed vectors became
 	// equal and stopped moving inside the settle window.
@@ -296,9 +297,9 @@ type soak struct {
 }
 
 // Run executes one soak: start the groups with the scenario's adversary at
-// the link boundary, feed every indication stream to its group's checker,
-// load every (member, group), let the scenario drive its fault plan, let the
-// survivors settle, then audit every group. ctx aborts the fault plan early
+// the link boundary and every member's protocol entities audited by their
+// group's checker, load every (member, group), let the scenario drive its
+// fault plan, let the survivors settle, then audit every group. ctx aborts the fault plan early
 // (the settle and the audit still run on what happened).
 func Run(ctx context.Context, cfg Config) (*Report, error) {
 	cfg.Scenario = cmp.Or(cfg.Scenario, Seeded())
@@ -350,16 +351,15 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Fault:         hook,
 		Captures:      s.rep.Captures,
 		Logf:          cfg.Logf,
-		// Only a restarted incarnation fires these: the checker rebaselines
-		// at the installed stable vector, skips what recovery reports purged,
-		// and the rolling plan learns the group re-admitted the member.
-		JoinInstalled: func(node mid.ProcID, group uint32, stable mid.SeqVector) {
-			s.checkers[group].Restart(node, stable)
+		// Every incarnation is audited on its loop goroutine, so all a dead
+		// one processed is on record before its successor rebaselines; only
+		// a restarted one fires OnJoined, which tells the rolling plan the
+		// group re-admitted it.
+		Observe: func(node mid.ProcID, group uint32) core.Callbacks {
+			cb := core.Audit(s.checkers[group], node)
+			cb.OnJoined = func() { s.joined[node][group].Add(1) }
+			return cb
 		},
-		FastForwarded: func(node mid.ProcID, group uint32, of mid.ProcID, to mid.Seq) {
-			s.checkers[group].FastForward(node, of, to)
-		},
-		Joined: func(node mid.ProcID, group uint32) { s.joined[node][group].Add(1) },
 	}, rt.FamilyTopics)
 	if err != nil {
 		return nil, err
@@ -370,35 +370,16 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		s.rep.HealthMonitored = true
 	}
 
-	// Consumers feed each (member, group) indication stream to the group's
-	// checker; the load generator submits on every (member, group) every
-	// fourth round until the fault plan is over. A send fails fast on a
+	// The load generator submits on every (member, group) every fourth
+	// round until the fault plan is over. A send fails fast on a
 	// fail-stopped or joining member and is abandoned after the timeout
 	// otherwise; both are legal, the message stays in flight.
-	var consumers, load sync.WaitGroup
-	drain := make(chan struct{})
+	var load sync.WaitGroup
 	loadCtx, stopLoad := context.WithCancel(ctx)
 	defer stopLoad()
 	for i := 0; i < cfg.N; i++ {
 		for g := uint32(0); g < uint32(cfg.Groups); g++ {
 			m := s.mesh.Node(mid.ProcID(i))
-			ind, _ := m.Indications(g) // g is hosted, the only error there is
-			consumers.Add(1)
-			go func() {
-				defer consumers.Done()
-				record := func(in rt.Indication) { s.checkers[g].Record(m.ID(), &in.Msg) }
-				for {
-					select {
-					case in := <-ind:
-						record(in)
-					case <-drain: // the mesh has stopped: empty what is buffered
-						for n := len(ind); n > 0; n-- {
-							record(<-ind)
-						}
-						return
-					}
-				}
-			}()
 			load.Add(1)
 			go func() {
 				defer load.Done()
@@ -465,8 +446,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		})
 	}
 	s.mesh.Stop()
-	close(drain)
-	consumers.Wait()
 
 	// Audit: every group's checker against that group's survivors.
 	s.rep.Injected = hook.Injected()

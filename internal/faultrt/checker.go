@@ -237,8 +237,9 @@ func (in *incarnation) floor(proc int) mid.Seq {
 // causally ordered too); atomicity compares survivors' live incarnations,
 // exempting each one's pre-join baseline.
 //
-// Feed it from each member's indication stream (or OnProcess callback);
-// Record is safe for concurrent use. Check is meant for after the run.
+// A host running core.Process feeds it through core.Audit, which wires every
+// clause on the entity's own goroutine; every method is safe for concurrent
+// use. Check is meant for after the run.
 type Checker struct {
 	mu       sync.Mutex
 	live     map[mid.ProcID]*incarnation

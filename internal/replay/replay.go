@@ -3,8 +3,8 @@
 // (internal/capture), merges the records into one cluster-wide timeline
 // joined by (group, MID), and replays each member's delivered ingress
 // frames — in capture order — through a fresh core.Process wired to a
-// no-op transport. A faultrt.Checker audits the replayed processing and
-// discard logs exactly as the live chaos harness audits the live ones, so a
+// no-op transport. A faultrt.Checker audits the replayed run through
+// core.Audit exactly as the live chaos harness audits the live one, so a
 // violation seen in production either reproduces from the artifact alone or
 // is refuted by it. For every reproduced violation the timeline is searched
 // for the blocking frame: the first captured frame carrying the missing
@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"urcgc/internal/capture"
-	"urcgc/internal/causal"
 	"urcgc/internal/core"
 	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
@@ -255,10 +254,7 @@ func replayGroup(g uint32, dumps []*capture.Dump, tl *Timeline) (*GroupResult, e
 	for _, d := range dumps {
 		node := d.Node
 		gr.Members = append(gr.Members, int32(node))
-		proc, err := core.NewProcess(node, procConfig(d), nullTransport{}, core.Callbacks{
-			OnProcess: func(m *causal.Message) { ck.Record(node, m) },
-			OnDiscard: func(m *causal.Message) { ck.Discard(node, m.ID) },
-		})
+		proc, err := core.NewProcess(node, procConfig(d), nullTransport{}, core.Audit(ck, node))
 		if err != nil {
 			return nil, fmt.Errorf("replay: member %d: %w", node, err)
 		}

@@ -87,19 +87,13 @@ type Config struct {
 	// (indexed by ProcID; nil entries and members past the slice length are
 	// disabled).
 	Captures []*capture.Ring
-	// JoinInstalled, when non-nil, fires on the owning loop goroutine the
-	// moment a restarted incarnation installs its sponsor's state-transfer
-	// snapshot in one group — before it processes anything. The chaos
-	// harness rebaselines its invariant checker here.
-	JoinInstalled func(node mid.ProcID, group uint32, stable mid.SeqVector)
-	// Joined, when non-nil, fires on the owning loop goroutine when a joining
-	// incarnation is re-admitted into one group by a decision and resumes
-	// full participation. Groups rejoin independently.
-	Joined func(node mid.ProcID, group uint32)
-	// FastForwarded, when non-nil, fires on the owning loop goroutine when
-	// recovery tells the member that of's sequence through to was purged as
-	// uniformly stable, so its frontier skipped the gap.
-	FastForwarded func(node mid.ProcID, group uint32, of mid.ProcID, to mid.Seq)
+	// Observe, when non-nil, is asked once per protocol entity — every
+	// hosted group at construction, and again for each restarted
+	// incarnation — for callbacks that run after the runtime's own, on the
+	// entity's loop goroutine. core.Audit is the one that feeds a
+	// faultrt.Checker; the chaos harness rebaselines its checkers and learns
+	// of rejoins through it.
+	Observe func(node mid.ProcID, group uint32) core.Callbacks
 }
 
 // UDPConfig configures a single-group member over real UDP sockets — the

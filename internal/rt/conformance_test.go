@@ -37,7 +37,11 @@ type cell struct {
 }
 
 // startCell builds and starts three members hosting `groups` groups over the
-// named link, with metrics and frame capture on; tune adjusts the config.
+// named link, with metrics and frame capture on and every protocol entity
+// audited by its group's faultrt.Checker; tune adjusts the config. Once the
+// members have stopped, the row fails on any ordering, fail-stop or
+// discard-after-processing breach the checkers saw (atomicity needs a
+// quiesced group, which is chaos's to judge).
 func startCell(t *testing.T, link string, groups int, tune func(*Config)) *cell {
 	t.Helper()
 	const n = 3
@@ -48,6 +52,17 @@ func startCell(t *testing.T, link string, groups int, tune func(*Config)) *cell 
 	for i := range c.rings {
 		c.rings[i] = capture.New(capture.Options{Node: mid.ProcID(i), N: n, MaxFrames: 1 << 14})
 	}
+	checkers := make([]*faultrt.Checker, groups)
+	for g := range checkers {
+		checkers[g] = faultrt.NewChecker()
+	}
+	t.Cleanup(func() { // registered first, so it runs after every Stop
+		for g, ck := range checkers {
+			for _, v := range ck.Check(nil) {
+				t.Errorf("group %d: %v", g, v)
+			}
+		}
+	})
 	cfg := Config{
 		// K and R are generous: socket members' clocks run free, and on a
 		// loaded host a member descheduled for a few rounds must not be taken
@@ -57,6 +72,9 @@ func startCell(t *testing.T, link string, groups int, tune func(*Config)) *cell 
 		RoundDuration: 3 * time.Millisecond,
 		Metrics:       c.reg,
 		Logf:          func(string, ...any) {},
+		Observe: func(node mid.ProcID, group uint32) core.Callbacks {
+			return core.Audit(checkers[group], node)
+		},
 	}
 	if link == "mesh" {
 		cfg.RoundDuration = 500 * time.Microsecond
@@ -268,7 +286,8 @@ func conformOrder(t *testing.T, link string, groups int) {
 // its first message per group is processed at home only and, never stable,
 // keeps the flow-control valve shut on the rest, which wait registered until
 // the others' decision declares the silent member crashed and it removes
-// itself.
+// itself. The others then move on, and the audit holds the member that left
+// to fail-stop: it processes none of it.
 func conformLeave(t *testing.T, link string, groups int) {
 	c := startCell(t, link, groups, func(cfg *Config) {
 		cfg.K, cfg.R, cfg.HistoryThreshold = 3, 8, 1
@@ -303,6 +322,7 @@ func conformLeave(t *testing.T, link string, groups int) {
 			t.Errorf("group %d: left=%v with %d waiters still registered", g, left, s.conf.Waiting())
 		}
 	}
+	c.sendAll(t, c.members[:2], 2)
 }
 
 // conformStopOpenWindow: Sends parked inside an open coalescer window when

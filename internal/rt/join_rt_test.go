@@ -17,14 +17,17 @@ func TestRestartedNodeRejoins(t *testing.T) {
 	const victim = 3
 	cfg := liveConfig(4)
 	var installed, joined atomic.Bool
-	cfg.JoinInstalled = func(node mid.ProcID, _ uint32, stable mid.SeqVector) {
-		if node == victim && len(stable) == 4 {
-			installed.Store(true)
+	cfg.Observe = func(node mid.ProcID, _ uint32) core.Callbacks {
+		if node != victim {
+			return core.Callbacks{}
 		}
-	}
-	cfg.Joined = func(node mid.ProcID, _ uint32) {
-		if node == victim {
-			joined.Store(true)
+		return core.Callbacks{
+			OnJoinInstalled: func(stable mid.SeqVector) {
+				if len(stable) == 4 {
+					installed.Store(true)
+				}
+			},
+			OnJoined: func() { joined.Store(true) },
 		}
 	}
 	c := startCluster(t, cfg)
@@ -67,7 +70,7 @@ func TestRestartedNodeRejoins(t *testing.T) {
 		return joined.Load()
 	})
 	if !installed.Load() {
-		t.Error("JoinInstalled hook never fired")
+		t.Error("OnJoinInstalled hook never fired")
 	}
 
 	// Every view re-admits it, and it generates again.

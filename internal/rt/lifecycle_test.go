@@ -64,7 +64,7 @@ func waitCascadeAllocs(t *testing.T, p *core.Process) float64 {
 }
 
 // TestLifecycleDisabledAllocFree proves the overhead contract from two
-// directions. With tracing disabled, installLifecycle is the identity and
+// directions. With tracing disabled, lifecycleCallbacks is empty and
 // the nil-gated OnWait/OnStable branches never run, so the deliver path
 // costs exactly what it does without this layer: nothing — the readiness
 // checks walk the message in place and the waitlist and history only keep
@@ -72,9 +72,9 @@ func waitCascadeAllocs(t *testing.T, p *core.Process) float64 {
 // add, missingDeps, must be free too: with a no-op OnWait installed, the
 // scratch buffer keeps the delta at zero allocations per message.
 func TestLifecycleDisabledAllocFree(t *testing.T) {
-	if cb := installLifecycle(nil, core.Callbacks{}); cb.OnGenerate != nil ||
+	if cb := lifecycleCallbacks(nil); cb.OnGenerate != nil ||
 		cb.OnBroadcast != nil || cb.OnWait != nil || cb.OnStable != nil {
-		t.Fatal("installLifecycle(nil, ...) must not install stage hooks")
+		t.Fatal("lifecycleCallbacks(nil) must not install stage hooks")
 	}
 	disabled := driveWaitCascade(t, core.Callbacks{})
 	// A park+deliver pair retains two messages it was handed and allocates

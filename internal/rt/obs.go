@@ -103,124 +103,68 @@ func newNodeObs(reg *obs.Registry, id mid.ProcID, n int, extraLabels ...string) 
 	return o
 }
 
-// Install extends a member's protocol callbacks with the observability
-// hooks. The passed callbacks' own fields keep running first. All hooks
-// execute on the node loop goroutine, like every core callback. Nil-safe.
-func (o *nodeObs) Install(cb core.Callbacks) core.Callbacks {
+// callbacks returns the observability hooks of one protocol entity. All run
+// on the node loop goroutine, like every core callback. A nil receiver
+// returns no hooks.
+func (o *nodeObs) callbacks() core.Callbacks {
 	if o == nil {
-		return cb
+		return core.Callbacks{}
 	}
-	prevProcess, prevDecision := cb.OnProcess, cb.OnDecision
-	cb.OnProcess = func(m *causal.Message) {
-		if prevProcess != nil {
-			prevProcess(m)
-		}
-		o.processed.Inc()
-	}
-	cb.OnDecision = func(d *wire.Decision) {
-		if prevDecision != nil {
-			prevDecision(d)
-		}
-		o.decisions.Inc()
-		clock, _ := core.SplitSubrun(d.Subrun) // monotone, as the token-stall rule reads it
-		o.decisionSub.Set(clock)
-		if !o.subrunStart.IsZero() {
-			o.decisionLat.ObserveSince(o.subrunStart)
-		}
-	}
-	prevBatch := cb.OnBatchBroadcast
-	cb.OnBatchBroadcast = func(msgs, bytes int) {
-		if prevBatch != nil {
-			prevBatch(msgs, bytes)
-		}
-		o.batchFrames.Inc()
-		o.batchMsgs.Add(int64(msgs))
-		o.batchSize.Observe(float64(msgs))
-	}
-	prevSubrun := cb.OnSubrunStart
-	cb.OnSubrunStart = func(s int64, coord mid.ProcID) {
-		if prevSubrun != nil {
-			prevSubrun(s, coord)
-		}
-		o.subrunG.Add(1) // subruns opened, the clock's and the early ones
-		if _, k := core.SplitSubrun(s); k > 0 {
-			o.early.Inc()
-		}
-		o.coordG.Set(int64(coord))
-		o.subrunStart = time.Now()
-	}
-	prevView := cb.OnViewChange
-	cb.OnViewChange = func(alive []bool) {
-		if prevView != nil {
-			prevView(alive)
-		}
-		o.viewChanges.Inc()
-		n := int64(0)
-		for _, a := range alive {
-			if a {
-				n++
+	return core.Callbacks{
+		OnProcess: func(*causal.Message) { o.processed.Inc() },
+		OnDecision: func(d *wire.Decision) {
+			o.decisions.Inc()
+			clock, _ := core.SplitSubrun(d.Subrun) // monotone, as the token-stall rule reads it
+			o.decisionSub.Set(clock)
+			if !o.subrunStart.IsZero() {
+				o.decisionLat.ObserveSince(o.subrunStart)
 			}
-		}
-		o.aliveCount.Set(n)
-	}
-	prevStable := cb.OnStable
-	cb.OnStable = func(clean mid.SeqVector) {
-		if prevStable != nil {
-			prevStable(clean)
-		}
-		var sum int64
-		for _, s := range clean {
-			sum += int64(s)
-		}
-		o.stableSum.Set(sum)
-	}
-	cb.OnRoundEnd = func(ro core.RoundObservation) {
-		o.histLen.Set(int64(ro.HistoryLen))
-		o.waitLen.Set(int64(ro.WaitingLen))
-		o.pendingLen.Set(int64(ro.Pending))
-	}
-	prevInstalled := cb.OnJoinInstalled
-	cb.OnJoinInstalled = func(stable mid.SeqVector) {
-		if prevInstalled != nil {
-			prevInstalled(stable)
-		}
+		},
+		OnBatchBroadcast: func(msgs, bytes int) {
+			o.batchFrames.Inc()
+			o.batchMsgs.Add(int64(msgs))
+			o.batchSize.Observe(float64(msgs))
+		},
+		OnSubrunStart: func(s int64, coord mid.ProcID) {
+			o.subrunG.Add(1) // subruns opened, the clock's and the early ones
+			if _, k := core.SplitSubrun(s); k > 0 {
+				o.early.Inc()
+			}
+			o.coordG.Set(int64(coord))
+			o.subrunStart = time.Now()
+		},
+		OnViewChange: func(alive []bool) {
+			o.viewChanges.Inc()
+			n := int64(0)
+			for _, a := range alive {
+				if a {
+					n++
+				}
+			}
+			o.aliveCount.Set(n)
+		},
+		OnStable: func(clean mid.SeqVector) { o.stableSum.Set(int64(clean.Sum())) },
+		OnRoundEnd: func(ro core.RoundObservation) {
+			o.histLen.Set(int64(ro.HistoryLen))
+			o.waitLen.Set(int64(ro.WaitingLen))
+			o.pendingLen.Set(int64(ro.Pending))
+		},
 		// The counter is per-OS-process, but the prefix at or below the
 		// installed watermark was processed by the member's previous
-		// incarnation and is skipped by state transfer. Seed it so the
-		// count stays comparable across the cluster (inspect's
-		// progress-skew rule compares raw totals between members).
-		var sum int64
-		for _, s := range stable {
-			sum += int64(s)
-		}
-		o.processed.Add(sum)
+		// incarnation and is skipped by state transfer. Seed it so the count
+		// stays comparable across the cluster (inspect's progress-skew rule
+		// compares raw totals between members).
+		OnJoinInstalled: func(stable mid.SeqVector) { o.processed.Add(int64(stable.Sum())) },
+		OnJoined: func() {
+			o.joins.Inc()
+			o.joiningG.Set(0)
+		},
+		OnFastForward:   func(mid.ProcID, mid.Seq) { o.fastFwds.Inc() },
+		OnRecover:       func(mid.ProcID, int) { o.recoveries.Inc() },
+		OnRetransmit:    func(_ mid.ProcID, msgs int) { o.retransmits.Add(int64(msgs)) },
+		OnCrashDeclared: func(mid.ProcID) { o.crashDecls.Inc() },
+		OnDiscard:       func(*causal.Message) { o.discards.Inc() },
 	}
-	prevJoined := cb.OnJoined
-	cb.OnJoined = func() {
-		if prevJoined != nil {
-			prevJoined()
-		}
-		o.joins.Inc()
-		o.joiningG.Set(0)
-	}
-	prevFF := cb.OnFastForward
-	cb.OnFastForward = func(q mid.ProcID, to mid.Seq) {
-		if prevFF != nil {
-			prevFF(q, to)
-		}
-		o.fastFwds.Inc()
-	}
-	cb.OnRecover = func(mid.ProcID, int) { o.recoveries.Inc() }
-	cb.OnRetransmit = func(_ mid.ProcID, msgs int) { o.retransmits.Add(int64(msgs)) }
-	cb.OnCrashDeclared = func(mid.ProcID) { o.crashDecls.Inc() }
-	prevDiscard := cb.OnDiscard
-	cb.OnDiscard = func(m *causal.Message) {
-		if prevDiscard != nil {
-			prevDiscard(m)
-		}
-		o.discards.Inc()
-	}
-	return cb
 }
 
 // MarkJoining publishes whether the member is currently a joiner (the
