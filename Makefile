@@ -22,7 +22,9 @@ fmt:
 # loc prints the non-test Go lines of the live-runtime packages — the number
 # ROADMAP item 5 ("finish the collapse") states its acceptance in — and of
 # the operator surface (the HTTP endpoints, the health rules, the probes and
-# the CLIs over them; ROADMAP item 6), then the root module's non-test Go
+# the CLIs over them; ROADMAP item 6), of the simulator host (the engine, the
+# network and host, and the three protocols' clusters on it; ROADMAP item
+# 3(c)), then the root module's non-test Go
 # total (benchmark/ is its own module) and its number of internal/ packages:
 # the figures a simplicity change reports its net lines from. The probe CLI
 # list names the pre-merge directories too, so the same loop counts a
@@ -31,14 +33,16 @@ loc:
 	@count() { label=$$1; shift; total=0; for p in "$$@"; do \
 		[ -e $$p ] || continue; \
 		n=$$(find $$p -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
-		printf '%-24s %5d\n' $$p $$n; total=$$((total + n)); \
-	done; printf '%-24s %5d\n' "$$label" $$total; }; \
+		printf '%-28s %5d\n' $$p $$n; total=$$((total + n)); \
+	done; printf '%-28s %5d\n' "$$label" $$total; }; \
 	count 'live runtime' internal/rt internal/topics internal/chaos; \
 	count 'operator surface' internal/nodehttp internal/health internal/inspect internal/stitch internal/probe \
 		internal/rt/status.go cmd/urcgc-node cmd/urcgc-ctl cmd/urcgc-inspect cmd/urcgc-trace cmd/urcgc-replay; \
-	printf '%-24s %5d\n' 'non-test Go' $$(find . \( -path ./benchmark -o -path ./.git \) -prune -o \
+	count 'simulator host' internal/sim internal/simnet internal/core/cluster.go internal/cbcast/cluster.go \
+		internal/psync/cluster.go; \
+	printf '%-28s %5d\n' 'non-test Go' $$(find . \( -path ./benchmark -o -path ./.git \) -prune -o \
 		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
-	printf '%-24s %5d\n' 'internal packages' $$(find internal -name '*.go' ! -name '*_test.go' \
+	printf '%-28s %5d\n' 'internal packages' $$(find internal -name '*.go' ! -name '*_test.go' \
 		-exec dirname {} \; | sort -u | wc -l)
 
 # race runs the concurrency-sensitive packages under the race detector:

@@ -94,3 +94,68 @@ func TestDocsCiteMakeTargetsThatExist(t *testing.T) {
 		}
 	}
 }
+
+// TestDesignInventoryNamesEveryPackage fails when DESIGN.md §1 leaves out an
+// internal/ package, names one twice, or names a directory that holds no
+// non-test Go. Only the Package column counts.
+func TestDesignInventoryNamesEveryPackage(t *testing.T) {
+	named := inventoryPackages(t)
+	entries, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkgs []string
+	for _, e := range entries {
+		dir := "internal/" + e.Name()
+		if e.IsDir() && hasNonTestGo(t, dir) {
+			pkgs = append(pkgs, dir)
+		}
+	}
+	for _, dir := range pkgs {
+		if n := named[dir]; n != 1 {
+			t.Errorf("DESIGN.md §1 names %s in %d rows, want exactly 1", dir, n)
+		}
+	}
+	for dir := range named {
+		if !slices.Contains(pkgs, dir) {
+			t.Errorf("DESIGN.md §1 names %s, which is no internal/ package", dir)
+		}
+	}
+}
+
+// inventoryPackages counts, per internal/ directory, the rows of DESIGN.md
+// §1 whose Package column names it.
+func inventoryPackages(t *testing.T) map[string]int {
+	t.Helper()
+	b, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(b), "\n## 1. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no section 1")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	row := regexp.MustCompile(`(?m)^\| *\d+ *\|[^|]*\|([^|]*)\|`)
+	dir := regexp.MustCompile("`(internal/[^`/]+)`")
+	named := make(map[string]int)
+	for _, r := range row.FindAllStringSubmatch(section, -1) {
+		for _, m := range dir.FindAllStringSubmatch(r[1], -1) {
+			named[m[1]]++
+		}
+	}
+	if len(named) == 0 {
+		t.Fatal("DESIGN.md §1 names no package")
+	}
+	return named
+}
+
+// hasNonTestGo reports whether dir holds a Go file that is not a test.
+func hasNonTestGo(t *testing.T, dir string) bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slices.ContainsFunc(files, func(f string) bool { return !strings.HasSuffix(f, "_test.go") })
+}

@@ -44,7 +44,7 @@ func everyOther(perProc int) func(c *Cluster, round int) {
 func TestReliableDeliveryAllToAll(t *testing.T) {
 	c := run(t, ClusterConfig{Config: Config{N: 4, K: 3}, Seed: 1}, 100, everyOther(8))
 	for i := 0; i < 4; i++ {
-		if got := len(c.DeliveredLog[i]); got != 32 {
+		if got := len(c.Log[i]); got != 32 {
 			t.Errorf("proc %d delivered %d, want 32", i, got)
 		}
 	}
@@ -73,7 +73,7 @@ func TestCausalDeliveryOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		log := c.DeliveredLog[i]
+		log := c.Log[i]
 		posA, posB := -1, -1
 		for j, id := range log {
 			if id == (mid.MID{Proc: 0, Seq: 1}) {

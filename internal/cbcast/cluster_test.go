@@ -28,15 +28,24 @@ func TestClusterValidation(t *testing.T) {
 }
 
 func TestAgreementRTDUnmeasured(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{Config: Config{N: 3, K: 2}, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
+	everyone := faultrt.Multi{}
+	for p := mid.ProcID(0); p < 3; p++ {
+		everyone = append(everyone, faultrt.CrashAt{Proc: p, At: 0})
 	}
-	if err := c.Run(10, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.AgreementRTD(1, 0); got >= 0 {
-		t.Errorf("AgreementRTD with no installs = %v, want negative sentinel", got)
+	for name, inj := range map[string]faultrt.Injector{
+		"no live process installed": nil,
+		"no process is live":        everyone,
+	} {
+		c, err := NewCluster(ClusterConfig{Config: Config{N: 3, K: 2}, Seed: 2, Injector: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Run(10, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.AgreementRTD(1, sim.StartOfSubrun(2)); got != -1 {
+			t.Errorf("%s: AgreementRTD = %v, want -1", name, got)
+		}
 	}
 }
 
@@ -59,12 +68,12 @@ func TestCrashedMemberStopsDelivering(t *testing.T) {
 		Injector: faultrt.CrashAt{Proc: 2, At: failAt.Duration()},
 	}, 200, everyOther(20))
 	// The dead member's log froze around the crash.
-	dead := len(c.DeliveredLog[2])
-	alive := len(c.DeliveredLog[0])
+	dead := len(c.Log[2])
+	alive := len(c.Log[0])
 	if dead >= alive {
 		t.Errorf("dead member delivered %d, alive %d", dead, alive)
 	}
-	for _, id := range c.DeliveredLog[2] {
+	for _, id := range c.Log[2] {
 		_ = id // log exists and is well-formed
 	}
 	if c.Crashed(0) || !c.Crashed(mid.ProcID(2)) {

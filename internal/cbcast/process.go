@@ -130,9 +130,11 @@ func (p *Process) RetainedLen() int { return len(p.retained) }
 // WaitingLen returns the causal waiting queue length.
 func (p *Process) WaitingLen() int { return len(p.waiting) + len(p.pendingData) }
 
-// Submit queues a payload for broadcast.
-func (p *Process) Submit(payload []byte) {
+// Submit queues a payload for broadcast and returns the MID it will carry:
+// this process's delivery-vector entry once the message is sent.
+func (p *Process) Submit(payload []byte) mid.MID {
 	p.outbox = append(p.outbox, payload)
+	return mid.MID{Proc: p.id, Seq: mid.Seq(p.vt[p.id]) + mid.Seq(len(p.outbox))}
 }
 
 // manager returns the lowest-ranked member of the current view.

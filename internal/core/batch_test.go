@@ -117,29 +117,28 @@ func (t *captureTP) dataFrames() (out []wire.PDU) {
 
 // TestBatchSplitsToByteBudget drives one process directly and asserts the
 // outbox drain splits into DataBatch frames whose encoded size respects
-// BatchBytes, with a singleton remainder travelling as classic Data.
+// DefaultBatchBytes, with a singleton remainder travelling as classic Data.
 func TestBatchSplitsToByteBudget(t *testing.T) {
 	cfg := baseCfg(3)
 	cfg.BatchMax = 16
-	cfg.BatchBytes = 80
 	tp := &captureTP{}
 	var batchCalls, batchMsgs int
 	p, err := NewProcess(0, cfg, tp, Callbacks{
 		OnBatchBroadcast: func(msgs, bytes int) {
 			batchCalls++
 			batchMsgs += msgs
-			if bytes > cfg.BatchBytes {
-				t.Errorf("OnBatchBroadcast reported %d bytes, budget %d", bytes, cfg.BatchBytes)
+			if bytes > DefaultBatchBytes {
+				t.Errorf("OnBatchBroadcast reported %d bytes, budget %d", bytes, DefaultBatchBytes)
 			}
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Seven 10-byte messages: bodies of 22 bytes each, so frames pack three
-	// messages (3+66=69 <= 80), leaving 3+3+1.
+	// Seven 20000-byte messages: bodies of 20012 bytes each, so frames pack
+	// three messages (3+60036=60039 <= 61440), leaving 3+3+1.
 	for k := 0; k < 7; k++ {
-		if _, err := p.Submit(make([]byte, 10), nil); err != nil {
+		if _, err := p.Submit(make([]byte, 20000), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,8 +152,8 @@ func TestBatchSplitsToByteBudget(t *testing.T) {
 			if len(v.Msgs) < 2 {
 				t.Errorf("DataBatch frame with %d messages; singletons must travel as Data", len(v.Msgs))
 			}
-			if v.EncodedSize() > cfg.BatchBytes {
-				t.Errorf("frame of %d bytes exceeds BatchBytes %d", v.EncodedSize(), cfg.BatchBytes)
+			if v.EncodedSize() > DefaultBatchBytes {
+				t.Errorf("frame of %d bytes exceeds DefaultBatchBytes %d", v.EncodedSize(), DefaultBatchBytes)
 			}
 			for i := range v.Msgs {
 				got = append(got, v.Msgs[i].ID)
@@ -164,7 +163,7 @@ func TestBatchSplitsToByteBudget(t *testing.T) {
 		}
 	}
 	if len(frames) != 3 {
-		t.Fatalf("7 messages under an 80-byte budget left in %d frames, want 3 (3+3+1)", len(frames))
+		t.Fatalf("7 messages under a %d-byte budget left in %d frames, want 3 (3+3+1)", DefaultBatchBytes, len(frames))
 	}
 	if _, ok := frames[2].(*wire.Data); !ok {
 		t.Errorf("remainder frame is %T, want classic *wire.Data for the singleton", frames[2])

@@ -5,7 +5,6 @@ import (
 
 	"urcgc/internal/causal"
 	"urcgc/internal/faultrt"
-	"urcgc/internal/metrics"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 	"urcgc/internal/simnet"
@@ -33,28 +32,22 @@ type ClusterConfig struct {
 	TransportH int
 }
 
-// Cluster runs a full urcgc group inside the discrete-event simulator. It
-// owns the engine, the network, the processes and the measurement hooks the
-// experiments need.
+// Cluster runs a full urcgc group inside the discrete-event simulator, on
+// the simnet.Host the baselines share, and adds the measurement hooks the
+// urcgc experiments need. Its Log is the processing order per process,
+// across incarnations; the invariants are judged from Trace, not from there.
 type Cluster struct {
-	cfg   ClusterConfig
-	eng   *sim.Engine
-	net   *simnet.Network
-	procs []*Process
-	ents  []*transport.Entity
+	*simnet.Host[*Process]
+	cfg  ClusterConfig
+	ents []*transport.Entity
 
-	// Delay accumulates end-to-end delay samples (Figure 4).
-	Delay *metrics.Delay
 	// HistMax and HistMean sample the history length across live processes
 	// once per round (Figure 6).
-	HistMax  metrics.Series
-	HistMean metrics.Series
+	HistMax  simnet.Series
+	HistMean simnet.Series
 	// WaitMax samples the waiting-list length across live processes.
-	WaitMax metrics.Series
+	WaitMax simnet.Series
 
-	// ProcessedLog records, per process, the MIDs in processing order, across
-	// incarnations. The invariants are judged from Trace, not from here.
-	ProcessedLog [][]mid.MID
 	// DiscardLog records, per process, the MIDs destroyed by agreement.
 	DiscardLog [][]mid.MID
 	// Left records why each self-excluded process halted.
@@ -72,27 +65,8 @@ type Cluster struct {
 	crashSeen []bool
 }
 
-// netTransport adapts the simulated network to the process Transport. The
-// network queues a PDU by reference until its delivery round and shares it
-// between destinations, while the process only lends it for the call: this is
-// where the simulator pays for keeping it, with one clone per Send or
-// Broadcast.
-type netTransport struct {
-	nw   *simnet.Network
-	self mid.ProcID
-}
-
-func (t netTransport) Send(dst mid.ProcID, pdu wire.PDU) { t.nw.Send(t.self, dst, wire.Clone(pdu)) }
-
-func (t netTransport) Broadcast(pdu wire.PDU) {
-	pdu = wire.Clone(pdu)
-	for dst := 0; dst < t.nw.N(); dst++ {
-		t.nw.Send(t.self, mid.ProcID(dst), pdu)
-	}
-}
-
 // entTransport routes PDUs through a transport entity (h > 1), which keeps
-// each for retransmission: cloned once, like netTransport's.
+// each for retransmission: cloned once, like simnet.Endpoint's.
 type entTransport struct {
 	ent  *transport.Entity
 	self mid.ProcID
@@ -132,48 +106,41 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	if err := cc.Validate(); err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngine(cc.Seed)
-	nw := simnet.New(eng, cc.N, cc.Injector)
-	if cc.Latency != nil {
-		nw.SetLatency(cc.Latency)
-	}
 	c := &Cluster{
-		cfg:          cc,
-		eng:          eng,
-		net:          nw,
-		procs:        make([]*Process, cc.N),
-		ents:         make([]*transport.Entity, cc.N),
-		Delay:        metrics.NewDelay(),
-		ProcessedLog: make([][]mid.MID, cc.N),
-		DiscardLog:   make([][]mid.MID, cc.N),
-		Left:         make(map[mid.ProcID]LeaveReason),
-		Decisions:    make([]int, cc.N),
-		crashSeen:    make([]bool, cc.N),
+		Host:       simnet.NewHost[*Process](cc.Seed, cc.N, cc.Injector, cc.Latency),
+		cfg:        cc,
+		ents:       make([]*transport.Entity, cc.N),
+		DiscardLog: make([][]mid.MID, cc.N),
+		Left:       make(map[mid.ProcID]LeaveReason),
+		Decisions:  make([]int, cc.N),
+		crashSeen:  make([]bool, cc.N),
 	}
+	nw := c.Net()
 	for i := 0; i < cc.N; i++ {
 		id := mid.ProcID(i)
 		cb := c.callbacks(id)
-		if cc.TransportH > 1 {
-			ph := &procHandler{}
-			ent, err := transport.NewEntity(id, nw, eng, transport.Config{}, ph)
+		if cc.TransportH <= 1 {
+			p, err := NewProcess(id, cc.Config, nw.Endpoint(id), cb)
 			if err != nil {
 				return nil, err
 			}
-			p, err := NewProcess(id, cc.Config, entTransport{ent: ent, self: id, n: cc.N, h: cc.TransportH}, cb)
-			if err != nil {
-				return nil, err
-			}
-			ph.p = p
-			c.procs[i] = p
-			c.ents[i] = ent
+			c.Attach(id, p)
 			continue
 		}
-		p, err := NewProcess(id, cc.Config, netTransport{nw: nw, self: id}, cb)
+		ph := &procHandler{}
+		ent, err := transport.NewEntity(id, nw, c.Engine(), transport.Config{}, ph)
 		if err != nil {
 			return nil, err
 		}
-		c.procs[i] = p
-		nw.Attach(id, p)
+		p, err := NewProcess(id, cc.Config, entTransport{ent: ent, self: id, n: cc.N, h: cc.TransportH}, cb)
+		if err != nil {
+			return nil, err
+		}
+		ph.p = p
+		c.Attach(id, p)
+		// The entity, not the process, receives from the network.
+		nw.Attach(id, ent)
+		c.ents[i] = ent
 	}
 	return c, nil
 }
@@ -182,10 +149,10 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 // cluster construction and Rejoin, so a joiner incarnation keeps feeding
 // the same logs.
 func (c *Cluster) callbacks(id mid.ProcID) Callbacks {
-	eng := c.eng
+	eng := c.Engine()
 	return Callbacks{
 		OnGenerate: func(m *causal.Message) {
-			c.Delay.Generated(m.ID, eng.Now())
+			c.Generated(m.ID)
 			if c.Trace != nil {
 				c.Trace.Generate(eng.Now(), id, m.ID, m.Deps)
 			}
@@ -201,8 +168,7 @@ func (c *Cluster) callbacks(id mid.ProcID) Callbacks {
 			}
 		},
 		OnProcess: func(m *causal.Message) {
-			c.ProcessedLog[id] = append(c.ProcessedLog[id], m.ID)
-			c.Delay.Processed(m.ID, eng.Now())
+			c.Processed(id, m.ID)
 			if c.Trace != nil {
 				c.Trace.Process(eng.Now(), id, m.ID)
 			}
@@ -258,12 +224,11 @@ func (c *Cluster) Rejoin(i mid.ProcID) error {
 	}
 	cfg := c.cfg.Config
 	cfg.Join = true
-	p, err := NewProcess(i, cfg, netTransport{nw: c.net, self: i}, c.callbacks(i))
+	p, err := NewProcess(i, cfg, c.Net().Endpoint(i), c.callbacks(i))
 	if err != nil {
 		return err
 	}
-	c.procs[i] = p
-	c.net.Attach(i, p)
+	c.Attach(i, p)
 	delete(c.Left, i)
 	c.crashSeen[i] = false
 	return nil
@@ -273,31 +238,16 @@ func (c *Cluster) Rejoin(i mid.ProcID) error {
 // cluster runs directly on datagrams (TransportH <= 1).
 func (c *Cluster) TransportEntity(i mid.ProcID) *transport.Entity { return c.ents[i] }
 
-// Engine returns the cluster's event engine.
-func (c *Cluster) Engine() *sim.Engine { return c.eng }
-
-// Net returns the cluster's network (for load accounting).
-func (c *Cluster) Net() *simnet.Network { return c.net }
-
-// Proc returns process i.
-func (c *Cluster) Proc(i mid.ProcID) *Process { return c.procs[i] }
-
-// N returns the group cardinality.
-func (c *Cluster) N() int { return c.cfg.N }
-
-// Crashed reports whether the failure model has fail-stopped process p.
-func (c *Cluster) Crashed(p mid.ProcID) bool { return c.net.Crashed(p) }
-
 // Active reports whether process p is still executing the protocol: not
 // fail-stopped by the failure model and not self-excluded.
 func (c *Cluster) Active(p mid.ProcID) bool {
-	return !c.Crashed(p) && c.procs[p].Running()
+	return !c.Crashed(p) && c.Proc(p).Running()
 }
 
 // ActiveSet returns the identifiers of the active processes.
 func (c *Cluster) ActiveSet() []mid.ProcID {
 	var out []mid.ProcID
-	for i := range c.procs {
+	for i := 0; i < c.N(); i++ {
 		if c.Active(mid.ProcID(i)) {
 			out = append(out, mid.ProcID(i))
 		}
@@ -308,13 +258,13 @@ func (c *Cluster) ActiveSet() []mid.ProcID {
 // Submit queues a user message at process p (Process.Submit). Its
 // generation instant and labels reach Delay and Trace through OnGenerate.
 func (c *Cluster) Submit(p mid.ProcID, payload []byte, deps mid.DepList) (mid.MID, error) {
-	return c.procs[p].Submit(payload, deps)
+	return c.Proc(p).Submit(payload, deps)
 }
 
 // SubmitCausal is Submit with the conservative depend-on-everything-seen
 // labelling (Process.SubmitCausal).
 func (c *Cluster) SubmitCausal(p mid.ProcID, payload []byte) (mid.MID, error) {
-	return c.procs[p].SubmitCausal(payload)
+	return c.Proc(p).SubmitCausal(payload)
 }
 
 // RunOptions controls a cluster run.
@@ -348,51 +298,44 @@ type RunResult struct {
 
 // Run drives the cluster for up to opts.MaxRounds rounds.
 func (c *Cluster) Run(opts RunOptions) (RunResult, error) {
-	if opts.MaxRounds <= 0 {
-		return RunResult{}, fmt.Errorf("core: MaxRounds must be positive")
-	}
 	res := RunResult{QuiescentAtRound: -1}
 	drainLeft := -1
-	sim.NewTicker(c.eng, func(round int) bool {
-		if round >= opts.MaxRounds {
-			return false
-		}
+	before := func(round int) {
 		res.Rounds = round + 1
 		if opts.OnRound != nil {
 			opts.OnRound(round)
 		}
 		if c.Trace != nil {
-			for i := range c.procs {
+			for i := range c.crashSeen {
 				p := mid.ProcID(i)
 				if !c.crashSeen[i] && c.Crashed(p) {
 					c.crashSeen[i] = true
-					c.Trace.Crash(c.eng.Now(), p)
+					c.Trace.Crash(c.Engine().Now(), p)
 				}
 			}
 		}
 		c.sample()
-		for i, p := range c.procs {
-			if c.Crashed(mid.ProcID(i)) {
-				continue
-			}
-			p.StartRound(round)
+	}
+	after := func(round int) bool {
+		if !opts.StopWhenQuiescent || round%2 == 0 || round < opts.MinRounds {
+			return true
 		}
-		if opts.StopWhenQuiescent && round%2 == 1 && round >= opts.MinRounds {
-			if res.QuiescentAtRound < 0 && c.Quiescent() {
-				res.QuiescentAtRound = round
-				drainLeft = opts.DrainSubruns
-			}
-			if drainLeft == 0 {
-				return false
-			}
-			if drainLeft > 0 {
-				drainLeft--
-			}
+		if res.QuiescentAtRound < 0 && c.Quiescent() {
+			res.QuiescentAtRound = round
+			drainLeft = opts.DrainSubruns
+		}
+		if drainLeft == 0 {
+			return false
+		}
+		if drainLeft > 0 {
+			drainLeft--
 		}
 		return true
-	})
-	c.eng.Run()
-	res.End = c.eng.Now()
+	}
+	if err := c.Rounds(opts.MaxRounds, before, after); err != nil {
+		return RunResult{}, err
+	}
+	res.End = c.Engine().Now()
 	return res, nil
 }
 
@@ -400,10 +343,11 @@ func (c *Cluster) Run(opts RunOptions) (RunResult, error) {
 // queued submissions, no waiting messages, and identical processed vectors.
 func (c *Cluster) Quiescent() bool {
 	var ref mid.SeqVector
-	for i, p := range c.procs {
+	for i := 0; i < c.N(); i++ {
 		if !c.Active(mid.ProcID(i)) {
 			continue
 		}
+		p := c.Proc(mid.ProcID(i))
 		if p.PendingSubmissions() > 0 || p.WaitingLen() > 0 {
 			return false
 		}
@@ -420,10 +364,11 @@ func (c *Cluster) Quiescent() bool {
 
 func (c *Cluster) sample() {
 	maxH, sumH, maxW, live := 0, 0, 0, 0
-	for i, p := range c.procs {
+	for i := 0; i < c.N(); i++ {
 		if !c.Active(mid.ProcID(i)) {
 			continue
 		}
+		p := c.Proc(mid.ProcID(i))
 		live++
 		if h := p.HistoryLen(); h > maxH {
 			maxH = h
@@ -436,7 +381,7 @@ func (c *Cluster) sample() {
 	if live == 0 {
 		return
 	}
-	now := c.eng.Now()
+	now := c.Engine().Now()
 	c.HistMax.Add(now, float64(maxH))
 	c.HistMean.Add(now, float64(sumH)/float64(live))
 	c.WaitMax.Add(now, float64(maxW))

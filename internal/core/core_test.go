@@ -399,7 +399,7 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c.ProcessedLog
+		return c.Log
 	}
 	a, b := run(), run()
 	for i := range a {

@@ -212,11 +212,11 @@ func TestSuicideOnDecision(t *testing.T) {
 }
 
 func TestDecisionTriggersRecovery(t *testing.T) {
-	cfg := Config{N: 3, K: 2, R: 5, RecoveryBatch: 4, SelfExclusion: true}
+	cfg := Config{N: 3, K: 2, R: 5, SelfExclusion: true}
 	p, tp := newProc(t, 2, cfg)
 	d := &wire.Decision{
 		Subrun: 1, Coord: 0,
-		MaxProcessed: mid.SeqVector{9, 0, 0},
+		MaxProcessed: mid.SeqVector{DefaultRecoveryBatch + 9, 0, 0},
 		MostUpdated:  []mid.ProcID{0, mid.None, mid.None},
 		MinWaiting:   mid.NewSeqVector(3), CleanTo: mid.NewSeqVector(3),
 		Covered: []bool{true, true, true}, Attempts: make([]uint8, 3),
@@ -230,8 +230,8 @@ func TestDecisionTriggersRecovery(t *testing.T) {
 	if !ok || tp.sends[0].dst != 0 {
 		t.Fatalf("expected RECOVER to p0, got %v to %d", tp.sends[0].pdu.Kind(), tp.sends[0].dst)
 	}
-	if len(rec.Wants) != 1 || rec.Wants[0] != (wire.WantRange{Proc: 0, From: 1, To: 4}) {
-		t.Errorf("Wants = %v, want p0 1..4 (batch cap)", rec.Wants)
+	if len(rec.Wants) != 1 || rec.Wants[0] != (wire.WantRange{Proc: 0, From: 1, To: DefaultRecoveryBatch}) {
+		t.Errorf("Wants = %v, want p0 1..%d (batch cap)", rec.Wants, DefaultRecoveryBatch)
 	}
 }
 

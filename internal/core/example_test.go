@@ -41,7 +41,7 @@ func ExampleCluster() {
 	}
 
 	for i := 0; i < 3; i++ {
-		log := c.ProcessedLog[i]
+		log := c.Log[i]
 		fmt.Printf("member %d processed %v then %v\n", i, log[0], log[1])
 	}
 	// Output:

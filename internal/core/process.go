@@ -72,9 +72,6 @@ type Config struct {
 	// rejoins) a fixed 8N both under- and over-throttles. 8 reproduces the
 	// paper's setting against the live view.
 	ThresholdPerAlive int
-	// RecoveryBatch caps how many messages of one sequence a single
-	// RECOVER asks for. Zero means DefaultRecoveryBatch.
-	RecoveryBatch int
 	// BatchMax caps how many queued user messages one subrun may
 	// broadcast. Zero or one keeps the classic one-Data-per-subrun
 	// schedule; larger values drain up to BatchMax messages per subrun as
@@ -82,10 +79,6 @@ type Config struct {
 	// (REQUEST/DECISION) over the whole batch the same way Table 1
 	// amortizes it over a subrun.
 	BatchMax int
-	// BatchBytes is the encoded-size budget of one DataBatch frame; a
-	// drained batch is split into frames no larger than this, so batching
-	// never manufactures oversize datagrams. Zero means DefaultBatchBytes.
-	BatchBytes int
 	// SelfExclusion enables the two autonomous-leave rules (suicide is
 	// always on): leaving after R failed recoveries and after K subruns
 	// without hearing any believed-alive coordinator. Experiments that
@@ -111,11 +104,14 @@ func (c Config) IsObserver(i mid.ProcID) bool {
 	return i >= 0 && int(i) < len(c.Observers) && c.Observers[i]
 }
 
-// DefaultRecoveryBatch bounds one RECOVER's per-sequence ask.
+// DefaultRecoveryBatch caps how many messages of one sequence a single
+// RECOVER asks for.
 const DefaultRecoveryBatch = 16
 
-// DefaultBatchBytes bounds one DataBatch frame: it fits a 64 KiB UDP
-// datagram with headroom for the runtime's framing.
+// DefaultBatchBytes is the encoded-size budget of one DataBatch frame: a
+// drained batch is split into frames no larger than this, so batching never
+// manufactures oversize datagrams. It fits a 64 KiB UDP datagram with
+// headroom for the runtime's framing.
 const DefaultBatchBytes = 60 * 1024
 
 // DefaultBatchMax is the per-subrun drain the runtime adopts when its
@@ -136,7 +132,7 @@ func (c Config) Validate() error {
 	if c.SelfExclusion && c.R <= 2*c.K {
 		return fmt.Errorf("core: R = %d must exceed 2K = %d (paper: R > 2K+f)", c.R, 2*c.K)
 	}
-	if c.HistoryThreshold < 0 || c.ThresholdPerAlive < 0 || c.RecoveryBatch < 0 || c.BatchMax < 0 || c.BatchBytes < 0 {
+	if c.HistoryThreshold < 0 || c.ThresholdPerAlive < 0 || c.BatchMax < 0 {
 		return fmt.Errorf("core: negative threshold")
 	}
 	if c.Join && c.N < 2 {
@@ -159,25 +155,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-func (c Config) recoveryBatch() mid.Seq {
-	if c.RecoveryBatch > 0 {
-		return mid.Seq(c.RecoveryBatch)
-	}
-	return DefaultRecoveryBatch
-}
-
 func (c Config) batchMax() int {
 	if c.BatchMax > 1 {
 		return c.BatchMax
 	}
 	return 1
-}
-
-func (c Config) batchBytes() int {
-	if c.BatchBytes > 0 {
-		return c.BatchBytes
-	}
-	return DefaultBatchBytes
 }
 
 // LeaveReason says why a process halted.
@@ -885,8 +867,8 @@ func (p *Process) Flush() bool {
 // messages onto the wire as the budget has left. A single message travels as
 // classic Data (wire-compatible with unbatched peers); a larger drain is
 // split greedily into DataBatch frames whose encoded size stays within
-// BatchBytes. Each broadcast message is also processed locally, exactly as
-// the unbatched path did.
+// DefaultBatchBytes. Each broadcast message is also processed locally,
+// exactly as the unbatched path did.
 func (p *Process) broadcastOutbox() {
 	take := min(p.sendLeft, len(p.outbox))
 	p.sendLeft -= take
@@ -897,14 +879,13 @@ func (p *Process) broadcastOutbox() {
 	rest := copy(p.outbox, p.outbox[take:])
 	clear(p.outbox[rest:])
 	p.outbox = p.outbox[:rest]
-	budget := p.cfg.batchBytes()
 	for start := 0; start < len(taken); {
 		// Grow the frame while it fits the budget; a message that alone
 		// exceeds it still travels (Submit bounds fields, and the
 		// transport counts and rejects oversize frames).
 		size := batchFrameOverhead + msgBodySize(taken[start])
 		end := start + 1
-		for end < len(taken) && size+msgBodySize(taken[end]) <= budget {
+		for end < len(taken) && size+msgBodySize(taken[end]) <= DefaultBatchBytes {
 			size += msgBodySize(taken[end])
 			end++
 		}
@@ -1479,7 +1460,7 @@ func (p *Process) applyDecision(d *wire.Decision) {
 
 func (p *Process) requestRecovery(d *wire.Decision) {
 	wantsBy := make(map[mid.ProcID][]wire.WantRange)
-	batch := p.cfg.recoveryBatch()
+	const batch = DefaultRecoveryBatch
 	for q := 0; q < p.cfg.N && q < len(d.MaxProcessed); q++ {
 		qp := mid.ProcID(q)
 		have := p.tracker.LastProcessed(qp)

@@ -6,9 +6,9 @@ import (
 
 	"urcgc/internal/core"
 	"urcgc/internal/faultrt"
-	"urcgc/internal/metrics"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
+	"urcgc/internal/simnet"
 )
 
 // Fig6Config parameterizes the history-length experiments.
@@ -44,7 +44,7 @@ type Fig6Curve struct {
 	Label     string
 	K         int
 	Faulty    bool
-	Series    metrics.Series // history length (max across live processes)
+	Series    simnet.Series // history length (max across live processes)
 	Peak      float64
 	DoneRTD   float64 // time to process all supplied messages (rtd), -1 if never
 	Discarded int
@@ -162,8 +162,8 @@ func fig6Run(cfg Fig6Config, k int, faulty, flow bool) (Fig6Curve, error) {
 }
 
 // downsamplePerRTD keeps one sample per whole rtd (the last seen).
-func downsamplePerRTD(s metrics.Series) metrics.Series {
-	var out metrics.Series
+func downsamplePerRTD(s simnet.Series) simnet.Series {
+	var out simnet.Series
 	last := -1
 	for i := range s.T {
 		r := int(s.T[i])

@@ -64,7 +64,7 @@ func TestClusterLogMatchesLockstepReference(t *testing.T) {
 		st := c.Proc(mid.ProcID(i)).Stats
 		out += fmt.Sprintf("p%d gen=%d proc=%d disc=%d rec=%d ret=%d dec=%d dup=%d bat=%d log=%v\n", i,
 			st.Generated, st.ProcessedN, st.Discarded, st.Recoveries, st.Retransmits,
-			st.Decisions, st.Duplicates, st.Batches, c.ProcessedLog[i])
+			st.Decisions, st.Duplicates, st.Batches, c.Log[i])
 		if st.EagerBroadcasts != 0 {
 			t.Errorf("p%d: the simulated cluster took %d eager send opportunities; it must stay lockstep", i, st.EagerBroadcasts)
 		}

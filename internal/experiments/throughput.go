@@ -67,7 +67,7 @@ func Throughput(cfg ThroughputConfig) (ThroughputResult, error) {
 			ua++
 		}
 	}
-	// Processing events are counted by sampling ProcessedLog growth at
+	// Processing events are counted by sampling Log growth at
 	// every round boundary; the phase is decided by the round's time.
 	prevCounts := make([]int, cfg.N)
 	gen := workload.New(uc, cfg.Seed^0x77, workload.WithLimit(cfg.Subruns))
@@ -76,7 +76,7 @@ func Throughput(cfg ThroughputConfig) (ThroughputResult, error) {
 		OnRound: func(round int) {
 			gen.OnRound(round)
 			for i := 0; i < cfg.N; i++ {
-				cur := len(uc.ProcessedLog[i])
+				cur := len(uc.Log[i])
 				for k := prevCounts[i]; k < cur; k++ {
 					countU(uc.Engine().Now())
 				}
@@ -112,7 +112,7 @@ func Throughput(cfg ThroughputConfig) (ThroughputResult, error) {
 		}
 		now := cc.Engine().Now()
 		for i := 0; i < cfg.N; i++ {
-			cur := len(cc.DeliveredLog[i])
+			cur := len(cc.Log[i])
 			for k := prevC[i]; k < cur; k++ {
 				switch {
 				case now < crashT:

@@ -151,7 +151,7 @@ func (s *Service) Call(agent mid.ProcID, req Request, v Voting) (mid.MID, error)
 // Bind installs the processing hook on every server of the cluster. Must be
 // called before the cluster runs. It composes with any hooks the harness
 // already installed via the cluster's callbacks — Bind uses the cluster's
-// ProcessedLog growth, polled from OnRound, to stay composable.
+// Log growth, polled from OnRound, to stay composable.
 //
 // Wire it as: opts.OnRound = service.OnRound(opts.OnRound).
 func (s *Service) OnRound(inner func(int)) func(int) {
@@ -161,7 +161,7 @@ func (s *Service) OnRound(inner func(int)) func(int) {
 		}
 		for i := 0; i < s.C.N(); i++ {
 			server := mid.ProcID(i)
-			log := s.C.ProcessedLog[i]
+			log := s.C.Log[i]
 			for ; s.applied[i] < len(log); s.applied[i]++ {
 				s.apply(server, log[s.applied[i]])
 			}

@@ -4,7 +4,7 @@
 // shutdown summary table.
 //
 // The package exists because the paper's evaluation (Figures 5-6, Table 1)
-// is reproduced only under simulated time in internal/metrics; the
+// is reproduced only under simulated time in internal/simnet; the
 // wall-clock runtime needs its own continuously-updated signals — round
 // timing, inbox depth, dropped datagrams, history and waiting-list growth —
 // to make recovery-driven behavior observable rather than assumed

@@ -223,10 +223,11 @@ func (p *Process) Alive(q mid.ProcID) bool {
 // Suspended reports whether a mask_out is blocking the conversation.
 func (p *Process) Suspended() bool { return p.suspended }
 
-// Submit queues a payload. It is sent with the current leaves as parents at
-// the next subrun.
-func (p *Process) Submit(payload []byte) {
+// Submit queues a payload and returns the MID it will carry. It is sent
+// with the current leaves as parents at the next subrun.
+func (p *Process) Submit(payload []byte) mid.MID {
 	p.outbox = append(p.outbox, payload)
+	return mid.MID{Proc: p.id, Seq: p.nextSeq + mid.Seq(len(p.outbox))}
 }
 
 // leaves returns the direct-predecessor labels for a new node: the latest

@@ -39,6 +39,11 @@ func TestReliableConversation(t *testing.T) {
 			}
 		}
 	}
+	// A delay sample needs the MID Submit returned to be the one delivered:
+	// 10 messages x 4 senders x 4 deliverers.
+	if got := c.Delay.Count(); got != 160 {
+		t.Errorf("delay samples = %d, want 160", got)
+	}
 }
 
 func TestContextGraphOrdering(t *testing.T) {
@@ -64,7 +69,7 @@ func TestContextGraphOrdering(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		posA, posB := -1, -1
-		for j, id := range c.DeliveredLog[i] {
+		for j, id := range c.Log[i] {
 			if id == (mid.MID{Proc: 0, Seq: 1}) {
 				posA = j
 			}

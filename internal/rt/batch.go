@@ -126,9 +126,6 @@ func newCoalescer(window time.Duration, maxCount, maxBytes int, in *inbox, to *s
 	if maxCount <= 1 {
 		maxCount = core.DefaultBatchMax
 	}
-	if maxBytes <= 0 {
-		maxBytes = core.DefaultBatchBytes
-	}
 	return &coalescer{
 		window:   window,
 		maxCount: maxCount,

@@ -40,9 +40,9 @@ type Config struct {
 	// sockets, 2ms in process.
 	RoundDuration time.Duration
 	// BatchWindow enables the coalescing sender: Send/SendCausal calls
-	// arriving within this window (or until the BatchMax / BatchBytes
-	// budgets fill first) enter the loop goroutine as one inbox event and
-	// leave together as DataBatch frames. Zero disables coalescing: every
+	// arriving within this window (or until the BatchMax /
+	// core.DefaultBatchBytes budgets fill first) enter the loop goroutine as
+	// one inbox event and leave together as DataBatch frames. Zero disables coalescing: every
 	// Send is its own inbox event and its own flush, so with BatchMax > 1 a
 	// subrun may carry up to BatchMax single-message Data frames of a member
 	// instead of fewer, wider DataBatch frames. Either way a subrun carries at

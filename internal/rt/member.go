@@ -171,7 +171,7 @@ func (m *Member) initSessions() error {
 		}
 		s.proc = p
 		if m.cfg.BatchWindow > 0 {
-			s.coal = newCoalescer(m.cfg.BatchWindow, m.cfg.BatchMax, m.cfg.BatchBytes, s.shard.inbox, s, s.obs.Coalesced)
+			s.coal = newCoalescer(m.cfg.BatchWindow, m.cfg.BatchMax, core.DefaultBatchBytes, s.shard.inbox, s, s.obs.Coalesced)
 		}
 		m.sessions[g] = s
 	}

@@ -1,7 +1,11 @@
 // Package simnet provides the simulated datagram subnetwork the protocol
 // entities run over: n-unicast sends with sub-round latency, failure
 // injection under the general omission model, and byte-accurate load
-// accounting.
+// accounting. Host drives a whole simulated group of urcgc, CBCAST or Psync
+// processes over it, and records the quantities the paper's evaluation
+// reports: mean end-to-end delay D (generation to processing, in rtd), the
+// amount and size of control messages (network load, Table 1) and history
+// and waiting-list lengths over time (Figure 6).
 //
 // The service deliberately matches the weakest transport of Section 5
 // (h = 1): pure datagrams, no acknowledgements, no retransmission. The
@@ -13,7 +17,6 @@ import (
 	"fmt"
 
 	"urcgc/internal/faultrt"
-	"urcgc/internal/metrics"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 	"urcgc/internal/wire"
@@ -56,7 +59,7 @@ type Network struct {
 	inj      faultrt.Injector
 	latency  Latency
 	handlers []Handler
-	load     *metrics.Load
+	load     *Load
 	drops    int
 
 	// OnDeliver, when non-nil, observes every successful delivery. Used by
@@ -75,7 +78,7 @@ func New(eng *sim.Engine, n int, inj faultrt.Injector) *Network {
 		inj:      inj,
 		latency:  DefaultLatency,
 		handlers: make([]Handler, n),
-		load:     metrics.NewLoad(),
+		load:     NewLoad(),
 	}
 }
 
@@ -97,7 +100,7 @@ func (nw *Network) N() int { return len(nw.handlers) }
 // Load returns the byte-accurate traffic accountant. Load is accounted at
 // send time (offered load), before any omission, which matches how the
 // paper counts generated control messages.
-func (nw *Network) Load() *metrics.Load { return nw.load }
+func (nw *Network) Load() *Load { return nw.load }
 
 // Drops returns the number of packets destroyed by the failure injector.
 func (nw *Network) Drops() int { return nw.drops }
@@ -127,12 +130,28 @@ func (nw *Network) Send(src, dst mid.ProcID, pdu wire.PDU) {
 	nw.eng.After(d, func() { nw.deliver(src, dst, pdu) })
 }
 
-// Multicast transmits the PDU to every destination with independent
-// latencies and losses — the n-unicast semantics of the paper's transport
-// service. The sender itself is skipped.
-func (nw *Network) Multicast(src mid.ProcID, dsts []mid.ProcID, pdu wire.PDU) {
-	for _, dst := range dsts {
-		nw.Send(src, dst, pdu)
+// Endpoint returns process self's view of the network: the Transport the
+// urcgc, CBCAST and Psync processes send through.
+func (nw *Network) Endpoint(self mid.ProcID) Endpoint { return Endpoint{nw: nw, self: self} }
+
+// Endpoint sends as one process. The network queues a PDU by reference until
+// its delivery and shares it between destinations, while a process only lends
+// it for the call: each Send or Broadcast clones it once. wire.Clone passes
+// the baselines' own PDU types through, so they pay nothing.
+type Endpoint struct {
+	nw   *Network
+	self mid.ProcID
+}
+
+// Send transmits pdu to dst.
+func (e Endpoint) Send(dst mid.ProcID, pdu wire.PDU) { e.nw.Send(e.self, dst, wire.Clone(pdu)) }
+
+// Broadcast transmits pdu to every other member with independent latencies
+// and losses — the n-unicast semantics of the paper's transport service.
+func (e Endpoint) Broadcast(pdu wire.PDU) {
+	pdu = wire.Clone(pdu)
+	for dst := 0; dst < e.nw.N(); dst++ {
+		e.nw.Send(e.self, mid.ProcID(dst), pdu)
 	}
 }
 

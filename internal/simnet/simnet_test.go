@@ -63,20 +63,53 @@ func TestSelfSendIgnored(t *testing.T) {
 	}
 }
 
+// TestMulticastFanout: an endpoint's Broadcast reaches every other member
+// once, skips the sender, and is offered load once per destination.
 func TestMulticastFanout(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := New(eng, 4, nil)
-	var count int
-	for p := mid.ProcID(1); p < 4; p++ {
-		nw.Attach(p, HandlerFunc(func(mid.ProcID, wire.PDU) { count++ }))
+	got := make([]int, 4)
+	for p := mid.ProcID(0); p < 4; p++ {
+		nw.Attach(p, HandlerFunc(func(src mid.ProcID, _ wire.PDU) {
+			if src != 2 {
+				t.Errorf("delivery from %d, want 2", src)
+			}
+			got[p]++
+		}))
 	}
-	nw.Multicast(0, []mid.ProcID{0, 1, 2, 3}, data(0, 1))
+	pdu := data(2, 1)
+	nw.Endpoint(2).Broadcast(pdu)
 	eng.Run()
-	if count != 3 {
-		t.Errorf("deliveries = %d, want 3 (self skipped)", count)
+	if want := []int{1, 1, 0, 1}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("deliveries per member = %v, want %v (sender skipped)", got, want)
 	}
-	if nw.Load().Counts[wire.KindData] != 3 {
-		t.Errorf("accounted %d sends", nw.Load().Counts[wire.KindData])
+	if c, b := nw.Load().Counts[wire.KindData], nw.Load().Bytes[wire.KindData]; c != 3 || b != 3*pdu.EncodedSize() {
+		t.Errorf("accounted %d sends of %d bytes, want 3 of %d", c, b, 3*pdu.EncodedSize())
+	}
+}
+
+// TestEndpointClonesPerSend: the network keeps a PDU until its delivery, but
+// a sender only lends it for the call, so mutating it after Send or
+// Broadcast must not change what the receivers get.
+func TestEndpointClonesPerSend(t *testing.T) {
+	for name, send := range map[string]func(Endpoint, wire.PDU){
+		"send":      func(e Endpoint, pdu wire.PDU) { e.Send(1, pdu) },
+		"broadcast": func(e Endpoint, pdu wire.PDU) { e.Broadcast(pdu) },
+	} {
+		eng := sim.NewEngine(1)
+		nw := New(eng, 2, nil)
+		rec := &recorder{eng: eng}
+		nw.Attach(1, rec)
+		pdu := data(0, 1)
+		send(nw.Endpoint(0), pdu)
+		pdu.Msg.ID.Seq = 99
+		eng.Run()
+		if len(rec.got) != 1 {
+			t.Fatalf("%s: %d deliveries, want 1", name, len(rec.got))
+		}
+		if got, want := rec.got[0].(*wire.Data).Msg.ID, (mid.MID{Proc: 0, Seq: 1}); got != want {
+			t.Errorf("%s: receiver got %v, want %v as sent", name, got, want)
+		}
 	}
 }
 
@@ -154,7 +187,7 @@ func newConsultNet(n int, crashed mid.ProcID, verdict faultrt.Action) (*sim.Engi
 // always 0 and the clock reads one microsecond per tick.
 func TestInjectorConsultationSequence(t *testing.T) {
 	eng, nw, log := newConsultNet(3, 2, faultrt.Action{})
-	nw.Multicast(0, []mid.ProcID{0, 1, 2}, data(0, 1))
+	nw.Endpoint(0).Broadcast(data(0, 1))
 	eng.Run()
 	want := []string{
 		"crashed 0 @0s load=0",

@@ -173,7 +173,7 @@ func (g *Group) ProcessedLogOf(owner mid.ProcID) ([]MsgID, error) {
 	if err != nil {
 		return nil, err
 	}
-	log := g.C.ProcessedLog[first]
+	log := g.C.Log[first]
 	out := make([]MsgID, len(log))
 	for i, m := range log {
 		out[i] = MsgID{Stream: g.Mapping.Stream(m.Proc), Seq: m.Seq}

@@ -62,7 +62,7 @@ func TestShapesProduceExpectedLabels(t *testing.T) {
 			if res.QuiescentAtRound < 0 {
 				t.Fatal("never quiescent")
 			}
-			if len(c.ProcessedLog[0]) == 0 {
+			if len(c.Log[0]) == 0 {
 				t.Fatal("nothing processed")
 			}
 			// Every shape must still deliver the full budget everywhere.
