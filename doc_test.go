@@ -1,6 +1,9 @@
 package urcgc
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -158,4 +161,77 @@ func hasNonTestGo(t *testing.T, dir string) bool {
 		t.Fatal(err)
 	}
 	return slices.ContainsFunc(files, func(f string) bool { return !strings.HasSuffix(f, "_test.go") })
+}
+
+// TestDocsCiteCodeThatExists fails when a doc cites an internal/ directory
+// that does not exist, or a backquoted pkg.Name, pkg an internal/ package,
+// that declares no top-level Name. Test, Benchmark, Fuzz and Example names
+// are TestDocsCiteTestsThatExist's to check.
+func TestDocsCiteCodeThatExists(t *testing.T) {
+	dirs := regexp.MustCompile(`(?:^|[^\w/.-])internal/(\w+)`)
+	spans := regexp.MustCompile("`[^`\n]+`")
+	names := regexp.MustCompile(`(?:^|[^\w/.])([a-z]\w*)\.([A-Z]\w*)`)
+	tests := regexp.MustCompile(`^(Test|Benchmark|Fuzz|Example)`)
+	decls := map[string][]string{} // per internal/ package, its top-level names
+	for name, text := range readDocs(t) {
+		for _, m := range dirs.FindAllStringSubmatch(text, -1) {
+			if !isDir("internal/" + m[1]) {
+				t.Errorf("%s cites internal/%s, which is no directory", name, m[1])
+			}
+		}
+		for _, span := range spans.FindAllString(text, -1) {
+			for _, m := range names.FindAllStringSubmatch(span, -1) {
+				pkg, ident := m[1], m[2]
+				if !isDir("internal/"+pkg) || tests.MatchString(ident) {
+					continue
+				}
+				if _, ok := decls[pkg]; !ok {
+					decls[pkg] = topLevelNames(t, "internal/"+pkg)
+				}
+				if !slices.Contains(decls[pkg], ident) {
+					t.Errorf("%s cites %s.%s, which package %s does not declare", name, pkg, ident, pkg)
+				}
+			}
+		}
+	}
+}
+
+func isDir(path string) bool {
+	fi, err := os.Stat(path)
+	return err == nil && fi.IsDir()
+}
+
+// topLevelNames returns every name declared at the top level of the Go files
+// in dir: functions, methods, types, variables and constants.
+func topLevelNames(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, path := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				names = append(names, d.Name.Name)
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						names = append(names, s.Name.Name)
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							names = append(names, n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
 }

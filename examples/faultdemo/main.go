@@ -19,9 +19,9 @@
 //     nobody processes it.
 //  6. Ordinary traffic keeps flowing throughout; the survivors converge.
 //
-// The run's trace is then audited against Definition 3.2 (uniform atomicity,
-// including the discard clause, and uniform ordering); the demo exits 1 on
-// any violation.
+// A faultrt.Checker, fed online by the cluster, then judges the run against
+// Definition 3.2 (uniform atomicity, including the discard clause, and
+// uniform ordering); the demo exits 1 on any violation.
 package main
 
 import (
@@ -32,7 +32,6 @@ import (
 	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
-	"urcgc/internal/trace"
 	"urcgc/internal/wire"
 )
 
@@ -46,22 +45,9 @@ func main() {
 		// p0 crashes shortly after broadcasting p0#2.
 		faultrt.CrashAt{Proc: 0, At: (sim.StartOfRound(2) + 400).Duration()},
 	}
-	c, err := core.NewCluster(core.ClusterConfig{
-		Config:   core.Config{N: 5, K: 2, R: 8, SelfExclusion: true},
-		Seed:     8,
-		Injector: inj,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	c.Trace = trace.NewRecorder(c.N())
-
 	// Narrate the protocol's visible actions.
 	lastAlive := 5
-	c.OnDecision = func(p mid.ProcID, d *wire.Decision) {
-		if p != 1 { // narrate from one vantage point
-			return
-		}
+	narrate := func(c *core.Cluster, d *wire.Decision) {
 		alive := 0
 		for _, a := range d.Alive {
 			if a {
@@ -77,6 +63,21 @@ func main() {
 			fmt.Printf("%5.1f rtd  decision exposes the orphan gap: min_waiting[p0]=%d > max_processed[p0]+1=%d\n",
 				c.Engine().Now().RTD(), d.MinWaiting[0], d.MaxProcessed[0]+1)
 		}
+	}
+	c, err := core.NewCluster(core.ClusterConfig{
+		Config:   core.Config{N: 5, K: 2, R: 8, SelfExclusion: true},
+		Seed:     8,
+		Injector: inj,
+		Checker:  faultrt.NewChecker(),
+		Observe: func(c *core.Cluster, p mid.ProcID) core.Callbacks {
+			if p != 1 { // narrate from one vantage point
+				return core.Callbacks{}
+			}
+			return core.Callbacks{OnDecision: func(d *wire.Decision) { narrate(c, d) }}
+		},
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 	c.Net().OnDeliver = func(src, dst mid.ProcID, pdu wire.PDU) {
 		switch v := pdu.(type) {
@@ -120,7 +121,7 @@ func main() {
 	for _, p := range c.ActiveSet() {
 		fmt.Printf("  p%d processed %v, destroyed %v by agreement\n", p, c.Proc(p).Processed(), c.DiscardLog[p])
 	}
-	if v := c.Trace.Verify(); len(v) > 0 {
+	if v := c.Check(); len(v) > 0 {
 		log.Fatalf("Definition 3.2 violated: %v", v)
 	}
 	fmt.Println("  audit: Definition 3.2 holds (uniform atomicity, discards included, and uniform ordering)")

@@ -16,22 +16,21 @@ func TestLemma41DetectionBound(t *testing.T) {
 	for _, k := range []int{2, 3, 4} {
 		k := k
 		crashAt := sim.StartOfSubrun(5)
+		learned := map[mid.ProcID]sim.Time{}
 		c, err := NewCluster(ClusterConfig{
 			Config:   Config{N: 6, K: k, R: 2*k + 2, SelfExclusion: true},
 			Seed:     int64(k),
 			Injector: faultrt.CrashAt{Proc: 5, At: crashAt.Duration()},
+			Observe: func(c *Cluster, p mid.ProcID) Callbacks {
+				return Callbacks{OnDecision: func(d *wire.Decision) {
+					if _, done := learned[p]; !done && len(d.Alive) > 5 && !d.Alive[5] {
+						learned[p] = c.Engine().Now()
+					}
+				}}
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		learned := map[mid.ProcID]sim.Time{}
-		c.OnDecision = func(p mid.ProcID, d *wire.Decision) {
-			if _, done := learned[p]; done {
-				return
-			}
-			if len(d.Alive) > 5 && !d.Alive[5] {
-				learned[p] = c.Engine().Now()
-			}
 		}
 		_, err = c.Run(RunOptions{
 			MaxRounds: 2 * (5 + 2*k + 10),

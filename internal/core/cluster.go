@@ -8,7 +8,6 @@ import (
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 	"urcgc/internal/simnet"
-	"urcgc/internal/trace"
 	"urcgc/internal/transport"
 	"urcgc/internal/wire"
 )
@@ -30,12 +29,23 @@ type ClusterConfig struct {
 	// have acknowledged, moving loss repair from the history into the
 	// transport.
 	TransportH int
+	// Observe, when set, is asked once per incarnation of process p — at
+	// NewCluster and at every Rejoin — for hooks that run after the
+	// cluster's own (Chain); c.Engine().Now() is the cluster clock.
+	Observe func(c *Cluster, p mid.ProcID) Callbacks
+	// Checker, when set, is fed the run online and judged by Check against
+	// Definition 3.2. It is Audit's feed plus what only the host knows: a
+	// Halt at the first round a process is seen crashed, and every
+	// processed message recorded with the labels its origin generated, not
+	// the receiver's copy, so a protocol that loses a dependency on the way
+	// cannot hide it.
+	Checker *faultrt.Checker
 }
 
 // Cluster runs a full urcgc group inside the discrete-event simulator, on
 // the simnet.Host the baselines share, and adds the measurement hooks the
 // urcgc experiments need. Its Log is the processing order per process,
-// across incarnations; the invariants are judged from Trace, not from there.
+// across incarnations; the invariants are judged by Check, not from there.
 type Cluster struct {
 	*simnet.Host[*Process]
 	cfg  ClusterConfig
@@ -54,15 +64,11 @@ type Cluster struct {
 	Left map[mid.ProcID]LeaveReason
 	// Decisions counts decisions observed per process.
 	Decisions []int
-	// OnDecision, when set, observes every fresh decision applied at any
-	// process, with the cluster clock available via Engine().Now().
-	OnDecision func(p mid.ProcID, d *wire.Decision)
-	// Trace, when set before the first Submit, records every protocol event;
-	// its Verify audits the run against Definition 3.2 through
-	// faultrt.Checker.
-	Trace *trace.Recorder
 
+	// With a Checker: whether each current incarnation was seen crashed, and
+	// every message's labels as its origin generated them.
 	crashSeen []bool
+	labels    map[mid.MID]mid.DepList
 }
 
 // entTransport routes PDUs through a transport entity (h > 1), which keeps
@@ -114,6 +120,7 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 		Left:       make(map[mid.ProcID]LeaveReason),
 		Decisions:  make([]int, cc.N),
 		crashSeen:  make([]bool, cc.N),
+		labels:     make(map[mid.MID]mid.DepList),
 	}
 	nw := c.Net()
 	for i := 0; i < cc.N; i++ {
@@ -145,63 +152,29 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// callbacks builds the measurement hooks for process id. Shared between
-// cluster construction and Rejoin, so a joiner incarnation keeps feeding
-// the same logs.
+// callbacks builds process id's hooks: the measurements, the checker feed,
+// then the observer's. Shared between cluster construction and Rejoin, so a
+// joiner incarnation keeps feeding the same logs.
 func (c *Cluster) callbacks(id mid.ProcID) Callbacks {
-	eng := c.Engine()
-	return Callbacks{
-		OnGenerate: func(m *causal.Message) {
-			c.Generated(m.ID)
-			if c.Trace != nil {
-				c.Trace.Generate(eng.Now(), id, m.ID, m.Deps)
-			}
-		},
-		OnBroadcast: func(m *causal.Message) {
-			if c.Trace != nil {
-				c.Trace.Broadcast(eng.Now(), id, m.ID)
-			}
-		},
-		OnWait: func(m *causal.Message, missing mid.DepList) {
-			if c.Trace != nil {
-				c.Trace.Wait(eng.Now(), id, m.ID, missing)
-			}
-		},
-		OnProcess: func(m *causal.Message) {
-			c.Processed(id, m.ID)
-			if c.Trace != nil {
-				c.Trace.Process(eng.Now(), id, m.ID)
-			}
-		},
-		OnDiscard: func(m *causal.Message) {
-			c.DiscardLog[id] = append(c.DiscardLog[id], m.ID)
-			if c.Trace != nil {
-				c.Trace.Discard(eng.Now(), id, m.ID)
-			}
-		},
-		OnLeave: func(r LeaveReason) {
-			c.Left[id] = r
-			if c.Trace != nil {
-				c.Trace.Leave(eng.Now(), id)
-			}
-		},
-		OnDecision: func(d *wire.Decision) {
-			c.Decisions[id]++
-			if c.OnDecision != nil {
-				c.OnDecision(id, d)
-			}
-		},
-		OnJoinInstalled: func(stable mid.SeqVector) {
-			if c.Trace != nil {
-				c.Trace.Join(eng.Now(), id, stable)
-			}
-		},
-		OnFastForward: func(q mid.ProcID, to mid.Seq) {
-			if c.Trace != nil {
-				c.Trace.FastForward(eng.Now(), id, q, to)
-			}
-		},
+	cb := Callbacks{
+		OnGenerate: func(m *causal.Message) { c.Generated(m.ID) },
+		OnProcess:  func(m *causal.Message) { c.Processed(id, m.ID) },
+		OnDiscard:  func(m *causal.Message) { c.DiscardLog[id] = append(c.DiscardLog[id], m.ID) },
+		OnLeave:    func(r LeaveReason) { c.Left[id] = r },
+		OnDecision: func(*wire.Decision) { c.Decisions[id]++ },
 	}
+	if ck := c.cfg.Checker; ck != nil {
+		audit := Audit(ck, id)
+		audit.OnGenerate = func(m *causal.Message) { c.labels[m.ID] = m.Deps.Clone() }
+		audit.OnProcess = func(m *causal.Message) {
+			ck.Record(id, &causal.Message{ID: m.ID, Deps: c.labels[m.ID]})
+		}
+		cb = Chain(cb, audit)
+	}
+	if c.cfg.Observe != nil {
+		cb = Chain(cb, c.cfg.Observe(c, id))
+	}
+	return cb
 }
 
 // Rejoin replaces process i with a fresh joiner incarnation attached to the
@@ -213,8 +186,8 @@ func (c *Cluster) callbacks(id mid.ProcID) Callbacks {
 // with an injected crash should bound the crash to end at the rejoin
 // instant, since the cluster driver keeps consulting the injector for
 // liveness — TestSimJoinConvergence's crashWindow is the pattern; a crash of
-// the new incarnation is traced afresh. Only direct-datagram clusters
-// (TransportH <= 1) support rejoin.
+// the new incarnation is seen, and halted, afresh. Only direct-datagram
+// clusters (TransportH <= 1) support rejoin.
 func (c *Cluster) Rejoin(i mid.ProcID) error {
 	if int(i) >= c.cfg.N || i < 0 {
 		return fmt.Errorf("core: rejoin of process %d outside group of %d", i, c.cfg.N)
@@ -256,7 +229,8 @@ func (c *Cluster) ActiveSet() []mid.ProcID {
 }
 
 // Submit queues a user message at process p (Process.Submit). Its
-// generation instant and labels reach Delay and Trace through OnGenerate.
+// generation instant and labels reach Delay and the Checker through
+// OnGenerate.
 func (c *Cluster) Submit(p mid.ProcID, payload []byte, deps mid.DepList) (mid.MID, error) {
 	return c.Proc(p).Submit(payload, deps)
 }
@@ -305,12 +279,11 @@ func (c *Cluster) Run(opts RunOptions) (RunResult, error) {
 		if opts.OnRound != nil {
 			opts.OnRound(round)
 		}
-		if c.Trace != nil {
-			for i := range c.crashSeen {
-				p := mid.ProcID(i)
-				if !c.crashSeen[i] && c.Crashed(p) {
+		if ck := c.cfg.Checker; ck != nil {
+			for i, seen := range c.crashSeen {
+				if p := mid.ProcID(i); !seen && c.Crashed(p) {
 					c.crashSeen[i] = true
-					c.Trace.Crash(c.Engine().Now(), p)
+					ck.Halt(p)
 				}
 			}
 		}
@@ -337,6 +310,19 @@ func (c *Cluster) Run(opts RunOptions) (RunResult, error) {
 	}
 	res.End = c.Engine().Now()
 	return res, nil
+}
+
+// Check judges the run so far against Definition 3.2: the Checker's Check
+// over the processes whose current incarnation neither crashed nor left. The
+// cluster must have been built with a Checker.
+func (c *Cluster) Check() []faultrt.Violation {
+	var survivors []mid.ProcID
+	for i, crashed := range c.crashSeen {
+		if _, left := c.Left[mid.ProcID(i)]; !crashed && !left {
+			survivors = append(survivors, mid.ProcID(i))
+		}
+	}
+	return c.cfg.Checker.Check(survivors)
 }
 
 // Quiescent reports whether every active process has fully drained: no

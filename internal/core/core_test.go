@@ -8,31 +8,34 @@ import (
 	"urcgc/internal/group"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
-	"urcgc/internal/trace"
 )
 
 func baseCfg(n int) Config {
 	return Config{N: n, K: 2, R: 8, SelfExclusion: true}
 }
 
-// auditedCluster builds a simulated group with a trace.Recorder attached,
+// auditedCluster builds a simulated group with a faultrt.Checker attached,
 // for audit to judge once the run is over.
 func auditedCluster(t *testing.T, cc ClusterConfig) *Cluster {
 	t.Helper()
+	cc.Checker = faultrt.NewChecker()
 	c, err := NewCluster(cc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Trace = trace.NewRecorder(cc.N)
 	return c
 }
 
-// audit judges the run's log against Definition 3.2 (trace.Recorder.Verify,
-// a faultrt.Checker replay) and dumps the log on a breach.
+// audit judges the run against Definition 3.2 (Cluster.Check, fed online)
+// and prints every process's processing order on a breach.
 func audit(t *testing.T, c *Cluster) {
 	t.Helper()
-	if v := c.Trace.Verify(); len(v) != 0 {
-		t.Fatalf("%d violations of Definition 3.2, first %v\nlog:\n%s", len(v), v[:min(len(v), 10)], c.Trace.Dump())
+	if v := c.Check(); len(v) != 0 {
+		var log string
+		for i, l := range c.Log {
+			log += fmt.Sprintf("p%d: %v\n", i, l)
+		}
+		t.Fatalf("%d violations of Definition 3.2, first %v\nprocessing order:\n%s", len(v), v[:min(len(v), 10)], log)
 	}
 }
 

@@ -151,15 +151,18 @@ func TestDiffusionConfigValidation(t *testing.T) {
 // decision flow (they are part of the group view and the covered chain).
 func TestObserverReceivesDecisions(t *testing.T) {
 	cfg := diffusionCfg(3, 1)
-	c, err := NewCluster(ClusterConfig{Config: cfg, Seed: 24})
+	sawFull := false
+	c, err := NewCluster(ClusterConfig{Config: cfg, Seed: 24,
+		Observe: func(_ *Cluster, p mid.ProcID) Callbacks {
+			return Callbacks{OnDecision: func(d *wire.Decision) {
+				if p == 2 && d.FullGroup {
+					sawFull = true
+				}
+			}}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	sawFull := false
-	c.OnDecision = func(p mid.ProcID, d *wire.Decision) {
-		if p == 2 && d.FullGroup {
-			sawFull = true
-		}
 	}
 	_, err = c.Run(RunOptions{
 		MaxRounds: 60,

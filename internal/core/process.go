@@ -268,14 +268,9 @@ type Callbacks struct {
 	OnSubrunStart func(subrun int64, coord mid.ProcID)
 	// OnViewChange is invoked whenever the local view changes composition —
 	// members declared crashed, or a joiner admitted back — after the
-	// per-member OnCrashDeclared/OnMemberJoined calls. alive is a fresh
-	// copy the callee owns.
+	// per-member OnCrashDeclared calls. alive is a fresh copy the callee
+	// owns.
 	OnViewChange func(alive []bool)
-	// OnMemberJoined is invoked when this process's view re-admits another
-	// member — through a decision, or at the coordinator through the
-	// join-flagged request that produced it — after the stale bookkeeping
-	// of the member's previous incarnation has been dropped.
-	OnMemberJoined func(q mid.ProcID)
 	// OnJoinInstalled is invoked on a joiner when the sponsor's state
 	// transfer is installed, before any message is processed: stable is the
 	// stability watermark the process starts from (everything at or below
@@ -1563,9 +1558,6 @@ func (p *Process) adoptMask(mask []bool) {
 func (p *Process) noteJoined(q mid.ProcID) {
 	p.tracker.Uncondemn(q)
 	p.wait.DropSender(q)
-	if q != p.id && p.cb.OnMemberJoined != nil {
-		p.cb.OnMemberJoined(q)
-	}
 }
 
 func (p *Process) leave(reason LeaveReason) {

@@ -13,11 +13,7 @@ import (
 	"fmt"
 	"testing"
 
-	"urcgc/internal/core"
 	"urcgc/internal/faultrt"
-	"urcgc/internal/lifecycle"
-	"urcgc/internal/mid"
-	"urcgc/internal/trace"
 	"urcgc/internal/workload"
 )
 
@@ -197,53 +193,14 @@ func BenchmarkAblationFlowControl(b *testing.B) {
 
 // ---- Per-stage latency breakdown ----
 
-// stageBreakdown runs the per-stage latency scenario at seed 1 with the event
-// recorder attached and computes the stage table from its log: where between
-// emission and uniform coverage a message spends its rounds. n=10 at full
-// load, submitted on odd rounds so the outbox stage is visible (a message
-// waits for the next subrun boundary), and a 1-in-50 send omission makes the
-// waiting-list stage real: a dropped data message parks its sender's next
-// message until recovery fills the gap.
-func stageBreakdown() (lifecycle.Breakdown, error) {
-	c, err := core.NewCluster(core.ClusterConfig{
-		Config:   core.Config{N: 10, K: 3, R: 8, SelfExclusion: true},
-		Seed:     1,
-		Injector: &faultrt.DropEvery{N: 50, Side: faultrt.AtSend},
-	})
-	if err != nil {
-		return lifecycle.Breakdown{}, err
-	}
-	rec := trace.NewRecorder(c.N())
-	c.Trace = rec
-	_, err = c.Run(core.RunOptions{
-		MaxRounds: 2*60 + 200, MinRounds: 2 * 60,
-		OnRound: func(round int) {
-			if round%2 != 1 || round/2 >= 60 {
-				return
-			}
-			for p := 0; p < c.N(); p++ {
-				pp := mid.ProcID(p)
-				if c.Active(pp) {
-					_, _ = c.Submit(pp, payload(), nil)
-				}
-			}
-		},
-		StopWhenQuiescent: true, DrainSubruns: 4,
-	})
-	if err != nil {
-		return lifecycle.Breakdown{}, err
-	}
-	return lifecycle.FromRecorder(rec), nil
-}
-
 // BenchmarkStageLatencyBreakdown reports the per-stage latency table
 // EXPERIMENTS.md carries.
 func BenchmarkStageLatencyBreakdown(b *testing.B) {
 	b.ReportAllocs()
-	var bd lifecycle.Breakdown
+	var bd Breakdown
 	for i := 0; i < b.N; i++ {
 		var err error
-		if bd, err = stageBreakdown(); err != nil {
+		if bd, err = StageBreakdown(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -259,7 +216,7 @@ func BenchmarkStageLatencyBreakdown(b *testing.B) {
 // table to what the scenario measures, to two decimals: a change that moves
 // a cell has to restate the table.
 func TestStageLatencyBreakdownTable(t *testing.T) {
-	bd, err := stageBreakdown()
+	bd, err := StageBreakdown()
 	if err != nil {
 		t.Fatal(err)
 	}

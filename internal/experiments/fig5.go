@@ -97,6 +97,7 @@ func fig5URCGC(cfg Fig5Config, f int) (float64, error) {
 			At:   (sim.StartOfSubrun(s0+i) + sim.TicksPerRound - 1).Duration(),
 		})
 	}
+	agreedAt := make(map[mid.ProcID]sim.Time)
 	c, err := core.NewCluster(core.ClusterConfig{
 		Config: core.Config{
 			N: cfg.N, K: cfg.K, R: 2*cfg.K + 2,
@@ -106,21 +107,19 @@ func fig5URCGC(cfg Fig5Config, f int) (float64, error) {
 		},
 		Seed:     cfg.Seed,
 		Injector: inj,
+		Observe: func(c *core.Cluster, p mid.ProcID) core.Callbacks {
+			return core.Callbacks{OnDecision: func(d *wire.Decision) {
+				if _, done := agreedAt[p]; done || c.Engine().Now() < t0 {
+					return
+				}
+				if d.FullGroup && int(subject) < len(d.Alive) && !d.Alive[subject] {
+					agreedAt[p] = c.Engine().Now()
+				}
+			}}
+		},
 	})
 	if err != nil {
 		return 0, err
-	}
-	agreedAt := make(map[mid.ProcID]sim.Time)
-	c.OnDecision = func(p mid.ProcID, d *wire.Decision) {
-		if _, done := agreedAt[p]; done {
-			return
-		}
-		if c.Engine().Now() < t0 {
-			return
-		}
-		if d.FullGroup && int(subject) < len(d.Alive) && !d.Alive[subject] {
-			agreedAt[p] = c.Engine().Now()
-		}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x915))
 	_, err = c.Run(core.RunOptions{

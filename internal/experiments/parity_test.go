@@ -9,7 +9,6 @@ import (
 	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
-	"urcgc/internal/trace"
 )
 
 // The digests below were recorded at the commit before send-on-submit
@@ -26,7 +25,7 @@ func digest(s string) string { return fmt.Sprintf("%x", sha256.Sum256([]byte(s))
 
 // TestClusterLogMatchesLockstepReference hashes what every member processed,
 // in order, plus the protocol counters, for a faulty seeded run with batching
-// and flow control on, and audits the run's log against Definition 3.2.
+// and flow control on, and audits the run against Definition 3.2.
 func TestClusterLogMatchesLockstepReference(t *testing.T) {
 	c, err := core.NewCluster(core.ClusterConfig{
 		Config: core.Config{N: 5, K: 3, R: 8, SelfExclusion: true, BatchMax: 4, HistoryThreshold: 40},
@@ -35,11 +34,11 @@ func TestClusterLogMatchesLockstepReference(t *testing.T) {
 			faultrt.CrashAt{Proc: 2, At: sim.StartOfSubrun(4).Duration()},
 			&faultrt.DropEvery{N: 11, Side: faultrt.AtSend},
 		},
+		Checker: faultrt.NewChecker(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Trace = trace.NewRecorder(c.N())
 	res, err := c.Run(core.RunOptions{
 		MaxRounds: 400, MinRounds: 80,
 		OnRound: func(round int) {
@@ -75,7 +74,7 @@ func TestClusterLogMatchesLockstepReference(t *testing.T) {
 	if got := digest(out); got != clusterLogDigest {
 		t.Errorf("core.Cluster output for seed 42 changed: digest %s, want %s", got, clusterLogDigest)
 	}
-	if v := c.Trace.Verify(); len(v) != 0 {
+	if v := c.Check(); len(v) != 0 {
 		t.Errorf("the reference run violates Definition 3.2: %v", v)
 	}
 }

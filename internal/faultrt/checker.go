@@ -216,9 +216,9 @@ func (in *incarnation) floor(proc int) mid.Seq {
 }
 
 // Checker is the one judge of Definition 3.2. It records every member's
-// processed sequence — live (chaos, the benchmark) or replayed from a capture
-// (internal/replay) or a simulator log (trace.Recorder.Verify) — and
-// asserts, after churn, the paper's uniform properties:
+// processed sequence — live (chaos, the benchmark), simulated
+// (core.Cluster) or replayed from a capture (internal/replay) — and asserts,
+// after churn, the paper's uniform properties:
 //
 //   - Uniform Atomicity (Definition 3.2): every message processed by any
 //     surviving member was processed by all surviving members — decided
@@ -238,8 +238,10 @@ func (in *incarnation) floor(proc int) mid.Seq {
 // exempting each one's pre-join baseline.
 //
 // A host running core.Process feeds it through core.Audit, which wires every
-// clause on the entity's own goroutine; every method is safe for concurrent
-// use. Check is meant for after the run.
+// clause on the entity's own goroutine; the simulated cluster adds what only
+// it knows, the crashes and each message's labels as generated
+// (core.ClusterConfig.Checker). Every method is safe for concurrent use.
+// Check is meant for after the run.
 type Checker struct {
 	mu       sync.Mutex
 	live     map[mid.ProcID]*incarnation

@@ -99,6 +99,34 @@ func TestCheckerCatchesDoubleProcessing(t *testing.T) {
 	}
 }
 
+// TestCheckerCatchesDiscardProcessedConflict: a member that destroys by
+// agreement a message it processed breaks uniform atomicity.
+func TestCheckerCatchesDiscardProcessedConflict(t *testing.T) {
+	c := NewChecker()
+	a1 := msg(0, 1)
+	c.Record(0, a1)
+	c.Record(1, a1)
+	c.Discard(1, a1.ID) // node 1 discards what it processed
+	if v := c.Check([]mid.ProcID{0, 1}); !slices.ContainsFunc(v, func(v Violation) bool { return v.Invariant == uniformAtomicity }) {
+		t.Errorf("discard/process conflict not detected: %v", v)
+	}
+}
+
+// TestCheckerCatchesDiscardAtOneProcessedAtOther: a message one survivor
+// discarded and another processed breaks uniform atomicity, with the
+// processed sets otherwise equal in count.
+func TestCheckerCatchesDiscardAtOneProcessedAtOther(t *testing.T) {
+	c := NewChecker()
+	a1, a2 := msg(0, 1), msg(0, 2)
+	c.Record(0, a1)
+	c.Record(1, a1)
+	c.Record(0, a2)
+	c.Discard(1, a2.ID)
+	if v := c.Check([]mid.ProcID{0, 1}); !slices.ContainsFunc(v, func(v Violation) bool { return v.Invariant == uniformAtomicity }) {
+		t.Errorf("cross discard conflict not detected: %v", v)
+	}
+}
+
 // TestCheckerRestartBaseline: a rejoined incarnation that resumes past its
 // join baseline is clean — the baseline prefix is exempt from atomicity and
 // satisfies dependencies — while processing below the baseline, or skipping

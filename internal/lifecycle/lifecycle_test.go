@@ -7,8 +7,6 @@ import (
 
 	"urcgc/internal/mid"
 	"urcgc/internal/obs"
-	"urcgc/internal/sim"
-	"urcgc/internal/trace"
 )
 
 // fakeClock installs a settable clock on the tracer and returns the setter.
@@ -223,42 +221,6 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	}
 	if r := tr.Report(5, 5); r.Counts != (Counts{}) {
 		t.Fatalf("nil report = %+v", r)
-	}
-}
-
-func TestFromRecorderBreakdown(t *testing.T) {
-	const rtd = sim.TicksPerRTD
-	rec := trace.NewRecorder(2)
-	m := mid.MID{Proc: 0, Seq: 1}
-	rec.Generate(0, 0, m, nil)
-	rec.Broadcast(1*rtd, 0, m)
-	rec.Process(1*rtd, 0, m) // origin processes at broadcast
-	rec.Wait(2*rtd, 1, m, mid.DepList{{Proc: 0, Seq: 0}})
-	rec.Process(3*rtd, 1, m) // waited one RTD at p1; uniform at 3 RTD
-
-	b := FromRecorder(rec)
-	if b.Messages != 1 || b.UniformCount != 1 || b.WaitCount != 1 {
-		t.Fatalf("breakdown = %+v", b)
-	}
-	if b.MeanEmitToBroadcast != 1 || b.MeanEmitToFirstProcess != 1 {
-		t.Fatalf("emit stages = %+v", b)
-	}
-	if b.MeanEmitToUniform != 3 || b.MeanWait != 1 {
-		t.Fatalf("uniform/wait = %+v", b)
-	}
-	if !strings.Contains(b.Render(), "emit -> uniform") {
-		t.Fatal("render missing stage row")
-	}
-
-	// A crashed process drops out of the uniform condition.
-	rec2 := trace.NewRecorder(2)
-	rec2.Generate(0, 0, m, nil)
-	rec2.Broadcast(1*rtd, 0, m)
-	rec2.Process(1*rtd, 0, m)
-	rec2.Crash(2*rtd, 1)
-	b2 := FromRecorder(rec2)
-	if b2.UniformCount != 1 || b2.MeanEmitToUniform != 1 {
-		t.Fatalf("survivor-only uniform = %+v", b2)
 	}
 }
 

@@ -13,8 +13,7 @@ type Event struct {
 	Msg string
 }
 
-// EventLog is a bounded, concurrency-safe ring of trace events — the
-// wall-clock counterpart of internal/trace's simulator Recorder. It makes
+// EventLog is a bounded, concurrency-safe ring of trace events. It makes
 // by-design omissions (inbox overflow, malformed datagrams) verifiable
 // from the log instead of silently assumed recovered.
 type EventLog struct {

@@ -4,9 +4,9 @@
 // joined by (group, MID), and replays each member's delivered ingress
 // frames — in capture order — through a fresh core.Process wired to a
 // no-op transport. A faultrt.Checker audits the replayed run through
-// core.Audit exactly as the live chaos harness audits the live one, so a
-// violation seen in production either reproduces from the artifact alone or
-// is refuted by it. For every reproduced violation the timeline is searched
+// core.Audit exactly as the live chaos harness audits the live one and
+// core.Cluster the simulated one, so a violation seen in production either
+// reproduces from the artifact alone or is refuted by it. For every reproduced violation the timeline is searched
 // for the blocking frame: the first captured frame carrying the missing
 // message whose loss explains the breach — an ingress discard at the
 // violating member, an injected fault at the sender, or a broadcast that

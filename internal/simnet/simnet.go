@@ -63,7 +63,7 @@ type Network struct {
 	drops    int
 
 	// OnDeliver, when non-nil, observes every successful delivery. Used by
-	// tests and the trace recorder.
+	// tests and examples/faultdemo's narration.
 	OnDeliver func(src, dst mid.ProcID, pdu wire.PDU)
 }
 
