@@ -92,15 +92,21 @@ func (s *submission) wireCost() int {
 	return 12 + 8*len(s.Deps) + len(s.Payload)
 }
 
-// coalescer batches user submissions: Sends arriving within BatchWindow
-// (or until the count/byte budget fills first) are handed to the node
-// goroutine as ONE inbox event, so the protocol's outbox drains them as
-// DataBatch frames in one flush — at once as far as the subrun's BatchMax
-// budget has room, the rest at the next subrun's opening — instead of dribbling
-// one Data per subrun. Confirm semantics are untouched — every Send still
-// blocks until its own message is processed locally. A window is a chain
-// through the submissions themselves and its timer is re-armed, not
-// re-made, so coalescing allocates nothing per Send or per window.
+// coalescer batches user submissions: a window of Sends enters the protocol
+// as one submission step, so the protocol's outbox drains it as DataBatch
+// frames in one flush — at once as far as the subrun's BatchMax budget has
+// room, the rest at the next subrun's opening — instead of dribbling one
+// Data per subrun. A window closes at the earliest of three instants: it is
+// full (the count or byte budget), BatchWindow has passed since it opened
+// (the timer, which hands it to the loop as one inbox event), or the loop
+// that hosts the entity has just run an event for it and the protocol has
+// nothing queued (drain, called by that loop, which submits the window
+// inline). Under load the last one comes first, so windows follow the loop's
+// pace and BatchWindow bounds only a quiet loop. Confirm semantics are
+// untouched — every Send still blocks until its own message is processed
+// locally. A window is a chain through the submissions themselves and its
+// timer is re-armed, not re-made, so coalescing allocates nothing per Send or
+// per window.
 type coalescer struct {
 	window   time.Duration
 	maxCount int
@@ -138,7 +144,9 @@ func newCoalescer(window time.Duration, maxCount, maxBytes int, in *inbox, to *s
 
 // Add queues one submission. It returns once the submission is part of a
 // flushed or pending batch; the caller then waits on s.done under its own
-// context. After Stop, submissions fail immediately.
+// context. After Stop, submissions fail immediately. Add never closes a
+// window early on its own: an Add into an idle loop waits for the loop's
+// next event or the timer, so that concurrent Sends still share a window.
 func (c *coalescer) Add(s *submission) {
 	c.mu.Lock()
 	if c.stopped {
@@ -207,6 +215,24 @@ func (c *coalescer) take() (head *submission, n int) {
 		c.timer.Stop()
 	}
 	return head, n
+}
+
+// drain claims the open window for the loop goroutine hosting the
+// coalescer's entity, which submits it inline; nil when no window is open.
+// The loop calls it only right after running an event for the entity while
+// the protocol has nothing queued.
+func (c *coalescer) drain() *submission {
+	c.mu.Lock()
+	var head *submission
+	var n int
+	if c.head != nil {
+		head, n = c.take()
+	}
+	c.mu.Unlock()
+	if head != nil && c.observe != nil {
+		c.observe(n)
+	}
+	return head
 }
 
 func (c *coalescer) fire() {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"urcgc/internal/core"
+	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/obs"
 )
@@ -148,45 +149,164 @@ func TestCoalescerStopFailsPendingWindow(t *testing.T) {
 	}
 }
 
+// backlogged tunes cfg so that a member's protocol keeps a message queued
+// for the rest of a test once strand has put one there — and with it the
+// member's coalescer window open past any loop event, since the loop closes a
+// window early only while nothing is queued. The subrun budget is one
+// message; no subrun opens after the clock's first within the hour — rounds
+// are an hour long, and the last member's datagrams are cut, so no subrun can
+// be decided early on its report — and the window's timer never fires.
+func backlogged(cfg *Config) {
+	last := mid.ProcID(cfg.N - 1)
+	cfg.BatchMax = 1
+	cfg.RoundDuration = time.Hour
+	cfg.BatchWindow = time.Hour
+	cfg.Fault = faultrt.NewHook(faultrt.Cut(func(_ uint32, src, _ mid.ProcID) bool { return src == last }), nil)
+}
+
+// strand parks a Send of member m on group g in an open coalescer window, on
+// a member built with backlogged (and metrics): BatchMax messages spend the
+// subrun's budget and confirm, one more stays queued in the protocol's
+// outbox, and a small one then waits in a window that no loop event closes.
+// Those before it fill a window alone, by bytes, so they reach the protocol
+// without the loop's help. The two Sends left waiting report on the returned
+// channel.
+func strand(t *testing.T, m *Member, g uint32) <-chan error {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if m.mesh != nil {
+		// A mesh opens round 0 at Start, and with it a fresh budget: spend
+		// that one. A socket member's first tick is an hour away.
+		rounds := m.cfg.Metrics.Counter("rt_rounds_total")
+		waitFor(t, ctx, 10*time.Second, "the mesh never opened round 0", func() bool { return rounds.Value() > 0 })
+	}
+	big := make([]byte, core.DefaultBatchBytes)
+	for range m.cfg.BatchMax {
+		if _, err := m.Send(ctx, g, big, nil); err != nil {
+			t.Fatalf("group %d: a message spending the budget: %v", g, err)
+		}
+	}
+	out := make(chan error, 2)
+	send := func(payload []byte) {
+		go func() {
+			_, err := m.Send(context.Background(), g, payload, nil)
+			out <- err
+		}()
+	}
+	send(big)
+	waitFor(t, ctx, 10*time.Second, "the message past the budget never queued", func() bool {
+		var pending int
+		err := m.Snapshot(ctx, g, func(p *core.Process) { pending = p.PendingSubmissions() })
+		return err == nil && pending == 1
+	})
+	send([]byte("stranded"))
+	// Stop must race a queued waiter, not an unstarted goroutine.
+	waitFor(t, ctx, 10*time.Second, "the stranded submission never entered the coalescer window", func() bool {
+		return m.sessions[g].coal.Pending() == 1
+	})
+	return out
+}
+
 // TestClusterStopUnblocksWindowedSends drives the same edge end to end: a
 // Send sitting inside an open window when Cluster.Stop runs must return an
-// error instead of hanging on its confirm channel.
+// error instead of hanging on its confirm channel. The window is held open
+// behind a queued message (strand), and the message queued behind the spent
+// budget is failed by the same Stop.
 func TestClusterStopUnblocksWindowedSends(t *testing.T) {
 	cfg := liveConfig(2)
-	cfg.RoundDuration = time.Millisecond
-	cfg.BatchWindow = time.Hour // never fires: only Stop can resolve the Send
+	cfg.Metrics = obs.New()
+	backlogged(&cfg)
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
 
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Node(0).Send(context.Background(), []byte("stranded"), nil)
-		done <- err
-	}()
-	// Wait until the submission is actually inside the coalescer window, so
-	// Stop races against a queued waiter rather than an unstarted goroutine.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if c.Node(0).m.sessions[0].coal.Pending() > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("submission never entered the coalescer window")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	done := strand(t, c.Node(0).m, 0)
 	c.Stop()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Error("Send stranded in a stopped coalescer returned nil error")
+	for range 2 {
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Error("Send stranded in a stopped coalescer returned nil error")
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Send leaked: still blocked after Cluster.Stop")
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Send leaked: still blocked after Cluster.Stop")
 	}
+}
+
+// TestWindowClosesWhenLoopDrains pins the early close of a coalescer window:
+// right after the shard loop has run an event for the session while the
+// protocol has nothing queued. The window is an hour, so below the count and
+// byte budgets only that rule can close it.
+func TestWindowClosesWhenLoopDrains(t *testing.T) {
+	t.Run("loop_running_events", func(t *testing.T) {
+		// The clock keeps the loops running events, and an idle group has
+		// nothing queued: each lone Send leaves at the next event and
+		// confirms within a few rounds, not after the hour.
+		const sends, fewRounds = 10, 5
+		reg := obs.New()
+		cfg := liveConfig(3)
+		cfg.RoundDuration = 10 * time.Millisecond
+		cfg.BatchWindow = time.Hour
+		cfg.Metrics = reg
+		c := startCluster(t, cfg)
+		rounds := reg.Counter("rt_rounds_total")
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		for i := range sends {
+			r0 := rounds.Value()
+			if _, err := c.Node(0).Send(ctx, []byte("lone"), nil); err != nil {
+				t.Fatalf("send %d: %v: its window waited for the timer", i, err)
+			}
+			if took := rounds.Value() - r0; took > fewRounds {
+				t.Errorf("send %d confirmed %d rounds after it was made, want at most %d", i, took, fewRounds)
+			}
+		}
+	})
+
+	t.Run("outbox_backlogged", func(t *testing.T) {
+		// Behind a queued message the window stays open past every event
+		// and closes full, by count: batching under load is unchanged.
+		const budget, windows = 4, 3
+		reg := obs.New()
+		cfg := liveConfig(3)
+		cfg.Metrics = reg
+		backlogged(&cfg)
+		cfg.BatchMax = budget
+		c := startCluster(t, cfg)
+		m := c.Node(0).m
+		stranded := strand(t, m, 0) // its windowed Send is the first of the windows'
+		flushes := reg.Histogram(obs.Labeled("rt_coalesce_flush_msgs", "node", "0"), obs.LengthBuckets)
+		n0, sum0 := flushes.Count(), flushes.Sum()
+		loaded := make(chan error, budget*windows-1)
+		for range cap(loaded) {
+			go func() {
+				_, err := m.Send(context.Background(), 0, []byte("under load"), nil)
+				loaded <- err
+			}()
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		waitFor(t, ctx, 10*time.Second, "the windows never reached the protocol", func() bool {
+			var pending int
+			err := m.Snapshot(ctx, 0, func(p *core.Process) { pending = p.PendingSubmissions() })
+			return err == nil && pending == 1+budget*windows
+		})
+		if n, sum := flushes.Count()-n0, flushes.Sum()-sum0; n != windows || sum != budget*windows {
+			t.Errorf("%v submissions left the coalescer in %d flushes, want %d full windows of %d", sum, n, windows, budget)
+		}
+		// Nothing queued leaves within the hour: Stop ends every Send.
+		c.Stop()
+		for range cap(loaded) {
+			<-loaded
+		}
+		for range 2 {
+			<-stranded
+		}
+	})
 }
 
 // TestUDPOversizeSendCounted pins the transport-boundary bugfix: a frame

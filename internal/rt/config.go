@@ -39,10 +39,15 @@ type Config struct {
 	// comfortably exceed the link's delivery time: default 20ms over
 	// sockets, 2ms in process.
 	RoundDuration time.Duration
-	// BatchWindow enables the coalescing sender: Send/SendCausal calls
-	// arriving within this window (or until the BatchMax /
-	// core.DefaultBatchBytes budgets fill first) enter the loop goroutine as
-	// one inbox event and leave together as DataBatch frames. Zero disables coalescing: every
+	// BatchWindow enables the coalescing sender: concurrent Send/SendCausal
+	// calls share a window that enters the protocol as one submission step
+	// and leaves together as DataBatch frames. A window closes when the
+	// BatchMax / core.DefaultBatchBytes budgets fill, when the group's shard
+	// loop has just run an event for the group while its protocol has nothing
+	// queued,
+	// or when BatchWindow has passed since it opened, whichever comes first:
+	// under load windows follow the loop, and BatchWindow bounds only how
+	// long a Send waits on a quiet loop. Zero disables coalescing: every
 	// Send is its own inbox event and its own flush, so with BatchMax > 1 a
 	// subrun may carry up to BatchMax single-message Data frames of a member
 	// instead of fewer, wider DataBatch frames. Either way a subrun carries at

@@ -326,36 +326,26 @@ func conformLeave(t *testing.T, link string, groups int) {
 }
 
 // conformStopOpenWindow: Sends parked inside an open coalescer window when
-// the member stops are failed, in every group, never left hanging.
+// the member stops are failed, in every group, never left hanging — and so
+// is the message queued ahead of each window that holds it open (strand).
 func conformStopOpenWindow(t *testing.T, link string, groups int) {
-	c := startCell(t, link, groups, func(cfg *Config) { cfg.BatchWindow = time.Hour })
+	c := startCell(t, link, groups, backlogged)
 	m := c.members[0]
-	done := make(chan error, groups)
-	for g := uint32(0); g < uint32(groups); g++ {
-		go func() {
-			_, err := m.Send(context.Background(), g, []byte("stranded"), nil)
-			done <- err
-		}()
-	}
-	// Stop must race queued waiters, not unstarted goroutines.
-	deadline := time.Now().Add(5 * time.Second)
-	for _, s := range m.sessions {
-		for s.coal.Pending() == 0 {
-			if time.Now().After(deadline) {
-				t.Fatal("submission never entered the coalescer window")
-			}
-			time.Sleep(time.Millisecond)
-		}
+	done := make([]<-chan error, groups)
+	for g := range done {
+		done[g] = strand(t, m, uint32(g))
 	}
 	m.Stop()
-	for g := 0; g < groups; g++ {
-		select {
-		case err := <-done:
-			if err == nil {
-				t.Error("Send stranded in a stopped coalescer returned nil error")
+	for _, ch := range done {
+		for range 2 {
+			select {
+			case err := <-ch:
+				if err == nil {
+					t.Error("Send stranded in a stopped coalescer returned nil error")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Send leaked: still blocked after Stop")
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("Send leaked: still blocked after Stop")
 		}
 	}
 }

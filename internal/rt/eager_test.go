@@ -76,15 +76,28 @@ func TestUDPIdleSendSkipsTickWait(t *testing.T) {
 // once per coalescer flush, after the whole batch is queued, so a window's
 // worth leaves at once as ONE DataBatch — not a Data for the first message
 // and the rest at the tick. BatchMax closes the window on the fifth Send.
+// The window fills on a loop that runs no event meanwhile: an event would
+// close it early, the protocol having nothing queued, and a queued message
+// would take a share of the budget the full window needs. So rounds are an
+// hour long, and the Sends start once the first subrun is decided and the
+// deciding event has finished — after which nothing reaches member 0.
 func TestCoalescedWindowLeavesEagerlyAsOneFrame(t *testing.T) {
 	reg := obs.New()
 	const burst = 5
 	c := startCluster(t, Config{
 		Config:        core.Config{N: 3, K: 3, R: 8, SelfExclusion: true, BatchMax: burst},
-		RoundDuration: eagerRound,
+		RoundDuration: time.Hour,
 		BatchWindow:   time.Hour,
 		Metrics:       reg,
 	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	waitFor(t, ctx, 10*time.Second, "the group never decided its first subrun", func() bool {
+		return nodeCounter(reg, "rt_decisions_total", 0) > 0
+	})
+	if err := c.Node(0).Snapshot(ctx, func(*core.Process) {}); err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < burst; i++ {
 		wg.Add(1)

@@ -151,7 +151,9 @@ func (in *inbox) call(ctx context.Context, fn func()) error {
 }
 
 // run performs the event and recycles its record, and with it a control PDU
-// the event carried: neither may be used afterwards. Loop goroutine only.
+// the event carried: neither may be used afterwards. An event for a session
+// that coalesces ends by letting the session close its open window
+// (drainWindow). Loop goroutine only.
 func (in *inbox) run(e *event) {
 	switch e.kind {
 	case evCall:
@@ -166,6 +168,9 @@ func (in *inbox) run(e *event) {
 	case evFrame:
 		e.to.m.ingest(e.frame.buf, netip.AddrPort{}, e.to.shard)
 		e.frame.release()
+	}
+	if e.to != nil && e.to.coal != nil {
+		e.to.drainWindow()
 	}
 	*e = event{}
 	in.mu.Lock()

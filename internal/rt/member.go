@@ -491,3 +491,18 @@ func (s *session) submit(head *submission) {
 	}
 	s.conf.Submit(s.proc, s.obs, head)
 }
+
+// drainWindow submits the session's open coalescer window inline once the
+// protocol has nothing queued: the loop has just run an event for s, and
+// whatever was waiting behind the outbox has left, so holding the window
+// open would only wait out the timer. With a backlog queued the window stays
+// open and keeps filling — it would only join the queue. Loop goroutine
+// only; s has a coalescer.
+func (s *session) drainWindow() {
+	if s.proc.PendingSubmissions() > 0 {
+		return
+	}
+	if head := s.coal.drain(); head != nil {
+		s.submit(head)
+	}
+}
