@@ -26,9 +26,7 @@ fmt:
 # network and host, and the three protocols' clusters on it; ROADMAP item
 # 3(c)), then the root module's non-test Go
 # total (benchmark/ is its own module) and its number of internal/ packages:
-# the figures a simplicity change reports its net lines from. The probe CLI
-# list names the pre-merge directories too, so the same loop counts a
-# checkout of either side of the urcgc-ctl merge.
+# the figures a simplicity change reports its net lines from.
 loc:
 	@count() { label=$$1; shift; total=0; for p in "$$@"; do \
 		[ -e $$p ] || continue; \
@@ -37,7 +35,7 @@ loc:
 	done; printf '%-28s %5d\n' "$$label" $$total; }; \
 	count 'live runtime' internal/rt internal/topics internal/chaos; \
 	count 'operator surface' internal/nodehttp internal/health internal/inspect internal/stitch internal/probe \
-		internal/rt/status.go cmd/urcgc-node cmd/urcgc-ctl cmd/urcgc-inspect cmd/urcgc-trace cmd/urcgc-replay; \
+		internal/rt/status.go cmd/urcgc-node cmd/urcgc-ctl; \
 	count 'simulator host' internal/sim internal/simnet internal/core/cluster.go internal/cbcast/cluster.go \
 		internal/psync/cluster.go; \
 	printf '%-28s %5d\n' 'non-test Go' $$(find . \( -path ./benchmark -o -path ./.git \) -prune -o \

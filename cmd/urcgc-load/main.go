@@ -245,7 +245,7 @@ type loadCluster struct {
 
 func startCluster(cfg rt.Config, mesh bool) (*loadCluster, *obs.Registry, error) {
 	if mesh {
-		c, err := rt.NewMesh(cfg, rt.FamilyTopics)
+		c, err := rt.NewMesh(cfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -275,7 +275,7 @@ func startCluster(cfg rt.Config, mesh bool) (*loadCluster, *obs.Registry, error)
 			reg = obs.New()
 			nc.Metrics = reg
 		}
-		nodes[i], err = rt.NewMember(nc, rt.FamilyTopics)
+		nodes[i], err = rt.NewMember(nc)
 		if err != nil {
 			for _, n := range nodes[:i] {
 				n.Stop()

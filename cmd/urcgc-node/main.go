@@ -120,11 +120,13 @@ func main() {
 	}
 
 	var ring *capture.Ring
-	if *capFrames > 0 {
+	var captures []*capture.Ring // indexed by ProcID: this member's entry only
+	if *capFrames > 0 && *self >= 0 {
 		ring = capture.New(capture.Options{
 			Node: mid.ProcID(*self), N: cfg.N, K: cfg.K, R: cfg.R,
 			SelfExclusion: cfg.SelfExclusion, MaxFrames: *capFrames,
 		})
+		captures = append(make([]*capture.Ring, *self), ring)
 	}
 
 	var lcOpts *lifecycle.Options
@@ -141,14 +143,14 @@ func main() {
 		BatchWindow:   *batchWin,
 		Metrics:       reg,
 		Lifecycle:     lcOpts,
-		Capture:       ring,
+		Captures:      captures,
 		Logf:          log.Printf,
 		Observe: func(_ mid.ProcID, g uint32) core.Callbacks {
 			return core.Callbacks{OnJoined: func() {
 				fmt.Printf("member %d rejoined group %d (state transfer complete)\n", *self, g)
 			}}
 		},
-	}, rt.FamilyTopics) // the {node, group}-labelled series the health rules and urcgc-ctl read
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "urcgc-node:", err)
 		os.Exit(1)

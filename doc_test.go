@@ -11,6 +11,12 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"urcgc/internal/core"
+	"urcgc/internal/faultrt"
+	"urcgc/internal/lifecycle"
+	"urcgc/internal/obs"
+	"urcgc/internal/rt"
 )
 
 // docs are the prose files that cite tests, benchmarks and make targets.
@@ -190,6 +196,52 @@ func TestDocsCiteCodeThatExists(t *testing.T) {
 				}
 				if !slices.Contains(decls[pkg], ident) {
 					t.Errorf("%s cites %s.%s, which package %s does not declare", name, pkg, ident, pkg)
+				}
+			}
+		}
+	}
+}
+
+// TestDocsCiteSeriesThatExist fails when a doc cites, in backquotes, a
+// metric series the code does not register. A citation is a name with one of
+// the runtime's prefixes (rt_, core_, topics_, udp_, lifecycle_, faultrt_),
+// labels stripped; it may carry a histogram's _count, _sum or _bucket suffix
+// (core_stable_sum is a gauge's own name), and a trailing _* cites every name
+// with that prefix, of which one must exist. The
+// registered set is what a started two-group rt.Mesh with metrics, tracing
+// and a fault hook publishes.
+func TestDocsCiteSeriesThatExist(t *testing.T) {
+	reg := obs.New()
+	mesh, err := rt.NewMesh(rt.Config{
+		Config:    core.Config{N: 3, K: 3, R: 8, SelfExclusion: true},
+		Groups:    2,
+		Metrics:   reg,
+		Lifecycle: &lifecycle.Options{},
+		Fault:     faultrt.NewHook(faultrt.Multi{}, reg),
+		Logf:      func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh.Start() // registers the clock's series
+	mesh.Stop()
+	histogram := regexp.MustCompile(`_(count|sum_us)$`)
+	var registered []string
+	reg.VisitInts(func(name string, _ int64) {
+		name, _, _ = strings.Cut(name, "{")
+		registered = append(registered, histogram.ReplaceAllString(name, ""))
+	})
+	spans := regexp.MustCompile("`[^`\n]+`")
+	series := regexp.MustCompile(`\b((?:rt|core|topics|udp|lifecycle|faultrt)_[a-z0-9_]*[a-z0-9])(_\*)?`)
+	suffix := regexp.MustCompile(`_(count|sum|bucket)$`)
+	for name, text := range readDocs(t) {
+		for _, span := range spans.FindAllString(text, -1) {
+			for _, m := range series.FindAllStringSubmatch(span, -1) {
+				cited, base, prefix := m[1], suffix.ReplaceAllString(m[1], ""), m[2] != ""
+				if !slices.ContainsFunc(registered, func(r string) bool {
+					return r == cited || r == base || prefix && strings.HasPrefix(r, cited+"_")
+				}) {
+					t.Errorf("%s cites %s%s, which no code registers", name, m[1], m[2])
 				}
 			}
 		}

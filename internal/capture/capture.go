@@ -54,8 +54,8 @@ func (d Dir) String() string {
 }
 
 // Verdict is what the runtime did with a captured frame. The ingress
-// verdicts mirror the UDP reader's discard taxonomy one-for-one, so the
-// udp_drop_* counters are joinable to dumped frames.
+// verdicts mirror the datagram validator's discard taxonomy one-for-one, so
+// the topics_drop_* counters are joinable to dumped frames.
 type Verdict uint8
 
 const (
@@ -63,18 +63,18 @@ const (
 	Delivered Verdict = iota
 	// Sent: the frame left this member with a clean fault verdict.
 	Sent
-	// DropShort: the envelope did not parse (udp_drop_short_total).
+	// DropShort: the envelope did not parse (topics_drop_envelope_total).
 	DropShort
 	// DropBadSrc: the claimed source is outside the group
-	// (udp_drop_badsrc_total).
+	// (topics_drop_badsrc_total).
 	DropBadSrc
-	// DropDecode: the PDU body did not decode (udp_drop_decode_total).
+	// DropDecode: the PDU body did not decode (topics_drop_decode_total).
 	DropDecode
 	// DropOversize: the frame exceeded the datagram limit, in either
-	// direction (udp_drop_oversize_total / udp_send_oversize_total).
+	// direction (topics_drop_oversize_total / topics_send_oversize_total).
 	DropOversize
 	// DropGroup: the frame addressed a group this member does not host
-	// (topics_drop_group_total), or a non-zero group on a single-group node.
+	// (topics_drop_group_total), a non-zero group on a single-group member.
 	DropGroup
 	// DropInbox: the frame was valid but the protocol inbox (or shard
 	// inbox) was full — an overload omission.

@@ -360,7 +360,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			cb.OnJoined = func() { s.joined[node][group].Add(1) }
 			return cb
 		},
-	}, rt.FamilyTopics)
+	})
 	if err != nil {
 		return nil, err
 	}

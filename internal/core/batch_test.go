@@ -122,16 +122,7 @@ func TestBatchSplitsToByteBudget(t *testing.T) {
 	cfg := baseCfg(3)
 	cfg.BatchMax = 16
 	tp := &captureTP{}
-	var batchCalls, batchMsgs int
-	p, err := NewProcess(0, cfg, tp, Callbacks{
-		OnBatchBroadcast: func(msgs, bytes int) {
-			batchCalls++
-			batchMsgs += msgs
-			if bytes > DefaultBatchBytes {
-				t.Errorf("OnBatchBroadcast reported %d bytes, budget %d", bytes, DefaultBatchBytes)
-			}
-		},
-	})
+	p, err := NewProcess(0, cfg, tp, Callbacks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +136,13 @@ func TestBatchSplitsToByteBudget(t *testing.T) {
 	p.StartRound(0)
 
 	var got []mid.MID
+	var batchFrames, batchMsgs int
 	frames := tp.dataFrames()
 	for _, f := range frames {
 		switch v := f.(type) {
 		case *wire.DataBatch:
+			batchFrames++
+			batchMsgs += len(v.Msgs)
 			if len(v.Msgs) < 2 {
 				t.Errorf("DataBatch frame with %d messages; singletons must travel as Data", len(v.Msgs))
 			}
@@ -173,8 +167,8 @@ func TestBatchSplitsToByteBudget(t *testing.T) {
 			t.Fatalf("frame traversal yields %v at position %d, want %v (submission order)", id, k, want)
 		}
 	}
-	if p.Stats.Batches != 2 || batchCalls != 2 || batchMsgs != 6 {
-		t.Errorf("Stats.Batches=%d batchCalls=%d batchMsgs=%d, want 2/2/6", p.Stats.Batches, batchCalls, batchMsgs)
+	if p.Stats.Batches != 2 || batchFrames != 2 || batchMsgs != 6 {
+		t.Errorf("Stats.Batches=%d batchFrames=%d batchMsgs=%d, want 2/2/6", p.Stats.Batches, batchFrames, batchMsgs)
 	}
 	if p.Stats.Generated != 7 {
 		t.Errorf("Stats.Generated=%d, want 7", p.Stats.Generated)

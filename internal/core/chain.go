@@ -7,24 +7,21 @@ package core
 // measurements, checker feed and ClusterConfig.Observe.
 func Chain(a, b Callbacks) Callbacks {
 	return Callbacks{
-		OnGenerate:       then1(a.OnGenerate, b.OnGenerate),
-		OnBroadcast:      then1(a.OnBroadcast, b.OnBroadcast),
-		OnBatchBroadcast: then2(a.OnBatchBroadcast, b.OnBatchBroadcast),
-		OnWait:           then2(a.OnWait, b.OnWait),
-		OnStable:         then1(a.OnStable, b.OnStable),
-		OnProcess:        then1(a.OnProcess, b.OnProcess),
-		OnDiscard:        then1(a.OnDiscard, b.OnDiscard),
-		OnLeave:          then1(a.OnLeave, b.OnLeave),
-		OnDecision:       then1(a.OnDecision, b.OnDecision),
-		OnRoundEnd:       then1(a.OnRoundEnd, b.OnRoundEnd),
-		OnRecover:        then2(a.OnRecover, b.OnRecover),
-		OnRetransmit:     then2(a.OnRetransmit, b.OnRetransmit),
-		OnCrashDeclared:  then1(a.OnCrashDeclared, b.OnCrashDeclared),
-		OnSubrunStart:    then2(a.OnSubrunStart, b.OnSubrunStart),
-		OnViewChange:     then1(a.OnViewChange, b.OnViewChange),
-		OnJoinInstalled:  then1(a.OnJoinInstalled, b.OnJoinInstalled),
-		OnJoined:         then0(a.OnJoined, b.OnJoined),
-		OnFastForward:    then2(a.OnFastForward, b.OnFastForward),
+		OnGenerate:      then1(a.OnGenerate, b.OnGenerate),
+		OnBroadcast:     then1(a.OnBroadcast, b.OnBroadcast),
+		OnWait:          then2(a.OnWait, b.OnWait),
+		OnStable:        then1(a.OnStable, b.OnStable),
+		OnProcess:       then1(a.OnProcess, b.OnProcess),
+		OnDiscard:       then1(a.OnDiscard, b.OnDiscard),
+		OnLeave:         then1(a.OnLeave, b.OnLeave),
+		OnDecision:      then1(a.OnDecision, b.OnDecision),
+		OnRoundEnd:      then1(a.OnRoundEnd, b.OnRoundEnd),
+		OnCrashDeclared: then1(a.OnCrashDeclared, b.OnCrashDeclared),
+		OnSubrunStart:   then2(a.OnSubrunStart, b.OnSubrunStart),
+		OnViewChange:    then1(a.OnViewChange, b.OnViewChange),
+		OnJoinInstalled: then1(a.OnJoinInstalled, b.OnJoinInstalled),
+		OnJoined:        then0(a.OnJoined, b.OnJoined),
+		OnFastForward:   then2(a.OnFastForward, b.OnFastForward),
 	}
 }
 

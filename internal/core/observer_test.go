@@ -67,21 +67,15 @@ func TestOnCrashDeclaredAtCoordinator(t *testing.T) {
 	}
 }
 
-// TestOnRecoverAndOnRetransmit checks both ends of a history recovery.
-func TestOnRecoverAndOnRetransmit(t *testing.T) {
+// TestRecoverAndRetransmitPDUs checks both ends of a history recovery on
+// the PDUs the transport records: the RECOVER a behind member sends, and the
+// RETRANSMIT that answers it, with what each carries.
+func TestRecoverAndRetransmitPDUs(t *testing.T) {
 	cfg := Config{N: 3, K: 2, R: 5, SelfExclusion: true}
 
 	// Requester side: a decision proves p0 is behind on p1's sequence.
 	tp := &capture{}
-	var recovers []mid.ProcID
-	p, err := NewProcess(0, cfg, tp, Callbacks{
-		OnRecover: func(holder mid.ProcID, ranges int) {
-			if ranges != 1 {
-				t.Errorf("ranges = %d, want 1", ranges)
-			}
-			recovers = append(recovers, holder)
-		},
-	})
+	p, err := NewProcess(0, cfg, tp, Callbacks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,21 +92,22 @@ func TestOnRecoverAndOnRetransmit(t *testing.T) {
 		FullGroup:    true,
 	}
 	p.Recv(1, d)
+	var recovers []mid.ProcID
+	for _, c := range tp.sends {
+		if r, ok := c.pdu.(*wire.Recover); ok {
+			if len(r.Wants) != 1 {
+				t.Errorf("ranges = %d, want 1", len(r.Wants))
+			}
+			recovers = append(recovers, c.dst)
+		}
+	}
 	if len(recovers) != 1 || recovers[0] != 1 {
 		t.Fatalf("recovers = %v, want [1]", recovers)
 	}
 
 	// Responder side: p1 holds its own messages and answers a RECOVER.
 	tp1 := &capture{}
-	var answered []int
-	p1, err := NewProcess(1, cfg, tp1, Callbacks{
-		OnRetransmit: func(requester mid.ProcID, msgs int) {
-			if requester != 0 {
-				t.Errorf("requester = %v, want 0", requester)
-			}
-			answered = append(answered, msgs)
-		},
-	})
+	p1, err := NewProcess(1, cfg, tp1, Callbacks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,6 +116,15 @@ func TestOnRecoverAndOnRetransmit(t *testing.T) {
 	}
 	p1.StartRound(0) // broadcasts and stores (1,1) in history
 	p1.Recv(0, &wire.Recover{Requester: 0, Wants: []wire.WantRange{{Proc: 1, From: 1, To: 1}}})
+	var answered []int
+	for _, c := range tp1.sends {
+		if r, ok := c.pdu.(*wire.Retransmit); ok {
+			if c.dst != 0 {
+				t.Errorf("requester = %v, want 0", c.dst)
+			}
+			answered = append(answered, len(r.Msgs))
+		}
+	}
 	if len(answered) != 1 || answered[0] != 1 {
 		t.Fatalf("answered = %v, want [1]", answered)
 	}

@@ -219,11 +219,6 @@ type Callbacks struct {
 	// the outbox onto the wire (broadcast may lag generation by rounds:
 	// at most BatchMax per subrun, deferred further by flow control).
 	OnBroadcast func(m *causal.Message)
-	// OnBatchBroadcast is invoked once per multi-message DataBatch frame
-	// broadcast, with the message count and encoded frame size. The
-	// per-message OnBroadcast still fires for every member; singleton
-	// sends travel as classic Data and never reach this callback.
-	OnBatchBroadcast func(msgs, bytes int)
 	// OnWait is invoked when a received message parks in the waiting list
 	// because its causal dependencies are not yet satisfied. missing
 	// lists the unmet dependencies; it is backed by a scratch buffer
@@ -250,12 +245,6 @@ type Callbacks struct {
 	// OnRoundEnd is invoked after every StartRound with the buffer gauges
 	// of the moment — the live counterpart of the Figure 6 history curves.
 	OnRoundEnd func(o RoundObservation)
-	// OnRecover is invoked for every RECOVER this process sends: holder is
-	// the most-updated member asked, ranges how many sequence ranges.
-	OnRecover func(holder mid.ProcID, ranges int)
-	// OnRetransmit is invoked for every RECOVER this process answers from
-	// history: requester is who asked, msgs how many messages were resent.
-	OnRetransmit func(requester mid.ProcID, msgs int)
 	// OnCrashDeclared is invoked when this process's view transitions a
 	// member from believed-alive to declared-crashed, whether it made the
 	// declaration as coordinator or adopted it from a decision.
@@ -884,7 +873,7 @@ func (p *Process) broadcastOutbox() {
 			size += msgBodySize(taken[end])
 			end++
 		}
-		p.broadcastFrame(taken[start:end], size)
+		p.broadcastFrame(taken[start:end])
 		start = end
 	}
 	clear(taken) // the history owns them now; scratch must not pin them past their cleaning
@@ -892,7 +881,7 @@ func (p *Process) broadcastOutbox() {
 	p.cascade()
 }
 
-func (p *Process) broadcastFrame(batch []*causal.Message, encoded int) {
+func (p *Process) broadcastFrame(batch []*causal.Message) {
 	if len(batch) == 1 {
 		m := batch[0]
 		p.Stats.Generated++
@@ -914,9 +903,6 @@ func (p *Process) broadcastFrame(batch []*causal.Message, encoded int) {
 	p.tp.Broadcast(pdu)
 	clear(pdu.Msgs)
 	pdu.Msgs = pdu.Msgs[:0]
-	if p.cb.OnBatchBroadcast != nil {
-		p.cb.OnBatchBroadcast(len(batch), encoded)
-	}
 	for _, m := range batch {
 		if p.cb.OnBroadcast != nil {
 			p.cb.OnBroadcast(m)
@@ -1491,9 +1477,6 @@ func (p *Process) requestRecovery(d *wire.Decision) {
 			continue
 		}
 		p.Stats.Recoveries++
-		if p.cb.OnRecover != nil {
-			p.cb.OnRecover(holder, len(wants))
-		}
 		p.tp.Send(holder, &wire.Recover{Requester: p.id, Wants: wants})
 	}
 }
@@ -1520,9 +1503,6 @@ func (p *Process) handleRecover(r *wire.Recover) {
 		return
 	}
 	p.Stats.Retransmits++
-	if p.cb.OnRetransmit != nil {
-		p.cb.OnRetransmit(r.Requester, len(msgs))
-	}
 	p.tp.Send(r.Requester, &wire.Retransmit{Responder: p.id, Msgs: msgs, Compacted: compacted})
 }
 

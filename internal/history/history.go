@@ -58,6 +58,7 @@ type entry struct {
 	base  mid.Seq
 	start int
 	msgs  []*causal.Message
+	peak  int // the most retained at once since the last compaction
 }
 
 // live returns the retained suffix.
@@ -74,8 +75,12 @@ const keepCap = 64
 // cleaned in turn — every sequence, in the steady state — never allocates,
 // and the copying stays O(1) per purged message. Only an array that a burst
 // left more than three quarters idle (and larger than keepCap) is traded for
-// one half its size, so a burst cannot pin its peak for good.
+// a smaller one: half its size, but never below the most the entry retained
+// since the previous compaction, so a suffix that swings between a few
+// messages and most of the array finds room when it swings back and does not
+// trade arrays every cycle, while a burst that is over is still given back.
 func (e *entry) purge(drop int) {
+	e.peak = max(e.peak, len(e.msgs)-e.start)
 	clear(e.msgs[e.start : e.start+drop])
 	e.start += drop
 	if e.start*2 < len(e.msgs) {
@@ -84,9 +89,10 @@ func (e *entry) purge(drop int) {
 	live := copy(e.msgs, e.msgs[e.start:])
 	clear(e.msgs[live:])
 	e.msgs, e.start = e.msgs[:live], 0
-	if c := cap(e.msgs); c > keepCap && live < c/4 {
-		e.msgs = append(make([]*causal.Message, 0, c/2), e.msgs...)
+	if c, keep := cap(e.msgs), max(cap(e.msgs)/2, e.peak, keepCap); live < c/4 && keep < c {
+		e.msgs = append(make([]*causal.Message, 0, keep), e.msgs...)
 	}
+	e.peak = live
 }
 
 // History is the per-process history buffer. It is not safe for concurrent

@@ -404,6 +404,43 @@ func TestCapacityKeptAcrossCleanStoreCycles(t *testing.T) {
 	}
 }
 
+// TestSwingingSuffixKeepsItsArray: a sender whose retained suffix swings
+// between a few messages and most of the array every cycle — a busy sender
+// whose stability catches up in steps — must not trade arrays. Halving the
+// array at each compaction that finds it three quarters idle, for the next
+// swing to regrow it, costs two allocations a cycle.
+func TestSwingingSuffixKeepsItsArray(t *testing.T) {
+	const few, swing, cycles = 4, 196, 110
+	h := New(1)
+	msgs := make([]*causal.Message, 0, few+swing*cycles)
+	for s := mid.Seq(1); len(msgs) < cap(msgs); s++ {
+		msgs = append(msgs, msg(0, s))
+	}
+	next := 0
+	store := func(k int) {
+		for ; k > 0; k-- {
+			if err := h.Store(msgs[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	}
+	store(few)
+	cycle := func() {
+		store(swing) // few + swing retained: most of the array
+		h.CleanTo(mid.SeqVector{mid.Seq(next - few)})
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Errorf("a cycle swinging the retained suffix between %d and %d allocates %.1f objects, want 0", few, few+swing, got)
+	}
+	if h.Len() != few {
+		t.Errorf("Len = %d, want %d", h.Len(), few)
+	}
+}
+
 // TestBurstCapacityIsGivenBack: keeping the array must not mean keeping a
 // burst's peak for good. After 10 000 messages are stored and purged, the
 // steady trickle that follows walks the array back down to keepCap.

@@ -60,7 +60,7 @@ func TestInspectSmoke(t *testing.T) {
 			Peers:         peers,
 			RoundDuration: 3 * time.Millisecond,
 			Metrics:       reg,
-		}, rt.FamilyTopics)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestInspectPartitionRecovery(t *testing.T) {
 		RoundDuration: round,
 		Metrics:       reg,
 		Fault:         hook,
-	}, rt.FamilyTopics)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ func (o Options) fill() Options {
 type Tracer struct {
 	opts   Options
 	node   mid.ProcID
-	group  int // hosted-group id, or -1 on single-group members
+	group  int // hosted-group id
 	events *obs.EventLog
 
 	// Pre-resolved instruments; all nil when no registry was given.
@@ -166,27 +166,17 @@ type Tracer struct {
 	clock func() time.Time // test seam; time.Now outside tests
 }
 
-// New returns a tracer for member node of a group of n. reg, when non-nil,
-// receives the stage-latency histograms and the watchdog counter (series
-// labeled with the node); its event log receives watchdog flags.
-func New(node mid.ProcID, n int, opts Options, reg *obs.Registry) *Tracer {
-	return newTracer(node, n, -1, opts, reg)
-}
-
-// NewGroup returns a tracer for member node of hosted group `group` on a
-// multi-group member: every instrument series carries node AND group labels
-// (matching the per-group series rt.NewNodeObs emits for internal/topics),
-// watchdog lines name the group, and Report carries it — the join key the
-// cross-node stitcher needs, since MIDs recur across groups.
-func NewGroup(node mid.ProcID, n int, group uint32, opts Options, reg *obs.Registry) *Tracer {
-	return newTracer(node, n, int(group), opts, reg)
-}
-
-func newTracer(node mid.ProcID, n, group int, opts Options, reg *obs.Registry) *Tracer {
+// New returns a tracer for member node of hosted group `group` (of n
+// members). reg, when non-nil, receives the stage-latency histograms and the
+// watchdog counter, every series labelled with the node and the group (the
+// labels of the runtime's per-entity series), and its event log receives
+// watchdog flags naming both. Report carries the group too: MIDs recur
+// across groups, so (group, MID) is the cross-node stitcher's join key.
+func New(node mid.ProcID, n int, group uint32, opts Options, reg *obs.Registry) *Tracer {
 	t := &Tracer{
 		opts:    opts.fill(),
 		node:    node,
-		group:   group,
+		group:   int(group),
 		byID:    make(map[mid.MID]*Span),
 		decided: mid.NewSeqVector(n),
 		stable:  mid.NewSeqVector(n),
@@ -195,10 +185,7 @@ func newTracer(node mid.ProcID, n, group int, opts Options, reg *obs.Registry) *
 	t.ring = make([]*Span, t.opts.Capacity)
 	if reg != nil {
 		t.events = reg.Events()
-		kv := []string{"node", strconv.Itoa(int(node))}
-		if group >= 0 {
-			kv = append(kv, "group", strconv.Itoa(group))
-		}
+		kv := []string{"node", strconv.Itoa(int(node)), "group", strconv.Itoa(t.group)}
 		l := func(name string) string { return obs.Labeled(name, kv...) }
 		t.emitToProcess = reg.Histogram(l("lifecycle_emit_to_process_seconds"), obs.DurationBuckets)
 		t.waitlist = reg.Histogram(l("lifecycle_waitlist_seconds"), obs.DurationBuckets)
@@ -211,15 +198,6 @@ func newTracer(node mid.ProcID, n, group int, opts Options, reg *obs.Registry) *
 		}
 	}
 	return t
-}
-
-// Group returns the hosted-group id this tracer is tagged with, or -1 for
-// a single-group member's tracer. Nil-safe.
-func (t *Tracer) Group() int {
-	if t == nil {
-		return -1
-	}
-	return t.group
 }
 
 // get returns the span for id, creating it at now on first observation.
@@ -454,13 +432,8 @@ func (t *Tracer) Tick() {
 					blame = " (" + b + ")"
 				}
 			}
-			if t.group >= 0 {
-				t.events.Addf("lifecycle: node=%d group=%d %v stuck waiting %v, blocked on %v%s",
-					t.node, t.group, f.id, f.waited.Round(time.Millisecond), f.blocking, blame)
-			} else {
-				t.events.Addf("lifecycle: node=%d %v stuck waiting %v, blocked on %v%s",
-					t.node, f.id, f.waited.Round(time.Millisecond), f.blocking, blame)
-			}
+			t.events.Addf("lifecycle: node=%d group=%d %v stuck waiting %v, blocked on %v%s",
+				t.node, t.group, f.id, f.waited.Round(time.Millisecond), f.blocking, blame)
 		}
 	}
 }

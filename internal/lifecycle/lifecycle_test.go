@@ -18,7 +18,7 @@ func fakeClock(t *Tracer) func(time.Duration) {
 
 func TestSpanHappyPath(t *testing.T) {
 	reg := obs.New()
-	tr := New(0, 3, Options{}, reg)
+	tr := New(0, 3, 0, Options{}, reg)
 	advance := fakeClock(tr)
 	id := mid.MID{Proc: 0, Seq: 1}
 
@@ -55,16 +55,16 @@ func TestSpanHappyPath(t *testing.T) {
 	if got := s.EndToEnd(); got != 3*time.Millisecond {
 		t.Errorf("end-to-end = %v, want 3ms", got)
 	}
-	if h := reg.Histogram(obs.Labeled("lifecycle_emit_to_process_seconds", "node", "0"), nil); h.Count() != 1 {
+	if h := reg.Histogram(obs.Labeled("lifecycle_emit_to_process_seconds", "node", "0", "group", "0"), nil); h.Count() != 1 {
 		t.Errorf("emit_to_process count = %d", h.Count())
 	}
-	if h := reg.Histogram(obs.Labeled("lifecycle_stability_lag_seconds", "node", "0", "sender", "0"), nil); h.Count() != 1 {
+	if h := reg.Histogram(obs.Labeled("lifecycle_stability_lag_seconds", "node", "0", "group", "0", "sender", "0"), nil); h.Count() != 1 {
 		t.Errorf("stability_lag count = %d", h.Count())
 	}
 }
 
 func TestWaitingClonesBlockingList(t *testing.T) {
-	tr := New(1, 3, Options{}, nil)
+	tr := New(1, 3, 0, Options{}, nil)
 	fakeClock(tr)
 	id := mid.MID{Proc: 0, Seq: 2}
 	scratch := mid.DepList{{Proc: 0, Seq: 1}}
@@ -82,7 +82,7 @@ func TestWaitingClonesBlockingList(t *testing.T) {
 }
 
 func TestOutOfOrderStageObservations(t *testing.T) {
-	tr := New(0, 3, Options{}, nil)
+	tr := New(0, 3, 0, Options{}, nil)
 	advance := fakeClock(tr)
 
 	// A decision and full-group stability arrive before the message itself
@@ -119,7 +119,7 @@ func TestOutOfOrderStageObservations(t *testing.T) {
 }
 
 func TestDiscardedOutcome(t *testing.T) {
-	tr := New(0, 3, Options{}, nil)
+	tr := New(0, 3, 0, Options{}, nil)
 	advance := fakeClock(tr)
 	id := mid.MID{Proc: 1, Seq: 5}
 	tr.Waiting(id, mid.DepList{{Proc: 1, Seq: 4}})
@@ -142,7 +142,7 @@ func TestDiscardedOutcome(t *testing.T) {
 
 func TestWatchdogFlagsStuckSpans(t *testing.T) {
 	reg := obs.New()
-	tr := New(0, 3, Options{SlowThreshold: 100 * time.Millisecond}, reg)
+	tr := New(0, 3, 0, Options{SlowThreshold: 100 * time.Millisecond}, reg)
 	advance := fakeClock(tr)
 
 	stuck := mid.MID{Proc: 1, Seq: 7}
@@ -161,7 +161,7 @@ func TestWatchdogFlagsStuckSpans(t *testing.T) {
 	if c := tr.Counts(); c.Flagged != 1 {
 		t.Fatalf("flagged = %d, want 1", c.Flagged)
 	}
-	if got := reg.Counter(obs.Labeled("lifecycle_slow_messages_total", "node", "0")).Value(); got != 1 {
+	if got := reg.Counter(obs.Labeled("lifecycle_slow_messages_total", "node", "0", "group", "0")).Value(); got != 1 {
 		t.Fatalf("slow counter = %d", got)
 	}
 	var sb strings.Builder
@@ -182,7 +182,7 @@ func TestWatchdogFlagsStuckSpans(t *testing.T) {
 }
 
 func TestRingEvictionAccounting(t *testing.T) {
-	tr := New(0, 3, Options{Capacity: 2}, nil)
+	tr := New(0, 3, 0, Options{Capacity: 2}, nil)
 	fakeClock(tr)
 	for s := mid.Seq(1); s <= 3; s++ {
 		tr.Processed(mid.MID{Proc: 0, Seq: s})
@@ -225,7 +225,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 }
 
 func TestReportShapes(t *testing.T) {
-	tr := New(2, 3, Options{SlowThreshold: time.Second}, nil)
+	tr := New(2, 3, 0, Options{SlowThreshold: time.Second}, nil)
 	advance := fakeClock(tr)
 	waiting := mid.MID{Proc: 0, Seq: 1}
 	tr.Waiting(waiting, mid.DepList{{Proc: 1, Seq: 3}})
@@ -258,7 +258,7 @@ func TestReportShapes(t *testing.T) {
 func TestWatchdogBlamesInjectedFaults(t *testing.T) {
 	reg := obs.New()
 	var asked []mid.MID
-	tr := New(0, 3, Options{
+	tr := New(0, 3, 0, Options{
 		SlowThreshold: 100 * time.Millisecond,
 		Blame: func(blocking []mid.MID) string {
 			asked = append(asked, blocking...)

@@ -107,9 +107,7 @@ func (s *Span) View(now time.Time) SpanView {
 // (the watchdog's view), and the most recently completed ones.
 type Report struct {
 	Node int `json:"node"`
-	// Group is the hosted-group id on a multi-group member, 0 for a
-	// single-group member (whose frames are wire-compatible with group 0).
-	// MIDs recur across groups — each group is an independent sequence
+	// Group is the hosted-group id. MIDs recur across groups — each group is an independent sequence
 	// space — so (group, mid) is the cross-node join key, not mid alone.
 	Group         int        `json:"group"`
 	Now           string     `json:"now"`
@@ -136,13 +134,9 @@ func (t *Tracer) Report(slowN, recentN int) Report {
 	}
 	t.Tick()
 	now := t.clock()
-	group := t.group
-	if group < 0 {
-		group = 0 // single-group members speak group 0 on the wire
-	}
 	r := Report{
 		Node:          int(t.node),
-		Group:         group,
+		Group:         t.group,
 		Now:           stamp(now),
 		NowNs:         stampNs(now),
 		SlowThreshold: t.opts.SlowThreshold.String(),

@@ -44,7 +44,7 @@ func newMultiFixture(t *testing.T, groups int) *multiFixture {
 		f.reg.Gauge(l("core_waiting_len"))
 		f.reg.Counter(l("rt_processed_total"))
 		f.reg.Gauge(l("core_stable_sum"))
-		f.tracers = append(f.tracers, lifecycle.NewGroup(0, 3, uint32(g),
+		f.tracers = append(f.tracers, lifecycle.New(0, 3, uint32(g),
 			lifecycle.Options{SlowThreshold: time.Hour}, f.reg))
 	}
 	return f
@@ -179,7 +179,7 @@ func TestOneShapeAtEveryG(t *testing.T) {
 			Groups:    groups,
 			Metrics:   reg,
 			Lifecycle: &lifecycle.Options{SlowThreshold: time.Hour},
-		}, rt.FamilyTopics)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

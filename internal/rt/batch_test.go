@@ -279,7 +279,7 @@ func TestWindowClosesWhenLoopDrains(t *testing.T) {
 		c := startCluster(t, cfg)
 		m := c.Node(0).m
 		stranded := strand(t, m, 0) // its windowed Send is the first of the windows'
-		flushes := reg.Histogram(obs.Labeled("rt_coalesce_flush_msgs", "node", "0"), obs.LengthBuckets)
+		flushes := reg.Histogram(obs.Labeled("rt_coalesce_flush_msgs", "node", "0", "group", "0"), obs.LengthBuckets)
 		n0, sum0 := flushes.Count(), flushes.Sum()
 		loaded := make(chan error, budget*windows-1)
 		for range cap(loaded) {
@@ -342,9 +342,9 @@ func TestUDPOversizeSendCounted(t *testing.T) {
 		t.Fatalf("oversize-on-wire send must still confirm locally: %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for reg.Counter("udp_send_oversize_total").Value() == 0 {
+	for reg.Counter("topics_send_oversize_total").Value() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("udp_send_oversize_total never incremented for a >64KiB frame")
+			t.Fatal("topics_send_oversize_total never incremented for a >64KiB frame")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -367,7 +367,7 @@ func TestUDPBatchedGroupConverges(t *testing.T) {
 	})
 	sendEach(t, nodes, perNode)
 	awaitProcessed(t, nodes, mid.SeqVector{perNode, perNode, perNode})
-	if reg.Counter("udp_send_oversize_total").Value() != 0 {
+	if reg.Counter("topics_send_oversize_total").Value() != 0 {
 		t.Error("batched traffic tripped the oversize guard; the batcher must split to the datagram budget")
 	}
 }

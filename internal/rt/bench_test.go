@@ -27,7 +27,7 @@ var liveGroup = core.Config{N: 5, K: 3, R: 8, SelfExclusion: true}
 func benchLiveConfirm(b *testing.B, cfg Config) {
 	cfg.Config = liveGroup
 	cfg.RoundDuration = 200 * time.Microsecond
-	mesh, err := NewMesh(cfg, FamilyTopics)
+	mesh, err := NewMesh(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

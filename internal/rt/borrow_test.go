@@ -200,7 +200,7 @@ func TestMallocsPerConfirmedMessage(t *testing.T) {
 			if c.batch {
 				cfg.BatchMax, cfg.BatchWindow = 32, 100*time.Microsecond
 			}
-			mesh, err := NewMesh(cfg, FamilyTopics)
+			mesh, err := NewMesh(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

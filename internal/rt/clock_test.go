@@ -34,16 +34,14 @@ func TestSkippedTicksAreCaughtUp(t *testing.T) {
 		Peers:         freePorts(t, n),
 		RoundDuration: round,
 		Metrics:       reg,
+		Captures:      []*capture.Ring{ring},
 		Logf:          t.Logf,
 	}
 	var swallow atomic.Int32
 	members := make([]*Member, n)
 	for i := range members {
-		cfg.Self, cfg.Capture = mid.ProcID(i), nil
-		if i == 0 {
-			cfg.Capture = ring
-		}
-		m, err := NewMember(cfg, FamilyUDP)
+		cfg.Self = mid.ProcID(i)
+		m, err := NewMember(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,8 +93,8 @@ func TestSkippedTicksAreCaughtUp(t *testing.T) {
 		swallow.Store(lost)
 		elapse(3 * int64(cfg.K)) // K subruns out of phase would have excluded it by now
 	}
-	if got := reg.Counter("udp_ticks_skipped_total").Value(); got < 4 {
-		t.Errorf("udp_ticks_skipped_total = %d after 4 swallowed ticks", got)
+	if got := reg.Counter("topics_ticks_skipped_total").Value(); got < 4 {
+		t.Errorf("topics_ticks_skipped_total = %d after 4 swallowed ticks", got)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

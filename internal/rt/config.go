@@ -60,9 +60,9 @@ type Config struct {
 	// IndicationDepth bounds each group's indication queue. Default 4096.
 	IndicationDepth int
 	// Metrics, when non-nil, receives live counters, gauges and histograms
-	// for every hosted protocol entity (series carry a node label, and a
-	// group label on multi-group members), socket-level accounting, and
-	// trace events for by-design omissions. Nil costs nothing.
+	// for every hosted protocol entity (series labelled {node, group}, group
+	// "0" included), the topics_* link counters, and trace events for
+	// by-design omissions. Nil costs nothing.
 	Metrics *obs.Registry
 	// Lifecycle, when non-nil, enables per-message lifecycle tracing on
 	// every hosted entity (spans readable via Lifecycle, histograms fed into
@@ -82,15 +82,12 @@ type Config struct {
 	// would otherwise be silently recovered and invisible. Nil means
 	// log.Printf.
 	Logf func(format string, args ...any)
-	// Capture, when non-nil, records every frame crossing this member's
-	// link — ingress with the validator's verdict, egress with the fault
-	// verdict, every group on the one ring — into a bounded flight recorder
-	// served on /capture and replayable offline by urcgc-ctl replay. Nil costs
-	// one pointer check per frame and zero allocations.
-	Capture *capture.Ring
-	// Captures is Capture for an in-process cluster: one recorder per member
-	// (indexed by ProcID; nil entries and members past the slice length are
-	// disabled).
+	// Captures holds one flight recorder per member, indexed by ProcID: a
+	// member's entry, when non-nil, records every frame crossing its link —
+	// ingress with the validator's verdict, egress with the fault verdict,
+	// every group on the one ring — served on /capture and replayable offline
+	// by urcgc-ctl replay. A nil entry, or a member past the slice's length,
+	// costs one pointer check per frame and zero allocations.
 	Captures []*capture.Ring
 	// Observe, when non-nil, is asked once per protocol entity — every
 	// hosted group at construction, and again for each restarted
@@ -105,27 +102,6 @@ type Config struct {
 // deployment the paper's concluding remarks describe as the prototype over
 // an Ethernet LAN.
 type UDPConfig = Config
-
-// Family is the metric vocabulary a facade's members publish: the prefix of
-// the link-level counters, and whether per-entity series carry a group label.
-// Both vocabularies predate the one runtime and have consumers of their own
-// (dashboards, the health rules, the end-to-end benchmark), so each facade
-// keeps its.
-type Family string
-
-const (
-	// FamilyNone publishes no link-level counters and per-node series: an
-	// rt.Cluster, whose in-process link has no socket to account for.
-	FamilyNone Family = ""
-	// FamilyUDP publishes udp_* counters and per-node series: rt.UDPNode.
-	FamilyUDP Family = "udp"
-	// FamilyTopics publishes topics_* counters and per-(node, group) series:
-	// topics.MultiNode and topics.MultiCluster.
-	FamilyTopics Family = "topics"
-)
-
-// grouped reports whether per-entity series and spans carry a group label.
-func (f Family) grouped() bool { return f == FamilyTopics }
 
 // fill sets the defaults; inProcess selects the in-process link's.
 func (c *Config) fill(inProcess bool) {

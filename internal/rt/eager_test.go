@@ -53,7 +53,7 @@ func TestMeshIdleSendSkipsTickWait(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		if got := nodeCounter(reg, "rt_eager_broadcasts_total", i); got != 1 {
-			t.Errorf("rt_eager_broadcasts_total{node=%d} = %d, want 1", i, got)
+			t.Errorf("rt_eager_broadcasts_total{node=%d,group=0} = %d, want 1", i, got)
 		}
 	}
 }
@@ -113,7 +113,7 @@ func TestCoalescedWindowLeavesEagerlyAsOneFrame(t *testing.T) {
 		t.Errorf("the window left as %d DataBatch frames carrying %d messages, want 1 carrying %d", frames, msgs, burst)
 	}
 	if got := nodeCounter(reg, "rt_eager_broadcasts_total", 0); got != 1 {
-		t.Errorf("rt_eager_broadcasts_total{node=0} = %d, want 1", got)
+		t.Errorf("rt_eager_broadcasts_total{node=0,group=0} = %d, want 1", got)
 	}
 }
 

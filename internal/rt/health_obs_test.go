@@ -112,7 +112,7 @@ func TestProtocolHealthGauges(t *testing.T) {
 // subrun/view/stability hooks never run on deliver.
 func TestSamplerDisabledDeliverAllocFree(t *testing.T) {
 	bare := driveWaitCascade(t, core.Callbacks{})
-	o := newNodeObs(obs.New(), 0, 3)
+	o := newNodeObs(obs.New(), 0, 3, 0)
 	instrumented := driveWaitCascade(t, o.callbacks())
 	if extra := instrumented - bare; extra > 0.5 {
 		t.Errorf("metrics hooks add %.2f allocs/op to the deliver path, want 0", extra)

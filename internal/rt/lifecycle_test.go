@@ -96,14 +96,14 @@ func TestLifecycleDisabledAllocFree(t *testing.T) {
 // deliver path — confirm lookup, processed count, indication hand-off — adds
 // nothing to the core's own budget, and no per-group accounting exists.
 func TestSessionDisabledObsAllocFree(t *testing.T) {
-	mesh, err := NewMesh(Config{Config: core.Config{N: 3, K: 3, R: 8, SelfExclusion: true}, Groups: 2, Shards: 1}, FamilyTopics)
+	mesh, err := NewMesh(Config{Config: core.Config{N: 3, K: 3, R: 8, SelfExclusion: true}, Groups: 2, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Never started: this goroutine is the only one touching the process,
 	// satisfying the single-owner contract.
 	s := mesh.members[0].sessions[1]
-	if s.obs != nil || s.tracer != nil || s.stableWait != nil || s.submitStable != nil {
+	if s.obs != nil || s.tracer != nil || s.stableWait != nil {
 		t.Fatal("disabled observability left per-group state allocated")
 	}
 	if got := waitCascadeAllocs(t, s.proc); got > 0 {
@@ -171,10 +171,10 @@ func TestLiveLifecycleTrace(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if h := reg.Histogram(obs.Labeled("lifecycle_emit_to_process_seconds", "node", "0"), nil); h.Count() < 5 {
+	if h := reg.Histogram(obs.Labeled("lifecycle_emit_to_process_seconds", "node", "0", "group", "0"), nil); h.Count() < 5 {
 		t.Fatalf("emit_to_process histogram count = %d", h.Count())
 	}
-	if h := reg.Histogram(obs.Labeled("lifecycle_stability_lag_seconds", "node", "0", "sender", "0"), nil); h.Count() == 0 {
+	if h := reg.Histogram(obs.Labeled("lifecycle_stability_lag_seconds", "node", "0", "group", "0", "sender", "0"), nil); h.Count() == 0 {
 		t.Fatal("stability_lag histogram empty")
 	}
 	r := tr.Report(5, 5)

@@ -33,15 +33,17 @@ func (s *session) Send(dst mid.ProcID, pdu wire.PDU) {
 // Broadcast implements core.Transport.
 func (s *session) Broadcast(pdu wire.PDU) { s.ship(pdu, mid.None) }
 
-// ship marshals pdu exactly once behind the group envelope and sends the same
-// bytes to one peer, or to every peer when to is mid.None: destinations with a
-// clean fault verdict leave together (one sendmmsg burst on a socket), the
-// rest take the per-copy path. A crashed site sends nothing. Shard goroutine.
+// ship counts pdu, marshals it exactly once behind the group envelope and
+// sends the same bytes to one peer, or to every peer when to is mid.None:
+// destinations with a clean fault verdict leave together (one sendmmsg burst
+// on a socket), the rest take the per-copy path. A crashed site sends
+// nothing. Shard goroutine.
 func (s *session) ship(pdu wire.PDU, to mid.ProcID) {
 	m := s.m
 	if m.Killed() {
 		return
 	}
+	s.obs.Shipped(pdu)
 	frame, err := wire.MarshalFrame(s.group, m.cfg.Self, pdu)
 	if err != nil || !m.checkSize(frame, s.group, to, pdu) {
 		wire.PutBuf(frame)
@@ -117,10 +119,12 @@ func (sh *shard) write(m *Member, group uint32, dsts []mid.ProcID, buf *sharedBu
 	}
 }
 
-// writeOne ships one copy of sh to dst and accounts for it. Safe from any
-// goroutine (delayed copies run on a timer's).
+// writeOne ships one copy of sh to dst and accounts for it: a mesh hand-off
+// counts as sent, like a socket write, before the receiver can count it.
+// Safe from any goroutine (delayed copies run on a timer's).
 func (m *Member) writeOne(group uint32, dst mid.ProcID, sh *sharedBuf) {
 	if m.mesh != nil {
+		m.sock.sent(1, len(sh.buf), 0, false)
 		m.mesh.members[dst].deliver(group, sh)
 		return
 	}
@@ -343,7 +347,7 @@ func (m *Member) reader() {
 // silently recovers from.
 type warner struct {
 	logf     func(format string, args ...any)
-	prefix   string // names the member, e.g. "rt[2]: "
+	prefix   string // names the member, e.g. "topics[2]: "
 	captured bool   // frame capture is on: capNote has something to point at
 	th       obs.Throttle
 }
@@ -372,9 +376,9 @@ func (w *warner) capNote(seq uint64) string {
 	return fmt.Sprintf(" [capture #%d]", seq)
 }
 
-// sockObs accounts link-level traffic and the validator's discards, under
-// the member's Family prefix. A nil *sockObs disables the counters but not
-// the throttled logging.
+// sockObs accounts link-level traffic and the validator's discards: the
+// topics_* counters. A nil *sockObs disables the counters but not the
+// throttled logging.
 type sockObs struct {
 	recvDatagrams, recvBytes  *obs.Counter
 	sendDatagrams, sendBytes  *obs.Counter
@@ -386,11 +390,11 @@ type sockObs struct {
 	drops [capture.DropGroup + 1]*obs.Counter
 }
 
-func newSockObs(reg *obs.Registry, family Family) *sockObs {
-	if reg == nil || family == FamilyNone {
+func newSockObs(reg *obs.Registry) *sockObs {
+	if reg == nil {
 		return nil
 	}
-	c := func(name string) *obs.Counter { return reg.Counter(string(family) + name) }
+	c := func(name string) *obs.Counter { return reg.Counter("topics" + name) }
 	o := &sockObs{
 		recvDatagrams: c("_recv_datagrams_total"),
 		recvBytes:     c("_recv_bytes_total"),
@@ -402,11 +406,7 @@ func newSockObs(reg *obs.Registry, family Family) *sockObs {
 		dropReadErr:   c("_drop_readerr_total"),
 		ticksSkipped:  c("_ticks_skipped_total"),
 	}
-	short := "_drop_short_total"
-	if family == FamilyTopics { // the name its dashboards know
-		short = "_drop_envelope_total"
-	}
-	o.drops[capture.DropShort] = c(short)
+	o.drops[capture.DropShort] = c("_drop_envelope_total")
 	o.drops[capture.DropBadSrc] = c("_drop_badsrc_total")
 	o.drops[capture.DropDecode] = c("_drop_decode_total")
 	o.drops[capture.DropOversize] = c("_drop_oversize_total")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +13,6 @@ import (
 	"urcgc/internal/core"
 	"urcgc/internal/lifecycle"
 	"urcgc/internal/mid"
-	"urcgc/internal/obs"
 	"urcgc/internal/wire"
 )
 
@@ -26,7 +24,6 @@ import (
 // goroutine.
 type Member struct {
 	cfg      Config
-	family   Family
 	sessions []*session
 	shards   []*shard
 	cap      *capture.Ring // nil disables frame capture
@@ -84,16 +81,14 @@ type session struct {
 
 	processed atomic.Int64
 
-	// submitStable times own submissions from protocol submit to uniform
-	// stability (FamilyTopics with metrics only); stableWait holds the
-	// in-flight ones. Shard goroutine only.
-	submitStable *obs.Histogram
-	stableWait   map[mid.MID]time.Time
+	// stableWait holds own submissions in flight from protocol submit to
+	// uniform stability, timed with metrics only. Shard goroutine only.
+	stableWait map[mid.MID]time.Time
 }
 
 // NewMember binds the member's socket and prepares every group's protocol
 // entity. Start launches the runtime; Stop halts it.
-func NewMember(cfg Config, family Family) (*Member, error) {
+func NewMember(cfg Config) (*Member, error) {
 	cfg.fill(false)
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -108,7 +103,7 @@ func NewMember(cfg Config, family Family) (*Member, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := newMember(cfg, family)
+	m := newMember(cfg)
 	m.udp = link
 	for _, sh := range m.shards {
 		sh.burst = newBurstSender(link.conn, link.peers, cfg.N)
@@ -122,19 +117,16 @@ func NewMember(cfg Config, family Family) (*Member, error) {
 
 // newMember builds the link-independent part of a member: shards, accounting,
 // warnings. cfg is filled and valid.
-func newMember(cfg Config, family Family) *Member {
+func newMember(cfg Config) *Member {
 	m := &Member{
 		cfg:    cfg,
-		family: family,
-		cap:    cfg.Capture,
-		sock:   newSockObs(cfg.Metrics, family),
+		sock:   newSockObs(cfg.Metrics),
 		stopCh: make(chan struct{}),
 	}
-	who := "rt"
-	if family.grouped() {
-		who = "topics"
+	if int(cfg.Self) < len(cfg.Captures) {
+		m.cap = cfg.Captures[cfg.Self]
 	}
-	m.warn = warner{logf: cfg.Logf, prefix: fmt.Sprintf("%s[%d]: ", who, cfg.Self), captured: m.cap != nil}
+	m.warn = warner{logf: cfg.Logf, prefix: fmt.Sprintf("topics[%d]: ", cfg.Self), captured: m.cap != nil}
 	m.shards = make([]*shard, cfg.Shards)
 	for i := range m.shards {
 		m.shards[i] = &shard{inbox: newInbox(cfg.InboxDepth, m.stopCh), dsts: make([]mid.ProcID, 0, cfg.N)}
@@ -151,15 +143,8 @@ func (m *Member) initSessions() error {
 			group: uint32(g),
 			shard: m.shards[g%len(m.shards)],
 		}
-		grouped := m.family.grouped()
-		if grouped {
-			s.obs = newNodeObs(m.cfg.Metrics, m.cfg.Self, m.cfg.N, "group", strconv.Itoa(g))
-		} else {
-			s.obs = newNodeObs(m.cfg.Metrics, m.cfg.Self, m.cfg.N)
-		}
-		if grouped && m.cfg.Metrics != nil {
-			s.submitStable = m.cfg.Metrics.Histogram(obs.Labeled("topics_submit_to_stable_seconds",
-				"node", strconv.Itoa(int(m.cfg.Self)), "group", strconv.Itoa(g)), obs.DurationBuckets)
+		s.obs = newNodeObs(m.cfg.Metrics, m.cfg.Self, m.cfg.N, g)
+		if s.obs != nil {
 			s.stableWait = make(map[mid.MID]time.Time)
 		}
 		if m.cfg.Lifecycle != nil {
@@ -179,25 +164,21 @@ func (m *Member) initSessions() error {
 }
 
 // newTracer builds group g's lifecycle tracer. The stuck-span watchdog blames
-// the injected fault when there is an injector to ask, else — on a member
-// whose groups share shard loops — names the group and its shard.
+// the injected fault when there is an injector to ask, else names the group
+// and the shard loop it shares.
 func (m *Member) newTracer(g int) *lifecycle.Tracer {
 	opts := *m.cfg.Lifecycle
-	grouped := m.family.grouped()
 	switch {
 	case opts.Blame != nil:
 	case m.cfg.Fault != nil:
 		opts.Blame = m.cfg.Fault.Blame
-	case grouped:
+	default:
 		shardIdx, shards := g%len(m.shards), len(m.shards)
 		opts.Blame = func([]mid.MID) string {
 			return fmt.Sprintf("group %d on shard %d/%d", g, shardIdx, shards)
 		}
 	}
-	if grouped {
-		return lifecycle.NewGroup(m.cfg.Self, m.cfg.N, uint32(g), opts, m.cfg.Metrics)
-	}
-	return lifecycle.New(m.cfg.Self, m.cfg.N, opts, m.cfg.Metrics)
+	return lifecycle.New(m.cfg.Self, m.cfg.N, uint32(g), opts, m.cfg.Metrics)
 }
 
 // makeProc builds the session's protocol entity — founding, or joining a
@@ -226,7 +207,7 @@ func (s *session) makeProc(join bool) (*core.Process, error) {
 			clear(s.stableWait)
 		},
 	}
-	if s.submitStable != nil {
+	if s.obs != nil {
 		cb.OnGenerate = func(msg *causal.Message) { s.stableWait[msg.ID] = time.Now() }
 		cb.OnStable = s.settleStable
 	}
@@ -257,7 +238,7 @@ func (s *session) settleStable(clean mid.SeqVector) {
 	now := time.Now()
 	for id, t0 := range s.stableWait {
 		if int(id.Proc) < len(clean) && id.Seq <= clean[id.Proc] {
-			s.submitStable.Observe(now.Sub(t0).Seconds())
+			s.obs.submitStable.Observe(now.Sub(t0).Seconds())
 			delete(s.stableWait, id)
 		}
 	}

@@ -31,7 +31,7 @@ type Mesh struct {
 
 // NewMesh builds (but does not start) N in-process members hosting every
 // group. Config.Self and Config.Peers are ignored.
-func NewMesh(cfg Config, family Family) (*Mesh, error) {
+func NewMesh(cfg Config) (*Mesh, error) {
 	cfg.fill(true)
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -40,11 +40,8 @@ func NewMesh(cfg Config, family Family) (*Mesh, error) {
 	c.members = make([]*Member, cfg.N)
 	for i := range c.members {
 		mc := cfg
-		mc.Self, mc.Capture = mid.ProcID(i), nil
-		if i < len(cfg.Captures) {
-			mc.Capture = cfg.Captures[i]
-		}
-		m := newMember(mc, family)
+		mc.Self = mid.ProcID(i)
+		m := newMember(mc)
 		m.mesh = c
 		if err := m.initSessions(); err != nil {
 			return nil, err

@@ -76,7 +76,7 @@ func TestMmsgRuntimeFallback(t *testing.T) {
 		}
 	}
 	// Frames moved despite the refused bursts.
-	if reg.Counter("udp_send_datagrams_total").Value() == 0 {
+	if reg.Counter("topics_send_datagrams_total").Value() == 0 {
 		t.Error("no datagrams accounted on the classic fallback path")
 	}
 }

@@ -42,8 +42,9 @@ type nodeObs struct {
 	decisionSub *obs.Gauge
 	stableSum   *obs.Gauge
 
-	decisionLat *obs.Histogram
-	confirmLat  *obs.Histogram
+	decisionLat  *obs.Histogram
+	confirmLat   *obs.Histogram
+	submitStable *obs.Histogram // own submissions: protocol submit to uniform stability
 
 	batchFrames *obs.Counter   // multi-message DataBatch frames broadcast
 	batchMsgs   *obs.Counter   // user messages carried by those frames
@@ -57,47 +58,47 @@ type nodeObs struct {
 	subrunStart time.Time
 }
 
-// newNodeObs resolves the per-member instrument set for a group of n;
-// nil registry → nil. Every series carries a node label; extraLabels
-// appends further Prometheus label pairs (a multi-group member passes
-// "group", "<g>" so each group's series stay separable).
-func newNodeObs(reg *obs.Registry, id mid.ProcID, n int, extraLabels ...string) *nodeObs {
+// newNodeObs resolves the instrument set of one protocol entity — member id
+// of group g, a group of n — every series labelled {node, group}; nil
+// registry → nil.
+func newNodeObs(reg *obs.Registry, id mid.ProcID, n, g int) *nodeObs {
 	if reg == nil {
 		return nil
 	}
-	kv := append([]string{"node", strconv.Itoa(int(id))}, extraLabels...)
+	kv := []string{"node", strconv.Itoa(int(id)), "group", strconv.Itoa(g)}
 	l := func(name string) string { return obs.Labeled(name, kv...) }
 	o := &nodeObs{
-		reg:         reg,
-		processed:   reg.Counter(l("rt_processed_total")),
-		indDropped:  reg.Counter(l("rt_indications_dropped_total")),
-		inboxDrops:  reg.Counter(l("rt_inbox_dropped_total")),
-		decisions:   reg.Counter(l("rt_decisions_total")),
-		recoveries:  reg.Counter(l("core_recoveries_total")),
-		retransmits: reg.Counter(l("core_retransmits_total")),
-		crashDecls:  reg.Counter(l("core_crash_declarations_total")),
-		discards:    reg.Counter(l("core_discards_total")),
-		viewChanges: reg.Counter(l("core_view_changes_total")),
-		joins:       reg.Counter(l("core_joins_total")),
-		fastFwds:    reg.Counter(l("core_fast_forwards_total")),
-		joiningG:    reg.Gauge(l("core_joining")),
-		histLen:     reg.Gauge(l("core_history_len")),
-		waitLen:     reg.Gauge(l("core_waiting_len")),
-		pendingLen:  reg.Gauge(l("core_pending_len")),
-		inboxDepth:  reg.Gauge(l("rt_inbox_depth")),
-		subrunG:     reg.Gauge(l("core_subrun")),
-		coordG:      reg.Gauge(l("core_coordinator")),
-		aliveCount:  reg.Gauge(l("core_alive_count")),
-		decisionSub: reg.Gauge(l("core_decision_subrun")),
-		stableSum:   reg.Gauge(l("core_stable_sum")),
-		decisionLat: reg.Histogram(l("rt_decision_latency_seconds"), obs.DurationBuckets),
-		confirmLat:  reg.Histogram(l("rt_confirm_latency_seconds"), obs.DurationBuckets),
-		batchFrames: reg.Counter(l("rt_batch_frames_total")),
-		batchMsgs:   reg.Counter(l("rt_batch_msgs_total")),
-		batchSize:   reg.Histogram(l("rt_batch_frame_msgs"), obs.LengthBuckets),
-		coalesceSz:  reg.Histogram(l("rt_coalesce_flush_msgs"), obs.LengthBuckets),
-		eager:       reg.Counter(l("rt_eager_broadcasts_total")),
-		early:       reg.Counter(l("rt_early_subruns_total")),
+		reg:          reg,
+		processed:    reg.Counter(l("rt_processed_total")),
+		indDropped:   reg.Counter(l("rt_indications_dropped_total")),
+		inboxDrops:   reg.Counter(l("rt_inbox_dropped_total")),
+		decisions:    reg.Counter(l("rt_decisions_total")),
+		recoveries:   reg.Counter(l("core_recoveries_total")),
+		retransmits:  reg.Counter(l("core_retransmits_total")),
+		crashDecls:   reg.Counter(l("core_crash_declarations_total")),
+		discards:     reg.Counter(l("core_discards_total")),
+		viewChanges:  reg.Counter(l("core_view_changes_total")),
+		joins:        reg.Counter(l("core_joins_total")),
+		fastFwds:     reg.Counter(l("core_fast_forwards_total")),
+		joiningG:     reg.Gauge(l("core_joining")),
+		histLen:      reg.Gauge(l("core_history_len")),
+		waitLen:      reg.Gauge(l("core_waiting_len")),
+		pendingLen:   reg.Gauge(l("core_pending_len")),
+		inboxDepth:   reg.Gauge(l("rt_inbox_depth")),
+		subrunG:      reg.Gauge(l("core_subrun")),
+		coordG:       reg.Gauge(l("core_coordinator")),
+		aliveCount:   reg.Gauge(l("core_alive_count")),
+		decisionSub:  reg.Gauge(l("core_decision_subrun")),
+		stableSum:    reg.Gauge(l("core_stable_sum")),
+		decisionLat:  reg.Histogram(l("rt_decision_latency_seconds"), obs.DurationBuckets),
+		confirmLat:   reg.Histogram(l("rt_confirm_latency_seconds"), obs.DurationBuckets),
+		submitStable: reg.Histogram(l("topics_submit_to_stable_seconds"), obs.DurationBuckets),
+		batchFrames:  reg.Counter(l("rt_batch_frames_total")),
+		batchMsgs:    reg.Counter(l("rt_batch_msgs_total")),
+		batchSize:    reg.Histogram(l("rt_batch_frame_msgs"), obs.LengthBuckets),
+		coalesceSz:   reg.Histogram(l("rt_coalesce_flush_msgs"), obs.LengthBuckets),
+		eager:        reg.Counter(l("rt_eager_broadcasts_total")),
+		early:        reg.Counter(l("rt_early_subruns_total")),
 	}
 	o.aliveCount.Set(int64(n))
 	return o
@@ -119,11 +120,6 @@ func (o *nodeObs) callbacks() core.Callbacks {
 			if !o.subrunStart.IsZero() {
 				o.decisionLat.ObserveSince(o.subrunStart)
 			}
-		},
-		OnBatchBroadcast: func(msgs, bytes int) {
-			o.batchFrames.Inc()
-			o.batchMsgs.Add(int64(msgs))
-			o.batchSize.Observe(float64(msgs))
 		},
 		OnSubrunStart: func(s int64, coord mid.ProcID) {
 			o.subrunG.Add(1) // subruns opened, the clock's and the early ones
@@ -160,10 +156,27 @@ func (o *nodeObs) callbacks() core.Callbacks {
 			o.joiningG.Set(0)
 		},
 		OnFastForward:   func(mid.ProcID, mid.Seq) { o.fastFwds.Inc() },
-		OnRecover:       func(mid.ProcID, int) { o.recoveries.Inc() },
-		OnRetransmit:    func(_ mid.ProcID, msgs int) { o.retransmits.Add(int64(msgs)) },
 		OnCrashDeclared: func(mid.ProcID) { o.crashDecls.Inc() },
 		OnDiscard:       func(*causal.Message) { o.discards.Inc() },
+	}
+}
+
+// Shipped counts what the entity hands its link: multi-message DataBatch
+// frames and the messages they carry, RECOVER requests, and the messages
+// RETRANSMIT answers carry. Loop goroutine.
+func (o *nodeObs) Shipped(pdu wire.PDU) {
+	if o == nil {
+		return
+	}
+	switch p := pdu.(type) {
+	case *wire.DataBatch:
+		o.batchFrames.Inc()
+		o.batchMsgs.Add(int64(len(p.Msgs)))
+		o.batchSize.Observe(float64(len(p.Msgs)))
+	case *wire.Recover:
+		o.recoveries.Inc()
+	case *wire.Retransmit:
+		o.retransmits.Add(int64(len(p.Msgs)))
 	}
 }
 

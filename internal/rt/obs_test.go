@@ -3,21 +3,101 @@ package rt
 import (
 	"context"
 	"fmt"
+	"maps"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"urcgc/internal/lifecycle"
 	"urcgc/internal/mid"
 	"urcgc/internal/obs"
 )
 
-// nodeCounter reads a per-node labeled counter from the registry.
+// nodeCounter reads one member's group-0 counter from the registry.
 func nodeCounter(reg *obs.Registry, name string, node int) int64 {
-	return reg.Counter(obs.Labeled(name, "node", fmt.Sprint(node))).Value()
+	return reg.Counter(obs.Labeled(name, "node", fmt.Sprint(node), "group", "0")).Value()
 }
 
 func nodeGauge(reg *obs.Registry, name string, node int) int64 {
-	return reg.Gauge(obs.Labeled(name, "node", fmt.Sprint(node))).Value()
+	return reg.Gauge(obs.Labeled(name, "node", fmt.Sprint(node), "group", "0")).Value()
+}
+
+// seriesShape is the set of series reg holds, each as its name and label
+// keys with the values dropped: core_history_len{node="2",group="0"} is
+// core_history_len{node,group}.
+func seriesShape(reg *obs.Registry) map[string]bool {
+	value := regexp.MustCompile(`="[^"]*"`)
+	out := map[string]bool{}
+	reg.VisitInts(func(name string, _ int64) { out[value.ReplaceAllString(name, "")] = true })
+	return out
+}
+
+// TestEveryConstructorPublishesOneShape: G = 1 is not a special case, and no
+// constructor picks a vocabulary. Built at G = 1 with metrics and tracing on
+// a registry of its own, each of the four registers the same series: the
+// topics_* link counters, and every per-entity series labelled {node, group}.
+// (Started, a Mesh also times its lockstep round barrier, which a socket
+// member's free-running clock does not have.)
+func TestEveryConstructorPublishesOneShape(t *testing.T) {
+	build := map[string]func(Config) (func(), error){
+		"NewCluster": func(cfg Config) (func(), error) {
+			c, err := NewCluster(cfg)
+			return func() { c.Stop() }, err
+		},
+		"NewMesh": func(cfg Config) (func(), error) {
+			m, err := NewMesh(cfg)
+			return func() { m.Stop() }, err
+		},
+		"NewUDPNode": func(cfg Config) (func(), error) {
+			n, err := NewUDPNode(cfg)
+			return func() { n.Stop() }, err
+		},
+		"NewMember": func(cfg Config) (func(), error) {
+			m, err := NewMember(cfg)
+			return func() { m.Stop() }, err
+		},
+	}
+	shapes := map[string]map[string]bool{}
+	for name, newIt := range build {
+		cfg := liveConfig(3)
+		cfg.Peers = freePorts(t, 3)
+		cfg.Metrics = obs.New()
+		cfg.Lifecycle = &lifecycle.Options{}
+		stop, err := newIt(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		stop()
+		shapes[name] = seriesShape(cfg.Metrics)
+	}
+	want := shapes["NewMesh"]
+	for _, series := range []string{"topics_send_datagrams_total", "topics_drop_envelope_total",
+		"core_history_len{node,group}", "topics_submit_to_stable_seconds_count{node,group}",
+		"lifecycle_waitlist_seconds_count{node,group}"} {
+		if !want[series] {
+			t.Errorf("NewMesh registers no %s", series)
+		}
+	}
+	for name, got := range shapes {
+		if !maps.Equal(got, want) {
+			var extra, missing []string
+			for s := range got {
+				if !want[s] {
+					extra = append(extra, s)
+				}
+			}
+			for s := range want {
+				if !got[s] {
+					missing = append(missing, s)
+				}
+			}
+			slices.Sort(extra)
+			slices.Sort(missing)
+			t.Errorf("%s registers a shape of its own: %v beyond NewMesh's, %v short of it", name, extra, missing)
+		}
+	}
 }
 
 // TestClusterMetrics runs a live in-process cluster with a metrics registry
@@ -91,14 +171,14 @@ func TestClusterMetrics(t *testing.T) {
 		if got := nodeCounter(reg, "rt_processed_total", i); got < perNode*int64(c.N()) {
 			t.Errorf("node %d: rt_processed_total = %d, want ≥ %d", i, got, perNode*c.N())
 		}
-		lat := reg.Histogram(obs.Labeled("rt_confirm_latency_seconds", "node", fmt.Sprint(i)), nil)
+		lat := reg.Histogram(obs.Labeled("rt_confirm_latency_seconds", "node", fmt.Sprint(i), "group", "0"), nil)
 		if lat.Count() < perNode {
 			t.Errorf("node %d: confirm latency count = %d, want ≥ %d", i, lat.Count(), perNode)
 		}
 		if lat.Count() > 0 && lat.Mean() <= 0 {
 			t.Errorf("node %d: confirm latency mean = %v", i, lat.Mean())
 		}
-		dlat := reg.Histogram(obs.Labeled("rt_decision_latency_seconds", "node", fmt.Sprint(i)), nil)
+		dlat := reg.Histogram(obs.Labeled("rt_decision_latency_seconds", "node", fmt.Sprint(i), "group", "0"), nil)
 		if dlat.Count() == 0 {
 			t.Errorf("node %d: rt_decision_latency_seconds never observed", i)
 		}
@@ -148,8 +228,8 @@ func TestMetricsServedOverHTTP(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"# TYPE rt_rounds_total counter",
-		`rt_decisions_total{node="0"}`,
-		`core_history_len{node="1"}`,
+		`rt_decisions_total{node="0",group="0"}`,
+		`core_history_len{node="1",group="0"}`,
 		"rt_confirm_latency_seconds_bucket",
 	} {
 		if !strings.Contains(out, want) {

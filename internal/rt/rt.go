@@ -32,7 +32,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Groups > 1 {
 		return nil, fmt.Errorf("rt: a Cluster hosts one group, not %d (see topics.NewMultiCluster)", cfg.Groups)
 	}
-	mesh, err := NewMesh(cfg, FamilyNone)
+	mesh, err := NewMesh(cfg)
 	if err != nil {
 		return nil, err
 	}

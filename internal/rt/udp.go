@@ -10,7 +10,7 @@ type UDPNode struct{ single }
 // NewUDPNode binds the member's socket and prepares the protocol entity.
 func NewUDPNode(cfg UDPConfig) (*UDPNode, error) {
 	cfg.Groups, cfg.Shards = 1, 1
-	m, err := NewMember(cfg, FamilyUDP)
+	m, err := NewMember(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -8,9 +8,9 @@
 // goroutine owning its groups' core.Process instances, so G groups cost S
 // protocol goroutines rather than G and independent groups make progress in
 // parallel; one reader goroutine validates, decodes and demultiplexes
-// incoming frames onto the shards. What this package adds is a vocabulary:
-// its members publish the topics_* link counters and label every per-entity
-// series with its group (rt.FamilyTopics).
+// incoming frames onto the shards. This package adds names only: its
+// members publish what every rt member does (the topics_* link counters, and
+// every per-entity series labelled with its node and group).
 package topics
 
 import "urcgc/internal/rt"
@@ -32,9 +32,9 @@ type MultiCluster = rt.Mesh
 
 // NewMultiNode binds the shared socket and prepares every group's protocol
 // entity. Start launches the runtime; Stop halts it.
-func NewMultiNode(cfg Config) (*MultiNode, error) { return rt.NewMember(cfg, rt.FamilyTopics) }
+func NewMultiNode(cfg Config) (*MultiNode, error) { return rt.NewMember(cfg) }
 
 // NewMultiCluster builds (but does not start) N in-process multi-group
 // members. Config.Self and Config.Peers are ignored; every member hosts
 // every group.
-func NewMultiCluster(cfg Config) (*MultiCluster, error) { return rt.NewMesh(cfg, rt.FamilyTopics) }
+func NewMultiCluster(cfg Config) (*MultiCluster, error) { return rt.NewMesh(cfg) }

@@ -365,7 +365,7 @@ func TestLegacyNodeDropsGroupTaggedFrames(t *testing.T) {
 		multi.Send(sctx, 1, []byte("tagged"), nil)
 	}()
 	deadline := time.Now().Add(15 * time.Second)
-	for reg.Counter("udp_drop_group_total").Value() == 0 {
+	for reg.Counter("topics_drop_group_total").Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("legacy node never counted a dropped group-tagged frame")
 		}

@@ -8,35 +8,15 @@
 # rt restart -> joining status/health grace -> inspect informational kind.
 set -eu
 
-GO=${GO:-go}
-BIN=$(mktemp -d)
-trap 'kill $P0 $P1 $P2 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$BIN"' EXIT
-
-$GO build -o "$BIN/urcgc-node" ./cmd/urcgc-node
-$GO build -o "$BIN/urcgc-ctl" ./cmd/urcgc-ctl
-
 # Fixed loopback ports, chosen high and unusual to avoid collisions (and
 # distinct from inspect_smoke/trace_smoke so the smokes can run in one CI
 # job without racing each other's sockets).
+NAME=join-smoke
 PEERS=127.0.0.1:17851,127.0.0.1:17852,127.0.0.1:17853
 OBS0=127.0.0.1:18851
 OBS1=127.0.0.1:18852
 OBS2=127.0.0.1:18853
-
-# -chatter keeps each member generating traffic (the protocol's silence
-# detection and the joiner's re-admission both need live subruns);
-# -sample 100ms gives the flight recorder a fast window.
-"$BIN/urcgc-node" -self 0 -peers "$PEERS" -metrics "$OBS0" -round 5ms -sample 100ms -chatter 50ms -capture 16384 </dev/null >"$BIN/node0.log" 2>&1 & P0=$!
-"$BIN/urcgc-node" -self 1 -peers "$PEERS" -metrics "$OBS1" -round 5ms -sample 100ms -chatter 50ms -capture 16384 </dev/null >"$BIN/node1.log" 2>&1 & P1=$!
-"$BIN/urcgc-node" -self 2 -peers "$PEERS" -metrics "$OBS2" -round 5ms -sample 100ms -chatter 50ms -capture 16384 </dev/null >"$BIN/node2.log" 2>&1 & P2=$!
-
-dump_logs() {
-    echo "--- node 0 ---" >&2; cat "$BIN/node0.log" >&2
-    echo "--- node 1 ---" >&2; cat "$BIN/node1.log" >&2
-    echo "--- node 2 ---" >&2; cat "$BIN/node2.log" >&2
-    [ -f "$BIN/node2-rejoin.log" ] && { echo "--- node 2 (rejoin) ---" >&2; cat "$BIN/node2-rejoin.log" >&2; }
-    preserve_captures
-}
+. "$(dirname "$0")/smoke_lib.sh"
 
 # preserve_captures saves the live members' frame flight recorders to
 # URCGC_CAPTURE_DIR (CI exports it and uploads the dumps as artifacts),
@@ -51,27 +31,20 @@ preserve_captures() {
         fi
     done
 }
+ON_FAIL=preserve_captures
 
-# wait_until <tries> <sleep> <message> <cmd...>: retry a probe until it
-# succeeds, dumping the member logs and failing the gate if it never does.
-wait_until() {
-    tries=$1; pause=$2; msg=$3; shift 3
-    n=0
-    until "$@"; do
-        n=$((n + 1))
-        if [ "$n" -ge "$tries" ]; then
-            echo "join-smoke: $msg" >&2
-            dump_logs
-            exit 1
-        fi
-        sleep "$pause"
-    done
-}
+# -chatter keeps each member generating traffic (the protocol's silence
+# detection and the joiner's re-admission both need live subruns);
+# -sample 100ms gives the flight recorder a fast window.
+FLAGS="-round 5ms -sample 100ms -chatter 50ms -capture 16384"
+for i in 0 1 2; do
+    start_node "$i" "node$i" $FLAGS
+done
 
 # Phase 1: the cluster forms and inspects healthy.
+inspected() { "$BIN/urcgc-ctl" inspect -nodes "$NODES" -grace 1s >/dev/null; }
 sleep 2
-wait_until 8 2 "cluster never inspected healthy" \
-    "$BIN/urcgc-ctl" inspect -nodes "$OBS0,$OBS1,$OBS2" -grace 1s >/dev/null
+wait_until 8 2 "cluster never inspected healthy" inspected
 
 # Phase 2: kill -9 member 2; the survivors' silence detection must
 # exclude it from the view (alive mask [true true false] at member 0).
@@ -83,7 +56,7 @@ wait_until 60 0.5 "survivors never excluded the killed member" excluded
 
 # Phase 3: restart member 2 with -join. It must state-transfer, be
 # re-admitted into every member's view, and log the completed join.
-"$BIN/urcgc-node" -self 2 -peers "$PEERS" -metrics "$OBS2" -round 5ms -sample 100ms -chatter 50ms -capture 16384 -join </dev/null >"$BIN/node2-rejoin.log" 2>&1 & P2=$!
+start_node 2 node2-rejoin $FLAGS -join
 echo "join-smoke: restarted member 2 with -join"
 rejoined_log() { grep -q 'rejoined group 0' "$BIN/node2-rejoin.log"; }
 wait_until 60 0.5 "restarted member never completed its join" rejoined_log
@@ -103,7 +76,6 @@ healthz_ok() {
     done
 }
 wait_until 30 1 "a member still answers /healthz 503 after the rejoin" healthz_ok
-wait_until 8 2 "cluster never inspected healthy after the rejoin" \
-    "$BIN/urcgc-ctl" inspect -nodes "$OBS0,$OBS1,$OBS2" -grace 1s >/dev/null
+wait_until 8 2 "cluster never inspected healthy after the rejoin" inspected
 
 echo "join-smoke: member 2 rejoined; cluster healthy"
