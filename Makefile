@@ -26,7 +26,10 @@ fmt:
 # network and host, and the three protocols' clusters on it; ROADMAP item
 # 3(c)), then the root module's non-test Go
 # total (benchmark/ is its own module) and its number of internal/ packages:
-# the figures a simplicity change reports its net lines from.
+# the figures a simplicity change reports its net lines from. Then the
+# settable values: the field counts of the hook set and the two configs (a
+# name list "A, B int" counts each name; rt.Config's embedded core.Config
+# counts once, its fields being core.Config's own).
 loc:
 	@count() { label=$$1; shift; total=0; for p in "$$@"; do \
 		[ -e $$p ] || continue; \
@@ -41,7 +44,14 @@ loc:
 	printf '%-28s %5d\n' 'non-test Go' $$(find . \( -path ./benchmark -o -path ./.git \) -prune -o \
 		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
 	printf '%-28s %5d\n' 'internal packages' $$(find internal -name '*.go' ! -name '*_test.go' \
-		-exec dirname {} \; | sort -u | wc -l)
+		-exec dirname {} \; | sort -u | wc -l); \
+	fields() { printf '%-28s %5d\n' "$$1 fields" $$(awk -v t="$${1#*.}" ' \
+		$$0 ~ "^type " t " struct [{]" { body = 1; next } body && /^}/ { exit } \
+		body && match($$0, /^\t[A-Za-z_][A-Za-z0-9_.]*(, *[A-Za-z_][A-Za-z0-9_]*)*([ \t]|$$)/) { \
+			names = substr($$0, RSTART, RLENGTH); n += gsub(/,/, ",", names) + 1 } \
+		END { print n + 0 }' $$2); }; \
+	fields core.Callbacks internal/core/process.go; fields core.Config internal/core/process.go; \
+	fields rt.Config internal/rt/config.go
 
 # race runs the concurrency-sensitive packages under the race detector:
 # the real-time runtime (node loop, UDP reader, Status/Snapshot sampling),

@@ -1,5 +1,8 @@
 // Quickstart: a five-member urcgc group exchanging causally related
-// messages through the Section 5 service primitives.
+// messages through the Section 5 service primitives, which are the methods
+// of an rt.Member: Send is urcgc-data.Rq, returning with its Conf once the
+// local entity has processed the message, and Indications(group) is the
+// urcgc-data.Ind stream, every processed message in causal order.
 //
 //	go run ./examples/quickstart
 //
@@ -19,53 +22,54 @@ import (
 	"urcgc/internal/core"
 	"urcgc/internal/mid"
 	"urcgc/internal/rt"
-	"urcgc/internal/stack"
 )
 
 func main() {
 	const n = 5
-	cluster, err := rt.NewCluster(rt.Config{
+	mesh, err := rt.NewMesh(rt.Config{
 		Config:        core.Config{N: n, K: 3, R: 8, SelfExclusion: true},
 		RoundDuration: time.Millisecond,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster.Start()
-	defer cluster.Stop()
+	mesh.Start()
+	defer mesh.Stop()
 
-	saps := make([]*stack.SAP, n)
-	for i := range saps {
-		saps[i] = stack.Open(cluster.Node(mid.ProcID(i)))
-		defer saps[i].Close()
+	// Every member hosts group 0; its indication stream is its SAP's Ind.
+	ind := make([]<-chan rt.Indication, n)
+	for i := range ind {
+		if ind[i], err = mesh.Node(mid.ProcID(i)).Indications(0); err != nil {
+			log.Fatal(err)
+		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	// Member 0 asks; the Confirm returns once the local entity processed it.
-	question, err := saps[0].DataRq(ctx, []byte("what is the plan?"), nil)
+	question, err := mesh.Node(0).Send(ctx, 0, []byte("what is the plan?"), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("member 0 asked %v\n", question.MID)
+	fmt.Printf("member 0 asked %v\n", question)
 
 	// Members 1..4 reply once they have seen the question, labelling the
 	// reply as causally dependent on it.
 	for i := 1; i < n; i++ {
 		i := i
 		go func() {
-			for ind := range saps[i].DataInd() {
-				if ind.Msg.ID != question.MID {
+			for in := range ind[i] {
+				if in.Msg.ID != question {
 					continue
 				}
-				conf, err := saps[i].DataRq(ctx,
+				reply, err := mesh.Node(mid.ProcID(i)).Send(ctx, 0,
 					[]byte(fmt.Sprintf("member %d: sounds good", i)),
-					mid.DepList{question.MID})
+					mid.DepList{question})
 				if err != nil {
 					log.Printf("member %d reply failed: %v", i, err)
 					return
 				}
-				fmt.Printf("member %d replied %v (depends on %v)\n", i, conf.MID, question.MID)
+				fmt.Printf("member %d replied %v (depends on %v)\n", i, reply, question)
 				return
 			}
 		}()
@@ -76,9 +80,11 @@ func main() {
 	got := 0
 	for got < n-1 {
 		select {
-		case ind := <-saps[0].DataInd():
-			fmt.Printf("member 0 processed %v: %q (deps %v)\n", ind.Msg.ID, ind.Msg.Payload, ind.Msg.Deps)
-			got++
+		case in := <-ind[0]:
+			fmt.Printf("member 0 processed %v: %q (deps %v)\n", in.Msg.ID, in.Msg.Payload, in.Msg.Deps)
+			if in.Msg.ID != question { // its own question is indicated too
+				got++
+			}
 		case <-ctx.Done():
 			log.Fatal("timed out collecting replies")
 		}

@@ -15,10 +15,6 @@ func Chain(a, b Callbacks) Callbacks {
 		OnDiscard:       then1(a.OnDiscard, b.OnDiscard),
 		OnLeave:         then1(a.OnLeave, b.OnLeave),
 		OnDecision:      then1(a.OnDecision, b.OnDecision),
-		OnRoundEnd:      then1(a.OnRoundEnd, b.OnRoundEnd),
-		OnCrashDeclared: then1(a.OnCrashDeclared, b.OnCrashDeclared),
-		OnSubrunStart:   then2(a.OnSubrunStart, b.OnSubrunStart),
-		OnViewChange:    then1(a.OnViewChange, b.OnViewChange),
 		OnJoinInstalled: then1(a.OnJoinInstalled, b.OnJoinInstalled),
 		OnJoined:        then0(a.OnJoined, b.OnJoined),
 		OnFastForward:   then2(a.OnFastForward, b.OnFastForward),

@@ -31,110 +31,83 @@ func fullGroupDecision(n int, subrun int64, coord mid.ProcID, clean mid.SeqVecto
 	return d
 }
 
-// TestOnSubrunStartTracksCoordinator pins the token-pass callback: it
-// fires at every subrun opening with the coordinator of the moment, and
-// the rotation skips members removed from the view.
+// TestOnSubrunStartTracksCoordinator pins the token pass: on every subrun
+// start Stats counts the opening, the accessor reports the coordinator of
+// the moment, and the rotation skips members removed from the view.
 func TestOnSubrunStartTracksCoordinator(t *testing.T) {
 	// SelfExclusion off: the bare process under test hears no coordinators
 	// and must not leave through the silence rule mid-test.
 	cfg := Config{N: 3, K: 2, R: 5}
 	tp := &capture{}
-	type pass struct {
-		subrun int64
-		coord  mid.ProcID
-	}
-	var passes []pass
-	p, err := NewProcess(0, cfg, tp, Callbacks{
-		OnSubrunStart: func(s int64, c mid.ProcID) { passes = append(passes, pass{s, c}) },
-	})
+	p, err := NewProcess(0, cfg, tp, Callbacks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.StartRound(0) // subrun 0, coord 0
-	p.StartRound(2) // subrun 1, coord 1
+	pass := func(round int, subrun int64, coord mid.ProcID) {
+		t.Helper()
+		p.StartRound(round)
+		if p.Subrun() != subrun || p.CurrentCoordinator() != coord || p.Stats.Subruns != int(subrun)+1 {
+			t.Fatalf("round %d: subrun %d, coordinator %d, %d subruns opened; want %d, %d, %d",
+				round, p.Subrun(), p.CurrentCoordinator(), p.Stats.Subruns, subrun, coord, subrun+1)
+		}
+	}
+	pass(0, 0, 0)
+	pass(2, 1, 1)
 	// A decision declares 1 crashed; subrun 2's token goes to 2, and the
 	// next rotation wraps past the hole.
 	d := fullGroupDecision(3, 1, 1, mid.NewSeqVector(3))
 	d.Alive[1] = false
 	p.Recv(1, d)
-	p.StartRound(4) // subrun 2, coord 2
-	p.StartRound(6) // subrun 3, coord 0
-	p.StartRound(8) // subrun 4, start 1 crashed -> coord 2
-
-	want := []pass{{0, 0}, {1, 1}, {2, 2}, {3, 0}, {4, 2}}
-	if len(passes) != len(want) {
-		t.Fatalf("passes = %v, want %v", passes, want)
-	}
-	for i := range want {
-		if passes[i] != want[i] {
-			t.Fatalf("pass %d = %+v, want %+v", i, passes[i], want[i])
-		}
-	}
-	if p.Subrun() != 4 {
-		t.Errorf("Subrun() = %d, want 4", p.Subrun())
-	}
-	if p.CurrentCoordinator() != 2 {
-		t.Errorf("CurrentCoordinator() = %d, want 2", p.CurrentCoordinator())
-	}
+	pass(4, 2, 2)
+	pass(6, 3, 0)
+	pass(8, 4, 2) // start 1 crashed -> coord 2
 }
 
 // TestOnViewChangeFromDecision pins the adopt path: a decision removing a
-// member fires OnCrashDeclared then OnViewChange with a fresh mask copy.
+// member counts one crash declaration and one view change in Stats.
 func TestOnViewChangeFromDecision(t *testing.T) {
 	cfg := Config{N: 3, K: 2, R: 5, SelfExclusion: true}
 	tp := &capture{}
-	var declared []mid.ProcID
-	var views [][]bool
-	p, err := NewProcess(0, cfg, tp, Callbacks{
-		OnCrashDeclared: func(q mid.ProcID) { declared = append(declared, q) },
-		OnViewChange:    func(alive []bool) { views = append(views, alive) },
-	})
+	p, err := NewProcess(0, cfg, tp, Callbacks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := fullGroupDecision(3, 0, 1, mid.NewSeqVector(3))
 	d.Alive[2] = false
 	p.Recv(1, d)
-	if len(declared) != 1 || declared[0] != 2 {
-		t.Fatalf("declared = %v, want [2]", declared)
+	if p.Stats.CrashDeclarations != 1 || p.Stats.ViewChanges != 1 {
+		t.Fatalf("declarations = %d, view changes = %d, want 1 and 1", p.Stats.CrashDeclarations, p.Stats.ViewChanges)
 	}
-	if len(views) != 1 || !views[0][0] || !views[0][1] || views[0][2] {
-		t.Fatalf("views = %v, want [[true true false]]", views)
-	}
-	// The callee owns the mask: mutating it must not touch the view.
-	views[0][1] = false
-	if !p.View().Alive(1) {
-		t.Fatal("OnViewChange handed out the live mask, not a copy")
+	if v := p.View(); !v.Alive(0) || !v.Alive(1) || v.Alive(2) || v.AliveCount() != 2 {
+		t.Fatalf("view = %v, want [true true false]", v)
 	}
 	// Re-adopting the same mask is not a view change.
 	d2 := fullGroupDecision(3, 1, 1, mid.NewSeqVector(3))
 	d2.Alive[2] = false
 	p.Recv(1, d2)
-	if len(views) != 1 {
-		t.Fatalf("unchanged mask fired OnViewChange again: %v", views)
+	if p.Stats.CrashDeclarations != 1 || p.Stats.ViewChanges != 1 {
+		t.Fatalf("unchanged mask counted again: declarations = %d, view changes = %d",
+			p.Stats.CrashDeclarations, p.Stats.ViewChanges)
 	}
 }
 
 // TestOnViewChangeFromSilenceDeclaration pins the coordinator path: a
-// coordinator whose attempts counters saturate fires OnViewChange once
-// for the batch of declarations it makes itself.
+// coordinator whose attempts counters saturate counts one view change in
+// Stats for the batch of declarations it makes itself.
 func TestOnViewChangeFromSilenceDeclaration(t *testing.T) {
 	cfg := Config{N: 3, K: 1, R: 1}
 	tp := &capture{}
-	var views [][]bool
-	p, err := NewProcess(0, cfg, tp, Callbacks{
-		OnViewChange: func(alive []bool) { views = append(views, alive) },
-	})
+	p, err := NewProcess(0, cfg, tp, Callbacks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Subrun 0: p0 coordinates, hears nobody. K=1 declares 1 and 2 at once.
 	p.StartRound(0)
 	p.StartRound(1)
-	if len(views) != 1 {
-		t.Fatalf("views fired %d times, want 1", len(views))
+	if p.Stats.ViewChanges != 1 || p.Stats.CrashDeclarations != 2 {
+		t.Fatalf("view changes = %d, declarations = %d, want 1 and 2", p.Stats.ViewChanges, p.Stats.CrashDeclarations)
 	}
-	if v := views[0]; !v[0] || v[1] || v[2] {
+	if v := p.View(); !v.Alive(0) || v.Alive(1) || v.Alive(2) {
 		t.Fatalf("view = %v, want [true false false]", v)
 	}
 }

@@ -7,16 +7,13 @@ import (
 	"urcgc/internal/wire"
 )
 
-// TestOnRoundEndReportsGauges drives one process and checks the per-round
-// observation stream: rounds in order, history growing as messages are
-// processed, pending reflecting the outbox.
+// TestOnRoundEndReportsGauges drives one process and reads, at each round's
+// end, the buffer gauges its accessors report: history growing as messages
+// are processed, pending reflecting the outbox, nothing waiting.
 func TestOnRoundEndReportsGauges(t *testing.T) {
 	cfg := Config{N: 2, K: 2, R: 5, SelfExclusion: true}
 	tp := &capture{}
-	var obs []RoundObservation
-	p, err := NewProcess(0, cfg, tp, Callbacks{
-		OnRoundEnd: func(o RoundObservation) { obs = append(obs, o) },
-	})
+	p, err := NewProcess(0, cfg, tp, Callbacks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,44 +23,37 @@ func TestOnRoundEndReportsGauges(t *testing.T) {
 	if _, err := p.Submit([]byte("b"), nil); err != nil {
 		t.Fatal(err)
 	}
+	type gauges struct{ history, waiting, pending int }
+	sample := func() gauges { return gauges{p.HistoryLen(), p.WaitingLen(), p.PendingSubmissions()} }
 	p.StartRound(0) // broadcasts+processes "a"; "b" still pending
+	if g := sample(); g != (gauges{1, 0, 1}) {
+		t.Errorf("after round 0: %+v", g)
+	}
 	p.StartRound(1)
 	p.StartRound(2) // broadcasts+processes "b"
-	if len(obs) != 3 {
-		t.Fatalf("got %d observations, want 3", len(obs))
-	}
-	if obs[0].Round != 0 || obs[1].Round != 1 || obs[2].Round != 2 {
-		t.Errorf("round order wrong: %+v", obs)
-	}
-	if obs[0].HistoryLen != 1 || obs[0].Pending != 1 {
-		t.Errorf("after round 0: %+v", obs[0])
-	}
-	if obs[2].HistoryLen != 2 || obs[2].Pending != 0 {
-		t.Errorf("after round 2: %+v", obs[2])
+	if g := sample(); g != (gauges{2, 0, 0}) {
+		t.Errorf("after round 2: %+v", g)
 	}
 }
 
 // TestOnCrashDeclaredAtCoordinator has the coordinator declare a silent
-// member crashed and checks the hook fires exactly once.
+// member crashed and checks Stats counts the declaration exactly once.
 func TestOnCrashDeclaredAtCoordinator(t *testing.T) {
 	cfg := Config{N: 2, K: 1, R: 3, SelfExclusion: true}
 	tp := &capture{}
-	var declared []mid.ProcID
-	p, err := NewProcess(0, cfg, tp, Callbacks{
-		OnCrashDeclared: func(q mid.ProcID) { declared = append(declared, q) },
-	})
+	p, err := NewProcess(0, cfg, tp, Callbacks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.StartRound(0) // p1 stays silent
 	p.StartRound(1) // K=1: attempts saturate, p1 declared crashed
-	if len(declared) != 1 || declared[0] != 1 {
-		t.Fatalf("declared = %v, want [1]", declared)
+	if got := p.Stats.CrashDeclarations; got != 1 || p.View().Alive(1) {
+		t.Fatalf("declarations = %d, view %v: want p1 declared once", got, p.View())
 	}
 	p.StartRound(2)
 	p.StartRound(3)
-	if len(declared) != 1 {
-		t.Errorf("crash re-declared: %v", declared)
+	if got := p.Stats.CrashDeclarations; got != 1 {
+		t.Errorf("crash re-declared: %d declarations", got)
 	}
 }
 

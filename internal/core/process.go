@@ -33,6 +33,17 @@
 // recovery path, and re-enters the view when a coordinator folds its
 // join-flagged REQUEST into a decision — turning the suicide rule from
 // terminal death into leave, resync, rejoin.
+//
+// Section 5's architecture maps onto this package and its host. The urcgc
+// layer divides into the Group Control sublayer — the urcgc entity running
+// the agreement protocol — and the Group Message Transfer sublayer —
+// message processing, history storage and recovery; both are a Process,
+// with internal/transport supplying the t-SAP service when h > 1. The
+// service its users see through their urcgc SAPs is three primitives, the
+// methods of a live rt.Member: Send is urcgc-data.Rq, returning with the
+// urcgc-data.Conf once the local entity has processed the message, and
+// Indications is the urcgc-data.Ind stream of every processed message, in
+// causal order.
 package core
 
 import (
@@ -242,24 +253,6 @@ type Callbacks struct {
 	// the process owns and will overwrite a few decisions later: valid (and
 	// read-only) for the call, cloned by a callee that keeps it.
 	OnDecision func(d *wire.Decision)
-	// OnRoundEnd is invoked after every StartRound with the buffer gauges
-	// of the moment — the live counterpart of the Figure 6 history curves.
-	OnRoundEnd func(o RoundObservation)
-	// OnCrashDeclared is invoked when this process's view transitions a
-	// member from believed-alive to declared-crashed, whether it made the
-	// declaration as coordinator or adopted it from a decision.
-	OnCrashDeclared func(q mid.ProcID)
-	// OnSubrunStart is invoked at the opening of every subrun, the clock's
-	// and Advance's, with the subrun number (see SplitSubrun) and the
-	// coordinator this process will report to — the local token-pass event
-	// of the rotating-coordinator scheme. A health layer watching this sees
-	// the token position advance (or stall).
-	OnSubrunStart func(subrun int64, coord mid.ProcID)
-	// OnViewChange is invoked whenever the local view changes composition —
-	// members declared crashed, or a joiner admitted back — after the
-	// per-member OnCrashDeclared calls. alive is a fresh copy the callee
-	// owns.
-	OnViewChange func(alive []bool)
 	// OnJoinInstalled is invoked on a joiner when the sponsor's state
 	// transfer is installed, before any message is processed: stable is the
 	// stability watermark the process starts from (everything at or below
@@ -275,14 +268,6 @@ type Callbacks struct {
 	// forever — without per-message OnProcess calls. Only a joiner syncing
 	// against a moving stability watermark hits this path.
 	OnFastForward func(q mid.ProcID, to mid.Seq)
-}
-
-// RoundObservation is the per-round gauge sample handed to OnRoundEnd.
-type RoundObservation struct {
-	Round      int // the round just executed
-	HistoryLen int // history buffer length
-	WaitingLen int // waiting-list length
-	Pending    int // user messages queued, deferred by rounds or flow control
 }
 
 // Process is one urcgc protocol entity. It is driven by StartRound and
@@ -411,9 +396,21 @@ type Stats struct {
 	// time, mid-subrun, from what the subrun's budget had left — instead of
 	// at the subrun's opening tick. A subrun may hold several.
 	EagerBroadcasts int
+	// Subruns counts the subruns this process opened and reported in, the
+	// clock's and Advance's: the local token-pass events of the rotating
+	// coordinator. A joiner counts none before the state transfer installs.
+	Subruns int
 	// EarlySubruns counts the subruns Advance opened between the clock's:
 	// zero wherever only StartRound drives the process.
 	EarlySubruns int
+	// ViewChanges counts the changes of the local view's composition:
+	// members declared crashed (by this process as coordinator, or adopted
+	// from a decision), or a joiner admitted back. One decision's worth of
+	// changes is one view change.
+	ViewChanges int
+	// CrashDeclarations counts the members this process's view moved from
+	// believed-alive to declared-crashed, whoever made the declaration.
+	CrashDeclarations int
 
 	Sponsored    int // JOIN-STATE transfers served to joiners
 	FastForwards int // compacted recovery gaps skipped while syncing
@@ -682,14 +679,6 @@ func (p *Process) StartRound(r int) {
 	} else {
 		p.decisionPhase()
 	}
-	if p.cb.OnRoundEnd != nil && p.running {
-		p.cb.OnRoundEnd(RoundObservation{
-			Round:      r,
-			HistoryLen: p.hist.Len(),
-			WaitingLen: p.wait.Len(),
-			Pending:    len(p.outbox),
-		})
-	}
 }
 
 // startSubrun opens clock subrun s, (s, 0), from whatever subrun of the
@@ -731,10 +720,8 @@ func (p *Process) openSubrun(s int64) {
 	}
 
 	// Send the REQUEST to the subrun's coordinator.
+	p.Stats.Subruns++
 	coord := p.coordinator(s)
-	if p.cb.OnSubrunStart != nil {
-		p.cb.OnSubrunStart(s, coord)
-	}
 	if coord == p.id {
 		p.reportSelf()
 	} else {
@@ -776,10 +763,8 @@ func (p *Process) joinSubrun(s int64) {
 		p.tp.Send(p.sponsorCandidate(s), &wire.Join{Joiner: p.id})
 		return
 	}
+	p.Stats.Subruns++
 	coord := p.coordinator(s)
-	if p.cb.OnSubrunStart != nil {
-		p.cb.OnSubrunStart(s, coord)
-	}
 	if coord == p.id {
 		// Our (stale) view rotated the token onto us, but nobody treats a
 		// joiner as coordinator before a decision admits it; hold the
@@ -1513,19 +1498,13 @@ func (p *Process) handleRecover(r *wire.Recover) {
 // stale view wrongly kept is re-declared within K subruns by the same
 // silence counting that declared it the first time.
 func (p *Process) adoptMask(mask []bool) {
-	if p.cb.OnCrashDeclared != nil {
-		for q := 0; q < p.cfg.N && q < len(mask); q++ {
-			if !mask[q] && p.view.Alive(mid.ProcID(q)) {
-				p.cb.OnCrashDeclared(mid.ProcID(q))
-			}
-		}
-	}
 	removed, added := p.view.Adopt(mask)
 	for _, q := range added {
 		p.noteJoined(q)
 	}
-	if len(removed)+len(added) > 0 && p.cb.OnViewChange != nil {
-		p.cb.OnViewChange(p.view.AliveMask())
+	p.Stats.CrashDeclarations += len(removed)
+	if len(removed)+len(added) > 0 {
+		p.Stats.ViewChanges++
 	}
 }
 
@@ -1585,8 +1564,8 @@ func (p *Process) computeDecision() *wire.Decision {
 			admitted = true
 		}
 	}
-	if admitted && p.cb.OnViewChange != nil {
-		p.cb.OnViewChange(p.view.AliveMask())
+	if admitted {
+		p.Stats.ViewChanges++
 	}
 	att := p.attempts
 	att.Reset()
@@ -1596,12 +1575,10 @@ func (p *Process) computeDecision() *wire.Decision {
 	declared := att.Observe(p.heard, p.view)
 	for _, crashed := range declared {
 		p.view.MarkCrashed(crashed)
-		if p.cb.OnCrashDeclared != nil {
-			p.cb.OnCrashDeclared(crashed)
-		}
 	}
-	if len(declared) > 0 && p.cb.OnViewChange != nil {
-		p.cb.OnViewChange(p.view.AliveMask())
+	p.Stats.CrashDeclarations += len(declared)
+	if len(declared) > 0 {
+		p.Stats.ViewChanges++
 	}
 	att.CopyTo(d.Attempts)
 	for q := range d.Alive {

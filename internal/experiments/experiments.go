@@ -14,39 +14,8 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
-
-	"urcgc/internal/core"
-	"urcgc/internal/mid"
 )
-
-// ringWorkload submits, at every subrun start up to limit subruns, one
-// message per active process with probability rate, each causally depending
-// on the latest processed message of the previous process in the ring —
-// application-specified causality that keeps sequences concurrent, as the
-// intermediate interpretation intends.
-func ringWorkload(c *core.Cluster, rng *rand.Rand, rate float64, limitSubruns int) func(round int) {
-	return func(round int) {
-		if round%2 != 0 || round/2 >= limitSubruns {
-			return
-		}
-		for i := 0; i < c.N(); i++ {
-			p := mid.ProcID(i)
-			if !c.Active(p) || rng.Float64() >= rate {
-				continue
-			}
-			prev := mid.ProcID((i + c.N() - 1) % c.N())
-			var deps mid.DepList
-			if s := c.Proc(p).Processed()[prev]; s > 0 {
-				deps = mid.DepList{{Proc: prev, Seq: s}}
-			}
-			// Submission can fail only if p left the group between the
-			// Active check and here; skip silently in that case.
-			_, _ = c.Submit(p, payload(), deps)
-		}
-	}
-}
 
 // payload returns the fixed-size user payload used across experiments (the
 // paper's simulations assume messages fitting the network packet size).

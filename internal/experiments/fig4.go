@@ -7,8 +7,7 @@ import (
 	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
-
-	"math/rand"
+	"urcgc/internal/workload"
 )
 
 // Fig4Config parameterizes the delay-vs-load experiment.
@@ -100,11 +99,10 @@ func fig4Run(cfg Fig4Config, load float64, seed int64, inj faultrt.Injector) (fl
 	if err != nil {
 		return 0, err
 	}
-	rng := rand.New(rand.NewSource(seed ^ 0x5f4))
 	_, err = c.Run(core.RunOptions{
 		MaxRounds:         2*cfg.Subruns + 200,
 		MinRounds:         2 * cfg.Subruns,
-		OnRound:           ringWorkload(c, rng, load, cfg.Subruns),
+		OnRound:           workload.New(c, seed^0x5f4, workload.WithRate(load), workload.WithLimit(cfg.Subruns)).OnRound,
 		StopWhenQuiescent: true,
 		DrainSubruns:      4,
 	})

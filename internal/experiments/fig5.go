@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"urcgc/internal/cbcast"
 	"urcgc/internal/core"
@@ -11,6 +10,7 @@ import (
 	"urcgc/internal/psync"
 	"urcgc/internal/sim"
 	"urcgc/internal/wire"
+	"urcgc/internal/workload"
 )
 
 // Fig5Config parameterizes the agreement-time experiment.
@@ -121,10 +121,9 @@ func fig5URCGC(cfg Fig5Config, f int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x915))
 	_, err = c.Run(core.RunOptions{
 		MaxRounds: 2 * (s0 + 2*cfg.K + f + 30),
-		OnRound:   ringWorkload(c, rng, 1.0, s0+2*cfg.K+f+25),
+		OnRound:   workload.New(c, cfg.Seed^0x915, workload.WithLimit(s0+2*cfg.K+f+25)).OnRound,
 	})
 	if err != nil {
 		return 0, err

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"urcgc/internal/cbcast"
 	"urcgc/internal/core"
@@ -10,6 +9,7 @@ import (
 	"urcgc/internal/mid"
 	"urcgc/internal/sim"
 	"urcgc/internal/wire"
+	"urcgc/internal/workload"
 )
 
 // Table1Config parameterizes the control-traffic experiment.
@@ -102,10 +102,9 @@ func table1URCGC(cfg Table1Config, n int, inj faultrt.Injector) (Table1Row, erro
 	if err != nil {
 		return Table1Row{}, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x7a))
 	_, err = c.Run(core.RunOptions{
 		MaxRounds: 2 * cfg.Subruns,
-		OnRound:   ringWorkload(c, rng, 1.0, cfg.Subruns),
+		OnRound:   workload.New(c, cfg.Seed^0x7a, workload.WithLimit(cfg.Subruns)).OnRound,
 	})
 	if err != nil {
 		return Table1Row{}, err

@@ -1,11 +1,15 @@
-// Package inspect reconstructs the cluster-wide protocol picture from the
-// per-node observability endpoints (/status, /metrics, /timeseries,
-// /healthz — the nodehttp surface). One probe per node yields a Report:
+// Package inspect reconstructs the cluster-wide protocol picture from two
+// of the per-node observability endpoints of the nodehttp surface: /status,
+// the protocol state of every hosted group, and /healthz, the member's own
+// verdict over its flight recording. One probe per node yields a Report:
 // per hosted group, the view agreement, the token position each member
 // believes, the min/max stability frontier and per-sender history
 // occupancy. The unit of agreement is the group, so every protocol rule
-// runs once per group over that group's status and {node, group} series,
-// and names the group it fired for (one group is simply G = 1):
+// runs once per group over that group's status, and names the group it
+// fired for (one group is simply G = 1). The rules here are the ones only a
+// comparison across members can make; what a member can judge of itself —
+// a stalled token, a growing history — it judges in /healthz, and the
+// inspector carries that verdict through rather than judging it again:
 //
 //   - unreachable:      a node did not answer its /status probe.
 //   - left:             a member answered but no longer runs the protocol
@@ -14,9 +18,6 @@
 //   - view-divergence:  two members disagree about who is alive. Benign
 //     while a crash propagates, so one-shot probes give
 //     it a grace re-probe before declaring it real.
-//   - token-stall:      a member's freshest decision subrun has not moved
-//     for a full sample window of its flight recording —
-//     the rotating token is no longer reaching it.
 //   - frontier-skew:    the stability frontiers (sum of the clean vector
 //     from the freshest full-group decision) have spread
 //     wider than the threshold; the lagging members are
@@ -31,10 +32,12 @@
 //     group; informational, and it exempts the member
 //     from the rules its join legitimately trips.
 //   - node-unhealthy:   the node's own /healthz verdict is 503; its
-//     machine-readable reasons are carried through.
+//     machine-readable reasons are carried through ("group 1
+//     token-stall": the rotating token no longer reaches
+//     the member in group 1).
 //
 // The package is transport-only glue plus pure diagnosis rules; it embeds
-// no protocol logic beyond reading the gauges the runtime exports.
+// no protocol logic beyond reading the state the runtime reports.
 package inspect
 
 import (
@@ -43,12 +46,10 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
 	"urcgc/internal/health"
-	"urcgc/internal/obs"
 	"urcgc/internal/probe"
 	"urcgc/internal/rt"
 )
@@ -63,17 +64,11 @@ type Config struct {
 	// FrontierSkew is the max-min stability-frontier spread tolerated
 	// before lagging nodes are flagged; 0 means 64.
 	FrontierSkew int64
-	// StallWindow is how many trailing flight samples of a frozen decision
-	// subrun count as a token stall; 0 means 12.
-	StallWindow int
 }
 
 func (c Config) withDefaults() Config {
 	if c.FrontierSkew <= 0 {
 		c.FrontierSkew = 64
-	}
-	if c.StallWindow <= 0 {
-		c.StallWindow = 12
 	}
 	return c
 }
@@ -90,30 +85,12 @@ type NodeProbe struct {
 	Status *rt.NodeStatus `json:"status,omitempty"`
 	// Health is the node's own verdict (from /healthz), if served.
 	Health *health.Status `json:"health,omitempty"`
-	// Groups holds, element for element of Status.Groups, what the node's
-	// {node, group} series add to that group's status.
-	Groups []GroupProbe `json:"groups,omitempty"`
-}
-
-// GroupProbe is what one hosted group's series say.
-type GroupProbe struct {
-	Group uint32 `json:"group"`
-	// StableSum is the stability frontier: the sum of the clean vector,
-	// read from core_stable_sum on /metrics (falling back to the status
-	// StableTo vector when the gauge is absent).
-	StableSum int64 `json:"stable_sum"`
-	// ProcessedSum is the total messages processed, read from
-	// rt_processed_total on /metrics (falling back to the status vector).
-	ProcessedSum int64 `json:"processed_sum"`
-	// DecisionTail is the trailing window of the decision-subrun gauge from
-	// /timeseries, oldest first; empty without a flight.
-	DecisionTail []int64 `json:"decision_tail,omitempty"`
 }
 
 // Problem is one detected divergence.
 type Problem struct {
-	// Kind is "unreachable", "left", "view-divergence", "token-stall",
-	// "frontier-skew", "progress-skew", "node-unhealthy" or "joining".
+	// Kind is "unreachable", "left", "view-divergence", "frontier-skew",
+	// "progress-skew", "node-unhealthy" or "joining".
 	Kind string `json:"kind"`
 	// Group is the group the problem was found in; nil only for the kinds
 	// about the node itself ("unreachable", "node-unhealthy").
@@ -147,28 +124,8 @@ type Report struct {
 	ViewsAgree bool `json:"views_agree"`
 }
 
-// metricValue finds a `name{labels} value` sample in Prometheus text.
-func metricValue(body []byte, series string) (int64, bool) {
-	for _, line := range strings.Split(string(body), "\n") {
-		if !strings.HasPrefix(line, series) {
-			continue
-		}
-		rest := line[len(series):]
-		if len(rest) == 0 || rest[0] != ' ' {
-			continue
-		}
-		v, err := strconv.ParseInt(strings.TrimSpace(rest), 10, 64)
-		if err != nil {
-			return 0, false
-		}
-		return v, true
-	}
-	return 0, false
-}
-
 // probeNode collects one node's picture. Only the /status fetch is fatal
-// to the probe; /metrics, /healthz and /timeseries degrade gracefully so
-// a cluster without a flight recorder still inspects.
+// to the probe; a node that serves no /healthz still inspects.
 func probeNode(ctx context.Context, cfg Config, addr string) NodeProbe {
 	p := NodeProbe{Addr: addr}
 	var st rt.NodeStatus
@@ -182,28 +139,6 @@ func probeNode(ctx context.Context, cfg Config, addr string) NodeProbe {
 	var h health.Status
 	if cfg.GetJSON(ctx, addr, "/healthz", &h, http.StatusServiceUnavailable) == nil {
 		p.Health = &h
-	}
-	metrics, _ := cfg.Get(ctx, addr, "/metrics")
-	var flight obs.FlightSnapshot
-	_ = cfg.GetJSON(ctx, addr, "/timeseries", &flight)
-
-	node := strconv.Itoa(int(st.ID))
-	for _, gs := range st.Groups {
-		series := func(name string) string {
-			return obs.Labeled(name, "node", node, "group", strconv.Itoa(int(gs.Group)))
-		}
-		gp := GroupProbe{Group: gs.Group, StableSum: int64(gs.StableTo.Sum()), ProcessedSum: int64(gs.Processed.Sum())}
-		if v, ok := metricValue(metrics, series("core_stable_sum")); ok {
-			gp.StableSum = v
-		}
-		if v, ok := metricValue(metrics, series("rt_processed_total")); ok {
-			gp.ProcessedSum = v
-		}
-		gp.DecisionTail = flight.Series[series("core_decision_subrun")]
-		if len(gp.DecisionTail) > cfg.StallWindow {
-			gp.DecisionTail = gp.DecisionTail[len(gp.DecisionTail)-cfg.StallWindow:]
-		}
-		p.Groups = append(p.Groups, gp)
 	}
 	return p
 }
@@ -226,11 +161,10 @@ func maskString(alive []bool) string {
 type entity struct {
 	addr string
 	st   *rt.Status
-	gp   *GroupProbe
 	// joining reports the entity mid-join: its own status says so, or its
 	// /healthz verdict for the group is still inside the join grace window.
-	// A joiner's stale view, frozen token and lagging frontier are the
-	// join, not a fault, so the divergence rules skip it.
+	// A joiner's stale view and lagging frontier are the join, not a
+	// fault, so the divergence rules skip it.
 	joining bool
 }
 
@@ -324,21 +258,6 @@ func diagnoseGroup(gid uint32, members []entity, cfg Config) (problems []Problem
 		})
 	}
 
-	// Token stall: a frozen decision-subrun window on any running member.
-	// A joiner's subrun is legitimately frozen until the sponsor's state
-	// installs, so joiners are exempt.
-	for _, e := range members {
-		tail := e.gp.DecisionTail
-		if !e.st.Running || e.joining || len(tail) < cfg.StallWindow || slices.Max(tail) != slices.Min(tail) {
-			continue
-		}
-		problems = append(problems, Problem{
-			Kind: "token-stall", Nodes: []string{e.addr},
-			Detail: fmt.Sprintf("%s (member %d): decision subrun frozen at %d for %d samples",
-				e.addr, e.st.ID, tail[0], cfg.StallWindow),
-		})
-	}
-
 	// Skew rules: name the lagging members. Stability-frontier skew says
 	// some members hold full-group decisions others never saw (a healed
 	// split still reconciling); processed skew says some members are not
@@ -347,9 +266,9 @@ func diagnoseGroup(gid uint32, members []entity, cfg Config) (problems []Problem
 	// decision needs reports from every believed-alive member), while the
 	// majority side keeps processing and the cut-off member does not.
 	problems = append(problems, skewProblem(members, cfg.FrontierSkew, "frontier-skew",
-		"stability frontier", func(e entity) int64 { return e.gp.StableSum })...)
+		"stability frontier", func(e entity) int64 { return stableSum(e.st) })...)
 	problems = append(problems, skewProblem(members, cfg.FrontierSkew, "progress-skew",
-		"processed count", func(e entity) int64 { return e.gp.ProcessedSum })...)
+		"processed count", func(e entity) int64 { return int64(e.st.Processed.Sum()) })...)
 
 	for i := range problems {
 		problems[i].Group = &gid
@@ -375,7 +294,7 @@ func diagnose(probes []NodeProbe, cfg Config) (problems []Problem, viewsAgree bo
 			continue
 		}
 		for g := range p.Status.Groups {
-			e := entity{addr: p.Addr, st: &p.Status.Groups[g], gp: &p.Groups[g]}
+			e := entity{addr: p.Addr, st: &p.Status.Groups[g]}
 			e.joining = e.st.Joining
 			if p.Health != nil {
 				for _, v := range p.Health.Groups {
@@ -422,16 +341,24 @@ func Collect(ctx context.Context, cfg Config) Report {
 	r.Healthy = healthyProblems(r.Problems)
 	first := true
 	for _, p := range r.Nodes {
-		for _, gp := range p.Groups {
+		if !p.Reachable {
+			continue
+		}
+		for g := range p.Status.Groups {
+			f := stableSum(&p.Status.Groups[g])
 			if first {
-				r.MinFrontier, r.MaxFrontier, first = gp.StableSum, gp.StableSum, false
+				r.MinFrontier, r.MaxFrontier, first = f, f, false
 			}
-			r.MinFrontier = min(r.MinFrontier, gp.StableSum)
-			r.MaxFrontier = max(r.MaxFrontier, gp.StableSum)
+			r.MinFrontier = min(r.MinFrontier, f)
+			r.MaxFrontier = max(r.MaxFrontier, f)
 		}
 	}
 	return r
 }
+
+// stableSum is a member's stability frontier in one group: the sum of the
+// clean vector of the freshest full-group decision it applied.
+func stableSum(st *rt.Status) int64 { return int64(st.StableTo.Sum()) }
 
 // healthyProblems reports whether the problem list carries any real
 // divergence. Informational kinds (a member mid-join) never flip the

@@ -13,19 +13,17 @@ import (
 
 	"urcgc/internal/health"
 	"urcgc/internal/mid"
-	"urcgc/internal/obs"
 	"urcgc/internal/probe"
 	"urcgc/internal/rt"
 )
 
-// fakeNode serves canned nodehttp responses for one member.
+// fakeNode serves canned nodehttp responses for one member: the two
+// endpoints an inspector reads.
 type fakeNode struct {
-	mu         sync.Mutex
-	status     rt.NodeStatus
-	health     *health.Status
-	metrics    string
-	timeseries *obs.FlightSnapshot
-	srv        *httptest.Server
+	mu     sync.Mutex
+	status rt.NodeStatus
+	health *health.Status
+	srv    *httptest.Server
 }
 
 // nodeStatus assembles a member's /status document from its per-group
@@ -47,8 +45,6 @@ func newFakeNode(t *testing.T, groups ...rt.Status) *fakeNode {
 		case "/status":
 			w.Header().Set("Content-Type", "application/json")
 			_ = json.NewEncoder(w).Encode(f.status)
-		case "/metrics":
-			fmt.Fprint(w, f.metrics)
 		case "/healthz":
 			if f.health == nil {
 				http.NotFound(w, r)
@@ -58,12 +54,6 @@ func newFakeNode(t *testing.T, groups ...rt.Status) *fakeNode {
 				w.WriteHeader(http.StatusServiceUnavailable)
 			}
 			_ = json.NewEncoder(w).Encode(f.health)
-		case "/timeseries":
-			if f.timeseries == nil {
-				http.NotFound(w, r)
-				return
-			}
-			_ = json.NewEncoder(w).Encode(f.timeseries)
 		default:
 			http.NotFound(w, r)
 		}
@@ -107,9 +97,12 @@ func on(fakes ...*fakeNode) probe.Cluster {
 	return c
 }
 
-// series names one (node, group) series the way the runtime labels it.
-func series(name string, node, group int) string {
-	return obs.Labeled(name, "node", fmt.Sprint(node), "group", fmt.Sprint(group))
+// stalledIn is the /healthz verdict of a member whose own token-stall rule
+// fired in group g: the decision subrun frozen for a full window.
+func stalledIn(id, g int) *health.Status {
+	return &health.Status{Node: fmt.Sprint(id), Healthy: false, Samples: 12, Reasons: []health.GroupReason{
+		{Group: g, Rule: "token-stall", Reason: "decision subrun frozen at 7 for 12 samples"},
+	}}
 }
 
 func collect(t *testing.T, cfg Config) Report {
@@ -182,57 +175,35 @@ func TestLeftNode(t *testing.T) {
 	}
 }
 
+// TestTokenStall: a member whose own /healthz reports its token stalled is
+// named, alone, as node-unhealthy with the group and the rule; a member
+// whose token moves is not.
 func TestTokenStall(t *testing.T) {
 	frozen := newFakeNode(t, runningStatus(0, 2, 6))
-	frozen.set(func(f *fakeNode) {
-		f.timeseries = &obs.FlightSnapshot{
-			Samples: 8,
-			Series: map[string][]int64{
-				series("core_decision_subrun", 0, 0): {7, 7, 7, 7, 7, 7, 7, 7},
-			},
-		}
-	})
+	frozen.set(func(f *fakeNode) { f.health = stalledIn(0, 0) })
 	moving := newFakeNode(t, runningStatus(1, 2, 6))
-	moving.set(func(f *fakeNode) {
-		f.timeseries = &obs.FlightSnapshot{
-			Samples: 8,
-			Series: map[string][]int64{
-				series("core_decision_subrun", 1, 0): {3, 4, 5, 6, 7, 8, 9, 10},
-			},
-		}
-	})
-	r := collect(t, Config{Cluster: on(frozen, moving), StallWindow: 6})
-	if r.Healthy || !hasProblem(r, "token-stall") {
+	moving.set(func(f *fakeNode) { f.health = &health.Status{Node: "1", Healthy: true, Samples: 12} })
+	r := collect(t, Config{Cluster: on(frozen, moving)})
+	if r.Healthy || !hasProblem(r, "node-unhealthy") {
 		t.Fatalf("frozen token not flagged: %v", problemKinds(r))
 	}
-	stalls := 0
-	for _, p := range r.Problems {
-		if p.Kind == "token-stall" {
-			stalls++
-			if len(p.Nodes) != 1 || p.Nodes[0] != frozen.srv.URL {
-				t.Fatalf("stall names %v, want only the frozen node", p.Nodes)
-			}
-		}
+	if len(r.Problems) != 1 {
+		t.Fatalf("problems = %v, want the one stall", problemKinds(r))
 	}
-	if stalls != 1 {
-		t.Fatalf("stall problems = %d, want 1", stalls)
+	if p := r.Problems[0]; len(p.Nodes) != 1 || p.Nodes[0] != frozen.srv.URL || !strings.Contains(p.Detail, "group 0 token-stall") {
+		t.Fatalf("stall = %+v, want only the frozen node, with its group and rule", p)
 	}
 }
 
+// TestTokenStallNeedsFullWindow: a freshly booted member is warming up — its
+// /healthz is healthy on too few samples — and the inspector, which keeps no
+// stall rule of its own, flags nothing.
 func TestTokenStallNeedsFullWindow(t *testing.T) {
-	// Too few samples must NOT fire: a freshly booted cluster is warming up.
 	f := newFakeNode(t, runningStatus(0, 1, 0))
-	f.set(func(fn *fakeNode) {
-		fn.timeseries = &obs.FlightSnapshot{
-			Samples: 3,
-			Series: map[string][]int64{
-				series("core_decision_subrun", 0, 0): {7, 7, 7},
-			},
-		}
-	})
-	r := collect(t, Config{Cluster: on(f), StallWindow: 6})
-	if hasProblem(r, "token-stall") {
-		t.Fatalf("warming-up node flagged as stalled: %v", problemKinds(r))
+	f.set(func(fn *fakeNode) { fn.health = &health.Status{Node: "0", Healthy: true, Samples: 3} })
+	r := collect(t, Config{Cluster: on(f)})
+	if !r.Healthy || len(r.Problems) != 0 {
+		t.Fatalf("warming-up node flagged: %v", problemKinds(r))
 	}
 }
 
@@ -286,20 +257,6 @@ func TestProgressSkewNamesPartitionedNode(t *testing.T) {
 				t.Fatalf("laggards = %v, want only the cut-off node", p.Nodes)
 			}
 		}
-	}
-}
-
-func TestMetricsOverrideStatusSums(t *testing.T) {
-	f := newFakeNode(t, runningStatus(0, 1, 6))
-	f.set(func(fn *fakeNode) {
-		fn.metrics = "# TYPE core_stable_sum gauge\n" +
-			"core_stable_sum{node=\"0\",group=\"0\"} 42\n" +
-			"# TYPE rt_processed_total counter\n" +
-			"rt_processed_total{node=\"0\",group=\"0\"} 43\n"
-	})
-	r := collect(t, Config{Cluster: on(f)})
-	if g := r.Nodes[0].Groups[0]; g.StableSum != 42 || g.ProcessedSum != 43 {
-		t.Fatalf("metrics did not override sums: %+v", g)
 	}
 }
 
@@ -376,22 +333,6 @@ func TestWatchEmitsSummaries(t *testing.T) {
 	}
 }
 
-func TestMetricValue(t *testing.T) {
-	body := []byte("# TYPE x counter\nx{node=\"0\"} 7\nx{node=\"10\"} 9\ny 3\n")
-	if v, ok := metricValue(body, `x{node="0"}`); !ok || v != 7 {
-		t.Errorf(`x{node="0"} = %d,%v`, v, ok)
-	}
-	if v, ok := metricValue(body, `x{node="1"}`); ok {
-		t.Errorf(`x{node="1"} matched a prefix: %d`, v)
-	}
-	if v, ok := metricValue(body, `y`); !ok || v != 3 {
-		t.Errorf("y = %d,%v", v, ok)
-	}
-	if _, ok := metricValue(body, `absent`); ok {
-		t.Error("absent series matched")
-	}
-}
-
 func TestSummaryLine(t *testing.T) {
 	r := Report{Healthy: true, ViewsAgree: true,
 		Nodes:       []NodeProbe{{Reachable: true}, {Reachable: true}},
@@ -425,13 +366,14 @@ func TestJoiningMemberIsInformational(t *testing.T) {
 		newFakeNode(t, runningStatus(1, 3, 12), survivor),
 		newFakeNode(t, runningStatus(2, 3, 12), joiner),
 	}
+	// Its own /healthz exempts the join from the token-stall rule its frozen
+	// decision subrun would trip.
 	fakes[2].set(func(f *fakeNode) {
-		f.timeseries = &obs.FlightSnapshot{
-			Samples: 8,
-			Series:  map[string][]int64{series("core_decision_subrun", 2, 1): {7, 7, 7, 7, 7, 7, 7, 7}},
-		}
+		f.health = &health.Status{Node: "2", Healthy: true, Samples: 8, Joining: true, Groups: []health.GroupVerdict{
+			{Group: 0, Healthy: true}, {Group: 1, Healthy: true, Joining: true},
+		}}
 	})
-	cfg := Config{Cluster: on(fakes...), FrontierSkew: 32, StallWindow: 6}
+	cfg := Config{Cluster: on(fakes...), FrontierSkew: 32}
 	r := collect(t, cfg)
 	if !r.Healthy {
 		t.Fatalf("joining member flipped the verdict: %v", problemKinds(r))
@@ -516,20 +458,17 @@ func TestPerGroupProblems(t *testing.T) {
 	}
 
 	// Group 1's token stops reaching member 2 while group 0's keeps
-	// advancing there: the stall is read from the {node, group} series and
-	// named against group 1 only.
+	// advancing there: member 2's own verdict names group 1 only, and the
+	// report carries it through.
 	stalled := cluster(false)
-	stalled[2].set(func(f *fakeNode) {
-		f.timeseries = &obs.FlightSnapshot{Samples: 6, Series: map[string][]int64{
-			series("core_decision_subrun", 2, 0): {3, 4, 5, 6, 7, 8},
-			series("core_decision_subrun", 2, 1): {7, 7, 7, 7, 7, 7},
-		}}
-	})
-	r = collect(t, Config{Cluster: on(stalled...), StallWindow: 6})
-	if len(r.Problems) != 1 || r.Problems[0].Nodes[0] != stalled[2].srv.URL {
+	stalled[2].set(func(f *fakeNode) { f.health = stalledIn(2, 1) })
+	r = collect(t, Config{Cluster: on(stalled...)})
+	if len(r.Problems) != 1 || r.Problems[0].Kind != "node-unhealthy" || r.Problems[0].Nodes[0] != stalled[2].srv.URL {
 		t.Fatalf("want one stall naming member 2, got %+v", r.Problems)
 	}
-	inGroup1(r, "token-stall")
+	if d := r.Problems[0].Detail; !strings.Contains(d, "group 1 token-stall") || strings.Contains(d, "group 0") {
+		t.Fatalf("stall not scoped to group 1: %s", d)
+	}
 
 	// All groups in step: no problems.
 	if healthy := collect(t, Config{Cluster: on(cluster(false)...)}); !healthy.Healthy {

@@ -212,7 +212,7 @@ func TestInspectPartitionRecovery(t *testing.T) {
 	}
 	defer func() { close(stop); wg.Wait() }()
 
-	cfg := Config{Cluster: probe.Cluster{Nodes: obsAddrs, Timeout: 2 * time.Second}, FrontierSkew: 25, StallWindow: 10}
+	cfg := Config{Cluster: probe.Cluster{Nodes: obsAddrs, Timeout: 2 * time.Second}, FrontierSkew: 25}
 	inspectOnce := func() Report {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

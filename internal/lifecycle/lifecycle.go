@@ -391,7 +391,7 @@ func (t *Tracer) StableTo(clean mid.SeqVector) {
 
 // Tick runs the slow-message watchdog if a check is due: any in-flight
 // span waiting past SlowThreshold is flagged once, counted, and logged with
-// the dependencies blocking it. Call it from the round hook; it self-rate-
+// the dependencies blocking it. Call it at every round tick; it self-rate-
 // limits to CheckEvery, so per-round cost is usually one time comparison.
 func (t *Tracer) Tick() {
 	if t == nil {

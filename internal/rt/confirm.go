@@ -30,7 +30,7 @@ type confirms struct {
 // message before its waiter exists, and split a coalescer window's worth over
 // several frames. One flush per event means a subrun carries as many eager
 // frames as windows arrive in it, until the budget is spent.
-func (c *confirms) Submit(p *core.Process, o *nodeObs, head *submission) {
+func (c *confirms) Submit(p *core.Process, head *submission) {
 	for s := head; s != nil; {
 		rest := s.cut()
 		var id mid.MID
@@ -53,9 +53,7 @@ func (c *confirms) Submit(p *core.Process, o *nodeObs, head *submission) {
 		}
 		s = rest
 	}
-	if p.Flush() {
-		o.EagerBroadcast()
-	}
+	p.Flush()
 	p.Advance()
 }
 

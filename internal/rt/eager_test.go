@@ -251,11 +251,12 @@ func subrunBudgetAcrossEvents(t *testing.T, window time.Duration) {
 	t.Fatal("every attempt straddled a subrun tick")
 }
 
-// TestEagerCounterDisabledAllocFree: with metrics off the post-submit step
-// pays a nil check for the fast-path counter, nothing more.
+// TestEagerCounterDisabledAllocFree: with metrics off the step after every
+// event that would publish the fast-path counter (and every other count and
+// gauge) pays a nil check, nothing more.
 func TestEagerCounterDisabledAllocFree(t *testing.T) {
 	var o *nodeObs
-	if allocs := testing.AllocsPerRun(1000, o.EagerBroadcast); allocs != 0 {
+	if allocs := testing.AllocsPerRun(1000, func() { o.publish(nil) }); allocs != 0 {
 		t.Fatalf("disabled eager counter: %v allocs/op, want 0", allocs)
 	}
 }

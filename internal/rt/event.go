@@ -152,8 +152,9 @@ func (in *inbox) call(ctx context.Context, fn func()) error {
 
 // run performs the event and recycles its record, and with it a control PDU
 // the event carried: neither may be used afterwards. An event for a session
-// that coalesces ends by letting the session close its open window
-// (drainWindow). Loop goroutine only.
+// ends by letting the session close its open window (drainWindow) when it
+// coalesces, and by publishing its process's counts and gauges when it
+// keeps metrics. Loop goroutine only.
 func (in *inbox) run(e *event) {
 	switch e.kind {
 	case evCall:
@@ -169,8 +170,11 @@ func (in *inbox) run(e *event) {
 		e.to.m.ingest(e.frame.buf, netip.AddrPort{}, e.to.shard)
 		e.frame.release()
 	}
-	if e.to != nil && e.to.coal != nil {
-		e.to.drainWindow()
+	if s := e.to; s != nil {
+		if s.coal != nil {
+			s.drainWindow()
+		}
+		s.obs.publish(s.proc)
 	}
 	*e = event{}
 	in.mu.Lock()

@@ -24,6 +24,5 @@ func lifecycleCallbacks(tr *lifecycle.Tracer) core.Callbacks {
 		OnProcess:   func(m *causal.Message) { tr.Processed(m.ID) },
 		OnDiscard:   func(m *causal.Message) { tr.Discarded(m.ID) },
 		OnDecision:  func(d *wire.Decision) { tr.DecisionApplied(d.MaxProcessed) },
-		OnRoundEnd:  func(core.RoundObservation) { tr.Tick() }, // the watchdog heartbeat: self-rate-limited
 	}
 }

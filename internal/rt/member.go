@@ -219,7 +219,6 @@ func (s *session) makeProc(join bool) (*core.Process, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.obs.MarkJoining(pc.Join)
 	return p, nil
 }
 
@@ -437,11 +436,13 @@ func (s *session) offer(e event) bool {
 
 // tick opens a round unless the member is fail-stopped, and under a lockstep
 // clock always reports to the barrier: a crashed site must not stall it.
-// Like every event, it ends by letting arrivals advance agreement.
+// Like every event, it ends by letting arrivals advance agreement. Each
+// round is also the lifecycle watchdog's heartbeat (self-rate-limited).
 func (s *session) tick(round int) {
 	if !s.m.Killed() {
 		s.proc.StartRound(round)
 		s.proc.Advance()
+		s.tracer.Tick()
 	}
 	if s.m.mesh != nil {
 		s.m.mesh.tickDone <- struct{}{}
@@ -470,7 +471,7 @@ func (s *session) submit(head *submission) {
 		failAll(head, fmt.Errorf("rt: member %d is fail-stopped", m.cfg.Self))
 		return
 	}
-	s.conf.Submit(s.proc, s.obs, head)
+	s.conf.Submit(s.proc, head)
 }
 
 // drainWindow submits the session's open coalescer window inline once the

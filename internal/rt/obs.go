@@ -53,9 +53,14 @@ type nodeObs struct {
 	eager       *obs.Counter   // flushes that broadcast at submit time, not at the tick
 	early       *obs.Counter   // subruns opened by arrivals, between the clock's
 
-	// subrunStart is the wall-clock open of the member's current subrun,
-	// written and read only on the node loop goroutine.
+	// The rest is publish's, on the loop goroutine: the process last
+	// published and its Stats as they stood then, which every counter
+	// advances from; and the wall-clock open of the member's current subrun,
+	// with that subrun's number.
+	proc        *core.Process
+	last        core.Stats
 	subrunStart time.Time
+	openSubrun  int64
 }
 
 // newNodeObs resolves the instrument set of one protocol entity — member id
@@ -104,6 +109,61 @@ func newNodeObs(reg *obs.Registry, id mid.ProcID, n, g int) *nodeObs {
 	return o
 }
 
+// publish brings the entity's series up to date with its process, the one
+// source of every count and gauge below: the counters advance by what
+// p.Stats counted since the last publish, the gauges read the accessors. A
+// fresh incarnation (Mesh.Restart) counts from zero, so publish rebaselines
+// when p changes and no counter ever decreases. The publish that first sees
+// a subrun opened stamps its opening, which rt_decision_latency_seconds
+// counts from. Run on the loop after every event; allocation-free.
+func (o *nodeObs) publish(p *core.Process) {
+	if o == nil {
+		return
+	}
+	if p != o.proc {
+		o.proc, o.last = p, core.Stats{}
+	}
+	st, last := &p.Stats, &o.last
+	opened := st.Subruns - last.Subruns
+	o.subrunG.Add(int64(opened)) // subruns opened, the clock's and the early ones
+	if opened > 0 {
+		o.subrunStart, o.openSubrun = time.Now(), p.Subrun()
+	}
+	o.early.Add(int64(st.EarlySubruns - last.EarlySubruns))
+	o.eager.Add(int64(st.EagerBroadcasts - last.EagerBroadcasts))
+	o.discards.Add(int64(st.Discarded - last.Discarded))
+	o.fastFwds.Add(int64(st.FastForwards - last.FastForwards))
+	o.viewChanges.Add(int64(st.ViewChanges - last.ViewChanges))
+	o.crashDecls.Add(int64(st.CrashDeclarations - last.CrashDeclarations))
+	*last = *st
+
+	o.coordG.Set(int64(p.CurrentCoordinator()))
+	o.aliveCount.Set(int64(p.View().AliveCount()))
+	o.histLen.Set(int64(p.HistoryLen()))
+	o.waitLen.Set(int64(p.WaitingLen()))
+	o.pendingLen.Set(int64(p.PendingSubmissions()))
+	o.stableSum.Set(int64(p.StableTo().Sum()))
+	joining := int64(0)
+	if p.Joining() {
+		joining = 1
+	}
+	o.joiningG.Set(joining)
+}
+
+// decided observes the latency of a decision for subrun s from its
+// subrun's opening, as publish stamped it. A decision for another subrun
+// than the stamped one counts as zero: mostly one opened by the very event
+// that decides it — an early subrun whose requests were already in — which
+// took no time past that event.
+func (o *nodeObs) decided(s int64) {
+	switch {
+	case s != o.openSubrun:
+		o.decisionLat.Observe(0)
+	case !o.subrunStart.IsZero():
+		o.decisionLat.ObserveSince(o.subrunStart)
+	}
+}
+
 // callbacks returns the observability hooks of one protocol entity. All run
 // on the node loop goroutine, like every core callback. A nil receiver
 // returns no hooks.
@@ -117,47 +177,15 @@ func (o *nodeObs) callbacks() core.Callbacks {
 			o.decisions.Inc()
 			clock, _ := core.SplitSubrun(d.Subrun) // monotone, as the token-stall rule reads it
 			o.decisionSub.Set(clock)
-			if !o.subrunStart.IsZero() {
-				o.decisionLat.ObserveSince(o.subrunStart)
-			}
-		},
-		OnSubrunStart: func(s int64, coord mid.ProcID) {
-			o.subrunG.Add(1) // subruns opened, the clock's and the early ones
-			if _, k := core.SplitSubrun(s); k > 0 {
-				o.early.Inc()
-			}
-			o.coordG.Set(int64(coord))
-			o.subrunStart = time.Now()
-		},
-		OnViewChange: func(alive []bool) {
-			o.viewChanges.Inc()
-			n := int64(0)
-			for _, a := range alive {
-				if a {
-					n++
-				}
-			}
-			o.aliveCount.Set(n)
-		},
-		OnStable: func(clean mid.SeqVector) { o.stableSum.Set(int64(clean.Sum())) },
-		OnRoundEnd: func(ro core.RoundObservation) {
-			o.histLen.Set(int64(ro.HistoryLen))
-			o.waitLen.Set(int64(ro.WaitingLen))
-			o.pendingLen.Set(int64(ro.Pending))
+			o.decided(d.Subrun)
 		},
 		// The counter is per-OS-process, but the prefix at or below the
 		// installed watermark was processed by the member's previous
 		// incarnation and is skipped by state transfer. Seed it so the count
-		// stays comparable across the cluster (inspect's progress-skew rule
-		// compares raw totals between members).
+		// stays comparable across the cluster, and with the processed vector
+		// the member's /status reports.
 		OnJoinInstalled: func(stable mid.SeqVector) { o.processed.Add(int64(stable.Sum())) },
-		OnJoined: func() {
-			o.joins.Inc()
-			o.joiningG.Set(0)
-		},
-		OnFastForward:   func(mid.ProcID, mid.Seq) { o.fastFwds.Inc() },
-		OnCrashDeclared: func(mid.ProcID) { o.crashDecls.Inc() },
-		OnDiscard:       func(*causal.Message) { o.discards.Inc() },
+		OnJoined:        func() { o.joins.Inc() },
 	}
 }
 
@@ -180,34 +208,11 @@ func (o *nodeObs) Shipped(pdu wire.PDU) {
 	}
 }
 
-// MarkJoining publishes whether the member is currently a joiner (the
-// core_joining gauge). Called at process construction; the OnJoined hook
-// clears it when the join completes.
-func (o *nodeObs) MarkJoining(v bool) {
-	if o == nil {
-		return
-	}
-	if v {
-		o.joiningG.Set(1)
-	} else {
-		o.joiningG.Set(0)
-	}
-}
-
 // Coalesced records one coalescer flush of n submissions. Safe from any
 // goroutine.
 func (o *nodeObs) Coalesced(n int) {
 	if o != nil {
 		o.coalesceSz.Observe(float64(n))
-	}
-}
-
-// EagerBroadcast counts one flush that broadcast at submit time instead of
-// waiting for the subrun tick; a subrun may hold several, one per coalescer
-// window, until its BatchMax budget is spent. Loop goroutine.
-func (o *nodeObs) EagerBroadcast() {
-	if o != nil {
-		o.eager.Inc()
 	}
 }
 

@@ -2,8 +2,8 @@
 # inspect-smoke: boot a three-member urcgc cluster from the real binaries,
 # point urcgc-ctl inspect at the members' observability endpoints, and require
 # a healthy one-shot verdict (exit 0). This is the end-to-end gate for the
-# whole health stack: core callbacks -> rt gauges -> flight recorder ->
-# /healthz + /timeseries -> cluster-wide reconstruction.
+# whole health stack: core.Process -> rt's published gauges -> flight
+# recorder -> /healthz, and /status + /healthz -> cluster-wide reconstruction.
 set -eu
 
 # Fixed loopback ports, chosen high and unusual to avoid collisions.
