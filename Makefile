@@ -27,9 +27,10 @@ fmt:
 # 3(c)), then the root module's non-test Go
 # total (benchmark/ is its own module) and its number of internal/ packages:
 # the figures a simplicity change reports its net lines from. Then the
-# settable values: the field counts of the hook set and the two configs (a
-# name list "A, B int" counts each name; rt.Config's embedded core.Config
-# counts once, its fields being core.Config's own).
+# settable values: the field counts of the hook set and the configs of the
+# live runtime, the simulated cluster, the lifecycle tracer and the
+# simulated transport (a name list "A, B int" counts each name; an embedded
+# config counts once, its fields being its own type's).
 loc:
 	@count() { label=$$1; shift; total=0; for p in "$$@"; do \
 		[ -e $$p ] || continue; \
@@ -51,7 +52,8 @@ loc:
 			names = substr($$0, RSTART, RLENGTH); n += gsub(/,/, ",", names) + 1 } \
 		END { print n + 0 }' $$2); }; \
 	fields core.Callbacks internal/core/process.go; fields core.Config internal/core/process.go; \
-	fields rt.Config internal/rt/config.go
+	fields rt.Config internal/rt/config.go; fields core.ClusterConfig internal/core/cluster.go; \
+	fields lifecycle.Options internal/lifecycle/lifecycle.go; fields transport.Config internal/transport/transport.go
 
 # race runs the concurrency-sensitive packages under the race detector:
 # the real-time runtime (node loop, UDP reader, Status/Snapshot sampling),

@@ -23,8 +23,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -32,6 +30,7 @@ import (
 
 	"urcgc/internal/chaos"
 	"urcgc/internal/lifecycle"
+	"urcgc/internal/nodehttp"
 	"urcgc/internal/obs"
 )
 
@@ -67,10 +66,12 @@ func main() {
 		cfg.Lifecycle = &lifecycle.Options{SlowThreshold: *slow}
 	}
 	if *metrics != "" {
-		if err := serveMetrics(*metrics, cfg.Metrics); err != nil {
+		ln, err := nodehttp.Serve(*metrics, nodehttp.Mux(nodehttp.Options{Registry: cfg.Metrics}))
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "urcgc-chaos: %v\n", err)
 			os.Exit(2)
 		}
+		fmt.Printf("observability at http://%s/metrics (also /events)\n", ln.Addr())
 	}
 
 	// SIGINT/SIGTERM abort the fault phase early; the audit still runs on
@@ -110,23 +111,4 @@ func main() {
 	if !rep.Ok() || !rep.Converged() {
 		os.Exit(1)
 	}
-}
-
-// serveMetrics exposes the soak's registry while it runs.
-func serveMetrics(addr string, reg *obs.Registry) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", reg.Handler())
-	mux.HandleFunc("/events", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, e := range reg.Events().Events() {
-			fmt.Fprintf(w, "%s %s\n", e.At.Format("15:04:05.000"), e.Msg)
-		}
-	})
-	go func() { _ = http.Serve(ln, mux) }()
-	fmt.Printf("observability at http://%s/metrics (also /events)\n", ln.Addr())
-	return nil
 }

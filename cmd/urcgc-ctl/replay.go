@@ -99,11 +99,6 @@ func load(args []string) []*capture.Dump {
 // fetch collects /capture from live members in parallel, optionally
 // persisting each dump before decoding it.
 func fetch(c probe.Cluster, save string) []*capture.Dump {
-	if save != "" {
-		if err := os.MkdirAll(save, 0o755); err != nil {
-			fail("%v", err)
-		}
-	}
 	type fetched struct {
 		addr string
 		dump *capture.Dump
@@ -123,17 +118,9 @@ func fetch(c probe.Cluster, save string) []*capture.Dump {
 			fail("%s: %v", r.addr, r.err)
 		}
 		if save != "" {
-			path := filepath.Join(save, fmt.Sprintf("capture-node%d.bin", r.dump.Node))
-			f, err := os.Create(path)
+			path, err := r.dump.WriteFile(save)
 			if err != nil {
-				fail("%v", err)
-			}
-			err = r.dump.Encode(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fail("saving %s: %v", path, err)
+				fail("saving: %v", err)
 			}
 			fmt.Printf("saved %s (%d records)\n", path, len(r.dump.Records))
 		}

@@ -11,9 +11,12 @@
 //
 //	urcgc-load -n 3 -groups 8 -shards 8 -sessions 2000 -duration 10s
 //
-// The tool is the load half of the observability story: point urcgc-ctl inspect
-// or curl at the -metrics listener of any member while it runs to watch the
-// per-group counters move.
+// The tool is the load half of the observability story: -metrics ADDR serves
+// member 0's /metrics and /status while it runs — under -mesh /metrics
+// carries every member's series, the members sharing one registry — so curl
+// or urcgc-ctl inspect can watch the per-group counters move. The per-group
+// processed counts it reports are the sums of member 0's /status processed
+// vectors at the end of the run.
 package main
 
 import (
@@ -48,7 +51,7 @@ func main() {
 		batchWin = flag.Duration("batch-window", 500*time.Microsecond, "submission coalescing: the longest a window stays open on a quiet loop; under load it closes when full or when the loop runs dry (0 disables batching)")
 		payload  = flag.Int("payload", 64, "bytes per message")
 		mesh     = flag.Bool("mesh", false, "use the in-process mesh instead of loopback UDP sockets")
-		metrics  = flag.String("metrics", "", "HTTP address serving member 0's /metrics and /status while loading (empty disables)")
+		metrics  = flag.String("metrics", "", "HTTP address serving member 0's /metrics and /status while loading, every member's /metrics with -mesh (empty disables)")
 		asJSON   = flag.Bool("json", false, "emit the results as one JSON object (msgs/s, quantiles, per-group counts)")
 		verbose  = flag.Bool("v", false, "log per-member runtime warnings")
 	)
@@ -74,15 +77,19 @@ func main() {
 		Logf:          logf,
 	}
 
-	cluster, reg, err := startCluster(cfg, *mesh)
+	var reg *obs.Registry
+	if *metrics != "" {
+		reg = obs.New()
+	}
+	members, stop, err := startCluster(cfg, *mesh, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "urcgc-load:", err)
 		os.Exit(1)
 	}
-	defer cluster.stop()
+	defer stop()
 
-	if *metrics != "" && reg != nil {
-		mux := nodehttp.Mux(nodehttp.Options{Registry: reg, Status: cluster.status})
+	if reg != nil {
+		mux := nodehttp.Mux(nodehttp.Options{Registry: reg, Status: members[0].Status})
 		ln, err := nodehttp.Serve(*metrics, mux)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "urcgc-load: metrics:", err)
@@ -96,7 +103,7 @@ func main() {
 		transport = "mesh"
 	}
 	fmt.Fprintf(progress(*asJSON), "cluster up: n=%d groups=%d shards=%d transport=%s round=%v batch-window=%v\n",
-		*n, *groups, cluster.shards(), transport, *round, *batchWin)
+		*n, *groups, members[0].Shards(), transport, *round, *batchWin)
 	fmt.Fprintf(progress(*asJSON), "driving %d sessions for %v...\n", *sessions, *duration)
 
 	ctx, cancel := context.WithTimeout(context.Background(), *duration)
@@ -115,13 +122,13 @@ func main() {
 	for s := 0; s < *sessions; s++ {
 		s := s
 		g := uint32(s % *groups)
-		member := mid.ProcID(s % *n)
+		member := members[s%*n]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
 				t0 := time.Now()
-				_, err := cluster.send(ctx, member, g, body)
+				_, err := member.Send(ctx, g, body, nil)
 				if err != nil {
 					if ctx.Err() == nil {
 						failed.Add(1)
@@ -151,16 +158,25 @@ func main() {
 
 	total := confirmed.Load()
 	res := loadResult{
-		N:           *n,
-		Groups:      *groups,
-		Shards:      cluster.shards(),
-		Sessions:    *sessions,
-		Transport:   transport,
-		ElapsedMs:   float64(elapsed.Nanoseconds()) / 1e6,
-		Confirmed:   total,
-		Failed:      failed.Load(),
-		MsgsPerSec:  float64(total) / elapsed.Seconds(),
-		GroupCounts: cluster.groupCounts(),
+		N:          *n,
+		Groups:     *groups,
+		Shards:     members[0].Shards(),
+		Sessions:   *sessions,
+		Transport:  transport,
+		ElapsedMs:  float64(elapsed.Nanoseconds()) / 1e6,
+		Confirmed:  total,
+		Failed:     failed.Load(),
+		MsgsPerSec: float64(total) / elapsed.Seconds(),
+	}
+	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
+	st, err := members[0].Status(sctx)
+	scancel()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "urcgc-load: status:", err)
+		os.Exit(1)
+	}
+	for _, g := range st.Groups {
+		res.GroupCounts = append(res.GroupCounts, int64(g.Processed.Sum()))
 	}
 	if len(all) > 0 {
 		res.P50Ms = ms(quantile(all, 0.50))
@@ -233,72 +249,52 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[i].Round(10 * time.Microsecond)
 }
 
-// loadCluster abstracts the two hosting modes behind the few operations the
-// driver needs.
-type loadCluster struct {
-	send        func(ctx context.Context, member mid.ProcID, g uint32, payload []byte) (mid.MID, error)
-	status      func(ctx context.Context) (rt.NodeStatus, error)
-	groupCounts func() []int64
-	shards      func() int
-	stop        func()
-}
-
-func startCluster(cfg rt.Config, mesh bool) (*loadCluster, *obs.Registry, error) {
+// startCluster builds and starts the cluster's members — in process, or
+// over loopback sockets — with reg as member 0's registry (every member's on
+// a mesh, which has one configuration), and returns them with the func that
+// stops them all.
+func startCluster(cfg rt.Config, mesh bool, reg *obs.Registry) ([]*rt.Member, func(), error) {
+	members := make([]*rt.Member, cfg.N)
 	if mesh {
+		cfg.Metrics = reg
 		c, err := rt.NewMesh(cfg)
 		if err != nil {
 			return nil, nil, err
 		}
+		for i := range members {
+			members[i] = c.Node(mid.ProcID(i))
+		}
 		c.Start()
-		return &loadCluster{
-			send: func(ctx context.Context, member mid.ProcID, g uint32, payload []byte) (mid.MID, error) {
-				return c.Node(member).Send(ctx, g, payload, nil)
-			},
-			status:      c.Node(0).Status,
-			groupCounts: func() []int64 { return c.Node(0).GroupCounts() },
-			shards:      func() int { return c.Node(0).Shards() },
-			stop:        c.Stop,
-		}, nil, nil
+		return members, c.Stop, nil
 	}
 
 	peers, err := loopbackPorts(cfg.N)
 	if err != nil {
 		return nil, nil, err
 	}
-	nodes := make([]*rt.Member, cfg.N)
-	var reg *obs.Registry
-	for i := range nodes {
-		nc := cfg
-		nc.Self = mid.ProcID(i)
-		nc.Peers = peers
-		if i == 0 {
-			reg = obs.New()
-			nc.Metrics = reg
-		}
-		nodes[i], err = rt.NewMember(nc)
-		if err != nil {
-			for _, n := range nodes[:i] {
-				n.Stop()
+	stop := func() {
+		for _, m := range members {
+			if m != nil {
+				m.Stop()
 			}
+		}
+	}
+	for i := range members {
+		mc := cfg
+		mc.Self = mid.ProcID(i)
+		mc.Peers = peers
+		if i == 0 {
+			mc.Metrics = reg
+		}
+		if members[i], err = rt.NewMember(mc); err != nil {
+			stop()
 			return nil, nil, err
 		}
 	}
-	for _, n := range nodes {
-		n.Start()
+	for _, m := range members {
+		m.Start()
 	}
-	return &loadCluster{
-		send: func(ctx context.Context, member mid.ProcID, g uint32, payload []byte) (mid.MID, error) {
-			return nodes[member].Send(ctx, g, payload, nil)
-		},
-		status:      nodes[0].Status,
-		groupCounts: func() []int64 { return nodes[0].GroupCounts() },
-		shards:      func() int { return nodes[0].Shards() },
-		stop: func() {
-			for _, n := range nodes {
-				n.Stop()
-			}
-		},
-	}, reg, nil
+	return members, stop, nil
 }
 
 // loopbackPorts reserves n distinct loopback UDP ports by binding and

@@ -133,6 +133,8 @@ func main() {
 	if *traceSlow > 0 {
 		lcOpts = &lifecycle.Options{SlowThreshold: *traceSlow}
 	}
+	// leftCh reports the first group this member leaves; the member exits.
+	leftCh := make(chan core.LeaveReason, 1)
 	node, err := rt.NewMember(rt.Config{
 		Config:        cfg,
 		Groups:        *groups,
@@ -146,9 +148,17 @@ func main() {
 		Captures:      captures,
 		Logf:          log.Printf,
 		Observe: func(_ mid.ProcID, g uint32) core.Callbacks {
-			return core.Callbacks{OnJoined: func() {
-				fmt.Printf("member %d rejoined group %d (state transfer complete)\n", *self, g)
-			}}
+			return core.Callbacks{
+				OnJoined: func() {
+					fmt.Printf("member %d rejoined group %d (state transfer complete)\n", *self, g)
+				},
+				OnLeave: func(r core.LeaveReason) {
+					select {
+					case leftCh <- r:
+					default:
+					}
+				},
+			}
 		},
 	})
 	if err != nil {
@@ -213,8 +223,15 @@ func main() {
 		fmt.Printf("\n--- %s: shutdown summary (member %d) ---\n", why, *self)
 		reg.WriteSummary(os.Stdout)
 		fmt.Printf("--- per-group processed (%d groups) ---\n", *groups)
-		for g, c := range node.GroupCounts() {
-			fmt.Printf("group %-4d %d\n", g, c)
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		st, err := node.Status(ctx)
+		cancel()
+		if err != nil {
+			fmt.Printf("status unavailable: %v\n", err)
+		} else {
+			for _, g := range st.Groups {
+				fmt.Printf("group %-4d %d\n", g.Group, g.Processed.Sum())
+			}
 		}
 		for g, tr := range node.Lifecycles() {
 			if c := tr.Counts(); c.Completed > 0 {
@@ -232,18 +249,10 @@ func main() {
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
-	leftCh := make(chan core.LeaveReason, 1)
 
 	go func() {
 		for ind := range indications {
 			fmt.Printf("[g%d %v] %s\n", ind.group, ind.Msg.ID, ind.Msg.Payload)
-			if reason, left := node.Left(ind.group); left {
-				select {
-				case leftCh <- reason:
-				default:
-				}
-				return
-			}
 		}
 	}()
 

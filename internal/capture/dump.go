@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"time"
 
 	"urcgc/internal/faultrt"
@@ -84,6 +86,28 @@ func (d *Dump) Encode(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// WriteFile writes the dump into dir, which it creates if need be, as
+// capture-node<N>.bin — the name urcgc-ctl replay reads a directory of dumps
+// by — and returns the file's path.
+func (d *Dump) WriteFile(dir string) (string, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	path := filepath.Join(dir, fmt.Sprintf("capture-node%d.bin", d.Node))
+	f, err := os.Create(path)
+	if err != nil {
+		return "", err
+	}
+	err = d.Encode(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return "", fmt.Errorf("writing %s: %w", path, err)
+	}
+	return path, nil
 }
 
 // Decode parses one binary dump.

@@ -12,7 +12,6 @@ type ClusterConfig struct {
 	Config
 	Seed     int64
 	Injector faultrt.Injector
-	Latency  simnet.Latency
 }
 
 // Cluster runs a CBCAST group on the simnet.Host the urcgc cluster runs on,
@@ -33,7 +32,7 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{
-		Host:         simnet.NewHost[*Process](cc.Seed, cc.N, cc.Injector, cc.Latency),
+		Host:         simnet.NewHost[*Process](cc.Seed, cc.N, cc.Injector),
 		ViewInstalls: make([]map[int32]sim.Time, cc.N),
 	}
 	for i := 0; i < cc.N; i++ {

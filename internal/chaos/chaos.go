@@ -32,8 +32,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -198,25 +196,11 @@ func (r *Report) DegradedGroups() []uint32 {
 // capture-node<N>.bin (the /capture binary format urcgc-ctl replay ingests),
 // returning the written paths. It is a no-op without armed rings.
 func (r *Report) DumpCaptures(dir string) ([]string, error) {
-	if len(r.Captures) == 0 {
-		return nil, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
 	var paths []string
 	for _, ring := range r.Captures {
-		path := filepath.Join(dir, fmt.Sprintf("capture-node%d.bin", ring.Node()))
-		f, err := os.Create(path)
+		path, err := ring.Snapshot().WriteFile(dir)
 		if err != nil {
 			return paths, err
-		}
-		err = ring.Snapshot().Encode(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return paths, fmt.Errorf("dumping %s: %w", path, err)
 		}
 		paths = append(paths, path)
 	}
@@ -292,8 +276,6 @@ type soak struct {
 	// sent and confirmed (per group) count the load generator's submissions.
 	sent      atomic.Int64
 	confirmed []atomic.Int64
-	// joined counts Joined callbacks per member and group.
-	joined [][]atomic.Int32
 }
 
 // Run executes one soak: start the groups with the scenario's adversary at
@@ -314,13 +296,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		rep:       &Report{Scenario: fmt.Sprint(cfg.Scenario), Groups: make([]GroupReport, cfg.Groups)},
 		poll:      max(5*cfg.Round, 5*time.Millisecond),
 		confirmed: make([]atomic.Int64, cfg.Groups),
-		joined:    make([][]atomic.Int32, cfg.N),
 	}
 	for g := 0; g < cfg.Groups; g++ {
 		s.checkers = append(s.checkers, faultrt.NewChecker())
-	}
-	for i := range s.joined {
-		s.joined[i] = make([]atomic.Int32, cfg.Groups)
 	}
 
 	inj := cfg.Scenario.injector(s)
@@ -352,13 +330,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Captures:      s.rep.Captures,
 		Logf:          cfg.Logf,
 		// Every incarnation is audited on its loop goroutine, so all a dead
-		// one processed is on record before its successor rebaselines; only
-		// a restarted one fires OnJoined, which tells the rolling plan the
-		// group re-admitted it.
+		// one processed is on record before its successor rebaselines.
 		Observe: func(node mid.ProcID, group uint32) core.Callbacks {
-			cb := core.Audit(s.checkers[group], node)
-			cb.OnJoined = func() { s.joined[node][group].Add(1) }
-			return cb
+			return core.Audit(s.checkers[group], node)
 		},
 	})
 	if err != nil {

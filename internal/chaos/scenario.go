@@ -178,8 +178,11 @@ func (rolling) drive(s *soak) {
 			s.cfg.Logf("rolling: restart of member %d failed: %v", victim, err)
 			return
 		}
+		// Only a restarted incarnation counts a join: the group re-admitted it.
 		admitted := s.phase(func() bool {
-			return everyGroup(func(g uint32) bool { return s.joined[victim][g].Load() > 0 })
+			return everyGroup(func(g uint32) bool {
+				return s.everyStatus([]mid.ProcID{victim}, g, func(st rt.Status) bool { return st.Stats.Joins > 0 })
+			})
 		})
 		if !admitted || !s.phase(func() bool { return viewsHold(everyone, victim, true) }) {
 			s.cfg.Logf("rolling: member %d never rejoined every group and view (admitted=%v)", victim, admitted)

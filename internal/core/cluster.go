@@ -19,8 +19,6 @@ type ClusterConfig struct {
 	Seed int64
 	// Injector is the failure model; nil means a reliable system.
 	Injector faultrt.Injector
-	// Latency overrides the network latency model; nil means the default.
-	Latency simnet.Latency
 	// TransportH selects the paper's h parameter for the underlying
 	// transport service (Section 5): h <= 1 mounts the protocol entities
 	// directly on the datagram subnetwork, as all of the paper's
@@ -62,8 +60,6 @@ type Cluster struct {
 	DiscardLog [][]mid.MID
 	// Left records why each self-excluded process halted.
 	Left map[mid.ProcID]LeaveReason
-	// Decisions counts decisions observed per process.
-	Decisions []int
 
 	// With a Checker: whether each current incarnation was seen crashed, and
 	// every message's labels as its origin generated them.
@@ -113,12 +109,11 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{
-		Host:       simnet.NewHost[*Process](cc.Seed, cc.N, cc.Injector, cc.Latency),
+		Host:       simnet.NewHost[*Process](cc.Seed, cc.N, cc.Injector),
 		cfg:        cc,
 		ents:       make([]*transport.Entity, cc.N),
 		DiscardLog: make([][]mid.MID, cc.N),
 		Left:       make(map[mid.ProcID]LeaveReason),
-		Decisions:  make([]int, cc.N),
 		crashSeen:  make([]bool, cc.N),
 		labels:     make(map[mid.MID]mid.DepList),
 	}
@@ -161,7 +156,6 @@ func (c *Cluster) callbacks(id mid.ProcID) Callbacks {
 		OnProcess:  func(m *causal.Message) { c.Processed(id, m.ID) },
 		OnDiscard:  func(m *causal.Message) { c.DiscardLog[id] = append(c.DiscardLog[id], m.ID) },
 		OnLeave:    func(r LeaveReason) { c.Left[id] = r },
-		OnDecision: func(*wire.Decision) { c.Decisions[id]++ },
 	}
 	if ck := c.cfg.Checker; ck != nil {
 		audit := Audit(ck, id)

@@ -30,7 +30,8 @@ func dec(subrun int64, coord mid.ProcID, alive []bool, maxp mid.SeqVector) *wire
 // TestJoinerLifecycle walks a joiner end to end at the unit level: solicit,
 // install, join-flagged request, admission, own-sequence catch-up, and the
 // first accepted Submit continuing the old sequence past everything the
-// group holds of it.
+// group holds of it. Stats counts each fresh decision applied and the one
+// admission, and DecisionSubrun follows the last decision applied.
 func TestJoinerLifecycle(t *testing.T) {
 	cfg := Config{N: 3, K: 2, R: 5, SelfExclusion: true, Join: true}
 	p, tp := newProc(t, 2, cfg)
@@ -74,6 +75,14 @@ func TestJoinerLifecycle(t *testing.T) {
 	if p.Subrun() != 7 {
 		t.Fatalf("subrun not aligned to the decision: %d", p.Subrun())
 	}
+	applied := func(decisions int, subrun int64, joins int) {
+		t.Helper()
+		if p.Stats.DecisionsApplied != decisions || p.DecisionSubrun() != subrun || p.Stats.Joins != joins {
+			t.Fatalf("%d decisions applied, the last of subrun %d, %d joins; want %d, %d, %d",
+				p.Stats.DecisionsApplied, p.DecisionSubrun(), p.Stats.Joins, decisions, subrun, joins)
+		}
+	}
+	applied(1, 7, 0) // the transfer's embedded decision
 
 	// Post-sync request phase: a join-flagged REQUEST to the coordinator,
 	// on the group's subrun numbering.
@@ -89,10 +98,13 @@ func TestJoinerLifecycle(t *testing.T) {
 
 	// Admission: a fresher decision includes us; someone holds 3 messages
 	// of our old sequence, so the resume point moves past them.
-	p.Recv(0, dec(8, 0, []bool{true, true, true}, mid.SeqVector{2, 1, 3}))
+	admit := dec(8, 0, []bool{true, true, true}, mid.SeqVector{2, 1, 3})
+	p.Recv(0, admit)
 	if p.Joining() {
 		t.Fatal("admitting decision must end the join")
 	}
+	p.Recv(1, admit) // stale: neither applied nor counted again
+	applied(2, 8, 1)
 	if _, err := p.Submit([]byte("x"), nil); err == nil {
 		t.Fatal("Submit must be refused until the own sequence caught up")
 	}

@@ -100,13 +100,13 @@ func TestTwoSiteTopologyConverges(t *testing.T) {
 	c := auditedCluster(t, ClusterConfig{
 		Config: Config{N: 6, K: 3, R: 8, SelfExclusion: true},
 		Seed:   43,
-		Latency: simnet.TwoSiteLatency(
-			map[mid.ProcID]bool{0: true, 1: true, 2: true},
-			sim.TicksPerRound/10,   // fast LAN
-			sim.TicksPerRound*8/10, // slow inter-site link
-			sim.TicksPerRound/20,
-		),
 	})
+	c.Net().SetLatency(simnet.TwoSiteLatency(
+		map[mid.ProcID]bool{0: true, 1: true, 2: true},
+		sim.TicksPerRound/10,   // fast LAN
+		sim.TicksPerRound*8/10, // slow inter-site link
+		sim.TicksPerRound/20,
+	))
 	perProc := 10
 	res, err := c.Run(RunOptions{
 		MaxRounds: 400, MinRounds: 2 * 2 * perProc,

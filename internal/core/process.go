@@ -218,10 +218,13 @@ type Transport interface {
 	Broadcast(pdu wire.PDU)
 }
 
-// Callbacks surface protocol events to the embedding runtime. Any field may
-// be nil. Every callback runs synchronously on the goroutine driving the
-// process; the simulator path leaves the observability fields nil and is
-// untouched by them.
+// Callbacks surface protocol events to the embedding runtime, at the instant
+// they happen: what a per-message observer needs — lifecycle spans, the
+// Definition 3.2 oracle, confirms, indications, a leave. Counts and gauges
+// are not hooked: every one of them is in Stats or an accessor, read by the
+// host when it likes. Any field may be nil. Every callback runs synchronously
+// on the goroutine driving the process; the simulator path leaves the
+// observability fields nil and is untouched by them.
 type Callbacks struct {
 	// OnGenerate is invoked when Submit accepts a user message, before it
 	// is queued for its broadcast round — the "generated" lifecycle stage.
@@ -348,6 +351,7 @@ type Process struct {
 	decided           bool  // this process decided the current subrun: one decision per subrun
 	recoveryFailures  int
 	lastProgress      uint64 // processed-sum at the last decision, for the R rule
+	appliedSubrun     int64  // subrun of the last decision applied, for DecisionSubrun
 	recoveryRequested bool
 
 	// Join-protocol state. A founding member is born synced and never
@@ -411,9 +415,13 @@ type Stats struct {
 	// CrashDeclarations counts the members this process's view moved from
 	// believed-alive to declared-crashed, whoever made the declaration.
 	CrashDeclarations int
+	// DecisionsApplied counts the fresh decisions this process adopted, its
+	// own and received ones: one per OnDecision call.
+	DecisionsApplied int
 
 	Sponsored    int // JOIN-STATE transfers served to joiners
 	FastForwards int // compacted recovery gaps skipped while syncing
+	Joins        int // admissions of this joiner into the view: one per OnJoined call
 }
 
 // NewProcess returns a protocol entity for process id. The transport must
@@ -527,6 +535,10 @@ func (p *Process) PendingSubmissions() int { return len(p.outbox) }
 // SplitSubrun reads it; T alone wherever only StartRound drives the process.
 // Loop-goroutine-only.
 func (p *Process) Subrun() int64 { return p.subrun }
+
+// DecisionSubrun returns the subrun of the last decision this process
+// applied, packed as Subrun is; 0 before the first. Loop-goroutine-only.
+func (p *Process) DecisionSubrun() int64 { return p.appliedSubrun }
 
 // CurrentCoordinator returns the coordinator of the current subrun under
 // this process's view. Loop-goroutine-only.
@@ -1158,6 +1170,7 @@ func (p *Process) becomeJoined() {
 	p.decisionThisSub = true
 	p.missedCoords = 0
 	p.recoveryFailures = 0
+	p.Stats.Joins++
 	if p.cb.OnJoined != nil {
 		p.cb.OnJoined()
 	}
@@ -1329,6 +1342,8 @@ func (p *Process) handleDecision(d *wire.Decision) {
 // or own's copy of a received one), as lastDec and acts on it.
 func (p *Process) applyDecision(d *wire.Decision) {
 	p.lastDec = d
+	p.appliedSubrun = d.Subrun
+	p.Stats.DecisionsApplied++
 	if p.cb.OnDecision != nil {
 		p.cb.OnDecision(d)
 	}

@@ -108,8 +108,6 @@ type Options struct {
 	// SlowThreshold is how long a span may sit in the waiting list before
 	// the watchdog flags it (default 1s).
 	SlowThreshold time.Duration
-	// CheckEvery is the watchdog cadence (default SlowThreshold/4).
-	CheckEvery time.Duration
 	// Blame, when non-nil, is asked to explain a stuck span from the
 	// dependencies blocking it; a non-empty answer is appended to the
 	// watchdog's event line. The runtimes wire this to the fault injector's
@@ -124,9 +122,6 @@ func (o Options) fill() Options {
 	}
 	if o.SlowThreshold <= 0 {
 		o.SlowThreshold = time.Second
-	}
-	if o.CheckEvery <= 0 {
-		o.CheckEvery = o.SlowThreshold / 4
 	}
 	return o
 }
@@ -392,14 +387,15 @@ func (t *Tracer) StableTo(clean mid.SeqVector) {
 // Tick runs the slow-message watchdog if a check is due: any in-flight
 // span waiting past SlowThreshold is flagged once, counted, and logged with
 // the dependencies blocking it. Call it at every round tick; it self-rate-
-// limits to CheckEvery, so per-round cost is usually one time comparison.
+// limits to a quarter of SlowThreshold, so per-round cost is usually one
+// time comparison.
 func (t *Tracer) Tick() {
 	if t == nil {
 		return
 	}
 	now := t.clock()
 	t.mu.Lock()
-	if now.Sub(t.lastCheck) < t.opts.CheckEvery {
+	if now.Sub(t.lastCheck) < t.opts.SlowThreshold/4 {
 		t.mu.Unlock()
 		return
 	}

@@ -12,7 +12,6 @@ type ClusterConfig struct {
 	Config
 	Seed     int64
 	Injector faultrt.Injector
-	Latency  simnet.Latency
 }
 
 // Cluster runs a Psync group on the simnet.Host the urcgc cluster runs on.
@@ -26,7 +25,7 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	if err := cc.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{simnet.NewHost[*Process](cc.Seed, cc.N, cc.Injector, cc.Latency)}
+	c := &Cluster{simnet.NewHost[*Process](cc.Seed, cc.N, cc.Injector)}
 	for i := 0; i < cc.N; i++ {
 		id := mid.ProcID(i)
 		p, err := NewProcess(id, cc.Config, c.Net().Endpoint(id), Callbacks{

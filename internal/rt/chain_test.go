@@ -18,7 +18,8 @@ import (
 // name, which walks every field core.Chain composes: on a live member with
 // metrics and tracing both on, the host's Observe hooks for OnProcess,
 // OnDecision and OnStable fire beside the runtime's own (confirm and
-// indication), the metrics layer's and the tracer's.
+// indication) and the tracer's, and the metrics publish reads the same
+// process.
 func TestChainComposesEveryCallback(t *testing.T) {
 	t.Run("observe_beside_metrics_and_tracing", func(t *testing.T) {
 		const n, sends = 3, 3
@@ -49,10 +50,10 @@ func TestChainComposesEveryCallback(t *testing.T) {
 			return processed.Load() >= sends && decisions.Load() > 0 && stables.Load() > 0
 		})
 		if got := nodeCounter(reg, "rt_processed_total", 0); got < sends {
-			t.Errorf("metrics layer's OnProcess: rt_processed_total = %d, want ≥ %d", got, sends)
+			t.Errorf("rt_processed_total = %d, want ≥ %d", got, sends)
 		}
 		if nodeCounter(reg, "rt_decisions_total", 0) == 0 {
-			t.Error("metrics layer's OnDecision never ran")
+			t.Error("rt_decisions_total never moved")
 		}
 		if got := c.Node(0).Lifecycle().Counts().Completed; got < sends {
 			t.Errorf("tracer's OnProcess: %d spans completed, want ≥ %d", got, sends)

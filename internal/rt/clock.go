@@ -129,7 +129,6 @@ func (c *clock) open(round int) bool {
 			m.Kill()
 		}
 		for _, s := range m.sessions {
-			s.obs.SampleInbox(len(s.shard.c))
 			e := event{kind: evTick, to: s, round: round}
 			if c.barrier != nil {
 				select {

@@ -22,15 +22,16 @@ type confirms struct {
 }
 
 // Submit runs submissions on the loop goroutine that owns p: each enters the
-// protocol and has its confirm waiter registered, unsignalled (a refused one
-// is failed), and only then — waiters in place, the whole coalesced batch
-// queued — does one core.Process.Flush send as much of the queue as the
-// subrun's BatchMax budget has left; the rest waits for the next subrun,
-// which Advance may open at once. Flushing any earlier would process a
-// message before its waiter exists, and split a coalescer window's worth over
-// several frames. One flush per event means a subrun carries as many eager
-// frames as windows arrive in it, until the budget is spent.
-func (c *confirms) Submit(p *core.Process, head *submission) {
+// protocol, is stamped for o's submit→stable latency and has its confirm
+// waiter registered, unsignalled (a refused one is failed), and only then —
+// waiters in place, the whole coalesced batch queued — does one
+// core.Process.Flush send as much of the queue as the subrun's BatchMax
+// budget has left; the rest waits for the next subrun, which Advance may open
+// at once. Flushing any earlier would process a message before its waiter
+// exists, and split a coalescer window's worth over several frames. One flush
+// per event means a subrun carries as many eager frames as windows arrive in
+// it, until the budget is spent.
+func (c *confirms) Submit(p *core.Process, head *submission, o *nodeObs) {
 	for s := head; s != nil; {
 		rest := s.cut()
 		var id mid.MID
@@ -43,6 +44,7 @@ func (c *confirms) Submit(p *core.Process, head *submission) {
 		if err != nil {
 			s.fail(err)
 		} else {
+			o.Submitted(p, id)
 			c.mu.Lock()
 			if c.waiters == nil {
 				c.waiters = make(map[mid.MID]*submission)

@@ -256,7 +256,7 @@ func subrunBudgetAcrossEvents(t *testing.T, window time.Duration) {
 // gauge) pays a nil check, nothing more.
 func TestEagerCounterDisabledAllocFree(t *testing.T) {
 	var o *nodeObs
-	if allocs := testing.AllocsPerRun(1000, func() { o.publish(nil) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(1000, func() { o.publish(nil, 0) }); allocs != 0 {
 		t.Fatalf("disabled eager counter: %v allocs/op, want 0", allocs)
 	}
 }

@@ -174,7 +174,7 @@ func (in *inbox) run(e *event) {
 		if s.coal != nil {
 			s.drainWindow()
 		}
-		s.obs.publish(s.proc)
+		s.obs.publish(s.proc, len(in.c))
 	}
 	*e = event{}
 	in.mu.Lock()

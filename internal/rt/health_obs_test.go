@@ -107,14 +107,15 @@ func TestProtocolHealthGauges(t *testing.T) {
 
 // TestSamplerDisabledDeliverAllocFree is the flight-recorder counterpart
 // of the lifecycle disabled-path guard: with metrics installed but no
-// sampler attached, the deliver hot path must cost exactly what it costs
-// bare — the per-node instruments are pre-resolved atomics and the new
-// subrun/view/stability hooks never run on deliver.
+// sampler attached, the deliver hot path — each delivery followed by the
+// publish that ends every loop event — must cost exactly what it costs
+// bare: the per-node instruments are pre-resolved atomics, and metrics
+// install no hook on the process.
 func TestSamplerDisabledDeliverAllocFree(t *testing.T) {
 	bare := driveWaitCascade(t, core.Callbacks{})
 	o := newNodeObs(obs.New(), 0, 3, 0)
-	instrumented := driveWaitCascade(t, o.callbacks())
+	instrumented := waitCascadeAllocs(t, cascadeProc(t, core.Callbacks{}), func(p *core.Process) { o.publish(p, 0) })
 	if extra := instrumented - bare; extra > 0.5 {
-		t.Errorf("metrics hooks add %.2f allocs/op to the deliver path, want 0", extra)
+		t.Errorf("publish adds %.2f allocs/op to the deliver path, want 0", extra)
 	}
 }

@@ -24,20 +24,27 @@ func (nopTransport) Broadcast(wire.PDU)        {}
 // waitCascadeAllocs) on a bare process with the given callbacks.
 func driveWaitCascade(t *testing.T, cb core.Callbacks) float64 {
 	t.Helper()
+	return waitCascadeAllocs(t, cascadeProc(t, cb), nil)
+}
+
+// cascadeProc is the bare process waitCascadeAllocs drives.
+func cascadeProc(t *testing.T, cb core.Callbacks) *core.Process {
+	t.Helper()
 	p, err := core.NewProcess(0, core.Config{N: 3, K: 3, R: 8, SelfExclusion: true},
 		nopTransport{}, cb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return waitCascadeAllocs(t, p)
+	return p
 }
 
 // waitCascadeAllocs measures the allocations of the park-then-cascade
 // deliver path of a three-member group's process that nothing else drives:
 // each run parks (1, s+1) on its unmet implicit predecessor, then delivers
 // (1, s) and cascades both. The PDUs are prebuilt so only the deliver path
-// itself is measured.
-func waitCascadeAllocs(t *testing.T, p *core.Process) float64 {
+// itself is measured — and after, when set, which runs after each delivery
+// as the loop's end-of-event step does.
+func waitCascadeAllocs(t *testing.T, p *core.Process, after func(*core.Process)) float64 {
 	t.Helper()
 	const runs = 500
 	payload := make([]byte, 16)
@@ -54,7 +61,13 @@ func waitCascadeAllocs(t *testing.T, p *core.Process) float64 {
 	i := 2
 	got := testing.AllocsPerRun(runs, func() {
 		p.Recv(1, msgs[i+1]) // parks: implicit dep (1, i) missing
-		p.Recv(1, msgs[i])   // ready: processes, cascade releases i+1
+		if after != nil {
+			after(p)
+		}
+		p.Recv(1, msgs[i]) // ready: processes, cascade releases i+1
+		if after != nil {
+			after(p)
+		}
 		i += 2
 	})
 	if want := mid.Seq(2 * (runs + 2)); p.Processed()[1] != want {
@@ -93,8 +106,8 @@ func TestLifecycleDisabledAllocFree(t *testing.T) {
 
 // TestSessionDisabledObsAllocFree pins the same contract one layer up, on a
 // session of a multi-group member: with Metrics and Lifecycle both nil its
-// deliver path — confirm lookup, processed count, indication hand-off — adds
-// nothing to the core's own budget, and no per-group accounting exists.
+// deliver path — confirm lookup, indication hand-off — adds nothing to the
+// core's own budget, and no per-group accounting exists.
 func TestSessionDisabledObsAllocFree(t *testing.T) {
 	mesh, err := NewMesh(Config{Config: core.Config{N: 3, K: 3, R: 8, SelfExclusion: true}, Groups: 2, Shards: 1})
 	if err != nil {
@@ -103,10 +116,10 @@ func TestSessionDisabledObsAllocFree(t *testing.T) {
 	// Never started: this goroutine is the only one touching the process,
 	// satisfying the single-owner contract.
 	s := mesh.members[0].sessions[1]
-	if s.obs != nil || s.tracer != nil || s.stableWait != nil {
+	if s.obs != nil || s.tracer != nil {
 		t.Fatal("disabled observability left per-group state allocated")
 	}
-	if got := waitCascadeAllocs(t, s.proc); got > 0 {
+	if got := waitCascadeAllocs(t, s.proc, nil); got > 0 {
 		t.Errorf("disabled-observability deliver path allocates %.2f/op, budget 0", got)
 	}
 }

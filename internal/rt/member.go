@@ -78,12 +78,6 @@ type session struct {
 	// NewMember to the first confirm.
 	indOnce sync.Once
 	ind     chan Indication
-
-	processed atomic.Int64
-
-	// stableWait holds own submissions in flight from protocol submit to
-	// uniform stability, timed with metrics only. Shard goroutine only.
-	stableWait map[mid.MID]time.Time
 }
 
 // NewMember binds the member's socket and prepares every group's protocol
@@ -144,9 +138,6 @@ func (m *Member) initSessions() error {
 			shard: m.shards[g%len(m.shards)],
 		}
 		s.obs = newNodeObs(m.cfg.Metrics, m.cfg.Self, m.cfg.N, g)
-		if s.obs != nil {
-			s.stableWait = make(map[mid.MID]time.Time)
-		}
 		if m.cfg.Lifecycle != nil {
 			s.tracer = m.newTracer(g)
 		}
@@ -183,8 +174,9 @@ func (m *Member) newTracer(g int) *lifecycle.Tracer {
 
 // makeProc builds the session's protocol entity — founding, or joining a
 // running group — with its callbacks: confirm, indication fan-out with
-// drop-on-full and leave, then metrics, tracing and the host's Observe hooks
-// chained on. The one place a core.Process is made for a live runtime.
+// drop-on-full and leave, then tracing and the host's Observe hooks chained
+// on. Metrics take no hook: publish reads the process after each event. The
+// one place a core.Process is made for a live runtime.
 func (s *session) makeProc(join bool) (*core.Process, error) {
 	m, cfg := s.m, &s.m.cfg
 	pc := cfg.Config
@@ -192,7 +184,6 @@ func (s *session) makeProc(join bool) (*core.Process, error) {
 	cb := core.Callbacks{
 		OnProcess: func(msg *causal.Message) {
 			ind := s.indications()
-			s.processed.Add(1)
 			if msg.ID.Proc == cfg.Self {
 				s.conf.Processed(msg.ID)
 			}
@@ -202,16 +193,9 @@ func (s *session) makeProc(join bool) (*core.Process, error) {
 				s.obs.IndicationDropped()
 			}
 		},
-		OnLeave: func(r core.LeaveReason) {
-			s.conf.Leave(r)
-			clear(s.stableWait)
-		},
+		OnLeave: s.conf.Leave,
 	}
-	if s.obs != nil {
-		cb.OnGenerate = func(msg *causal.Message) { s.stableWait[msg.ID] = time.Now() }
-		cb.OnStable = s.settleStable
-	}
-	cb = core.Chain(core.Chain(cb, s.obs.callbacks()), lifecycleCallbacks(s.tracer))
+	cb = core.Chain(cb, lifecycleCallbacks(s.tracer))
 	if cfg.Observe != nil {
 		cb = core.Chain(cb, cfg.Observe(cfg.Self, s.group))
 	}
@@ -226,21 +210,6 @@ func (s *session) makeProc(join bool) (*core.Process, error) {
 func (s *session) indications() chan Indication {
 	s.indOnce.Do(func() { s.ind = make(chan Indication, s.m.cfg.IndicationDepth) })
 	return s.ind
-}
-
-// settleStable observes the submit→stable latency of every own submission
-// the full-group clean vector newly covers. Shard goroutine only.
-func (s *session) settleStable(clean mid.SeqVector) {
-	if len(s.stableWait) == 0 {
-		return
-	}
-	now := time.Now()
-	for id, t0 := range s.stableWait {
-		if int(id.Proc) < len(clean) && id.Seq <= clean[id.Proc] {
-			s.obs.submitStable.Observe(now.Sub(t0).Seconds())
-			delete(s.stableWait, id)
-		}
-	}
 }
 
 // Start launches the shard loops and, on a socket member, the reader and the
@@ -410,16 +379,6 @@ func (m *Member) Lifecycles() []*lifecycle.Tracer {
 	return out
 }
 
-// GroupCounts returns the number of messages processed per group so far.
-// Safe even after Stop — it is the shutdown summary's data source.
-func (m *Member) GroupCounts() []int64 {
-	out := make([]int64, len(m.sessions))
-	for i, s := range m.sessions {
-		out[i] = s.processed.Load()
-	}
-	return out
-}
-
 // The methods below are a session as its shard loop drives it.
 
 // offer hands the shard loop an event for s; a full inbox drops it, like any
@@ -471,7 +430,7 @@ func (s *session) submit(head *submission) {
 		failAll(head, fmt.Errorf("rt: member %d is fail-stopped", m.cfg.Self))
 		return
 	}
-	s.conf.Submit(s.proc, head)
+	s.conf.Submit(s.proc, head, s.obs)
 }
 
 // drainWindow submits the session's open coalescer window inline once the

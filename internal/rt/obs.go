@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"time"
 
-	"urcgc/internal/causal"
 	"urcgc/internal/core"
 	"urcgc/internal/mid"
 	"urcgc/internal/obs"
@@ -12,8 +11,12 @@ import (
 )
 
 // nodeObs holds one protocol entity's pre-resolved instruments, so hot
-// paths touch atomics instead of registry maps. A nil *nodeObs disables
-// everything.
+// paths touch atomics instead of registry maps, and installs no core hook:
+// every count and gauge is read from the entity's core.Process by publish,
+// at the end of each event its loop runs. What the Process cannot know — a
+// frame shipped, a flush coalesced, an indication or datagram dropped, a
+// confirm's wait, an own submission's instant — the runtime reports where
+// it happens. A nil *nodeObs disables everything.
 type nodeObs struct {
 	reg *obs.Registry
 
@@ -53,14 +56,25 @@ type nodeObs struct {
 	eager       *obs.Counter   // flushes that broadcast at submit time, not at the tick
 	early       *obs.Counter   // subruns opened by arrivals, between the clock's
 
-	// The rest is publish's, on the loop goroutine: the process last
-	// published and its Stats as they stood then, which every counter
-	// advances from; and the wall-clock open of the member's current subrun,
-	// with that subrun's number.
+	// The rest is the loop goroutine's: the process last published, its
+	// Stats and processed sum as they stood then, which every counter
+	// advances from; the wall-clock open of the member's current subrun,
+	// with that subrun's number; and the own submissions not yet stable,
+	// oldest first from stampHead — own sequence numbers only grow within an
+	// incarnation, so the stability watermark settles a prefix.
 	proc        *core.Process
 	last        core.Stats
+	lastSum     uint64
 	subrunStart time.Time
 	openSubrun  int64
+	stamps      []stamp
+	stampHead   int
+}
+
+// stamp is the submission instant of one own message.
+type stamp struct {
+	seq mid.Seq
+	at  time.Time
 }
 
 // newNodeObs resolves the instrument set of one protocol entity — member id
@@ -109,21 +123,38 @@ func newNodeObs(reg *obs.Registry, id mid.ProcID, n, g int) *nodeObs {
 	return o
 }
 
+// rebase starts counting from p when p is not the process last seen: a
+// fresh incarnation (Mesh.Restart) counts from zero, so no counter ever
+// decreases, and the old one's submissions are no longer timed.
+func (o *nodeObs) rebase(p *core.Process) {
+	if p != o.proc {
+		o.proc, o.last, o.lastSum = p, core.Stats{}, 0
+		o.stamps, o.stampHead = o.stamps[:0], 0
+	}
+}
+
 // publish brings the entity's series up to date with its process, the one
 // source of every count and gauge below: the counters advance by what
-// p.Stats counted since the last publish, the gauges read the accessors. A
-// fresh incarnation (Mesh.Restart) counts from zero, so publish rebaselines
-// when p changes and no counter ever decreases. The publish that first sees
-// a subrun opened stamps its opening, which rt_decision_latency_seconds
-// counts from. Run on the loop after every event; allocation-free.
-func (o *nodeObs) publish(p *core.Process) {
+// p.Stats and the processed vector's sum gained since the last publish —
+// the sum includes the watermark a joiner installed, which its previous
+// incarnation processed — and the gauges read the accessors and the
+// shard's inbox depth. The publish that first sees a subrun opened stamps
+// its opening, which rt_decision_latency_seconds counts from, and the own
+// submissions p's stability watermark newly covers are observed into
+// topics_submit_to_stable_seconds. Run on the loop after every event;
+// allocation-free.
+func (o *nodeObs) publish(p *core.Process, inbox int) {
 	if o == nil {
 		return
 	}
-	if p != o.proc {
-		o.proc, o.last = p, core.Stats{}
-	}
+	o.rebase(p)
 	st, last := &p.Stats, &o.last
+	// Decisions before this event's subrun stamp: they are measured against
+	// the subrun that was open when the event began.
+	if applied := st.DecisionsApplied - last.DecisionsApplied; applied > 0 {
+		o.decisions.Add(int64(applied))
+		o.decided(p.DecisionSubrun(), applied)
+	}
 	opened := st.Subruns - last.Subruns
 	o.subrunG.Add(int64(opened)) // subruns opened, the clock's and the early ones
 	if opened > 0 {
@@ -135,58 +166,72 @@ func (o *nodeObs) publish(p *core.Process) {
 	o.fastFwds.Add(int64(st.FastForwards - last.FastForwards))
 	o.viewChanges.Add(int64(st.ViewChanges - last.ViewChanges))
 	o.crashDecls.Add(int64(st.CrashDeclarations - last.CrashDeclarations))
+	o.joins.Add(int64(st.Joins - last.Joins))
 	*last = *st
+	sum := p.Processed().Sum()
+	o.processed.Add(int64(sum - o.lastSum))
+	o.lastSum = sum
 
+	clock, _ := core.SplitSubrun(p.DecisionSubrun()) // the clock subrun: monotone, as the token-stall rule reads it
+	o.decisionSub.Set(clock)
 	o.coordG.Set(int64(p.CurrentCoordinator()))
 	o.aliveCount.Set(int64(p.View().AliveCount()))
 	o.histLen.Set(int64(p.HistoryLen()))
 	o.waitLen.Set(int64(p.WaitingLen()))
 	o.pendingLen.Set(int64(p.PendingSubmissions()))
 	o.stableSum.Set(int64(p.StableTo().Sum()))
+	o.inboxDepth.Set(int64(inbox))
 	joining := int64(0)
 	if p.Joining() {
 		joining = 1
 	}
 	o.joiningG.Set(joining)
+	o.settle(p.StableTo()[p.ID()])
 }
 
-// decided observes the latency of a decision for subrun s from its
-// subrun's opening, as publish stamped it. A decision for another subrun
-// than the stamped one counts as zero: mostly one opened by the very event
-// that decides it — an early subrun whose requests were already in — which
-// took no time past that event.
-func (o *nodeObs) decided(s int64) {
-	switch {
-	case s != o.openSubrun:
-		o.decisionLat.Observe(0)
-	case !o.subrunStart.IsZero():
+// decided observes the latencies of the n decisions one event applied, the
+// last of them for subrun s, each from its subrun's opening as publish
+// stamped it. Only s is known, so one sample measures from the stamp when s
+// is the stamped subrun, and every other counts as zero: mostly a decision
+// for a subrun the very event opened — an early subrun whose requests were
+// already in — which took no time past that event.
+func (o *nodeObs) decided(s int64, n int) {
+	if s == o.openSubrun && !o.subrunStart.IsZero() {
 		o.decisionLat.ObserveSince(o.subrunStart)
+		n--
+	}
+	for ; n > 0; n-- {
+		o.decisionLat.Observe(0)
 	}
 }
 
-// callbacks returns the observability hooks of one protocol entity. All run
-// on the node loop goroutine, like every core callback. A nil receiver
-// returns no hooks.
-func (o *nodeObs) callbacks() core.Callbacks {
+// Submitted stamps own message id, just submitted to p. Loop goroutine.
+func (o *nodeObs) Submitted(p *core.Process, id mid.MID) {
 	if o == nil {
-		return core.Callbacks{}
+		return
 	}
-	return core.Callbacks{
-		OnProcess: func(*causal.Message) { o.processed.Inc() },
-		OnDecision: func(d *wire.Decision) {
-			o.decisions.Inc()
-			clock, _ := core.SplitSubrun(d.Subrun) // monotone, as the token-stall rule reads it
-			o.decisionSub.Set(clock)
-			o.decided(d.Subrun)
-		},
-		// The counter is per-OS-process, but the prefix at or below the
-		// installed watermark was processed by the member's previous
-		// incarnation and is skipped by state transfer. Seed it so the count
-		// stays comparable across the cluster, and with the processed vector
-		// the member's /status reports.
-		OnJoinInstalled: func(stable mid.SeqVector) { o.processed.Add(int64(stable.Sum())) },
-		OnJoined:        func() { o.joins.Inc() },
+	o.rebase(p)
+	o.stamps = append(o.stamps, stamp{id.Seq, time.Now()})
+}
+
+// settle observes the submit→stable latency of every stamped submission at
+// or below the own stability watermark stable, and drops it; the queue
+// slides down once half of it is spent, so it stays as long as what is in
+// flight.
+func (o *nodeObs) settle(stable mid.Seq) {
+	i := o.stampHead
+	if i == len(o.stamps) || o.stamps[i].seq > stable {
+		return
 	}
+	now := time.Now()
+	for ; i < len(o.stamps) && o.stamps[i].seq <= stable; i++ {
+		o.submitStable.Observe(now.Sub(o.stamps[i].at).Seconds())
+	}
+	if 2*i >= len(o.stamps) {
+		n := copy(o.stamps, o.stamps[i:])
+		o.stamps, i = o.stamps[:n], 0
+	}
+	o.stampHead = i
 }
 
 // Shipped counts what the entity hands its link: multi-message DataBatch
@@ -239,12 +284,5 @@ func (o *nodeObs) InboxDropped(id mid.ProcID) {
 func (o *nodeObs) ObserveConfirm(t0 time.Time) {
 	if o != nil {
 		o.confirmLat.ObserveSince(t0)
-	}
-}
-
-// SampleInbox publishes the current inbox depth. Safe from any goroutine.
-func (o *nodeObs) SampleInbox(depth int) {
-	if o != nil {
-		o.inboxDepth.Set(int64(depth))
 	}
 }

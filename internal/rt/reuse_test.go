@@ -148,7 +148,7 @@ func TestLeaveFailsEveryWaiterExactlyOnce(t *testing.T) {
 	subs, head := heldChain(waiters + 1)
 	// One loop event runs the chain: the first message leaves on submit and
 	// closes the valve, the rest stay queued with their waiters registered.
-	conf.Submit(p, head)
+	conf.Submit(p, head, nil)
 	in := newInbox(1, make(chan struct{}))
 	errs := make(chan error, len(subs))
 	for _, s := range subs {
@@ -222,7 +222,7 @@ func TestSubmitSignalsOnlyOnProcessing(t *testing.T) {
 	var conf confirms
 	p := valveProcess(t, &conf)
 	subs, head := heldChain(17)
-	conf.Submit(p, head)
+	conf.Submit(p, head, nil)
 	if got := len(subs[0].done); got != 1 {
 		t.Errorf("the message that left on submit holds %d signals, want 1", got)
 	}
@@ -258,20 +258,20 @@ func TestEverySendEndsOnce(t *testing.T) {
 	}{
 		{"submit refused", func(t *testing.T, r *sendRig) (mid.MID, error, *submission) {
 			s := newSubmission(make([]byte, wire.MaxPayload+1), nil, false)
-			r.conf.Submit(r.p, s)
+			r.conf.Submit(r.p, s, nil)
 			id, err := r.conf.Await(context.Background(), r.in, nil, s)
 			return id, err, nil
 		}, wire.ErrTooLarge.Error(), false},
 		{"processed", func(t *testing.T, r *sendRig) (mid.MID, error, *submission) {
 			s := newSubmission([]byte("sent"), nil, false)
-			r.conf.Submit(r.p, s)
+			r.conf.Submit(r.p, s, nil)
 			id, err := r.conf.Await(context.Background(), r.in, nil, s)
 			return id, err, nil
 		}, "", true},
 		{"member leaves", func(t *testing.T, r *sendRig) (mid.MID, error, *submission) {
 			r.closeValve(t)
 			s := newSubmission([]byte("held"), nil, false)
-			r.conf.Submit(r.p, s)
+			r.conf.Submit(r.p, s, nil)
 			r.conf.Leave(core.Suicide)
 			id, err := r.conf.Await(context.Background(), r.in, nil, s)
 			return id, err, nil
@@ -307,7 +307,7 @@ func TestEverySendEndsOnce(t *testing.T) {
 		{"ctx ends after the submit", func(t *testing.T, r *sendRig) (mid.MID, error, *submission) {
 			r.closeValve(t)
 			s := newSubmission([]byte("held"), nil, false)
-			r.conf.Submit(r.p, s)
+			r.conf.Submit(r.p, s, nil)
 			id, err := r.conf.Await(canceled, r.in, nil, s)
 			return id, err, s
 		}, context.Canceled.Error(), true},
@@ -359,7 +359,7 @@ type sendRig struct {
 func (r *sendRig) closeValve(t *testing.T) {
 	t.Helper()
 	s := newSubmission([]byte("closes the valve"), nil, false)
-	r.conf.Submit(r.p, s)
+	r.conf.Submit(r.p, s, nil)
 	if _, err := r.conf.Await(context.Background(), r.in, nil, s); err != nil {
 		t.Fatal(err)
 	}

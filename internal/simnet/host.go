@@ -34,16 +34,12 @@ type Host[P Proc] struct {
 
 // NewHost returns a host for n processes over a fresh engine seeded with
 // seed and a network with the given failure injector (nil: reliable) and
-// latency model (nil: DefaultLatency). Attach each process before running.
-func NewHost[P Proc](seed int64, n int, inj faultrt.Injector, lat Latency) *Host[P] {
+// the default latency model. Attach each process before running.
+func NewHost[P Proc](seed int64, n int, inj faultrt.Injector) *Host[P] {
 	eng := sim.NewEngine(seed)
-	nw := New(eng, n, inj)
-	if lat != nil {
-		nw.SetLatency(lat)
-	}
 	return &Host[P]{
 		eng:   eng,
-		net:   nw,
+		net:   New(eng, n, inj),
 		procs: make([]P, n),
 		Delay: NewDelay(),
 		Log:   make([][]mid.MID, n),

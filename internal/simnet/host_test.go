@@ -22,7 +22,7 @@ func (p *tickLog) Recv(mid.ProcID, wire.PDU) {}
 func (p *tickLog) StartRound(round int) { *p.log = append(*p.log, fmt.Sprintf("r%d p%d", round, p.id)) }
 
 func newTickHost(n int, inj faultrt.Injector) (*Host[*tickLog], *[]string) {
-	h := NewHost[*tickLog](1, n, inj, nil)
+	h := NewHost[*tickLog](1, n, inj)
 	log := new([]string)
 	for i := 0; i < n; i++ {
 		h.Attach(mid.ProcID(i), &tickLog{id: mid.ProcID(i), log: log})

@@ -127,12 +127,15 @@ func TestMeshMultiGroupConverges(t *testing.T) {
 	waitGroupConverged(t, nodes, groups, mid.SeqVector{perGroup, 0, 0}, 20*time.Second)
 
 	for i, n := range nodes {
-		counts := n.GroupCounts()
-		if len(counts) != groups {
-			t.Fatalf("node %d: %d group counts, want %d", i, len(counts), groups)
+		st, err := n.Status(context.Background())
+		if err != nil {
+			t.Fatal(err)
 		}
-		for g, got := range counts {
-			if got != perGroup {
+		if len(st.Groups) != groups {
+			t.Fatalf("node %d: %d groups in status, want %d", i, len(st.Groups), groups)
+		}
+		for g, gs := range st.Groups {
+			if got := gs.Processed.Sum(); got != perGroup {
 				t.Errorf("node %d group %d: processed %d, want %d", i, g, got, perGroup)
 			}
 		}
@@ -376,8 +379,8 @@ func TestLegacyNodeDropsGroupTaggedFrames(t *testing.T) {
 
 // TestConcurrentDemuxShardDispatchStress is the race-detector stress for
 // the demux path: many groups over few shards, every member sending on
-// every group concurrently while status snapshots and group counts are
-// read from other goroutines.
+// every group concurrently while whole-member and one-group status
+// snapshots are read from other goroutines.
 func TestConcurrentDemuxShardDispatchStress(t *testing.T) {
 	const n, groups, shards, perGroup = 3, 8, 3, 4
 	cfg := meshConfig(n, groups, shards)
@@ -391,14 +394,14 @@ func TestConcurrentDemuxShardDispatchStress(t *testing.T) {
 	defer c.Stop()
 	nodes := members(c)
 
-	// Concurrent observers: statuses and counts while traffic flows.
+	// Concurrent observers: statuses while traffic flows.
 	obsDone := make(chan struct{})
 	go func() {
 		defer close(obsDone)
 		for j := 0; j < 50; j++ {
 			for _, node := range nodes {
-				node.GroupCounts()
 				sctx, scancel := context.WithTimeout(context.Background(), time.Second)
+				node.Status(sctx)
 				node.GroupStatus(sctx, uint32(j%groups))
 				scancel()
 			}

@@ -2,7 +2,7 @@
 // of the paper: the primitive t.data.Rq(m, h, v, d) transfers data d to the
 // destination set m with n-unicast semantics, retransmitting until at least
 // h destinations have acknowledged (1 <= h <= |m|). The primitive never
-// fails, even if fewer than h acknowledgements arrive — after MaxRetries
+// fails, even if fewer than h acknowledgements arrive — after five retries
 // the entity simply stops retransmitting.
 //
 // The voting function v of the paper's tuple manages reply messages for
@@ -69,24 +69,17 @@ type Handler interface {
 
 // Config tunes a transport entity.
 type Config struct {
-	// MaxRetries bounds retransmission rounds per request (default 5).
-	MaxRetries int
-	// RetryEvery spaces retransmissions (default one round).
-	RetryEvery sim.Time
 	// MTU, when positive, fragments any PDU whose encoding exceeds it and
 	// reassembles at the receiving entity (Section 5's fragmentation
 	// service). Zero disables fragmentation.
 	MTU int
 }
 
-func (c *Config) fill() {
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 5
-	}
-	if c.RetryEvery == 0 {
-		c.RetryEvery = sim.TicksPerRound
-	}
-}
+// A request is retransmitted once a round, at most maxRetries times.
+const (
+	maxRetries = 5
+	retryEvery = sim.TicksPerRound
+)
 
 // Entity is one process's transport entity (the mt-attached t-SAP of the
 // paper's Figure 3). It lives on the simulated network.
@@ -138,7 +131,6 @@ func NewEntity(id mid.ProcID, nw *simnet.Network, eng *sim.Engine, cfg Config, u
 	if upper == nil {
 		return nil, fmt.Errorf("transport: nil upper handler")
 	}
-	cfg.fill()
 	e := &Entity{
 		id:      id,
 		nw:      nw,
@@ -211,12 +203,12 @@ func (e *Entity) transmit(out *outstanding) {
 }
 
 func (e *Entity) scheduleRetry(seq uint32) {
-	e.eng.After(e.cfg.RetryEvery, func() {
+	e.eng.After(retryEvery, func() {
 		out, ok := e.pending[seq]
 		if !ok || out.done {
 			return
 		}
-		if len(out.acked) >= out.h || out.retries >= e.cfg.MaxRetries {
+		if len(out.acked) >= out.h || out.retries >= maxRetries {
 			out.done = true
 			delete(e.pending, seq)
 			return // the primitive never fails; it just stops trying

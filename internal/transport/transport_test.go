@@ -105,7 +105,7 @@ func TestDuplicateSuppression(t *testing.T) {
 
 func TestPrimitiveNeverFails(t *testing.T) {
 	// Destination 1 is crashed: h=2 can never be reached, but the request
-	// must terminate after MaxRetries without error and deliver to the
+	// must terminate after maxRetries without error and deliver to the
 	// live destination.
 	eng, _, es, sinks := setup(t, 3, faultrt.CrashAt{Proc: 1, At: 0})
 	es[0].DataRq([]mid.ProcID{0, 1, 2}, 2, nil, data(1))
@@ -113,8 +113,8 @@ func TestPrimitiveNeverFails(t *testing.T) {
 	if len(sinks[2].got) != 1 {
 		t.Errorf("live destination got %d", len(sinks[2].got))
 	}
-	if es[0].Stats.Retries != 5 {
-		t.Errorf("Retries = %d, want MaxRetries=5", es[0].Stats.Retries)
+	if es[0].Stats.Retries != maxRetries {
+		t.Errorf("Retries = %d, want %d", es[0].Stats.Retries, maxRetries)
 	}
 	if len(es[0].pending) != 0 {
 		t.Error("request should have been abandoned")

@@ -6,6 +6,8 @@
 # healthy one-shot urcgc-ctl inspect verdict. This is the end-to-end gate for
 # dynamic membership: Join/JoinState PDUs -> core join state machine ->
 # rt restart -> joining status/health grace -> inspect informational kind.
+# Last, the rejoined member is stalled past K subruns, and must leave the
+# group and exit when it resumes.
 set -eu
 
 # Fixed loopback ports, chosen high and unusual to avoid collisions (and
@@ -77,5 +79,29 @@ healthz_ok() {
 }
 wait_until 30 1 "a member still answers /healthz 503 after the rejoin" healthz_ok
 wait_until 8 2 "cluster never inspected healthy after the rejoin" inspected
-
 echo "join-smoke: member 2 rejoined; cluster healthy"
+
+# Phase 5: a member that leaves exits. The chatter members stop, and three
+# quiet ones (-k 3 -round 20ms, stdin held open) take their addresses, so no
+# processed message is in flight around the leave. SIGSTOP member 2 for 2 s,
+# far past K subruns: the survivors exclude it, and once resumed it learns it
+# was declared crashed and leaves. It must say so and exit — its listener
+# closes — rather than linger out of the group.
+kill "$P0" "$P1" "$P2" 2>/dev/null || true
+wait "$P0" "$P1" "$P2" 2>/dev/null || true
+hold() { while [ -d "$BIN" ]; do sleep 0.2; done; }
+FEED=hold
+for i in 0 1 2; do
+    start_node "$i" "quiet$i" -k 3 -round 20ms -sample 100ms
+done
+wait_until 60 0.5 "the quiet cluster never formed" readmitted
+kill -STOP "$P2"
+sleep 2
+kill -CONT "$P2"
+echo "join-smoke: stalled member 2 for 2s, waiting for it to leave and exit"
+left_and_exited() {
+    grep -q 'member left the group' "$BIN/quiet2.log" &&
+        ! curl -fsS "http://$OBS2/status" >/dev/null 2>&1
+}
+wait_until 40 0.5 "stalled member 2 never left the group and exited" left_and_exited
+echo "join-smoke: member 2 left the group and exited"
