@@ -28,9 +28,10 @@ fmt:
 # total (benchmark/ is its own module) and its number of internal/ packages:
 # the figures a simplicity change reports its net lines from. Then the
 # settable values: the field counts of the hook set and the configs of the
-# live runtime, the simulated cluster, the lifecycle tracer and the
-# simulated transport (a name list "A, B int" counts each name; an embedded
-# config counts once, its fields being its own type's).
+# live runtime, the simulated cluster, the lifecycle tracer, the
+# simulated transport and the health rules (a name list "A, B int" counts
+# each name; an embedded config counts once, its fields being its own
+# type's).
 loc:
 	@count() { label=$$1; shift; total=0; for p in "$$@"; do \
 		[ -e $$p ] || continue; \
@@ -53,7 +54,8 @@ loc:
 		END { print n + 0 }' $$2); }; \
 	fields core.Callbacks internal/core/process.go; fields core.Config internal/core/process.go; \
 	fields rt.Config internal/rt/config.go; fields core.ClusterConfig internal/core/cluster.go; \
-	fields lifecycle.Options internal/lifecycle/lifecycle.go; fields transport.Config internal/transport/transport.go
+	fields lifecycle.Options internal/lifecycle/lifecycle.go; fields transport.Config internal/transport/transport.go; \
+	fields health.Thresholds internal/health/health.go
 
 # race runs the concurrency-sensitive packages under the race detector:
 # the real-time runtime (node loop, UDP reader, Status/Snapshot sampling),
@@ -70,10 +72,13 @@ loc:
 # rt tables run on both links. The second line reruns the Send rendezvous
 # tests ten times: a stale signal on a recycled submission depends on
 # interleaving, and a single run can miss it — and so does the early close
-# of a coalescer window, which races a Send's Add against the loop's drain.
+# of a coalescer window, which races a Send's Add against the loop's drain,
+# and the indication stream's stalled-reader row (the conformance table's
+# stalled_reader cells), whose spill drainer races the loop's fast path and
+# Stop.
 race:
 	$(GO) test -race ./internal/rt/... ./internal/topics/... ./internal/core/... ./internal/obs/... ./internal/health/... ./internal/inspect/... ./internal/stitch/... ./internal/faultrt/... ./internal/wire/...
-	$(GO) test -race -count=10 -run '^(TestSubmitSignalsOnlyOnProcessing|TestEverySendEndsOnce|TestRecycledSubmissionSeesNoStaleSignal|TestLeaveFailsEveryWaiterExactlyOnce|TestSendAbandonedDoesNotLeakWaiter|TestUDPSendAbandonedDoesNotLeakWaiterOrGoroutines|TestCoalescerStopFailsPendingWindow|TestClusterStopUnblocksWindowedSends|TestWindowClosesWhenLoopDrains)$$' ./internal/rt/
+	$(GO) test -race -count=10 -run '^(TestSubmitSignalsOnlyOnProcessing|TestEverySendEndsOnce|TestRecycledSubmissionSeesNoStaleSignal|TestLeaveFailsEveryWaiterExactlyOnce|TestSendAbandonedDoesNotLeakWaiter|TestUDPSendAbandonedDoesNotLeakWaiterOrGoroutines|TestCoalescerStopFailsPendingWindow|TestClusterStopUnblocksWindowedSends|TestWindowClosesWhenLoopDrains|TestConformance)$$/.*/.*/^stalled_reader$$' ./internal/rt/
 
 # check is the tier-1 gate: everything is gofmt-clean, builds, vets clean,
 # passes the full suite (the allocs/op budgets of the codec, the idle subrun

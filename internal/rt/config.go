@@ -57,7 +57,10 @@ type Config struct {
 	// InboxDepth bounds each shard's event queue; overflow drops datagrams,
 	// like any datagram network. Default 4096.
 	InboxDepth int
-	// IndicationDepth bounds each group's indication queue. Default 4096.
+	// IndicationDepth bounds how many indications each group's stream holds
+	// for a reader that falls behind; the next one is dropped and counted.
+	// It allocates nothing: a stream's memory follows its backlog. Default
+	// 4096.
 	IndicationDepth int
 	// Metrics, when non-nil, receives live counters, gauges and histograms
 	// for every hosted protocol entity (series labelled {node, group}, group
@@ -145,7 +148,8 @@ func (c *Config) validate() error {
 }
 
 // Indication is the urcgc-data.Ind primitive: a message processed at this
-// member, delivered in causal order on its group's stream. Its labels and
+// member, delivered in causal order on its group's stream, which holds up to
+// IndicationDepth of them for a slow reader. Its labels and
 // payload are carved from a chunk shared with other messages (DESIGN.md §7
 // rule 6): a consumer that keeps one long after the group has moved on, and
 // wants it alone, copies it.

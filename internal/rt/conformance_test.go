@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -215,6 +217,7 @@ func TestConformance(t *testing.T) {
 		{"poisoned_records", conformPoisonedRecords},
 		{"forged_sender", conformForgedSender},
 		{"shard_independence", conformShardIndependence},
+		{"stalled_reader", conformStalledReader},
 	}
 	for _, link := range []string{"mesh", "udp"} {
 		for _, groups := range []int{1, 4} {
@@ -572,5 +575,123 @@ func conformShardIndependence(t *testing.T, link string, groups int) {
 				return err
 			})
 		})
+	}
+}
+
+// conformStalledReader holds the indication stream to its contract while
+// nobody reads it. With IndicationDepth well above the stream's channel,
+// every member holds exactly IndicationDepth indications per group — the
+// channel full and the rest spilled — and counts every later one dropped;
+// once the reader resumes, what was held arrives in each sender's sequence
+// order across the channel→spill boundary, and the drainers leave. Stopped
+// with a spill pending, no drainer outlives Stop. Memory follows what is
+// queued, not the depth: a member built with a depth of 2^20 and never read
+// holds no more heap than the fixed bound below.
+func conformStalledReader(t *testing.T, link string, groups int) {
+	const (
+		depth = 2 * streamBuffer
+		per   = streamBuffer + 64 // from each of members 0 and 1: 2·per > depth
+	)
+	// The row idles between bursts while it reads; a generous K keeps a
+	// socket member descheduled meanwhile from being taken for crashed.
+	quiet := func(cfg *Config) { cfg.K, cfg.R = 100, 202 }
+	c := startCell(t, link, groups, func(cfg *Config) { quiet(cfg); cfg.IndicationDepth = depth })
+	c.sendAll(t, c.members[:2], per)
+	c.awaitAll(t, c.members, "processing every message", func(st Status) bool {
+		return st.Processed[0] == per && st.Processed[1] == per
+	})
+	if n := drainers(); n < len(c.members)*groups {
+		t.Errorf("%d drainers running with every stream spilled, want %d", n, len(c.members)*groups)
+	}
+	for _, m := range c.members {
+		for g, s := range m.sessions {
+			s.ind.mu.Lock()
+			held := len(s.ind.ch) + len(s.ind.spill) - s.ind.head
+			s.ind.mu.Unlock()
+			dropped := c.reg.Counter(obs.Labeled("rt_indications_dropped_total",
+				"node", strconv.Itoa(int(m.ID())), "group", strconv.Itoa(g))).Value()
+			if held != depth || dropped != 2*per-depth {
+				t.Errorf("member %d group %d: %d held, %d dropped; want %d and %d", m.ID(), g, held, dropped, depth, 2*per-depth)
+			}
+		}
+	}
+	for _, m := range c.members {
+		for g := uint32(0); g < uint32(groups); g++ {
+			ind, _ := m.Indications(g)
+			next := mid.SeqVector{1, 1, 1}
+			for k := 0; k < depth; k++ {
+				select {
+				case in := <-ind:
+					id := in.Msg.ID
+					if id.Seq != next[id.Proc] || string(in.Msg.Payload) != string(binary.BigEndian.AppendUint32(nil, uint32(id.Seq-1))) {
+						t.Fatalf("member %d group %d: indication %d is %v, want seq %d of member %d", m.ID(), g, k, id, next[id.Proc], id.Proc)
+					}
+					next[id.Proc]++
+				case <-time.After(10 * time.Second):
+					t.Fatalf("member %d group %d: %d of %d held indications arrived", m.ID(), g, k, depth)
+				}
+			}
+			select {
+			case in := <-ind:
+				t.Fatalf("member %d group %d: indication %v beyond the %d held", m.ID(), g, in.Msg.ID, depth)
+			case <-time.After(5 * time.Millisecond):
+			}
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); drainers() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d drainers still running with every spill read", drainers())
+		}
+	}
+
+	// Spill again, and stop with the spills pending.
+	c.sendAll(t, c.members[:1], streamBuffer+1)
+	c.awaitAll(t, c.members, "processing the second burst", func(st Status) bool {
+		return st.Processed[0] == per+streamBuffer+1
+	})
+	if n := drainers(); n == 0 {
+		t.Error("no drainer running with the streams spilled again")
+	}
+	for _, m := range c.members {
+		m.Stop()
+	}
+	// Stop has waited for every drainer's last act; the goroutine itself may
+	// take a moment more to leave the scheduler's list.
+	for deadline := time.Now().Add(5 * time.Second); drainers() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d drainers outlived Stop", drainers())
+		}
+	}
+
+	// At a depth of 2^20 a channel of that many slots is 56 MiB per stream;
+	// a stream costs its channel and its backlog. 16 MiB covers the cell's
+	// own set-up (capture rings, registries, free lists, 3–5 MiB) at G = 4
+	// with room to spare, and is under a third of one such channel.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	big := startCell(t, link, groups, func(cfg *Config) { quiet(cfg); cfg.IndicationDepth = 1 << 20 })
+	big.sendAll(t, big.members[:1], streamBuffer+1)
+	big.awaitAll(t, big.members, "processing past the channel", func(st Status) bool {
+		return st.Processed[0] == streamBuffer+1
+	})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if grown > 16<<20 {
+		t.Errorf("never-read members at depth 2^20 hold %d KiB more heap, bound 16 MiB", grown>>10)
+	}
+	t.Logf("heap held at depth 2^20: %d KiB", grown>>10)
+}
+
+// drainers counts the indication drainer goroutines running in the process.
+func drainers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "rt.(*stream).drain(")
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }

@@ -68,16 +68,7 @@ type session struct {
 	tracer *lifecycle.Tracer // nil unless Config.Lifecycle is set
 	coal   *coalescer        // nil unless BatchWindow is set
 	conf   confirms          // confirm waiters, leave record, the submit step
-
-	// ind is the indication queue, made by whoever needs it first — the
-	// stream's reader or the first processed message — not by the
-	// constructor: IndicationDepth slots are by far a member's largest
-	// allocation, and a process that is collecting garbage makes the
-	// allocating goroutine wait for the mark phase (DESIGN.md §11, set-up
-	// cost). A reader asking early takes that wait off the path from
-	// NewMember to the first confirm.
-	indOnce sync.Once
-	ind     chan Indication
+	ind    *stream           // the urcgc-data.Ind stream
 }
 
 // NewMember binds the member's socket and prepares every group's protocol
@@ -136,6 +127,7 @@ func (m *Member) initSessions() error {
 			m:     m,
 			group: uint32(g),
 			shard: m.shards[g%len(m.shards)],
+			ind:   newStream(m.cfg.IndicationDepth, m.stopCh, &m.wg),
 		}
 		s.obs = newNodeObs(m.cfg.Metrics, m.cfg.Self, m.cfg.N, g)
 		if m.cfg.Lifecycle != nil {
@@ -183,13 +175,10 @@ func (s *session) makeProc(join bool) (*core.Process, error) {
 	pc.Join = pc.Join || join
 	cb := core.Callbacks{
 		OnProcess: func(msg *causal.Message) {
-			ind := s.indications()
 			if msg.ID.Proc == cfg.Self {
 				s.conf.Processed(msg.ID)
 			}
-			select {
-			case ind <- Indication{Msg: *msg}:
-			default: // slow consumer: indication dropped, like a full SAP queue
+			if !s.ind.push(Indication{Msg: *msg}) { // slow consumer: dropped, like a full SAP queue
 				s.obs.IndicationDropped()
 			}
 		},
@@ -204,12 +193,6 @@ func (s *session) makeProc(join bool) (*core.Process, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// indications returns the session's indication queue, making it on first use.
-func (s *session) indications() chan Indication {
-	s.indOnce.Do(func() { s.ind = make(chan Indication, s.m.cfg.IndicationDepth) })
-	return s.ind
 }
 
 // Start launches the shard loops and, on a socket member, the reader and the
@@ -307,7 +290,7 @@ func (m *Member) Indications(group uint32) (<-chan Indication, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.indications(), nil
+	return s.ind.ch, nil
 }
 
 // Left reports whether and why this member halted itself in one group.

@@ -69,7 +69,7 @@ func (n single) SendCausal(ctx context.Context, payload []byte) (mid.MID, error)
 
 // Indications returns the urcgc-data.Ind stream: every message processed at
 // this member, in causal order.
-func (n single) Indications() <-chan Indication { return n.m.sessions[0].indications() }
+func (n single) Indications() <-chan Indication { return n.m.sessions[0].ind.ch }
 
 // Left returns the reason this member halted, if it has.
 func (n single) Left() (core.LeaveReason, bool) { return n.m.Left(0) }

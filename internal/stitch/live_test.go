@@ -19,7 +19,7 @@ import (
 // Hold levels for the live stuck-message test's fault hook.
 const (
 	holdNone    = iota
-	holdFromOne // member 1's group-1 frames to member 2 are withheld
+	holdFromOne // member 1's group-1 frames to member 2, and member 2's own, are withheld
 	holdAll     // all group-1 frames into member 2 are withheld
 )
 
@@ -29,11 +29,16 @@ const (
 // received, and Collect+Stitch over the real per-node /trace surface must
 // name the blocking member and the dependency MID.
 //
-// The hold escalates in two steps: first only member 1's frames to
-// member 2 are dropped (so the dependency spreads to members 0 and 1 but
-// not 2), then every group-1 frame into member 2 is dropped, which keeps
-// the recovery machinery (RECOVER/RETRANSMIT via the decision's
-// most-updated holder) from healing the gap under the test. The hook's cut
+// The hold escalates in two steps: first member 1's frames to member 2
+// are dropped (so the dependency spreads to members 0 and 1 but not 2),
+// and so are member 2's own; then every group-1 frame into member 2 is
+// dropped. Both steps keep the recovery machinery from healing the gap
+// under the test. Member 1's broadcast of the dependency ends with its
+// report, which can close the open subrun at once: the coordinator's
+// decision then names the dependency, member 2 asks its most-updated
+// holder for it (RECOVER), and the holder's RETRANSMIT would deliver it
+// within microseconds, before member 0's causal send — unless member 2's
+// RECOVER never leaves. The hook's cut
 // escalates itself, on the very frame that carries the blocked message to
 // member 2, so no interval — poll, round or otherwise — separates "blocked
 // arrived" from "recovery cut". It recognizes that frame by construction,
@@ -68,17 +73,17 @@ func TestTraceStuckMessageEndToEnd(t *testing.T) {
 			SlowThreshold: 50 * time.Millisecond,
 		},
 		Fault: faultrt.NewHook(faultrt.Cut(func(group uint32, src, dst mid.ProcID) bool {
-			if group != 1 || dst != 2 {
+			if group != 1 {
 				return false
 			}
 			switch hold.Load() {
 			case holdFromOne:
-				if src == 0 && cl.Node(0).Lifecycle(1).Counts().InFlight > 0 {
+				if src == 0 && dst == 2 && cl.Node(0).Lifecycle(1).Counts().InFlight > 0 {
 					hold.Store(holdAll) // this frame passes; nothing after it does
 				}
-				return src == 1
+				return src == 1 && dst == 2 || src == 2
 			case holdAll:
-				return true
+				return dst == 2
 			}
 			return false
 		}), nil),
