@@ -31,7 +31,9 @@ fmt:
 # live runtime, the simulated cluster, the lifecycle tracer, the
 # simulated transport and the health rules (a name list "A, B int" counts
 # each name; an embedded config counts once, its fields being its own
-# type's).
+# type's). Last, the wall-clock sites: the calls into the time package's clock
+# and timers in non-test internal/ code, the count ROADMAP tracks toward an
+# injected clock.
 loc:
 	@count() { label=$$1; shift; total=0; for p in "$$@"; do \
 		[ -e $$p ] || continue; \
@@ -55,7 +57,9 @@ loc:
 	fields core.Callbacks internal/core/process.go; fields core.Config internal/core/process.go; \
 	fields rt.Config internal/rt/config.go; fields core.ClusterConfig internal/core/cluster.go; \
 	fields lifecycle.Options internal/lifecycle/lifecycle.go; fields transport.Config internal/transport/transport.go; \
-	fields health.Thresholds internal/health/health.go
+	fields health.Thresholds internal/health/health.go; \
+	printf '%-28s %5d\n' 'wall-clock sites' $$(grep -rEo --include='*.go' --exclude='*_test.go' \
+		'time\.(Now|Since|Sleep|After|NewTimer|NewTicker|Tick|AfterFunc|Until)\(' internal | wc -l)
 
 # race runs the concurrency-sensitive packages under the race detector:
 # the real-time runtime (node loop, UDP reader, Status/Snapshot sampling),
@@ -71,11 +75,14 @@ loc:
 # takes from a free list, the socket reader or the mesh shard loop, which the
 # rt tables run on both links. The second line reruns the Send rendezvous
 # tests ten times: a stale signal on a recycled submission depends on
-# interleaving, and a single run can miss it — and so does the early close
-# of a coalescer window, which races a Send's Add against the loop's drain,
-# and the indication stream's stalled-reader row (the conformance table's
-# stalled_reader cells), whose spill drainer races the loop's fast path and
-# Stop.
+# interleaving, and a single run can miss it (TestEverySendEndsOnce and both
+# rows of TestSendAbandonedDoesNotLeakWaiter also hold every exit path to
+# ending the Send's outstanding count) — and so do the closes of a coalescer
+# window (every TestWindowClosesWhenLoopDrains row: quiet_member,
+# returning_pair and closed_loop race a Send's Add against another's return
+# from Await and the loop's drain), and the indication stream's
+# stalled-reader row (the conformance table's stalled_reader cells), whose
+# spill drainer races the loop's fast path and Stop.
 race:
 	$(GO) test -race ./internal/rt/... ./internal/topics/... ./internal/core/... ./internal/obs/... ./internal/health/... ./internal/inspect/... ./internal/stitch/... ./internal/faultrt/... ./internal/wire/...
 	$(GO) test -race -count=10 -run '^(TestSubmitSignalsOnlyOnProcessing|TestEverySendEndsOnce|TestRecycledSubmissionSeesNoStaleSignal|TestLeaveFailsEveryWaiterExactlyOnce|TestSendAbandonedDoesNotLeakWaiter|TestUDPSendAbandonedDoesNotLeakWaiterOrGoroutines|TestCoalescerStopFailsPendingWindow|TestClusterStopUnblocksWindowedSends|TestWindowClosesWhenLoopDrains|TestConformance)$$/.*/.*/^stalled_reader$$' ./internal/rt/

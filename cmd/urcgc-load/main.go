@@ -48,7 +48,7 @@ func main() {
 		duration = flag.Duration("duration", 10*time.Second, "how long to drive load")
 		k        = flag.Int("k", 3, "K parameter")
 		round    = flag.Duration("round", 2*time.Millisecond, "round duration")
-		batchWin = flag.Duration("batch-window", 500*time.Microsecond, "submission coalescing: the longest a window stays open on a quiet loop; under load it closes when full or when the loop runs dry (0 disables batching)")
+		batchWin = flag.Duration("batch-window", 500*time.Microsecond, "submission coalescing: the longest a window stays open; it closes at once when its send is the only one in flight, and under load when full or when the loop runs dry (0 disables batching)")
 		payload  = flag.Int("payload", 64, "bytes per message")
 		mesh     = flag.Bool("mesh", false, "use the in-process mesh instead of loopback UDP sockets")
 		metrics  = flag.String("metrics", "", "HTTP address serving member 0's /metrics and /status while loading, every member's /metrics with -mesh (empty disables)")

@@ -94,7 +94,7 @@ func main() {
 		traceSlow = flag.Duration("trace-slow", time.Second, "flag a message stuck waiting longer than this on /trace (0 disables lifecycle tracing)")
 		sample    = flag.Duration("sample", time.Second, "flight-recorder sampling interval for /timeseries and /healthz (0 disables)")
 		window    = flag.Int("window", 512, "flight-recorder ring length: samples of history retained")
-		batchWin  = flag.Duration("batch-window", 0, "coalesce concurrent submissions into one DataBatch broadcast; a window closes when full, when the group's loop has run an event with nothing queued, or after this long on a quiet loop (0 disables batching)")
+		batchWin  = flag.Duration("batch-window", 0, "coalesce concurrent submissions into one DataBatch broadcast; a window closes when full, at once when its send is the group's only one in flight, when the group's loop has run an event with nothing queued, or after this long (0 disables batching)")
 		batchMax  = flag.Int("batch-max", 0, "max messages a member broadcasts per subrun, over as many flushes as submissions arrive; without -batch-window each one leaves as its own frame (0 = 1, or the default when -batch-window is set)")
 		capFrames = flag.Int("capture", 0, "frame flight-recorder depth: raw wire frames retained for /capture and urcgc-ctl replay (0 disables)")
 	)

@@ -77,7 +77,8 @@ type Config struct {
 	// post-fault convergence and the health recovery.
 	Settle time.Duration
 	// BatchWindow, when positive, enables the runtime's coalescing sender
-	// so the soak exercises DataBatch traffic under the fault plan.
+	// (rt.Config.BatchWindow: the longest a window waits behind Sends in
+	// flight) so the soak exercises DataBatch traffic under the fault plan.
 	BatchWindow time.Duration
 	// BatchMax caps the per-subrun drain when batching (0 = runtime
 	// default when BatchWindow is set).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"urcgc/internal/core"
@@ -35,6 +36,7 @@ type submission struct {
 	err  error       // why the submit was refused, written before done is signalled
 	next *submission // the rest of a coalescer window; cut before s is submitted
 	born time.Time   // the Rq instant, for the confirm-latency histogram; zero when unrecorded
+	coal *coalescer  // the coalescer that counts s outstanding until Await returns; nil without one
 }
 
 var submissions = sync.Pool{New: func() any {
@@ -52,7 +54,7 @@ func newSubmission(payload []byte, deps mid.DepList, causal bool) *submission {
 // recycle gives a fully consumed rendezvous back for the next Send. The
 // caller's references go with it, so the pool pins no payload.
 func (s *submission) recycle() {
-	s.Payload, s.Deps, s.next = nil, nil, nil
+	s.Payload, s.Deps, s.next, s.coal = nil, nil, nil, nil
 	s.id, s.err, s.born = mid.MID{}, nil, time.Time{}
 	submissions.Put(s)
 }
@@ -96,17 +98,20 @@ func (s *submission) wireCost() int {
 // as one submission step, so the protocol's outbox drains it as DataBatch
 // frames in one flush — at once as far as the subrun's BatchMax budget has
 // room, the rest at the next subrun's opening — instead of dribbling one
-// Data per subrun. A window closes at the earliest of three instants: it is
-// full (the count or byte budget), BatchWindow has passed since it opened
-// (the timer, which hands it to the loop as one inbox event), or the loop
-// that hosts the entity has just run an event for it and the protocol has
-// nothing queued (drain, called by that loop, which submits the window
-// inline). Under load the last one comes first, so windows follow the loop's
-// pace and BatchWindow bounds only a quiet loop. Confirm semantics are
-// untouched — every Send still blocks until its own message is processed
-// locally. A window is a chain through the submissions themselves and its
-// timer is re-armed, not re-made, so coalescing allocates nothing per Send or
-// per window.
+// Data per subrun. A window closes at the earliest of four instants: it is
+// full (the count or byte budget); its first Send is the session's only
+// outstanding one, so nothing is in flight that could join it (Add posts it
+// at once — Nagle's rule); the loop that hosts the entity has just run an
+// event for it and the protocol has nothing queued (drain, called by that
+// loop, which submits the window inline); or BatchWindow has passed since it
+// opened (the timer, which hands it to the loop as one inbox event). Under
+// load the loop's close comes first, so windows follow the loop's pace, and
+// BatchWindow bounds only a Send that joined while an earlier one was still
+// returning from Await, or a window held behind a queued backlog. Confirm
+// semantics are untouched — every Send still blocks until its own message is
+// processed locally. A window is a chain through the submissions themselves
+// and its timer is re-armed, not re-made, so coalescing allocates nothing per
+// Send or per window.
 type coalescer struct {
 	window   time.Duration
 	maxCount int
@@ -124,6 +129,11 @@ type coalescer struct {
 	bytes      int
 	timer      *time.Timer // made by the first window, re-armed by the rest
 	stopped    bool
+
+	// outstanding counts the Sends between Add and the return of their
+	// Await (settle), on every path; outside mu, so that settling never
+	// waits on a window.
+	outstanding atomic.Int64
 }
 
 // newCoalescer builds a coalescing sender for the entity to hosted by the
@@ -142,12 +152,16 @@ func newCoalescer(window time.Duration, maxCount, maxBytes int, in *inbox, to *s
 	}
 }
 
-// Add queues one submission. It returns once the submission is part of a
-// flushed or pending batch; the caller then waits on s.done under its own
-// context. After Stop, submissions fail immediately. Add never closes a
-// window early on its own: an Add into an idle loop waits for the loop's
-// next event or the timer, so that concurrent Sends still share a window.
+// Add queues one submission and counts it outstanding until its Await
+// returns. It returns once the submission is part of a flushed or pending
+// batch; the caller then waits on s.done under its own context. After Stop,
+// submissions fail immediately. A submission that opens a window while no
+// other Send is outstanding posts it at once: nothing in flight could join
+// it. Otherwise the window waits for the loop's next event, a full budget or
+// the timer, so that concurrent Sends share it.
 func (c *coalescer) Add(s *submission) {
+	s.coal = c
+	c.outstanding.Add(1)
 	c.mu.Lock()
 	if c.stopped {
 		c.mu.Unlock()
@@ -164,7 +178,7 @@ func (c *coalescer) Add(s *submission) {
 	c.bytes += s.wireCost()
 	var head *submission
 	var n int
-	if c.count >= c.maxCount || c.bytes >= c.maxBytes {
+	if c.count >= c.maxCount || c.bytes >= c.maxBytes || c.count == 1 && c.outstanding.Load() == 1 {
 		head, n = c.take()
 	} else if c.count == 1 {
 		if c.timer == nil {
@@ -176,6 +190,14 @@ func (c *coalescer) Add(s *submission) {
 	c.mu.Unlock()
 	if head != nil {
 		c.flush(head, n)
+	}
+}
+
+// settle ends the count Add began for one Send: Await calls it on every
+// return. Nil-safe, for a Send that did not coalesce.
+func (c *coalescer) settle() {
+	if c != nil {
+		c.outstanding.Add(-1)
 	}
 }
 

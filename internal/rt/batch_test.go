@@ -3,6 +3,7 @@ package rt
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -29,7 +30,10 @@ func sumMetric(reg *obs.Registry, prefix string) int64 {
 // TestCoalescedSendsConverge fires a burst of concurrent Sends through the
 // coalescing sender: every send must confirm, every node must process every
 // message, and the burst must actually leave as multi-message DataBatch
-// frames rather than 32 singleton broadcasts.
+// frames rather than 32 singleton broadcasts. The burst's goroutines start
+// one by one, and on a busy host each could find the session quiet and leave
+// alone; one more Send counts outstanding throughout, as one still returning
+// from its Await does, so the burst meets in windows.
 func TestCoalescedSendsConverge(t *testing.T) {
 	reg := obs.New()
 	cfg := liveConfig(3)
@@ -39,6 +43,9 @@ func TestCoalescedSendsConverge(t *testing.T) {
 	cfg.BatchWindow = 100 * time.Millisecond
 	cfg.Metrics = reg
 	c := startCluster(t, cfg)
+	coal := c.Node(0).m.sessions[0].coal
+	coal.outstanding.Add(1)
+	defer coal.settle()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -109,9 +116,13 @@ func TestCoalescerFlushesOnWindow(t *testing.T) {
 // each waiter's done is signalled with ErrCoalescerStopped — never left
 // blocked on a flush that will not happen.
 func TestCoalescerStopFailsPendingWindow(t *testing.T) {
-	// No loop drains the inbox: a window that flushed would sit in it.
+	// No loop drains the inbox: a window that flushed would sit in it. A
+	// Send already in flight, its lone window posted at once, keeps the
+	// session from looking quiet, so the window below stays open.
 	in := newInbox(8, make(chan struct{}))
 	c := newCoalescer(time.Hour, 16, 1<<20, in, nil, nil)
+	c.Add(&submission{Payload: []byte("in flight"), done: make(chan struct{}, 1)})
+	<-in.c
 	const pending = 5
 	subs := make([]*submission, pending)
 	for i := range subs {
@@ -267,6 +278,113 @@ func TestWindowClosesWhenLoopDrains(t *testing.T) {
 		}
 	})
 
+	t.Run("quiet_member", func(t *testing.T) {
+		// A lone Send per group finds its session quiet — no other Send
+		// outstanding — and Add posts its window at once: it confirms within
+		// a few milliseconds, not after the hour.
+		const groups = 4
+		m := quietMesh(t, groups, time.Hour)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		for g := range uint32(groups) {
+			t0 := time.Now()
+			if _, err := m.Send(ctx, g, []byte("lone"), nil); err != nil {
+				t.Fatalf("group %d: %v: the lone Send waited for the loop or the timer", g, err)
+			}
+			if took := time.Since(t0); took > 100*time.Millisecond {
+				t.Errorf("group %d: the lone Send confirmed after %v, want a few milliseconds", g, took)
+			}
+		}
+	})
+
+	t.Run("returning_pair", func(t *testing.T) {
+		// A Send that joins while an earlier one is returning from Await —
+		// its confirm signalled, its count not yet settled — does not find
+		// the session quiet, and its window waits for the loop's next event
+		// or the timer. The test plays the first Send, holding it between
+		// its signal and its return; every second Send still confirms. On a
+		// quiet member nothing else closes a window the loop's drain missed,
+		// so the window here is short: an hour-long one would hold such a
+		// Send the hour.
+		const pairs, window = 300, 5 * time.Millisecond
+		m := quietMesh(t, 1, window)
+		s := m.sessions[0]
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		held, timed := 0, 0
+		for i := range pairs {
+			first := newSubmission([]byte("returning"), nil, false)
+			s.coal.Add(first)
+			for len(first.done) == 0 {
+				runtime.Gosched()
+			}
+			second := make(chan error, 1)
+			go func() {
+				_, err := m.Send(ctx, 0, []byte("joins"), nil)
+				second <- err
+			}()
+			for s.coal.outstanding.Load() < 2 && len(second) == 0 { // joined, or already confirmed
+				runtime.Gosched()
+			}
+			if _, err := s.conf.Await(ctx, s.shard.inbox, s.obs, first); err != nil {
+				t.Fatalf("pair %d: first Send: %v", i, err)
+			}
+			returned := time.Now()
+			if s.coal.Pending() > 0 {
+				held++
+			}
+			if err := <-second; err != nil {
+				t.Fatalf("pair %d: the Send that joined a returning one: %v", i, err)
+			}
+			if time.Since(returned) >= window {
+				timed++
+			}
+		}
+		t.Logf("of %d second Sends, %d were still in their window when the first returned, and %d confirmed a window or more after it (the timer's close, or a loop event as late)",
+			pairs, held, timed)
+	})
+
+	t.Run("closed_loop", func(t *testing.T) {
+		// Closed-loop sessions on one member keep each other outstanding,
+		// so a Send rarely finds its session quiet and windows carry several
+		// Sends each (4 to 6 on a 2-core host). A window posted whenever the
+		// loop's inbox is empty instead collapses to 1.2 here: most Sends
+		// leave alone.
+		const sessions, perSession = 8, 50
+		reg := obs.New()
+		cfg := liveConfig(3)
+		cfg.RoundDuration = 2 * time.Millisecond
+		cfg.BatchWindow = time.Millisecond
+		cfg.BatchMax = 32
+		cfg.Metrics = reg
+		c := startCluster(t, cfg)
+		flushes := reg.Histogram(obs.Labeled("rt_coalesce_flush_msgs", "node", "0", "group", "0"), obs.LengthBuckets)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		errs := make(chan error, sessions)
+		for range sessions {
+			go func() {
+				for range perSession {
+					if _, err := c.Node(0).Send(ctx, []byte("closed loop"), nil); err != nil {
+						errs <- err
+						return
+					}
+				}
+				errs <- nil
+			}()
+		}
+		for range sessions {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		n, sum := flushes.Count(), flushes.Sum()
+		t.Logf("%v Sends left the coalescer in %d windows (mean %.2f)", sum, n, sum/float64(n))
+		if sum/float64(n) < 2 {
+			t.Errorf("%d closed-loop sessions flushed %v Sends in %d windows, want a mean of at least 2", sessions, sum, n)
+		}
+	})
+
 	t.Run("outbox_backlogged", func(t *testing.T) {
 		// Behind a queued message the window stays open past every event
 		// and closes full, by count: batching under load is unchanged.
@@ -307,6 +425,39 @@ func TestWindowClosesWhenLoopDrains(t *testing.T) {
 			<-stranded
 		}
 	})
+}
+
+// quietMesh starts three members hosting groups groups with hour-long rounds
+// and coalescer windows of window, and returns once member 0 has decided
+// every group's first subrun and finished the deciding events: from then on
+// no event reaches member 0 unless it sends.
+func quietMesh(t *testing.T, groups int, window time.Duration) *Member {
+	t.Helper()
+	reg := obs.New()
+	mesh, err := NewMesh(Config{
+		Config:        core.Config{N: 3, K: 3, R: 8, SelfExclusion: true},
+		Groups:        groups,
+		Shards:        min(groups, 2),
+		RoundDuration: time.Hour,
+		BatchWindow:   window,
+		Metrics:       reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh.Start()
+	t.Cleanup(mesh.Stop)
+	m := mesh.Node(0)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for g := range groups {
+		decisions := reg.Counter(obs.Labeled("rt_decisions_total", "node", "0", "group", fmt.Sprint(g)))
+		waitFor(t, ctx, 10*time.Second, "a group never decided its first subrun", func() bool { return decisions.Value() > 0 })
+		if err := m.Snapshot(ctx, uint32(g), func(*core.Process) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m
 }
 
 // TestUDPOversizeSendCounted pins the transport-boundary bugfix: a frame

@@ -42,17 +42,18 @@ type Config struct {
 	// BatchWindow enables the coalescing sender: concurrent Send/SendCausal
 	// calls share a window that enters the protocol as one submission step
 	// and leaves together as DataBatch frames. A window closes when the
-	// BatchMax / core.DefaultBatchBytes budgets fill, when the group's shard
-	// loop has just run an event for the group while its protocol has nothing
-	// queued,
-	// or when BatchWindow has passed since it opened, whichever comes first:
-	// under load windows follow the loop, and BatchWindow bounds only how
-	// long a Send waits on a quiet loop. Zero disables coalescing: every
-	// Send is its own inbox event and its own flush, so with BatchMax > 1 a
-	// subrun may carry up to BatchMax single-message Data frames of a member
-	// instead of fewer, wider DataBatch frames. Either way a subrun carries at
-	// most BatchMax messages of a member. When set while BatchMax is zero,
-	// BatchMax defaults to core.DefaultBatchMax so the batches actually drain.
+	// BatchMax / core.DefaultBatchBytes budgets fill, when its first Send is
+	// the group's only one outstanding (at once), when the group's shard loop
+	// has just run an event for the group while its protocol has nothing
+	// queued, or when BatchWindow has passed since it opened, whichever comes
+	// first: BatchWindow bounds only a Send that joined while another was
+	// returning its confirm, or one held behind a queued backlog. Zero
+	// disables coalescing: every Send is its own inbox event and its own
+	// flush, so with BatchMax > 1 a subrun may carry up to BatchMax
+	// single-message Data frames of a member instead of fewer, wider
+	// DataBatch frames. Either way a subrun carries at most BatchMax messages
+	// of a member. When set while BatchMax is zero, BatchMax defaults to
+	// core.DefaultBatchMax so the batches actually drain.
 	BatchWindow time.Duration
 	// InboxDepth bounds each shard's event queue; overflow drops datagrams,
 	// like any datagram network. Default 4096.

@@ -79,10 +79,12 @@ func (c *confirms) Send(ctx context.Context, to *session, payload []byte, deps m
 // Await blocks a Send until s's one signal — refused, processed locally (the
 // Confirm, whose Rq→Conf latency o records), member left, coalescer stopped —
 // or until ctx ends or the loop behind in stops: such an abandoned Send drops
-// its own waiter entry, so it cannot leak. Once the signal is consumed — and
+// its own waiter entry, so it cannot leak. Every return settles s with the
+// coalescer that counted it outstanding. Once the signal is consumed — and
 // on no other path — s is recycled: the caller must not touch it after Await
 // returns.
 func (c *confirms) Await(ctx context.Context, in *inbox, o *nodeObs, s *submission) (mid.MID, error) {
+	defer s.coal.settle()
 	select {
 	case <-s.done:
 	case <-in.stop:

@@ -80,7 +80,10 @@ func TestUDPIdleSendSkipsTickWait(t *testing.T) {
 // close it early, the protocol having nothing queued, and a queued message
 // would take a share of the budget the full window needs. So rounds are an
 // hour long, and the Sends start once the first subrun is decided and the
-// deciding event has finished — after which nothing reaches member 0.
+// deciding event has finished — after which nothing reaches member 0. Nor
+// may the session look quiet, or the burst's first Send would leave alone:
+// one more Send counts outstanding throughout, as one still returning from
+// its Await does.
 func TestCoalescedWindowLeavesEagerlyAsOneFrame(t *testing.T) {
 	reg := obs.New()
 	const burst = 5
@@ -98,6 +101,9 @@ func TestCoalescedWindowLeavesEagerlyAsOneFrame(t *testing.T) {
 	if err := c.Node(0).Snapshot(ctx, func(*core.Process) {}); err != nil {
 		t.Fatal(err)
 	}
+	coal := c.Node(0).m.sessions[0].coal
+	coal.outstanding.Add(1)
+	defer coal.settle()
 	var wg sync.WaitGroup
 	for i := 0; i < burst; i++ {
 		wg.Add(1)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -146,38 +147,82 @@ func TestSendAbandonedDoesNotLeakWaiter(t *testing.T) {
 		Config:        core.Config{N: 3, K: 3, R: 8, HistoryThreshold: 1},
 		RoundDuration: 2 * time.Second,
 	}
-	c := startCluster(t, cfg)
-	c.Node(2).Kill()
+	t.Run("one_event_per_send", func(t *testing.T) {
+		c := startCluster(t, cfg)
+		c.Node(2).Kill()
 
-	n := c.Node(1)
-	if _, err := n.Send(context.Background(), []byte("closes the valve"), nil); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	const sends = 3
-	var (
-		wg   sync.WaitGroup
-		ids  [sends]mid.MID
-		errs [sends]error
-	)
-	for j := 0; j < sends; j++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ids[j], errs[j] = n.Send(ctx, []byte("stuck"), nil)
-		}()
-	}
-	wg.Wait()
-	for j := 0; j < sends; j++ {
-		if errs[j] == nil || ids[j] == (mid.MID{}) {
-			t.Fatalf("send %d was not abandoned mid-flight (ids %v, errs %v): the leak path was not exercised",
-				j, ids, errs)
+		n := c.Node(1)
+		if _, err := n.Send(context.Background(), []byte("closes the valve"), nil); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if leaked := n.m.sessions[0].conf.Waiting(); leaked != 0 {
-		t.Errorf("%d waiter entries leaked after abandoned sends", leaked)
-	}
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		const sends = 3
+		var (
+			wg   sync.WaitGroup
+			ids  [sends]mid.MID
+			errs [sends]error
+		)
+		for j := 0; j < sends; j++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ids[j], errs[j] = n.Send(ctx, []byte("stuck"), nil)
+			}()
+		}
+		wg.Wait()
+		for j := 0; j < sends; j++ {
+			if errs[j] == nil || ids[j] == (mid.MID{}) {
+				t.Fatalf("send %d was not abandoned mid-flight (ids %v, errs %v): the leak path was not exercised",
+					j, ids, errs)
+			}
+		}
+		if leaked := n.m.sessions[0].conf.Waiting(); leaked != 0 {
+			t.Errorf("%d waiter entries leaked after abandoned sends", leaked)
+		}
+	})
+
+	t.Run("coalescing", func(t *testing.T) {
+		// The same through an hour-long coalescer window, where an abandoned
+		// Send must also stop counting as outstanding: a lone Send leaves at
+		// once only on a quiet session, so each stuck Send reaches the
+		// protocol — it gets a MID — only if the ones abandoned before it
+		// ended their counts. Once the member is killed, a lone Send is
+		// failed at once, and ends its count too.
+		cfg := cfg
+		cfg.BatchWindow = time.Hour
+		c := startCluster(t, cfg)
+		c.Node(2).Kill()
+
+		n := c.Node(1)
+		coal := n.m.sessions[0].coal
+		if _, err := n.Send(context.Background(), []byte("closes the valve"), nil); err != nil {
+			t.Fatal(err)
+		}
+		for j := range 3 {
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			id, err := n.Send(ctx, []byte("stuck"), nil)
+			cancel()
+			if err == nil || id == (mid.MID{}) {
+				t.Fatalf("send %d (MID %v, err %v) never reached the protocol: the session did not look quiet", j, id, err)
+			}
+		}
+		if leaked := n.m.sessions[0].conf.Waiting(); leaked != 0 {
+			t.Errorf("%d waiter entries leaked after abandoned sends", leaked)
+		}
+		if got := coal.outstanding.Load(); got != 0 {
+			t.Errorf("%d abandoned Sends still counted outstanding", got)
+		}
+		c.Node(1).Kill()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if _, err := n.Send(ctx, []byte("after the crash"), nil); err == nil || !strings.Contains(err.Error(), "fail-stopped") {
+			t.Errorf("a killed member's lone Send ended with %v, want it failed at once as fail-stopped", err)
+		}
+		if got := coal.outstanding.Load(); got != 0 {
+			t.Errorf("%d Sends of a killed member still counted outstanding", got)
+		}
+	})
 }
 
 // TestUDPSendAbandonedDoesNotLeakWaiterOrGoroutines is the same regression

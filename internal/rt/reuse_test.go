@@ -239,12 +239,14 @@ func TestSubmitSignalsOnlyOnProcessing(t *testing.T) {
 	}
 }
 
-// TestEverySendEndsOnce runs a Send to each way it can end, with the test
-// playing the loop: each ends in one Await with its error and MID, leaves no
-// waiter behind, and — after a Leave that would signal any waiter still
-// registered — the pool hands out only clean records. A Send abandoned by
-// its context or a stop is never recycled, and nothing signals its
-// submission after it returned.
+// TestEverySendEndsOnce runs a Send to each way it can end, through a
+// coalescer as Send runs it, with the test playing the loop: each ends in one
+// Await with its error and MID, leaves no waiter behind and no Send counted
+// outstanding — a count left behind would keep every later Send from finding
+// the session quiet — so a following lone Send's window is posted at once.
+// After a Leave that would signal any waiter still registered, the pool
+// hands out only clean records. A Send abandoned by its context or a stop is
+// never recycled, and nothing signals its submission after it returned.
 func TestEverySendEndsOnce(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -258,56 +260,67 @@ func TestEverySendEndsOnce(t *testing.T) {
 	}{
 		{"submit refused", func(t *testing.T, r *sendRig) (mid.MID, error, *submission) {
 			s := newSubmission(make([]byte, wire.MaxPayload+1), nil, false)
-			r.conf.Submit(r.p, s, nil)
+			r.send(t, s)
 			id, err := r.conf.Await(context.Background(), r.in, nil, s)
 			return id, err, nil
 		}, wire.ErrTooLarge.Error(), false},
 		{"processed", func(t *testing.T, r *sendRig) (mid.MID, error, *submission) {
 			s := newSubmission([]byte("sent"), nil, false)
-			r.conf.Submit(r.p, s, nil)
+			r.send(t, s)
 			id, err := r.conf.Await(context.Background(), r.in, nil, s)
 			return id, err, nil
 		}, "", true},
 		{"member leaves", func(t *testing.T, r *sendRig) (mid.MID, error, *submission) {
 			r.closeValve(t)
 			s := newSubmission([]byte("held"), nil, false)
-			r.conf.Submit(r.p, s, nil)
+			r.send(t, s)
 			r.conf.Leave(core.Suicide)
 			id, err := r.conf.Await(context.Background(), r.in, nil, s)
 			return id, err, nil
 		}, "left the group", true},
-		{"coalescer stop", func(t *testing.T, r *sendRig) (mid.MID, error, *submission) {
-			c := newCoalescer(time.Hour, 16, 1<<20, r.in, nil, nil)
-			s := newSubmission([]byte("pending"), nil, false)
-			c.Add(s)
-			c.Stop()
+		{"member killed", func(t *testing.T, r *sendRig) (mid.MID, error, *submission) {
+			s := newSubmission([]byte("after the crash"), nil, false)
+			r.coal.Add(s)
+			killed := &session{m: &Member{}}
+			killed.m.Kill()
+			killed.submit((<-r.in.c).sub)
 			id, err := r.conf.Await(context.Background(), r.in, nil, s)
+			return id, err, nil
+		}, "fail-stopped", false},
+		{"coalescer stop", func(t *testing.T, r *sendRig) (mid.MID, error, *submission) {
+			inFlight := newSubmission([]byte("in flight"), nil, false) // keeps the session from looking quiet
+			r.coal.Add(inFlight)
+			s := newSubmission([]byte("pending"), nil, false)
+			r.coal.Add(s)
+			r.coal.Stop()
+			id, err := r.conf.Await(context.Background(), r.in, nil, s)
+			r.run(t)
+			if _, err := r.conf.Await(context.Background(), r.in, nil, inFlight); err != nil {
+				t.Errorf("the Send in flight: %v", err)
+			}
 			return id, err, nil
 		}, ErrCoalescerStopped.Error(), false},
 		{"member stop with the window in the inbox", func(t *testing.T, r *sendRig) (mid.MID, error, *submission) {
-			c := newCoalescer(time.Hour, 16, 1, r.in, nil, nil) // one byte fills the window
 			s := newSubmission([]byte("queued"), nil, false)
-			c.Add(s)
+			r.coal.Add(s) // a lone Send: its window is posted at once
 			if len(r.in.c) != 1 {
 				t.Fatalf("%d windows in the inbox, want 1", len(r.in.c))
 			}
 			close(r.stop) // Member.Stop: the loop exits, then the coalescer stops
-			c.Stop()
+			r.coal.Stop()
 			id, err := r.conf.Await(context.Background(), r.in, nil, s)
 			return id, err, s
 		}, errStopped.Error(), false},
 		{"ctx ends before the submit", func(t *testing.T, r *sendRig) (mid.MID, error, *submission) {
 			s := newSubmission([]byte("queued"), nil, false)
-			if err := r.in.put(context.Background(), event{kind: evSubmit, sub: s}); err != nil {
-				t.Fatal(err)
-			}
+			r.coal.Add(s)
 			id, err := r.conf.Await(canceled, r.in, nil, s)
 			return id, err, s
 		}, context.Canceled.Error(), false},
 		{"ctx ends after the submit", func(t *testing.T, r *sendRig) (mid.MID, error, *submission) {
 			r.closeValve(t)
 			s := newSubmission([]byte("held"), nil, false)
-			r.conf.Submit(r.p, s, nil)
+			r.send(t, s)
 			id, err := r.conf.Await(canceled, r.in, nil, s)
 			return id, err, s
 		}, context.Canceled.Error(), true},
@@ -316,6 +329,7 @@ func TestEverySendEndsOnce(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := &sendRig{stop: make(chan struct{})}
 			r.p, r.in = valveProcess(t, &r.conf), newInbox(4, r.stop)
+			r.coal = newCoalescer(time.Hour, 16, 1<<20, r.in, nil, nil)
 			id, err, abandoned := tc.send(t, r)
 			switch {
 			case tc.wantErr == "" && err != nil:
@@ -329,29 +343,56 @@ func TestEverySendEndsOnce(t *testing.T) {
 			if got := r.conf.Waiting(); got != 0 {
 				t.Errorf("%d waiters left behind", got)
 			}
+			if got := r.coal.outstanding.Load(); got != 0 {
+				t.Errorf("%d Sends still counted outstanding", got)
+			}
+			r.coal.Add(newSubmission([]byte("next"), nil, false))
+			if r.coal.Pending() != 0 {
+				t.Error("a following lone Send waits in its window: the session never looks quiet again")
+			}
 			r.conf.Leave(core.Suicide) // signals every waiter still registered
 			if abandoned != nil && len(abandoned.done) != 0 {
 				t.Errorf("the abandoned submission was signalled after its Send returned")
 			}
 			for i := 0; i < 4; i++ {
 				s := newSubmission(nil, nil, false)
-				if len(s.done) != 0 || s.next != nil || s.id != (mid.MID{}) || s.err != nil || !s.born.IsZero() {
-					t.Fatalf("pooled Submission carries state: %d signals, id %v, err %v, born %v, next %v",
-						len(s.done), s.id, s.err, s.born, s.next)
+				if len(s.done) != 0 || s.next != nil || s.id != (mid.MID{}) || s.err != nil || !s.born.IsZero() || s.coal != nil {
+					t.Fatalf("pooled Submission carries state: %d signals, id %v, err %v, born %v, next %v, coalescer %p",
+						len(s.done), s.id, s.err, s.born, s.next, s.coal)
 				}
 			}
 		})
 	}
 }
 
-// sendRig is one session's confirm half over a valveProcess, with the test
-// playing its loop: the inbox is never drained, and closing stop is
-// Member.Stop.
+// sendRig is one session's confirm half and coalescer over a valveProcess,
+// with the test playing its loop: the inbox is drained only by run, and
+// closing stop is Member.Stop.
 type sendRig struct {
 	conf confirms
 	p    *core.Process
 	in   *inbox
+	coal *coalescer
 	stop chan struct{}
+}
+
+// send hands s to the coalescer as Send does — alone on a quiet rig, so its
+// window is posted at once — and runs that window.
+func (r *sendRig) send(t *testing.T, s *submission) {
+	t.Helper()
+	r.coal.Add(s)
+	r.run(t)
+}
+
+// run plays the loop for one posted window: it submits the window's chain.
+func (r *sendRig) run(t *testing.T) {
+	t.Helper()
+	select {
+	case e := <-r.in.c:
+		r.conf.Submit(r.p, e.sub, nil)
+	default:
+		t.Fatal("no window reached the loop")
+	}
 }
 
 // closeValve confirms one message, which closes the valve: the next
@@ -359,7 +400,7 @@ type sendRig struct {
 func (r *sendRig) closeValve(t *testing.T) {
 	t.Helper()
 	s := newSubmission([]byte("closes the valve"), nil, false)
-	r.conf.Submit(r.p, s, nil)
+	r.send(t, s)
 	if _, err := r.conf.Await(context.Background(), r.in, nil, s); err != nil {
 		t.Fatal(err)
 	}
