@@ -28,8 +28,8 @@ fmt:
 # total (benchmark/ is its own module) and its number of internal/ packages:
 # the figures a simplicity change reports its net lines from. Then the
 # settable values: the field counts of the hook set and the configs of the
-# live runtime, the simulated cluster, the lifecycle tracer, the
-# simulated transport and the health rules (a name list "A, B int" counts
+# live runtime, the simulated cluster, the lifecycle tracer and the
+# simulated transport (a name list "A, B int" counts
 # each name; an embedded config counts once, its fields being its own
 # type's). Last, the wall-clock sites: the calls into the time package's clock
 # and timers in non-test internal/ code, the count ROADMAP tracks toward an
@@ -57,7 +57,6 @@ loc:
 	fields core.Callbacks internal/core/process.go; fields core.Config internal/core/process.go; \
 	fields rt.Config internal/rt/config.go; fields core.ClusterConfig internal/core/cluster.go; \
 	fields lifecycle.Options internal/lifecycle/lifecycle.go; fields transport.Config internal/transport/transport.go; \
-	fields health.Thresholds internal/health/health.go; \
 	printf '%-28s %5d\n' 'wall-clock sites' $$(grep -rEo --include='*.go' --exclude='*_test.go' \
 		'time\.(Now|Since|Sleep|After|NewTimer|NewTicker|Tick|AfterFunc|Until)\(' internal | wc -l)
 
@@ -65,7 +64,8 @@ loc:
 # the real-time runtime (node loop, UDP reader, Status/Snapshot sampling),
 # the sharded multi-group runtime (shared-socket demux, shard loops, the
 # shared burst sender), the protocol core they drive, the flight recorder
-# and health evaluator (sampler goroutine vs concurrent readers), the
+# (sampler goroutine vs concurrent readers), the health rules the /healthz
+# handler applies to a status taken on the shard loops, the
 # cluster inspector (parallel probes against live nodes), and the
 # cross-node trace stitcher (parallel /trace collection), and the fault
 # injection layer whose checker audits invariants across restarts (the

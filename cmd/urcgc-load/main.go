@@ -12,11 +12,11 @@
 //	urcgc-load -n 3 -groups 8 -shards 8 -sessions 2000 -duration 10s
 //
 // The tool is the load half of the observability story: -metrics ADDR serves
-// member 0's /metrics and /status while it runs — under -mesh /metrics
-// carries every member's series, the members sharing one registry — so curl
-// or urcgc-ctl inspect can watch the per-group counters move. The per-group
-// processed counts it reports are the sums of member 0's /status processed
-// vectors at the end of the run.
+// member 0's /metrics, /status and /healthz while it runs — under -mesh
+// /metrics carries every member's series, the members sharing one registry —
+// so curl or urcgc-ctl inspect can watch the per-group counters move. The
+// per-group processed counts it reports are the sums of member 0's /status
+// processed vectors at the end of the run.
 package main
 
 import (
@@ -51,7 +51,7 @@ func main() {
 		batchWin = flag.Duration("batch-window", 500*time.Microsecond, "submission coalescing: the longest a window stays open; it closes at once when its send is the only one in flight, and under load when full or when the loop runs dry (0 disables batching)")
 		payload  = flag.Int("payload", 64, "bytes per message")
 		mesh     = flag.Bool("mesh", false, "use the in-process mesh instead of loopback UDP sockets")
-		metrics  = flag.String("metrics", "", "HTTP address serving member 0's /metrics and /status while loading, every member's /metrics with -mesh (empty disables)")
+		metrics  = flag.String("metrics", "", "HTTP address serving member 0's /metrics, /status and /healthz while loading, every member's /metrics with -mesh (empty disables)")
 		asJSON   = flag.Bool("json", false, "emit the results as one JSON object (msgs/s, quantiles, per-group counts)")
 		verbose  = flag.Bool("v", false, "log per-member runtime warnings")
 	)

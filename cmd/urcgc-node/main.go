@@ -31,9 +31,10 @@
 //	/metrics     live counters, gauges and histograms (Prometheus text)
 //	/status      every hosted group's protocol state (view, vectors,
 //	             buffers); append ?format=json for the machine-readable form
-//	/healthz     protocol health, one rule set per group: 200 healthy, 503
-//	             naming the degraded {group, rule, reason} triples
-//	/timeseries  the flight recorder's gauge window as JSON
+//	/healthz     protocol health, one rule set per group, judged on the
+//	             /status facts: 200 healthy, 503 naming the degraded
+//	             {group, rule, reason} triples
+//	/timeseries  the flight recorder's gauge window as JSON (needs -sample)
 //	/events      recent trace events (inbox drops and other omissions)
 //	/trace       per-message lifecycle spans of every group (?group=N keeps
 //	             one): recent completed plus the slowest in-flight, waiting
@@ -65,7 +66,6 @@ import (
 
 	"urcgc/internal/capture"
 	"urcgc/internal/core"
-	"urcgc/internal/health"
 	"urcgc/internal/lifecycle"
 	"urcgc/internal/mid"
 	"urcgc/internal/nodehttp"
@@ -92,7 +92,7 @@ func main() {
 		chatter   = flag.Duration("chatter", 0, "generate a synthetic message this often (0 = stdin only)")
 		metrics   = flag.String("metrics", "127.0.0.1:0", "HTTP address for /metrics, /status, /healthz, /timeseries, /events, /trace and /debug/* (empty disables)")
 		traceSlow = flag.Duration("trace-slow", time.Second, "flag a message stuck waiting longer than this on /trace (0 disables lifecycle tracing)")
-		sample    = flag.Duration("sample", time.Second, "flight-recorder sampling interval for /timeseries and /healthz (0 disables)")
+		sample    = flag.Duration("sample", time.Second, "flight-recorder sampling interval for /timeseries (0 disables)")
 		window    = flag.Int("window", 512, "flight-recorder ring length: samples of history retained")
 		batchWin  = flag.Duration("batch-window", 0, "coalesce concurrent submissions into one DataBatch broadcast; a window closes when full, at once when its send is the group's only one in flight, when the group's loop has run an event with nothing queued, or after this long (0 disables batching)")
 		batchMax  = flag.Int("batch-max", 0, "max messages a member broadcasts per subrun, over as many flushes as submissions arrive; without -batch-window each one leaves as its own frame (0 = 1, or the default when -batch-window is set)")
@@ -189,17 +189,14 @@ func main() {
 
 	var flight *obs.Flight
 	if *metrics != "" {
-		var evaluator *health.Evaluator
 		if *sample > 0 {
 			flight = obs.NewFlight(reg, obs.FlightOptions{Interval: *sample, Cap: *window})
-			evaluator = health.New(flight, strconv.Itoa(*self), *groups, health.Thresholds{})
 			flight.Start()
 		}
 		reg.PublishExpvar("urcgc")
 		mux := nodehttp.Mux(nodehttp.Options{
 			Registry:  reg,
 			Flight:    flight,
-			Health:    evaluator,
 			Status:    node.Status,
 			Lifecycle: node.Lifecycles,
 			Capture:   ring,

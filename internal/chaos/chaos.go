@@ -67,7 +67,7 @@ type Config struct {
 	// R is the recovery-exhaustion threshold.
 	R int
 	// Round is the wall-clock round length (default 2ms). Every cadence of
-	// the harness — load, polls, health sampling — is a multiple of it.
+	// the harness — load, polls, health verdicts — is a multiple of it.
 	Round time.Duration
 	// Duration is how long the faults last: Seeded's schedule length,
 	// GroupPartition's cut. RollingRestart is paced by the protocol instead.
@@ -123,7 +123,7 @@ type Report struct {
 	// Groups holds each group's audit, indexed by group id.
 	Groups []GroupReport
 	// HealthMonitored reports whether per-(member, group) health verdicts
-	// were evaluated over a flight recording (Metrics was set).
+	// were judged (Metrics was set).
 	HealthMonitored bool
 	// HealthyBeforeFault reports whether a scenario that warms up first saw
 	// every verdict healthy, with traffic confirmed in every group, before
@@ -341,7 +341,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	s.mesh.Start()
 	if cfg.Metrics != nil {
-		s.mon = startMonitor(cfg)
+		s.mon = startMonitor(s.mesh, s.poll)
 		s.rep.HealthMonitored = true
 	}
 
@@ -385,8 +385,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// Settle: the protocol has recovered everything the faults delayed once,
 	// in every group, the survivors' processed vectors are equal and were
 	// the same one poll ago. Verdicts and views are read before Stop (they
-	// watch the live members); recovery gets its own budget since the health
-	// windows need a stretch of healthy samples to clear.
+	// watch the live members); recovery gets its own budget since a rule
+	// clears only once its fact is fresh again, and an exclusion only W
+	// subruns after the declaration.
 	prev := make([]mid.SeqVector, cfg.Groups)
 	waitUntil(context.Background(), cfg.Settle, 4*s.poll, func() bool {
 		for g := range prev {
@@ -523,7 +524,7 @@ func (s *soak) healthy() bool {
 	verdicts := s.mon.eval()
 	for g := 0; g < s.cfg.Groups; g++ {
 		for _, p := range s.survivors(uint32(g)) {
-			if !verdicts[p].Groups[g].Healthy {
+			if v := verdicts[p].Groups; g >= len(v) || !v[g].Healthy {
 				return false
 			}
 		}

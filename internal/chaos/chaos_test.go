@@ -102,7 +102,7 @@ func assessSoak(t *testing.T, rep *Report, reg *obs.Registry) {
 		}
 	}
 	// The health layer must have noticed the adversary — at minimum the
-	// scheduled crash freezes its victim's gauges — and every survivor's
+	// survivors' exclusion of the scheduled crash — and every survivor's
 	// verdict must return to healthy once the faults clear.
 	if !rep.HealthMonitored {
 		t.Error("health was not monitored despite a metrics registry")

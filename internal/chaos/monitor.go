@@ -1,13 +1,13 @@
 package chaos
 
 import (
-	"strconv"
+	"context"
 	"sync"
 	"time"
 
 	"urcgc/internal/health"
 	"urcgc/internal/mid"
-	"urcgc/internal/obs"
+	"urcgc/internal/rt"
 )
 
 // degradation is one health rule having fired on one member's verdict for
@@ -18,13 +18,11 @@ type degradation struct {
 	rule  string
 }
 
-// monitor is the harness's health watch: a flight recording of the shared
-// registry feeds one health.Evaluator per member — the wiring urcgc-node
-// serves on /healthz — and a poller accumulates which (member, group)
-// verdicts went unhealthy, and why, while the adversary was active.
+// monitor is the harness's health watch: a poller judges every live member's
+// status as its /healthz would and accumulates which (member, group) verdicts
+// went unhealthy, and why, while the adversary was active.
 type monitor struct {
-	flight *obs.Flight
-	evals  []*health.Evaluator
+	mesh *rt.Mesh
 
 	mu       sync.Mutex
 	degraded map[degradation]bool
@@ -32,28 +30,17 @@ type monitor struct {
 	quit, done chan struct{}
 }
 
-// startMonitor tunes the sampling interval and rule windows to the round
-// length, so a soak at 2ms rounds degrades and recovers inside the CI smoke
-// budget while a slower cluster still gets sane windows.
-func startMonitor(cfg Config) *monitor {
-	interval := max(5*cfg.Round, 10*time.Millisecond)
-	th := health.Thresholds{
-		TokenStallSamples: 10, HistoryWindow: 12, HistoryGrowthMin: 32,
-		WaitingStuckSamples: 15, FrontierLagWindow: 12, FrontierLagMin: 12,
-	}
+// startMonitor polls every member of mesh at the given interval.
+func startMonitor(mesh *rt.Mesh, every time.Duration) *monitor {
 	m := &monitor{
-		flight:   obs.NewFlight(cfg.Metrics, obs.FlightOptions{Interval: interval, Cap: 2048}),
+		mesh:     mesh,
 		degraded: make(map[degradation]bool),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	for i := 0; i < cfg.N; i++ {
-		m.evals = append(m.evals, health.New(m.flight, strconv.Itoa(i), cfg.Groups, th))
-	}
-	m.flight.Start()
 	go func() {
 		defer close(m.done)
-		t := time.NewTicker(2 * interval)
+		t := time.NewTicker(every)
 		defer t.Stop()
 		for {
 			select {
@@ -67,13 +54,27 @@ func startMonitor(cfg Config) *monitor {
 	return m
 }
 
-// eval takes every member's verdict now, remembering each rule that fired.
+// eval takes every member's verdict now, remembering each rule that fired. A
+// killed member is a crashed site: nobody asks it, and its verdict is left
+// zero, as is that of a member whose status could not be taken. Evals run
+// one at a time under mu, each status bounded by its timeout, so a reset
+// falls between two of them.
 func (m *monitor) eval() []health.Status {
-	out := make([]health.Status, len(m.evals))
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i, e := range m.evals {
-		out[i] = e.Eval()
+	out := make([]health.Status, m.mesh.N())
+	for i := range out {
+		node := m.mesh.Node(mid.ProcID(i))
+		if node.Killed() {
+			continue
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		st, err := node.Status(ctx)
+		cancel()
+		if err != nil {
+			continue
+		}
+		out[i] = health.Judge(st)
 		for _, r := range out[i].Reasons {
 			m.degraded[degradation{uint32(r.Group), mid.ProcID(i), r.Rule}] = true
 		}
@@ -92,6 +93,5 @@ func (m *monitor) reset() {
 func (m *monitor) stop() map[degradation]bool {
 	close(m.quit)
 	<-m.done
-	m.flight.Stop()
 	return m.degraded
 }

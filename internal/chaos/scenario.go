@@ -61,7 +61,7 @@ func (seeded) drive(s *soak) { s.hold(s.cfg.Duration) }
 // must degrade on the health rules and recover after the heal; a fault
 // confined to one group has to read as that group's problem, not as
 // whole-node noise. Both arguments are taken literally: group 0 and member 0
-// are as good a pair as any. Defaults: N 3, Groups 3, Duration 1.5s, Settle
+// are as good a pair as any. Defaults: N 3, Groups 3, Duration 0.9s, Settle
 // 10s, and a registry of its own when Config.Metrics is nil (the verdicts are
 // the point).
 func GroupPartition(target uint32, victim mid.ProcID) Scenario {
@@ -78,17 +78,19 @@ func (p *groupPartition) String() string {
 	return fmt.Sprintf("group-partition(group %d, p%d)", p.target, p.victim)
 }
 
-// protocol runs K far above the subruns the cut can span, so neither side
+// protocol runs K far above the subruns the cut can span — 255, the most a
+// decision's counters hold, against at most 225 in the default 0.9 s cut,
+// since a lockstep subrun lasts at least two 2 ms rounds — so neither side
 // declares the other crashed and the cut heals as an omission burst;
 // SelfExclusion is off so nobody leaves while its token is cut off.
 func (p *groupPartition) protocol(cfg *Config) core.Config {
 	cfg.N, cfg.Groups = cmp.Or(cfg.N, 3), cmp.Or(cfg.Groups, 3)
-	cfg.Duration = cmp.Or(cfg.Duration, 1500*time.Millisecond)
+	cfg.Duration = cmp.Or(cfg.Duration, 900*time.Millisecond)
 	cfg.Settle = cmp.Or(cfg.Settle, 10*time.Second)
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.New()
 	}
-	return core.Config{N: cfg.N, K: 600, R: 1202, BatchMax: core.DefaultBatchMax}
+	return core.Config{N: cfg.N, K: 255, R: 512, BatchMax: core.DefaultBatchMax}
 }
 
 // cuts is the link's verdict on one frame: lost iff the cut is on, the frame

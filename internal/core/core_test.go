@@ -439,6 +439,8 @@ func TestConfigValidate(t *testing.T) {
 		{Config{N: 5, K: 2, R: 5, SelfExclusion: true}, true},
 		{Config{N: 0, K: 2, R: 5}, false},
 		{Config{N: 5, K: 0, R: 5}, false},
+		{Config{N: 5, K: 255, R: 511, SelfExclusion: true}, true},
+		{Config{N: 5, K: 256, R: 513}, false}, // the one-byte silence counter would wrap
 		{Config{N: 5, K: 2, R: 0}, false},
 		{Config{N: 5, K: 2, R: 4, SelfExclusion: true}, false}, // R <= 2K
 		{Config{N: 5, K: 2, R: 4, SelfExclusion: false}, true}, // relaxed without self-exclusion

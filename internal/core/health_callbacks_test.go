@@ -138,3 +138,49 @@ func TestStableToTracksFullGroupDecisions(t *testing.T) {
 		t.Fatalf("partial-chain decision advanced StableTo to %v", p.StableTo())
 	}
 }
+
+// TestHealthFactsFollowTheirPaths pins the facts /healthz judges, each a
+// clock subrun: TokenSubrun moves on another coordinator's decision, not on
+// this process's own while others can coordinate; WaitingSince is stamped
+// when the waiting list fills, not while it stays full; StableSubrun moves
+// when a full-group decision cleans history, not when it cleans nothing; and
+// Declared names the member the view last lost.
+func TestHealthFactsFollowTheirPaths(t *testing.T) {
+	p, err := NewProcess(0, Config{N: 3, K: 3, R: 7}, &capture{}, Callbacks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := func(seq mid.Seq) *wire.Data {
+		return &wire.Data{Msg: causal.Message{ID: mid.MID{Proc: 1, Seq: seq}, Payload: []byte("x")}}
+	}
+	for r := 0; r < 8; r++ {
+		p.StartRound(r) // subruns 0..3; p0 decides 0 and 3, hearing nobody
+	}
+	if p.DecisionSubrun() != 3 || p.TokenSubrun() != 0 {
+		t.Fatalf("after its own decision of subrun 3: decision %d, token %d; want 3 and 0", p.DecisionSubrun(), p.TokenSubrun())
+	}
+	p.StartRound(8) // subrun 4
+	p.Recv(1, fullGroupDecision(3, 4, 1, mid.NewSeqVector(3)))
+	if p.TokenSubrun() != 4 || p.StableSubrun() != 0 {
+		t.Fatalf("after p1's decision of subrun 4: token %d, stable %d; want 4 and 0", p.TokenSubrun(), p.StableSubrun())
+	}
+
+	p.Recv(1, data(2)) // waits for (1,1)
+	p.StartRound(10)   // subrun 5
+	p.Recv(1, data(3))
+	if p.WaitingLen() != 2 || p.WaitingSince() != 4 {
+		t.Fatalf("waiting %d since %d, want 2 since subrun 4", p.WaitingLen(), p.WaitingSince())
+	}
+	p.Recv(1, data(1))
+	p.Recv(2, fullGroupDecision(3, 5, 2, mid.SeqVector{0, 3, 0}))
+	if p.WaitingLen() != 0 || p.HistoryLen() != 0 || p.StableSubrun() != 5 {
+		t.Fatalf("waiting %d, history %d, stable since %d; want 0, 0, subrun 5", p.WaitingLen(), p.HistoryLen(), p.StableSubrun())
+	}
+	p.StartRound(12) // subrun 6
+	d := fullGroupDecision(3, 6, 0, mid.SeqVector{0, 3, 0})
+	d.Alive[2] = false
+	p.Recv(1, d)
+	if q, at := p.Declared(); p.StableSubrun() != 5 || q != 2 || at != 6 {
+		t.Fatalf("stable since %d, declared p%d at %d; want 5, p2 at 6", p.StableSubrun(), q, at)
+	}
+}

@@ -83,6 +83,9 @@ func TestJoinerLifecycle(t *testing.T) {
 		}
 	}
 	applied(1, 7, 0) // the transfer's embedded decision
+	if q, _ := p.Declared(); q != 2 {
+		t.Fatalf("declared p%d, want the transfer's verdict on p2", q)
+	}
 
 	// Post-sync request phase: a join-flagged REQUEST to the coordinator,
 	// on the group's subrun numbering.
@@ -105,6 +108,12 @@ func TestJoinerLifecycle(t *testing.T) {
 	}
 	p.Recv(1, admit) // stale: neither applied nor counted again
 	applied(2, 8, 1)
+	// The admission restarts the health facts: the joiner's own exclusion
+	// and its pre-admission silence are not the new incarnation's.
+	if q, _ := p.Declared(); q != mid.None || p.TokenSubrun() != 8 || p.WaitingSince() != 8 || p.StableSubrun() != 8 {
+		t.Fatalf("facts after admission: declared p%d, token %d, waiting %d, stable %d; want none and subrun 8",
+			q, p.TokenSubrun(), p.WaitingSince(), p.StableSubrun())
+	}
 	if _, err := p.Submit([]byte("x"), nil); err == nil {
 		t.Fatal("Submit must be refused until the own sequence caught up")
 	}

@@ -49,6 +49,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"urcgc/internal/causal"
 	"urcgc/internal/group"
@@ -63,7 +64,8 @@ type Config struct {
 	// N is the group cardinality.
 	N int
 	// K is the number of retries before a silent process is declared
-	// crashed, and before a process that hears no coordinator leaves.
+	// crashed, and before a process that hears no coordinator leaves. At
+	// most 255: decisions carry the silence counters in one byte each.
 	K int
 	// R is the number of unsuccessful recovery attempts after which a
 	// process autonomously leaves the group. The paper requires R > 2K+f
@@ -134,8 +136,8 @@ func (c Config) Validate() error {
 	if c.N < 1 {
 		return fmt.Errorf("core: N = %d, need at least 1", c.N)
 	}
-	if c.K < 1 {
-		return fmt.Errorf("core: K = %d, need at least 1", c.K)
+	if c.K < 1 || c.K > math.MaxUint8 {
+		return fmt.Errorf("core: K = %d outside [1, %d]: a decision carries each silence counter in one byte", c.K, math.MaxUint8)
 	}
 	if c.R < 1 {
 		return fmt.Errorf("core: R = %d, need at least 1", c.R)
@@ -354,6 +356,13 @@ type Process struct {
 	appliedSubrun     int64  // subrun of the last decision applied, for DecisionSubrun
 	recoveryRequested bool
 
+	// The health facts, in clock subruns (see TokenSubrun, WaitingSince,
+	// StableSubrun and Declared): set where the decision and waitlist paths
+	// change what they describe, restarted when a joiner is admitted.
+	tokenSubrun, waitingSince, stableSubrun int64
+	declared                                mid.ProcID
+	declaredAt                              int64
+
 	// Join-protocol state. A founding member is born synced and never
 	// joining. A joiner stays joining until a decision admits it; synced
 	// flips when the sponsor's state transfer is installed; joinAligning
@@ -454,6 +463,7 @@ func NewProcess(id mid.ProcID, cfg Config, tp Transport, cb Callbacks) (*Process
 		heard:     make([]bool, n),
 		attempts:  group.NewAttempts(n, cfg.K),
 		lastClean: mid.NewSeqVector(n),
+		declared:  mid.None,
 	}
 	vecs := mid.NewSeqVector(2 * n)
 	p.req = wire.Request{LastProcessed: vecs[:n:n], Waiting: vecs[n:]}
@@ -539,6 +549,28 @@ func (p *Process) Subrun() int64 { return p.subrun }
 // DecisionSubrun returns the subrun of the last decision this process
 // applied, packed as Subrun is; 0 before the first. Loop-goroutine-only.
 func (p *Process) DecisionSubrun() int64 { return p.appliedSubrun }
+
+// TokenSubrun returns the clock subrun of the last decision that reached this
+// process from the circulation: another coordinator's, or its own while no
+// other member of its view can coordinate. Loop-goroutine-only.
+func (p *Process) TokenSubrun() int64 { return p.tokenSubrun }
+
+// WaitingSince returns the clock subrun since which the waiting list has been
+// non-empty; meaningless while it is empty. Loop-goroutine-only.
+func (p *Process) WaitingSince() int64 { return p.waitingSince }
+
+// StableSubrun returns the clock subrun of the last stability advance: the
+// last full-group decision whose watermark cleaned history.
+// Loop-goroutine-only.
+func (p *Process) StableSubrun() int64 { return p.stableSubrun }
+
+// Declared returns the member this process last saw declared crashed and the
+// clock subrun its view adopted the declaration in; mid.None before any.
+// Loop-goroutine-only.
+func (p *Process) Declared() (q mid.ProcID, at int64) { return p.declared, p.declaredAt }
+
+// clock returns the clock subrun this process is in.
+func (p *Process) clock() int64 { t, _ := SplitSubrun(p.subrun); return t }
 
 // CurrentCoordinator returns the coordinator of the current subrun under
 // this process's view. Loop-goroutine-only.
@@ -1170,6 +1202,9 @@ func (p *Process) becomeJoined() {
 	p.decisionThisSub = true
 	p.missedCoords = 0
 	p.recoveryFailures = 0
+	now := p.clock()
+	p.tokenSubrun, p.waitingSince, p.stableSubrun = now, now, now
+	p.declared = mid.None
 	p.Stats.Joins++
 	if p.cb.OnJoined != nil {
 		p.cb.OnJoined()
@@ -1241,6 +1276,9 @@ func (p *Process) handleData(src mid.ProcID, m *causal.Message) {
 		p.processMsg(m)
 		p.cascade()
 		return
+	}
+	if p.wait.Len() == 0 {
+		p.waitingSince = p.clock()
 	}
 	p.wait.Add(m)
 	if p.cb.OnWait != nil {
@@ -1343,6 +1381,9 @@ func (p *Process) handleDecision(d *wire.Decision) {
 func (p *Process) applyDecision(d *wire.Decision) {
 	p.lastDec = d
 	p.appliedSubrun = d.Subrun
+	if d.Coord != p.id || p.soleCoordinator() {
+		p.tokenSubrun, _ = SplitSubrun(d.Subrun)
+	}
 	p.Stats.DecisionsApplied++
 	if p.cb.OnDecision != nil {
 		p.cb.OnDecision(d)
@@ -1386,7 +1427,9 @@ func (p *Process) applyDecision(d *wire.Decision) {
 		clean := p.lastClean
 		copy(clean, d.CleanTo)
 		clean.MinInto(p.tracker.Processed())
-		p.hist.CleanTo(clean)
+		if p.hist.CleanTo(clean) > 0 {
+			p.stableSubrun = p.clock()
+		}
 		if p.cb.OnStable != nil {
 			p.cb.OnStable(clean)
 		}
@@ -1517,10 +1560,29 @@ func (p *Process) adoptMask(mask []bool) {
 	for _, q := range added {
 		p.noteJoined(q)
 	}
-	p.Stats.CrashDeclarations += len(removed)
+	p.noteDeclared(removed)
 	if len(removed)+len(added) > 0 {
 		p.Stats.ViewChanges++
 	}
+}
+
+// noteDeclared records members the local view just moved to declared-crashed.
+func (p *Process) noteDeclared(crashed []mid.ProcID) {
+	p.Stats.CrashDeclarations += len(crashed)
+	if len(crashed) > 0 {
+		p.declared, p.declaredAt = crashed[len(crashed)-1], p.clock()
+	}
+}
+
+// soleCoordinator reports whether no other member of the view can
+// coordinate: the token then circulates through this process alone.
+func (p *Process) soleCoordinator() bool {
+	for q := 0; q < p.cfg.N; q++ {
+		if qp := mid.ProcID(q); qp != p.id && p.view.Alive(qp) && !p.cfg.IsObserver(qp) {
+			return false
+		}
+	}
+	return true
 }
 
 // noteJoined clears the bookkeeping of q's previous incarnation when the
@@ -1591,7 +1653,7 @@ func (p *Process) computeDecision() *wire.Decision {
 	for _, crashed := range declared {
 		p.view.MarkCrashed(crashed)
 	}
-	p.Stats.CrashDeclarations += len(declared)
+	p.noteDeclared(declared)
 	if len(declared) > 0 {
 		p.Stats.ViewChanges++
 	}

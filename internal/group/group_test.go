@@ -137,6 +137,25 @@ func TestAttemptsLoadCirculation(t *testing.T) {
 	}
 }
 
+// TestAttemptsDeclareAtTheWidestK: K = 255, the most a decision's one-byte
+// counter holds, declares a silent member at exactly its 255th silent subrun.
+func TestAttemptsDeclareAtTheWidestK(t *testing.T) {
+	v := NewView(2)
+	a := NewAttempts(2, 255)
+	heard := []bool{true, false}
+	for s := 1; s <= 255; s++ {
+		crashed := a.Observe(heard, v)
+		if want := s == 255; (len(crashed) == 1 && crashed[0] == 1) != want || len(crashed) > 1 {
+			t.Fatalf("silent subrun %d: declared %v, want declared=%v", s, crashed, want)
+		}
+	}
+	c := make([]uint8, 2)
+	a.CopyTo(c)
+	if c[1] != 255 {
+		t.Fatalf("counter = %d after 255 silent subruns, want 255", c[1])
+	}
+}
+
 func TestResilience(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 0, 3: 1, 10: 4, 40: 19, 0: 0}
 	for n, want := range cases {

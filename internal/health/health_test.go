@@ -1,388 +1,230 @@
 package health
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
-	"strconv"
+	"slices"
+	"strings"
 	"testing"
 
-	"urcgc/internal/obs"
+	"urcgc/internal/mid"
+	"urcgc/internal/rt"
 )
 
-func TestTokenStalled(t *testing.T) {
-	cases := []struct {
-		name   string
-		series []int64
-		window int
-		want   bool
-	}{
-		{"too few samples", []int64{5, 5, 5}, 4, false},
-		{"frozen for window", []int64{4, 5, 5, 5, 5}, 4, true},
-		{"advancing", []int64{5, 6, 7, 8}, 4, false},
-		{"advance inside window", []int64{5, 5, 6, 6}, 4, false},
-		{"recovered after stall", []int64{5, 5, 5, 5, 6}, 4, false},
-		{"exactly window frozen", []int64{9, 9, 9, 9}, 4, true},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if got := tokenStalled(c.series, c.window); got != c.want {
-				t.Errorf("tokenStalled(%v, %d) = %v, want %v", c.series, c.window, got, c.want)
-			}
-		})
+// fresh returns group g's status at clock subrun now with every fact fresh:
+// a decision just reached the member, and all it processed is stable.
+func fresh(g uint32, now int64) rt.Status {
+	return rt.Status{
+		ID: 0, N: 3, Group: g, Running: true, Subrun: now,
+		TokenSubrun: now, WaitingSince: now, StableSubrun: now, Declared: mid.None,
+		Processed: mid.SeqVector{4, 4, 4}, StableTo: mid.SeqVector{4, 4, 4},
 	}
 }
 
-func TestGrowingMonotonically(t *testing.T) {
-	cases := []struct {
-		name   string
-		series []int64
-		window int
-		min    int64
-		want   bool
-	}{
-		{"too few samples", []int64{0, 10, 20}, 4, 10, false},
-		{"unbounded growth", []int64{0, 10, 20, 40}, 4, 10, true},
-		{"growth below min", []int64{0, 1, 2, 3}, 4, 10, false},
-		{"sawtooth (cleaned)", []int64{0, 30, 5, 40}, 4, 10, false},
-		{"flat idle", []int64{7, 7, 7, 7}, 4, 10, false},
-		{"recovery: cleaning resumed", []int64{0, 10, 20, 40, 2}, 4, 10, false},
-		{"growth at exactly min", []int64{0, 4, 8, 10}, 4, 10, true},
-		{"plateau then growth", []int64{5, 5, 5, 16}, 4, 11, true},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if got := growingMonotonically(c.series, c.window, c.min); got != c.want {
-				t.Errorf("growingMonotonically(%v, %d, %d) = %v, want %v", c.series, c.window, c.min, got, c.want)
-			}
-		})
-	}
+// member wraps group statuses into member 0's document, at K = 4.
+func member(groups ...rt.Status) rt.NodeStatus {
+	return rt.NodeStatus{ID: 0, N: 3, K: 4, Groups: groups}
 }
 
-func TestStuckNonEmpty(t *testing.T) {
-	cases := []struct {
-		name   string
-		series []int64
-		window int
-		want   bool
-	}{
-		{"too few samples", []int64{1, 1}, 3, false},
-		{"never drains", []int64{2, 1, 3}, 3, true},
-		{"drained mid-window", []int64{2, 0, 3}, 3, false},
-		{"recovery: drained at end", []int64{2, 1, 3, 0}, 3, false},
-		{"empty throughout", []int64{0, 0, 0}, 3, false},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if got := stuckNonEmpty(c.series, c.window); got != c.want {
-				t.Errorf("stuckNonEmpty(%v, %d) = %v, want %v", c.series, c.window, got, c.want)
-			}
-		})
-	}
-}
-
-// groupGauges are the instruments the rules read for one hosted group.
-type groupGauges struct {
-	decision, history, waiting, stable, joining *obs.Gauge
-	processed                                   *obs.Counter
-}
-
-// evalHarness drives a Flight deterministically for one member's series;
-// the embedded groupGauges are group 0's, so single-group tests name them
-// directly.
-type evalHarness struct {
-	flight *obs.Flight
-	eval   *Evaluator
-	groups []groupGauges
-	groupGauges
-}
-
-func newEvalHarness(t *testing.T, groups int, th Thresholds) *evalHarness {
-	t.Helper()
-	reg := obs.New()
-	f := obs.NewFlight(reg, obs.FlightOptions{Cap: 64})
-	h := &evalHarness{flight: f, eval: New(f, "0", groups, th)}
-	for g := 0; g < groups; g++ {
-		l := func(name string) string { return obs.Labeled(name, "node", "0", "group", strconv.Itoa(g)) }
-		h.groups = append(h.groups, groupGauges{
-			decision:  reg.Gauge(l("core_decision_subrun")),
-			history:   reg.Gauge(l("core_history_len")),
-			waiting:   reg.Gauge(l("core_waiting_len")),
-			processed: reg.Counter(l("rt_processed_total")),
-			stable:    reg.Gauge(l("core_stable_sum")),
-			joining:   reg.Gauge(l("core_joining")),
-		})
-	}
-	h.groupGauges = h.groups[0]
-	return h
-}
-
-// tick advances the simulated node one sample: a healthy node's decision
-// subrun advances and its stability frontier tracks its processed count.
-func (h *evalHarness) tickHealthy() {
-	h.decision.Add(1)
-	h.processed.Add(2)
-	h.stable.Set(h.processed.Value())
-	h.flight.Sample()
-}
-
-func reasons(st Status) []string {
-	out := make([]string, 0, len(st.Reasons))
-	for _, r := range st.Reasons {
+func rules(v GroupVerdict) []string {
+	var out []string
+	for _, r := range v.Reasons {
 		out = append(out, r.Rule)
 	}
 	return out
 }
 
-func hasRule(st Status, rule string) bool {
-	for _, r := range st.Reasons {
-		if r.Rule == rule {
-			return true
+// TestRulesFireAfterW is the rule table: each aged rule fires once its fact is
+// W+1 clock subruns old and not at W, exclusion covers the W subruns after a
+// declaration, and the gates hold — an empty waiting list or a frontier with
+// nothing unstable never fires, however old the fact. Every row is judged as
+// the only group of a member and as the last of three beside two fresh ones:
+// the verdict is the same, and the member's reasons are that group's alone.
+func TestRulesFireAfterW(t *testing.T) {
+	const now = 1000
+	aged := func(age int64) bool { return age > W }
+	rows := []struct {
+		name  string
+		age   func(st *rt.Status, age int64)
+		rule  string
+		fires func(age int64) bool
+	}{
+		{"token-stall", func(st *rt.Status, a int64) { st.TokenSubrun = now - a }, "token-stall", aged},
+		{"waiting-stuck", func(st *rt.Status, a int64) { st.WaitingLen, st.WaitingSince = 2, now-a }, "waiting-stuck", aged},
+		{"frontier-lag", func(st *rt.Status, a int64) {
+			st.StableTo, st.HistoryLen, st.StableSubrun = mid.SeqVector{4, 4, 1}, 3, now-a
+		}, "frontier-lag", aged},
+		{"exclusion", func(st *rt.Status, a int64) { st.Declared, st.DeclaredAt = 2, now-a }, "exclusion",
+			func(age int64) bool { return age <= W }},
+		{"left", func(st *rt.Status, a int64) { st.Running, st.TokenSubrun = false, now-a }, "left",
+			func(int64) bool { return true }},
+		{"nothing waiting", func(st *rt.Status, a int64) { st.WaitingSince = now - a }, "",
+			func(int64) bool { return false }},
+		{"nothing unstable", func(st *rt.Status, a int64) { st.StableSubrun = now - a }, "",
+			func(int64) bool { return false }},
+	}
+	for _, r := range rows {
+		for _, age := range []int64{W, W + 1} {
+			var want []string
+			if r.fires(age) {
+				want = []string{r.rule}
+			}
+			for _, g := range []int{1, 3} {
+				groups := make([]rt.Status, g)
+				for i := range groups {
+					groups[i] = fresh(uint32(i), now)
+				}
+				r.age(&groups[g-1], age)
+				v := Judge(member(groups...))
+				if got := rules(v.Groups[g-1]); !slices.Equal(got, want) || v.Groups[g-1].Healthy != (want == nil) {
+					t.Errorf("%s, %d subruns old, G=%d: rules %v healthy=%v, want %v", r.name, age, g, got, v.Groups[g-1].Healthy, want)
+				}
+				if v.Healthy != (want == nil) || len(v.Reasons) != len(want) || len(v.Groups) != g {
+					t.Errorf("%s, %d subruns old, G=%d: member verdict %+v", r.name, age, g, v)
+				}
+				for _, gr := range v.Reasons {
+					if gr.Group != g-1 {
+						t.Errorf("%s, G=%d: reason names group %d, want %d", r.name, g, gr.Group, g-1)
+					}
+				}
+			}
 		}
 	}
-	return false
+	st := fresh(0, now)
+	st.Declared, st.DeclaredAt = 2, now-3
+	if v := Judge(member(st)); len(v.Reasons) != 1 || v.Reasons[0].Reason != "p2 suspected since subrun 993, declared crashed at 997" {
+		t.Errorf("exclusion reason = %+v, want p2 suspected since T-K, declared at T", v.Reasons)
+	}
 }
 
-// TestEvaluatorLifecycle walks one node through warm-up, health, every
-// failure mode, and recovery back to healthy.
+// TestEvaluatorLifecycle walks one group through every aged rule in turn and
+// back: a rule clears as soon as its fact is fresh again.
 func TestEvaluatorLifecycle(t *testing.T) {
-	th := Thresholds{
-		TokenStallSamples:   4,
-		HistoryWindow:       4,
-		HistoryGrowthMin:    8,
-		WaitingStuckSamples: 4,
-		FrontierLagWindow:   4,
-		FrontierLagMin:      6,
+	st := fresh(0, 0)
+	check := func(step string, want ...string) {
+		t.Helper()
+		if got := rules(Judge(member(st)).Groups[0]); !slices.Equal(got, want) {
+			t.Fatalf("%s: rules %v, want %v", step, got, want)
+		}
 	}
-	h := newEvalHarness(t, 1, th)
+	st.Subrun += W + 1
+	check("token frozen", "token-stall")
+	st.TokenSubrun = st.Subrun
+	check("a decision arrives")
 
-	// Warming up: no samples at all is healthy.
-	if st := h.eval.Eval(); !st.Healthy || st.Samples != 0 {
-		t.Fatalf("empty flight: %+v", st)
-	}
+	st.WaitingLen, st.WaitingSince = 3, st.Subrun
+	st.Subrun += W + 1
+	st.TokenSubrun = st.Subrun
+	check("waiting list never drains", "waiting-stuck")
+	st.WaitingLen = 0
+	check("waiting list drained")
 
-	// Healthy steady state.
-	for i := 0; i < 8; i++ {
-		h.tickHealthy()
-	}
-	if st := h.eval.Eval(); !st.Healthy {
-		t.Fatalf("healthy node flagged: %v", reasons(st))
-	}
+	st.Processed, st.StableSubrun = mid.SeqVector{9, 9, 9}, st.Subrun
+	check("messages unstable, stability advanced a moment ago")
+	st.Subrun += W + 1
+	st.TokenSubrun = st.Subrun
+	check("frontier stalled with messages unstable", "frontier-lag")
+	st.StableTo, st.StableSubrun = st.Processed.Clone(), st.Subrun
+	check("frontier caught up")
 
-	// Token stall: decision subrun freezes while samples keep coming.
-	for i := 0; i < 4; i++ {
-		h.flight.Sample()
-	}
-	st := h.eval.Eval()
-	if st.Healthy || !hasRule(st, "token-stall") {
-		t.Fatalf("frozen token not flagged: %+v", st)
-	}
-	// Recovery: one fresh decision clears it.
-	h.tickHealthy()
-	if st := h.eval.Eval(); hasRule(st, "token-stall") {
-		t.Fatalf("token-stall did not recover: %+v", st)
-	}
-
-	// History growth: monotone climb past the minimum with no cleaning.
-	for i := 0; i < 4; i++ {
-		h.history.Add(3)
-		h.tickHealthy()
-	}
-	st = h.eval.Eval()
-	if st.Healthy || !hasRule(st, "history-growth") {
-		t.Fatalf("unbounded history not flagged: %+v", st)
-	}
-	// Recovery: stability cleaning shrinks the buffer.
-	h.history.Set(1)
-	h.tickHealthy()
-	if st := h.eval.Eval(); hasRule(st, "history-growth") {
-		t.Fatalf("history-growth did not recover: %+v", st)
-	}
-
-	// Waiting-stuck: the waiting list stays non-empty a full window.
-	h.waiting.Set(2)
-	for i := 0; i < 4; i++ {
-		h.tickHealthy()
-	}
-	st = h.eval.Eval()
-	if st.Healthy || !hasRule(st, "waiting-stuck") {
-		t.Fatalf("stuck waiting list not flagged: %+v", st)
-	}
-	h.waiting.Set(0)
-	h.tickHealthy()
-	if st := h.eval.Eval(); hasRule(st, "waiting-stuck") {
-		t.Fatalf("waiting-stuck did not recover: %+v", st)
-	}
-
-	// Frontier lag: processing continues but stability stops advancing.
-	for i := 0; i < 4; i++ {
-		h.decision.Add(1)
-		h.processed.Add(2) // stable stays put: the gap grows 2 per sample
-		h.flight.Sample()
-	}
-	st = h.eval.Eval()
-	if st.Healthy || !hasRule(st, "frontier-lag") {
-		t.Fatalf("lagging frontier not flagged: %+v", st)
-	}
-	// Recovery: a full-group decision catches the frontier up.
-	h.stable.Set(h.processed.Value())
-	h.flight.Sample()
-	if st := h.eval.Eval(); !st.Healthy {
-		t.Fatalf("node did not return to healthy: %v", reasons(st))
-	}
+	st.Declared, st.DeclaredAt = 1, st.Subrun
+	check("peer declared", "exclusion")
+	st.Subrun += W + 1
+	st.TokenSubrun = st.Subrun
+	check("declaration aged out")
 }
 
-// TestEvaluatorIdleIsHealthy pins that a quiescent node — flat series,
-// no traffic, token still advancing — stays healthy forever.
+// TestEvaluatorIdleIsHealthy: an idle group — decisions circulating, nothing
+// waiting, everything stable — stays healthy however long its waiting and
+// stability facts go unchanged.
 func TestEvaluatorIdleIsHealthy(t *testing.T) {
-	h := newEvalHarness(t, 1, Thresholds{
-		TokenStallSamples: 4, HistoryWindow: 4, HistoryGrowthMin: 8,
-		WaitingStuckSamples: 4, FrontierLagWindow: 4, FrontierLagMin: 6,
-	})
-	for i := 0; i < 12; i++ {
-		h.decision.Add(1) // rounds keep running; no user traffic
-		h.flight.Sample()
-	}
-	if st := h.eval.Eval(); !st.Healthy {
-		t.Fatalf("idle node flagged: %v", reasons(st))
+	st := fresh(0, 0)
+	for ; st.Subrun < 10*W; st.Subrun++ {
+		st.TokenSubrun = st.Subrun
+		if v := Judge(member(st)); !v.Healthy {
+			t.Fatalf("idle group at subrun %d: %+v", st.Subrun, v.Reasons)
+		}
 	}
 }
 
-// TestJoiningSuppressesRules pins the join grace window: while the
-// member is state-transferring (and for one full rule window after), the
-// evaluator reports joining instead of firing rules on series the join
-// legitimately freezes — /healthz must not flap 503 across a restart.
+// TestJoiningSuppressesRules: a joiner's facts are frozen by the join itself
+// — no decision reaches it before the transfer, its list waits on recovery,
+// its frontier is the sponsor's — so it is healthy and says joining. Once
+// admitted its facts restart and the rules are live again.
 func TestJoiningSuppressesRules(t *testing.T) {
-	th := Thresholds{
-		TokenStallSamples: 4, HistoryWindow: 4, HistoryGrowthMin: 8,
-		WaitingStuckSamples: 4, FrontierLagWindow: 4, FrontierLagMin: 6,
-	}
-	h := newEvalHarness(t, 1, th)
-	for i := 0; i < 6; i++ {
-		h.tickHealthy()
-	}
-
-	// The joiner's token freezes and its waiting list fills — exactly the
-	// evidence token-stall and waiting-stuck fire on. Joining wins.
-	h.joining.Set(1)
-	h.waiting.Set(3)
-	for i := 0; i < 6; i++ {
-		h.flight.Sample()
-	}
-	st := h.eval.Eval()
-	if !st.Joining || !st.Healthy || len(st.Reasons) != 0 {
-		t.Fatalf("joining member flagged: %+v", st)
+	st := fresh(1, 5*W)
+	st.Joining = true
+	st.TokenSubrun, st.WaitingSince, st.StableSubrun = 0, 0, 0
+	st.WaitingLen, st.StableTo = 3, mid.SeqVector{1, 1, 1}
+	v := Judge(member(fresh(0, 5*W), st))
+	if !v.Healthy || !v.Joining || len(v.Reasons) != 0 || !v.Groups[1].Joining || v.Groups[0].Joining {
+		t.Fatalf("joining member flagged: %+v", v)
 	}
 
-	// Join completed: the gauge clears but stale pre-join samples are
-	// still inside the window — the grace period holds.
-	h.joining.Set(0)
-	h.waiting.Set(0)
-	h.tickHealthy()
-	st = h.eval.Eval()
-	if !st.Joining || !st.Healthy {
-		t.Fatalf("grace window did not hold just after join: %+v", st)
+	// Admitted: the facts restart at the admitting subrun.
+	st.Joining = false
+	st.TokenSubrun, st.WaitingSince, st.StableSubrun = st.Subrun, st.Subrun, st.Subrun
+	if v := Judge(member(st)); !v.Healthy || v.Joining {
+		t.Fatalf("admitted member: %+v", v)
 	}
-
-	// A full window of clear samples later the rules are live again.
-	for i := 0; i < 4; i++ {
-		h.tickHealthy()
-	}
-	if st := h.eval.Eval(); st.Joining || !st.Healthy {
-		t.Fatalf("rules did not resume after grace window: %+v", st)
-	}
-	for i := 0; i < 4; i++ {
-		h.flight.Sample() // freeze the token for real this time
-	}
-	st = h.eval.Eval()
-	if st.Joining || st.Healthy || !hasRule(st, "token-stall") {
-		t.Fatalf("post-join stall not flagged: %+v", st)
+	st.Subrun += W + 1
+	if got := rules(Judge(member(st)).Groups[0]); !slices.Equal(got, []string{"token-stall", "waiting-stuck", "frontier-lag"}) {
+		t.Fatalf("rules after admission = %v, want all three aged rules", got)
 	}
 }
 
 // TestMultiEvaluatorIsolatesGroups stalls group 1's token while groups 0
 // and 2 keep circulating decisions: the member must go unhealthy with
-// exactly one {group, rule} triple, and per-group verdicts must disagree.
+// exactly one {group, rule} triple, and recover with the group.
 func TestMultiEvaluatorIsolatesGroups(t *testing.T) {
-	h := newEvalHarness(t, 3, Thresholds{TokenStallSamples: 4})
-	for i := 0; i < 8; i++ {
-		h.groups[0].decision.Add(1)
-		if i < 3 {
-			h.groups[1].decision.Add(1) // group 1's token freezes after sample 3
-		}
-		h.groups[2].decision.Add(1)
-		h.flight.Sample()
+	groups := []rt.Status{fresh(0, 50), fresh(1, 50), fresh(2, 50)}
+	groups[1].TokenSubrun = 50 - W - 1
+	v := Judge(member(groups...))
+	if v.Healthy || len(v.Reasons) != 1 || v.Reasons[0].Group != 1 || v.Reasons[0].Rule != "token-stall" {
+		t.Fatalf("reasons = %+v, want one token-stall on group 1", v.Reasons)
 	}
-	st := h.eval.Eval()
-	if st.Healthy {
-		t.Fatalf("stalled group not flagged: %+v", st)
-	}
-	if len(st.Reasons) != 1 || st.Reasons[0].Group != 1 || st.Reasons[0].Rule != "token-stall" {
-		t.Fatalf("reasons = %+v, want one token-stall on group 1", st.Reasons)
-	}
-	if len(st.Groups) != 3 {
-		t.Fatalf("groups = %d, want 3", len(st.Groups))
-	}
-	for g, gs := range st.Groups {
-		if gs.Group != g {
-			t.Fatalf("group %d verdict carries tag %d", g, gs.Group)
-		}
-		if wantHealthy := g != 1; gs.Healthy != wantHealthy {
-			t.Fatalf("group %d healthy = %v, want %v", g, gs.Healthy, wantHealthy)
+	for g, gv := range v.Groups {
+		if gv.Group != g || gv.Healthy != (g != 1) {
+			t.Fatalf("group %d verdict %+v", g, gv)
 		}
 	}
-
-	// Recovery: the partitioned group's token resumes.
-	h.groups[1].decision.Add(1)
-	h.flight.Sample()
-	if st := h.eval.Eval(); !st.Healthy {
-		t.Fatalf("aggregate did not recover: %+v", st.Reasons)
+	groups[1].TokenSubrun = 50
+	if v := Judge(member(groups...)); !v.Healthy {
+		t.Fatalf("aggregate did not recover: %+v", v.Reasons)
 	}
 }
 
-// TestHandlerStatusCodes drives the one /healthz handler at G = 1 and
-// G = 2: 200 while every group's token circulates, 503 naming the last
-// group once its token freezes — the same document at either G.
+// TestHandlerStatusCodes drives the /healthz handler at G = 1 and G = 3: 200
+// while every group's token circulates, 503 naming the last group once its
+// token is W+1 subruns old — the same document at either G — and 503 when
+// the status cannot be taken.
 func TestHandlerStatusCodes(t *testing.T) {
-	for _, groups := range []int{1, 2} {
-		h := newEvalHarness(t, groups, Thresholds{TokenStallSamples: 3})
-		get := func() (int, Status) {
+	for _, g := range []int{1, 3} {
+		groups := make([]rt.Status, g)
+		for i := range groups {
+			groups[i] = fresh(uint32(i), 100)
+		}
+		var err error
+		h := Handler(func(context.Context) (rt.NodeStatus, error) { return member(groups...), err })
+		get := func() (int, Status, string) {
 			rec := httptest.NewRecorder()
-			h.eval.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+			h.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 			var st Status
-			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-				t.Fatalf("G=%d body: %v %s", groups, err, rec.Body.String())
-			}
-			return rec.Code, st
+			_ = json.Unmarshal(rec.Body.Bytes(), &st)
+			return rec.Code, st, rec.Body.String()
 		}
-		for i := 0; i < 4; i++ {
-			for _, g := range h.groups {
-				g.decision.Add(1)
-			}
-			h.flight.Sample()
+		if code, st, body := get(); code != 200 || !st.Healthy || st.Node != 0 || len(st.Groups) != g {
+			t.Fatalf("G=%d healthy: code %d, %s", g, code, body)
 		}
-		if code, st := get(); code != 200 || !st.Healthy || st.Node != "0" || len(st.Groups) != groups {
-			t.Fatalf("G=%d healthy: code %d, %+v", groups, code, st)
+		groups[g-1].TokenSubrun -= W + 1
+		if code, st, body := get(); code != 503 || st.Healthy || len(st.Reasons) != 1 || st.Reasons[0].Group != g-1 {
+			t.Fatalf("G=%d unhealthy: code %d, %s", g, code, body)
 		}
-		for i := 0; i < 3; i++ {
-			for _, g := range h.groups[:groups-1] {
-				g.decision.Add(1) // the last group's token is frozen
-			}
-			h.flight.Sample()
+		err = errors.New("status timed out")
+		if code, _, body := get(); code != 503 || !strings.Contains(body, "status timed out") {
+			t.Fatalf("G=%d without status: code %d, %s", g, code, body)
 		}
-		code, st := get()
-		if code != 503 || st.Healthy || len(st.Reasons) != 1 || st.Reasons[0].Group != groups-1 {
-			t.Fatalf("G=%d unhealthy: code %d, %+v", groups, code, st)
-		}
-	}
-}
-
-func TestThresholdDefaults(t *testing.T) {
-	th := Thresholds{}.withDefaults()
-	if th != DefaultThresholds {
-		t.Fatalf("zero thresholds = %+v, want defaults %+v", th, DefaultThresholds)
-	}
-	custom := Thresholds{TokenStallSamples: 3}.withDefaults()
-	if custom.TokenStallSamples != 3 || custom.HistoryWindow != DefaultThresholds.HistoryWindow {
-		t.Fatalf("partial thresholds = %+v", custom)
 	}
 }

@@ -1,14 +1,14 @@
 // Package inspect reconstructs the cluster-wide protocol picture from two
 // of the per-node observability endpoints of the nodehttp surface: /status,
 // the protocol state of every hosted group, and /healthz, the member's own
-// verdict over its flight recording. One probe per node yields a Report:
+// verdict on that state. One probe per node yields a Report:
 // per hosted group, the view agreement, the token position each member
 // believes, the min/max stability frontier and per-sender history
 // occupancy. The unit of agreement is the group, so every protocol rule
 // runs once per group over that group's status, and names the group it
 // fired for (one group is simply G = 1). The rules here are the ones only a
 // comparison across members can make; what a member can judge of itself —
-// a stalled token, a growing history — it judges in /healthz, and the
+// a stalled token, a stalled frontier — it judges in /healthz, and the
 // inspector carries that verdict through rather than judging it again:
 //
 //   - unreachable:      a node did not answer its /status probe.
@@ -162,7 +162,7 @@ type entity struct {
 	addr string
 	st   *rt.Status
 	// joining reports the entity mid-join: its own status says so, or its
-	// /healthz verdict for the group is still inside the join grace window.
+	// /healthz verdict for the group does.
 	// A joiner's stale view and lagging frontier are the join, not a
 	// fault, so the divergence rules skip it.
 	joining bool

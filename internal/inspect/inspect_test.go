@@ -3,7 +3,6 @@ package inspect
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -100,8 +99,8 @@ func on(fakes ...*fakeNode) probe.Cluster {
 // stalledIn is the /healthz verdict of a member whose own token-stall rule
 // fired in group g: the decision subrun frozen for a full window.
 func stalledIn(id, g int) *health.Status {
-	return &health.Status{Node: fmt.Sprint(id), Healthy: false, Samples: 12, Reasons: []health.GroupReason{
-		{Group: g, Rule: "token-stall", Reason: "decision subrun frozen at 7 for 12 samples"},
+	return &health.Status{Node: mid.ProcID(id), Healthy: false, Reasons: []health.GroupReason{
+		{Group: g, Rule: "token-stall", Reason: "no decision reached member since subrun 7 (33 subruns)"},
 	}}
 }
 
@@ -182,7 +181,7 @@ func TestTokenStall(t *testing.T) {
 	frozen := newFakeNode(t, runningStatus(0, 2, 6))
 	frozen.set(func(f *fakeNode) { f.health = stalledIn(0, 0) })
 	moving := newFakeNode(t, runningStatus(1, 2, 6))
-	moving.set(func(f *fakeNode) { f.health = &health.Status{Node: "1", Healthy: true, Samples: 12} })
+	moving.set(func(f *fakeNode) { f.health = &health.Status{Node: 1, Healthy: true} })
 	r := collect(t, Config{Cluster: on(frozen, moving)})
 	if r.Healthy || !hasProblem(r, "node-unhealthy") {
 		t.Fatalf("frozen token not flagged: %v", problemKinds(r))
@@ -195,12 +194,12 @@ func TestTokenStall(t *testing.T) {
 	}
 }
 
-// TestTokenStallNeedsFullWindow: a freshly booted member is warming up — its
-// /healthz is healthy on too few samples — and the inspector, which keeps no
-// stall rule of its own, flags nothing.
+// TestTokenStallNeedsFullWindow: a freshly booted member's facts are fresh —
+// its /healthz is healthy until one is W subruns old — and the inspector,
+// which keeps no stall rule of its own, flags nothing.
 func TestTokenStallNeedsFullWindow(t *testing.T) {
 	f := newFakeNode(t, runningStatus(0, 1, 0))
-	f.set(func(fn *fakeNode) { fn.health = &health.Status{Node: "0", Healthy: true, Samples: 3} })
+	f.set(func(fn *fakeNode) { fn.health = &health.Status{Node: 0, Healthy: true} })
 	r := collect(t, Config{Cluster: on(f)})
 	if !r.Healthy || len(r.Problems) != 0 {
 		t.Fatalf("warming-up node flagged: %v", problemKinds(r))
@@ -263,7 +262,7 @@ func TestProgressSkewNamesPartitionedNode(t *testing.T) {
 func TestNodeUnhealthyCarriesReasons(t *testing.T) {
 	f := newFakeNode(t, runningStatus(0, 1, 6))
 	f.set(func(fn *fakeNode) {
-		fn.health = &health.Status{Node: "0", Healthy: false, Reasons: []health.GroupReason{
+		fn.health = &health.Status{Node: 0, Healthy: false, Reasons: []health.GroupReason{
 			{Group: 0, Rule: "token-stall", Reason: "frozen"},
 		}}
 	})
@@ -369,7 +368,7 @@ func TestJoiningMemberIsInformational(t *testing.T) {
 	// Its own /healthz exempts the join from the token-stall rule its frozen
 	// decision subrun would trip.
 	fakes[2].set(func(f *fakeNode) {
-		f.health = &health.Status{Node: "2", Healthy: true, Samples: 8, Joining: true, Groups: []health.GroupVerdict{
+		f.health = &health.Status{Node: 2, Healthy: true, Joining: true, Groups: []health.GroupVerdict{
 			{Group: 0, Healthy: true}, {Group: 1, Healthy: true, Joining: true},
 		}}
 	})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +11,6 @@ import (
 
 	"urcgc/internal/core"
 	"urcgc/internal/faultrt"
-	"urcgc/internal/health"
 	"urcgc/internal/mid"
 	"urcgc/internal/nodehttp"
 	"urcgc/internal/obs"
@@ -40,7 +38,7 @@ func freePorts(t *testing.T, n int) []string {
 }
 
 // TestInspectSmoke boots three real UDP members, each serving the full
-// nodehttp surface with its own registry and flight recorder, and checks
+// nodehttp surface with its own registry, and checks
 // that one inspection round reconstructs a healthy, agreeing cluster —
 // the same path `make inspect-smoke` drives through the built binaries.
 func TestInspectSmoke(t *testing.T) {
@@ -64,11 +62,8 @@ func TestInspectSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flight := obs.NewFlight(reg, obs.FlightOptions{Interval: 25 * time.Millisecond, Cap: 256})
 		mux := nodehttp.Mux(nodehttp.Options{
 			Registry: reg,
-			Flight:   flight,
-			Health:   health.New(flight, strconv.Itoa(i), 1, health.Thresholds{}),
 			Status:   node.Status,
 		})
 		ln, err := nodehttp.Serve("127.0.0.1:0", mux)
@@ -77,8 +72,7 @@ func TestInspectSmoke(t *testing.T) {
 		}
 		obsAddrs[i] = ln.Addr().String()
 		node.Start()
-		flight.Start()
-		t.Cleanup(func() { flight.Stop(); node.Stop(); ln.Close() })
+		t.Cleanup(func() { node.Stop(); ln.Close() })
 
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		const perNode = 4
@@ -138,16 +132,17 @@ func TestInspectPartitionRecovery(t *testing.T) {
 		n     = 5
 		round = 2 * time.Millisecond
 		from  = 4 * time.Second // partition window on the hook clock
-		to    = 5500 * time.Millisecond
+		to    = 4900 * time.Millisecond
 	)
 	reg := obs.New()
 	hook := faultrt.NewHook(faultrt.Partition{
 		From: from, To: to, SideA: map[mid.ProcID]bool{4: true},
 	}, reg)
-	// K far above the subruns a partition window can span, so neither side
+	// K far above the subruns a partition window can span (255 against at
+	// most 225: 0.9 s of rounds no shorter than 2 ms), so neither side
 	// declares the other crashed; SelfExclusion off so nobody leaves.
 	c, err := rt.NewMesh(rt.Config{
-		Config:        core.Config{N: n, K: 600, R: 1202, SelfExclusion: false},
+		Config:        core.Config{N: n, K: 255, R: 512, SelfExclusion: false},
 		RoundDuration: round,
 		Metrics:       reg,
 		Fault:         hook,
@@ -158,21 +153,11 @@ func TestInspectPartitionRecovery(t *testing.T) {
 	c.Start()
 	defer c.Stop()
 
-	flight := obs.NewFlight(reg, obs.FlightOptions{Interval: 25 * time.Millisecond, Cap: 1024})
-	flight.Start()
-	defer flight.Stop()
-
-	th := health.Thresholds{
-		TokenStallSamples: 10, HistoryWindow: 8, HistoryGrowthMin: 24,
-		WaitingStuckSamples: 12, FrontierLagWindow: 8, FrontierLagMin: 8,
-	}
 	obsAddrs := make([]string, n)
 	for i := 0; i < n; i++ {
 		node := c.Node(mid.ProcID(i))
 		mux := nodehttp.Mux(nodehttp.Options{
 			Registry: reg,
-			Flight:   flight,
-			Health:   health.New(flight, strconv.Itoa(i), 1, th),
 			Status:   node.Status,
 		})
 		ln, err := nodehttp.Serve("127.0.0.1:0", mux)

@@ -7,8 +7,8 @@
 //	/metrics     Prometheus text exposition of the registry
 //	/status      protocol state of every hosted group; text by default,
 //	             ?format=json for the rt.NodeStatus document
-//	/healthz     health.Status verdict (200 healthy / 503 + the
-//	             {group, rule, reason} triples)
+//	/healthz     health.Status verdict on the /status document (200
+//	             healthy / 503 + the {group, rule, reason} triples)
 //	/timeseries  the flight recorder's gauge window as JSON
 //	/events      recent trace events
 //	/trace       lifecycle.MultiReport of every group's message spans
@@ -42,10 +42,8 @@ type Options struct {
 	Registry *obs.Registry
 	// Flight, if set, backs /timeseries.
 	Flight *obs.Flight
-	// Health, if set, backs /healthz.
-	Health *health.Evaluator
-	// Status, if set, backs /status. It must be safe to call from any
-	// goroutine (rt.Member.Status is).
+	// Status, if set, backs /status and /healthz. It must be safe to call
+	// from any goroutine (rt.Member.Status is).
 	Status func(ctx context.Context) (rt.NodeStatus, error)
 	// Lifecycle, if set, backs /trace with the member's span tracers
 	// indexed by group id; returning none reports tracing disabled.
@@ -78,18 +76,19 @@ func Mux(o Options) *http.ServeMux {
 	if o.Flight != nil {
 		mux.Handle("/timeseries", o.Flight.Handler())
 	}
-	if o.Health != nil {
-		mux.Handle("/healthz", o.Health.Handler())
-	}
 	if o.Status != nil {
 		timeout := o.StatusTimeout
 		if timeout <= 0 {
 			timeout = 2 * time.Second
 		}
-		mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-			ctx, cancel := context.WithTimeout(r.Context(), timeout)
+		status := func(ctx context.Context) (rt.NodeStatus, error) {
+			ctx, cancel := context.WithTimeout(ctx, timeout)
 			defer cancel()
-			st, err := o.Status(ctx)
+			return o.Status(ctx)
+		}
+		mux.Handle("/healthz", health.Handler(status))
+		mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
+			st, err := status(r.Context())
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusServiceUnavailable)
 				return

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,12 +24,16 @@ import (
 )
 
 // multiFixture assembles the observability state of a member hosting
-// `groups` groups, with the same series shapes rt.Member registers.
+// `groups` groups: the series shapes rt.Member registers, and a status whose
+// clock the test moves.
 type multiFixture struct {
 	reg      *obs.Registry
 	flight   *obs.Flight
 	decision []*obs.Gauge
 	tracers  []*lifecycle.Tracer
+
+	mu     sync.Mutex
+	groups []rt.Status
 }
 
 func newMultiFixture(t *testing.T, groups int) *multiFixture {
@@ -40,14 +45,25 @@ func newMultiFixture(t *testing.T, groups int) *multiFixture {
 			return obs.Labeled(name, "node", "0", "group", strconv.Itoa(g))
 		}
 		f.decision = append(f.decision, f.reg.Gauge(l("core_decision_subrun")))
-		f.reg.Gauge(l("core_history_len"))
-		f.reg.Gauge(l("core_waiting_len"))
-		f.reg.Counter(l("rt_processed_total"))
-		f.reg.Gauge(l("core_stable_sum"))
 		f.tracers = append(f.tracers, lifecycle.New(0, 3, uint32(g),
 			lifecycle.Options{SlowThreshold: time.Hour}, f.reg))
+		f.groups = append(f.groups, rt.Status{N: 3, Group: uint32(g), Running: true, Declared: mid.None})
 	}
 	return f
+}
+
+// subruns lets n clock subruns pass in every hosted group; in the groups
+// listed in frozen no decision reaches the member meanwhile.
+func (f *multiFixture) subruns(n int64, frozen ...int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for g := range f.groups {
+		st := &f.groups[g]
+		st.Subrun += n
+		if !slices.Contains(frozen, g) {
+			st.TokenSubrun = st.Subrun
+		}
+	}
 }
 
 func (f *multiFixture) mux(t *testing.T) *httptest.Server {
@@ -55,14 +71,11 @@ func (f *multiFixture) mux(t *testing.T) *httptest.Server {
 	srv := httptest.NewServer(Mux(Options{
 		Registry:  f.reg,
 		Flight:    f.flight,
-		Health:    health.New(f.flight, "0", len(f.decision), health.Thresholds{TokenStallSamples: 4}),
 		Lifecycle: func() []*lifecycle.Tracer { return f.tracers },
 		Status: func(context.Context) (rt.NodeStatus, error) {
-			st := rt.NodeStatus{ID: 0, N: 3}
-			for g := range f.decision {
-				st.Groups = append(st.Groups, rt.Status{N: 3, Group: uint32(g), Running: true})
-			}
-			return st, nil
+			f.mu.Lock()
+			defer f.mu.Unlock()
+			return rt.NodeStatus{ID: 0, N: 3, K: 3, Groups: slices.Clone(f.groups)}, nil
 		},
 	}))
 	t.Cleanup(srv.Close)
@@ -76,12 +89,7 @@ func TestHealthzPerGroupReasons(t *testing.T) {
 	f := newMultiFixture(t, 3)
 	srv := f.mux(t)
 
-	for i := 0; i < 8; i++ {
-		for _, d := range f.decision {
-			d.Add(1)
-		}
-		f.flight.Sample()
-	}
+	f.subruns(8)
 	res, err := srv.Client().Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -91,11 +99,7 @@ func TestHealthzPerGroupReasons(t *testing.T) {
 		t.Fatalf("healthy member /healthz = %d", res.StatusCode)
 	}
 
-	for i := 0; i < 4; i++ {
-		f.decision[0].Add(1)
-		f.decision[2].Add(1) // group 1 frozen
-		f.flight.Sample()
-	}
+	f.subruns(health.W+1, 1) // group 1 frozen
 	res, err = srv.Client().Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -185,11 +189,8 @@ func TestOneShapeAtEveryG(t *testing.T) {
 		}
 		mesh.Start()
 		t.Cleanup(mesh.Stop)
-		flight := obs.NewFlight(reg, obs.FlightOptions{Cap: 8})
-		flight.Sample()
 		srv := httptest.NewServer(Mux(Options{
 			Registry:  reg,
-			Health:    health.New(flight, "0", groups, health.Thresholds{}),
 			Status:    mesh.Node(0).Status,
 			Lifecycle: mesh.Node(0).Lifecycles,
 		}))

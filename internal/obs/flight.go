@@ -10,11 +10,9 @@ import (
 
 // Flight is a flight recorder: a fixed-interval sampler that snapshots
 // every counter and gauge in a Registry into bounded ring buffers. It
-// turns the instantaneous per-node metrics into short time series, which
-// is what the health rules in internal/health and the cross-node
-// divergence checks in urcgc-ctl inspect evaluate — a stalled token or an
-// unbounded history buffer is a property of a *window*, not of any one
-// scrape.
+// turns the instantaneous per-node metrics into short time series, served
+// as the /timeseries window: the recent past of every series, for a
+// reader who wants more than one scrape.
 //
 // The steady-state Sample path allocates nothing: ring storage is
 // preallocated, the registry is walked with VisitInts, and the visit

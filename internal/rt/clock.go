@@ -82,17 +82,24 @@ func (c *clock) run() {
 	ticks, stopTicks := source(rd)
 	defer stopTicks()
 	for next := 0; ; {
+		var stamp time.Time
 		select {
 		case <-c.stop:
 			return
-		case <-ticks:
+		case stamp = <-ticks:
 		}
 		// The k-th tick, due at epoch + k·rd, opens round k-1. The time is
 		// read here, not taken from the tick: after a stall a ticker first
 		// hands out the tick it had scheduled before it, stamped with that
 		// old instant, and only the next one shows the gap — a period in
-		// which members stalled together would disagree on the round.
-		due := int(time.Since(epoch)/rd) - 1
+		// which members stalled together would disagree on the round. A
+		// ticker never stamps ahead of the present; an injected source that
+		// does paces the rounds by its ticks, not by the time.
+		now := time.Now()
+		if stamp.After(now) {
+			now = stamp
+		}
+		due := int(now.Sub(epoch)/rd) - 1
 		if missed := due - next; missed > 0 {
 			// The host stalled and ticks were lost. The round that was missed
 			// last runs now, back to back with the one that is due: the

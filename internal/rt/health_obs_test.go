@@ -11,8 +11,8 @@ import (
 	"urcgc/internal/obs"
 )
 
-// TestProtocolHealthGauges runs a live cluster and asserts the gauge set
-// the health layer consumes actually moves: the subrun/token position
+// TestProtocolHealthGauges runs a live cluster and asserts the protocol
+// gauges actually move: the subrun/token position
 // advances, decisions stamp their subrun, the stability frontier sum
 // rises after full-group cleaning, and a kill shows up as a view change
 // with a falling alive count.

@@ -38,7 +38,8 @@ type Member struct {
 	killed atomic.Bool
 
 	// ticks, when set, replaces the free-running clock's ticker: tests inject
-	// a source that loses ticks, as a stalled host does.
+	// a source that loses ticks, as a stalled host does, or one that stamps
+	// its ticks ahead of time and so paces the rounds itself.
 	ticks func(time.Duration) (<-chan time.Time, func())
 
 	stopCh   chan struct{}
@@ -328,7 +329,7 @@ func (m *Member) GroupStatus(ctx context.Context, group uint32) (Status, error) 
 // serves. Each group is sampled on its own shard loop, so the groups are
 // each consistent but not mutually simultaneous.
 func (m *Member) Status(ctx context.Context) (NodeStatus, error) {
-	st := NodeStatus{ID: m.ID(), N: m.cfg.N, Groups: make([]Status, len(m.sessions))}
+	st := NodeStatus{ID: m.ID(), N: m.cfg.N, K: m.cfg.K, Groups: make([]Status, len(m.sessions))}
 	for g := range m.sessions {
 		var err error
 		if st.Groups[g], err = m.GroupStatus(ctx, uint32(g)); err != nil {

@@ -172,7 +172,7 @@ func (o *nodeObs) publish(p *core.Process, inbox int) {
 	o.processed.Add(int64(sum - o.lastSum))
 	o.lastSum = sum
 
-	clock, _ := core.SplitSubrun(p.DecisionSubrun()) // the clock subrun: monotone, as the token-stall rule reads it
+	clock, _ := core.SplitSubrun(p.DecisionSubrun()) // the clock subrun: monotone
 	o.decisionSub.Set(clock)
 	o.coordG.Set(int64(p.CurrentCoordinator()))
 	o.aliveCount.Set(int64(p.View().AliveCount()))

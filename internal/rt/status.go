@@ -53,6 +53,16 @@ type Status struct {
 	Alive []bool `json:"alive"`
 	// Stats is a copy of the protocol activity counters.
 	Stats core.Stats `json:"stats"`
+	// The health facts, each a clock subrun (see the core.Process accessors
+	// of the same names): of the last decision that reached the member from
+	// the circulation, since which its waiting list has been non-empty, of
+	// its last stability advance, and of the last crash declaration its view
+	// adopted, with the declared member (mid.None before any).
+	TokenSubrun  int64      `json:"token_subrun"`
+	WaitingSince int64      `json:"waiting_since"`
+	StableSubrun int64      `json:"stable_subrun"`
+	Declared     mid.ProcID `json:"declared"`
+	DeclaredAt   int64      `json:"declared_at"`
 }
 
 // NodeStatus is one member's /status?format=json document, and what
@@ -60,15 +70,17 @@ type Status struct {
 // hosted group, in group order — the same shape whether the member hosts one
 // group or many.
 type NodeStatus struct {
-	ID     mid.ProcID `json:"id"`
-	N      int        `json:"n"`
-	Groups []Status   `json:"groups"`
+	ID mid.ProcID `json:"id"`
+	N  int        `json:"n"`
+	// K is the silence threshold of every hosted group, in clock subruns.
+	K      int      `json:"k"`
+	Groups []Status `json:"groups"`
 }
 
 // statusOf samples one group's process. Must run on the goroutine driving p.
 func statusOf(group uint32, p *core.Process) Status {
 	clock, early := core.SplitSubrun(p.Subrun())
-	return Status{
+	st := Status{
 		ID:              p.ID(),
 		N:               p.View().N(),
 		Group:           group,
@@ -85,5 +97,10 @@ func statusOf(group uint32, p *core.Process) Status {
 		StableTo:        p.StableTo().Clone(),
 		Alive:           append([]bool(nil), p.View().AliveMask()...),
 		Stats:           p.Stats,
+		TokenSubrun:     p.TokenSubrun(),
+		WaitingSince:    p.WaitingSince(),
+		StableSubrun:    p.StableSubrun(),
 	}
+	st.Declared, st.DeclaredAt = p.Declared()
+	return st
 }

@@ -64,7 +64,7 @@ func TestTraceStuckMessageEndToEnd(t *testing.T) {
 		// K far above what the test can span keeps the one-sided silence
 		// from becoming a crash declaration.
 		Config: core.Config{
-			N: n, K: 600, R: 1202, SelfExclusion: false,
+			N: n, K: 255, R: 512, SelfExclusion: false,
 			BatchMax: core.DefaultBatchMax,
 		},
 		Groups:        2,

@@ -5,7 +5,7 @@
 # member, re-admission into every view, /healthz 200 on all members, and a
 # healthy one-shot urcgc-ctl inspect verdict. This is the end-to-end gate for
 # dynamic membership: Join/JoinState PDUs -> core join state machine ->
-# rt restart -> joining status/health grace -> inspect informational kind.
+# rt restart -> joining status/health -> inspect informational kind.
 # Last, the rejoined member is stalled past K subruns, and must leave the
 # group and exit when it resumes.
 set -eu
@@ -36,9 +36,8 @@ preserve_captures() {
 ON_FAIL=preserve_captures
 
 # -chatter keeps each member generating traffic (the protocol's silence
-# detection and the joiner's re-admission both need live subruns);
-# -sample 100ms gives the flight recorder a fast window.
-FLAGS="-round 5ms -sample 100ms -chatter 50ms -capture 16384"
+# detection and the joiner's re-admission both need live subruns).
+FLAGS="-round 5ms -chatter 50ms -capture 16384"
 for i in 0 1 2; do
     start_node "$i" "node$i" $FLAGS
 done
@@ -69,8 +68,9 @@ readmitted() {
 }
 wait_until 60 0.5 "views never re-admitted the restarted member" readmitted
 
-# Phase 4: /healthz answers 200 on every member (the join grace window
-# must not leave a lingering 503), and the cluster-wide verdict is
+# Phase 4: /healthz answers 200 on every member (neither the joiner's
+# facts, restarted at its admission, nor the survivors' exclusion of its old
+# incarnation may leave a lingering 503), and the cluster-wide verdict is
 # healthy again — the joining state may appear only informationally.
 healthz_ok() {
     for obs in "$OBS0" "$OBS1" "$OBS2"; do
@@ -92,7 +92,7 @@ wait "$P0" "$P1" "$P2" 2>/dev/null || true
 hold() { while [ -d "$BIN" ]; do sleep 0.2; done; }
 FEED=hold
 for i in 0 1 2; do
-    start_node "$i" "quiet$i" -k 3 -round 20ms -sample 100ms
+    start_node "$i" "quiet$i" -k 3 -round 20ms
 done
 wait_until 60 0.5 "the quiet cluster never formed" readmitted
 kill -STOP "$P2"

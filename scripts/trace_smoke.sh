@@ -20,7 +20,7 @@ OBS2=127.0.0.1:18853
 # member submitting (and keeps it running past stdin EOF); -trace-slow
 # enables the lifecycle tracer that /trace serves.
 for i in 0 1 2; do
-    start_node "$i" "node$i" -groups 2 -round 5ms -chatter 50ms -trace-slow 250ms -sample 100ms
+    start_node "$i" "node$i" -groups 2 -round 5ms -chatter 50ms -trace-slow 250ms
 done
 
 # Give the group a moment to form and chatter to flow, then require a
