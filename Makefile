@@ -62,8 +62,8 @@ loc:
 
 # race runs the concurrency-sensitive packages under the race detector:
 # the real-time runtime (node loop, UDP reader, Status/Snapshot sampling),
-# the sharded multi-group runtime (shared-socket demux, shard loops, the
-# shared burst sender), the protocol core they drive, the flight recorder
+# the sharded multi-group runtime (shared-socket demux, shard loops, their
+# per-peer bundles), the protocol core they drive, the flight recorder
 # (sampler goroutine vs concurrent readers), the health rules the /healthz
 # handler applies to a status taken on the shard loops, the
 # cluster inspector (parallel probes against live nodes), and the
@@ -80,12 +80,14 @@ loc:
 # ending the Send's outstanding count) — and so do the closes of a coalescer
 # window (every TestWindowClosesWhenLoopDrains row: quiet_member,
 # returning_pair and closed_loop race a Send's Add against another's return
-# from Await and the loop's drain), and the indication stream's
+# from Await and the loop's drain), the indication stream's
 # stalled-reader row (the conformance table's stalled_reader cells), whose
-# spill drainer races the loop's fast path and Stop.
+# spill drainer races the loop's fast path and Stop, and the shard loop's
+# per-peer bundles (TestUDPBundlePacksOneLoopTurn,
+# TestUDPPendingFramesDieWithTheMember), whose flush races Kill and Stop.
 race:
 	$(GO) test -race ./internal/rt/... ./internal/topics/... ./internal/core/... ./internal/obs/... ./internal/health/... ./internal/inspect/... ./internal/stitch/... ./internal/faultrt/... ./internal/wire/...
-	$(GO) test -race -count=10 -run '^(TestSubmitSignalsOnlyOnProcessing|TestEverySendEndsOnce|TestRecycledSubmissionSeesNoStaleSignal|TestLeaveFailsEveryWaiterExactlyOnce|TestSendAbandonedDoesNotLeakWaiter|TestUDPSendAbandonedDoesNotLeakWaiterOrGoroutines|TestCoalescerStopFailsPendingWindow|TestClusterStopUnblocksWindowedSends|TestWindowClosesWhenLoopDrains|TestConformance)$$/.*/.*/^stalled_reader$$' ./internal/rt/
+	$(GO) test -race -count=10 -run '^(TestSubmitSignalsOnlyOnProcessing|TestEverySendEndsOnce|TestRecycledSubmissionSeesNoStaleSignal|TestLeaveFailsEveryWaiterExactlyOnce|TestSendAbandonedDoesNotLeakWaiter|TestUDPSendAbandonedDoesNotLeakWaiterOrGoroutines|TestCoalescerStopFailsPendingWindow|TestClusterStopUnblocksWindowedSends|TestWindowClosesWhenLoopDrains|TestUDPBundlePacksOneLoopTurn|TestUDPPendingFramesDieWithTheMember|TestConformance)$$/.*/.*/^stalled_reader$$' ./internal/rt/
 
 # check is the tier-1 gate: everything is gofmt-clean, builds, vets clean,
 # passes the full suite (the allocs/op budgets of the codec, the idle subrun

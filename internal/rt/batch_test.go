@@ -9,10 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"urcgc/internal/causal"
 	"urcgc/internal/core"
 	"urcgc/internal/faultrt"
 	"urcgc/internal/mid"
 	"urcgc/internal/obs"
+	"urcgc/internal/wire"
 )
 
 // sumMetric adds up a (possibly node-labeled) counter family from a
@@ -461,43 +463,59 @@ func quietMesh(t *testing.T, groups int, window time.Duration) *Member {
 }
 
 // TestUDPOversizeSendCounted pins the transport-boundary bugfix: a frame
-// the 64 KiB datagram cannot carry is counted and dropped at the sender
-// instead of being handed to WriteToUDP to fail (or worse, truncate).
-// A maximum-payload Data message plus framing exceeds the datagram budget,
-// so it is processed locally but never reaches the peer.
+// no UDP/IPv4 datagram can carry is counted and dropped at the sender
+// instead of being handed to the kernel to fail (or worse, truncate). Such a
+// Data message is processed locally but never reaches the peer — whether it
+// is far past the limit (a maximum payload) or only just past it: 65,520
+// bytes is under 64 KiB but over the 65,507 an IPv4 UDP payload holds.
 func TestUDPOversizeSendCounted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets and timers")
 	}
-	reg := obs.New()
-	peers := freePorts(t, 2)
-	node, err := NewUDPNode(UDPConfig{
-		// K is high so the lone live node does not exclude its silent peer
-		// (or itself) before the assertion runs.
-		Config:        core.Config{N: 2, K: 100, R: 256, SelfExclusion: true},
-		Self:          0,
-		Peers:         peers,
-		RoundDuration: 2 * time.Millisecond,
-		Metrics:       reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	node.Start()
-	defer node.Stop()
+	// overhead is what the envelope and the Data PDU add to a payload.
+	overhead := wire.EnvelopeSize(0) + (&wire.Data{Msg: causal.Message{ID: mid.MID{Proc: 0, Seq: 1}}}).EncodedSize()
+	for _, tc := range []struct {
+		name    string
+		payload int
+	}{
+		{"frame_65520", 65520 - overhead},
+		{"payload_65535", 65535}, // accepted by Submit; oversize once framed
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.New()
+			peers := freePorts(t, 2)
+			node, err := NewUDPNode(UDPConfig{
+				// K is high so the lone live node does not exclude its silent peer
+				// (or itself) before the assertion runs.
+				Config:        core.Config{N: 2, K: 100, R: 256, SelfExclusion: true},
+				Self:          0,
+				Peers:         peers,
+				RoundDuration: 2 * time.Millisecond,
+				Metrics:       reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			node.Start()
+			defer node.Stop()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	payload := make([]byte, 65535) // accepted by Submit; oversize once framed
-	if _, err := node.Send(ctx, payload, nil); err != nil {
-		t.Fatalf("oversize-on-wire send must still confirm locally: %v", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Counter("topics_send_oversize_total").Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("topics_send_oversize_total never incremented for a >64KiB frame")
-		}
-		time.Sleep(5 * time.Millisecond)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if _, err := node.Send(ctx, make([]byte, tc.payload), nil); err != nil {
+				t.Fatalf("oversize-on-wire send must still confirm locally: %v", err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for reg.Counter("topics_send_oversize_total").Value() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("topics_send_oversize_total never incremented for a %d-byte frame (send errors %d)",
+						tc.payload+overhead, reg.Counter("topics_send_errors_total").Value())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if n := reg.Counter("topics_send_errors_total").Value(); n != 0 {
+				t.Fatalf("%d frames reached the kernel and were refused there", n)
+			}
+		})
 	}
 }
 

@@ -159,9 +159,11 @@ type Indication struct {
 }
 
 // MaxDatagram bounds datagrams in both directions (a mixed deployment must
-// agree on the limit). The urcgc PDUs for paper-scale groups fit comfortably;
-// jumbo decisions for very large n would need fragmentation, which the paper
-// delegates to the transport layer.
-const MaxDatagram = 64 * 1024
+// agree on the limit): the largest UDP payload IPv4 carries, 65,535 bytes
+// less the IP and UDP headers, so the kernel never refuses a frame or a
+// bundle the sender let through. The urcgc PDUs for paper-scale groups fit
+// comfortably; jumbo decisions for very large n would need fragmentation,
+// which the paper delegates to the transport layer.
+const MaxDatagram = 65535 - 20 - 8
 
 var errStopped = fmt.Errorf("rt: member stopped")

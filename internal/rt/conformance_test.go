@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -215,6 +216,7 @@ func TestConformance(t *testing.T) {
 		{"refused_frames", conformRefusedFrames},
 		{"fault_verdicts", conformFaultVerdicts},
 		{"poisoned_records", conformPoisonedRecords},
+		{"malformed_bundles", conformMalformedBundles},
 		{"forged_sender", conformForgedSender},
 		{"shard_independence", conformShardIndependence},
 		{"stalled_reader", conformStalledReader},
@@ -464,6 +466,82 @@ func conformPoisonedRecords(t *testing.T, link string, groups int) {
 	c.awaitAll(t, c.members, "converging with poisoned free lists", func(st Status) bool {
 		return st.Processed.Equal(mid.SeqVector{perGroup, perGroup, perGroup})
 	})
+	for _, m := range c.members {
+		for g := uint32(0); g < uint32(groups); g++ {
+			st, err := m.GroupStatus(ctx, g)
+			if _, left := m.Left(g); left || err != nil || st.Stats.Malformed != 0 {
+				t.Errorf("member %d group %d: left=%v, %d malformed PDUs (err %v)", m.ID(), g, left, st.Stats.Malformed, err)
+			}
+		}
+	}
+}
+
+// conformMalformedBundles: a bundle whose framing breaks is an omission,
+// never a panic. Each counts once as a bad envelope, with a capture record of
+// the datagram; the frames before the break are delivered, nothing after it
+// is, and the group goes on converging. The valid frames are copies of a
+// message every member has processed: delivered, they are duplicates.
+func conformMalformedBundles(t *testing.T, link string, groups int) {
+	c := startCell(t, link, groups, nil)
+	const perGroup = 4
+	c.sendAll(t, c.members, perGroup)
+	c.awaitAll(t, c.members, "converging before the bundles", func(st Status) bool {
+		return st.Processed.Equal(mid.SeqVector{perGroup, perGroup, perGroup})
+	})
+	last := uint32(groups - 1)
+	frame := func(payload string) []byte {
+		f, err := wire.MarshalAppend(wire.AppendEnvelope(nil, last, 1), &wire.Data{Msg: causal.Message{
+			ID: mid.MID{Proc: 1, Seq: 1}, Payload: []byte(payload),
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	before, after := frame("before the break"), frame("after the break")
+	bundle := func(parts ...[]byte) []byte {
+		return bytes.Join(append([][]byte{wire.AppendBundleHeader(nil)}, parts...), nil)
+	}
+	bundled := func(f []byte) []byte { return append(wire.AppendBundled(nil, f), f...) }
+	word := func(n uint32) []byte { return binary.BigEndian.AppendUint32(nil, n) }
+	for _, pkt := range [][]byte{
+		bundle(bundled(before), word(0), bundled(after)),           // a zero length
+		bundle(bundled(before), word(uint32(len(after)+1)), after), // a length past the end
+		bundle(), // a lone marker
+		bundle(bundled(before), bundled(bundle(bundled(after)))), // a bundle inside a bundle
+		bundle(bundled(before), []byte{0xee, 0xee, 0xee}),        // a valid frame followed by garbage
+	} {
+		c.inject(t, pkt)
+	}
+	const malformed, delivered = 5, 4
+	c.awaitAll(t, c.members[:1], "counting the malformed bundles", func(Status) bool {
+		return c.reg.Counter("topics_drop_envelope_total").Value() >= malformed
+	})
+	body := func(f []byte) []byte { return f[wire.EnvelopeSize(last):] }
+	var short, got, leaked int
+	for _, r := range c.rings[0].Snapshot().Records {
+		switch {
+		case r.Dir != capture.DirIngress:
+		case r.Verdict == capture.DropShort:
+			short++
+		case r.Verdict == capture.Delivered && bytes.Equal(r.Frame, body(before)):
+			got++
+		case bytes.Equal(r.Frame, body(after)):
+			leaked++
+		}
+	}
+	if n := c.reg.Counter("topics_drop_envelope_total").Value(); n != malformed || short != malformed {
+		t.Errorf("%d bad envelopes counted, %d captured, want %d each: one per malformed bundle", n, short, malformed)
+	}
+	if got != delivered || leaked != 0 {
+		t.Errorf("%d frames before a break delivered (want %d), %d after one (want 0)", got, delivered, leaked)
+	}
+	c.sendAll(t, c.members, perGroup)
+	c.awaitAll(t, c.members, "converging after the bundles", func(st Status) bool {
+		return st.Processed.Equal(mid.SeqVector{2 * perGroup, 2 * perGroup, 2 * perGroup})
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	for _, m := range c.members {
 		for g := uint32(0); g < uint32(groups); g++ {
 			st, err := m.GroupStatus(ctx, g)

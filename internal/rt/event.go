@@ -80,14 +80,37 @@ func newInbox(depth int, stop <-chan struct{}) *inbox {
 	return &inbox{c: make(chan *event, depth), free: wire.NewFreeList(), stop: stop}
 }
 
-// loop runs events until stop closes.
-func (in *inbox) loop() {
+// loop runs events until stop closes, and sends what they shipped once the
+// events queued behind its first frame have run, or when the inbox runs dry
+// before it blocks (outbox). While events are queued it takes them without
+// a select over the stop signal too.
+func (sh *shard) loop(m *Member) {
 	for {
+		var e *event
 		select {
-		case <-in.stop:
+		case e = <-sh.c:
+		default:
+			if len(sh.out.peers) > 0 {
+				sh.flush(m)
+			}
+			select {
+			case <-sh.stop:
+				return
+			case e = <-sh.c:
+			}
+		}
+		sh.run(e)
+		if o := &sh.out; len(o.peers) > 0 {
+			if o.left == 0 {
+				sh.flush(m)
+			} else {
+				o.left--
+			}
+		}
+		select {
+		case <-sh.stop:
 			return
-		case e := <-in.c:
-			in.run(e)
+		default:
 		}
 	}
 }

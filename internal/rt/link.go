@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -21,7 +22,9 @@ import (
 // validator on the way in (Member.ingest). The two links differ in where
 // ingest runs — on the socket's reader goroutine, which queues the decoded
 // PDU, or on the receiving shard's loop, to which a mesh peer queued the
-// still-encoded frame — and in how a frame physically leaves (shard.write).
+// still-encoded frame — and in how a frame physically leaves: a mesh peer
+// gets each frame as it is shipped (writeOne), a socket peer one datagram
+// per shard loop turn carrying every frame shipped to it (shard.flush).
 
 // Send implements core.Transport.
 func (s *session) Send(dst mid.ProcID, pdu wire.PDU) {
@@ -34,10 +37,10 @@ func (s *session) Send(dst mid.ProcID, pdu wire.PDU) {
 func (s *session) Broadcast(pdu wire.PDU) { s.ship(pdu, mid.None) }
 
 // ship counts pdu, marshals it exactly once behind the group envelope and
-// sends the same bytes to one peer, or to every peer when to is mid.None:
-// destinations with a clean fault verdict leave together (one sendmmsg burst
-// on a socket), the rest take the per-copy path. A crashed site sends
-// nothing. Shard goroutine.
+// ships the same bytes to one peer, or to every peer when to is mid.None:
+// destinations with a clean fault verdict are queued for the shard loop's
+// next flush on a socket and handed over at once on a Mesh, the rest take the
+// per-copy path. A crashed site sends nothing. Shard goroutine.
 func (s *session) ship(pdu wire.PDU, to mid.ProcID) {
 	m := s.m
 	if m.Killed() {
@@ -58,7 +61,6 @@ func (s *session) ship(pdu wire.PDU, to mid.ProcID) {
 		m.cap.Record(capture.DirEgress, s.group, mid.None, capture.Sent, 0, body)
 		first, last = 0, mid.ProcID(m.cfg.N-1)
 	}
-	clean := s.shard.dsts[:0]
 	for dst := first; dst <= last; dst++ {
 		if dst == m.cfg.Self {
 			continue
@@ -71,12 +73,12 @@ func (s *session) ship(pdu wire.PDU, to mid.ProcID) {
 		case act.Drop: // injected send omission (or crashed self)
 		case act.Faulty():
 			s.shipFaulty(dst, sh, act)
+		case m.udp != nil:
+			s.shard.queue(m, dst, sh)
 		default:
-			clean = append(clean, dst)
+			m.writeOne(s.group, dst, sh)
 		}
 	}
-	s.shard.dsts = clean[:0]
-	s.shard.write(m, s.group, clean, sh)
 	sh.release()
 }
 
@@ -100,23 +102,119 @@ func (s *session) shipFaulty(dst mid.ProcID, sh *sharedBuf, act faultrt.Action) 
 	})
 }
 
-// write ships sh to every listed destination: handed to the peers' loops on a
-// Mesh, in one sendmmsg on a socket where the platform has it, else one write
-// each. Synchronous, on the sending shard's goroutine: the frame is on the
-// wire (or queued at its receivers) when write returns.
-func (sh *shard) write(m *Member, group uint32, dsts []mid.ProcID, buf *sharedBuf) {
-	if m.udp != nil && sh.burst.usable(len(dsts)) {
-		for i, dst := range dsts {
-			sh.burst.queue(i, dst, buf.buf)
-		}
-		if sent, errs, ok := sh.burst.send(len(dsts)); ok {
-			m.sock.sent(sent, sent*len(buf.buf), errs, true)
-			return
-		}
+// maxBundled caps the frames of one bundle: each takes two iovecs of its
+// datagram, and the kernel takes at most 1024 (UIO_MAXIOV).
+const maxBundled = 256
+
+// outbox is what a socket member's shard loop has shipped to each peer and
+// not yet sent: one bundle per peer, flushed as one datagram each once the
+// loop has run the events that were queued behind the first frame, or sooner
+// when its inbox runs dry — so a frame waits at most one inbox backlog, and an
+// idle member sends after every event. Loop goroutine only.
+type outbox struct {
+	frames [][]*sharedBuf // per peer, in ship order; each holds a reference
+	size   []int          // per peer: the pending frames' size as a bundle
+	peers  []mid.ProcID   // the peers with frames pending, in first-queued order
+	left   int            // events the loop runs before it flushes
+}
+
+func newOutbox(n int) outbox {
+	o := outbox{frames: make([][]*sharedBuf, n), size: make([]int, n), peers: make([]mid.ProcID, 0, n)}
+	for p := range o.size {
+		o.size[p] = wire.BundleHeaderSize
 	}
-	for _, dst := range dsts {
-		m.writeOne(group, dst, buf)
+	return o
+}
+
+// queue adds one more reference on buf to dst's bundle, first sending the
+// bundle alone when buf would take it past MaxDatagram or maxBundled frames.
+func (sh *shard) queue(m *Member, dst mid.ProcID, buf *sharedBuf) {
+	o := &sh.out
+	if k := len(o.frames[dst]); k == 0 {
+		if len(o.peers) == 0 {
+			o.left = len(sh.c)
+		}
+		o.peers = append(o.peers, dst)
+	} else if k == maxBundled || o.size[dst]+wire.BundledSize(buf.buf) > MaxDatagram {
+		i := slices.Index(o.peers, dst)
+		sh.send(m, o.peers[i:i+1])
+		o.release(dst)
 	}
+	buf.hold()
+	o.frames[dst] = append(o.frames[dst], buf)
+	o.size[dst] += wire.BundledSize(buf.buf)
+}
+
+// flush sends every pending bundle, one datagram per peer, unless the member
+// was fail-stopped meanwhile: then the frames it queued before the kill are
+// released unsent, like everything a crashed site has not yet sent.
+func (sh *shard) flush(m *Member) {
+	if !m.Killed() {
+		sh.send(m, sh.out.peers)
+	}
+	sh.out.drop()
+}
+
+// drop releases every pending frame: after a flush has sent them, and unsent
+// by Stop, once the loop has exited.
+func (o *outbox) drop() {
+	for _, p := range o.peers {
+		o.release(p)
+	}
+	o.peers = o.peers[:0]
+}
+
+// release gives back peer p's pending references; its bundle restarts empty.
+func (o *outbox) release(p mid.ProcID) {
+	for i, f := range o.frames[p] {
+		f.release()
+		o.frames[p][i] = nil
+	}
+	o.frames[p] = o.frames[p][:0]
+	o.size[p] = wire.BundleHeaderSize
+}
+
+// send ships each listed peer its pending frames as one datagram — in one
+// sendmmsg where the platform has it, else one WriteToUDP each — and
+// accounts for them. The frames stay pending: the caller releases them.
+func (sh *shard) send(m *Member, peers []mid.ProcID) {
+	o := &sh.out
+	sent, errs, ok := sh.burst.send(peers, o.frames)
+	if !ok {
+		for _, p := range peers {
+			m.writeBundle(p, o.frames[p], o.size[p])
+		}
+		return
+	}
+	bytes := 0
+	for _, p := range peers[:sent] {
+		bytes += o.wireSize(p)
+	}
+	m.sock.sent(sent, bytes, errs, true)
+}
+
+// wireSize is the length of the datagram carrying p's pending frames: a lone
+// frame travels plain.
+func (o *outbox) wireSize(p mid.ProcID) int {
+	if f := o.frames[p]; len(f) == 1 {
+		return len(f[0].buf)
+	}
+	return o.size[p]
+}
+
+// writeBundle ships one peer's pending frames with one WriteToUDP: a lone
+// frame as it is, a bundle copied into one pooled buffer, so every platform
+// speaks one format.
+func (m *Member) writeBundle(dst mid.ProcID, frames []*sharedBuf, size int) {
+	pkt := frames[0].buf
+	if len(frames) > 1 {
+		pkt = wire.AppendBundleHeader(wire.GetBuf(size))
+		for _, f := range frames {
+			pkt = append(wire.AppendBundled(pkt, f.buf), f.buf...)
+		}
+		defer wire.PutBuf(pkt)
+	}
+	m.writeTo(dst, pkt)
 }
 
 // writeOne ships one copy of sh to dst and accounts for it: a mesh hand-off
@@ -128,11 +226,16 @@ func (m *Member) writeOne(group uint32, dst mid.ProcID, sh *sharedBuf) {
 		m.mesh.members[dst].deliver(group, sh)
 		return
 	}
-	if _, err := m.udp.conn.WriteToUDP(sh.buf, m.udp.peers[dst]); err != nil {
+	m.writeTo(dst, sh.buf)
+}
+
+// writeTo sends pkt to dst over the socket and accounts for it.
+func (m *Member) writeTo(dst mid.ProcID, pkt []byte) {
+	if _, err := m.udp.conn.WriteToUDP(pkt, m.udp.peers[dst]); err != nil {
 		m.sock.sent(0, 0, 1, false) // loss is an omission the protocol repairs; count it anyway
 		return
 	}
-	m.sock.sent(1, len(sh.buf), 0, false)
+	m.sock.sent(1, len(pkt), 0, false)
 }
 
 // deliver queues one more reference on sh for m's shard loop of group, which
@@ -162,22 +265,44 @@ func (m *Member) checkSize(frame []byte, group uint32, to mid.ProcID, pdu wire.P
 	return false
 }
 
-// ingest is the one datagram validator: size, envelope, hosted group, source
-// id, fault verdict, decode, delivery — each refusal with its counter, its
-// capture record and a throttled warning. pkt is read only during the call
-// (a reader reuses its buffer at once; Unmarshal never aliases its input).
-// loop is nil on a socket's reader goroutine, which queues the decoded PDU
-// for the owning shard; a mesh peer's frame arrives on that shard's loop
-// already, named by loop, and is handed straight to the protocol. A frame
-// that reached the loop of another shard — it names a group that shard does
-// not own — is queued for the owner like a reader's: a core.Process runs on
-// its own shard's goroutine only.
+// ingest is the one datagram validator: size, then each frame the datagram
+// carries — one, or the frames of a bundle in order, split until its framing
+// breaks, which drops the rest of it as one bad envelope — through
+// ingestFrame. pkt is read only during the call (a reader reuses its buffer
+// at once; Unmarshal never aliases its input). loop is nil on a socket's
+// reader goroutine, which queues the decoded PDU for the owning shard; a
+// mesh peer's frame arrives on that shard's loop already, named by loop, and
+// is handed straight to the protocol.
 func (m *Member) ingest(pkt []byte, from netip.AddrPort, loop *shard) {
 	m.sock.received(len(pkt))
 	if len(pkt) > MaxDatagram {
 		m.discard(capture.DropOversize, 0, mid.None, nil, "oversize datagram from %v truncated past %d bytes", from, MaxDatagram)
 		return
 	}
+	if !wire.IsBundle(pkt) {
+		m.ingestFrame(pkt, from, loop)
+		return
+	}
+	for rest := pkt[wire.BundleHeaderSize:]; ; {
+		frame, tail, err := wire.NextBundled(rest)
+		if err != nil {
+			m.discard(capture.DropShort, 0, mid.None, pkt, "malformed bundle (%d bytes) from %v: the last %d unparseable", len(pkt), from, len(rest))
+			return
+		}
+		m.ingestFrame(frame, from, loop)
+		if rest = tail; len(rest) == 0 {
+			return
+		}
+	}
+}
+
+// ingestFrame validates and delivers one frame: envelope, hosted group,
+// source id, fault verdict, decode, delivery — each refusal with its counter,
+// its capture record and a throttled warning. A frame that reached the loop
+// of another shard — it names a group that shard does not own — is queued
+// for the owner like a reader's: a core.Process runs on its own shard's
+// goroutine only.
+func (m *Member) ingestFrame(pkt []byte, from netip.AddrPort, loop *shard) {
 	group, src, body, err := wire.ParseEnvelope(pkt)
 	if err != nil {
 		m.discard(capture.DropShort, 0, mid.None, pkt, "unparseable datagram (%d bytes) from %v", len(pkt), from)
@@ -328,7 +453,7 @@ func (m *Member) reader() {
 		}
 	}
 	// One byte of slack past MaxDatagram distinguishes an exactly-full
-	// datagram from one the kernel truncated to fit the buffer.
+	// datagram from an oversize one the kernel truncated to fit the buffer.
 	buf := make([]byte, MaxDatagram+1)
 	for {
 		sz, from, err := conn.ReadFromUDPAddrPort(buf)

@@ -53,7 +53,7 @@ type Member struct {
 type shard struct {
 	*inbox
 	burst *burstSender // nil where sendmmsg is unavailable, and on a Mesh
-	dsts  []mid.ProcID // one fan-out's clean-verdict destinations
+	out   outbox       // a socket member's frames not yet sent, per peer
 }
 
 // session is one group's protocol entity plus its user-facing plumbing:
@@ -92,7 +92,8 @@ func NewMember(cfg Config) (*Member, error) {
 	m := newMember(cfg)
 	m.udp = link
 	for _, sh := range m.shards {
-		sh.burst = newBurstSender(link.conn, link.peers, cfg.N)
+		sh.burst = newBurstSender(link.conn, link.peers)
+		sh.out = newOutbox(cfg.N)
 	}
 	if err := m.initSessions(); err != nil {
 		link.conn.Close()
@@ -115,7 +116,7 @@ func newMember(cfg Config) *Member {
 	m.warn = warner{logf: cfg.Logf, prefix: fmt.Sprintf("topics[%d]: ", cfg.Self), captured: m.cap != nil}
 	m.shards = make([]*shard, cfg.Shards)
 	for i := range m.shards {
-		m.shards[i] = &shard{inbox: newInbox(cfg.InboxDepth, m.stopCh), dsts: make([]mid.ProcID, 0, cfg.N)}
+		m.shards[i] = &shard{inbox: newInbox(cfg.InboxDepth, m.stopCh)}
 	}
 	return m
 }
@@ -201,7 +202,7 @@ func (s *session) makeProc(join bool) (*core.Process, error) {
 func (m *Member) Start() {
 	for _, sh := range m.shards {
 		m.wg.Add(1)
-		go func() { defer m.wg.Done(); sh.loop() }()
+		go func() { defer m.wg.Done(); sh.loop(m) }()
 	}
 	if m.udp != nil {
 		clk := newClock([]*Member{m}, nil, m.stopCh)
@@ -212,7 +213,8 @@ func (m *Member) Start() {
 }
 
 // Stop halts every group and closes the socket. Submissions still pending
-// inside any group's open coalescer window are failed, never leaked.
+// inside any group's open coalescer window are failed, never leaked, and so
+// are the frames a shard loop queued and had not sent when it stopped.
 func (m *Member) Stop() {
 	m.stopOnce.Do(func() {
 		close(m.stopCh)
@@ -222,8 +224,11 @@ func (m *Member) Stop() {
 		for _, s := range m.sessions {
 			s.coal.Stop()
 		}
+		m.wg.Wait()
+		for _, sh := range m.shards {
+			sh.out.drop() // the loops have exited: nobody else touches them
+		}
 	})
-	m.wg.Wait()
 }
 
 // ID returns the member identifier.

@@ -9,10 +9,11 @@ import (
 	"unsafe"
 
 	"urcgc/internal/mid"
+	"urcgc/internal/wire"
 )
 
 // Burst datagram I/O via sendmmsg(2)/recvmmsg(2), straight from the
-// syscall package — no cgo, no external modules. One broadcast fan-out or
+// syscall package — no cgo, no external modules. One shard loop's flush or
 // one reader wakeup moves a whole burst of datagrams per syscall. Anything
 // unusual — an IPv6 peer, a kernel without the syscalls, a raw-conn
 // failure — falls back to the classic one-syscall-per-datagram path.
@@ -44,15 +45,17 @@ var recvmmsgRaw = func(fd uintptr, hdrs *mmsghdr, n int) (uintptr, syscall.Errno
 	return r, errno
 }
 
-// burstSender ships a batch of datagrams, each to its own peer, in as few
-// sendmmsg calls as possible: one frame to every destination of a fan-out.
-// Owned by one shard goroutine; no locking.
+// burstSender ships a shard loop's pending bundles — one datagram per peer —
+// in one sendmmsg: a peer's lone frame as it is, two or more chained behind
+// the bundle marker and their length words by the datagram's iovecs, so no
+// frame is copied. Owned by one shard goroutine; no locking.
 type burstSender struct {
 	rc       syscall.RawConn
 	sas      []syscall.RawSockaddrInet4 // per-peer, precomputed
-	hdrs     []mmsghdr
-	iovs     []syscall.Iovec
-	disabled bool // kernel refused sendmmsg: classic path from now on
+	hdrs     []mmsghdr                  // one per peer
+	iovs     []syscall.Iovec            // every datagram's chain, back to back
+	words    []byte                     // the marker and length words the chains point into
+	disabled bool                       // kernel refused sendmmsg: classic path from now on
 
 	// One burst's progress, in fields rather than locals so the raw-conn
 	// callback — write, built once — captures nothing per send: a burst
@@ -64,10 +67,10 @@ type burstSender struct {
 	fellBack bool // sendmmsg itself was refused before anything left
 }
 
-// newBurstSender returns a sender of up to slots datagrams per burst, or
-// nil when the burst path cannot be used (an IPv6 peer, no raw conn), which
-// callers treat as "use WriteToUDP per datagram".
-func newBurstSender(conn *net.UDPConn, peers []*net.UDPAddr, slots int) *burstSender {
+// newBurstSender returns a sender to the given peers, or nil when the burst
+// path cannot be used (an IPv6 peer, no raw conn), which callers treat as
+// "use WriteToUDP per datagram".
+func newBurstSender(conn *net.UDPConn, peers []*net.UDPAddr) *burstSender {
 	rc, err := conn.SyscallConn()
 	if err != nil {
 		return nil
@@ -83,40 +86,75 @@ func newBurstSender(conn *net.UDPConn, peers []*net.UDPAddr, slots int) *burstSe
 		sas[i] = syscall.RawSockaddrInet4{Family: syscall.AF_INET, Port: p<<8 | p>>8}
 		copy(sas[i].Addr[:], ip4)
 	}
-	m := &burstSender{rc: rc, sas: sas, hdrs: make([]mmsghdr, slots), iovs: make([]syscall.Iovec, slots)}
+	m := &burstSender{rc: rc, sas: sas, hdrs: make([]mmsghdr, len(peers))}
 	m.write = m.writeBurst
 	return m
 }
 
-// usable reports whether a burst of n datagrams should go through send
-// rather than the classic per-datagram path (nil sender, a burst of one, or
-// sendmmsg refused earlier).
-func (m *burstSender) usable(n int) bool { return m != nil && !m.disabled && n >= 2 }
-
-// queue puts frame, bound for peer dst, in slot i of the next burst. The
-// frame must stay untouched until send returns.
-func (m *burstSender) queue(i int, dst mid.ProcID, frame []byte) {
-	m.iovs[i].Base = &frame[0]
-	m.iovs[i].SetLen(len(frame))
-	m.hdrs[i] = mmsghdr{hdr: syscall.Msghdr{
-		Name:    (*byte)(unsafe.Pointer(&m.sas[dst])),
-		Namelen: syscall.SizeofSockaddrInet4,
-		Iov:     &m.iovs[i],
-		Iovlen:  1,
-	}}
-}
-
-// send ships slots [0, n) and reports how many datagrams left and how many
-// were refused for good (loss is an omission the protocol repairs; the
-// caller counts it). ok is false when the kernel refused sendmmsg itself
-// before anything left: the caller takes the classic path for this burst and,
-// usable being false from now on, every later one.
-func (m *burstSender) send(n int) (sent, errs int, ok bool) {
-	m.want, m.sent, m.errs, m.fellBack = n, 0, 0, false
+// send ships each listed peer its pending frames as one datagram and reports
+// how many datagrams left and how many were refused for good (loss is an
+// omission the protocol repairs; the caller counts it). ok is false when the
+// kernel refused sendmmsg itself before anything left, or there is no
+// sender: the caller takes the classic path for this flush and, disabled
+// being set, every later one. The frames must stay untouched until send
+// returns.
+func (m *burstSender) send(peers []mid.ProcID, pending [][]*sharedBuf) (sent, errs int, ok bool) {
+	if m == nil || m.disabled {
+		return 0, 0, false
+	}
+	words, iovs := 0, 0
+	for _, p := range peers {
+		if k := len(pending[p]); k > 1 {
+			words += 1 + k
+			iovs += 2 * k
+		} else {
+			iovs++
+		}
+	}
+	// Both arrays are sized before any pointer into them is taken.
+	if cap(m.words) < 4*words {
+		m.words = make([]byte, 0, 4*words)
+	}
+	if cap(m.iovs) < iovs {
+		m.iovs = make([]syscall.Iovec, iovs)
+	}
+	m.words, m.iovs = m.words[:0], m.iovs[:cap(m.iovs)]
+	iov := 0
+	for i, p := range peers {
+		frames, first := pending[p], iov
+		if len(frames) == 1 {
+			m.chain(iov, frames[0].buf)
+			iov++
+		} else {
+			// [marker, len0] frame0 [len1] frame1 ...: the marker shares the
+			// first length word's iovec.
+			w := len(m.words)
+			m.words = wire.AppendBundleHeader(m.words)
+			for _, f := range frames {
+				m.words = wire.AppendBundled(m.words, f.buf)
+				m.chain(iov, m.words[w:])
+				m.chain(iov+1, f.buf)
+				iov, w = iov+2, len(m.words)
+			}
+		}
+		m.hdrs[i] = mmsghdr{hdr: syscall.Msghdr{
+			Name:    (*byte)(unsafe.Pointer(&m.sas[p])),
+			Namelen: syscall.SizeofSockaddrInet4,
+			Iov:     &m.iovs[first],
+			Iovlen:  uint64(iov - first),
+		}}
+	}
+	m.want, m.sent, m.errs, m.fellBack = len(peers), 0, 0, false
 	if werr := m.rc.Write(m.write); werr != nil {
 		m.errs = m.want - m.sent // raw-conn failure (e.g. closing socket)
 	}
 	return m.sent, m.errs, !m.fellBack
+}
+
+// chain points iovec i at b.
+func (m *burstSender) chain(i int, b []byte) {
+	m.iovs[i].Base = &b[0]
+	m.iovs[i].SetLen(len(b))
 }
 
 // writeBurst is the raw-conn write callback: it pushes the prepared headers

@@ -10,16 +10,17 @@ import (
 )
 
 // Non-linux platforms have no sendmmsg/recvmmsg: both constructors return
-// nil and the runtime stays on the classic one-syscall-per-datagram path.
+// nil and the runtime stays on the classic one-syscall-per-datagram path,
+// which copies a bundle into one buffer.
 
 // burstSender is unavailable off linux/amd64 and linux/arm64.
 type burstSender struct{ disabled bool }
 
-func newBurstSender(*net.UDPConn, []*net.UDPAddr, int) *burstSender { return nil }
+func newBurstSender(*net.UDPConn, []*net.UDPAddr) *burstSender { return nil }
 
-func (m *burstSender) usable(int) bool                    { return false }
-func (m *burstSender) queue(int, mid.ProcID, []byte)      {}
-func (m *burstSender) send(int) (sent, errs int, ok bool) { return 0, 0, false }
+func (m *burstSender) send([]mid.ProcID, [][]*sharedBuf) (sent, errs int, ok bool) {
+	return 0, 0, false
+}
 
 type mmsgReceiver struct{}
 

@@ -93,3 +93,72 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBundle throws arbitrary bytes at the bundle splitter. It never reads
+// past its input: every frame it splits off lies inside the bundle, in order,
+// and a bundle it splits to the end rebuilds to the same bytes. And frames
+// carved from the input, appended as a bundle, split back out unchanged.
+// Runs its seed corpus under plain `go test`; extend with
+// `go test -fuzz=FuzzBundle ./internal/wire`.
+func FuzzBundle(f *testing.F) {
+	frame := append(AppendEnvelope(nil, 3, 1), 0x01, 0x02, 0x03)
+	bundled := func(fr []byte) []byte { return append(AppendBundled(nil, fr), fr...) }
+	join := func(parts ...[]byte) []byte {
+		return bytes.Join(append([][]byte{AppendBundleHeader(nil)}, parts...), nil)
+	}
+	f.Add(join(bundled(frame), bundled(frame[:4])))            // two frames
+	f.Add(join())                                              // a lone marker
+	f.Add(join(bundled(frame), []byte{0, 0, 0, 0}))            // a zero length
+	f.Add(join([]byte{0, 0, 0, 9}, frame))                     // a length past the end
+	f.Add(join(bundled(join(bundled(frame)))))                 // a bundle inside a bundle
+	f.Add(join(bundled(frame), []byte{0xee, 0xee}))            // a frame, then garbage
+	f.Add(frame)                                               // a plain frame
+	f.Add([]byte{0x80, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x01}) // a length that wraps
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if IsBundle(data) {
+			rebuilt := AppendBundleHeader(nil)
+			rest := data[BundleHeaderSize:]
+			for len(rest) > 0 {
+				fr, tail, err := NextBundled(rest)
+				if err != nil {
+					break
+				}
+				if len(fr) == 0 || 4+len(fr)+len(tail) != len(rest) || !bytes.Equal(fr, rest[4:4+len(fr)]) || IsBundle(fr) {
+					t.Fatalf("split %d bytes into a %d-byte frame and a %d-byte tail", len(rest), len(fr), len(tail))
+				}
+				rebuilt = append(AppendBundled(rebuilt, fr), fr...)
+				rest = tail
+			}
+			if len(rest) == 0 && !bytes.Equal(rebuilt, data) {
+				t.Fatalf("bundle split whole but rebuilt differently:\n got %x\nwant %x", rebuilt, data)
+			}
+		}
+		// Carve data into frames (the first byte of each sizes it) and
+		// bundle them; a frame that is itself a bundle is not bundled.
+		var frames [][]byte
+		b := AppendBundleHeader(nil)
+		for i := 0; i < len(data); {
+			fr := data[i:min(len(data), i+1+int(data[i])%64)]
+			i += len(fr)
+			if !IsBundle(fr) {
+				frames = append(frames, fr)
+				b = append(AppendBundled(b, fr), fr...)
+			}
+		}
+		if !IsBundle(b) {
+			t.Fatal("an appended bundle does not read as one")
+		}
+		rest := b[BundleHeaderSize:]
+		for i, want := range frames {
+			fr, tail, err := NextBundled(rest)
+			if err != nil || !bytes.Equal(fr, want) {
+				t.Fatalf("frame %d of %d: %x (err %v), want %x", i, len(frames), fr, err, want)
+			}
+			rest = tail
+		}
+		if len(rest) != 0 {
+			t.Fatalf("%d bytes left after the last frame", len(rest))
+		}
+	})
+}
