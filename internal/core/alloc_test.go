@@ -1,7 +1,9 @@
 package core
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"urcgc/internal/causal"
 	"urcgc/internal/mid"
@@ -240,5 +242,47 @@ func TestSubmitAllocBudget(t *testing.T) {
 		if got > budget {
 			t.Errorf("%s allocates %.3f objects per message, budget %.1f", c.name, got, budget)
 		}
+	}
+}
+
+// TestSenderArenaChunkCap pins the cap a Process gives its arena: it carves
+// one header per generated message and the label list Submit and
+// SubmitCausal keep, so its chunks stop at 16 KiB, where the decoder's grow to
+// 64 KiB (wire.TestArenaCap). Each chunk's length is read right after every
+// take, so the longest seen is the longest allocated.
+func TestSenderArenaChunkCap(t *testing.T) {
+	const senderCap = 16 << 10
+	procs := syncGroup(t, Config{N: 3, K: 3, R: 8, SelfExclusion: true})
+	p, payload := procs[0], make([]byte, 64)
+	if p.arena.Cap != senderCap {
+		t.Fatalf("a Process's arena caps chunks at %d bytes, want %d", p.arena.Cap, senderCap)
+	}
+	// One message processed from each peer, so SubmitCausal has two labels.
+	for _, q := range procs[1:] {
+		p.Recv(q.ID(), &wire.Data{Msg: causal.Message{ID: mid.MID{Proc: q.ID(), Seq: 1}}})
+	}
+	arena := reflect.ValueOf(&p.arena).Elem()
+	hdrLen, bytesLen := arena.FieldByName("hdrLen"), arena.FieldByName("bytesLen")
+	var hdr, byt int
+	for i := 0; i < 10000; i++ {
+		var err error
+		if i%2 == 0 {
+			_, err = p.Submit(payload, nil)
+		} else {
+			_, err = p.SubmitCausal(payload)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Flush()
+		hdr = max(hdr, int(hdrLen.Int())*int(unsafe.Sizeof(causal.Message{})))
+		byt = max(byt, int(bytesLen.Int()))
+	}
+	t.Logf("longest chunks: %d bytes of headers, %d of labels", hdr, byt)
+	if hdr > senderCap || byt > senderCap {
+		t.Errorf("a chunk of %d bytes of headers or %d of labels, cap %d", hdr, byt, senderCap)
+	}
+	if hdr < senderCap/2 || byt < senderCap/2 {
+		t.Errorf("chunks of %d and %d bytes never grew to the cap: the probe reads nothing", hdr, byt)
 	}
 }

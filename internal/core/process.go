@@ -305,7 +305,10 @@ type Process struct {
 	outbox  []*causal.Message // user messages awaiting the subrun budget and the valve
 	taken   []*causal.Message // broadcastOutbox's scratch: the messages of the drain in progress
 	// arena is where the messages this process generates are carved: their
-	// records and label lists (DESIGN.md §7 rule 6).
+	// records and label lists (DESIGN.md §7 rule 6). It takes one header per
+	// message, so its chunks stop at 16 KiB (292 headers): 64 KiB ones would
+	// save under three chunk allocations per thousand messages and pin four
+	// times the memory while the history holds them.
 	arena wire.Arena
 
 	// The PDUs this process sends every subrun are built in place, in records
@@ -454,6 +457,7 @@ func NewProcess(id mid.ProcID, cfg Config, tp Transport, cb Callbacks) (*Process
 		tracker:   causal.NewTracker(n),
 		hist:      history.New(n),
 		wait:      waitlist.New(n),
+		arena:     wire.Arena{Cap: 16 << 10},
 		view:      group.NewView(n),
 		running:   true,
 		sendLeft:  cfg.batchMax(),

@@ -21,7 +21,7 @@ import (
 // samples before it existed (counters and gauges start at zero, so the
 // backfill is semantically right).
 //
-// Sample, Snapshot and Tail are safe for concurrent use.
+// Sample and Snapshot are safe for concurrent use.
 type Flight struct {
 	reg      *Registry
 	interval time.Duration
@@ -166,29 +166,6 @@ func (f *Flight) window() (start, n int) {
 	}
 	start = int((f.samples - int64(n)) % int64(f.capacity))
 	return start, n
-}
-
-// Tail appends the most recent values of the named series, oldest to
-// newest, to buf and returns it. At most max values are returned (max
-// ≤ 0 means the whole window). A series sampled for the first time
-// mid-window reads zero before it existed. Returns buf unchanged if the
-// series has never been sampled.
-func (f *Flight) Tail(name string, buf []int64, max int) []int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s, ok := f.series[name]
-	if !ok {
-		return buf
-	}
-	start, n := f.window()
-	if max > 0 && n > max {
-		start = (start + n - max) % f.capacity
-		n = max
-	}
-	for i := 0; i < n; i++ {
-		buf = append(buf, s.vals[(start+i)%f.capacity])
-	}
-	return buf
 }
 
 // FlightSnapshot is the JSON shape served from /timeseries: the

@@ -69,30 +69,6 @@ func TestFlightRingWraps(t *testing.T) {
 	}
 }
 
-func TestFlightTail(t *testing.T) {
-	reg := New()
-	g := reg.Gauge("g")
-	f := NewFlight(reg, FlightOptions{Cap: 8})
-	for i := 1; i <= 5; i++ {
-		g.Set(int64(i))
-		f.Sample()
-	}
-	if tail := f.Tail("g", nil, 3); len(tail) != 3 || tail[0] != 3 || tail[2] != 5 {
-		t.Fatalf("Tail(3) = %v", tail)
-	}
-	if tail := f.Tail("g", nil, 0); len(tail) != 5 || tail[0] != 1 {
-		t.Fatalf("Tail(0) = %v", tail)
-	}
-	if tail := f.Tail("absent", nil, 4); len(tail) != 0 {
-		t.Fatalf("Tail(absent) = %v", tail)
-	}
-	// Reuses the caller's buffer.
-	buf := make([]int64, 0, 8)
-	if tail := f.Tail("g", buf, 2); &tail[0] != &buf[:1][0] {
-		t.Fatal("Tail did not append into the provided buffer")
-	}
-}
-
 // TestFlightLateSeriesBackfilled pins the alignment rule: a series first
 // sampled mid-flight reads zero for the slots before it existed, keeping
 // every series the same length as the timestamp window.
@@ -111,8 +87,8 @@ func TestFlightLateSeriesBackfilled(t *testing.T) {
 	}
 }
 
-// TestFlightConcurrentReads hammers Snapshot/Tail from several goroutines
-// while the sampler runs; the race detector is the assertion.
+// TestFlightConcurrentReads hammers Snapshot from several goroutines while
+// the sampler runs; the race detector is the assertion.
 func TestFlightConcurrentReads(t *testing.T) {
 	reg := New()
 	g := reg.Gauge("g")
@@ -126,7 +102,6 @@ func TestFlightConcurrentReads(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf []int64
 			for {
 				select {
 				case <-stop:
@@ -134,7 +109,6 @@ func TestFlightConcurrentReads(t *testing.T) {
 				default:
 				}
 				_ = f.Snapshot()
-				buf = f.Tail("g", buf[:0], 8)
 				g.Add(1)
 			}
 		}()

@@ -140,6 +140,63 @@ func TestUnmarshalAllocBudget(t *testing.T) {
 	}
 }
 
+// TestArenaCap pins the chunk cap an arena's owner chooses. A sender's arena
+// (core.Process, Cap 16 KiB) takes one header per message and, for Submit, a
+// list of the caller's labels: no chunk it allocates is longer than its cap,
+// a take longer than the cap still gets a chunk of its own size, and a stream
+// of takes costs under 0.004 chunks per message. The zero Arena, which every
+// FreeList's decoder takes whole frames from, grows to 64 KiB. Every chunk is
+// sampled right after the take that started it, so the longest seen is the
+// longest allocated.
+func TestArenaCap(t *testing.T) {
+	const senderCap, takes = 16 << 10, 10000
+	submit := func(a *Arena, i int) {
+		deps := a.Labels(i % 2) // Submit with no dependency or one
+		a.Message(64 + 8*len(deps))
+	}
+	longest := func(a *Arena) (hdr, byt int) {
+		for i := 0; i < takes; i++ {
+			submit(a, i)
+			hdr, byt = max(hdr, a.hdrLen*headerBytes), max(byt, a.bytesLen)
+		}
+		return hdr, byt
+	}
+	for _, c := range []struct {
+		name       string
+		cap, limit int
+	}{{"sender", senderCap, senderCap}, {"decoder", 0, 64 << 10}} {
+		hdr, byt := longest(&Arena{Cap: c.cap})
+		// Header chunks double up to the cap and stop there.
+		if want := c.limit / headerBytes * headerBytes; hdr != want || byt > c.limit {
+			t.Errorf("%s: longest chunks %d bytes of headers and %d of bytes, want %d and at most %d", c.name, hdr, byt, want, c.limit)
+		}
+	}
+
+	a := &Arena{Cap: senderCap}
+	longest(a)
+	big := senderCap/headerBytes + 1
+	if a.carve(big, 0); a.hdrLen != big {
+		t.Errorf("a take of %d headers got a chunk of %d", big, a.hdrLen)
+	}
+	if a.Labels(senderCap/8 + 1); a.bytesLen != senderCap+8 {
+		t.Errorf("a take of %d label bytes got a chunk of %d", senderCap+8, a.bytesLen)
+	}
+	submit(a, 1)
+	if a.hdrLen*headerBytes > senderCap || a.bytesLen > senderCap {
+		t.Errorf("after an oversized take: chunks of %d and %d bytes, cap %d", a.hdrLen*headerBytes, a.bytesLen, senderCap)
+	}
+	// Long runs, so a stray allocation elsewhere in the process is noise.
+	got := testing.AllocsPerRun(4, func() {
+		for i := 0; i < 10*takes; i++ {
+			submit(a, i)
+		}
+	}) / (10 * takes)
+	t.Logf("sender: %.4f chunks per message", got)
+	if got > 0.004 {
+		t.Errorf("a sender's arena allocates %.4f chunks per message, budget 0.004", got)
+	}
+}
+
 // TestPooledRoundTripAllocFree guards the full pooled hot path — GetBuf,
 // MarshalAppend, PutBuf — at zero allocations in steady state.
 func TestPooledRoundTripAllocFree(t *testing.T) {

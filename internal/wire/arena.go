@@ -7,12 +7,15 @@ import (
 	"urcgc/internal/mid"
 )
 
-// chunkBytes caps the length of an arena chunk. Every frame a live link can
-// deliver (rt.MaxDatagram) fits one.
+// chunkBytes caps the length of a chunk of an arena whose owner set no Cap:
+// the decoder's, which takes a whole frame at a time. Every frame a live link
+// can deliver (rt.MaxDatagram) fits one, and TestUnmarshalAllocBudget prices a
+// stream of full batches at a share of one. It is also every arena's bound on
+// what one header chunk's messages reference.
 const chunkBytes = 64 << 10
 
-// maxHeaders is the header chunk's cap in records.
-const maxHeaders = chunkBytes / int(unsafe.Sizeof(causal.Message{}))
+// headerBytes is the length of one header in a header chunk.
+const headerBytes = int(unsafe.Sizeof(causal.Message{}))
 
 // Arena carves the messages a live path retains — their headers, label lists
 // and payload bytes — out of chunks it allocates, so a message costs a share
@@ -22,10 +25,10 @@ const maxHeaders = chunkBytes / int(unsafe.Sizeof(causal.Message{}))
 // downwards from the back, as a frame's slab does. Every slice handed out is
 // capped exactly, so an append reallocates instead of reaching a neighbour.
 //
-// A chunk starts at what its first taker needs and doubles up to chunkBytes;
-// a take larger than that gets a chunk of its own size. A chunk is never
-// reused, recycled or pooled: the collector frees it once the last message
-// carved from it is unreachable, so nothing can be handed out twice.
+// A chunk starts at what its first taker needs and doubles up to Cap; a take
+// larger than that gets a chunk of its own size. A chunk is never reused,
+// recycled or pooled: the collector frees it once the last message carved
+// from it is unreachable, so nothing can be handed out twice.
 // A header chunk is closed early once the messages carved from it reference
 // chunkBytes of labels and payloads — a dead header still references its
 // bytes, so this bounds what one retained message pins, whatever the payload
@@ -34,6 +37,11 @@ const maxHeaders = chunkBytes / int(unsafe.Sizeof(causal.Message{}))
 // The zero Arena is ready. It is not safe for concurrent use: exactly one
 // goroutine takes from it.
 type Arena struct {
+	// Cap caps the length in bytes of a header or byte chunk; zero means
+	// chunkBytes (64 KiB). The owner sets it by what one take is: a
+	// decoder takes a frame, a sender one header (DESIGN.md §7 rule 6).
+	Cap int
+
 	headers []causal.Message // what is left of the header chunk
 	hdrLen  int              // the header chunk's length
 	reach   int              // label and payload bytes its headers reference
@@ -52,7 +60,7 @@ func (a *Arena) carve(n, reach int) []causal.Message {
 		if out {
 			used *= 2
 		}
-		a.hdrLen = max(n, min(used, maxHeaders))
+		a.hdrLen = max(n, min(used, a.limit()/headerBytes))
 		a.headers, a.reach = make([]causal.Message, a.hdrLen), 0
 	}
 	h := a.headers[:n:n]
@@ -64,10 +72,18 @@ func (a *Arena) carve(n, reach int) []causal.Message {
 // one when it is short.
 func (a *Arena) slab(size int) *slab {
 	if size > a.bytes.hi-a.bytes.lo {
-		a.bytesLen = max(size, min(2*a.bytesLen, chunkBytes))
+		a.bytesLen = max(size, min(2*a.bytesLen, a.limit()))
 		a.bytes = newSlab(a.bytesLen)
 	}
 	return &a.bytes
+}
+
+// limit is the cap on a chunk's length in bytes.
+func (a *Arena) limit() int {
+	if a.Cap > 0 {
+		return a.Cap
+	}
+	return chunkBytes
 }
 
 // Message returns a zeroed message record for a message whose labels and
