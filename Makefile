@@ -84,10 +84,12 @@ loc:
 # stalled-reader row (the conformance table's stalled_reader cells), whose
 # spill drainer races the loop's fast path and Stop, and the shard loop's
 # per-peer bundles (TestUDPBundlePacksOneLoopTurn,
-# TestUDPPendingFramesDieWithTheMember), whose flush races Kill and Stop.
+# TestUDPPendingFramesDieWithTheMember), whose flush races Kill and Stop, and
+# the reader's mapped receive set (TestUDPNodeChurnIsHeapNeutral,
+# TestReceiveSetIsOffHeap), whose unmap at reader exit races Stop.
 race:
 	$(GO) test -race ./internal/rt/... ./internal/topics/... ./internal/core/... ./internal/obs/... ./internal/health/... ./internal/inspect/... ./internal/stitch/... ./internal/faultrt/... ./internal/wire/...
-	$(GO) test -race -count=10 -run '^(TestSubmitSignalsOnlyOnProcessing|TestEverySendEndsOnce|TestRecycledSubmissionSeesNoStaleSignal|TestLeaveFailsEveryWaiterExactlyOnce|TestSendAbandonedDoesNotLeakWaiter|TestUDPSendAbandonedDoesNotLeakWaiterOrGoroutines|TestCoalescerStopFailsPendingWindow|TestClusterStopUnblocksWindowedSends|TestWindowClosesWhenLoopDrains|TestUDPBundlePacksOneLoopTurn|TestUDPPendingFramesDieWithTheMember|TestConformance)$$/.*/.*/^stalled_reader$$' ./internal/rt/
+	$(GO) test -race -count=10 -run '^(TestSubmitSignalsOnlyOnProcessing|TestEverySendEndsOnce|TestRecycledSubmissionSeesNoStaleSignal|TestLeaveFailsEveryWaiterExactlyOnce|TestSendAbandonedDoesNotLeakWaiter|TestUDPSendAbandonedDoesNotLeakWaiterOrGoroutines|TestCoalescerStopFailsPendingWindow|TestClusterStopUnblocksWindowedSends|TestWindowClosesWhenLoopDrains|TestUDPBundlePacksOneLoopTurn|TestUDPPendingFramesDieWithTheMember|TestUDPNodeChurnIsHeapNeutral|TestReceiveSetIsOffHeap|TestConformance)$$/.*/.*/^stalled_reader$$' ./internal/rt/
 
 # check is the tier-1 gate: everything is gofmt-clean, builds, vets clean,
 # passes the full suite (the allocs/op budgets of the codec, the idle subrun

@@ -435,7 +435,6 @@ func (m *Member) reader() {
 		return false
 	}
 	if mm := newMmsgReceiver(conn); mm != nil {
-		defer mm.release()
 		for {
 			cnt, err := mm.recv()
 			if err == errMmsgUnsupported {
@@ -443,6 +442,7 @@ func (m *Member) reader() {
 			}
 			if err != nil {
 				if lost(err) {
+					mm.release()
 					return
 				}
 				continue
@@ -451,6 +451,7 @@ func (m *Member) reader() {
 				m.ingest(mm.packet(i), mm.from(i), nil)
 			}
 		}
+		mm.release() // the classic loop needs none of the burst set
 	}
 	// One byte of slack past MaxDatagram distinguishes an exactly-full
 	// datagram from an oversize one the kernel truncated to fit the buffer.

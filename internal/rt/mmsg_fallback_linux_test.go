@@ -32,7 +32,8 @@ func refuseMmsg(t *testing.T) {
 // TestMmsgRuntimeFallback pins the runtime degradation contract: a kernel
 // that accepts socket construction but refuses sendmmsg/recvmmsg with
 // ENOSYS must push the node onto classic single-datagram I/O, with every
-// frame still arriving — the fallback is silent degradation, not loss.
+// frame still arriving — the fallback is silent degradation, not loss — and
+// the reader must unmap its burst receive set before it takes the classic loop.
 // (mmsg tests mutate the package-level syscall seams, so this test must not
 // run in parallel with other UDP tests; Go runs same-package tests
 // sequentially unless t.Parallel is called, and none of these call it.)
@@ -41,6 +42,7 @@ func TestMmsgRuntimeFallback(t *testing.T) {
 		t.Skip("real sockets and timers")
 	}
 	refuseMmsg(t)
+	mapped := mappedSets.Load()
 
 	const n, perNode = 3, 8
 	reg := obs.New()
@@ -61,6 +63,10 @@ func TestMmsgRuntimeFallback(t *testing.T) {
 	// vector exactly as it would with the burst path live.
 	sendEach(t, nodes, perNode)
 	awaitProcessed(t, nodes, mid.SeqVector{perNode, perNode, perNode})
+	// Every reader has fallen back, so none may still hold a receive set.
+	if got := mappedSets.Load(); got != mapped {
+		t.Errorf("%d receive sets outlive the fallback to the classic reader", got-mapped)
+	}
 
 	// Every sender must have latched the refusal and disabled its burst
 	// path (checked via Snapshot so the read happens on the loop goroutine

@@ -5,6 +5,7 @@ package rt
 import (
 	"net"
 	"net/netip"
+	"sync/atomic"
 	"syscall"
 	"unsafe"
 
@@ -191,25 +192,27 @@ func (m *burstSender) writeBurst(fd uintptr) bool {
 // the classic reader.
 const burstSlot = MaxDatagram + 1
 
-// mmsgReceivers recycles whole receivers — the buffer set (mmsgBurst slots,
-// half a megabyte) and the header arrays over it — across member lifetimes,
-// so a process that constructs and stops members by the hundred — a test
-// suite, the benchmark's set-up timing — does not grow its heap by a slab of
-// garbage per member. A reader returns its receiver when it exits; nothing
-// else ever sees the bytes. A leaky channel, not a sync.Pool: the collector
-// empties a Pool every other cycle, and the queues a member allocates at
-// set-up are a cycle's worth by themselves — so a Pool handed a churning
-// process a fresh slab per member after all.
-var mmsgReceivers = make(chan *mmsgReceiver, 4)
+// mappedSets counts the receive sets mapped and not yet released.
+var mappedSets atomic.Int64
 
-func newReceiverBuffers() *mmsgReceiver {
+// newReceiverBuffers maps a receiver's slab outside the Go heap — where its
+// half megabyte, little of which traffic ever touches, would still count as
+// live and pace the collector — or returns nil.
+func newReceiverBuffers(rc syscall.RawConn) *mmsgReceiver {
+	slab, err := syscall.Mmap(-1, 0, mmsgBurst*burstSlot,
+		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		return nil
+	}
+	mappedSets.Add(1)
 	m := &mmsgReceiver{
+		rc:   rc,
+		slab: slab,
 		bufs: make([][]byte, mmsgBurst),
 		hdrs: make([]mmsghdr, mmsgBurst),
 		iovs: make([]syscall.Iovec, mmsgBurst),
 		sas:  make([]syscall.RawSockaddrAny, mmsgBurst),
 	}
-	slab := make([]byte, mmsgBurst*burstSlot)
 	for i := range m.bufs {
 		m.bufs[i] = slab[i*burstSlot : (i+1)*burstSlot : (i+1)*burstSlot]
 	}
@@ -221,7 +224,8 @@ func newReceiverBuffers() *mmsgReceiver {
 // goroutine; no locking.
 type mmsgReceiver struct {
 	rc   syscall.RawConn
-	bufs [][]byte // slices of one slab
+	slab []byte   // mapped by newReceiverBuffers, unmapped by release
+	bufs [][]byte // slices of slab
 	hdrs []mmsghdr
 	iovs []syscall.Iovec
 	sas  []syscall.RawSockaddrAny
@@ -240,23 +244,14 @@ func newMmsgReceiver(conn *net.UDPConn) *mmsgReceiver {
 	if err != nil {
 		return nil
 	}
-	var m *mmsgReceiver
-	select {
-	case m = <-mmsgReceivers:
-	default:
-		m = newReceiverBuffers()
-	}
-	m.rc = rc
-	return m
+	return newReceiverBuffers(rc)
 }
 
-// release hands the receiver back for the next member's reader. The reader
-// calls it on exit and must not use the receiver afterwards.
+// release unmaps the slab. The reader calls it once, when it stops reading
+// bursts, and must not touch a packet afterwards.
 func (m *mmsgReceiver) release() {
-	m.rc = nil
-	select {
-	case mmsgReceivers <- m:
-	default:
+	if syscall.Munmap(m.slab) == nil {
+		mappedSets.Add(-1)
 	}
 }
 

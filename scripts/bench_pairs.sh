@@ -8,7 +8,11 @@
 #
 # Output, all JSON lines on stdout (progress goes to stderr):
 #   one per run:    {side, pair, seed, correct, attempted, failed, metrics,
-#                    host_cpu_share_after}
+#                    host_cpu_share_after, legs_void, failed_share}
+#   one per side:   {side, failed, attempted, failed_share, legs_void}, the
+#                   sums over its runs: a side that fails a larger share of
+#                   its operations, or measured on fresh legs after void
+#                   ones, is not compared like for like.
 #   one per metric: for every end_to_end metric of BENCHMARK.json, each side's
 #                   median and quartiles, the change's wins by the metric's
 #                   `better` (ties count for neither side), the gap between
@@ -49,7 +53,9 @@ run() {
 		--slurpfile rep "$report" \
 		'{side: $side, pair: $pair, seed: $seed, correct, attempted, failed,
 		  metrics: (.metrics | map_values(.value)),
-		  host_cpu_share_after: $rep[0].diagnostics.host_cpu_share_after.value}' \
+		  host_cpu_share_after: $rep[0].diagnostics.host_cpu_share_after.value,
+		  legs_void: $rep[0].diagnostics.legs_void.value,
+		  failed_share: $rep[0].diagnostics.failed_share.value}' \
 		<<<"$result" | tee -a "$tmp/runs"
 }
 
@@ -64,6 +70,11 @@ for seed in "$@"; do
 		run parent "$pair" "$seed"
 	fi
 done
+
+jq -c -s 'group_by(.side)[]
+	| {side: .[0].side, failed: (map(.failed) | add), attempted: (map(.attempted) | add),
+	   legs_void: (map(.legs_void) | add)}
+	| .failed_share = (if .attempted > 0 then .failed / .attempted else 0 end)' "$tmp/runs"
 
 jq -c -s --slurpfile bench "$repo/BENCHMARK.json" '
 	# q: the p-quantile of a sorted array, interpolated between ranks.
